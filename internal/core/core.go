@@ -17,7 +17,6 @@ import (
 	"ityr/internal/metrics"
 	"ityr/internal/netmodel"
 	"ityr/internal/pgas"
-	"ityr/internal/prof"
 	"ityr/internal/profile"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
@@ -111,9 +110,7 @@ type Runtime struct {
 	comm    *rma.Comm
 	space   *pgas.Space
 	sched   *uth.Sched
-	prof    *prof.Profiler
-	stream  *profile.Profile
-	trace   *trace.Log
+	rec     *trace.Recorder
 	metrics *metrics.Registry
 	inj     *fault.Injector
 	prot    *uth.Protector
@@ -161,24 +158,24 @@ func NewRuntime(cfg Config) *Runtime {
 			}
 		}
 	}
-	pr := prof.New(cfg.Ranks)
-	space := pgas.New(comm, cfg.Pgas, pr)
+	// One recorder serves every layer; the ones built below take it from comm.
 	var tl *trace.Log
 	if cfg.Trace {
 		tl = trace.NewRing(cfg.TraceRing)
 		tl.CoresPerNode = cfg.CoresPerNode
-		space.TraceLog = tl
-		comm.SetTrace(tl)
+	}
+	var stream *profile.Profile
+	if cfg.Profile {
+		stream = profile.New(cfg.Ranks, net)
 	}
 	reg := metrics.NewRegistry()
+	rec := trace.NewRecorder(cfg.Ranks, tl, stream, reg)
+	comm.SetRecorder(rec)
+	space := pgas.New(comm, cfg.Pgas)
 	reg.Label("policy", space.Policy().String())
 	reg.Gauge("ranks").Set(int64(cfg.Ranks))
 	reg.Gauge("cores_per_node").Set(int64(cfg.CoresPerNode))
-	space.MetricAcquireNs = reg.Histogram("pgas_acquire_ns", metrics.ExpBuckets(250, 2, 16))
-	space.MetricReleaseNs = reg.Histogram("pgas_release_ns", metrics.ExpBuckets(250, 2, 16))
-	space.MetricCheckoutBytes = reg.Histogram("pgas_checkout_bytes", metrics.ExpBuckets(64, 4, 12))
-	sched := uth.NewSched(comm, cfg.Sched, hooks{space: space, trace: tl, eng: eng})
-	sched.SetTrace(tl)
+	sched := uth.NewSched(comm, cfg.Sched, hooks{space: space})
 	if cfg.Pgas.Validate {
 		// Validator diagnostics name the task segment running on the
 		// offending rank; the scheduler knows the thread -> rank binding.
@@ -186,15 +183,6 @@ func NewRuntime(cfg Config) *Runtime {
 			return sched.CurrentTID(comm.Rank(rank).Proc())
 		}
 	}
-	var stream *profile.Profile
-	if cfg.Profile {
-		stream = profile.New(cfg.Ranks, net)
-		comm.SetProfile(stream)
-		space.Profile = stream
-		sched.Profile = stream
-	}
-	sched.StealLatency = reg.Histogram("uth_steal_latency_ns", trace.StealLatencyBounds)
-	sched.FailedStealLatency = reg.Histogram("uth_failed_steal_latency_ns", trace.StealLatencyBounds)
 	// The SDC protector exists whenever defenses are configured OR a plan
 	// can corrupt task results: the latter case (defenses off) still needs
 	// the protector's escape accounting for the negative control.
@@ -224,7 +212,7 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
-		prof: pr, stream: stream, trace: tl, metrics: reg, inj: inj, prot: protector}
+		rec: rec, metrics: reg, inj: inj, prot: protector}
 }
 
 // Injector returns the armed fault injector (nil unless Config.Faults).
@@ -235,19 +223,19 @@ func (rt *Runtime) Injector() *fault.Injector { return rt.inj }
 func (rt *Runtime) Protector() *uth.Protector { return rt.prot }
 
 // Trace returns the event log (nil unless Config.Trace was set).
-func (rt *Runtime) Trace() *trace.Log { return rt.trace }
+func (rt *Runtime) Trace() *trace.Log { return rt.rec.Log() }
 
 // Profile returns the streaming profile collector (nil unless
 // Config.Profile was set).
-func (rt *Runtime) Profile() *profile.Profile { return rt.stream }
+func (rt *Runtime) Profile() *profile.Profile { return rt.rec.Profile() }
 
 // WriteProfile writes the streaming-profile snapshot as indented
 // "itoyori-profile/v1" JSON. It fails when profiling was not enabled.
 func (rt *Runtime) WriteProfile(w io.Writer) error {
-	if rt.stream == nil {
+	if rt.Profile() == nil {
 		return fmt.Errorf("core: profiling was not enabled (Config.Profile)")
 	}
-	return rt.stream.WriteJSON(w)
+	return rt.Profile().WriteJSON(w)
 }
 
 // Metrics returns the runtime's metrics registry (always present).
@@ -323,8 +311,8 @@ func (rt *Runtime) MetricsSnapshot() metrics.Snapshot {
 
 	// Ring-truncation observability: surfaced only when tracing is on, so
 	// trace-free snapshots keep their historical key set.
-	if rt.trace != nil {
-		reg.Counter("trace_dropped_spans").Set(rt.trace.Dropped())
+	if rt.Trace() != nil {
+		reg.Counter("trace_dropped_spans").Set(rt.Trace().Dropped())
 	}
 
 	// Validator observability: surfaced only when checkout validation is
@@ -390,7 +378,7 @@ func (rt *Runtime) WriteMetrics(w io.Writer) error {
 // cmd/itytrace, embedding the run's metrics snapshot in the metadata. It
 // fails when tracing was not enabled.
 func (rt *Runtime) WriteTrace(w io.Writer) error {
-	if rt.trace == nil {
+	if rt.Trace() == nil {
 		return fmt.Errorf("core: tracing was not enabled (Config.Trace)")
 	}
 	snap, err := json.Marshal(rt.MetricsSnapshot())
@@ -398,8 +386,8 @@ func (rt *Runtime) WriteTrace(w io.Writer) error {
 		return err
 	}
 	var profSnap json.RawMessage
-	if rt.stream != nil {
-		if profSnap, err = json.Marshal(rt.stream.Snapshot()); err != nil {
+	if rt.Profile() != nil {
+		if profSnap, err = json.Marshal(rt.Profile().Snapshot()); err != nil {
 			return err
 		}
 	}
@@ -409,7 +397,7 @@ func (rt *Runtime) WriteTrace(w io.Writer) error {
 			return err
 		}
 	}
-	return rt.trace.WriteDump(w, trace.Meta{
+	return rt.Trace().WriteDump(w, trace.Meta{
 		Ranks:        rt.cfg.Ranks,
 		CoresPerNode: rt.cfg.CoresPerNode,
 		Policy:       rt.space.Policy().String(),
@@ -420,52 +408,19 @@ func (rt *Runtime) WriteTrace(w io.Writer) error {
 }
 
 // hooks wires the scheduler's synchronization points to the cache
-// coherence fences (Fig. 5 placement, Fig. 6 lazy protocol) and, when
-// enabled, the event tracer. Fork/steal/join edges themselves are
-// recorded by the scheduler (it knows the thread IDs); the hooks record
-// the fences as spans so fence cost is visible on the timeline.
-type hooks struct {
-	space *pgas.Space
-	trace *trace.Log
-	eng   *sim.Engine
-}
+// coherence fences (Fig. 5 placement, Fig. 6 lazy protocol). The fences
+// time and report themselves, so each appears on the timeline as one span.
+type hooks struct{ space *pgas.Space }
 
-// span runs fn and records it as a [t0, now) span of the given kind.
-func (h hooks) span(rank int, k trace.Kind, arg int64, fn func()) {
-	if h.trace == nil {
-		fn()
-		return
-	}
-	t0 := h.eng.Now()
-	fn()
-	h.trace.RecSpan(t0, h.eng.Now()-t0, rank, k, arg, 0)
-}
-
-func (h hooks) Poll(rank int) { h.space.Local(rank).Poll() }
-func (h hooks) OnFork(rank int) any {
-	return h.space.Local(rank).ReleaseLazy()
-}
+func (h hooks) Poll(rank int)       { h.space.Local(rank).Poll() }
+func (h hooks) OnFork(rank int) any { return h.space.Local(rank).ReleaseLazy() }
 func (h hooks) OnSteal(rank int, handler any) {
 	hd, _ := handler.(pgas.ReleaseHandler)
-	h.span(rank, trace.KAcquire, int64(hd.Rank), func() {
-		h.space.Local(rank).AcquireWith(hd)
-	})
+	h.space.Local(rank).AcquireWith(hd)
 }
-func (h hooks) OnSuspend(rank int) {
-	h.span(rank, trace.KRelease, 0, func() {
-		h.space.Local(rank).ReleaseFence()
-	})
-}
-func (h hooks) OnChildStolenDone(rank int) {
-	h.span(rank, trace.KRelease, 1, func() {
-		h.space.Local(rank).ReleaseFence()
-	})
-}
-func (h hooks) OnMigrateArrive(rank int) {
-	h.span(rank, trace.KMigrate, 0, func() {
-		h.space.Local(rank).AcquireFence()
-	})
-}
+func (h hooks) OnSuspend(rank int)         { h.space.Local(rank).ReleaseFenceAt(0) }
+func (h hooks) OnChildStolenDone(rank int) { h.space.Local(rank).ReleaseFenceAt(1) }
+func (h hooks) OnMigrateArrive(rank int)   { h.space.Local(rank).AcquireFence() }
 
 // Engine returns the simulation engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
@@ -479,8 +434,8 @@ func (rt *Runtime) Space() *pgas.Space { return rt.space }
 // Sched returns the scheduler.
 func (rt *Runtime) Sched() *uth.Sched { return rt.sched }
 
-// Profiler returns the profiler.
-func (rt *Runtime) Profiler() *prof.Profiler { return rt.prof }
+// Profiler returns the always-on Fig. 9 category totals.
+func (rt *Runtime) Profiler() *trace.Categories { return rt.rec.Categories() }
 
 // Config returns the runtime configuration after defaulting.
 func (rt *Runtime) Config() Config { return rt.cfg }
@@ -584,8 +539,9 @@ func (c *Ctx) Charge(d sim.Time) { c.tb.Proc().Advance(d) }
 // ChargeAs advances virtual time by d and attributes it to the named
 // profiler category (e.g. "Serial Quicksort" in Fig. 9).
 func (c *Ctx) ChargeAs(cat string, d sim.Time) {
+	t0 := c.Now()
 	c.tb.Proc().Advance(d)
-	c.rt.prof.AddName(cat, c.tb.RankID(), d)
+	c.rt.rec.SpanAs(cat, c.tb.RankID(), trace.KCompute, t0, d, 0, 0)
 }
 
 // Yield lets long-running leaf code service lazy-release polls.

@@ -179,7 +179,7 @@ func (l *Local) putRuns(group []wbRun, n int) {
 	win.Put(l.rank, src, group[0].home, group[0].segOff)
 	s.Stats.WriteBackOps++
 	s.Stats.WriteBackBytes += uint64(n)
-	s.TraceLog.Rec(l.rank.Proc().Now(), l.rank.ID(), trace.KWriteBack, int64(n))
+	s.rec.Instant(l.rank.ID(), trace.KWriteBack, l.rank.Proc().Now(), int64(n), 0)
 	// Home-visible from the Put's copy instant (validator ledger).
 	if v := s.val; v != nil {
 		now := l.rank.Proc().Now()
@@ -280,7 +280,7 @@ func (l *Local) prefetch(a *allocation, g0 Addr, homeRank int, win *rma.Win, seg
 			l.rank.Proc().Advance(costMmap)
 			s.Stats.Mmaps++
 			s.Stats.Evictions++
-			s.TraceLog.Rec(l.rank.Proc().Now(), l.rank.ID(), trace.KEviction, evicted.ID)
+			s.rec.Instant(l.rank.ID(), trace.KEviction, l.rank.Proc().Now(), evicted.ID, 0)
 		}
 		if l.cache.SetMapped(cb, true) {
 			l.rank.Proc().Advance(costMmap)
@@ -310,5 +310,5 @@ func (l *Local) prefetch(a *allocation, g0 Addr, homeRank int, win *rma.Win, seg
 	s.Batch.PrefetchOps++
 	s.Batch.PrefetchedBlocks += uint64(len(l.pfBlks))
 	s.Batch.PrefetchBytes += uint64(total)
-	s.TraceLog.Rec(l.rank.Proc().Now(), l.rank.ID(), trace.KPrefetch, int64(total))
+	s.rec.Instant(l.rank.ID(), trace.KPrefetch, l.rank.Proc().Now(), int64(total), 0)
 }

@@ -2,9 +2,9 @@ package pgas
 
 import (
 	"ityr/internal/memblock"
-	"ityr/internal/prof"
 	"ityr/internal/region"
 	"ityr/internal/sim"
+	"ityr/internal/trace"
 )
 
 // Epoch-window layout: 16 bytes per rank.
@@ -24,12 +24,13 @@ func (l *Local) requestEpoch() uint64 {
 
 // writeBackAll writes every dirty region of every cache block to its home,
 // then advances the epoch. Called for release fences, lazy-release polls,
-// and cache-pressure flushes; cat selects the profiler category charged.
+// and cache-pressure flushes; the pass is reported as one span of kind k
+// (KRelease with its fence-site arg, KWriteBackAll or KLazyWriteBackAll).
 // With Config.CoalesceWriteBack the dirty regions are shipped as merged
 // per-home Puts and each written target rank is flushed individually
 // (batch.go); otherwise every region is its own Put and one Flush waits on
 // everything.
-func (l *Local) writeBackAll(cat string) {
+func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	t0 := l.rank.Proc().Now()
 	wrote := false
 	if l.space.cfg.CoalesceWriteBack {
@@ -63,21 +64,27 @@ func (l *Local) writeBackAll(cat string) {
 		l.space.epochWin.StoreLocalUint64(l.rank, cur+1, offCurrentEpoch)
 		l.rank.Proc().Advance(costEpoch)
 	}
-	d := l.rank.Proc().Now() - t0
-	l.space.prof.AddName(cat, l.rank.ID(), d)
-	l.space.MetricReleaseNs.Observe(d)
+	l.space.rec.Span(l.rank.ID(), k, t0, l.rank.Proc().Now()-t0, arg, 0)
 }
 
 // ReleaseFence executes an eager release fence (§4.4): all dirty data is
 // written back to its home before the fence returns. Under NoCache and
 // WriteThrough there is never pending dirty data, so this is (nearly) free.
-func (l *Local) ReleaseFence() {
+func (l *Local) ReleaseFence() { l.ReleaseFenceAt(0) }
+
+// ReleaseFenceAt is ReleaseFence tagged with the fork-join site that owes
+// it, which travels as the KRelease span's Arg: 0 for a join suspension or
+// region exit (Release #3 of Fig. 5), 1 for the completion of a child whose
+// parent's continuation was stolen (Release #2).
+func (l *Local) ReleaseFenceAt(site int64) {
 	if l.space.cfg.Policy == NoCache {
 		// No cache means nothing to flush (uncached checkins already wrote
-		// home, and the validator marked them home-visible there).
+		// home, and the validator marked them home-visible there): the
+		// fence is an instant.
+		l.space.rec.Instant(l.rank.ID(), trace.KRelease, l.rank.Proc().Now(), site, 0)
 		return
 	}
-	l.writeBackAll(prof.CatRelease)
+	l.writeBackAll(trace.KRelease, site)
 }
 
 // ReleaseLazy is the fork-time release of Fig. 6 (ReleaseLazy): instead of
@@ -86,8 +93,10 @@ func (l *Local) ReleaseFence() {
 // handler is Unneeded.
 func (l *Local) ReleaseLazy() ReleaseHandler {
 	if l.space.cfg.Policy != WriteBackLazy {
-		// Eager policies run the release fence right here (Release #1).
-		l.ReleaseFence()
+		// Eager policies write back right here (Release #1).
+		if l.space.cfg.Policy != NoCache {
+			l.writeBackAll(trace.KWriteBackAll, 0)
+		}
 		return Unneeded
 	}
 	l.rank.Proc().Advance(costEpoch)
@@ -101,7 +110,8 @@ func (l *Local) ReleaseLazy() ReleaseHandler {
 // AcquireWith executes an acquire fence paired with the given release
 // handler (Fig. 6 Acquire): it waits until the releaser's epoch reaches the
 // handler's epoch — requesting a write-back with a remote atomic max on the
-// first poll — and then self-invalidates the local cache.
+// first poll — and then self-invalidates the local cache. The whole fence
+// is reported as one KAcquire span (Arg = the releasing rank).
 func (l *Local) AcquireWith(h ReleaseHandler) {
 	s := l.space
 	t0 := l.rank.Proc().Now()
@@ -110,7 +120,7 @@ func (l *Local) AcquireWith(h ReleaseHandler) {
 			// The continuation came back to the releasing rank itself;
 			// its dirty data is local, so just complete the write-back.
 			if l.CurrentEpoch() < h.Epoch {
-				l.writeBackAll(prof.CatLazyRelease)
+				l.writeBackAll(trace.KLazyWriteBackAll, 0)
 			}
 		} else {
 			// Fault-injection audit: this polling loop is the coherence
@@ -141,9 +151,7 @@ func (l *Local) AcquireWith(h ReleaseHandler) {
 		}
 	}
 	l.invalidateAll()
-	d := l.rank.Proc().Now() - t0
-	s.prof.AddName(prof.CatAcquire, l.rank.ID(), d)
-	s.MetricAcquireNs.Observe(d)
+	s.rec.Span(l.rank.ID(), trace.KAcquire, t0, l.rank.Proc().Now()-t0, int64(h.Rank), 0)
 	// Record after the poll loop: any lazy write-back this acquire waited
 	// for was homed at an earlier virtual time than this completion.
 	if v := s.val; v != nil {
@@ -153,13 +161,11 @@ func (l *Local) AcquireWith(h ReleaseHandler) {
 
 // AcquireFence executes a plain acquire fence: self-invalidate the cache so
 // subsequent checkouts fetch fresh data. Used on thread migration arrival
-// when the matching releases were eager.
+// when the matching releases were eager, and reported as the KMigrate span.
 func (l *Local) AcquireFence() {
 	t0 := l.rank.Proc().Now()
 	l.invalidateAll()
-	d := l.rank.Proc().Now() - t0
-	l.space.prof.AddName(prof.CatAcquire, l.rank.ID(), d)
-	l.space.MetricAcquireNs.Observe(d)
+	l.space.rec.Span(l.rank.ID(), trace.KMigrate, t0, l.rank.Proc().Now()-t0, 0, 0)
 	if v := l.space.val; v != nil {
 		v.onAcquire(l.rank.ID(), l.rank.Proc().Now())
 	}
@@ -175,7 +181,7 @@ func (l *Local) invalidateAll() {
 	// free, and it makes invalidation safe under any schedule — clearing
 	// a dirty region's valid bit would let a later fetch overwrite it.
 	if len(l.cache.DirtyBlocks()) > 0 {
-		l.writeBackAll(prof.CatRelease)
+		l.writeBackAll(trace.KWriteBackAll, 0)
 	}
 	if l.space.cfg.PrefetchBlocks > 0 {
 		// Invalidation discards speculative bytes nothing ever read:
@@ -206,7 +212,7 @@ func (l *Local) Poll() {
 		return
 	}
 	if l.CurrentEpoch() < l.requestEpoch() {
-		l.writeBackAll(prof.CatLazyRelease)
+		l.writeBackAll(trace.KLazyWriteBackAll, 0)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestRandomGeometryMatchesReference(t *testing.T) {
 
 		e := sim.NewEngine()
 		c := rma.New(e, nranks, netmodel.Default(cpn))
-		s := New(c, cfg, nil)
+		s := New(c, cfg)
 		for i := 0; i < nranks; i++ {
 			l := s.Local(i)
 			e.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {

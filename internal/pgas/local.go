@@ -5,9 +5,9 @@ import (
 	"unsafe"
 
 	"ityr/internal/memblock"
-	"ityr/internal/prof"
 	"ityr/internal/region"
 	"ityr/internal/rma"
+	"ityr/internal/sim"
 	"ityr/internal/trace"
 )
 
@@ -220,11 +220,16 @@ func (s *Space) blockHome(a *allocation, g0 Addr) (rank int, win *rma.Win, off i
 	return r, a.win, o
 }
 
-func (l *Local) profAs(def string) int {
-	if l.ProfCategory != "" {
-		return l.space.prof.Category(l.ProfCategory)
-	}
-	return l.space.prof.Category(def)
+// span reports the Checkout or Checkin call that began at t0 as one span
+// of kind k, its category total redirected to ProfCategory when set.
+func (l *Local) span(k trace.Kind, t0 sim.Time, size uint64) {
+	l.space.rec.SpanAs(l.ProfCategory, l.rank.ID(), k, t0, l.rank.Proc().Now()-t0, int64(size), 0)
+}
+
+// hit counts n requested bytes found valid in the cache or home-local.
+func (l *Local) hit(n uint64) {
+	l.space.Stats.HitBytes += n
+	l.space.rec.Instant(l.rank.ID(), trace.KCacheHit, l.rank.Proc().Now(), int64(n), 0)
 }
 
 // Checkout claims access to the global region [addr, addr+size) in the
@@ -237,9 +242,8 @@ func (l *Local) profAs(def string) int {
 func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	s := l.space
 	t0 := l.rank.Proc().Now()
-	cat := l.profAs(prof.CatCheckout)
 	s.Stats.CheckoutCalls++
-	s.Profile.CheckoutCall(l.rank.ID())
+	s.rec.Instant(l.rank.ID(), trace.KCheckoutCall, t0, 0, 0)
 
 	if size == 0 {
 		l.outstanding = append(l.outstanding, checkoutRec{addr: addr, size: 0, mode: mode})
@@ -269,10 +273,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		if v := s.val; v != nil {
 			v.registerCheckout(l, addr, addr+size, mode, t0)
 		}
-		d := l.rank.Proc().Now() - t0
-		s.prof.Add(cat, l.rank.ID(), d)
-		s.MetricCheckoutBytes.Observe(int64(size))
-		s.TraceLog.RecSpan(t0, d, l.rank.ID(), trace.KCheckout, int64(size), 0)
+		l.span(trace.KCheckout, t0, size)
 		return view, nil
 	}
 
@@ -322,8 +323,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 				s.Stats.Mmaps++
 			}
 			hb.Ref++
-			s.Stats.HitBytes += req.Len()
-			s.Profile.CheckoutHit(me, req.Len())
+			l.hit(req.Len())
 			rec.pieces = append(rec.pieces, piece{
 				g: Addr(req.Lo), n: int(req.Len()),
 				hb: hb, homeRank: homeRank, win: win,
@@ -348,8 +348,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		var fetched uint64
 		if mode == Write {
 			cb.Valid.Add(req)
-			s.Stats.HitBytes += req.Len()
-			s.Profile.CheckoutHit(me, req.Len())
+			l.hit(req.Len())
 		} else if !cb.Valid.Contains(req) {
 			// Fetch missing sub-blocks from the home (Fig. 4 lines 17-21).
 			padded := region.Interval{
@@ -389,17 +388,14 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 				win.Get(l.rank, homeRank, segOff0+int(m.Lo-uint64(g0)), dst)
 				s.Stats.FetchOps++
 				s.Stats.FetchBytes += m.Len()
-				s.Profile.CheckoutMiss(me, m.Len())
 				fetched += m.Len()
-				s.TraceLog.Rec(l.rank.Proc().Now(), me, trace.KCacheMiss, int64(m.Len()))
+				s.rec.Instant(me, trace.KCacheMiss, l.rank.Proc().Now(), int64(m.Len()), 0)
 			}
 			if ov := req.Len(); ov > fetched {
-				s.Stats.HitBytes += ov - fetched
-				s.Profile.CheckoutHit(me, ov-fetched)
+				l.hit(ov - fetched)
 			}
 		} else {
-			s.Stats.HitBytes += req.Len()
-			s.Profile.CheckoutHit(me, req.Len())
+			l.hit(req.Len())
 			if wasPrefetched {
 				l.pfHit()
 			}
@@ -450,10 +446,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	if v := s.val; v != nil {
 		v.registerCheckout(l, addr, addr+size, mode, t0)
 	}
-	d := l.rank.Proc().Now() - t0
-	s.prof.Add(cat, l.rank.ID(), d)
-	s.MetricCheckoutBytes.Observe(int64(size))
-	s.TraceLog.RecSpan(t0, d, me, trace.KCheckout, int64(size), 0)
+	l.span(trace.KCheckout, t0, size)
 	return view, nil
 }
 
@@ -462,7 +455,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 func (l *Local) acquireCacheBlock(bid int64) (*memblock.Block, error) {
 	cb, evicted, err := l.cache.Acquire(bid)
 	if err == memblock.ErrNoEvictable {
-		l.writeBackAll(prof.CatRelease)
+		l.writeBackAll(trace.KWriteBackAll, 0)
 		cb, evicted, err = l.cache.Acquire(bid)
 	}
 	if err != nil {
@@ -479,7 +472,7 @@ func (l *Local) acquireCacheBlock(bid int64) (*memblock.Block, error) {
 		l.rank.Proc().Advance(costMmap)
 		l.space.Stats.Mmaps++
 		l.space.Stats.Evictions++
-		l.space.TraceLog.Rec(l.rank.Proc().Now(), l.rank.ID(), trace.KEviction, evicted.ID)
+		l.space.rec.Instant(l.rank.ID(), trace.KEviction, l.rank.Proc().Now(), evicted.ID, 0)
 	}
 	if l.cache.SetMapped(cb, true) {
 		l.rank.Proc().Advance(costMmap)
@@ -515,7 +508,6 @@ func (l *Local) copyPieces(pieces []piece, view []byte, addr Addr, toBacking boo
 func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 	s := l.space
 	t0 := l.rank.Proc().Now()
-	cat := l.profAs(prof.CatCheckin)
 	s.Stats.CheckinCalls++
 
 	idx := -1
@@ -560,7 +552,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 			}
 		}
 		l.putView(rec.view)
-		s.prof.Add(cat, l.rank.ID(), l.rank.Proc().Now()-t0)
+		l.span(trace.KCheckin, t0, size)
 		return nil
 	}
 
@@ -616,7 +608,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 	}
 	l.putView(rec.view)
 	l.putPieces(rec.pieces)
-	s.prof.Add(cat, l.rank.ID(), l.rank.Proc().Now()-t0)
+	l.span(trace.KCheckin, t0, size)
 	return nil
 }
 
@@ -635,7 +627,7 @@ func (l *Local) putDirtyInterval(cb *memblock.Block, iv region.Interval) {
 	win.Put(l.rank, src, homeRank, segOff0+int(iv.Lo-uint64(g0)))
 	s.Stats.WriteBackOps++
 	s.Stats.WriteBackBytes += iv.Len()
-	s.TraceLog.Rec(l.rank.Proc().Now(), l.rank.ID(), trace.KWriteBack, int64(iv.Len()))
+	s.rec.Instant(l.rank.ID(), trace.KWriteBack, l.rank.Proc().Now(), int64(iv.Len()), 0)
 	// The put copied the bytes into home memory at the call instant: for
 	// the validator's ledger they are home-visible from now on, whether
 	// this flush came from a fence, cache pressure, or write-through.
@@ -681,7 +673,7 @@ func (l *Local) Get(addr Addr, size uint64) ([]byte, error) {
 	if err := l.getInto(addr, dst); err != nil {
 		return nil, err
 	}
-	l.space.prof.AddName(prof.CatGet, l.rank.ID(), l.rank.Proc().Now()-t0)
+	l.space.rec.Span(l.rank.ID(), trace.KGet, t0, l.rank.Proc().Now()-t0, int64(size), 0)
 	return dst, nil
 }
 
@@ -691,7 +683,7 @@ func (l *Local) Put(src []byte, addr Addr) error {
 	if err := l.putFrom(src, addr); err != nil {
 		return err
 	}
-	l.space.prof.AddName(prof.CatPut, l.rank.ID(), l.rank.Proc().Now()-t0)
+	l.space.rec.Span(l.rank.ID(), trace.KPut, t0, l.rank.Proc().Now()-t0, int64(len(src)), 0)
 	return nil
 }
 

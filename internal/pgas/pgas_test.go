@@ -15,7 +15,7 @@ func testCluster(t *testing.T, nranks, coresPerNode int, cfg Config, body func(l
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, nranks, netmodel.Default(coresPerNode))
-	s := New(c, cfg, nil)
+	s := New(c, cfg)
 	for i := 0; i < nranks; i++ {
 		l := s.Local(i)
 		e.Spawn("rank", func(p *sim.Proc) {

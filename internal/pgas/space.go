@@ -5,9 +5,6 @@ import (
 	"sort"
 
 	"ityr/internal/memblock"
-	"ityr/internal/metrics"
-	"ityr/internal/prof"
-	"ityr/internal/profile"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
@@ -58,7 +55,10 @@ func (a *allocation) homeSpan(addr Addr, blockSize uint64) uint64 {
 type Space struct {
 	cfg  Config
 	comm *rma.Comm
-	prof *prof.Profiler
+	// rec is the run's recorder, taken from comm (nil = record nothing):
+	// every checkout, checkin, fence, write-back, eviction and validator
+	// violation is reported to it exactly once.
+	rec *trace.Recorder
 
 	allocs   []*allocation // sorted by base; includes per-rank noncollective pseudo-allocations
 	collNext Addr
@@ -78,7 +78,11 @@ type Space struct {
 	// handles are indexed, not individually heap-allocated.
 	locals []Local
 
-	// Stats aggregates cache behaviour over the whole space.
+	// Stats aggregates cache behaviour over the whole space. It is one
+	// struct shared by every rank and mutated without synchronization from
+	// whatever phase a rank checks out in: fork-join regions are globally
+	// serialized, but SPMD-phase checkouts under HostProcs > 1 race on it
+	// (PITFALLS.md, "SPMD-phase checkouts under host shards").
 	Stats SpaceStats
 	// Batch aggregates communication-batching behaviour (write-back
 	// coalescing and prefetch). Kept separate from Stats so runs with the
@@ -86,22 +90,6 @@ type Space struct {
 	// when it is nonzero, which keeps knobs-off digests bit-identical to
 	// runs that predate the batching layer.
 	Batch BatchStats
-	// TraceLog, when non-nil, receives cache events (misses, write-backs,
-	// evictions) with virtual timestamps.
-	TraceLog *trace.Log
-	// Profile, when non-nil, receives streaming checkout hit/miss rollups.
-	// Unlike Stats (space-global, mutated only from serialized phases) the
-	// profile folds into per-rank accumulators, so the hooks are safe from
-	// any phase. Nil-safe like TraceLog.
-	Profile *profile.Profile
-	// MetricAcquireNs / MetricReleaseNs / MetricCheckoutBytes, when
-	// non-nil, receive per-event observations: acquire-fence and
-	// release/write-back durations (virtual ns) and checked-out sizes
-	// (bytes). All three are nil-safe histograms, so no guards appear at
-	// the observation sites.
-	MetricAcquireNs     *metrics.Histogram
-	MetricReleaseNs     *metrics.Histogram
-	MetricCheckoutBytes *metrics.Histogram
 	// CommWait, when non-nil, replaces the blocking flush at the end of a
 	// cache-miss checkout: it is called with the issuing Local and must
 	// not return before the rank's outstanding transfers complete. The
@@ -154,17 +142,14 @@ type SpaceStats struct {
 	LazyReleases   uint64
 }
 
-// New creates a Space over comm. The profiler may be nil.
-func New(comm *rma.Comm, cfg Config, pr *prof.Profiler) *Space {
+// New creates a Space over comm, reporting to comm's recorder.
+func New(comm *rma.Comm, cfg Config) *Space {
 	cfg = cfg.withDefaults()
 	n := comm.Size()
-	if pr == nil {
-		pr = prof.New(n)
-	}
 	s := &Space{
 		cfg:      cfg,
 		comm:     comm,
-		prof:     pr,
+		rec:      comm.Recorder(),
 		collNext: collBase,
 		ncWin:    comm.NewUniformWin(0),
 		ncNext:   make([]Addr, n),
@@ -323,9 +308,6 @@ func (s *Space) Config() Config { return s.cfg }
 
 // Policy returns the cache policy.
 func (s *Space) Policy() Policy { return s.cfg.Policy }
-
-// Profiler returns the profiler attached to the space.
-func (s *Space) Profiler() *prof.Profiler { return s.prof }
 
 // Local returns rank i's handle.
 func (s *Space) Local(i int) *Local { return &s.locals[i] }

@@ -160,7 +160,7 @@ func (v *validator) record(rule ViolationRule, lo, hi uint64, rank int, task int
 		Detail: detail,
 	}
 	v.viol = append(v.viol, rec)
-	v.space.TraceLog.RecSpan(t0, now-t0, rank, trace.KViolation, int64(rule), task)
+	v.space.rec.Span(rank, trace.KViolation, t0, now-t0, int64(rule), task)
 	return fmt.Errorf("%w [%s]: %s", ErrViolation, rule, detail)
 }
 

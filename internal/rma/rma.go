@@ -42,7 +42,6 @@ import (
 
 	"ityr/internal/fault"
 	"ityr/internal/netmodel"
-	"ityr/internal/profile"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
 )
@@ -73,9 +72,8 @@ type Comm struct {
 	// and fragment the heap, so endpoints are indexed, not pointer-chased.
 	ranks []Rank
 
-	inj    *fault.Injector  // nil = no fault injection
-	tracer *trace.Log       // nil = no retry spans
-	prof   *profile.Profile // nil = no streaming profile
+	inj *fault.Injector // nil = no fault injection
+	rec *trace.Recorder // nil = record nothing
 
 	// sdcReplays > 0 arms the end-to-end payload checksum: a corrupted
 	// bulk transfer is detected and retransmitted up to sdcReplays times
@@ -124,8 +122,15 @@ func (c *Comm) SetFaults(in *fault.Injector) { c.inj = in }
 // Faults returns the armed injector (nil without fault injection).
 func (c *Comm) Faults() *fault.Injector { return c.inj }
 
-// SetTrace attaches an event log so retries appear as KRetry spans.
-func (c *Comm) SetTrace(tl *trace.Log) { c.tracer = tl }
+// SetRecorder attaches the run's recorder, to which retries, checksum
+// detections, one-sided ops and flush/barrier waits are reported. Call it
+// before building the layers above: pgas.New and uth.NewSched take the
+// recorder from here. Recording only reads the virtual clock, so schedules
+// are bit-identical with or without one; nil (the default) records nothing.
+func (c *Comm) SetRecorder(rec *trace.Recorder) { c.rec = rec }
+
+// Recorder returns the attached recorder (nil when none is).
+func (c *Comm) Recorder() *trace.Recorder { return c.rec }
 
 // SetSDCVerify arms the end-to-end payload checksum: every corrupted bulk
 // Put/Get payload is detected on arrival and retransmitted (each
@@ -134,13 +139,6 @@ func (c *Comm) SetTrace(tl *trace.Log) { c.tracer = tl }
 // transfer. maxReplays <= 0 disarms verification, in which case injected
 // wire flips corrupt memory silently (counted as escapes).
 func (c *Comm) SetSDCVerify(maxReplays int) { c.sdcReplays = maxReplays }
-
-// SetProfile attaches the streaming profile collector: one-sided ops feed
-// the communication matrix and flush/barrier waits feed the stall rollups.
-// A nil profile (the default) keeps every hook to a single nil-check.
-// Recording only ever reads the virtual clock, so the simulated schedule —
-// and with it every golden digest — is bit-identical with or without it.
-func (c *Comm) SetProfile(p *profile.Profile) { c.prof = p }
 
 // RetriesByRank returns a copy of the per-origin-rank retry counts.
 func (c *Comm) RetriesByRank() []uint64 {
@@ -405,9 +403,7 @@ func (r *Rank) retryFaults(target int) {
 		d := r.proc.Now() - t0 // straggler scaling may stretch the wait
 		r.retries++
 		r.retryNs += uint64(d)
-		if r.c.tracer != nil {
-			r.c.tracer.RecSpan(t0, d, r.id, trace.KRetry, int64(target), int64(attempt))
-		}
+		r.c.rec.Span(r.id, trace.KRetry, t0, d, int64(target), int64(attempt))
 		if attempt >= in.MaxAttempts() {
 			panic(fmt.Errorf("%w: rank %d op to rank %d failed %d attempts under plan %q",
 				ErrRetriesExhausted, r.id, target, attempt, in.Plan().Name))
@@ -445,7 +441,7 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 			return
 		}
 		r.sdcDetected++
-		r.c.tracer.Rec2(r.proc.Now(), r.id, trace.KSdcDetect, int64(target), int64(attempt))
+		r.c.rec.Instant(r.id, trace.KSdcDetect, r.proc.Now(), int64(target), int64(attempt))
 		if attempt > r.c.sdcReplays {
 			panic(fmt.Errorf("%w: rank %d transfer to rank %d corrupted %d times under plan %q",
 				ErrSdcUnrecoverable, r.id, target, attempt, in.Plan().Name))
@@ -463,7 +459,7 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 func (r *Rank) ChargeAtomic(target int) {
 	r.retryFaults(target)
 	r.proc.Advance(r.c.net.AtomicTimeAt(r.proc.Now(), r.id, target))
-	r.c.prof.RMA(r.id, target, profile.OpAtomic, 8)
+	r.c.rec.RMA(r.id, target, trace.OpAtomic, 8)
 }
 
 // ChargeTransfer charges the cost of a blocking nbytes transfer from
@@ -472,7 +468,7 @@ func (r *Rank) ChargeAtomic(target int) {
 func (r *Rank) ChargeTransfer(target, nbytes int) {
 	r.retryFaults(target)
 	r.proc.Advance(r.c.net.TransferTimeAt(r.proc.Now(), r.id, target, nbytes))
-	r.c.prof.RMA(r.id, target, profile.OpGet, nbytes)
+	r.c.rec.RMA(r.id, target, trace.OpGet, nbytes)
 }
 
 // issue models the origin-side cost and NIC serialization of a one-sided
@@ -513,25 +509,22 @@ func (r *Rank) issue(target, nbytes int) {
 // completed, like MPI_Win_flush_all. The wait is a plain Advance, so when no
 // other rank has an event due first it rides the kernel's zero-handoff fast
 // path — a flush-heavy rank costs the host nothing per wait.
-func (r *Rank) Flush() {
-	if d := r.pending - r.proc.Now(); d > 0 {
-		r.flushWaits++
-		t0 := r.pending - d // == Now() before the wait
-		r.proc.Advance(d)
-		r.c.prof.Span(r.id, profile.SpanStall, t0, r.proc.Now()-t0)
-	}
-}
+func (r *Rank) Flush() { r.stall(r.pending) }
 
 // FlushRank blocks until all nonblocking operations this rank issued to
 // target have completed, like MPI_Win_flush: a targeted wait that lets a
 // release fence drain each written home rank without stalling on traffic
 // bound elsewhere. A FlushRank that has nothing to wait for is free.
-func (r *Rank) FlushRank(target int) {
-	if d := r.pendingToTime(target) - r.proc.Now(); d > 0 {
+func (r *Rank) FlushRank(target int) { r.stall(r.pendingToTime(target)) }
+
+// stall waits for the completion time until, if still ahead, as one
+// counted KStall span.
+func (r *Rank) stall(until sim.Time) {
+	t0 := r.proc.Now()
+	if until > t0 {
 		r.flushWaits++
-		t0 := r.proc.Now()
-		r.proc.Advance(d)
-		r.c.prof.Span(r.id, profile.SpanStall, t0, r.proc.Now()-t0)
+		r.proc.Advance(until - t0)
+		r.c.rec.Span(r.id, trace.KStall, t0, r.proc.Now()-t0, 0, 0)
 	}
 }
 
@@ -581,7 +574,7 @@ func (r *Rank) Barrier() {
 		}
 	}
 	r.proc.Park()
-	r.c.prof.Span(r.id, profile.SpanBarrier, arrive, r.proc.Now()-arrive)
+	r.c.rec.Span(r.id, trace.KBarrier, arrive, r.proc.Now()-arrive, 0, 0)
 }
 
 // Win is a one-sided memory window: one segment of bytes per rank.
@@ -721,7 +714,7 @@ func (w *Win) Get(r *Rank, target, off int, dst []byte) {
 	r.sdcWire(w.segs[target][off:off+len(dst)], dst, target)
 	r.getOps++
 	r.getBytes += uint64(len(dst))
-	r.c.prof.RMA(r.id, target, profile.OpGet, len(dst))
+	r.c.rec.RMA(r.id, target, trace.OpGet, len(dst))
 }
 
 // Put starts a nonblocking write of src into target's segment at off.
@@ -742,7 +735,7 @@ func (w *Win) put(r *Rank, src []byte, target, off int, corruptible bool) {
 	}
 	r.putOps++
 	r.putBytes += uint64(len(src))
-	r.c.prof.RMA(r.id, target, profile.OpPut, len(src))
+	r.c.rec.RMA(r.id, target, trace.OpPut, len(src))
 }
 
 // GetUint64 is a blocking 8-byte read (issue + flush), as used for polling
@@ -751,7 +744,7 @@ func (w *Win) GetUint64(r *Rank, target, off int) uint64 {
 	w.check(target, off, 8)
 	v := binary.LittleEndian.Uint64(w.segs[target][off:])
 	r.issue(target, 8)
-	r.c.prof.RMA(r.id, target, profile.OpGet, 8)
+	r.c.rec.RMA(r.id, target, trace.OpGet, 8)
 	r.Flush()
 	return v
 }

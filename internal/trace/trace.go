@@ -63,6 +63,19 @@ const (
 	// KViolation was added with the checkout-discipline validator
 	// (pgas.Config.Validate), appended per the same rule.
 	KViolation
+	// The kinds below were added with the Recorder, which keeps them out
+	// of the span ring (lastRingKind), so dumps never carry their values.
+	KCheckin          // span over one Checkin call, Arg = bytes
+	KGet              // span over one uncached Local.Get, Arg = bytes
+	KPut              // span over one uncached Local.Put, Arg = bytes
+	KWriteBackAll     // span over a write-back pass outside a join fence
+	KLazyWriteBackAll // span over a write-back pass another rank's acquire requested
+	KIdle             // span over one scheduler idle backoff
+	KStall            // span over one RMA flush wait
+	KBarrier          // span from barrier arrival to release
+	KCacheHit         // instant: Arg = bytes a checkout found valid or home-local
+	KCheckoutCall     // instant: a Checkout call began (counted even if it fails)
+	KCompute          // span of application compute, charged by name (Ctx.ChargeAs)
 	numKinds
 )
 
@@ -71,6 +84,8 @@ var kindNames = [numKinds]string{
 	"acquire", "cache-miss", "write-back", "eviction", "region-enter", "region-exit",
 	"checkout", "task", "task-end", "join", "retry", "blacklist", "prefetch",
 	"replica", "sdc-detect", "violation",
+	"checkin", "get", "put", "write-back-all", "lazy-write-back-all", "idle", "stall", "barrier",
+	"cache-hit", "checkout-call", "compute",
 }
 
 func (k Kind) String() string {
@@ -107,7 +122,11 @@ func (k Kind) String() string {
 //	             to the access that tripped the rule; full diagnostics
 //	             travel in the dump's validator section)
 //	KEviction    Arg = bytes evicted
-//	KAcquire / KRelease / KMigrate: span over the fence / migration fence
+//	KAcquire     Arg = releasing rank of the handler (span: Acquire #2)
+//	KRelease     Arg = 0 at a join suspension or region exit (Release #3),
+//	             1 when a child of a stolen parent completes (Release #2)
+//	             (span: the release fence; an instant under NoCache)
+//	KMigrate     span over a migrated thread's arrival fence (Acquire #1)
 type Event struct {
 	T    sim.Time
 	Dur  sim.Time

@@ -127,11 +127,9 @@ func (tb *TB) forkHelpFirst(fn func(*TB)) *Thread {
 	child := &thread{worker: w, ptid: tb.th.tid, tid: s.nextTID}
 	e := &entry{th: child, handler: h, fn: fn}
 	w.deque = append(w.deque, e)
-	if s.tracer != nil || s.Profile != nil {
-		now := tb.th.proc.Now()
-		s.traceSeg(tb.th, w.rank.ID(), now)
-		s.tracer.Rec2(now, w.rank.ID(), trace.KFork, child.tid, tb.th.tid)
-	}
+	now := tb.th.proc.Now()
+	s.traceSeg(tb.th, w.rank.ID(), now)
+	s.rec.Instant(w.rank.ID(), trace.KFork, now, child.tid, tb.th.tid)
 	return &Thread{th: child}
 }
 

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ityr/internal/profile"
 	"ityr/internal/trace"
 )
 
@@ -174,10 +173,7 @@ func (p *Protector) Replicate(tb *TB, victim int, exec func() (uint64, uint64)) 
 		ret2, dig2 := exec()
 		p.Stats.Replicas++
 		d := tb.th.proc.Now() - t0
-		if s.tracer != nil {
-			s.tracer.RecSpan(t0, d, me, trace.KReplica, int64(victim), execN)
-		}
-		s.Profile.Span(me, profile.SpanSteal, t0, d)
+		s.rec.Span(me, trace.KReplica, t0, d, int64(victim), execN)
 		if ret2 == ret && dig2 == dig {
 			if strikes > 0 {
 				p.Stats.Recovered++
@@ -187,9 +183,7 @@ func (p *Protector) Replicate(tb *TB, victim int, exec func() (uint64, uint64)) 
 		strikes++
 		p.Stats.Detected++
 		p.detectedBy[me]++
-		if s.tracer != nil {
-			s.tracer.Rec2(tb.th.proc.Now(), me, trace.KSdcDetect, int64(victim), int64(strikes))
-		}
+		s.rec.Instant(me, trace.KSdcDetect, tb.th.proc.Now(), int64(victim), int64(strikes))
 		if strikes > p.cfg.MaxReplays {
 			panic(fmt.Errorf("%w: rank %d protected segment disagreed %d times",
 				ErrSdcReplaysExhausted, me, strikes))

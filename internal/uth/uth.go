@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ityr/internal/metrics"
-	"ityr/internal/profile"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
@@ -185,29 +183,13 @@ type Sched struct {
 	// policies; always zero under ChildFirst (see PolicyStats).
 	PolicyStats PolicyStats
 
-	// tracer, when non-nil, receives the fork-join DAG: KTaskRun spans for
-	// executed task segments, KFork/KJoin/KTaskEnd edges carrying thread
-	// IDs, and KSteal/KFailedSteal latency spans. Set via SetTrace.
-	tracer  *trace.Log
+	// rec is the run's recorder, taken from comm (nil = record nothing). It
+	// is told the fork-join DAG — KTaskRun segments and KFork/KJoin/KTaskEnd
+	// edges carrying thread IDs — and every steal, idle, blacklist and
+	// replica span, once each; recording only reads the clock.
+	rec     *trace.Recorder
 	nextTID int64
-
-	// StealLatency / FailedStealLatency, when non-nil, receive the
-	// virtual-time cost of each steal attempt (nil-safe histograms).
-	StealLatency       *metrics.Histogram
-	FailedStealLatency *metrics.Histogram
-
-	// Profile, when non-nil, receives streaming rollups — task-segment
-	// (busy), steal-attempt and idle-backoff spans — folded into per-rank
-	// accumulators. It works with or without the tracer: task segments are
-	// closed at the same points either way, so profile aggregates match
-	// what a full trace would sum to. Recording only reads the clock;
-	// schedules are bit-identical with it on or off.
-	Profile *profile.Profile
 }
-
-// SetTrace attaches an event log. Call before the first fork-join region;
-// a nil log (the default) disables DAG tracing entirely.
-func (s *Sched) SetTrace(tl *trace.Log) { s.tracer = tl }
 
 // CurrentTID returns the trace DAG thread ID of the fork-join thread
 // currently executing on p, or 0 when p is not running one (SPMD mode or
@@ -220,18 +202,11 @@ func (s *Sched) CurrentTID(p *sim.Proc) int64 {
 	return 0
 }
 
-// traceSeg closes the thread's currently open execution segment — as a
-// KTaskRun span when tracing, as a busy-time rollup when profiling — and
-// opens the next one. No-op without either sink.
+// traceSeg closes the thread's currently open execution segment as a
+// KTaskRun span and opens the next one.
 func (s *Sched) traceSeg(th *thread, rank int, now sim.Time) {
-	if s.tracer == nil && s.Profile == nil {
-		return
-	}
 	if d := now - th.segStart; d > 0 {
-		if s.tracer != nil {
-			s.tracer.RecSpan(th.segStart, d, rank, trace.KTaskRun, th.tid, 0)
-		}
-		s.Profile.Span(rank, profile.SpanTask, th.segStart, d)
+		s.rec.Span(rank, trace.KTaskRun, th.segStart, d, th.tid, 0)
 	}
 	th.segStart = now
 }
@@ -239,23 +214,17 @@ func (s *Sched) traceSeg(th *thread, rank int, now sim.Time) {
 // traceEnd records a thread's final segment and its KTaskEnd marker
 // (Arg2 = parent thread ID, 0 for the root).
 func (s *Sched) traceEnd(th *thread, rank int, now sim.Time) {
-	if s.tracer == nil && s.Profile == nil {
-		return
-	}
 	s.traceSeg(th, rank, now)
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Rec2(now, rank, trace.KTaskEnd, th.tid, th.ptid)
+	s.rec.Instant(rank, trace.KTaskEnd, now, th.tid, th.ptid)
 }
 
-// NewSched creates the scheduler over comm.
+// NewSched creates the scheduler over comm, reporting to comm's recorder.
 func NewSched(comm *rma.Comm, cfg Config, hooks Hooks) *Sched {
 	cfg = cfg.withDefaults()
 	if hooks == nil {
 		hooks = NopHooks{}
 	}
-	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, threadOf: make(map[*sim.Proc]*thread)}
+	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, rec: comm.Recorder(), threadOf: make(map[*sim.Proc]*thread)}
 	s.workers = make([]*Worker, comm.Size())
 	for i := range s.workers {
 		w := &Worker{
@@ -468,16 +437,10 @@ func (w *Worker) schedLoop() {
 		// This Advance is the hottest line in most runs (every idle worker,
 		// every backoff iteration). It almost always hits the kernel's
 		// zero-handoff fast path: no queued event is due before now+d, so
-		// the clock bumps in place with no heap or channel traffic. The
-		// profile branch is outside the common path so disabled runs pay
-		// only the nil-check.
-		if s.Profile != nil {
-			t0 := w.proc.Now()
-			w.proc.Advance(d)
-			s.Profile.Span(w.rank.ID(), profile.SpanIdle, t0, w.proc.Now()-t0)
-		} else {
-			w.proc.Advance(d)
-		}
+		// the clock bumps in place with no heap or channel traffic.
+		t0 := w.proc.Now()
+		w.proc.Advance(d)
+		s.rec.Span(w.rank.ID(), trace.KIdle, t0, w.proc.Now()-t0, 0, 0)
 		if backoff < backoffMax {
 			backoff *= 2
 		}
@@ -527,11 +490,7 @@ func (w *Worker) trySteal() bool {
 	if len(v.deque) == 0 {
 		s.Stats.FailedSteals++
 		d := w.proc.Now() - t0
-		s.FailedStealLatency.Observe(d)
-		if s.tracer != nil {
-			s.tracer.RecSpan(t0, d, me, trace.KFailedSteal, int64(vID), 0)
-		}
-		s.Profile.Span(me, profile.SpanSteal, t0, d)
+		s.rec.Span(me, trace.KFailedSteal, t0, d, int64(vID), 0)
 		w.noteStealOutcome(vID, d, false)
 		return false
 	}
@@ -560,11 +519,7 @@ func (w *Worker) trySteal() bool {
 	// The latency span covers CAS + stack transfer + Acquire #2: the full
 	// cost from deciding to steal to being able to run the continuation.
 	d := w.proc.Now() - t0
-	s.StealLatency.Observe(d)
-	if s.tracer != nil {
-		s.tracer.RecSpan(t0, d, me, trace.KSteal, int64(vID), e.th.tid)
-	}
-	s.Profile.Span(me, profile.SpanSteal, t0, d)
+	s.rec.Span(me, trace.KSteal, t0, d, int64(vID), e.th.tid)
 	w.noteStealOutcome(vID, d, true)
 	if e.fn != nil {
 		w.runPending(e)
@@ -610,9 +565,7 @@ func (w *Worker) noteStealOutcome(v int, d sim.Time, ok bool) {
 	now := w.proc.Now()
 	w.blackUntil[v] = now + dur
 	s.Stats.Blacklists++
-	if s.tracer != nil {
-		s.tracer.RecSpan(now, dur, w.rank.ID(), trace.KBlacklist, int64(v), int64(w.blackDur[v]))
-	}
+	s.rec.Span(w.rank.ID(), trace.KBlacklist, now, dur, int64(v), int64(w.blackDur[v]))
 }
 
 // pickVictim selects a steal victim. The purely random policy picks any
@@ -689,14 +642,11 @@ func (tb *TB) Fork(fn func(*TB)) *Thread {
 
 	s.nextTID++
 	child := &thread{worker: w, parent: e, ptid: tb.th.tid, tid: s.nextTID}
-	if s.tracer != nil || s.Profile != nil {
-		// Close the parent's segment first so its path length is current
-		// at the fork edge, then record the edge itself (the edge is a
-		// trace-only record; Rec2 on a nil tracer is a no-op).
-		now := tb.th.proc.Now()
-		s.traceSeg(tb.th, w.rank.ID(), now)
-		s.tracer.Rec2(now, w.rank.ID(), trace.KFork, child.tid, tb.th.tid)
-	}
+	// Close the parent's segment first so its path length is current at
+	// the fork edge, then record the edge itself.
+	now := tb.th.proc.Now()
+	s.traceSeg(tb.th, w.rank.ID(), now)
+	s.rec.Instant(w.rank.ID(), trace.KFork, now, child.tid, tb.th.tid)
 	w.proc.Engine().Spawn("thread", func(p *sim.Proc) {
 		child.proc = p
 		s.threadOf[p] = child
@@ -803,9 +753,7 @@ func (tb *TB) Join(t *Thread) {
 			// Acquire #1: the child's writes were released on another rank.
 			s.hooks.OnMigrateArrive(w.rank.ID())
 		}
-		if s.tracer != nil {
-			s.tracer.Rec2(tb.th.proc.Now(), w.rank.ID(), trace.KJoin, c.tid, tb.th.tid)
-		}
+		s.rec.Instant(w.rank.ID(), trace.KJoin, tb.th.proc.Now(), c.tid, tb.th.tid)
 		return
 	}
 	// The child is still running somewhere; block. The waiter registration
@@ -820,12 +768,10 @@ func (tb *TB) Join(t *Thread) {
 	w.rank.Attach(w.proc)
 	w.proc.Wake()
 	tb.suspendAndResume()
-	if s.tracer != nil {
-		// The join edge is recorded after the child's final events (we
-		// resumed only once it completed), so the analysis sees the
-		// child's full path when it folds it into ours.
-		s.tracer.Rec2(tb.th.proc.Now(), tb.w.rank.ID(), trace.KJoin, c.tid, tb.th.tid)
-	}
+	// The join edge is recorded after the child's final events (we resumed
+	// only once it completed), so the analysis sees the child's full path
+	// when it folds it into ours.
+	s.rec.Instant(tb.w.rank.ID(), trace.KJoin, tb.th.proc.Now(), c.tid, tb.th.tid)
 }
 
 // Yield lets long-running leaf code service deferred runtime work
