@@ -1,9 +1,12 @@
 # Checks every PR must pass. `make check` is the full gate; the individual
 # targets exist so CI can fan them out. The race target covers the event
 # kernel and the one-sided layer, whose no-host-races-by-construction claim
-# (one simulated goroutine per engine shard runs at a time, handoffs through
-# channel edges; cross-shard traffic through the conservative merge protocol
-# of DESIGN.md §8) is what the whole deterministic simulation rests on.
+# (one simulated process per engine shard runs at a time, handed the thread
+# by coroutine switch from the shard's one driver; cross-shard traffic and
+# worker failures through the coordinator's channel handshakes and the
+# conservative merge protocol of DESIGN.md §8) is what the whole
+# deterministic simulation rests on. internal/sim needs a Go 1.23+
+# toolchain (README.md, "Install / run").
 
 GO ?= go
 

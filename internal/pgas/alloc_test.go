@@ -31,6 +31,58 @@ func TestCollectiveAllocNonDivisibleSizes(t *testing.T) {
 	})
 }
 
+// TestBlockCyclicSegmentsHoldOwnedBlocks pins the window geometry of a
+// block-cyclic allocation: a rank's segment holds exactly the blocks it
+// owns (none, when there are fewer blocks than ranks), and every address
+// of the allocation resolves inside its home rank's segment.
+func TestBlockCyclicSegmentsHoldOwnedBlocks(t *testing.T) {
+	const n = 4
+	const bs = 256 // smallCfg's block size
+	for _, tc := range []struct {
+		name string
+		size uint64
+	}{
+		{"one byte", 1},
+		{"fewer blocks than ranks", 2 * bs},
+		{"one block per rank", n * bs},
+		{"more blocks, not a multiple of the ranks", (2*n+3)*bs - 7},
+		{"a multiple of the ranks", 3 * n * bs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testCluster(t, n, 1, smallCfg(WriteBack), func(l *Local) {
+				if l.Rank().ID() != 0 {
+					return
+				}
+				base := l.AllocCollective(tc.size, BlockCyclicDist)
+				a, err := l.Space().findAlloc(base, tc.size)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				total := 0
+				for r := 0; r < n; r++ {
+					total += len(a.win.Seg(r))
+				}
+				if want := int(align(tc.size, bs)); total != want {
+					t.Errorf("segments hold %d bytes, want %d", total, want)
+				}
+				for off := uint64(0); off < a.size; off++ {
+					rank, segOff := a.homeOf(base+Addr(off), bs)
+					if want := int(off / bs % n); rank != want {
+						t.Errorf("offset %d homed on rank %d, want %d", off, rank, want)
+						return
+					}
+					if segOff >= len(a.win.Seg(rank)) {
+						t.Errorf("offset %d resolves to byte %d of rank %d's %d-byte segment",
+							off, segOff, rank, len(a.win.Seg(rank)))
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 func TestFreeCollective(t *testing.T) {
 	testCluster(t, 2, 1, smallCfg(WriteBack), func(l *Local) {
 		if l.Rank().ID() != 0 {

@@ -360,11 +360,17 @@ func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
 			sizes[i] = int(a.chunk)
 		}
 	case BlockCyclicDist:
-		nblocks := align(size, bs) / bs
-		perRank := (nblocks + n - 1) / n
+		// A rank's segment holds the blocks it owns and no more: with fewer
+		// blocks than ranks most segments are empty, where a uniform
+		// ceil(nblocks/n) blocks each would cost a block per rank.
 		a.size = align(size, bs)
+		nblocks := a.size / bs
 		for i := range sizes {
-			sizes[i] = int(perRank * bs)
+			owned := nblocks / n
+			if uint64(i) < nblocks%n {
+				owned++
+			}
+			sizes[i] = int(owned * bs)
 		}
 	default:
 		panic("pgas: bad distribution policy")

@@ -174,22 +174,34 @@ func TestCurrentDuringFastPath(t *testing.T) {
 }
 
 // TestSteadyStateDispatchZeroAllocs verifies the pooled-event claim: once
-// the engine's heap slice has warmed up, event dispatch — fast-path
-// advances, slow-path interleavings and coalesced handoffs alike —
-// performs zero heap allocations per event.
+// the engine's heap slice has warmed up and every process has its carrier,
+// event dispatch — fast-path advances, slow-path interleavings, coalesced
+// handoffs, switches between two processes in lockstep and Park/Wake
+// rounds alike — performs zero heap allocations per event.
 func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 	run := func(rounds int) {
 		e := NewEngine()
 		for pi := 0; pi < 2; pi++ {
 			e.Spawn("p", func(p *Proc) {
 				for i := 0; i < rounds; i++ {
-					p.Advance(10) // both procs stride together: slow path
+					p.Advance(10) // both procs stride together: a switch each
 				}
 			})
 		}
 		e.Spawn("solo", func(p *Proc) {
 			for i := 0; i < rounds; i++ {
 				p.Advance(1 << 40) // far beyond the others: fast path
+			}
+		})
+		consumer := e.Spawn("consumer", func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Park() // switches out, and back in on the producer's next yield
+			}
+		})
+		e.Spawn("producer", func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Advance(10)
+				consumer.Wake()
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -199,9 +211,37 @@ func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 	const extra = 4096
 	small := testing.AllocsPerRun(5, func() { run(64) })
 	big := testing.AllocsPerRun(5, func() { run(64 + extra) })
-	perEvent := (big - small) / (3 * extra)
+	perEvent := (big - small) / (5 * extra)
 	if perEvent > 0.001 {
 		t.Fatalf("%.4f allocations per event (small run %.1f, big run %.1f), want 0",
 			perEvent, small, big)
+	}
+}
+
+func emptyBody(*Proc) {}
+
+// TestSpawnReusesCarrier verifies the pooled-carrier claim: a process that
+// starts after another has finished costs its Proc and nothing else — no
+// coroutine set-up, which is a dozen allocations, and fewer than the three
+// (Proc, resume channel, goroutine closure) the channel kernel paid.
+func TestSpawnReusesCarrier(t *testing.T) {
+	run := func(spawns int) {
+		e := NewEngine()
+		e.Spawn("parent", func(p *Proc) {
+			for i := 0; i < spawns; i++ {
+				e.Spawn("child", emptyBody)
+				p.Advance(1) // the child runs and exits meanwhile
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const extra = 4096
+	small := testing.AllocsPerRun(5, func() { run(64) })
+	big := testing.AllocsPerRun(5, func() { run(64 + extra) })
+	if perSpawn := (big - small) / extra; perSpawn > 1.001 {
+		t.Fatalf("%.3f allocations per Spawn (small run %.1f, big run %.1f), want 1",
+			perSpawn, small, big)
 	}
 }

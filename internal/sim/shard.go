@@ -3,24 +3,25 @@
 // # Model
 //
 // NewEngineShards partitions processes across S shards, each with its own
-// event queue, clock, and host worker goroutine. Execution alternates
-// between two phases:
+// event queue, clock, carrier pool and host worker goroutine. Execution
+// alternates between two phases:
 //
 //   - Global phase: the classic serial kernel. One queue, one clock, one
-//     goroutine at a time. Used whenever any process holds a global pin
-//     (PinGlobal), i.e. during phases whose cross-rank interactions are
-//     finer-grained than the lookahead (the fork-join scheduler's steal
-//     protocol pokes victim deques directly).
-//   - Parallel rounds: each shard's worker drains its own queue to
-//     quiescence — a dynamically sized conservative window that ends when
-//     every process on the shard has parked, blocked, or exited. Shards
-//     share no mutable state during a round; cross-shard communication is
-//     deferred into per-shard-pair mailboxes and merged at the round
-//     boundary in (time, key) order, each destination shard folding its
-//     own mail in on its own worker so merges parallelize too. The
-//     coordinator signals only shards that actually have queued events
-//     (or mail), so per-round host synchronization scales with active
-//     shards, not configured shards.
+//     trampoline (Engine.drive, on the goroutine that called Run). Used
+//     whenever any process holds a global pin (PinGlobal), i.e. during
+//     phases whose cross-rank interactions are finer-grained than the
+//     lookahead (the fork-join scheduler's steal protocol pokes victim
+//     deques directly).
+//   - Parallel rounds: each shard's worker is the trampoline of its own
+//     queue (shard.drain) and drains it to quiescence — a dynamically
+//     sized conservative window that ends when every process on the shard
+//     has parked, blocked, or exited. Shards share no mutable state during
+//     a round; cross-shard communication is deferred into per-shard-pair
+//     mailboxes and merged at the round boundary in (time, key) order, each
+//     destination shard folding its own mail in on its own worker so
+//     merges parallelize too. The coordinator signals only shards that
+//     actually have queued events (or mail), so per-round host
+//     synchronization scales with active shards, not configured shards.
 //
 // # Why round-boundary merges are safe (lookahead)
 //
@@ -60,11 +61,27 @@
 // Host-side counters (EngineStats) are exempt: handoff and fast-advance
 // counts describe how the host executed the schedule and legitimately
 // differ across shard counts.
+//
+// # Carriers, panics and Goexit
+//
+// A process keeps its carrier across phases: a coroutine may be switched
+// into from any goroutine, so the coordinator resumes in a global phase
+// what a worker suspended in a round, and back. A carrier whose body
+// returns goes to its process's shard's pool whichever phase it is in;
+// Spawn is global-phase-only and a round's worker touches only its own
+// shard, so the pools never race. A body's panic or runtime.Goexit
+// surfaces in whichever trampoline switched into it. The coordinator's is
+// already Run's caller; a worker hands what ended it to the coordinator in
+// place of the round's completion signal, and the coordinator re-raises it
+// there once every signalled shard has answered, retiring the other workers
+// on its way out — it never waits on a dead worker.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -75,8 +92,9 @@ type sharded struct {
 	pins      atomic.Int32 // processes requiring the global phase
 	parallel  bool         // written by the coordinator between phases only
 	started   bool
-	rounds    uint64 // parallel rounds completed
-	splits    uint64 // global→parallel transitions
+	rounds    uint64         // parallel rounds completed
+	splits    uint64         // global→parallel transitions
+	workers   sync.WaitGroup // live worker goroutines; Run waits for them
 
 	// active is the coordinator's reusable scratch list of shards selected
 	// for the current signal (non-empty queues for a round, non-empty
@@ -86,9 +104,9 @@ type sharded struct {
 }
 
 // shard is one host worker's slice of the simulation: a private event
-// queue, clock, and process set. During parallel rounds exactly one
-// goroutine (the shard worker or a process it handed the baton to) touches
-// a shard's state, so the serial kernel's no-locking argument holds
+// queue, clock, and process set. During parallel rounds only the shard
+// worker and the processes it switches into — one thread of control —
+// touch a shard's state, so the serial kernel's no-locking argument holds
 // per-shard.
 type shard struct {
 	id      int
@@ -96,15 +114,21 @@ type shard struct {
 	now     Time
 	queue   []event
 	seq     uint64
-	root    chan struct{} // baton back to the shard worker when the queue drains
 	runCh   chan struct{} // coordinator → worker: run one round
 	mergeCh chan struct{} // coordinator → worker: merge this shard's inbox
-	doneCh  chan struct{} // worker → coordinator: round / merge finished
+	doneCh  chan struct{} // worker → coordinator: round / merge finished, or worker dead
 	current *Proc
 	live    procList
+	pool    carrierPool
 	inbox   [][]event // mailbox per source shard, merged at round boundaries
 	pending []event   // resumes for pin-parked processes, released at the global merge
 	stats   EngineStats
+
+	// dead and cause are written by a worker that a process body's panic
+	// (cause: its value) or runtime.Goexit (cause: nil) is ending, before
+	// its last doneCh send; the coordinator reads them after the receive.
+	dead  bool
+	cause any
 }
 
 // key returns the shard-banded tie-break key for the shard's seq-th event.
@@ -134,7 +158,6 @@ func NewEngineShards(nshards int, lookahead Time) *Engine {
 		sh.shards = append(sh.shards, &shard{
 			id:      i,
 			eng:     e,
-			root:    make(chan struct{}),
 			runCh:   make(chan struct{}),
 			mergeCh: make(chan struct{}),
 			doneCh:  make(chan struct{}),
@@ -189,7 +212,7 @@ func (p *Proc) PinGlobal() {
 	s := p.shd
 	s.seq++
 	s.pending = append(s.pending, event{at: s.now, key: s.key(s.seq), proc: p})
-	s.dispatch(p)
+	p.yield()
 }
 
 // UnpinGlobal releases a PinGlobal. When the last pin is released the
@@ -253,11 +276,26 @@ func (e *Engine) runSharded() error {
 		panic("sim: Run called twice on a sharded engine")
 	}
 	sh.started = true
+	sh.workers.Add(len(sh.shards))
 	for _, s := range sh.shards {
 		go s.worker()
 	}
+	// Also on the way out of a re-raised panic or Goexit: retire the
+	// workers, wait for them, and stop the carriers their shards pooled.
+	defer func() {
+		for _, s := range sh.shards {
+			close(s.runCh)
+		}
+		sh.workers.Wait()
+		for _, s := range sh.shards {
+			s.pool.stopAll()
+		}
+	}()
 	for {
-		if done := e.runGlobalPhase(); done {
+		// Global phase: the serial kernel, until the simulation completes
+		// or no pin holds the engine global and the pending events should
+		// run in parallel rounds instead.
+		if e.drive(); len(e.queue) == 0 {
 			break
 		}
 		// Split: distribute the global queue across the shard queues. The
@@ -291,9 +329,7 @@ func (e *Engine) runSharded() error {
 			for _, s := range run {
 				s.runCh <- struct{}{}
 			}
-			for _, s := range run {
-				<-s.doneCh
-			}
+			await(run)
 			sh.rounds++
 			// Merge phase: each destination shard with mail folds its own
 			// inboxes into its queue on its own worker, concurrently with
@@ -312,9 +348,7 @@ func (e *Engine) runSharded() error {
 			for _, s := range merge {
 				s.mergeCh <- struct{}{}
 			}
-			for _, s := range merge {
-				<-s.doneCh
-			}
+			await(merge)
 			// Every worker is quiescent here (the doneCh handshakes above
 			// ordered their last writes), so publishing the live progress
 			// snapshot from the coordinator is race-free.
@@ -325,9 +359,6 @@ func (e *Engine) runSharded() error {
 		}
 		sh.parallel = false
 		e.mergeToGlobal()
-	}
-	for _, s := range sh.shards {
-		close(s.runCh)
 	}
 	for _, s := range sh.shards {
 		if s.now > e.now {
@@ -354,65 +385,20 @@ func (ev *event) targetShard() int {
 	return int(ev.shard)
 }
 
-// runGlobalPhase drains the global queue serially (the classic kernel)
-// until either the simulation completes (returns true) or no pin holds the
-// engine global and pending events should run in parallel rounds instead
-// (returns false).
-func (e *Engine) runGlobalPhase() (done bool) {
-	sh := e.sh
-	for {
-		if len(e.queue) == 0 {
-			return true
-		}
-		if sh.pins.Load() == 0 {
-			return false
-		}
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		e.transfer(ev.proc)
-		<-e.root
+// await collects the completion signal of every shard in ss, then
+// re-raises on the calling goroutine — the coordinator, Run's caller —
+// whatever ended a worker among them.
+func await(ss []*shard) {
+	for _, s := range ss {
+		<-s.doneCh
 	}
-}
-
-// globalDispatch is dispatch for processes of a sharded engine during the
-// global phase. It matches the serial dispatch loop exactly, except that
-// when the last pin has been released it returns the baton to the
-// coordinator so pending events can run in parallel rounds; self's resume
-// is already queued and will be delivered by its shard worker.
-func (e *Engine) globalDispatch(self *Proc) {
-	sh := e.sh
-	for {
-		if len(e.queue) == 0 || sh.pins.Load() == 0 {
-			e.current = nil
-			e.root <- struct{}{}
-			if self != nil {
-				<-self.resume
+	for _, s := range ss {
+		if s.dead {
+			if s.cause != nil {
+				panic(s.cause)
 			}
-			return
+			runtime.Goexit()
 		}
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		if ev.proc == self {
-			e.current = self
-			return
-		}
-		e.transfer(ev.proc)
-		if self != nil {
-			<-self.resume
-		}
-		return
 	}
 }
 
@@ -455,12 +441,24 @@ func (e *Engine) mergeToGlobal() {
 
 // worker is a shard's host goroutine: it runs one quiescence round or one
 // inbox merge per coordinator request. The coordinator never signals both
-// channels at once, and closes runCh to retire the worker.
+// channels at once, and closes runCh to retire the worker. A panic or
+// Goexit that unwinds the worker — a process body's, re-raised in drain —
+// is handed to the coordinator in place of the completion it is waiting
+// for.
 func (s *shard) worker() {
+	defer s.eng.sh.workers.Done()
+	retired := false
+	defer func() {
+		if !retired {
+			s.dead, s.cause = true, recover()
+			s.doneCh <- struct{}{}
+		}
+	}()
 	for {
 		select {
 		case _, ok := <-s.runCh:
 			if !ok {
+				retired = true
 				return
 			}
 			s.drain()
@@ -474,34 +472,11 @@ func (s *shard) worker() {
 
 // drain runs the shard's queue to quiescence: the round ends when every
 // process on the shard has parked, blocked on a future event, or exited.
+// It is the parallel-round trampoline (see Engine.drive).
 func (s *shard) drain() {
-	for len(s.queue) > 0 {
-		var ev event
-		ev, s.queue = heapPop(s.queue)
-		s.stats.Events++
-		s.now = ev.at
-		if ev.proc == nil {
-			s.current = nil
-			s.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		s.transfer(ev.proc)
-		<-s.root
+	for p := s.dispatch(nil); p != nil; {
+		p = p.resume()
 	}
-	s.current = nil
-}
-
-// transfer hands the shard baton to q (see Engine.transfer).
-func (s *shard) transfer(q *Proc) {
-	s.stats.Handoffs++
-	s.current = q
-	if !q.started {
-		q.started = true
-		go q.run()
-		return
-	}
-	q.resume <- struct{}{}
 }
 
 // scheduleResume queues a resume of p on its shard at time t with a
@@ -512,17 +487,13 @@ func (s *shard) scheduleResume(p *Proc, t Time) {
 }
 
 // dispatch is the shard-local dispatch loop, the parallel-round analogue
-// of Engine.dispatch. When the shard quiesces it returns the baton to the
-// shard worker; a blocked self resumes in a later round or global phase.
-func (s *shard) dispatch(self *Proc) {
+// of Engine.dispatch. It returns nil when the shard has quiesced; a process
+// that yields on that resumes in a later round or global phase.
+func (s *shard) dispatch(self *Proc) *Proc {
 	for {
 		if len(s.queue) == 0 {
 			s.current = nil
-			s.root <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
+			return nil
 		}
 		var ev event
 		ev, s.queue = heapPop(s.queue)
@@ -534,15 +505,11 @@ func (s *shard) dispatch(self *Proc) {
 			ev.fire()
 			continue
 		}
-		if ev.proc == self {
-			s.current = self
-			return
+		s.current = ev.proc
+		if ev.proc != self {
+			s.stats.Handoffs++
 		}
-		s.transfer(ev.proc)
-		if self != nil {
-			<-self.resume
-		}
-		return
+		return ev.proc
 	}
 }
 
@@ -558,7 +525,7 @@ func (p *Proc) advanceSharded(d Time) {
 			return
 		}
 		e.scheduleResume(p, e.now+d)
-		e.globalDispatch(p)
+		p.yield()
 		return
 	}
 	s := p.shd
@@ -568,5 +535,5 @@ func (p *Proc) advanceSharded(d Time) {
 		return
 	}
 	s.scheduleResume(p, s.now+d)
-	s.dispatch(p)
+	p.yield()
 }

@@ -1,10 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of simulated processes (one goroutine each) under
-// a single virtual clock. Exactly one process executes at any instant: the
-// engine's dispatch loop is a baton that migrates between goroutines, so
-// all engine and process state is accessed by at most one goroutine at a
-// time and no locking is required. Given identical inputs, a simulation is
+// The kernel drives a set of simulated processes under a single virtual
+// clock. Exactly one process executes at any instant. A process body runs
+// on a carrier — a coroutine (carrier.go) — and the goroutine that called
+// Run is a trampoline: it switches into the process whose resume it popped
+// and, when that process yields, into the process the yield names, until a
+// yield names none. Every switch stays on the driver's thread, so all
+// engine and process state is accessed by one thread of control at a time
+// and no locking is required. Given identical inputs, a simulation is
 // bit-reproducible.
 //
 // Time is measured in integer nanoseconds of virtual time. Ties between
@@ -13,38 +16,56 @@
 //
 // # Host performance
 //
-// The single-goroutine-at-a-time invariant is also the kernel's fast-path
-// licence: whichever goroutine currently runs owns every piece of engine
-// state outright, so it may mutate the clock and the event queue directly
-// instead of asking an engine goroutine to do it. Three consequences:
+// The one-at-a-time invariant is also the kernel's fast-path licence:
+// whichever process currently runs owns every piece of engine state
+// outright, so it may mutate the clock and the event queue directly instead
+// of asking the driver to do it. Four consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
-//     Advance(d) simply sets now += d and returns — no channel operation,
-//     no event-queue traffic. This is the overwhelmingly common case for
-//     the per-operation costs (MsgOverhead, serialization, flush waits)
-//     that the RMA and scheduler layers charge.
+//     Advance(d) simply sets now += d and returns — no switch, no
+//     event-queue traffic. This is the overwhelmingly common case for the
+//     per-operation costs (MsgOverhead, serialization, flush waits) that
+//     the RMA and scheduler layers charge.
 //   - Coalesced handoffs: when Advance or Park must interleave with queued
 //     events, the yielding process runs the dispatch loop inline. Callbacks
 //     fire on the spot, and if the next event resumes the very process that
-//     yielded, it just keeps running — a handoff costs a channel round-trip
-//     only when control genuinely moves to a different process.
+//     yielded, it just keeps running — a handoff costs two coroutine
+//     switches (out to the driver, in to the target) only when control
+//     genuinely moves to a different process.
 //   - Pooled events: the queue is a concrete 4-ary min-heap over event
 //     values (no container/heap interface boxing, no per-event pointer), so
 //     steady-state dispatch performs zero heap allocations per event.
+//   - Pooled carriers: a body that returns leaves its carrier, with its
+//     grown stack, for the next process that starts, so a fork-join tree
+//     of short-lived processes costs one Proc allocation per Spawn and no
+//     coroutine set-up. Run stops the pooled carriers before it returns:
+//     after a Run that ends without a deadlock the kernel holds no
+//     goroutine.
 //
 // None of this changes simulated timestamps: the fast paths are taken only
 // when the slow path would produce the identical schedule, and the golden
 // digest tests in internal/bench pin that equivalence down.
 //
+// # Panics and Goexit in a process body
+//
+// A body's panic, and a runtime.Goexit such as t.Fatal's, ends its carrier
+// and is re-raised on the driver, so it leaves Run on the goroutine that
+// called it (a shard worker forwards it to the coordinator first): the
+// panic with the value the body gave, though with the driver's stack, not
+// the body's. The run is over at that point; processes suspended mid-body
+// keep their carriers, as the parked processes of a deadlock do — they
+// could only be unwound by running their deferred calls against a dead
+// engine.
+//
 // # Parallel host execution
 //
-// Engines created by NewEngineShards relax the one-goroutine invariant:
+// Engines created by NewEngineShards relax the one-driver invariant:
 // processes are assigned to shards, each with its own event queue and
 // clock, and shards drain conservative time windows on separate host
-// goroutines (see shard.go for the protocol and its determinism argument).
-// The serial engine from NewEngine is unchanged — everything above still
-// holds for it — and a sharded engine degenerates to it when asked for one
-// shard.
+// goroutines, each a trampoline of its own (see shard.go for the protocol
+// and its determinism argument). The serial engine from NewEngine is
+// unchanged — everything above still holds for it — and a sharded engine
+// degenerates to it when asked for one shard.
 package sim
 
 import (
@@ -99,7 +120,7 @@ const (
 type EngineStats struct {
 	Events       uint64 // events popped from the queue
 	FastAdvances uint64 // Advances that bumped the clock with no queue traffic
-	Handoffs     uint64 // baton transfers between process goroutines
+	Handoffs     uint64 // resumes popped for a process other than the one dispatching
 	Callbacks    uint64 // engine-context callbacks fired
 	Spawns       uint64 // processes created
 	Rounds       uint64 // parallel rounds completed (sharded engines)
@@ -113,9 +134,9 @@ type Engine struct {
 	now     Time
 	queue   []event // 4-ary min-heap ordered by (at, key)
 	seq     uint64
-	root    chan struct{} // dispatch returns the baton to Run when the queue drains
 	live    procList
 	current *Proc
+	pool    carrierPool // idle carriers (serial engines; shards have their own)
 	stats   EngineStats
 
 	// sh is non-nil for engines created by NewEngineShards with more than
@@ -125,8 +146,8 @@ type Engine struct {
 
 	// liveNow/liveEvents are low-frequency snapshots of the clock and the
 	// dispatched-event count, published for host-side progress reporting
-	// (LiveTime/LiveEvents). They are written by whichever goroutine holds
-	// the baton — every few thousand pops on the serial path, at round
+	// (LiveTime/LiveEvents). They are written by whichever process or driver
+	// is dispatching — every few thousand pops on the serial path, at round
 	// boundaries on the sharded path — so reading them from a heartbeat
 	// goroutine is race-free, cheap, and never perturbs the simulation.
 	liveNow    atomic.Int64
@@ -148,7 +169,7 @@ func (e *Engine) LiveTime() Time { return e.liveNow.Load() }
 func (e *Engine) LiveEvents() uint64 { return e.liveEvents.Load() }
 
 // publishLive refreshes the live snapshots from the aggregate stats. Only
-// call with the engine quiescent or the baton held.
+// call with the engine quiescent or from its one running context.
 func (e *Engine) publishLive() {
 	now := e.now
 	ev := e.stats.Events
@@ -215,7 +236,7 @@ func (l *procList) names() []string {
 // NewEngine returns a new engine with the clock at zero and no pending
 // events.
 func NewEngine() *Engine {
-	return &Engine{root: make(chan struct{})}
+	return new(Engine)
 }
 
 // Now returns the current virtual time.
@@ -360,12 +381,7 @@ func (e *Engine) SpawnOn(shard int, name string, fn func(*Proc)) *Proc {
 	if e.sh != nil && e.sh.parallel {
 		panic("sim: Spawn during a parallel round")
 	}
-	p := &Proc{
-		Name:   name,
-		eng:    e,
-		resume: make(chan struct{}),
-		body:   fn,
-	}
+	p := &Proc{Name: name, eng: e, body: fn}
 	e.stats.Spawns++
 	if e.sh != nil {
 		p.shd = e.sh.shards[shard]
@@ -377,70 +393,62 @@ func (e *Engine) SpawnOn(shard int, name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// transfer hands the baton to q, starting its goroutine on first resume.
-// The caller must not touch engine state after transfer returns until it is
-// itself resumed (it blocks on its own resume channel, blocks on e.root, or
-// exits).
-func (e *Engine) transfer(q *Proc) {
-	e.stats.Handoffs++
-	e.current = q
-	if !q.started {
-		q.started = true
-		go q.run()
-		return
-	}
-	q.resume <- struct{}{}
-}
-
-// run is a process goroutine's top-level frame. The exit handling is
-// deferred so that a body terminated by runtime.Goexit (e.g. t.Fatal in
-// tests) still passes the baton on instead of deadlocking the host.
-func (p *Proc) run() {
-	defer p.exit()
-	p.body(p)
-}
-
-// exit retires the process and passes the baton to the next event (or back
-// to Run if the queue has drained).
-func (p *Proc) exit() {
-	e := p.eng
+// exit retires the process, whose body has returned: it dispatches on,
+// parks the carrier in the pool and returns the process the carrier's yield
+// should name.
+func (p *Proc) exit() *Proc {
 	p.dead = true
 	if p.shd != nil {
 		p.shd.live.remove(p)
-		if e.sh.parallel {
-			p.shd.dispatch(nil)
-		} else {
-			e.globalDispatch(nil)
-		}
-		return
+	} else {
+		p.eng.live.remove(p)
 	}
-	e.live.remove(p)
-	e.dispatch(nil)
+	q := p.dispatch(nil)
+	p.release()
+	return q
 }
 
-// dispatch runs the event loop while this goroutine holds the baton. It
-// pops events and fires engine-context callbacks inline until either
+// pool returns the carrier pool p's carrier comes from and goes back to.
+func (p *Proc) pool() *carrierPool {
+	if p.shd != nil {
+		return &p.shd.pool
+	}
+	return &p.eng.pool
+}
+
+// dispatch runs the event loop that governs p — its shard's during a
+// parallel round, the engine's otherwise — on p's behalf.
+func (p *Proc) dispatch(self *Proc) *Proc {
+	if p.shd != nil && p.eng.sh.parallel {
+		return p.shd.dispatch(self)
+	}
+	return p.eng.dispatch(self)
+}
+
+// yield gives up the virtual CPU until p's next resume is popped — the
+// caller has queued it, or left it to a Wake. p dispatches inline first and
+// switches out only when that hands to a different process or to none.
+func (p *Proc) yield() {
+	if q := p.dispatch(p); q != p {
+		p.car.yield(q)
+	}
+}
+
+// dispatch runs the event loop in the calling context: it pops events and
+// fires engine-context callbacks inline until it pops a process resume, and
+// returns that process for the caller to switch to — self itself when the
+// resume is the caller's own, which then simply keeps running. It returns
+// nil when there is nothing more to run here: the queue has drained
+// (deadlock detection happens in Run) or, on a sharded engine, the last pin
+// has been released and pending events should run in parallel rounds
+// instead.
 //
-//   - it pops a resume for self: it returns with the baton still held, so
-//     the caller simply continues running (no channel traffic at all), or
-//   - it pops a resume for another process: it hands the baton over and,
-//     when self expects to run again later, blocks until resumed, or
-//   - the queue drains: it returns the baton to Run (deadlock detection
-//     happens there).
-//
-// self is nil when the caller will never run again (process exit).
-func (e *Engine) dispatch(self *Proc) {
+// self is nil in the drivers and at process exit.
+func (e *Engine) dispatch(self *Proc) *Proc {
 	for {
-		if len(e.queue) == 0 {
+		if len(e.queue) == 0 || e.sh != nil && e.sh.pins.Load() == 0 {
 			e.current = nil
-			e.root <- struct{}{}
-			if self != nil {
-				// Parked forever: Run has already reported the deadlock;
-				// this goroutine can only leak, exactly as a process blocked
-				// on a channel the simulation never sends on would.
-				<-self.resume
-			}
-			return
+			return nil
 		}
 		ev := e.pop()
 		e.now = ev.at
@@ -450,15 +458,21 @@ func (e *Engine) dispatch(self *Proc) {
 			ev.fire()
 			continue
 		}
-		if ev.proc == self {
-			e.current = self
-			return
+		e.current = ev.proc
+		if ev.proc != self {
+			e.stats.Handoffs++
 		}
-		e.transfer(ev.proc)
-		if self != nil {
-			<-self.resume
-		}
-		return
+		return ev.proc
+	}
+}
+
+// drive is the trampoline of the serial engine and of a sharded engine's
+// global phase: it dispatches to the first process, then switches into
+// whichever process the last one handed to, until one hands to none — its
+// dispatch found nothing more to run, and neither would the driver's.
+func (e *Engine) drive() {
+	for p := e.dispatch(nil); p != nil; {
+		p = p.resume()
 	}
 }
 
@@ -484,20 +498,8 @@ func (e *Engine) Run() error {
 	if e.sh != nil {
 		return e.runSharded()
 	}
-	for len(e.queue) > 0 {
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		e.transfer(ev.proc)
-		// The baton comes back only when the queue has drained; processes
-		// hand off among themselves in the meantime.
-		<-e.root
-	}
+	defer e.pool.stopAll()
+	e.drive()
 	if e.live.n > 0 {
 		names := e.live.names()
 		sort.Strings(names)
@@ -507,17 +509,16 @@ func (e *Engine) Run() error {
 }
 
 // Proc is a simulated process. Its methods must only be called from the
-// goroutine running the process body (with the exception of Wake, which may
-// be called from any process or engine-context callback).
+// process body (with the exception of Wake, which may be called from any
+// process or engine-context callback).
 type Proc struct {
 	// Name identifies the process in diagnostics.
 	Name string
 
 	eng     *Engine
-	shd     *shard // nil on serial engines
-	resume  chan struct{}
+	shd     *shard   // nil on serial engines
+	car     *carrier // nil until the first resume and after the body returns
 	body    func(*Proc)
-	started bool
 	dead    bool
 	parked  bool
 	permits int
@@ -550,7 +551,7 @@ func (p *Proc) Now() Time {
 //
 // When no queued event fires at or before now+d, Advance takes the
 // zero-handoff fast path: the process would be resumed next in any case, so
-// the clock is bumped directly and control never leaves this goroutine. An
+// the clock is bumped directly and control never leaves the process. An
 // event scheduled at exactly now+d forces the slow path — it carries an
 // earlier sequence number than the resume this Advance would enqueue, so
 // FIFO tie-breaking says it must run first. Advance(0) always takes the
@@ -573,7 +574,7 @@ func (p *Proc) Advance(d Time) {
 		return
 	}
 	e.scheduleResume(p, e.now+d)
-	e.dispatch(p)
+	p.yield()
 }
 
 // SetTimeScale stretches every subsequent Advance duration by num/den,
@@ -583,7 +584,7 @@ func (p *Proc) Advance(d Time) {
 // reinterprets durations already charged, so it may be flipped mid-run
 // (e.g. from an engine callback at a fault-window boundary). Unlike most
 // Proc methods it touches only this process's fields, so it may be called
-// from any simulation goroutine or engine callback.
+// from any process or engine callback.
 func (p *Proc) SetTimeScale(num, den int64) {
 	if num > 0 && den <= 0 {
 		panic("sim: SetTimeScale with non-positive denominator")
@@ -600,15 +601,7 @@ func (p *Proc) Park() {
 		return
 	}
 	p.parked = true
-	if p.shd != nil {
-		if p.eng.sh.parallel {
-			p.shd.dispatch(p)
-		} else {
-			p.eng.globalDispatch(p)
-		}
-		return
-	}
-	p.eng.dispatch(p)
+	p.yield()
 }
 
 // Wake unparks p at the current virtual time. If p is not parked, a permit
