@@ -10,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate hostperf docscheck linkcheck perf perfgate perf-baseline taskbench taskbench-baseline
+.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate docscheck linkcheck
 
-check: fmt vet build test benchmark-test shuffle race golden faults sdc validate docscheck linkcheck perfgate taskbench
+check: fmt vet build test benchmark-test shuffle race golden faults sdc validate docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -77,42 +77,36 @@ sdc:
 # bit-identical (that parity case also runs under the race detector, since
 # SPMD-phase checkouts reach the validator from parallel host shards).
 validate:
-	$(GO) test -count=1 -run 'TestValidator|TestSetPolicy' ./internal/core
+	$(GO) test -count=1 -run 'TestValidator' ./internal/core
 	$(GO) test -count=1 -race -run 'TestValidatorShardParity' ./internal/core
 
-# Host-side throughput report (not part of check: timing-sensitive).
-hostperf:
-	$(GO) run ./cmd/itybench -hostperf BENCH_sim.json -count 3 -procs 8 -scaling -fleet 64
+# The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
+# report of `itybench <suite>`, and `make gate-<suite>` reruns the suite
+# and holds every number in it to the checked-in file within ±2% — except
+# the ones the file itself lists under "host" (wall clock, allocation),
+# which are printed, never gated. The gated numbers are simulated and
+# bit-identical on every host, so drift is a code change, not noise:
+#   perf       simulated time, RMA round trips and bytes per app
+#   taskbench  the same three per graph shape × task grain × scheduler cell
+#   faults     every app under every canned fault plan and the SDC
+#              replication sweep: times, counters and the ok verdict
+#   scaling    64→16,384-rank halo/cilksort sweep (sim time, events) and
+#              the 64-simulation fleet's digest cross-check
+# Each baseline is taken at the scale its row says below.
+SCALE_perf      = smoke
+SCALE_taskbench = smoke
+SCALE_faults    = full
+SCALE_scaling   = full
 
-# Deterministic perf suite: simulated time, RMA round trips and bytes per
-# experiment at smoke scale. Bit-identical on every host, so perfgate can
-# hold the numbers to the checked-in BENCH_baseline.json within ±2%.
-perf:
-	$(GO) run ./cmd/itybench -perf BENCH_perf.json -scale smoke
+gate-%:
+	$(GO) run ./cmd/itybench -scale $(SCALE_$*) -o BENCH_$*.current.json $*
+	$(GO) run ./internal/tools/perfgate -baseline BENCH_$*.json -current BENCH_$*.current.json
 
-perfgate: perf
-	$(GO) run ./internal/tools/perfgate -baseline BENCH_baseline.json -current BENCH_perf.json
-
-# Regenerate the checked-in baseline after an intentional perf change
-# (perfgate fails on unre-baselined improvements too); commit the result.
-perf-baseline:
-	$(GO) run ./cmd/itybench -perf BENCH_baseline.json -scale smoke
-
-# Task Bench workload matrix: graph shape × task grain × scheduling policy
-# at smoke scale, every cell gated against the checked-in
-# BENCH_taskbench.json within ±2% (like perf, the numbers are simulated
-# and bit-identical on every host). The -race parity test then re-runs
-# one cell per scheduler serial vs 4 engine shards and requires identical
-# digests — the sharded-host gate for the scheduler seam.
-taskbench:
-	$(GO) run ./cmd/itybench -taskbench BENCH_taskbench.current.json -scale smoke
-	$(GO) run ./internal/tools/perfgate -schema taskbench -baseline BENCH_taskbench.json -current BENCH_taskbench.current.json
-	$(GO) test -count=1 -race -run 'TestHostProcsParity' ./internal/apps/taskbench
-
-# Regenerate the checked-in matrix baseline after an intentional change;
-# commit the result (TestTaskbenchBaselineFresh fails until you do).
-taskbench-baseline:
-	$(GO) run ./cmd/itybench -taskbench BENCH_taskbench.json -scale smoke
+# Regenerate a checked-in baseline after an intentional change (the gate
+# fails on unre-baselined improvements too; TestBaselinesFresh fails until
+# the smoke-scale ones are regenerated); commit the result.
+baseline-%:
+	$(GO) run ./cmd/itybench -scale $(SCALE_$*) -o BENCH_$*.json $*
 
 # Documentation gates: every package keeps a package comment (and the public
 # ityr package plus internal/pgas — the memory-model contract surface —

@@ -38,13 +38,7 @@ func main() {
 	verify := flag.Bool("verify", true, "verify sortedness and checksum")
 	profBreakdown := flag.Bool("prof", false, "print the profiler category breakdown (Fig. 9)")
 	traceFile := flag.String("tracefile", "", "write a Chrome-tracing JSON event log to this file")
-	traceDump, metricsFile, profileFile := obs.Flags()
-	traceRing := obs.RingFlag()
-	hostProcs := obs.ProcsFlag()
-	coalesce, prefetch := obs.BatchFlags()
-	sdc, replicate := obs.SDCFlags()
-	sched := obs.SchedFlag()
-	validate := obs.ValidateFlag()
+	opts := obs.Register()
 	violate := flag.Bool("violate", false,
 		"deliberately break the checkout discipline (write-under-read) instead of sorting — a demo workload for -validate; see EXPERIMENTS.md")
 	flag.Parse()
@@ -59,18 +53,13 @@ func main() {
 		CoresPerNode: *cores,
 		Pgas:         ityr.PgasConfig{Policy: pol},
 		Seed:         *seed,
-		Trace:        *traceFile != "" || *traceDump != "",
-		Profile:      *profileFile != "",
-		TraceRing:    *traceRing,
-		HostProcs:    *hostProcs,
+		Trace:        *traceFile != "",
 	}
-	obs.ApplyBatch(&cfg.Pgas, *coalesce, *prefetch)
-	obs.ApplySDC(&cfg, *sdc, *replicate)
-	if err := obs.ApplySched(&cfg, *sched); err != nil {
+	if err := opts.Apply(&cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.Pgas.Validate = *validate || *violate
+	cfg.Pgas.Validate = cfg.Pgas.Validate || *violate
 	rt := ityr.NewRuntime(cfg)
 	var sortTime ityr.Time
 	ok := true
@@ -140,7 +129,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, vioErr)
 		}
 		caught := obs.ReportViolations(rt)
-		if werr := obs.Write(rt, *traceDump, *metricsFile, *profileFile); werr != nil {
+		if werr := opts.Write(rt); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
 		}
 		if caught {
@@ -187,11 +176,11 @@ func main() {
 		}
 		fmt.Printf("  trace          %d events -> %s\n", rt.Trace().Len(), *traceFile)
 	}
-	if err := obs.Write(rt, *traceDump, *metricsFile, *profileFile); err != nil {
+	if err := opts.Write(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *validate && obs.ReportViolations(rt) && exitCode == 0 {
+	if opts.Validate && obs.ReportViolations(rt) && exitCode == 0 {
 		exitCode = 1
 	}
 	os.Exit(exitCode)

@@ -29,13 +29,7 @@ func main() {
 	dist := flag.String("dist", "cube", "particle distribution: cube|sphere|plummer")
 	verify := flag.Bool("verify", false, "verify against direct summation (O(N²) on the host)")
 	mpi := flag.Bool("mpi", false, "also run the static MPI baseline model")
-	traceDump, metricsFile, profileFile := obs.Flags()
-	traceRing := obs.RingFlag()
-	hostProcs := obs.ProcsFlag()
-	coalesce, prefetch := obs.BatchFlags()
-	sdc, replicate := obs.SDCFlags()
-	sched := obs.SchedFlag()
-	validate := obs.ValidateFlag()
+	opts := obs.Register()
 	flag.Parse()
 
 	var pol ityr.Policy
@@ -68,20 +62,13 @@ func main() {
 
 	cfg := ityr.Config{
 		Ranks: *ranks, CoresPerNode: *cores,
-		Pgas:      ityr.PgasConfig{Policy: pol},
-		Seed:      *seed,
-		Trace:     *traceDump != "",
-		Profile:   *profileFile != "",
-		TraceRing: *traceRing,
-		HostProcs: *hostProcs,
+		Pgas: ityr.PgasConfig{Policy: pol},
+		Seed: *seed,
 	}
-	obs.ApplyBatch(&cfg.Pgas, *coalesce, *prefetch)
-	obs.ApplySDC(&cfg, *sdc, *replicate)
-	if err := obs.ApplySched(&cfg, *sched); err != nil {
+	if err := opts.Apply(&cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.Pgas.Validate = *validate
 	rt := ityr.NewRuntime(cfg)
 	var evalTime ityr.Time
 	var result []fmm.Body
@@ -137,11 +124,11 @@ func main() {
 		fmt.Printf("  MPI model  %.3f ms on %d nodes (idleness %.2f)\n",
 			float64(r.Elapsed)/1e6, nodes, r.Idleness)
 	}
-	if err := obs.Write(rt, *traceDump, *metricsFile, *profileFile); err != nil {
+	if err := opts.Write(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *validate && obs.ReportViolations(rt) {
+	if opts.Validate && obs.ReportViolations(rt) {
 		os.Exit(1)
 	}
 }

@@ -1,0 +1,66 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"ityr/internal/bench"
+)
+
+// TestUsageErrors pins the CLI's contract for a mistyped invocation: exit
+// status 2, nothing on stdout, and a message that lists what would have
+// been accepted — before any simulation runs.
+func TestUsageErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"unknown suite", []string{"fig12"}, []string{`unknown suite "fig12"`, "fig7", "table1", "abl", "all", "perf", "taskbench", "faults", "scaling", "fleet", "metrics"}},
+		{"unknown scale", []string{"-scale", "huge", "fig7"}, []string{`unknown scale "huge"`, "smoke", "quick", "full"}},
+		{"unknown sched", []string{"-sched", "bogus", "fig7"}, []string{"bogus", "childfirst", "helpfirst", "fbc"}},
+		{"flag after suite", []string{"fig7", "-scale", "smoke"}, []string{"flags first"}},
+		{"removed mode flag", []string{"-fig", "7"}, []string{"usage: itybench [flags] <suite>"}},
+		{"report from a print-only suite", []string{"-o", "-", "table1"}, []string{`"table1" only prints`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit status %d, want 2", code)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("usage error wrote to stdout: %q", stdout.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stderr.String(), w) {
+					t.Errorf("stderr does not mention %q:\n%s", w, stderr.String())
+				}
+			}
+		})
+	}
+}
+
+// TestReportToStdout pins what `itybench -o - <suite> | jq` relies on:
+// stdout carries the report and nothing else, the table moves to stderr.
+func TestReportToStdout(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scale", "smoke", "-heartbeat", "0", "-o", "-", "perf"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d\n%s", code, stderr.String())
+	}
+	if !json.Valid(stdout.Bytes()) {
+		t.Fatalf("stdout is not one JSON value:\n%s", stdout.String())
+	}
+	rep, err := bench.ReadReport(&stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Suite != "perf" || rep.Scale != "smoke" || len(rep.Rows) == 0 {
+		t.Errorf("unexpected report: suite %q scale %q, %d rows", rep.Suite, rep.Scale, len(rep.Rows))
+	}
+	if !strings.Contains(stderr.String(), "== Perf suite") {
+		t.Errorf("table did not move to stderr:\n%s", stderr.String())
+	}
+}

@@ -21,13 +21,7 @@ func main() {
 	policy := flag.String("policy", "lazy", "cache policy: nocache|wt|wb|lazy")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	classic := flag.Bool("classic", false, "run the original memory-free UTS instead of UTS-Mem")
-	traceDump, metricsFile, profileFile := obs.Flags()
-	traceRing := obs.RingFlag()
-	hostProcs := obs.ProcsFlag()
-	coalesce, prefetch := obs.BatchFlags()
-	sdc, replicate := obs.SDCFlags()
-	sched := obs.SchedFlag()
-	validate := obs.ValidateFlag()
+	opts := obs.Register()
 	flag.Parse()
 
 	var tree uts.Tree
@@ -57,20 +51,13 @@ func main() {
 
 	cfg := ityr.Config{
 		Ranks: *ranks, CoresPerNode: *cores,
-		Pgas:      ityr.PgasConfig{Policy: pol},
-		Seed:      *seed,
-		Trace:     *traceDump != "",
-		Profile:   *profileFile != "",
-		TraceRing: *traceRing,
-		HostProcs: *hostProcs,
+		Pgas: ityr.PgasConfig{Policy: pol},
+		Seed: *seed,
 	}
-	obs.ApplyBatch(&cfg.Pgas, *coalesce, *prefetch)
-	obs.ApplySDC(&cfg, *sdc, *replicate)
-	if err := obs.ApplySched(&cfg, *sched); err != nil {
+	if err := opts.Apply(&cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.Pgas.Validate = *validate
 	rt := ityr.NewRuntime(cfg)
 	var buildTime, travTime ityr.Time
 	var built, counted int64
@@ -120,11 +107,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "MISMATCH: built %d, traversed %d\n", built, counted)
 		exitCode = 1
 	}
-	if err := obs.Write(rt, *traceDump, *metricsFile, *profileFile); err != nil {
+	if err := opts.Write(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *validate && obs.ReportViolations(rt) && exitCode == 0 {
+	if opts.Validate && obs.ReportViolations(rt) && exitCode == 0 {
 		exitCode = 1
 	}
 	os.Exit(exitCode)

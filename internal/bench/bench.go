@@ -41,12 +41,16 @@ type Scale struct {
 	CoresPerNode int
 	MPINodes     []int // node counts for Table 2
 
-	// Task Bench matrix (the -taskbench suite): tasks per step × steps,
+	// Task Bench matrix (the taskbench suite): tasks per step × steps,
 	// the per-cell payload each dependency edge moves, and the
 	// fine/coarse task-grain pair the suite sweeps.
 	TBWidth, TBSteps           int
 	TBEdgeBytes                int
 	TBFineGrain, TBCoarseGrain sim.Time
+
+	// The scaling suite: the rank count its sweep stops at, and how many
+	// independent simulations its fleet runs.
+	ScalingMaxRanks, FleetSims int
 }
 
 // Smoke is a tiny scale for harness unit tests.
@@ -69,6 +73,8 @@ var Smoke = Scale{
 
 	TBWidth: 48, TBSteps: 6, TBEdgeBytes: 256,
 	TBFineGrain: 1 * sim.Microsecond, TBCoarseGrain: 20 * sim.Microsecond,
+
+	ScalingMaxRanks: 1728, FleetSims: 16, // 1,728: the paper's machine
 }
 
 // Quick is the scale used by `go test -bench`.
@@ -91,6 +97,8 @@ var Quick = Scale{
 
 	TBWidth: 128, TBSteps: 10, TBEdgeBytes: 1024,
 	TBFineGrain: 1 * sim.Microsecond, TBCoarseGrain: 50 * sim.Microsecond,
+
+	ScalingMaxRanks: 4096, FleetSims: 32,
 }
 
 // Full is the paper-regime scale used by cmd/itybench for EXPERIMENTS.md.
@@ -113,7 +121,12 @@ var Full = Scale{
 
 	TBWidth: 256, TBSteps: 16, TBEdgeBytes: 4096,
 	TBFineGrain: 1 * sim.Microsecond, TBCoarseGrain: 100 * sim.Microsecond,
+
+	ScalingMaxRanks: 16384, FleetSims: 64,
 }
+
+// Scales are the scales `itybench -scale` accepts.
+var Scales = []Scale{Smoke, Quick, Full}
 
 // Row is one measured data point.
 type Row struct {
@@ -252,7 +265,7 @@ func CilksortRun(n, cutoff int64, ranks, coresPerNode int, pol ityr.Policy, seed
 // MetricsRun runs the canonical Fig. 7 cilksort configuration (the lazy
 // write-back policy on the scale's fixed rank count) and writes the
 // run's "itoyori-metrics/v1" snapshot — the machine-readable runtime
-// counters that accompany the BENCH_sim.json host-perf report.
+// counters the app CLIs' -metrics flag writes.
 func MetricsRun(w io.Writer, sc Scale) error {
 	_, rt := CilksortRun(sc.CilksortN, sc.SortCutoff, sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 11)
 	return rt.WriteMetrics(w)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -77,59 +76,55 @@ func TestFaultPlansAppsTerminate(t *testing.T) {
 	}
 }
 
-// TestFaultBenchSmoke exercises the whole itybench -faults path and
+// TestFaultBenchSmoke exercises the whole `itybench faults` path and
 // asserts the resilience machinery visibly engaged: the flaky-rma plan
 // must inject failures and cause retries, and the straggler plan must
 // slow the run down versus clean.
 func TestFaultBenchSmoke(t *testing.T) {
-	rep := FaultBench(io.Discard, Smoke)
-	if rep.Schema != "itoyori-faults/v2" {
-		t.Fatalf("schema = %q", rep.Schema)
+	rep, err := FaultBench(io.Discard, Smoke)
+	if err != nil {
+		t.Error(err)
+	}
+	if rep.Schema != Schema || rep.Suite != "faults" {
+		t.Fatalf("schema/suite = %q/%q", rep.Schema, rep.Suite)
 	}
 	wantRuns := len(faultApps) * (1 + len(fault.CannedPlans(11)) + len(SdcSweepFractions))
-	if len(rep.Runs) != wantRuns {
-		t.Fatalf("got %d runs, want %d", len(rep.Runs), wantRuns)
+	if len(rep.Rows) != wantRuns {
+		t.Fatalf("got %d runs, want %d", len(rep.Rows), wantRuns)
 	}
-	byKey := map[string]FaultRun{}
-	for _, r := range rep.Runs {
-		if !r.OK {
-			t.Errorf("%s under %s (replicate %.2f): verdict not OK (verified=%v escaped=%d)",
-				r.App, r.Plan, r.Replicate, r.Verified, r.SdcEscaped)
+	for key, r := range rep.Rows {
+		if r["ok"] != 1 {
+			t.Errorf("%s: verdict not OK (verified=%v escaped=%v)", key, r["verified"], r["sdc_escaped"])
 		}
-		key := r.App + "/" + r.Plan
-		if r.Plan == "sdc-task" {
-			key = fmt.Sprintf("%s/%s/%.2f", r.App, r.Plan, r.Replicate)
-		}
-		byKey[key] = r
 	}
 	// The sweep's negative control must demonstrate real corruption, and
 	// the protected rows must show the machinery engaging.
 	for _, app := range faultApps {
-		ctl := byKey[app.Name+"/sdc-task/0.00"]
-		if ctl.SdcInjected == 0 || ctl.SdcEscaped == 0 || ctl.Verified {
-			t.Errorf("%s sdc negative control: injected=%d escaped=%d verified=%v; want flips, escapes, and failed verification",
-				app.Name, ctl.SdcInjected, ctl.SdcEscaped, ctl.Verified)
+		ctl := rep.Rows[app.Name+"/sdc-task/0.00"]
+		if ctl["sdc_injected"] == 0 || ctl["sdc_escaped"] == 0 || ctl["verified"] != 0 {
+			t.Errorf("%s sdc negative control: injected=%v escaped=%v verified=%v; want flips, escapes, and failed verification",
+				app.Name, ctl["sdc_injected"], ctl["sdc_escaped"], ctl["verified"])
 		}
-		prot := byKey[app.Name+"/sdc-task/0.50"]
-		if prot.ReplicaTasks == 0 || prot.SdcDetected == 0 {
-			t.Errorf("%s sdc at 50%% replication: replicas=%d detected=%d; want both > 0",
-				app.Name, prot.ReplicaTasks, prot.SdcDetected)
+		prot := rep.Rows[app.Name+"/sdc-task/0.50"]
+		if prot["replica_tasks"] == 0 || prot["sdc_detected"] == 0 {
+			t.Errorf("%s sdc at 50%% replication: replicas=%v detected=%v; want both > 0",
+				app.Name, prot["replica_tasks"], prot["sdc_detected"])
 		}
 	}
-	flaky := byKey["cilksort/flaky-rma"]
-	if flaky.InjectedFailures == 0 || flaky.Retries == 0 {
-		t.Errorf("flaky-rma plan injected %d failures, %d retries; want both > 0",
-			flaky.InjectedFailures, flaky.Retries)
+	flaky := rep.Rows["cilksort/flaky-rma"]
+	if flaky["injected_failures"] == 0 || flaky["rma_retries"] == 0 {
+		t.Errorf("flaky-rma plan injected %v failures, %v retries; want both > 0",
+			flaky["injected_failures"], flaky["rma_retries"])
 	}
-	if flaky.RetryStallNs == 0 {
+	if flaky["rma_retry_stall_ns"] == 0 {
 		t.Errorf("flaky-rma retries reported zero stall time")
 	}
-	strag := byKey["cilksort/straggler"]
-	if strag.Slowdown <= 1.0 {
-		t.Errorf("straggler plan slowdown %.2fx; want > 1x", strag.Slowdown)
+	strag := rep.Rows["cilksort/straggler"]
+	if strag["slowdown"] <= 1.0 {
+		t.Errorf("straggler plan slowdown %.2fx; want > 1x", strag["slowdown"])
 	}
-	clean := byKey["cilksort/clean"]
-	if clean.InjectedFailures != 0 || clean.Retries != 0 || clean.Blacklists != 0 {
+	clean := rep.Rows["cilksort/clean"]
+	if clean["injected_failures"] != 0 || clean["rma_retries"] != 0 || clean["blacklists"] != 0 {
 		t.Errorf("clean run shows resilience activity: %+v", clean)
 	}
 }

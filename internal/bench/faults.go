@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -19,62 +18,6 @@ import (
 	"ityr/internal/fault"
 	"ityr/internal/sim"
 )
-
-// FaultRun is one row of the report: one application run under one plan
-// (and, for the SDC sweep rows, one replication fraction).
-type FaultRun struct {
-	Plan      string  `json:"plan"` // "clean" or the canned plan name
-	App       string  `json:"app"`
-	Replicate float64 `json:"replicate"` // task-replication fraction (0 = off)
-	TimeNs    int64   `json:"time_ns"`
-	CleanNs   int64   `json:"clean_time_ns"` // same app without a plan
-	Slowdown  float64 `json:"slowdown"`      // TimeNs / CleanNs
-	Verified  bool    `json:"verified"`      // output checked, not just "terminated"
-
-	// OK is the row's verdict: a run with undetected corruption escapes
-	// MUST fail verification (the escapes are real silent errors — a
-	// verified run despite escapes would mean the injector corrupted
-	// nothing observable), and a run without escapes must verify. The
-	// negative-control rows (corruption armed, replication off) are
-	// therefore OK precisely because they are unverified.
-	OK bool `json:"ok"`
-
-	// Resilience activity observed during the run.
-	InjectedFailures uint64 `json:"injected_failures"`
-	Retries          uint64 `json:"rma_retries"`
-	RetryStallNs     uint64 `json:"rma_retry_stall_ns"`
-	Steals           uint64 `json:"steals"`
-	FailedSteals     uint64 `json:"failed_steals"`
-	StealTimeouts    uint64 `json:"steal_timeouts"`
-	Blacklists       uint64 `json:"blacklists"`
-	BlacklistSkips   uint64 `json:"blacklist_skips"`
-
-	// Silent-data-corruption activity (itoyori-faults/v2).
-	SdcInjected  uint64 `json:"sdc_injected"`  // bit flips injected (wire + task)
-	SdcDetected  uint64 `json:"sdc_detected"`  // flips caught (digest + checksum)
-	SdcRecovered uint64 `json:"sdc_recovered"` // protocols converged after strikes
-	SdcEscaped   uint64 `json:"sdc_escaped"`   // flips that reached the output
-	ReplicaTasks uint64 `json:"replica_tasks"` // redundant executions performed
-}
-
-// FaultReport is the "itoyori-faults/v2" document written by
-// `itybench -faults`. v2 adds the silent-data-corruption sweep rows and
-// the per-row SDC counters + OK verdict.
-type FaultReport struct {
-	Schema       string     `json:"schema"`
-	Scale        string     `json:"scale"`
-	Seed         int64      `json:"seed"`
-	Ranks        int        `json:"ranks"`
-	CoresPerNode int        `json:"cores_per_node"`
-	Runs         []FaultRun `json:"runs"`
-}
-
-// WriteJSON serializes the report as indented JSON.
-func (rep FaultReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
 
 // faultSeed seeds both the runtime and the fault plans, matching the
 // Fig. 7 runs so clean times are comparable.
@@ -217,48 +160,62 @@ var faultApps = []struct {
 	{"fmm", FaultFMMRun},
 }
 
-// faultRow assembles one report row from a finished run.
-func faultRow(plan, app string, replicate float64, t, clean sim.Time, rt *ityr.Runtime, ok bool) FaultRun {
-	run := FaultRun{
-		Plan: plan, App: app, Replicate: replicate,
-		TimeNs: int64(t), CleanNs: int64(clean), Verified: ok,
-	}
-	if clean > 0 {
-		run.Slowdown = float64(t) / float64(clean)
-	}
+// faultRow assembles one report row from a finished run: the run under
+// its plan against the same app without one, the resilience activity
+// observed (injected failures, RMA retries, steal timeouts, victim
+// blacklisting) and the silent-data-corruption ledger (flips injected on
+// the wire and in task results, caught by digest or checksum, recovered
+// after strikes, escaped to the output; redundant executions performed).
+//
+// "ok" is the row's verdict: a run with undetected corruption escapes
+// MUST fail verification (the escapes are real silent errors — a verified
+// run despite escapes would mean the injector corrupted nothing
+// observable), and a run without escapes must verify. The negative-control
+// rows (corruption armed, replication off) are therefore ok precisely
+// because they are unverified.
+func faultRow(replicate float64, t, clean sim.Time, rt *ityr.Runtime, verified bool) Metrics {
 	cs := rt.Comm().Stats()
-	run.Retries = cs.Retries
-	run.RetryStallNs = cs.RetryNs
 	ss := rt.Sched().Stats
-	run.Steals = ss.Steals
-	run.FailedSteals = ss.FailedSteals
-	run.StealTimeouts = ss.StealTimeouts
-	run.Blacklists = ss.Blacklists
-	run.BlacklistSkips = ss.BlacklistSkips
+	ws := rt.Comm().SdcWire()
+	detected, recovered, escaped := ws.Detected, ws.Retrans, ws.Escapes
+	var injected, flips, replicas uint64
 	if inj := rt.Injector(); inj != nil {
 		fs := inj.Stats()
-		run.InjectedFailures = fs.Injected
-		run.SdcInjected = fs.WireFlips + fs.TaskFlips
+		injected = fs.Injected
+		flips = fs.WireFlips + fs.TaskFlips
 	}
-	ws := rt.Comm().SdcWire()
-	run.SdcDetected = ws.Detected
-	run.SdcRecovered = ws.Retrans
-	run.SdcEscaped = ws.Escapes
 	if p := rt.Protector(); p != nil {
 		st := p.Stats
-		run.SdcDetected += st.Detected
-		run.SdcRecovered += st.Recovered
-		run.SdcEscaped += st.Escaped
-		run.ReplicaTasks = st.Replicas
+		detected += st.Detected
+		recovered += st.Recovered
+		escaped += st.Escaped
+		replicas = st.Replicas
 	}
-	// The verdict: escaped corruptions must be output-visible, everything
-	// else must verify.
-	if run.SdcEscaped > 0 {
-		run.OK = !run.Verified
-	} else {
-		run.OK = run.Verified
+	slowdown := 0.0
+	if clean > 0 {
+		slowdown = float64(t) / float64(clean)
 	}
-	return run
+	return Metrics{
+		"replicate":          replicate, // task-replication fraction (0 = off)
+		"time_ns":            float64(t),
+		"clean_time_ns":      float64(clean),
+		"slowdown":           slowdown,
+		"verified":           verdict(verified), // output checked, not just "terminated"
+		"ok":                 verdict(verified == (escaped == 0)),
+		"injected_failures":  float64(injected),
+		"rma_retries":        float64(cs.Retries),
+		"rma_retry_stall_ns": float64(cs.RetryNs),
+		"steals":             float64(ss.Steals),
+		"failed_steals":      float64(ss.FailedSteals),
+		"steal_timeouts":     float64(ss.StealTimeouts),
+		"blacklists":         float64(ss.Blacklists),
+		"blacklist_skips":    float64(ss.BlacklistSkips),
+		"sdc_injected":       float64(flips),
+		"sdc_detected":       float64(detected),
+		"sdc_recovered":      float64(recovered),
+		"sdc_escaped":        float64(escaped),
+		"replica_tasks":      float64(replicas),
+	}
 }
 
 // SdcSweepFractions is the replication-fraction axis of the
@@ -270,51 +227,60 @@ var SdcSweepFractions = []float64{0, 0.05, 0.10, 0.25, 0.50}
 // FaultBench runs every app clean, under each canned fault plan, and then
 // through the silent-data-corruption sweep (the sdc-task plan crossed with
 // every SdcSweepFractions replication fraction), printing a table to w and
-// returning the report. Every row carries the OK verdict; a !OK row is a
-// harness bug, surfaced in the table and the report rather than silently
-// dropped.
-func FaultBench(w io.Writer, sc Scale) FaultReport {
-	rep := FaultReport{
-		Schema: "itoyori-faults/v2", Scale: sc.Name, Seed: faultSeed,
-		Ranks: sc.FixedRanks, CoresPerNode: sc.CoresPerNode,
-	}
+// returning the report: one row per run, named app/plan (app/plan/fraction
+// in the sweep). Every row carries the ok verdict; a failed row is a
+// harness bug, surfaced in the table, the report and the returned error
+// rather than silently dropped.
+func FaultBench(w io.Writer, sc Scale) (*Report, error) {
+	rep := newReport("faults", sc)
+	rep.Config["seed"] = faultSeed
+	rep.Config["ranks"] = sc.FixedRanks
+	rep.Config["cores_per_node"] = sc.CoresPerNode
 	plans := fault.CannedPlans(faultSeed)
 	sdcPlan := fault.PlanSDC(faultSeed)
 	fmt.Fprintf(w, "\n== Fault plans: cilksort/utsmem/fmm on %d ranks (%d/node), seed %d ==\n",
 		sc.FixedRanks, sc.CoresPerNode, faultSeed)
 	fmt.Fprintf(w, "%-10s %-16s %5s %12s %9s %9s %8s %7s %7s %7s  %s\n",
 		"app", "plan", "repl", "time (ms)", "slowdown", "injected", "flips", "detect", "escape", "replica", "verdict")
+	bad := 0
 	for _, app := range faultApps {
-		cleanT, cleanRT, cleanOK := app.Run(sc, nil, 0)
-		row := faultRow("clean", app.Name, 0, cleanT, cleanT, cleanRT, cleanOK)
-		rep.Runs = append(rep.Runs, row)
-		printFaultRow(w, row)
+		var cleanT sim.Time
+		run := func(plan *fault.Plan, frac float64, sweep bool) {
+			name, key := "clean", app.Name+"/clean"
+			if plan != nil {
+				name, key = plan.Name, app.Name+"/"+plan.Name
+			}
+			if sweep {
+				key = fmt.Sprintf("%s/%.2f", key, frac)
+			}
+			t, rt, ok := app.Run(sc, plan, frac)
+			if plan == nil {
+				cleanT = t
+			}
+			row := faultRow(frac, t, cleanT, rt, ok)
+			rep.Rows[key] = row
+			mark := "ok"
+			switch {
+			case row["ok"] == 0:
+				mark = "FAILED"
+				bad++
+			case !ok:
+				mark = "corrupt" // expected: escapes with defenses down
+			}
+			fmt.Fprintf(w, "%-10s %-16s %5.2f %12.3f %8.2fx %9.0f %7.0f %7.0f %7.0f %7.0f  %s\n",
+				app.Name, name, frac, ms(t), row["slowdown"], row["injected_failures"],
+				row["sdc_injected"], row["sdc_detected"], row["sdc_escaped"], row["replica_tasks"], mark)
+		}
+		run(nil, 0, false)
 		for i := range plans {
-			t, rt, ok := app.Run(sc, &plans[i], 0)
-			row := faultRow(plans[i].Name, app.Name, 0, t, cleanT, rt, ok)
-			rep.Runs = append(rep.Runs, row)
-			printFaultRow(w, row)
+			run(&plans[i], 0, false)
 		}
 		for _, frac := range SdcSweepFractions {
-			t, rt, ok := app.Run(sc, &sdcPlan, frac)
-			row := faultRow(sdcPlan.Name, app.Name, frac, t, cleanT, rt, ok)
-			rep.Runs = append(rep.Runs, row)
-			printFaultRow(w, row)
+			run(&sdcPlan, frac, true)
 		}
 	}
-	return rep
-}
-
-func printFaultRow(w io.Writer, r FaultRun) {
-	verdict := "ok"
-	switch {
-	case !r.OK:
-		verdict = "FAILED"
-	case !r.Verified:
-		verdict = "corrupt" // expected: escapes with defenses down
+	if bad > 0 {
+		return rep, fmt.Errorf("%d run(s) failed the fault-report verdict", bad)
 	}
-	fmt.Fprintf(w, "%-10s %-16s %5.2f %12.3f %8.2fx %9d %7d %7d %7d %7d  %s\n",
-		r.App, r.Plan, r.Replicate, float64(r.TimeNs)/1e6, r.Slowdown,
-		r.InjectedFailures, r.SdcInjected, r.SdcDetected, r.SdcEscaped,
-		r.ReplicaTasks, verdict)
+	return rep, nil
 }

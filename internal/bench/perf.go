@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -20,40 +19,16 @@ import (
 // benchmarks: a regression in communication volume or simulated time is a
 // code change, not a noisy neighbor.
 
-// PerfSchema identifies the BENCH_perf.json format.
-const PerfSchema = "itoyori-perf/v1"
-
-// PerfMetrics are one experiment's gated numbers.
-type PerfMetrics struct {
-	// SimNs is the simulated elapsed time of the measured phase in
-	// virtual nanoseconds.
-	SimNs int64 `json:"sim_ns"`
-	// RoundTrips counts RMA operations (gets + puts + atomics) across the
-	// whole run — the number the cache-batching layer exists to shrink.
-	RoundTrips uint64 `json:"round_trips"`
-	// RMABytes is the total payload moved (get bytes + put bytes).
-	RMABytes uint64 `json:"rma_bytes"`
-}
-
-func perfMetrics(t sim.Time, st rma.Stats) PerfMetrics {
-	return PerfMetrics{
-		SimNs:      int64(t),
-		RoundTrips: st.GetOps + st.PutOps + st.AtomicOps,
-		RMABytes:   st.GetBytes + st.PutBytes,
+// perfMetrics are one experiment's gated numbers: the simulated elapsed
+// time of the measured phase in virtual nanoseconds, the RMA operations
+// (gets + puts + atomics) of the whole run — the number the cache-batching
+// layer exists to shrink — and the total payload moved (get + put bytes).
+func perfMetrics(t sim.Time, st rma.Stats) Metrics {
+	return Metrics{
+		"sim_ns":      float64(t),
+		"round_trips": float64(st.GetOps + st.PutOps + st.AtomicOps),
+		"rma_bytes":   float64(st.GetBytes + st.PutBytes),
 	}
-}
-
-// PerfReport is the machine-readable result of PerfSuite, the input to
-// internal/tools/perfgate.
-type PerfReport struct {
-	Schema string `json:"schema"`
-	Scale  string `json:"scale"`
-	// Coalesce / Prefetch record the cache-batching knobs the suite ran
-	// with; perfgate refuses to compare reports taken under different
-	// knobs.
-	Coalesce    bool                   `json:"coalesce"`
-	Prefetch    int                    `json:"prefetch"`
-	Experiments map[string]PerfMetrics `json:"experiments"`
 }
 
 // perfConfig is the runtime configuration the cached perf-suite
@@ -70,8 +45,8 @@ func perfConfig(sc Scale, pol ityr.Policy, seed int64) ityr.Config {
 	return cfg
 }
 
-// PerfSuite runs the gated experiments at sc under the current batching
-// knobs and returns the report. Each experiment is one representative
+// PerfSuite runs the gated experiments at sc under the current knobs and
+// returns the report. Each experiment is one representative
 // configuration of an app the paper evaluates (§6), chosen for coverage of
 // the access patterns that stress the cache differently: cilksort
 // (streaming merges over a block distribution, the sequential-run regime
@@ -79,21 +54,15 @@ func perfConfig(sc Scale, pol ityr.Policy, seed int64) ityr.Config {
 // write-back path), uts (pointer chasing — batching should stay out of
 // the way), halo (raw SPMD RMA that bypasses the cache entirely — a
 // control whose numbers batching must not disturb).
-func PerfSuite(w io.Writer, sc Scale) PerfReport {
-	rep := PerfReport{
-		Schema:      PerfSchema,
-		Scale:       sc.Name,
-		Coalesce:    cacheCoalesce,
-		Prefetch:    cachePrefetch,
-		Experiments: map[string]PerfMetrics{},
-	}
+func PerfSuite(w io.Writer, sc Scale) (*Report, error) {
+	rep := newReport("perf", sc)
 	fmt.Fprintf(w, "\n== Perf suite (%s scale, %d ranks, coalesce=%v prefetch=%d) ==\n",
 		sc.Name, sc.FixedRanks, cacheCoalesce, cachePrefetch)
 	fmt.Fprintf(w, "%-10s %14s %12s %14s\n", "experiment", "sim time (ms)", "round trips", "rma bytes")
 	add := func(name string, t sim.Time, st rma.Stats) {
 		m := perfMetrics(t, st)
-		rep.Experiments[name] = m
-		fmt.Fprintf(w, "%-10s %14.3f %12d %14d\n", name, ms(t), m.RoundTrips, m.RMABytes)
+		rep.Rows[name] = m
+		fmt.Fprintf(w, "%-10s %14.3f %12.0f %14.0f\n", name, ms(t), m["round_trips"], m["rma_bytes"])
 	}
 
 	t, rt := cilksortSortTime(perfConfig(sc, ityr.WriteBackLazy, 11), sc.CilksortN, sc.SortCutoff, ityr.BlockDist)
@@ -114,36 +83,9 @@ func PerfSuite(w io.Writer, sc Scale) PerfReport {
 		HostProcs:    hostProcs,
 	})
 	if err != nil {
-		panic(err)
+		return nil, fmt.Errorf("perf suite: halo: %w", err)
 	}
 	add("halo", res.Elapsed, res.Stats)
 
-	return rep
-}
-
-// WriteJSON serializes the report as indented JSON.
-func (rep PerfReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadPerfReport parses an itoyori-perf/v1 report written by WriteJSON.
-func ReadPerfReport(r io.Reader) (PerfReport, error) {
-	return ReadReport(r, PerfSchema)
-}
-
-// ReadReport parses a report written by WriteJSON and verifies it carries
-// the expected schema (PerfSchema or TaskbenchSchema) — both suites share
-// the report shape, but a perf baseline must never be compared against a
-// taskbench run or vice versa.
-func ReadReport(r io.Reader, schema string) (PerfReport, error) {
-	var rep PerfReport
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return PerfReport{}, fmt.Errorf("bench: parsing perf report: %w", err)
-	}
-	if rep.Schema != schema {
-		return PerfReport{}, fmt.Errorf("bench: perf report schema %q, want %q", rep.Schema, schema)
-	}
 	return rep, nil
 }

@@ -44,7 +44,8 @@ var pinnedHaloDigests = []struct {
 	cfg  halo.Config
 	want string
 }{
-	// The host-speedup sweep's halo geometry (hostperf.go).
+	// A long, wide halo: 4,096 cells per rank for 50 steps (captured as the
+	// geometry of the host-speedup sweep PR 18 retired; kept as a pin).
 	{halo.Config{Ranks: 32, CoresPerNode: 8, CellsPerRank: 4096, Steps: 50},
 		"elapsed=1089091 checksum=40ef4c5200201dca fnv=6d217bb135526c09"},
 	// The fleet benchmark's per-member geometry (scaling.go).

@@ -6,11 +6,15 @@
 // and memory grow with rank count. Fleet mode answers the complementary
 // question: how many *independent* deterministic simulations per second
 // the host can serve when they run concurrently on separate goroutines,
-// digest-verified against a serial reference. Like hostperf.go, everything
-// in this file measures the host; simulated results are pinned elsewhere.
+// digest-verified against one another. The simulated half of every row
+// (sim_ns, events, the fleet's digest verdict) is gated through
+// BENCH_scaling.json; the host half (wall clock, allocation, throughput)
+// is listed in the report's Host and only printed — unit costs and shard
+// speedup are the business of the gated host-time benchmark in benchmark/.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -22,26 +26,15 @@ import (
 	"ityr/internal/apps/halo"
 )
 
-// ScalingRanks is the rank-count curve the sweep measures: the paper's
-// smallest evaluation points, its headline 1,728-rank machine, and the
-// 16K target of ROADMAP item 1.
-var ScalingRanks = []int{64, 512, 1728, 4096, 16384}
+// scalingRanks is the rank-count curve the sweep measures, cut off at the
+// scale's ScalingMaxRanks: the paper's smallest evaluation points, its
+// headline 1,728-rank machine, and the 16K target.
+var scalingRanks = []int{64, 512, 1728, 4096, 16384}
 
-// ScalingPoint is one (workload, rank count) sample of the sweep.
-type ScalingPoint struct {
-	Workload string  `json:"workload"`
-	Ranks    int     `json:"ranks"`
-	HostMs   float64 `json:"host_ms"`
-	SimMs    float64 `json:"sim_ms"`
-	// Events is the number of simulation-kernel events the run dispatched;
-	// EventsPerSec is the host's dispatch throughput on this workload.
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"host_events_per_sec"`
-	// AllocBytesPerRank is the run's total host heap allocation divided by
-	// the rank count — the affordability metric that must stay flat as
-	// ranks grow (the pre-diet per-rank state made it grow linearly with
-	// n, i.e. O(n²) total).
-	AllocBytesPerRank float64 `json:"alloc_bytes_per_rank"`
+// scalingHost names what in a scaling or fleet report depends on the host.
+var scalingHost = []string{
+	"host_cpus", "host_workers",
+	"host_ms", "events_per_sec", "alloc_bytes_per_rank", "sims_per_sec",
 }
 
 // scalingWorkloads are the sweep's workload archetypes. Each runs the
@@ -49,28 +42,22 @@ type ScalingPoint struct {
 // shard knob) and returns simulated ns and kernel events.
 var scalingWorkloads = []struct {
 	name string
-	// maxRanks bounds the curve per workload (0 = no bound).
-	maxRanks int
-	run      func(ranks int) (simNs int64, events uint64)
+	run  func(ranks int) (simNs int64, events uint64)
 }{
-	{"halo-spmd", 0, func(ranks int) (int64, uint64) {
-		res, err := runHaloWatched("halo-spmd", halo.Config{
+	{"halo-spmd", func(ranks int) (int64, uint64) {
+		return runHaloWatched("halo-spmd", halo.Config{
 			Ranks:        ranks,
 			CoresPerNode: 8,
 			CellsPerRank: 256,
 			Steps:        10,
 			HostProcs:    hostProcs,
 		})
-		if err != nil {
-			panic(err)
-		}
-		return res.Elapsed, res.Events
 	}},
 	// halo on the three-tier rack topology (4 nodes/rack): same stencil,
 	// but every ring neighbour pair is attributed to the self/node/rack/
 	// fabric locality tier the profile's communication matrix reports.
-	{"halo-racks", 0, func(ranks int) (int64, uint64) {
-		res, err := runHaloWatched("halo-racks", halo.Config{
+	{"halo-racks", func(ranks int) (int64, uint64) {
+		return runHaloWatched("halo-racks", halo.Config{
 			Ranks:        ranks,
 			CoresPerNode: 8,
 			NodesPerRack: 4,
@@ -78,88 +65,81 @@ var scalingWorkloads = []struct {
 			Steps:        10,
 			HostProcs:    hostProcs,
 		})
-		if err != nil {
-			panic(err)
-		}
-		return res.Elapsed, res.Events
 	}},
-	{"cilksort-forkjoin", 0, func(ranks int) (int64, uint64) {
+	{"cilksort-forkjoin", func(ranks int) (int64, uint64) {
 		elapsed, rt := CilksortRun(1<<18, 16<<10, ranks, 8, ityr.WriteBackLazy, 11)
-		return elapsed, rt.Engine().Stats().Events
+		return int64(elapsed), rt.Engine().Stats().Events
 	}},
 }
 
 // runHaloWatched runs halo with the live-telemetry heartbeat attached for
 // the run's duration (a no-op when the heartbeat is disarmed).
-func runHaloWatched(label string, cfg halo.Config) (halo.Result, error) {
+func runHaloWatched(label string, cfg halo.Config) (simNs int64, events uint64) {
 	stop := func() {}
 	cfg.Observe = func(rt *ityr.Runtime) {
 		stop = watchEngine(label, cfg.Ranks, rt.Engine())
 	}
 	res, err := halo.Run(cfg)
 	stop()
-	return res, err
+	if err != nil {
+		panic(err)
+	}
+	return res.Elapsed, res.Events
 }
 
-// ScalingSweep measures every workload at every rank count of curve
-// (ScalingRanks when nil), writing a human-readable table to w and
-// returning the points for the report's scaling section.
-func ScalingSweep(w io.Writer, curve []int) []ScalingPoint {
-	if curve == nil {
-		curve = ScalingRanks
-	}
-	var out []ScalingPoint
+// ScalingSuite measures every workload at every rank count of the curve up
+// to sc.ScalingMaxRanks (rows workload/ranks), then runs the fleet (row
+// "fleet"), writing a human-readable table to w. Per row, sim_ns and
+// events are the simulated result; host_ms, events_per_sec (the host's
+// dispatch throughput) and alloc_bytes_per_rank (total host heap
+// allocation over the rank count — the affordability metric that must stay
+// flat as ranks grow) describe the host.
+func ScalingSuite(w io.Writer, sc Scale) (*Report, error) {
+	rep := newHostReport("scaling", sc)
+	fmt.Fprintln(w, "rank-count scaling sweep:")
 	fmt.Fprintf(w, "%-20s %7s %10s %10s %12s %14s %12s\n",
 		"workload", "ranks", "host ms", "sim ms", "events", "events/sec", "alloc/rank")
 	for _, wl := range scalingWorkloads {
-		for _, ranks := range curve {
-			if wl.maxRanks > 0 && ranks > wl.maxRanks {
-				continue
+		for _, ranks := range scalingRanks {
+			if ranks > sc.ScalingMaxRanks {
+				break
 			}
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
 			t0 := time.Now()
 			simNs, events := wl.run(ranks)
-			hostNs := time.Since(t0).Nanoseconds()
+			hostSec := time.Since(t0).Seconds()
 			runtime.ReadMemStats(&m1)
-			pt := ScalingPoint{
-				Workload:          wl.name,
-				Ranks:             ranks,
-				HostMs:            float64(hostNs) / 1e6,
-				SimMs:             float64(simNs) / 1e6,
-				Events:            events,
-				EventsPerSec:      float64(events) / (float64(hostNs) / 1e9),
-				AllocBytesPerRank: float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ranks),
+			row := Metrics{
+				"sim_ns":               float64(simNs),
+				"events":               float64(events),
+				"host_ms":              hostSec * 1e3,
+				"events_per_sec":       float64(events) / hostSec,
+				"alloc_bytes_per_rank": float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ranks),
 			}
+			rep.Rows[fmt.Sprintf("%s/%d", wl.name, ranks)] = row
 			fmt.Fprintf(w, "%-20s %7d %10.1f %10.3f %12d %14.0f %9.1fKB\n",
-				pt.Workload, pt.Ranks, pt.HostMs, pt.SimMs, pt.Events,
-				pt.EventsPerSec, pt.AllocBytesPerRank/1024)
-			out = append(out, pt)
+				wl.name, ranks, row["host_ms"], float64(simNs)/1e6, events,
+				row["events_per_sec"], row["alloc_bytes_per_rank"]/1024)
 		}
 	}
-	return out
+	return rep, fleetRun(w, sc.FleetSims, rep)
 }
 
-// FleetResult aggregates a fleet run: N independent copies of the same
-// deterministic simulation executed concurrently across host goroutines.
-type FleetResult struct {
-	Sims    int `json:"sims"`
-	Workers int `json:"host_workers"`
-	// Ranks/Cells/Steps identify the per-member workload (one halo run).
-	Ranks  int     `json:"ranks_per_sim"`
-	HostMs float64 `json:"host_ms"`
-	// SimsPerSec is the serving throughput: completed simulations per
-	// host wall-clock second across the whole fleet.
-	SimsPerSec float64 `json:"sims_per_sec"`
-	// Events/EventsPerSec aggregate kernel dispatch over the fleet.
-	Events       uint64  `json:"total_events"`
-	EventsPerSec float64 `json:"host_events_per_sec"`
-	// DigestOK reports that every member produced the identical digest —
-	// engines running concurrently in one host process must not perturb
-	// one another (a false here means shared mutable state leaked between
-	// supposedly independent simulations).
-	DigestOK bool `json:"digests_deterministic"`
+// FleetSuite is the fleet on its own.
+func FleetSuite(w io.Writer, sc Scale) (*Report, error) {
+	rep := newHostReport("fleet", sc)
+	return rep, fleetRun(w, sc.FleetSims, rep)
+}
+
+// newHostReport is newReport for the two suites that also describe the
+// host: it records how many CPUs the numbers were taken on.
+func newHostReport(suite string, sc Scale) *Report {
+	rep := newReport(suite, sc)
+	rep.Config["host_cpus"] = runtime.NumCPU()
+	rep.Host = scalingHost
+	return rep
 }
 
 // fleetConfig is the per-member workload: small enough that a fleet of
@@ -167,19 +147,19 @@ type FleetResult struct {
 // digest must match bit for bit.
 var fleetConfig = halo.Config{Ranks: 64, CoresPerNode: 8, CellsPerRank: 256, Steps: 20}
 
-// FleetRun executes sims independent copies of fleetConfig across workers
-// host goroutines (0 = GOMAXPROCS), each member on its own serial engine,
-// verifies all digests agree, and returns aggregate throughput.
-func FleetRun(w io.Writer, sims, workers int) FleetResult {
-	if sims < 1 {
-		sims = 1
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > sims {
-		workers = sims
-	}
+// fleetRun executes sims independent copies of fleetConfig across
+// GOMAXPROCS host goroutines, each member on its own serial engine, and
+// adds the "fleet" row to rep: total_events over all members, digest_ok —
+// every member produced the identical digest; engines running
+// concurrently in one host process must not perturb one another, and a 0
+// here (returned as an error too) means shared mutable state leaked
+// between supposedly independent simulations — and the serving
+// throughput, sims_per_sec and events_per_sec of host wall clock.
+func fleetRun(w io.Writer, sims int, rep *Report) error {
+	workers := min(runtime.GOMAXPROCS(0), sims)
+	rep.Config["fleet_sims"] = sims
+	rep.Config["fleet_ranks_per_sim"] = fleetConfig.Ranks
+	rep.Config["host_workers"] = workers
 	digests := make([]string, sims)
 	events := make([]uint64, sims)
 	var completed atomic.Uint64
@@ -208,27 +188,29 @@ func FleetRun(w io.Writer, sims, workers int) FleetResult {
 	close(next)
 	wg.Wait()
 	stopHB()
-	hostNs := time.Since(t0).Nanoseconds()
-	res := FleetResult{
-		Sims:       sims,
-		Workers:    workers,
-		Ranks:      fleetConfig.Ranks,
-		HostMs:     float64(hostNs) / 1e6,
-		SimsPerSec: float64(sims) / (float64(hostNs) / 1e9),
-		DigestOK:   true,
-	}
+	hostSec := time.Since(t0).Seconds()
+	var total uint64
+	ok := true
 	for i := 0; i < sims; i++ {
-		res.Events += events[i]
-		if digests[i] != digests[0] {
-			res.DigestOK = false
-		}
+		total += events[i]
+		ok = ok && digests[i] == digests[0]
 	}
-	res.EventsPerSec = float64(res.Events) / (float64(hostNs) / 1e9)
+	row := Metrics{
+		"total_events":   float64(total),
+		"digest_ok":      verdict(ok),
+		"host_ms":        hostSec * 1e3,
+		"sims_per_sec":   float64(sims) / hostSec,
+		"events_per_sec": float64(total) / hostSec,
+	}
+	rep.Rows["fleet"] = row
 	status := "digests ok"
-	if !res.DigestOK {
+	if !ok {
 		status = "DIGEST MISMATCH"
 	}
 	fmt.Fprintf(w, "fleet: %d sims x %d ranks on %d workers: %.1f ms, %.1f sims/sec, %.0f events/sec (%s)\n",
-		res.Sims, res.Ranks, res.Workers, res.HostMs, res.SimsPerSec, res.EventsPerSec, status)
-	return res
+		sims, fleetConfig.Ranks, workers, row["host_ms"], row["sims_per_sec"], row["events_per_sec"], status)
+	if !ok {
+		return errors.New("fleet members diverged: concurrent simulations are not independent")
+	}
+	return nil
 }

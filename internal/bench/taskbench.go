@@ -17,9 +17,6 @@ import (
 // graphs — or helps child-first but regresses help-first — shows up as a
 // per-cell finding rather than averaging away.
 
-// TaskbenchSchema identifies the BENCH_taskbench.json format.
-const TaskbenchSchema = "itoyori-taskbench/v1"
-
 // taskbenchGrains names the two task-grain columns of the matrix.
 var taskbenchGrains = []struct {
 	name  string
@@ -30,21 +27,15 @@ var taskbenchGrains = []struct {
 }
 
 // TaskbenchSuite runs the shape × grain × scheduler matrix at sc under
-// the current batching knobs and returns the report (schema
-// itoyori-taskbench/v1, gate it with perfgate -schema taskbench). Every
-// cell is one taskbench.Run on the perf-suite machine geometry; cell
-// names are shape/grain/policy. The suite deliberately ignores the
-// -sched global: the matrix always covers all three policies, and the
-// per-cell checksum is verified to be policy-invariant before any number
-// is reported.
-func TaskbenchSuite(w io.Writer, sc Scale) PerfReport {
-	rep := PerfReport{
-		Schema:      TaskbenchSchema,
-		Scale:       sc.Name,
-		Coalesce:    cacheCoalesce,
-		Prefetch:    cachePrefetch,
-		Experiments: map[string]PerfMetrics{},
-	}
+// the current knobs and returns the report. Every cell is one
+// taskbench.Run on the perf-suite machine geometry; row names are
+// shape/grain/policy. The suite deliberately ignores the
+// -sched global (and so drops it from the report's config): the matrix
+// always covers all three policies, and the per-cell checksum is verified
+// to be policy-invariant before any number is reported.
+func TaskbenchSuite(w io.Writer, sc Scale) (*Report, error) {
+	rep := newReport("taskbench", sc)
+	delete(rep.Config, "sched")
 	fmt.Fprintf(w, "\n== Task Bench matrix (%s scale, %d ranks, W=%d S=%d edge=%dB) ==\n",
 		sc.Name, sc.FixedRanks, sc.TBWidth, sc.TBSteps, sc.TBEdgeBytes)
 	fmt.Fprintf(w, "%-28s %14s %12s %14s %8s\n", "cell", "sim time (ms)", "round trips", "rma bytes", "steals")
@@ -77,10 +68,10 @@ func TaskbenchSuite(w io.Writer, sc Scale) PerfReport {
 				}
 				name := fmt.Sprintf("%s/%s/%s", shape, g.name, pol)
 				m := perfMetrics(res.Elapsed, res.Stats)
-				rep.Experiments[name] = m
-				fmt.Fprintf(w, "%-28s %14.3f %12d %14d %8d\n", name, ms(res.Elapsed), m.RoundTrips, m.RMABytes, res.Steals)
+				rep.Rows[name] = m
+				fmt.Fprintf(w, "%-28s %14.3f %12.0f %14.0f %8d\n", name, ms(res.Elapsed), m["round_trips"], m["rma_bytes"], res.Steals)
 			}
 		}
 	}
-	return rep
+	return rep, nil
 }

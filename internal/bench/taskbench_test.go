@@ -17,27 +17,30 @@ import (
 // with a live simulated time and nonzero wire traffic. A shape or policy
 // added to the runtime without joining the gate shows up here.
 func TestTaskbenchSuiteMatrix(t *testing.T) {
-	rep := TaskbenchSuite(io.Discard, Smoke)
-	if rep.Schema != TaskbenchSchema {
-		t.Fatalf("schema = %q, want %q", rep.Schema, TaskbenchSchema)
+	rep, err := TaskbenchSuite(io.Discard, Smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != Schema || rep.Suite != "taskbench" {
+		t.Fatalf("schema/suite = %q/%q, want %q/taskbench", rep.Schema, rep.Suite, Schema)
 	}
 	if rep.Scale != Smoke.Name {
 		t.Fatalf("scale = %q, want %q", rep.Scale, Smoke.Name)
 	}
 	want := len(taskbench.Shapes) * len(taskbenchGrains) * len(ityr.SchedPolicies)
-	if len(rep.Experiments) != want {
-		t.Fatalf("got %d cells, want %d", len(rep.Experiments), want)
+	if len(rep.Rows) != want {
+		t.Fatalf("got %d cells, want %d", len(rep.Rows), want)
 	}
 	for _, shape := range taskbench.Shapes {
 		for _, g := range taskbenchGrains {
 			for _, pol := range ityr.SchedPolicies {
 				name := fmt.Sprintf("%s/%s/%s", shape, g.name, pol)
-				m, ok := rep.Experiments[name]
+				m, ok := rep.Rows[name]
 				if !ok {
 					t.Errorf("matrix is missing cell %q", name)
 					continue
 				}
-				if m.SimNs <= 0 || m.RMABytes == 0 {
+				if m["sim_ns"] <= 0 || m["rma_bytes"] == 0 {
 					t.Errorf("%s: degenerate cell %+v", name, m)
 				}
 			}
@@ -49,73 +52,54 @@ func TestTaskbenchSuiteMatrix(t *testing.T) {
 // rests on: the whole matrix is bit-identical run-to-run, so any drift a
 // CI compare reports is a code change, not noise.
 func TestTaskbenchSuiteDeterministic(t *testing.T) {
-	a := TaskbenchSuite(io.Discard, Smoke)
-	b := TaskbenchSuite(io.Discard, Smoke)
+	a, _ := TaskbenchSuite(io.Discard, Smoke)
+	b, _ := TaskbenchSuite(io.Discard, Smoke)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("suite is not deterministic:\n  first:  %+v\n  second: %+v", a, b)
 	}
 }
 
-// TestTaskbenchBaselineFresh requires the checked-in BENCH_taskbench.json
-// to match what the current code produces, cell for cell. Because the
-// simulator is deterministic this is an exact comparison, which makes a
-// CI perfgate failure reproducible locally: if this test fails, the
-// baseline is stale — regenerate it with `make taskbench-baseline` and
-// review the diff as part of the change.
-func TestTaskbenchBaselineFresh(t *testing.T) {
-	f, err := os.Open("../../BENCH_taskbench.json")
-	if err != nil {
-		t.Fatalf("checked-in baseline missing: %v", err)
-	}
-	defer f.Close()
-	base, err := ReadReport(f, TaskbenchSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := TaskbenchSuite(io.Discard, Smoke)
-	if base.Coalesce != cur.Coalesce || base.Prefetch != cur.Prefetch || base.Scale != cur.Scale {
-		t.Fatalf("baseline knobs (scale=%s coalesce=%v prefetch=%d) differ from suite defaults (scale=%s coalesce=%v prefetch=%d)",
-			base.Scale, base.Coalesce, base.Prefetch, cur.Scale, cur.Coalesce, cur.Prefetch)
-	}
-	if len(base.Experiments) != len(cur.Experiments) {
-		t.Errorf("baseline has %d cells, current suite %d — regenerate with `make taskbench-baseline`",
-			len(base.Experiments), len(cur.Experiments))
-	}
-	for name, cm := range cur.Experiments {
-		bm, ok := base.Experiments[name]
-		if !ok {
-			t.Errorf("cell %q absent from baseline — regenerate with `make taskbench-baseline`", name)
-			continue
-		}
-		if bm != cm {
-			t.Errorf("%s: baseline %+v != current %+v — regenerate with `make taskbench-baseline`", name, bm, cm)
-		}
-	}
-}
-
-// TestReadReportSchemaGuard pins that a taskbench report can never be
-// compared against a perf baseline or vice versa: ReadReport (and the
-// perf-flavored ReadPerfReport) reject a report carrying the other
-// suite's schema.
-func TestReadReportSchemaGuard(t *testing.T) {
-	rep := PerfReport{
-		Schema:      TaskbenchSchema,
-		Scale:       "smoke",
-		Experiments: map[string]PerfMetrics{"stencil/fine/childfirst": {SimNs: 1, RoundTrips: 2, RMABytes: 3}},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadReport(bytes.NewReader(raw), TaskbenchSchema); err != nil {
-		t.Fatalf("matching schema rejected: %v", err)
-	}
-	if _, err := ReadReport(bytes.NewReader(raw), PerfSchema); err == nil {
-		t.Error("ReadReport accepted a taskbench report as a perf report")
-	}
-	if _, err := ReadPerfReport(bytes.NewReader(raw)); err == nil {
-		t.Error("ReadPerfReport accepted a taskbench report")
+// TestBaselinesFresh requires the checked-in smoke-scale baselines to be
+// exactly what the current code writes, byte for byte (the simulator is
+// deterministic and WriteJSON sorts its keys). That makes a CI gate
+// failure reproducible locally: if this test fails, the baseline is stale
+// — regenerate it with `make baseline-<suite>` and review the diff as part
+// of the change. BENCH_faults.json and BENCH_scaling.json are full-scale;
+// `make gate-faults gate-scaling` is their freshness check.
+func TestBaselinesFresh(t *testing.T) {
+	for name, suite := range map[string]func(io.Writer, Scale) (*Report, error){
+		"perf": PerfSuite, "taskbench": TaskbenchSuite,
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile("../../BENCH_" + name + ".json")
+			if err != nil {
+				t.Fatalf("checked-in baseline missing: %v", err)
+			}
+			cur, err := suite(io.Discard, Smoke)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := cur.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(got.Bytes(), want) {
+				return
+			}
+			t.Errorf("BENCH_%s.json is stale — regenerate with `make baseline-%s`", name, name)
+			base, err := ReadReport(bytes.NewReader(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for row, cm := range cur.Rows {
+				if bm := base.Rows[row]; !reflect.DeepEqual(bm, cm) {
+					t.Errorf("%s: baseline %v != current %v", row, bm, cm)
+				}
+			}
+			if len(base.Rows) != len(cur.Rows) {
+				t.Errorf("baseline has %d rows, current suite %d", len(base.Rows), len(cur.Rows))
+			}
+		})
 	}
 }
 

@@ -101,7 +101,7 @@ func TestCilksortTraceReport(t *testing.T) {
 	}
 }
 
-// TestMetricsRunStable pins the promise made by `itybench -metrics`: the
+// TestMetricsRunStable pins the promise made by `itybench metrics`: the
 // snapshot is deterministic, so two identical runs emit byte-identical
 // JSON (stable key order included) that downstream diffing can rely on.
 func TestMetricsRunStable(t *testing.T) {

@@ -289,85 +289,3 @@ func TestValidatorOffZeroAllocs(t *testing.T) {
 		t.Fatalf("validator-off warm checkout/checkin allocates %.1f objects per op, want 0", allocs)
 	}
 }
-
-// TestSetPolicyRuntimeSwitch exercises per-space runtime reconfiguration:
-// switching the write policy between fork-join phases works once the space
-// is quiescent, refuses while a checkout is outstanding, and the data
-// written under the old policy stays readable under the new one.
-func TestSetPolicyRuntimeSwitch(t *testing.T) {
-	cfg := validateCfg(0)
-	cfg.Pgas.Policy = pgas.WriteBack
-	rt := NewRuntime(cfg)
-	sp := rt.Space()
-	err := rt.Run(func(s *SPMD) {
-		var base pgas.Addr
-		if s.Rank() == 0 {
-			base = s.AllocCollective(4096, pgas.BlockCyclicDist)
-		}
-		s.Barrier()
-
-		// Not quiescent: rank 1 holds a checkout (of its own noncollective
-		// memory — the collective base is only known to rank 0's closure),
-		// so reconfiguration must refuse with ErrNotQuiescent.
-		if s.Rank() == 1 {
-			mine := s.Local().AllocLocal(64)
-			if _, err := s.Local().Checkout(mine, 8, pgas.Read); err != nil {
-				t.Errorf("checkout: %v", err)
-			}
-			if err := sp.SetPolicy(pgas.WriteThrough); !errors.Is(err, pgas.ErrNotQuiescent) {
-				t.Errorf("SetPolicy under outstanding checkout: got %v, want ErrNotQuiescent", err)
-			}
-			if err := s.Local().Checkin(mine, 8, pgas.Read); err != nil {
-				t.Errorf("checkin: %v", err)
-			}
-		}
-		s.Barrier()
-
-		// Phase 1: write the cells under WriteBack.
-		s.RootExec(func(c *Ctx) {
-			c.ParallelFor(0, 64, 8, func(c *Ctx, lo, hi int64) {
-				w := c.MustCheckout(base+pgas.Addr(lo*8), uint64(hi-lo)*8, pgas.Write)
-				for i := lo; i < hi; i++ {
-					binary.LittleEndian.PutUint64(w[(i-lo)*8:], uint64(i)*3+1)
-				}
-				c.Checkin(base+pgas.Addr(lo*8), uint64(hi-lo)*8, pgas.Write)
-			})
-		})
-
-		// Quiesce: flush every rank's dirty data, then switch policies
-		// from one rank while the rest sit at the barrier.
-		s.Local().ReleaseFence()
-		s.Barrier()
-		if s.Rank() == 0 {
-			if err := sp.SetPolicy(pgas.WriteBackLazy); err != nil {
-				t.Errorf("SetPolicy(WriteBackLazy): %v", err)
-			}
-			if err := sp.SetPrefetchBlocks(3); err != nil {
-				t.Errorf("SetPrefetchBlocks(3): %v", err)
-			}
-		}
-		s.Barrier()
-
-		// Phase 2: read everything back under the new policy.
-		s.RootExec(func(c *Ctx) {
-			c.ParallelFor(0, 64, 8, func(c *Ctx, lo, hi int64) {
-				v := c.MustCheckout(base+pgas.Addr(lo*8), uint64(hi-lo)*8, pgas.Read)
-				for i := lo; i < hi; i++ {
-					if got := binary.LittleEndian.Uint64(v[(i-lo)*8:]); got != uint64(i)*3+1 {
-						t.Errorf("cell %d = %d after policy switch, want %d", i, got, uint64(i)*3+1)
-					}
-				}
-				c.Checkin(base+pgas.Addr(lo*8), uint64(hi-lo)*8, pgas.Read)
-			})
-		})
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if got := sp.Policy(); got != pgas.WriteBackLazy {
-		t.Fatalf("policy after switch = %v, want WriteBackLazy", got)
-	}
-	if got := sp.PrefetchBlocks(); got != 3 {
-		t.Fatalf("prefetch depth after switch = %d, want 3", got)
-	}
-}

@@ -377,7 +377,7 @@ func (in *Injector) linkExtra(now sim.Time, a, b int, base sim.Time) sim.Time {
 	return extra
 }
 
-// Canned plans: the three fault scenarios `itybench -faults` and the fault
+// Canned plans: the three fault scenarios `itybench faults` and the fault
 // test suite run. Windows are wide or open-ended so the plans bite at
 // every benchmark scale.
 

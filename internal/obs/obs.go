@@ -3,7 +3,7 @@
 // observability flags, the -coalesce/-prefetch cache
 // communication-batching knobs, the -sched scheduling-policy selector,
 // and the -sdc/-replicate silent-data-corruption knobs.
-// Each binary registers the flags, applies them to its Config, and calls
+// Each binary calls Register before flag.Parse, Apply on its Config, and
 // Write after the run. Keeping this here means every command emits the
 // same file formats (itytrace/v1 and itoyori-metrics/v1) that
 // cmd/itytrace consumes, and exposes the same batching defaults that
@@ -17,49 +17,95 @@ import (
 
 	"ityr/internal/core"
 	"ityr/internal/fault"
-	"ityr/internal/pgas"
 	"ityr/internal/trace"
 	"ityr/internal/uth"
 )
 
-// Flags registers -trace, -metrics and -profile on the default flag set
-// and returns pointers to their values. A nonempty -profile should set
-// Config.Profile so the streaming collector is armed for the run.
-func Flags() (traceFile, metricsFile, profileFile *string) {
-	traceFile = flag.String("trace", "",
+// Options holds the values of the shared flags. Register binds them,
+// Apply carries them into a Config, Write emits the requested dumps.
+type Options struct {
+	trace, metrics, profile string
+	ring, procs             int
+	sched                   string
+	coalesce                bool
+	prefetch                int
+	sdc                     bool
+	replicate               float64
+
+	// Validate is the -validate value: the checkout-discipline validator
+	// (Config.Pgas.Validate). Violating runs fail fast with a diagnostic
+	// naming the broken rule; clean validated runs are bit-identical to
+	// unvalidated ones. Print the report with ReportViolations, or read it
+	// from the trace dump's "validator" section via itytrace.
+	Validate bool
+}
+
+// Register registers the shared flags on the default flag set — once, for
+// every CLI, so cilksort, fmm and utsmem stay flag-consistent: same names,
+// same defaults, same valid sets. Call it before flag.Parse.
+func Register() *Options {
+	o := &Options{}
+	flag.StringVar(&o.trace, "trace", "",
 		"write an itytrace/v1 dump (analyze with itytrace) to this file")
-	metricsFile = flag.String("metrics", "",
+	flag.StringVar(&o.metrics, "metrics", "",
 		"write an itoyori-metrics/v1 JSON snapshot to this file ('-' for stdout)")
-	profileFile = flag.String("profile", "",
+	flag.StringVar(&o.profile, "profile", "",
 		"write an itoyori-profile/v1 streaming-profile snapshot to this file ('-' for stdout)")
-	return traceFile, metricsFile, profileFile
-}
-
-// RingFlag registers -tracering, the per-rank span ring bound
-// (Config.TraceRing). Truncated runs are flagged by itytrace's WARNING
-// line and the trace_dropped_spans metric; the streaming profile (whose
-// rollups never truncate) is the graceful-degradation companion.
-func RingFlag() *int {
-	return flag.Int("tracering", 0,
+	// Truncated runs are flagged by itytrace's WARNING line and the
+	// trace_dropped_spans metric; the streaming profile (whose rollups
+	// never truncate) is the graceful-degradation companion.
+	flag.IntVar(&o.ring, "tracering", 0,
 		"bound the trace to the most recent N events per rank (ring buffer); 0 keeps everything")
-}
-
-// ProcsFlag registers -procs, the host-side engine shard count
-// (Config.HostProcs). 0 keeps the serial engine; sharded runs produce
-// the same digests, metrics and profile snapshots bit-for-bit.
-func ProcsFlag() *int {
-	return flag.Int("procs", 0,
+	flag.IntVar(&o.procs, "procs", 0,
 		"host engine shards for parallel execution (0 = serial; results are identical either way)")
+	flag.BoolVar(&o.Validate, "validate", false,
+		"enforce the checkout-discipline memory-model contract (see PITFALLS.md); violations abort with a diagnostic")
+	flag.StringVar(&o.sched, "sched", uth.ChildFirst.String(),
+		"scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
+	flag.BoolVar(&o.coalesce, "coalesce", true,
+		"coalesce adjacent dirty regions into merged write-back puts")
+	flag.IntVar(&o.prefetch, "prefetch", 2,
+		"sequential-access prefetch depth in blocks (0 disables)")
+	// -sdc alone is the negative control (the run reports undetected
+	// escapes and usually fails verification); -replicate alone measures
+	// the pure replication overhead; together they show detection and
+	// recovery.
+	flag.BoolVar(&o.sdc, "sdc", false,
+		"inject deterministic silent bit flips into task results (canned sdc-task plan, seeded from -seed)")
+	flag.Float64Var(&o.replicate, "replicate", 0,
+		"re-execute this fraction of protected task segments and compare result digests (0 = off, 1 = all)")
+	return o
 }
 
-// ValidateFlag registers -validate, the checkout-discipline validator
-// (Config.Pgas.Validate). Violating runs fail fast with a diagnostic
-// naming the broken rule; clean validated runs are bit-identical to
-// unvalidated ones. Print the report with ReportViolations, or read it
-// from the trace dump's "validator" section via itytrace.
-func ValidateFlag() *bool {
-	return flag.Bool("validate", false,
-		"enforce the checkout-discipline memory-model contract (see PITFALLS.md); violations abort with a diagnostic")
+// Apply carries the parsed flag values into cfg, whose Seed must already
+// be set (the -sdc plan is seeded from it). A nonempty -trace or -profile
+// arms the span trace or the streaming collector for the run; negative
+// prefetch depths are clamped to 0 (off); corruption injection forces the
+// serial engine (fault plans pin shards=1) while replication alone keeps
+// sharded runs digest-identical. An unknown -sched value returns the parse
+// error listing the valid set; callers should treat it as a usage error
+// (exit 2).
+func (o *Options) Apply(cfg *core.Config) error {
+	pol, err := uth.ParseSchedPolicy(o.sched)
+	if err != nil {
+		return err
+	}
+	cfg.Sched.Policy = pol
+	cfg.Trace = cfg.Trace || o.trace != ""
+	cfg.Profile = o.profile != ""
+	cfg.TraceRing = o.ring
+	cfg.HostProcs = o.procs
+	cfg.Pgas.Validate = o.Validate
+	cfg.Pgas.CoalesceWriteBack = o.coalesce
+	cfg.Pgas.PrefetchBlocks = max(o.prefetch, 0)
+	if o.sdc {
+		plan := fault.PlanSDC(cfg.Seed)
+		cfg.Faults = &plan
+	}
+	if o.replicate > 0 {
+		cfg.SDC = &uth.SDCConfig{Replicate: o.replicate}
+	}
+	return nil
 }
 
 // ReportViolations prints the validator report to stderr and reports
@@ -72,83 +118,10 @@ func ReportViolations(rt *core.Runtime) bool {
 	return len(recs) > 0
 }
 
-// SchedFlag registers -sched, the scheduling-policy selector
-// (Config.Sched.Policy), on the default flag set. Registering it here —
-// once, for every CLI — keeps itybench, cilksort, fmm and utsmem
-// flag-consistent: same name, same default, same valid set. Apply the
-// parsed value via ApplySched, which fails fast on unknown spellings.
-func SchedFlag() *string {
-	return flag.String("sched", uth.ChildFirst.String(),
-		"scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
-}
-
-// ApplySched parses the SchedFlag value into cfg. Unknown values return
-// the parse error listing the valid set; callers should treat it as a
-// usage error (exit 2).
-func ApplySched(cfg *core.Config, s string) error {
-	pol, err := uth.ParseSchedPolicy(s)
-	if err != nil {
-		return err
-	}
-	cfg.Sched.Policy = pol
-	return nil
-}
-
-// BatchFlags registers the cache communication-batching knobs -coalesce
-// and -prefetch on the default flag set, with the same defaults as
-// cmd/itybench (both mechanisms on), and returns pointers to their
-// values. Apply the parsed values to Config.Pgas via ApplyBatch.
-func BatchFlags() (coalesce *bool, prefetch *int) {
-	coalesce = flag.Bool("coalesce", true,
-		"coalesce adjacent dirty regions into merged write-back puts")
-	prefetch = flag.Int("prefetch", 2,
-		"sequential-access prefetch depth in blocks (0 disables)")
-	return coalesce, prefetch
-}
-
-// ApplyBatch applies the BatchFlags values to a PgasConfig. Negative
-// prefetch depths are clamped to 0 (off).
-func ApplyBatch(cfg *pgas.Config, coalesce bool, prefetch int) {
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	cfg.CoalesceWriteBack = coalesce
-	cfg.PrefetchBlocks = prefetch
-}
-
-// SDCFlags registers the silent-data-corruption knobs -sdc and -replicate
-// on the default flag set. -sdc arms the canned sdc-task bit-flip plan
-// (deterministic from the run seed); -replicate FRAC enables selective
-// task replication with digest compare on FRAC of protected task
-// segments. Combine them to watch detection and recovery; use -sdc alone
-// for the negative control (the run reports undetected escapes and
-// usually fails verification); use -replicate alone to measure the pure
-// replication overhead. Apply the parsed values via ApplySDC.
-func SDCFlags() (sdc *bool, replicate *float64) {
-	sdc = flag.Bool("sdc", false,
-		"inject deterministic silent bit flips into task results (canned sdc-task plan, seeded from -seed)")
-	replicate = flag.Float64("replicate", 0,
-		"re-execute this fraction of protected task segments and compare result digests (0 = off, 1 = all)")
-	return sdc, replicate
-}
-
-// ApplySDC applies the SDCFlags values to a Config. Corruption injection
-// forces the serial engine (fault plans pin shards=1); replication alone
-// keeps sharded runs digest-identical.
-func ApplySDC(cfg *core.Config, sdc bool, replicate float64) {
-	if sdc {
-		plan := fault.PlanSDC(cfg.Seed)
-		cfg.Faults = &plan
-	}
-	if replicate > 0 {
-		cfg.SDC = &uth.SDCConfig{Replicate: replicate}
-	}
-}
-
 // Write emits the dump files requested by the flags. rt must have been
-// built with Config.Trace set when traceFile is nonempty, and with
-// Config.Profile set when profileFile is nonempty.
-func Write(rt *core.Runtime, traceFile, metricsFile, profileFile string) error {
+// built from a Config that went through Apply.
+func (o *Options) Write(rt *core.Runtime) error {
+	traceFile, metricsFile, profileFile := o.trace, o.metrics, o.profile
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {

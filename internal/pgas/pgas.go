@@ -210,10 +210,6 @@ var (
 	// rule; the full diagnostics are in Space.Violations and, when tracing,
 	// in the dump's validator section.
 	ErrViolation = errors.New("pgas: checkout-discipline violation")
-	// ErrNotQuiescent reports a runtime reconfiguration (Space.SetPolicy,
-	// Space.SetPrefetchBlocks) attempted while some rank still holds
-	// outstanding checkouts or unflushed dirty cache data.
-	ErrNotQuiescent = errors.New("pgas: reconfiguration requires quiescence (no outstanding checkouts or dirty blocks)")
 )
 
 // ReleaseHandler identifies a pending lazy release (Fig. 6): the rank whose

@@ -229,80 +229,6 @@ func (s *Space) Violations() []trace.ViolationRecord {
 	return s.val.Violations()
 }
 
-// quiescent reports whether the space can be reconfigured: no rank holds
-// an outstanding checkout and no cache block is dirty.
-func (s *Space) quiescent() error {
-	seen := make(map[*memblock.Table]bool)
-	for i := range s.locals {
-		l := &s.locals[i]
-		if n := len(l.outstanding); n > 0 {
-			return fmt.Errorf("%w: rank %d holds %d outstanding checkout(s)", ErrNotQuiescent, i, n)
-		}
-		if seen[l.cache] {
-			continue // node-shared table already inspected
-		}
-		seen[l.cache] = true
-		if db := l.cache.DirtyBlocks(); len(db) > 0 {
-			return fmt.Errorf("%w: rank %d's cache holds %d dirty block(s); release first", ErrNotQuiescent, i, len(db))
-		}
-	}
-	return nil
-}
-
-// SetPolicy switches the cache policy at runtime. The space must be
-// quiescent — no outstanding checkouts anywhere and no unflushed dirty
-// data (callers: finish a fork-join region or run release fences first;
-// under WriteBackLazy also ensure no lazy release handler is still
-// pending, since a later AcquireWith would write back under the new
-// policy's assumptions). All caches are invalidated so no valid bytes
-// carry over an assumption the new policy does not make, and each rank's
-// epoch window is reset so stale lazy-release requests cannot leak into
-// the new regime.
-func (s *Space) SetPolicy(p Policy) error {
-	if p == s.cfg.Policy {
-		return nil
-	}
-	if err := s.quiescent(); err != nil {
-		return fmt.Errorf("set policy %v: %w", p, err)
-	}
-	seen := make(map[*memblock.Table]bool)
-	for i := range s.locals {
-		if t := s.locals[i].cache; !seen[t] {
-			seen[t] = true
-			t.InvalidateAll()
-		}
-		// Forget prefetch run state: policy-dependent access patterns
-		// should not seed speculation across the switch.
-		s.locals[i].lastBid = -1
-		s.locals[i].runLen = 0
-	}
-	s.cfg.Policy = p
-	return nil
-}
-
-// SetPrefetchBlocks changes the sequential-prefetch lookahead depth at
-// runtime. Unlike SetPolicy this needs no quiescence — prefetched blocks
-// are plain unpinned valid cache blocks under every depth — but run
-// detection restarts so a stale run cannot trigger an outsized fetch.
-func (s *Space) SetPrefetchBlocks(n int) error {
-	if n < 0 {
-		return fmt.Errorf("pgas: negative prefetch depth %d", n)
-	}
-	if n == s.cfg.PrefetchBlocks {
-		return nil
-	}
-	s.cfg.PrefetchBlocks = n
-	for i := range s.locals {
-		s.locals[i].lastBid = -1
-		s.locals[i].runLen = 0
-		s.locals[i].pfCredit = pfInitCredit
-	}
-	return nil
-}
-
-// PrefetchBlocks returns the active sequential-prefetch lookahead depth.
-func (s *Space) PrefetchBlocks() int { return s.cfg.PrefetchBlocks }
-
 // Config returns the active configuration.
 func (s *Space) Config() Config { return s.cfg }
 

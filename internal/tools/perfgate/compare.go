@@ -2,91 +2,118 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"ityr/internal/bench"
 )
 
 // compare returns one human-readable finding per gated discrepancy between
 // the baseline and the current report; an empty slice means the gate
-// passes. Findings are deterministic: experiments are visited in sorted
-// order, metrics in a fixed order.
+// passes. Findings are deterministic: rows and metrics are visited in
+// sorted order.
 //
-// A metric fails when it drifts beyond tol relatively in either direction:
+// Every metric is gated except the ones the baseline lists in Host. A
+// metric fails when it drifts beyond tol relatively in either direction:
 // above the baseline is a regression, below it is an improvement that
 // must be re-baselined so future regressions are measured from the new
-// floor. Reports are only comparable like-for-like, so mismatched scale
-// or batching knobs, and missing or extra experiments, are findings too.
-func compare(base, cur bench.PerfReport, tol float64) []string {
-	var findings []string
-	if cur.Scale != base.Scale {
-		findings = append(findings, fmt.Sprintf(
-			"scale mismatch: baseline %q, current %q", base.Scale, cur.Scale))
-	}
-	if cur.Coalesce != base.Coalesce || cur.Prefetch != base.Prefetch {
-		findings = append(findings, fmt.Sprintf(
-			"batching knobs mismatch: baseline coalesce=%v prefetch=%d, current coalesce=%v prefetch=%d",
-			base.Coalesce, base.Prefetch, cur.Coalesce, cur.Prefetch))
-	}
-	if len(findings) > 0 {
-		// Differently configured runs aren't comparable; metric deltas
-		// against them would only be noise on top of the real finding.
-		return findings
+// floor. Reports are only comparable like-for-like, so a different suite,
+// scale or config is the one finding, and missing or extra rows and
+// metrics are findings too.
+func compare(base, cur *bench.Report, tol float64) []string {
+	host := func(name string) bool { return slices.Contains(base.Host, name) }
+
+	// Differently configured runs aren't comparable; metric deltas against
+	// them would only be noise on top of the real finding.
+	if d := describe(cur, host); d != describe(base, host) {
+		return []string{fmt.Sprintf("not comparable: baseline is %s, current is %s", describe(base, host), d)}
 	}
 
-	names := make([]string, 0, len(base.Experiments))
-	for name := range base.Experiments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b := base.Experiments[name]
-		c, ok := cur.Experiments[name]
+	var findings []string
+	for _, row := range sortedKeys(base.Rows) {
+		b := base.Rows[row]
+		c, ok := cur.Rows[row]
 		if !ok {
 			findings = append(findings, fmt.Sprintf(
-				"experiment %q in baseline but missing from current report", name))
+				"row %q in baseline but missing from current report", row))
 			continue
 		}
-		findings = append(findings, compareMetric(name, "sim_ns", float64(b.SimNs), float64(c.SimNs), tol)...)
-		findings = append(findings, compareMetric(name, "round_trips", float64(b.RoundTrips), float64(c.RoundTrips), tol)...)
-		findings = append(findings, compareMetric(name, "rma_bytes", float64(b.RMABytes), float64(c.RMABytes), tol)...)
-	}
-
-	extras := make([]string, 0)
-	for name := range cur.Experiments {
-		if _, ok := base.Experiments[name]; !ok {
-			extras = append(extras, name)
+		for _, metric := range sortedKeys(b) {
+			if host(metric) {
+				continue
+			}
+			v, ok := c[metric]
+			if !ok {
+				findings = append(findings, fmt.Sprintf(
+					"%s %s in baseline but missing from current report", row, metric))
+				continue
+			}
+			findings = append(findings, compareMetric(row, metric, b[metric], v, tol)...)
+		}
+		for _, metric := range sortedKeys(c) {
+			if _, ok := b[metric]; !ok && !host(metric) {
+				findings = append(findings, fmt.Sprintf(
+					"%s %s not in baseline: re-baseline to start gating it", row, metric))
+			}
 		}
 	}
-	sort.Strings(extras)
-	for _, name := range extras {
-		findings = append(findings, fmt.Sprintf(
-			"experiment %q not in baseline: re-baseline to start gating it", name))
+	for _, row := range sortedKeys(cur.Rows) {
+		if _, ok := base.Rows[row]; !ok {
+			findings = append(findings, fmt.Sprintf(
+				"row %q not in baseline: re-baseline to start gating it", row))
+		}
 	}
 	return findings
+}
+
+// describe renders what must match before two reports' rows mean the same
+// thing: suite, scale and every config entry that is not host-dependent.
+func describe(rep *bench.Report, host func(string) bool) string {
+	s := fmt.Sprintf("%s at %s scale", rep.Suite, rep.Scale)
+	for _, k := range sortedKeys(rep.Config) {
+		if !host(k) {
+			s += fmt.Sprintf(" %s=%v", k, rep.Config[k])
+		}
+	}
+	return s
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // compareMetric gates one number. The tolerance band is relative to the
 // baseline; a zero baseline only accepts an exact zero (relative drift
 // from zero is undefined, and the deterministic simulator reproduces true
-// zeros exactly).
-func compareMetric(exp, metric string, base, cur, tol float64) []string {
+// zeros exactly) — which also makes 0/1 verdicts such as ok and digest_ok
+// exact.
+func compareMetric(row, metric string, base, cur, tol float64) []string {
 	if base == 0 {
 		if cur != 0 {
 			return []string{fmt.Sprintf(
-				"%s %s regressed: baseline 0, current %.0f", exp, metric, cur)}
+				"%s %s regressed: baseline 0, current %s", row, metric, num(cur))}
 		}
 		return nil
 	}
 	switch {
 	case cur > base*(1+tol):
 		return []string{fmt.Sprintf(
-			"%s %s regressed: baseline %.0f, current %.0f (+%.1f%%, tolerance ±%.1f%%)",
-			exp, metric, base, cur, 100*(cur-base)/base, 100*tol)}
+			"%s %s regressed: baseline %s, current %s (+%.1f%%, tolerance ±%.1f%%)",
+			row, metric, num(base), num(cur), 100*(cur-base)/base, 100*tol)}
 	case cur < base*(1-tol):
 		return []string{fmt.Sprintf(
-			"%s %s improved past tolerance: baseline %.0f, current %.0f (%.1f%%, tolerance ±%.1f%%) — re-baseline to lock in the win",
-			exp, metric, base, cur, 100*(cur-base)/base, 100*tol)}
+			"%s %s improved past tolerance: baseline %s, current %s (%.1f%%, tolerance ±%.1f%%) — re-baseline to lock in the win",
+			row, metric, num(base), num(cur), 100*(cur-base)/base, 100*tol)}
 	}
 	return nil
 }
+
+// num prints a metric the way the report files spell it: counts without an
+// exponent, ratios in full.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }

@@ -1,61 +1,50 @@
-// Command perfgate is the deterministic perf-regression gate: it compares
-// a freshly generated perf report (`itybench -perf BENCH_perf.json -scale
-// smoke`) against the checked-in baseline (BENCH_baseline.json) and exits
-// nonzero on any drift beyond a small tolerance.
+// Command perfgate is the deterministic regression gate: it compares a
+// freshly generated itoyori-bench/v1 report (`itybench -o
+// BENCH_<suite>.current.json <suite>`) against the checked-in baseline
+// (BENCH_<suite>.json) and exits nonzero on any drift beyond a small
+// tolerance. `make gate-<suite>` is both steps.
 //
 // Because the simulator is bit-deterministic, every gated number —
-// simulated time, RMA round trips, RMA bytes — is exactly reproducible on
-// any host, so drift is always a code change, never noise. The gate is
-// two-sided on purpose: a regression fails outright, and an improvement
+// simulated time, RMA round trips and bytes, event and fault counters,
+// verdicts — is exactly reproducible on any host, so drift is always a
+// code change, never noise. The numbers that are not (wall clock, host
+// allocation) are named in the report's "host" list and skipped. The gate
+// is two-sided on purpose: a regression fails outright, and an improvement
 // beyond the tolerance also fails until the baseline is regenerated (`make
-// perf-baseline`), so the checked-in numbers always describe the current
-// code and the next regression is measured from the right floor. The
-// tolerance exists only to absorb intentional micro-churn (a few events
-// moved by an unrelated change) without a re-baseline ceremony.
+// baseline-<suite>`), so the checked-in numbers always describe the
+// current code and the next regression is measured from the right floor.
+// The tolerance exists only to absorb intentional micro-churn (a few
+// events moved by an unrelated change) without a re-baseline ceremony.
 //
 // Usage:
 //
-//	perfgate -baseline BENCH_baseline.json -current BENCH_perf.json [-tol 0.02]
-//	perfgate -schema taskbench -baseline BENCH_taskbench.json -current BENCH_taskbench.current.json
+//	perfgate -baseline BENCH_perf.json -current BENCH_perf.current.json [-tol 0.02]
 //
-// The -schema flag selects which report family is being gated: "perf"
-// (itoyori-perf/v1, the app suite) or "taskbench" (itoyori-taskbench/v1,
-// the shape × grain × scheduler matrix). Reports of the wrong schema are
-// rejected before any comparison.
+// The suite, scale and config are read from the files; two reports that
+// disagree on them are not compared.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ityr/internal/bench"
 )
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_baseline.json", "checked-in baseline report")
-	current := flag.String("current", "BENCH_perf.json", "freshly generated report to gate")
+	baseline := flag.String("baseline", "BENCH_perf.json", "checked-in baseline report")
+	current := flag.String("current", "BENCH_perf.current.json", "freshly generated report to gate")
 	tol := flag.Float64("tol", 0.02, "relative tolerance per metric (0.02 = ±2%)")
-	schemaName := flag.String("schema", "perf", "report family to gate: perf (itoyori-perf/v1) or taskbench (itoyori-taskbench/v1)")
 	flag.Parse()
 
-	var schema string
-	switch *schemaName {
-	case "perf":
-		schema = bench.PerfSchema
-	case "taskbench":
-		schema = bench.TaskbenchSchema
-	default:
-		fmt.Fprintf(os.Stderr, "perfgate: unknown -schema %q (valid: perf, taskbench)\n", *schemaName)
-		os.Exit(2)
-	}
-
-	base, err := readReport(*baseline, schema)
+	base, err := readReport(*baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate:", err)
 		os.Exit(1)
 	}
-	cur, err := readReport(*current, schema)
+	cur, err := readReport(*current)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate:", err)
 		os.Exit(1)
@@ -66,22 +55,25 @@ func main() {
 		for _, f := range findings {
 			fmt.Fprintln(os.Stderr, "perfgate:", f)
 		}
-		fmt.Fprintf(os.Stderr, "perfgate: FAIL (%d finding(s); if the change is intentional, regenerate the baseline with `make perf-baseline` and commit it)\n", len(findings))
+		fmt.Fprintf(os.Stderr, "perfgate: FAIL (%d finding(s); if the change is intentional, regenerate the baseline with `make baseline-%s` and commit it)\n", len(findings), base.Suite)
 		os.Exit(1)
 	}
-	fmt.Printf("perfgate: OK — %d experiment(s) within ±%.1f%% of baseline (%s scale)\n",
-		len(base.Experiments), 100**tol, base.Scale)
+	fmt.Printf("perfgate: OK — %s: %d row(s) within ±%.1f%% of baseline (%s scale)\n",
+		base.Suite, len(base.Rows), 100**tol, base.Scale)
+	if len(base.Host) > 0 {
+		fmt.Printf("perfgate: host-dependent, not gated: %s\n", strings.Join(base.Host, ", "))
+	}
 }
 
-func readReport(path, schema string) (bench.PerfReport, error) {
+func readReport(path string) (*bench.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return bench.PerfReport{}, err
+		return nil, err
 	}
 	defer f.Close()
-	rep, err := bench.ReadReport(f, schema)
+	rep, err := bench.ReadReport(f)
 	if err != nil {
-		return bench.PerfReport{}, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
 }
