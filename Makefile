@@ -5,7 +5,9 @@
 # by coroutine switch from the shard's one driver; cross-shard traffic and
 # worker failures through the coordinator's channel handshakes and the
 # conservative merge protocol of DESIGN.md §8) is what the whole
-# deterministic simulation rests on. internal/sim needs a Go 1.23+
+# deterministic simulation rests on — and the scheduler, whose idle loop is
+# an AdvanceFunc step and so runs on whichever coroutine (or driver) is
+# dispatching, not on its worker's own. internal/sim needs a Go 1.23+
 # toolchain (README.md, "Install / run").
 
 GO ?= go
@@ -41,7 +43,7 @@ shuffle:
 	$(GO) test -shuffle=on -count=1 ./...
 
 race:
-	$(GO) test -race ./internal/sim ./internal/rma
+	$(GO) test -race ./internal/sim ./internal/rma ./internal/uth
 
 # Whole-module race run (CI's second job; slower than `race`).
 race-all:

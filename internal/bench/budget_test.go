@@ -9,15 +9,17 @@ import (
 
 // Per-rank budgets on the rank-setup path (ityr.NewRuntime at 16,384
 // ranks): the guardrail for ROADMAP item 1's "memory footprint must stay
-// affordable at 16K ranks". Measured after the diet: ~6.98 KB retained and
-// ~7 heap objects per rank, flat from 1K to 16K ranks (the pre-diet
-// per-rank maps and O(n²) communicator state blow straight through this).
-// Budgets are pinned ~50% above the measurement so legitimate feature work
-// has headroom while a reintroduced per-rank map or ragged slice fails.
+// affordable at 16K ranks". Measured: ~1.7 KB retained and 5 heap objects
+// per rank, flat from 1K to 16K ranks (the pre-diet per-rank maps and O(n²)
+// communicator state blow straight through this; so does the 4.9 KB
+// math/rand source every rank's scheduler used to be built with, which a
+// worker now makes on its first steal). The budgets leave feature work
+// some headroom while a reintroduced per-rank map, ragged slice or eager
+// PRNG fails.
 const (
 	budgetRanks           = 16384
-	budgetBytesPerRank    = 10 * 1024
-	budgetMallocsPerRank  = 16
+	budgetBytesPerRank    = 3 * 1024
+	budgetMallocsPerRank  = 8
 	budgetSetupTotalBytes = budgetRanks * budgetBytesPerRank
 )
 

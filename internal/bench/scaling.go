@@ -7,10 +7,11 @@
 // question: how many *independent* deterministic simulations per second
 // the host can serve when they run concurrently on separate goroutines,
 // digest-verified against one another. The simulated half of every row
-// (sim_ns, events, the fleet's digest verdict) is gated through
-// BENCH_scaling.json; the host half (wall clock, allocation, throughput)
-// is listed in the report's Host and only printed — unit costs and shard
-// speedup are the business of the gated host-time benchmark in benchmark/.
+// (sim_ns, events, the fork-join rows' handoffs, the fleet's digest verdict)
+// is gated through BENCH_scaling.json; the host half (wall clock,
+// allocation, throughput) is listed in the report's Host and only printed —
+// unit costs and shard speedup are the business of the gated host-time
+// benchmark in benchmark/.
 package bench
 
 import (
@@ -39,12 +40,15 @@ var scalingHost = []string{
 
 // scalingWorkloads are the sweep's workload archetypes. Each runs the
 // workload at the given rank count (with the package-level hostProcs
-// shard knob) and returns simulated ns and kernel events.
+// shard knob) and returns the gated half of its row: simulated ns and
+// kernel events, and for fork-join the process switches too — an exact
+// count on the serial engine, and the one an idle worker that has to be
+// switched in to find nothing to steal would multiply.
 var scalingWorkloads = []struct {
 	name string
-	run  func(ranks int) (simNs int64, events uint64)
+	run  func(ranks int) Metrics
 }{
-	{"halo-spmd", func(ranks int) (int64, uint64) {
+	{"halo-spmd", func(ranks int) Metrics {
 		return runHaloWatched("halo-spmd", halo.Config{
 			Ranks:        ranks,
 			CoresPerNode: 8,
@@ -56,7 +60,7 @@ var scalingWorkloads = []struct {
 	// halo on the three-tier rack topology (4 nodes/rack): same stencil,
 	// but every ring neighbour pair is attributed to the self/node/rack/
 	// fabric locality tier the profile's communication matrix reports.
-	{"halo-racks", func(ranks int) (int64, uint64) {
+	{"halo-racks", func(ranks int) Metrics {
 		return runHaloWatched("halo-racks", halo.Config{
 			Ranks:        ranks,
 			CoresPerNode: 8,
@@ -66,15 +70,16 @@ var scalingWorkloads = []struct {
 			HostProcs:    hostProcs,
 		})
 	}},
-	{"cilksort-forkjoin", func(ranks int) (int64, uint64) {
+	{"cilksort-forkjoin", func(ranks int) Metrics {
 		elapsed, rt := CilksortRun(1<<18, 16<<10, ranks, 8, ityr.WriteBackLazy, 11)
-		return int64(elapsed), rt.Engine().Stats().Events
+		st := rt.Engine().Stats()
+		return Metrics{"sim_ns": float64(elapsed), "events": float64(st.Events), "handoffs": float64(st.Handoffs)}
 	}},
 }
 
 // runHaloWatched runs halo with the live-telemetry heartbeat attached for
 // the run's duration (a no-op when the heartbeat is disarmed).
-func runHaloWatched(label string, cfg halo.Config) (simNs int64, events uint64) {
+func runHaloWatched(label string, cfg halo.Config) Metrics {
 	stop := func() {}
 	cfg.Observe = func(rt *ityr.Runtime) {
 		stop = watchEngine(label, cfg.Ranks, rt.Engine())
@@ -84,13 +89,13 @@ func runHaloWatched(label string, cfg halo.Config) (simNs int64, events uint64) 
 	if err != nil {
 		panic(err)
 	}
-	return res.Elapsed, res.Events
+	return Metrics{"sim_ns": float64(res.Elapsed), "events": float64(res.Events)}
 }
 
 // ScalingSuite measures every workload at every rank count of the curve up
 // to sc.ScalingMaxRanks (rows workload/ranks), then runs the fleet (row
-// "fleet"), writing a human-readable table to w. Per row, sim_ns and
-// events are the simulated result; host_ms, events_per_sec (the host's
+// "fleet"), writing a human-readable table to w. Per row, sim_ns, events
+// and handoffs are the simulated result; host_ms, events_per_sec (the host's
 // dispatch throughput) and alloc_bytes_per_rank (total host heap
 // allocation over the rank count — the affordability metric that must stay
 // flat as ranks grow) describe the host.
@@ -108,19 +113,15 @@ func ScalingSuite(w io.Writer, sc Scale) (*Report, error) {
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
 			t0 := time.Now()
-			simNs, events := wl.run(ranks)
+			row := wl.run(ranks)
 			hostSec := time.Since(t0).Seconds()
 			runtime.ReadMemStats(&m1)
-			row := Metrics{
-				"sim_ns":               float64(simNs),
-				"events":               float64(events),
-				"host_ms":              hostSec * 1e3,
-				"events_per_sec":       float64(events) / hostSec,
-				"alloc_bytes_per_rank": float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ranks),
-			}
+			row["host_ms"] = hostSec * 1e3
+			row["events_per_sec"] = row["events"] / hostSec
+			row["alloc_bytes_per_rank"] = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ranks)
 			rep.Rows[fmt.Sprintf("%s/%d", wl.name, ranks)] = row
-			fmt.Fprintf(w, "%-20s %7d %10.1f %10.3f %12d %14.0f %9.1fKB\n",
-				wl.name, ranks, row["host_ms"], float64(simNs)/1e6, events,
+			fmt.Fprintf(w, "%-20s %7d %10.1f %10.3f %12.0f %14.0f %9.1fKB\n",
+				wl.name, ranks, row["host_ms"], row["sim_ns"]/1e6, row["events"],
 				row["events_per_sec"], row["alloc_bytes_per_rank"]/1024)
 		}
 	}

@@ -412,8 +412,9 @@ func (rt *Runtime) WriteTrace(w io.Writer) error {
 // time and report themselves, so each appears on the timeline as one span.
 type hooks struct{ space *pgas.Space }
 
-func (h hooks) Poll(rank int)       { h.space.Local(rank).Poll() }
-func (h hooks) OnFork(rank int) any { return h.space.Local(rank).ReleaseLazy() }
+func (h hooks) Poll(rank int)             { h.space.Local(rank).Poll() }
+func (h hooks) PollPending(rank int) bool { return h.space.Local(rank).PollPending() }
+func (h hooks) OnFork(rank int) any       { return h.space.Local(rank).ReleaseLazy() }
 func (h hooks) OnSteal(rank int, handler any) {
 	hd, _ := handler.(pgas.ReleaseHandler)
 	h.space.Local(rank).AcquireWith(hd)

@@ -208,12 +208,17 @@ func (l *Local) invalidateAll() {
 // write-back (requestEpoch > currentEpoch), perform it now. The threading
 // layer calls Poll at every fork, join and idle-loop iteration.
 func (l *Local) Poll() {
-	if l.space.cfg.Policy != WriteBackLazy {
-		return
-	}
-	if l.CurrentEpoch() < l.requestEpoch() {
+	if l.PollPending() {
 		l.writeBackAll(trace.KLazyWriteBackAll, 0)
 	}
+}
+
+// PollPending reports whether Poll would write back: whether a write-back
+// has been requested of this rank that it has not done. It costs two reads
+// of the rank's own window segment and no virtual time, so an idle worker
+// may ask from engine context.
+func (l *Local) PollPending() bool {
+	return l.space.cfg.Policy == WriteBackLazy && l.CurrentEpoch() < l.requestEpoch()
 }
 
 // DirtyBytes reports the number of dirty bytes awaiting write-back.

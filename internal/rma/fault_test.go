@@ -157,6 +157,62 @@ func TestRetriesExhaustedPanics(t *testing.T) {
 	}
 }
 
+// chargeInSteps is ChargeAtomic taken the way an idle worker takes it:
+// every sleep an AdvanceFunc sleep, every Next an engine-context step.
+func chargeInSteps(r *Rank, target int) {
+	c := r.StartAtomic(target)
+	d, _ := c.Next()
+	r.Proc().AdvanceFunc(d, c.Next)
+}
+
+// TestAtomicChargeMatchesChargeAtomic: the non-blocking form of the atomic
+// charge shares the blocking form's retry loop, so under a flaky plan, with
+// a straggler and self-targeted atomics in the mix, both leave the same
+// clock and the same traffic and retry counters.
+func TestAtomicChargeMatchesChargeAtomic(t *testing.T) {
+	plan := fault.PlanFlakyRMA(9)
+	plan.RMA.FailProb = 0.3
+	run := func(charge func(*Rank, int)) (sim.Time, Stats) {
+		c, _ := faultHarness(t, 4, plan, func(r *Rank) {
+			if r.ID() == 1 {
+				r.SetSlowdown(3, 1)
+			}
+			for i := 0; i < 100; i++ {
+				charge(r, (r.ID()+i)%4)
+			}
+		})
+		return c.Engine().Now(), c.Stats()
+	}
+	t1, s1 := run((*Rank).ChargeAtomic)
+	t2, s2 := run(chargeInSteps)
+	if s1.Retries == 0 {
+		t.Fatal("30% FailProb caused no retries over 300 remote atomics")
+	}
+	if t1 != t2 || s1 != s2 {
+		t.Errorf("in steps: t=%d stats=%+v; ChargeAtomic: t=%d stats=%+v", t2, s2, t1, s1)
+	}
+}
+
+// TestAtomicChargeRetriesExhausted: the fail-stop of the retry loop fires
+// from a step too, and leaves Run with the typed error.
+func TestAtomicChargeRetriesExhausted(t *testing.T) {
+	plan := fault.Plan{Name: "always-fail", Seed: 1, RMA: fault.RMAFaults{
+		FailProb: 1, Timeout: sim.Microsecond, MaxAttempts: 3,
+	}}
+	var recovered error
+	func() {
+		defer func() { recovered, _ = recover().(error) }()
+		faultHarness(t, 2, plan, func(r *Rank) {
+			if r.ID() == 0 {
+				chargeInSteps(r, 1)
+			}
+		})
+	}()
+	if !errors.Is(recovered, ErrRetriesExhausted) {
+		t.Errorf("recovered %v, want error wrapping ErrRetriesExhausted", recovered)
+	}
+}
+
 // TestGrowMidFlight is the regression for the Grow rewrite: a Put issued
 // before a concurrent-epoch Grow must land in the grown segment, for both
 // the in-place (within capacity) and reallocating paths, and Generation

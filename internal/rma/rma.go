@@ -390,25 +390,53 @@ func (r *Rank) Node() int { return r.c.net.Node(r.id) }
 // a wrapped ErrRetriesExhausted (fail-stop). Without an injector this is
 // a single nil-check.
 func (r *Rank) retryFaults(target int) {
-	in := r.c.inj
-	if in == nil || target == r.id {
+	if r.c.inj == nil || target == r.id {
 		return
 	}
-	attempt := 0
-	for in.FailRMA(r.proc.Now(), r.id, target) {
-		attempt++
-		t0 := r.proc.Now()
-		wait := in.Timeout() + in.Backoff(r.id, attempt)
+	rt := retry{target: target}
+	for {
+		wait, failed := r.nextRetry(&rt)
+		if !failed {
+			return
+		}
 		r.proc.Advance(wait)
-		d := r.proc.Now() - t0 // straggler scaling may stretch the wait
+	}
+}
+
+// retry is the state of one op's fault-retry loop between two of its
+// waits, so that the loop can be driven by a caller that sleeps
+// (retryFaults) and by one that may not (AtomicCharge).
+type retry struct {
+	target  int
+	attempt int      // failed attempts so far
+	t0      sim.Time // when the wait of the last failed attempt began
+}
+
+// nextRetry is the body of the retry loop: called when the op starts and
+// again after each wait it returned has been slept, it books the wait just
+// over (counters, KRetry span, fail-stop past MaxAttempts), draws the next
+// attempt's fate and returns the wait to sleep before trying again, or
+// failed == false once an attempt goes through. Callers check for an armed
+// injector and a remote target first.
+func (r *Rank) nextRetry(rt *retry) (wait sim.Time, failed bool) {
+	in := r.c.inj
+	now := r.proc.Now()
+	if rt.attempt > 0 {
+		d := now - rt.t0 // straggler scaling may stretch the wait
 		r.retries++
 		r.retryNs += uint64(d)
-		r.c.rec.Span(r.id, trace.KRetry, t0, d, int64(target), int64(attempt))
-		if attempt >= in.MaxAttempts() {
+		r.c.rec.Span(r.id, trace.KRetry, rt.t0, d, int64(rt.target), int64(rt.attempt))
+		if rt.attempt >= in.MaxAttempts() {
 			panic(fmt.Errorf("%w: rank %d op to rank %d failed %d attempts under plan %q",
-				ErrRetriesExhausted, r.id, target, attempt, in.Plan().Name))
+				ErrRetriesExhausted, r.id, rt.target, rt.attempt, in.Plan().Name))
 		}
 	}
+	if !in.FailRMA(now, r.id, rt.target) {
+		return 0, false
+	}
+	rt.attempt++
+	rt.t0 = now
+	return in.Timeout() + in.Backoff(r.id, rt.attempt), true
 }
 
 // sdcWire models silent wire corruption of one bulk transfer and, when
@@ -460,6 +488,39 @@ func (r *Rank) ChargeAtomic(target int) {
 	r.retryFaults(target)
 	r.proc.Advance(r.c.net.AtomicTimeAt(r.proc.Now(), r.id, target))
 	r.c.rec.RMA(r.id, target, trace.OpAtomic, 8)
+}
+
+// AtomicCharge is ChargeAtomic for a caller that may not block — a
+// sim.Proc.AdvanceFunc step, which is how an idle worker pays for its steal
+// attempts: the same sleeps, retry spans, counters, fail-stop and recorder
+// call, handed out one sleep at a time. Start one with Rank.StartAtomic.
+type AtomicCharge struct {
+	r      *Rank
+	retry  retry
+	issued bool // the sleep handed out last was the atomic's round trip
+}
+
+// StartAtomic begins the charge of one remote atomic from r to target.
+func (r *Rank) StartAtomic(target int) AtomicCharge {
+	return AtomicCharge{r: r, retry: retry{target: target}}
+}
+
+// Next returns the next duration the rank's process has to sleep, or done
+// once the charge is complete. Call it at the instant the charge starts and
+// again at the instant each sleep it returned ends.
+func (c *AtomicCharge) Next() (d sim.Time, done bool) {
+	r := c.r
+	if c.issued {
+		r.c.rec.RMA(r.id, c.retry.target, trace.OpAtomic, 8)
+		return 0, true
+	}
+	if r.c.inj != nil && c.retry.target != r.id {
+		if wait, failed := r.nextRetry(&c.retry); failed {
+			return wait, false
+		}
+	}
+	c.issued = true
+	return r.c.net.AtomicTimeAt(r.proc.Now(), r.id, c.retry.target), false
 }
 
 // ChargeTransfer charges the cost of a blocking nbytes transfer from

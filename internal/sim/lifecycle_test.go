@@ -63,11 +63,22 @@ func settledGoroutines(want int) int {
 
 // spawnFamily spawns, on every shard, a parent that advances, spawns a
 // child from inside its body (in a pinned section: Spawn is
-// global-phase-only) and outlives it. It returns the number of processes
+// global-phase-only) and outlives it, and a stepped sleeper whose body
+// returns straight after its last step. It returns the number of processes
 // that will have run; ran counts them from several shards' rounds at once.
 func spawnFamily(e *Engine, ran *atomic.Int32) int {
 	for s := 0; s < e.Shards(); s++ {
 		s := s
+		e.SpawnOn(s, fmt.Sprintf("stepper%d", s), func(p *Proc) {
+			steps := 0
+			p.AdvanceFunc(3, func() (Time, bool) {
+				if steps++; steps < 40 {
+					return 3, false
+				}
+				ran.Add(1)
+				return 0, true
+			})
+		})
 		e.SpawnOn(s, fmt.Sprintf("parent%d", s), func(p *Proc) {
 			p.Advance(Time(10 + s))
 			p.PinGlobal()
@@ -80,7 +91,7 @@ func spawnFamily(e *Engine, ran *atomic.Int32) int {
 			ran.Add(1)
 		})
 	}
-	return 2 * e.Shards()
+	return 3 * e.Shards()
 }
 
 func TestRunLeavesNoGoroutines(t *testing.T) {
@@ -129,19 +140,29 @@ func spawnBystanders(e *Engine) {
 // Where a body ends the run: in a parallel round on a worker's trampoline
 // (the serial engine has only the second kind), or in a global phase on the
 // coordinator's.
-var bodyPhases = []struct {
+type bodyPhase struct {
 	name   string
 	pinned bool
-}{{"unpinned", false}, {"pinned", true}}
+}
+
+var bodyPhases = []bodyPhase{{"unpinned", false}, {"pinned", true}}
 
 func TestBodyPanicReachesRunCaller(t *testing.T) {
 	type custom struct{ code int }
+	// The first row panics in an AdvanceFunc step instead: in engine
+	// context, on the stack of the bystander (or driver) that popped the
+	// resume at t=50.
+	const inStep = "pinned step"
 	for _, k := range engineKinds {
-		for _, ph := range bodyPhases {
+		for _, ph := range append([]bodyPhase{{inStep, true}}, bodyPhases...) {
 			t.Run(k.name+"/"+ph.name, func(t *testing.T) {
 				e := k.mk()
 				spawnBystanders(e)
 				e.SpawnOn(e.Shards()-1, "bad", func(p *Proc) {
+					if ph.name == inStep {
+						p.PinGlobal()
+						p.AdvanceFunc(50, func() (Time, bool) { panic(custom{42}) })
+					}
 					p.Advance(50)
 					if ph.pinned {
 						p.PinGlobal()

@@ -519,9 +519,7 @@ func (s *shard) dispatch(self *Proc) *Proc {
 func (p *Proc) advanceSharded(d Time) {
 	e := p.eng
 	if !e.sh.parallel {
-		if d > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now+d) {
-			e.now += d
-			e.stats.FastAdvances++
+		if e.fastAdvance(d) {
 			return
 		}
 		e.scheduleResume(p, e.now+d)

@@ -19,7 +19,7 @@
 // The one-at-a-time invariant is also the kernel's fast-path licence:
 // whichever process currently runs owns every piece of engine state
 // outright, so it may mutate the clock and the event queue directly instead
-// of asking the driver to do it. Four consequences:
+// of asking the driver to do it. Five consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
 //     Advance(d) simply sets now += d and returns — no switch, no
@@ -41,10 +41,32 @@
 //     coroutine set-up. Run stops the pooled carriers before it returns:
 //     after a Run that ends without a deadlock the kernel holds no
 //     goroutine.
+//   - Stepped sleeps: a process that mostly waits — an idle worker polling
+//     for work — sleeps with AdvanceFunc, handing the kernel the function
+//     to call each time a sleep ends. Whoever pops the resume calls it on
+//     the spot, as it would an At callback, and queues the next sleep; the
+//     process is switched in only when the function says there is
+//     something for it to do. The events, their times and their FIFO keys
+//     are those of the process looping over Advance itself; the two
+//     switches per iteration, and the cold stack they touch, are gone.
 //
 // None of this changes simulated timestamps: the fast paths are taken only
 // when the slow path would produce the identical schedule, and the golden
 // digest tests in internal/bench pin that equivalence down.
+//
+// # Engine context: At callbacks and AdvanceFunc steps
+//
+// A callback scheduled with At and a step handed to AdvanceFunc run between
+// process executions, on the stack of whatever is dispatching: the driver,
+// or a process that yielded and is running the event loop inline. Both may
+// read and write simulation state, schedule callbacks (At, After), Wake
+// processes and flip time scales; neither may block — there is no process
+// of their own to suspend. A step that calls Advance, Park or AdvanceFunc
+// on its process panics with a message naming the call. During a step
+// Engine.Current is the stepping process (during a callback it is nil).
+// A step does not always run in engine context: after a sleep that took
+// the zero-handoff fast path, and in a sharded engine's parallel rounds,
+// its own process calls it. It must not care.
 //
 // # Panics and Goexit in a process body
 //
@@ -55,7 +77,11 @@
 // the body's. The run is over at that point; processes suspended mid-body
 // keep their carriers, as the parked processes of a deadlock do — they
 // could only be unwound by running their deferred calls against a dead
-// engine.
+// engine. A panic in engine context — a callback's or a step's — unwinds
+// the stack it ran on: straight out of Run when that is the driver's;
+// otherwise through the body of the process that was dispatching, whose
+// deferred calls run (and may recover it) as if the panic were its own,
+// and from there out of Run the same way.
 //
 // # Parallel host execution
 //
@@ -102,6 +128,14 @@ type event struct {
 	proc  *Proc
 	fire  func()
 	shard int32 // owning shard for fire events (sharded engines only)
+	// steps marks a resume that ends a sleep of AdvanceFunc, queued on the
+	// serial/global queue: whoever pops it there runs the process's step.
+	// It is a hint carried by the event so that an ordinary resume costs
+	// dispatch no look at a process that may be cold (1–2% of a 4,096-rank
+	// halo run when it did): a stepping process whose resume is popped
+	// without it, or by a parallel round's dispatcher, which ignores it,
+	// runs its step itself.
+	steps bool
 }
 
 // Key spaces for event.key. FIFO keys count up from zero; each shard's
@@ -357,7 +391,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // scheduleResume queues a resume of p at time t on the serial/global queue.
 func (e *Engine) scheduleResume(p *Proc, t Time) {
 	e.seq++
-	e.push(event{at: t, key: e.seq, proc: p})
+	e.push(event{at: t, key: e.seq, proc: p, steps: p.step != nil})
 }
 
 // Spawn creates a new simulated process that will begin executing fn at the
@@ -435,8 +469,9 @@ func (p *Proc) yield() {
 }
 
 // dispatch runs the event loop in the calling context: it pops events and
-// fires engine-context callbacks inline until it pops a process resume, and
-// returns that process for the caller to switch to — self itself when the
+// fires engine-context callbacks — and the steps of processes sleeping in
+// AdvanceFunc — inline until it pops a resume that a process has to be
+// switched in for, and returns that process for the caller to switch to — self itself when the
 // resume is the caller's own, which then simply keeps running. It returns
 // nil when there is nothing more to run here: the queue has drained
 // (deadlock detection happens in Run) or, on a sharded engine, the last pin
@@ -459,11 +494,47 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 			continue
 		}
 		e.current = ev.proc
+		if ev.steps && !e.runSteps(ev.proc) {
+			continue
+		}
 		if ev.proc != self {
 			e.stats.Handoffs++
 		}
 		return ev.proc
 	}
+}
+
+// runSteps runs, on the dispatcher's stack, the step of p, whose sleep has
+// just ended (AdvanceFunc), and the steps after it for as long as the sleep
+// between two takes Advance's zero-handoff fast path. It reports whether
+// the last step has run: p is then resumed in this same event. Otherwise
+// p's next resume is queued and dispatch carries on. Every clock bump and
+// FIFO key is taken exactly where p, switched in, would have taken it.
+func (e *Engine) runSteps(p *Proc) bool {
+	for {
+		d, done := p.step()
+		if done {
+			p.step = nil
+			return true
+		}
+		if d = p.scaled(d); !e.fastAdvance(d) {
+			e.scheduleResume(p, e.now+d)
+			return false
+		}
+	}
+}
+
+// fastAdvance takes the zero-handoff fast path of a sleep of d on the
+// serial/global queue when it may — d is positive and no queued event fires
+// at or before now+d, so whoever sleeps would be resumed next in any case —
+// and reports whether it did.
+func (e *Engine) fastAdvance(d Time) bool {
+	if d > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now+d) {
+		e.now += d
+		e.stats.FastAdvances++
+		return true
+	}
+	return false
 }
 
 // drive is the trampoline of the serial engine and of a sharded engine's
@@ -515,13 +586,19 @@ type Proc struct {
 	// Name identifies the process in diagnostics.
 	Name string
 
-	eng     *Engine
-	shd     *shard   // nil on serial engines
-	car     *carrier // nil until the first resume and after the body returns
+	eng *Engine
+	shd *shard   // nil on serial engines
+	car *carrier // nil until the first resume and after the body returns
+
+	// step is the function AdvanceFunc is running between p's sleeps, nil
+	// outside AdvanceFunc. A dispatcher that pops a resume of p marked
+	// event.steps runs it in p's stead; while it is set p must not block.
+	step func() (next Time, done bool)
+
 	body    func(*Proc)
 	dead    bool
 	parked  bool
-	permits int
+	permits int32 // with the two flags, one word: a Proc stays in the 96-byte size class
 
 	// livePrev/liveNext thread the engine's (or shard's) intrusive list
 	// of live processes; see procList.
@@ -557,24 +634,87 @@ func (p *Proc) Now() Time {
 // FIFO tie-breaking says it must run first. Advance(0) always takes the
 // slow path: its purpose is to interleave same-instant events.
 func (p *Proc) Advance(d Time) {
+	if p.step != nil {
+		blockedInStep("Advance")
+	}
+	p.advance(d)
+}
+
+// advance is Advance without the check that p is not in a step: what
+// AdvanceFunc itself sleeps with.
+func (p *Proc) advance(d Time) {
+	d = p.scaled(d)
+	e := p.eng
+	if p.shd != nil {
+		p.advanceSharded(d)
+		return
+	}
+	if e.fastAdvance(d) {
+		return
+	}
+	e.scheduleResume(p, e.now+d)
+	p.yield()
+}
+
+// scaled checks a duration p is about to sleep for and stretches it by p's
+// time scale.
+func (p *Proc) scaled(d Time) Time {
 	if d < 0 {
 		panic("sim: negative Advance")
 	}
 	if p.scaleNum > 0 {
 		d = d * p.scaleNum / p.scaleDen
 	}
-	e := p.eng
-	if p.shd != nil {
-		p.advanceSharded(d)
-		return
+	return d
+}
+
+// blockedInStep panics for a blocking call made while the process is inside
+// AdvanceFunc — from a step, that is.
+func blockedInStep(call string) {
+	panic("sim: " + call + " called from an AdvanceFunc step; a step runs in engine context and must not block")
+}
+
+// AdvanceFunc means exactly
+//
+//	for {
+//		p.Advance(d)
+//		if d, done = step(); done {
+//			return
+//		}
+//	}
+//
+// but a step whose sleep went through the event queue runs in engine
+// context (see the package comment for what it may call there and whose
+// stack its panic unwinds): on the stack of whatever popped the resume, with
+// Engine.Current set to p, and p itself is switched in only once a step
+// reports done — in that same event. Every event, its time and its FIFO
+// key, the time scale applied to each d and every EngineStats count but
+// Handoffs are those of the loop above; what goes is the two coroutine
+// switches per iteration and the cold stack they touch.
+//
+// A step must not block: Advance, Park or AdvanceFunc on p panics, naming
+// the call. A step whose sleep took the fast path runs on p's own stack, as
+// does every step of a sharded engine's parallel round (which runs the loop
+// above as written), so a step must not care which stack it is on. Build
+// the step once per process: a closure made per call allocates per call.
+func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
+	if p.step != nil {
+		blockedInStep("AdvanceFunc")
 	}
-	if d > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now+d) {
-		e.now += d
-		e.stats.FastAdvances++
-		return
+	p.step = step
+	for {
+		p.advance(d)
+		if p.step == nil {
+			return // a dispatcher ran the steps that were left
+		}
+		// The sleep ended with p running: the fast path, or a resume
+		// popped by a parallel round's dispatcher.
+		var done bool
+		if d, done = step(); done {
+			p.step = nil
+			return
+		}
 	}
-	e.scheduleResume(p, e.now+d)
-	p.yield()
 }
 
 // SetTimeScale stretches every subsequent Advance duration by num/den,
@@ -596,6 +736,9 @@ func (p *Proc) SetTimeScale(num, den int64) {
 // calls Wake. If Wake was already called since the last Park, the permit is
 // consumed and Park returns immediately without yielding the clock.
 func (p *Proc) Park() {
+	if p.step != nil {
+		blockedInStep("Park")
+	}
 	if p.permits > 0 {
 		p.permits--
 		return

@@ -15,7 +15,8 @@ type orderHooks struct {
 
 func (h *orderHooks) rec(s string) { h.events = append(h.events, s) }
 
-func (h *orderHooks) Poll(int) {}
+func (h *orderHooks) Poll(int)             {}
+func (h *orderHooks) PollPending(int) bool { return false }
 func (h *orderHooks) OnFork(rank int) any {
 	h.nextID++
 	h.rec(fmt.Sprintf("release1@%d#%d", rank, h.nextID))

@@ -1,0 +1,165 @@
+package uth
+
+import (
+	"testing"
+
+	"ityr/internal/fault"
+	"ityr/internal/metrics"
+	"ityr/internal/netmodel"
+	"ityr/internal/rma"
+	"ityr/internal/sim"
+	"ityr/internal/trace"
+)
+
+// An idle worker's loop runs as an engine-context step (Worker.idleStep),
+// which must be the process-context loop it replaced event for event: same
+// clock, same steal outcomes, same kernel event counts — only the process
+// switches go. TestIdleRegionPinned holds an idle-heavy region to numbers
+// taken from that loop (the commit before idleStep existed), under every
+// policy and with a straggler, victim blacklisting and RMA faults armed.
+
+// idleRun is what one idle-heavy region must reproduce, and its handoffs.
+type idleRun struct {
+	now                        sim.Time // final clock
+	failed, steals, migrations uint64   // Sched.Stats
+	events, fast               uint64   // EngineStats
+	retries, retryNs           uint64   // rma.Stats
+	kRetry, kFailedSteal       int      // recorded spans
+	handoffs                   uint64
+}
+
+const (
+	idleRanks        = 256
+	idleCoresPerNode = 8
+)
+
+// runIdleRegion runs one region on idleRanks ranks in which only the root
+// thread has anything to do: it charges 1 ms and forks nothing, or, with
+// lateFork, charges 950 µs and then forks one 50 µs child beside 50 µs of
+// its own, so that exactly one of the 255 idle workers' steals succeeds.
+func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) idleRun {
+	t.Helper()
+	e := sim.NewEngine()
+	c := rma.New(e, idleRanks, netmodel.Default(idleCoresPerNode))
+	log := trace.New()
+	c.SetRecorder(trace.NewRecorder(idleRanks, log, nil, metrics.NewRegistry()))
+	if flaky {
+		c.SetFaults(fault.NewInjector(fault.PlanFlakyRMA(7), idleRanks))
+	}
+	cfg.Seed = 42
+	s := NewSched(c, cfg, nil)
+	body := func(tb *TB) {
+		if !lateFork {
+			tb.Proc().Advance(sim.Millisecond)
+			return
+		}
+		tb.Proc().Advance(950 * sim.Microsecond)
+		th := tb.Fork(func(tb *TB) { tb.Proc().Advance(50 * sim.Microsecond) })
+		tb.Proc().Advance(50 * sim.Microsecond)
+		tb.Join(th)
+	}
+	for i := 0; i < idleRanks; i++ {
+		i := i
+		r := c.Rank(i)
+		e.Spawn("spmd", func(p *sim.Proc) {
+			if straggler && i == 1 {
+				r.SetSlowdown(10, 1)
+			}
+			r.Attach(p)
+			s.WorkerMain(i, body)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	es, rs := e.Stats(), c.Stats()
+	return idleRun{
+		now:    e.Now(),
+		failed: s.Stats.FailedSteals, steals: s.Stats.Steals, migrations: s.Stats.Migrations,
+		events: es.Events, fast: es.FastAdvances,
+		retries: rs.Retries, retryNs: rs.RetryNs,
+		kRetry: log.Count(trace.KRetry), kFailedSteal: log.Count(trace.KFailedSteal),
+		handoffs: es.Handoffs,
+	}
+}
+
+func TestIdleRegionPinned(t *testing.T) {
+	blacklist := Config{VictimBlacklist: true, StealTimeout: 5 * sim.Microsecond, BlacklistAfter: 2}
+	cases := []struct {
+		name             string
+		cfg              Config
+		straggler, flaky bool
+		idle, lateFork   idleRun // pinned; handoffs is the old loop's, for the record
+	}{
+		{name: "childfirst", cfg: Config{Policy: ChildFirst},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 46633, fast: 44, kFailedSteal: 14790, handoffs: 45609},
+			lateFork: idleRun{now: 1067060, failed: 14846, steals: 1, migrations: 1, events: 46806, fast: 50, kFailedSteal: 14846, handoffs: 45782}},
+		{name: "helpfirst", cfg: Config{Policy: HelpFirst},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 46633, fast: 44, kFailedSteal: 14790, handoffs: 45609},
+			lateFork: idleRun{now: 1067060, failed: 14846, steals: 1, migrations: 1, events: 46804, fast: 50, kFailedSteal: 14846, handoffs: 45780}},
+		{name: "fbc", cfg: Config{Policy: FBC},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 46633, fast: 44, kFailedSteal: 14790, handoffs: 45609},
+			lateFork: idleRun{now: 1073660, failed: 15047, steals: 1, events: 47406, fast: 54, kFailedSteal: 15047, handoffs: 46382}},
+		{name: "locality-aware", cfg: Config{LocalityAware: true},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 46583, fast: 94, kFailedSteal: 14790, handoffs: 45559},
+			lateFork: idleRun{now: 1060460, failed: 14791, steals: 1, migrations: 1, events: 46588, fast: 102, kFailedSteal: 14791, handoffs: 45564}},
+		{name: "blacklist+straggler", cfg: blacklist, straggler: true,
+			idle:     idleRun{now: 1071000, failed: 14741, events: 46479, fast: 51, kFailedSteal: 14741, handoffs: 45455},
+			lateFork: idleRun{now: 1071000, failed: 14797, steals: 1, migrations: 1, events: 46652, fast: 57, kFailedSteal: 14797, handoffs: 45628}},
+		{name: "flaky-rma", flaky: true,
+			idle: idleRun{now: 1058467, failed: 14608, events: 45559, fast: 847,
+				retries: 275, retryNs: 2819041, kRetry: 275, kFailedSteal: 14608, handoffs: 44535},
+			lateFork: idleRun{now: 1077173, failed: 14734, steals: 1, migrations: 1, events: 45934, fast: 864,
+				retries: 278, retryNs: 2849805, kRetry: 278, kFailedSteal: 14734, handoffs: 44910}},
+	}
+	for _, tc := range cases {
+		for _, lateFork := range []bool{false, true} {
+			name, want := tc.name+"/idle", tc.idle
+			if lateFork {
+				name, want = tc.name+"/late fork", tc.lateFork
+			}
+			t.Run(name, func(t *testing.T) {
+				got := runIdleRegion(t, tc.cfg, tc.straggler, tc.flaky, lateFork)
+				handoffs := got.handoffs
+				got.handoffs = want.handoffs
+				if got != want {
+					t.Errorf("region moved (handoffs apart):\n got %+v\nwant %+v", got, want)
+				}
+				// Six switches a rank are the region's frame — its first
+				// resume, four barriers, the wake-up that ends its loop — and
+				// a steal that succeeds costs a few; a failed one must cost
+				// none, where it cost the old loop three.
+				if handoffs > 7*idleRanks {
+					t.Errorf("%d handoffs for %d failed steals on %d ranks, want at most %d",
+						handoffs, got.failed, idleRanks, 7*idleRanks)
+				}
+				if lateFork && got.steals == 0 {
+					t.Error("no steal succeeded: the case does not leave a step through finishSteal")
+				}
+				if tc.flaky && got.kRetry == 0 {
+					t.Error("no retry: the case does not retry inside an idle steal")
+				}
+			})
+		}
+	}
+}
+
+// TestIdleLoopZeroAllocs: with recording off an idle iteration — tick,
+// victim draw, CAS charge, failed-steal bookkeeping, backoff — allocates
+// nothing, however many of them a region makes: the step is one function
+// value per worker and its state lives in the Worker.
+func TestIdleLoopZeroAllocs(t *testing.T) {
+	var failed uint64
+	run := func(idle sim.Time) {
+		s, _ := runRegionCfg(t, 64, Config{Seed: 42}, nil, func(tb *TB) { tb.Proc().Advance(idle) })
+		failed = s.Stats.FailedSteals
+	}
+	small := testing.AllocsPerRun(3, func() { run(200 * sim.Microsecond) })
+	few := failed
+	big := testing.AllocsPerRun(3, func() { run(2200 * sim.Microsecond) })
+	perSteal := (big - small) / float64(failed-few)
+	if perSteal > 0.01 {
+		t.Fatalf("%.4f allocations per failed steal (%.0f for %d, %.0f for %d), want 0",
+			perSteal, small, few, big, failed)
+	}
+}

@@ -11,11 +11,14 @@
 // supplies through the Hooks interface. Joins migrate the blocked parent to
 // the completing child's rank.
 //
-// Host-level concurrency note: every thread is a sim.Proc (its own
-// goroutine), but the engine runs exactly one at a time, and a per-rank
-// token — held by either the worker's scheduler process or the one thread
-// currently executing on the rank — keeps per-rank execution serial in
-// virtual time.
+// Host-level concurrency note: every thread is a sim.Proc — a body on a
+// pooled coroutine that the engine switches into, one at a time, on one
+// host thread — and a per-rank token, held by either the worker's scheduler
+// process or the one thread currently executing on the rank, keeps per-rank
+// execution serial in virtual time. An idle worker is not even switched
+// into: between the moments it has something to run, its scheduling loop
+// is a sim.Proc.AdvanceFunc step (Worker.idleStep) that the engine calls in
+// its own context at the end of each of the worker's sleeps.
 package uth
 
 import (
@@ -32,8 +35,13 @@ import (
 // opaque to the scheduler (pgas.ReleaseHandler in the full runtime).
 type Hooks interface {
 	// Poll runs deferred work (DoReleaseIfReqested of Fig. 6) — called at
-	// every fork, join and idle-loop iteration.
+	// every fork and join, and by an idle worker whenever PollPending says
+	// there is some.
 	Poll(rank int)
+	// PollPending reports whether Poll(rank) would do anything. An idle
+	// worker asks it once per idle-loop iteration from engine context
+	// (sim.Proc.AdvanceFunc), so it must only read.
+	PollPending(rank int) bool
 	// OnFork performs Release #1 (lazily under the lazy policy) and
 	// returns the handler the eventual thief must acquire against.
 	OnFork(rank int) any
@@ -58,6 +66,9 @@ type NopHooks struct{}
 
 // Poll does nothing.
 func (NopHooks) Poll(int) {}
+
+// PollPending reports that Poll never has anything to do.
+func (NopHooks) PollPending(int) bool { return false }
 
 // OnFork returns a nil handler.
 func (NopHooks) OnFork(int) any { return nil }
@@ -227,11 +238,7 @@ func NewSched(comm *rma.Comm, cfg Config, hooks Hooks) *Sched {
 	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, rec: comm.Recorder(), threadOf: make(map[*sim.Proc]*thread)}
 	s.workers = make([]*Worker, comm.Size())
 	for i := range s.workers {
-		w := &Worker{
-			sched: s,
-			rank:  comm.Rank(i),
-			rng:   rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*0x5DEECE66D)),
-		}
+		w := &Worker{sched: s, rank: comm.Rank(i)}
 		if cfg.VictimBlacklist {
 			w.strikes = make([]int, comm.Size())
 			w.blackUntil = make([]sim.Time, comm.Size())
@@ -248,7 +255,16 @@ type Worker struct {
 	rank  *rma.Rank
 	proc  *sim.Proc // the rank's SPMD/scheduler process
 	deque []*entry
-	rng   *rand.Rand
+
+	// rng draws steal victims. It is made by the first draw: a math/rand
+	// source is 4.9 KB, and a rank of an SPMD-only program never steals.
+	rng *rand.Rand
+
+	// idle is what idleStep keeps between two sleeps of the idle loop, and
+	// step is idleStep as a value, made once so that idling allocates
+	// nothing.
+	idle idleState
+	step func() (sim.Time, bool)
 
 	// ready holds threads paused on in-flight communication (overlap):
 	// each becomes runnable on this rank at its wake time.
@@ -381,70 +397,146 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 	w.proc.UnpinGlobal()
 }
 
-// schedLoop runs scheduling: resume local continuations, else steal.
+// idlePhase names the sleep an idle worker is in.
+type idlePhase uint8
+
+const (
+	idleTick    idlePhase = iota // the scheduling tick that opens an iteration
+	idleCAS                      // the steal's remote CAS: fault-retry waits, then the round trip
+	idleBackoff                  // the backoff after a steal that found nothing
+)
+
+// idleState is what the idle loop carries from one sleep to the next.
+type idleState struct {
+	phase   idlePhase
+	backoff sim.Time
+	t0      sim.Time         // start of the steal attempt (idleCAS) or of the backoff sleep
+	victim  int              // the rank the steal in progress targets
+	cas     rma.AtomicCharge // its CAS, between two of its sleeps
+}
+
+// schedLoop runs scheduling until the region ends: resume local
+// continuations, else steal. Only what needs a stack runs here, on the
+// worker's process — resuming a thread, starting a pending task, finishing
+// a steal whose CAS found something, a lazy-release Poll that has work.
+// Everything an idle iteration does between those (tick, victim draw, CAS
+// with its fault retries, failed-steal bookkeeping, backoff) is idleStep,
+// which the engine runs without switching the process in.
 func (w *Worker) schedLoop() {
 	s := w.sched
-	backoff := backoffMin
+	if w.step == nil {
+		w.step = w.idleStep
+	}
+	st := &w.idle
+	st.backoff = backoffMin
 	for !s.done {
 		s.hooks.Poll(w.rank.ID())
-		w.proc.Advance(costSchedIter)
-		// Threads whose communication completed take priority: they hold
-		// pinned cache blocks and their continuations are on the critical
-		// path.
-		if th, ok := w.popReadyDue(); ok {
-			w.resumeHere(th, false)
-			backoff = backoffMin
+		st.phase = idleTick
+		w.proc.AdvanceFunc(costSchedIter, w.step)
+		// idleStep handed back; the sleep it did so after says why.
+		switch st.phase {
+		case idleBackoff:
+			// The region is over or Poll has work: the loop head sees to
+			// either, and a Poll does not reset the backoff.
 			continue
-		}
-		// FBC completion notifications wake blocked joins in place; the
-		// queue is always empty under the other policies.
-		if th := w.popRunnable(); th != nil {
-			s.PolicyStats.FBCWakes++
-			w.resumeHere(th, th.fenceOnResume)
-			backoff = backoffMin
-			continue
-		}
-		if e := w.popBottom(); e != nil {
-			if e.fn != nil {
+		case idleCAS:
+			w.finishSteal()
+		case idleTick:
+			// Threads whose communication completed take priority: they
+			// hold pinned cache blocks and their continuations are on the
+			// critical path.
+			if th, ok := w.popReadyDue(); ok {
+				w.resumeHere(th, false)
+			} else if th := w.popRunnable(); th != nil {
+				// FBC completion notifications wake blocked joins in place;
+				// the queue is always empty under the other policies.
+				s.PolicyStats.FBCWakes++
+				w.resumeHere(th, th.fenceOnResume)
+			} else if e := w.popBottom(); e == nil {
+				continue // nothing local: the region is over
+			} else if e.fn != nil {
 				// A pending child we forked (help-first): start it here.
 				// Same rank as the forker ⇒ no fences.
 				s.PolicyStats.PendingRuns++
 				w.runPending(e)
-				backoff = backoffMin
-				continue
+			} else {
+				// A blocked thread left this continuation behind: run it
+				// locally. Same rank ⇒ no fences (§5.1).
+				w.resumeHere(e.th, false)
 			}
-			// A blocked thread left this continuation behind: run it
-			// locally. Same rank ⇒ no fences (§5.1).
-			w.resumeHere(e.th, false)
-			backoff = backoffMin
-			continue
 		}
-		if s.done {
-			break
-		}
-		if w.trySteal() {
-			backoff = backoffMin
-			continue
-		}
-		d := backoff
-		// Never sleep past a comm-waiting thread's wake time.
-		if wake, ok := w.minReadyWait(); ok && wake < d {
-			d = wake
-		}
-		if d < 1 {
-			d = 1
-		}
-		// This Advance is the hottest line in most runs (every idle worker,
-		// every backoff iteration). It almost always hits the kernel's
-		// zero-handoff fast path: no queued event is due before now+d, so
-		// the clock bumps in place with no heap or channel traffic.
-		t0 := w.proc.Now()
-		w.proc.Advance(d)
-		s.rec.Span(w.rank.ID(), trace.KIdle, t0, w.proc.Now()-t0, 0, 0)
-		if backoff < backoffMax {
-			backoff *= 2
-		}
+		st.backoff = backoffMin
 	}
+}
+
+// idleStep is the idle loop between two things that need the worker's
+// stack, as a sim.Proc.AdvanceFunc step: called at the end of each of the
+// worker's sleeps, it does what follows that sleep and returns the next
+// one, or done when schedLoop has to take over. It runs in engine context,
+// so it only reads, counts, records and draws: nothing in it may block.
+func (w *Worker) idleStep() (sim.Time, bool) {
+	s := w.sched
+	st := &w.idle
+	me := w.rank.ID()
+	switch st.phase {
+	case idleBackoff:
+		now := w.proc.Now()
+		s.rec.Span(me, trace.KIdle, st.t0, now-st.t0, 0, 0)
+		if st.backoff < backoffMax {
+			st.backoff *= 2
+		}
+		if s.done || s.hooks.PollPending(me) {
+			return 0, true
+		}
+		st.phase = idleTick
+		return costSchedIter, false
+	case idleTick:
+		if w.readyDue() >= 0 || len(w.runnable) > 0 || len(w.deque) > 0 || s.done {
+			return 0, true
+		}
+		if len(s.workers) == 1 {
+			return w.startBackoff(), false // nobody to steal from
+		}
+		// One steal attempt, charged the one-sided costs of the
+		// uni-address protocol: a remote CAS claiming the top of the
+		// victim's deque here, the fetch of the continuation's call stack
+		// in finishSteal. The charge includes any fault-injected retries
+		// and link perturbation toward the victim; with no fault plan it is
+		// exactly the base AtomicTime.
+		st.t0 = w.proc.Now()
+		st.victim = w.pickVictim()
+		st.cas = w.rank.StartAtomic(st.victim)
+		st.phase = idleCAS
+	}
+	// idleCAS: the steal's CAS has just started, or one of its sleeps ended.
+	if d, done := st.cas.Next(); !done {
+		return d, false
+	}
+	if len(s.workers[st.victim].deque) > 0 {
+		return 0, true // finishSteal takes it, in this same event
+	}
+	s.Stats.FailedSteals++
+	d := w.proc.Now() - st.t0
+	s.rec.Span(me, trace.KFailedSteal, st.t0, d, int64(st.victim), 0)
+	w.noteStealOutcome(st.victim, d, false)
+	return w.startBackoff(), false
+}
+
+// startBackoff opens the backoff sleep after an iteration that found
+// nothing and returns its length.
+func (w *Worker) startBackoff() sim.Time {
+	st := &w.idle
+	d := st.backoff
+	// Never sleep past a comm-waiting thread's wake time.
+	if wake, ok := w.minReadyWait(); ok && wake < d {
+		d = wake
+	}
+	if d < 1 {
+		d = 1
+	}
+	st.t0 = w.proc.Now()
+	st.phase = idleBackoff
+	return d
 }
 
 // resumeHere hands the rank token to th and parks the scheduler until a
@@ -468,38 +560,19 @@ func (w *Worker) popBottom() *entry {
 	return e
 }
 
-// trySteal attempts one steal, charging the one-sided costs of the
-// uni-address protocol (remote CAS on the deque, then fetching the
-// continuation's call stack). Victims are chosen uniformly at random, or
-// same-node-first under Config.LocalityAware.
-func (w *Worker) trySteal() bool {
+// finishSteal completes the steal whose CAS idleStep has just seen find
+// the victim's deque non-empty, in the event that CAS ended in: it takes
+// the oldest entry, fetches the suspended thread's stack and runs it here.
+func (w *Worker) finishSteal() {
 	s := w.sched
-	n := len(s.workers)
-	if n == 1 {
-		return false
-	}
-	t0 := w.proc.Now()
-	vID := w.pickVictim()
+	t0, vID := w.idle.t0, w.idle.victim
 	v := s.workers[vID]
-	net := s.comm.Net()
 	me := w.rank.ID()
-	// Remote CAS claiming the victim deque's top. The charge includes any
-	// fault-injected retries and link perturbation toward the victim; with
-	// no fault plan it is exactly the base AtomicTime.
-	w.rank.ChargeAtomic(vID)
-	if len(v.deque) == 0 {
-		s.Stats.FailedSteals++
-		d := w.proc.Now() - t0
-		s.rec.Span(me, trace.KFailedSteal, t0, d, int64(vID), 0)
-		w.noteStealOutcome(vID, d, false)
-		return false
-	}
-	// Take the oldest entry and fetch the suspended thread's stack.
 	e := v.deque[0]
 	v.deque = v.deque[1:]
 	e.taken = true
 	s.Stats.Steals++
-	if net.SameNode(me, vID) {
+	if s.comm.Net().SameNode(me, vID) {
 		s.Stats.IntraSteals++
 	}
 	// A started continuation migrates its live stack; a pending task
@@ -523,10 +596,9 @@ func (w *Worker) trySteal() bool {
 	w.noteStealOutcome(vID, d, true)
 	if e.fn != nil {
 		w.runPending(e)
-		return true
+		return
 	}
 	w.resumeHere(e.th, false)
-	return true
 }
 
 // noteStealOutcome updates the victim-blacklist state after one attempt
@@ -576,6 +648,9 @@ func (w *Worker) pickVictim() int {
 	s := w.sched
 	n := len(s.workers)
 	me := w.rank.ID()
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(s.cfg.Seed ^ (int64(me)+1)*0x5DEECE66D))
+	}
 	if s.cfg.LocalityAware {
 		net := s.comm.Net()
 		cpn := net.CoresPerNode
@@ -786,17 +861,28 @@ func (s *Sched) String() string {
 		s.Stats.Forks, s.Stats.Steals, s.Stats.FailedSteals, s.Stats.Migrations)
 }
 
-// popReadyDue removes and returns a comm-waiting thread whose wake time
-// has arrived.
-func (w *Worker) popReadyDue() (*thread, bool) {
+// readyDue returns the index in w.ready of the first comm-waiting thread
+// whose wake time has arrived, or -1.
+func (w *Worker) readyDue() int {
 	now := w.proc.Now()
 	for i, tt := range w.ready {
 		if tt.until <= now {
-			w.ready = append(w.ready[:i], w.ready[i+1:]...)
-			return tt.th, true
+			return i
 		}
 	}
-	return nil, false
+	return -1
+}
+
+// popReadyDue removes and returns a comm-waiting thread whose wake time
+// has arrived.
+func (w *Worker) popReadyDue() (*thread, bool) {
+	i := w.readyDue()
+	if i < 0 {
+		return nil, false
+	}
+	th := w.ready[i].th
+	w.ready = append(w.ready[:i], w.ready[i+1:]...)
+	return th, true
 }
 
 // minReadyWait returns the shortest time until a comm-waiting thread wakes.

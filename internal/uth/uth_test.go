@@ -156,7 +156,8 @@ type traceHooks struct {
 	handedBack                                          []any
 }
 
-func (h *traceHooks) Poll(int) { h.polls++ }
+func (h *traceHooks) Poll(int)             { h.polls++ }
+func (h *traceHooks) PollPending(int) bool { return false }
 func (h *traceHooks) OnFork(rank int) any {
 	h.forks++
 	v := h.forks
