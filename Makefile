@@ -9,10 +9,16 @@
 # an AdvanceFunc step and so runs on whichever coroutine (or driver) is
 # dispatching, not on its worker's own. internal/sim needs a Go 1.23+
 # toolchain (README.md, "Install / run").
+#
+# Not a check: `make profile ROW=halo-spmd/4096` CPU-profiles one row of
+# `itybench scaling` and prints the flat top of the profile. It wraps
+#   go test ./internal/bench -run '^$' -bench 'Scaling/halo-spmd/4096' -cpuprofile halo.prof
+# (BenchmarkScaling runs each row through the sweep's own run function), the
+# way to find out where a workload's host time goes before explaining it.
 
 GO ?= go
 
-.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate docscheck linkcheck
+.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate docscheck linkcheck profile
 
 check: fmt vet build test benchmark-test shuffle race golden faults sdc validate docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling
 
@@ -109,6 +115,16 @@ gate-%:
 # the smoke-scale ones are regenerated); commit the result.
 baseline-%:
 	$(GO) run ./cmd/itybench -scale $(SCALE_$*) -o BENCH_$*.json $*
+
+# CPU profile of one scaling row (workload/ranks, as `itybench scaling` names
+# them). The test binary and the profile stay out of the checkout.
+ROW         ?= halo-spmd/4096
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)
+
+profile:
+	$(GO) test ./internal/bench -run '^$$' -bench '^BenchmarkScaling$$/^$(subst /,$$/^,$(ROW))$$' -benchtime 5x \
+		-o $(PROFILE_DIR)/bench.test -outputdir $(PROFILE_DIR) -cpuprofile scaling.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/scaling.prof
 
 # Documentation gates: every package keeps a package comment (and the public
 # ityr package plus internal/pgas — the memory-model contract surface —

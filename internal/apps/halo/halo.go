@@ -25,6 +25,7 @@
 package halo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -94,12 +95,9 @@ type Result struct {
 // HostProcs.
 func (r Result) Digest() string {
 	h := fnv.New64a()
+	var b [8]byte
 	for _, v := range r.FinalState {
-		var b [8]byte
-		bits := math.Float64bits(v)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
 	fmt.Fprintf(h, "rma=%+v\n", r.Stats)
@@ -174,11 +172,12 @@ func Run(cfg Config) (Result, error) {
 		start := p.Now()
 		exchange() // populate ghosts for the first step
 		for step := 0; step < cfg.Steps; step++ {
-			for i := 0; i < cells; i++ {
-				l := loadF64(seg, i)
-				c := loadF64(seg, i+1)
+			// Each cell is loaded once: l, c, rr slide along the segment.
+			l, c := loadF64(seg, 0), loadF64(seg, 1)
+			for i := range tmp {
 				rr := loadF64(seg, i+2)
 				tmp[i] = 0.25*l + 0.5*c + 0.25*rr
+				l, c = c, rr
 			}
 			for i, v := range tmp {
 				storeF64(seg, i+1, v)
@@ -221,21 +220,14 @@ func Run(cfg Config) (Result, error) {
 // uint64Off converts a float64 slot index to a byte offset.
 func uint64Off(slot int) int { return slot * 8 }
 
-func loadBits(seg []byte, slot int) uint64 {
-	off := slot * 8
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(seg[off+i]) << (8 * i)
-	}
-	return v
-}
+// loadBits, loadF64 and storeF64 access a rank's own window memory a word
+// at a time, like rma.Win.LocalUint64 and StoreLocalUint64 without the
+// per-access window check: the little-endian byte order of PutUint64's wire
+// format, whatever the host's.
+func loadBits(seg []byte, slot int) uint64 { return binary.LittleEndian.Uint64(seg[uint64Off(slot):]) }
 
 func loadF64(seg []byte, slot int) float64 { return math.Float64frombits(loadBits(seg, slot)) }
 
 func storeF64(seg []byte, slot int, v float64) {
-	off := slot * 8
-	bits := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		seg[off+i] = byte(bits >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(seg[uint64Off(slot):], math.Float64bits(v))
 }

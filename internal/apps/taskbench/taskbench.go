@@ -24,6 +24,7 @@
 package taskbench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -317,7 +318,7 @@ func task(c *ityr.Ctx, from, to ityr.GSpan[byte], p Params, step, i int) {
 	for k, d := range deps {
 		cell := from.Slice(int64(d)*int64(p.EdgeBytes), int64(d+1)*int64(p.EdgeBytes))
 		v := ityr.Checkout(c, cell, ityr.Read)
-		depVals[k] = leUint64(v)
+		depVals[k] = binary.LittleEndian.Uint64(v)
 		ityr.Checkin(c, cell, ityr.Read)
 	}
 	c.Charge(p.GrainNs)
@@ -344,14 +345,5 @@ func writeCell(c *ityr.Ctx, buf ityr.GSpan[byte], p Params, i int, v uint64) {
 // loadCell reads cell i's value (its first 8 bytes) from a host-side copy
 // of a buffer.
 func loadCell(buf []byte, p Params, i int) uint64 {
-	return leUint64(buf[i*p.EdgeBytes:])
-}
-
-// leUint64 decodes a little-endian uint64 from the head of b.
-func leUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	return binary.LittleEndian.Uint64(buf[i*p.EdgeBytes:])
 }

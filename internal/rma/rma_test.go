@@ -2,6 +2,7 @@ package rma
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"ityr/internal/netmodel"
@@ -303,4 +304,45 @@ func TestLocalOpCompletesAtIssueTime(t *testing.T) {
 		}
 		r.Barrier()
 	})
+}
+
+// TestBarrierBudget holds a barrier on a warm communicator to its host
+// budget: one kernel event per rank — the keyed wake that resumes it — and
+// no allocation. A change that spends a second event or a closure on each
+// wake fails here, not only in the scaling gate.
+func TestBarrierBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: keep other allocators off the count
+	const ranks, warm, n = 64, 4, 100
+	var events, mallocs uint64
+	harness(t, ranks, netmodel.Default(8), func(r *Rank) {
+		for i := 0; i < warm; i++ {
+			r.Barrier()
+		}
+		// The last rank is woken last: once it runs, every event of a
+		// barrier has been popped and the other ranks are parked in the next.
+		last := r.ID() == ranks-1
+		var m0, m1 runtime.MemStats
+		if last {
+			runtime.ReadMemStats(&m0)
+			events = r.c.eng.Stats().Events
+		}
+		for i := 0; i < n; i++ {
+			r.Barrier()
+		}
+		if last {
+			runtime.ReadMemStats(&m1)
+			events = r.c.eng.Stats().Events - events
+			mallocs = m1.Mallocs - m0.Mallocs
+		}
+		r.Barrier() // nobody exits, handing its carrier back, inside the measurement
+	})
+	if events != n*ranks {
+		t.Errorf("%d barriers on %d ranks popped %d events, want %d: one per wake", n, ranks, events, n*ranks)
+	}
+	// Whole objects per barrier, as testing.AllocsPerRun counts them: the
+	// runtime's own stray allocation (one in a hundred runs under -race) is
+	// not a barrier's.
+	if mallocs/n != 0 {
+		t.Errorf("%d barriers on %d ranks allocated %d objects, want none per barrier", n, ranks, mallocs)
+	}
 }

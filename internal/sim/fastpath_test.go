@@ -177,9 +177,9 @@ func TestCurrentDuringFastPath(t *testing.T) {
 // TestSteadyStateDispatchZeroAllocs verifies the pooled-event claim: once
 // the engine's heap slice has warmed up and every process has its carrier,
 // event dispatch — fast-path advances, slow-path interleavings, coalesced
-// handoffs, switches between two processes in lockstep, Park/Wake rounds
-// and the steps of an AdvanceFunc alike — performs zero heap allocations
-// per event.
+// handoffs, switches between two processes in lockstep, Park/Wake rounds,
+// the steps of an AdvanceFunc and a barrier's round of keyed wakes alike —
+// performs zero heap allocations per event.
 func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 	run := func(rounds int) {
 		e := NewEngine()
@@ -213,6 +213,15 @@ func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 				return 10, steps == rounds
 			})
 		})
+		bar := newMiniBarrier(2, 10)
+		for rank := range bar.procs {
+			bar.procs[rank] = e.Spawn("rank", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					p.Advance(10)
+					bar.wait(p, rank) // a keyed wake per rank: the resume itself, no closure
+				}
+			})
+		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +229,7 @@ func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 	const extra = 4096
 	small := testing.AllocsPerRun(5, func() { run(64) })
 	big := testing.AllocsPerRun(5, func() { run(64 + extra) })
-	perEvent := (big - small) / (6 * extra)
+	perEvent := (big - small) / (8 * extra)
 	if perEvent > 0.001 {
 		t.Fatalf("%.4f allocations per event (small run %.1f, big run %.1f), want 0",
 			perEvent, small, big)

@@ -45,7 +45,12 @@
 //  1. Location-independent tie-break keys. Within an instant, events sort
 //     by a 64-bit key: FIFO counters (serial behaviour) < per-shard banded
 //     counters < caller-chosen keyed wakes. Cross-shard merges therefore
-//     land in an order fixed by (time, key) alone.
+//     land in an order fixed by (time, key) alone. A keyed wake is the
+//     resume of its target (see the event type in sim.go): it crosses
+//     shards as one event that routes by its process, and the dispatcher
+//     that pops it — the global queue's or a shard's — resumes the target
+//     in that event, which is the schedule Wake's second, banded-key
+//     resume gave, since that one was always the next pop.
 //  2. Quiescence-defined rounds. A round's contents are a function of the
 //     queues at its start, so the round structure itself is deterministic;
 //     host goroutines only decide *when* work happens, never *what order*
@@ -232,7 +237,9 @@ func (p *Proc) UnpinGlobal() {
 // the target's rank number). Keyed wakes fire after all FIFO-scheduled
 // events of the same instant, in key order, in every execution mode — the
 // order is a property of the workload, not of which host worker scheduled
-// first, which is what makes cross-shard wakeups deterministic.
+// first, which is what makes cross-shard wakeups deterministic. The event
+// queued is q's resume itself: a q parked at t runs in it, a q not parked
+// is granted the permit (see the event type in sim.go).
 //
 // During a parallel round a cross-shard wake must satisfy
 // t ≥ caller.Now() + lookahead, and q must already be parked and stay
@@ -242,10 +249,7 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 		panic("sim: ScheduleWake key out of range")
 	}
 	e := p.eng
-	ev := event{at: t, key: keyedBase | key, fire: q.Wake}
-	if q.shd != nil {
-		ev.shard = int32(q.shd.id)
-	}
+	ev := event{at: t, key: keyedBase | key, proc: q, wake: true}
 	if e.sh == nil || !e.sh.parallel {
 		if t < e.now {
 			panic(fmt.Sprintf("sim: wake at %d before now %d", t, e.now))
@@ -503,6 +507,9 @@ func (s *shard) dispatch(self *Proc) *Proc {
 			s.current = nil
 			s.stats.Callbacks++
 			ev.fire()
+			continue
+		}
+		if ev.wake && !ev.proc.wakeNow() {
 			continue
 		}
 		s.current = ev.proc

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -290,4 +291,169 @@ func TestKeyedWakeOrder(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+}
+
+// A keyed wake is queued as the resume of its target (see the event type).
+// The tests below hold that form to the contract of the callback form it
+// replaced — an event that called Wake, which queued the resume — on the
+// serial engine, on four shards held in the global phase and on four shards
+// in parallel rounds: the stepModes that stay in one phase.
+func eachKeyedMode(t *testing.T, test func(t *testing.T, m stepMode)) {
+	for _, m := range stepModes {
+		if m.handover == 0 {
+			t.Run(m.name, func(t *testing.T) { test(t, m) })
+		}
+	}
+}
+
+// keyedEntry is one line of the keyed-wake program's log: who ran, when, and
+// the shard it belongs to on a four-shard engine.
+type keyedEntry struct {
+	at    Time
+	shard int
+	who   string
+}
+
+// logOf returns the log an entry belongs in: its shard's in parallel rounds,
+// where the shards run concurrently, the engine's one log otherwise.
+func (en keyedEntry) logOf(m stepMode) int {
+	if m.parallel {
+		return en.shard
+	}
+	return 0
+}
+
+// keyedWakeLog is the log of runKeyedWakeProgram in execution order, taken
+// from the serial engine of the commit before keyed wakes became resumes.
+var keyedWakeLog = []keyedEntry{
+	{1080, 0, "callback"}, {1080, 0, "ticker"},
+	{1080, 0, "p0 woke"}, {1080, 0, "p0 again"}, {1080, 0, "p1 woke"}, {1080, 0, "p1 again"},
+	{1080, 1, "p2 woke"}, {1080, 1, "p2 again"}, {1080, 1, "p3 woke"}, {1080, 1, "p3 again"},
+	{1080, 2, "p4 woke"}, {1080, 2, "p4 again"}, {1080, 2, "p5 woke"}, {1080, 2, "p5 again"},
+	{1080, 3, "p6 woke"}, {1080, 3, "p6 again"}, {1080, 3, "p7 woke"}, {1080, 3, "p7 again"},
+	{1140, 0, "p0 saw the permit"}, {1140, 1, "p2 saw the permit"},
+	{1140, 2, "p4 saw the permit"}, {1140, 3, "p6 saw the permit"},
+	{1180, 0, "p1 computed"}, {1180, 0, "p1 unparked"}, {1180, 1, "p3 computed"}, {1180, 1, "p3 unparked"},
+	{1180, 2, "p5 computed"}, {1180, 2, "p5 unparked"}, {1180, 3, "p7 computed"}, {1180, 3, "p7 unparked"},
+}
+
+// runKeyedWakeProgram runs eight ranks, two to a shard, through one barrier
+// released at t=1080 by rank-keyed wakes, and returns what ran in order — one
+// log for the whole engine, or one per shard in parallel rounds, where the
+// shards run concurrently. Three things land on the release instant besides
+// the wakes: a callback and a ticker's resume, both queued at t=0 under FIFO
+// keys, and each rank's Advance(0) right after it wakes. Then every even
+// rank keyed-wakes its odd shard-mate at a time the mate spends in Advance,
+// not parked: the wake must grant one permit, which the mate's next Park
+// consumes, and resume nobody.
+func runKeyedWakeProgram(t *testing.T, m stepMode) ([4][]keyedEntry, EngineStats) {
+	t.Helper()
+	const nproc, latency = 8, Time(1000)
+	const release = 10*nproc + latency
+	e := m.mk()
+	var logs [4][]keyedEntry
+	log := func(at Time, shard int, who string) {
+		en := keyedEntry{at, shard, who}
+		logs[en.logOf(m)] = append(logs[en.logOf(m)], en)
+	}
+	spawn := func(shard int, name string, body func(*Proc)) *Proc {
+		return e.SpawnOn(shard, name, func(p *Proc) {
+			if m.pinned {
+				p.PinGlobal()
+				defer p.UnpinGlobal()
+			}
+			body(p)
+		})
+	}
+	bar := newMiniBarrier(nproc, latency)
+	for i := 0; i < nproc; i++ {
+		rank := i
+		name := fmt.Sprintf("p%d", rank)
+		bar.procs[rank] = spawn(rank/2, name, func(p *Proc) {
+			say := func(what string) { log(p.Now(), rank/2, name+" "+what) }
+			p.Advance(Time(10 * (rank + 1)))
+			bar.wait(p, rank)
+			say("woke")
+			p.Advance(0) // a FIFO resume at the release instant: before the next rank's wake
+			say("again")
+			if rank%2 == 0 {
+				mate := bar.procs[rank+1]
+				p.ScheduleWake(mate, p.Now()+50, uint64(rank+1))
+				p.Advance(60)
+				if mate.parked || mate.permits != 1 {
+					t.Errorf("%s: after a keyed wake in its Advance, parked=%v permits=%d, want one permit",
+						mate.Name, mate.parked, mate.permits)
+				}
+				say("saw the permit")
+				return
+			}
+			p.Advance(100)
+			say("computed")
+			p.Park() // the permit: returns at once
+			say("unparked")
+			if p.permits != 0 {
+				t.Errorf("%s: %d permits left after Park, want 0", name, p.permits)
+			}
+		})
+	}
+	spawn(0, "ticker", func(p *Proc) {
+		p.Advance(release)
+		log(p.Now(), 0, "ticker")
+	})
+	e.At(release, func() { log(release, 0, "callback") })
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return logs, e.Stats()
+}
+
+// TestKeyedWakeContract checks the order keyed wakes run in against the log
+// pinned from the callback form: FIFO events of the release instant first,
+// then each rank in key order, a woken rank's Advance(0) before the next
+// rank's wake, and nothing at all at the instant of a wake that only grants
+// a permit.
+func TestKeyedWakeContract(t *testing.T) {
+	eachKeyedMode(t, func(t *testing.T, m stepMode) {
+		logs, stats := runKeyedWakeProgram(t, m)
+		var want [4][]keyedEntry
+		for _, en := range keyedWakeLog {
+			want[en.logOf(m)] = append(want[en.logOf(m)], en)
+		}
+		if !reflect.DeepEqual(logs, want) {
+			t.Errorf("logs:\n got %v\nwant %v", logs, want)
+		}
+		if m.parallel && stats.Rounds == 0 {
+			t.Errorf("no parallel round ran, stats %+v", stats)
+		}
+		// The callback form popped 55 events here and fired 13 callbacks:
+		// a callback and a resume for each of the barrier's 8 wakes, a
+		// callback for each of the 4 that found their target in Advance.
+		// (On the serial engine: how shards split the work is theirs.)
+		if !m.pinned && !m.parallel && (stats.Events != 55-8 || stats.Callbacks != 13-12) {
+			t.Errorf("%d events, %d callbacks, want 47 and 1: one event per keyed wake, the At callback",
+				stats.Events, stats.Callbacks)
+		}
+	})
+}
+
+// TestKeyedWakeInThePastPanics checks that scheduling a keyed wake before
+// the clock that governs the caller is still refused.
+func TestKeyedWakeInThePastPanics(t *testing.T) {
+	eachKeyedMode(t, func(t *testing.T, m stepMode) {
+		e := m.mk()
+		e.SpawnOn(0, "late", func(p *Proc) {
+			if m.pinned {
+				p.PinGlobal()
+			}
+			p.Advance(100)
+			p.ScheduleWake(p, 50, 0)
+		})
+		want := "sim: wake at 50 before now 100"
+		if m.parallel {
+			want = "sim: wake at 50 before shard clock 100"
+		}
+		if end := underWatchdog(t, func() { _ = e.Run() }); end.panicked != want {
+			t.Fatalf("Run ended %+v, want panic %q", end, want)
+		}
+	})
 }

@@ -19,7 +19,7 @@
 // The one-at-a-time invariant is also the kernel's fast-path licence:
 // whichever process currently runs owns every piece of engine state
 // outright, so it may mutate the clock and the event queue directly instead
-// of asking the driver to do it. Five consequences:
+// of asking the driver to do it. Six consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
 //     Advance(d) simply sets now += d and returns — no switch, no
@@ -49,6 +49,12 @@
 //     something for it to do. The events, their times and their FIFO keys
 //     are those of the process looping over Advance itself; the two
 //     switches per iteration, and the cold stack they touch, are gone.
+//   - Keyed wakes are resumes: the event Proc.ScheduleWake queues — a
+//     barrier queues one per rank — is the resume of its target, not a
+//     callback that calls Wake and so queues the resume as a second event
+//     at the same instant. One event, one heap push and pop, and no
+//     allocation per wake; the schedule is exactly that of the two-event
+//     form (the argument is on the event type).
 //
 // None of this changes simulated timestamps: the fast paths are taken only
 // when the slow path would produce the identical schedule, and the golden
@@ -122,12 +128,35 @@ const (
 // all FIFO keys, so their relative order is a property of the workload
 // (e.g. rank number), not of which host goroutine created them first. The
 // parallel engine's cross-shard merge depends on that location-independence.
+//
+// # A keyed wake is a resume
+//
+// ScheduleWake's event is the resume of its target itself, marked wake:
+// whoever pops it does what Proc.Wake does, except that a parked target is
+// handed the CPU in that very event instead of through a second, FIFO-keyed
+// resume queued at the same instant. The schedule is the one that second
+// event gave, by construction. A keyed key sorts after every FIFO and
+// shard-banded key of its instant, so when a keyed wake is popped nothing
+// else of that instant is left on the queue but keyed wakes with larger
+// keys; the resume Wake pushed — same instant, a FIFO or banded key — was
+// therefore always the very next pop on that queue, with nothing between the
+// two but the push. (Mail waiting in a cross-shard inbox is delivered at a
+// round boundary, never between two pops.) Not queueing it also takes one
+// value out of the FIFO (or the shard's banded) counter per wake, the same
+// for every later event, and keys are only ever compared: every later pair
+// of keys keeps its order. Every simulated time, every digest, Handoffs and
+// FastAdvances are what they were with the two-event form; Callbacks is
+// lower by one per keyed wake and Events by one per keyed wake that found
+// its target parked — ranks × barriers on a barrier-paced program.
 type event struct {
 	at    Time
 	key   uint64
 	proc  *Proc
 	fire  func()
 	shard int32 // owning shard for fire events (sharded engines only)
+	// wake marks a resume queued by ScheduleWake: proc is resumed only if it
+	// is parked when the event is popped, and is granted a permit otherwise.
+	wake bool
 	// steps marks a resume that ends a sleep of AdvanceFunc, queued on the
 	// serial/global queue: whoever pops it there runs the process's step.
 	// It is a hint carried by the event so that an ordinary resume costs
@@ -493,6 +522,9 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 			ev.fire()
 			continue
 		}
+		if ev.wake && !ev.proc.wakeNow() {
+			continue
+		}
 		e.current = ev.proc
 		if ev.steps && !e.runSteps(ev.proc) {
 			continue
@@ -747,6 +779,19 @@ func (p *Proc) Park() {
 	p.yield()
 }
 
+// wakeNow is Wake for the dispatcher that has popped p's keyed wake: it
+// reports whether p was parked — p then runs in this event, no resume is
+// queued — and grants the permit otherwise. A process sleeping in
+// AdvanceFunc is never parked, so a wake that resumes has no step to run.
+func (p *Proc) wakeNow() bool {
+	if !p.parked {
+		p.permits++
+		return false
+	}
+	p.parked = false
+	return true
+}
+
 // Wake unparks p at the current virtual time. If p is not parked, a permit
 // is stored and the next Park returns immediately. Each Wake grants exactly
 // one Park.
@@ -756,11 +801,9 @@ func (p *Proc) Park() {
 // routes them via the window-boundary mailboxes.
 func (p *Proc) Wake() {
 	e := p.eng
-	if !p.parked {
-		p.permits++
+	if !p.wakeNow() {
 		return
 	}
-	p.parked = false
 	if p.shd != nil {
 		if e.sh.parallel {
 			p.shd.scheduleResume(p, p.shd.now)
