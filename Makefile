@@ -1,14 +1,12 @@
 # Checks every PR must pass. `make check` is the full gate; the individual
 # targets exist so CI can fan them out. The race target covers the event
 # kernel and the one-sided layer, whose no-host-races-by-construction claim
-# (one simulated process per engine shard runs at a time, handed the thread
-# by coroutine switch from the shard's one driver; cross-shard traffic and
-# worker failures through the coordinator's channel handshakes and the
-# conservative merge protocol of DESIGN.md §8) is what the whole
-# deterministic simulation rests on — and the scheduler, whose idle loop is
-# an AdvanceFunc step and so runs on whichever coroutine (or driver) is
-# dispatching, not on its worker's own. internal/sim needs a Go 1.23+
-# toolchain (README.md, "Install / run").
+# (one simulated process runs at a time, handed the thread by coroutine
+# switch from the engine's one driver) is what the whole deterministic
+# simulation rests on; the scheduler, whose idle loop is an AdvanceFunc step
+# and so runs on whichever coroutine (or driver) is dispatching, not on its
+# worker's own; and the fleet, the one place engines run concurrently.
+# internal/sim needs a Go 1.23+ toolchain (README.md, "Install / run").
 #
 # Not a check: `make profile ROW=halo-spmd/4096` CPU-profiles one row of
 # `itybench scaling` and prints the flat top of the profile. It wraps
@@ -50,6 +48,7 @@ shuffle:
 
 race:
 	$(GO) test -race ./internal/sim ./internal/rma ./internal/uth
+	$(GO) test -race -run Fleet ./internal/bench
 
 # Whole-module race run (CI's second job; slower than `race`).
 race-all:
@@ -71,22 +70,16 @@ faults:
 # Silent-data-corruption suite: disabled-path digest inertness, seeded
 # corruption determinism, the negative control (defenses down -> output
 # provably corrupt), zero escapes at full replication, combined
-# corruption+flaky-RMA recovery, the wire checksum, and serial/sharded
-# digest parity with replication armed (the parity case also runs under
-# the race detector to prove the protector state is properly sharded).
+# corruption+flaky-RMA recovery and the wire checksum.
 sdc:
 	$(GO) test -count=1 -run 'SDC' ./internal/bench
-	$(GO) test -count=1 -race -run 'SDCShardedParity' ./internal/bench
 
 # Checkout-discipline validator suite: every documented memory-model rule
 # has a failing program whose diagnostic names the rule, window, offset
-# range and task segments; clean DAG runs stay silent; the validator-off
-# hot path allocates nothing; and the serial/sharded violation reports are
-# bit-identical (that parity case also runs under the race detector, since
-# SPMD-phase checkouts reach the validator from parallel host shards).
+# range and task segments; clean DAG runs stay silent; and the
+# validator-off hot path allocates nothing.
 validate:
 	$(GO) test -count=1 -run 'TestValidator' ./internal/core
-	$(GO) test -count=1 -race -run 'TestValidatorShardParity' ./internal/core
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -102,7 +102,7 @@ func main() {
 		if *verify {
 			s.RootExec(func(c *ityr.Ctx) { before = cilksort.Checksum(c, a) })
 		}
-		rt.Profiler().Reset()
+		rt.Profiler().ResetRank(s.Rank())
 		t0 := s.Now()
 		s.RootExec(func(c *ityr.Ctx) { cilksort.Sort(c, a, b, *cutoff) })
 		if s.Rank() == 0 {

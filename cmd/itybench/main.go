@@ -21,8 +21,6 @@
 //	itybench scaling         # 64 → 16,384 simulated-rank sweep (halo +
 //	                         # cilksort) and a 64-simulation fleet; -scale
 //	                         # smoke stops at the paper's 1,728 ranks
-//	itybench -procs 4 fig9   # any suite with the engine sharded over 4 host
-//	                         # workers (same simulated results)
 //	itybench -sched helpfirst fig7
 //	                         # any suite under an alternative scheduling
 //	                         # policy (childfirst | helpfirst | fbc)
@@ -30,8 +28,8 @@
 //	                         # any suite with the cache communication
 //	                         # batching disabled
 //
-// Flags come before the suite name. Host unit costs and shard speedup are
-// not measured here: that is `bash benchmark/run.sh` (BENCHMARK.json).
+// Flags come before the suite name. Host unit costs are not measured here:
+// that is `bash benchmark/run.sh` (BENCHMARK.json).
 package main
 
 import (
@@ -57,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scaleName := fs.String("scale", "full", "experiment scale: smoke, quick, or full")
 	outFile := fs.String("o", "", "write the suite's itoyori-bench/v1 JSON report to this file ('-' for stdout, which moves the table to stderr); gate it with internal/tools/perfgate")
-	procs := fs.Int("procs", 1, "host worker shards for the engine. Simulated results are identical for any value")
 	sched := fs.String("sched", ityr.ChildFirst.String(), "scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
 	coalesce := fs.Bool("coalesce", true, "coalesce adjacent dirty regions into merged write-back puts (cache communication batching)")
 	prefetch := fs.Int("prefetch", 2, "sequential-access prefetch depth in blocks, 0 to disable (cache communication batching)")
@@ -119,9 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("itybench: %v", err)
 	}
 
-	// Simulated output is bit-identical for any -procs value; it only
-	// changes how fast the host gets there.
-	bench.SetHostProcs(*procs)
 	bench.SetCacheBatching(*coalesce, *prefetch)
 	bench.SetRacks(*racks)
 	bench.SetSchedPolicy(pol)

@@ -3,12 +3,8 @@
 // Puts into neighbour ghost cells, fenced by barriers.
 //
 // Unlike the fork-join benchmarks (cilksort, fmm, uts), halo spends its
-// entire life in SPMD mode, so under parallel host execution
-// (Config.HostProcs > 1) every rank's compute and communication runs on
-// its own host shard from the first event to the last — no globally
-// serialized phase at all. That makes it both the determinism stress for
-// the sharded engine's conservative protocol and the workload on which
-// host-speedup is actually measurable.
+// entire life in SPMD mode: only sim, netmodel and rma run, which makes it
+// the control on which a cache or scheduler change must show nothing.
 //
 // Each step, every rank applies a three-point smoothing stencil to its
 // block of cells (real host floating-point work, charged to virtual time
@@ -19,9 +15,7 @@
 // Put into a neighbour's ghost cell lands in the same barrier epoch as
 // the neighbour's stencil read of that cell, and the value observed
 // depends on scheduling order. Data-race-freedom is the property the RMA
-// layer's eager payload movement (and the sharded engine's round
-// isolation) relies on — a racy program is "deterministic" on one shard
-// only by accident of the serial interleaving.
+// layer's eager payload movement relies on.
 package halo
 
 import (
@@ -47,8 +41,9 @@ type Config struct {
 	CellsPerRank int
 	// Steps is the number of stencil iterations.
 	Steps int
-	// HostProcs shards the engine across host workers (0/1 = serial).
-	HostProcs int
+
+	HostProcs int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
+
 	// CellCost is the virtual compute cost charged per cell per step
 	// (defaults to 2ns).
 	CellCost sim.Time
@@ -77,8 +72,6 @@ type Result struct {
 	// FinalState is the concatenated per-rank cell state (ghosts
 	// excluded), used by the digest.
 	FinalState []float64
-	// HostShards records how many shards the engine actually used.
-	HostShards int
 	// Events counts simulation-kernel events popped over the run: the
 	// numerator of host events/sec throughput. Host-side observability
 	// only — deliberately excluded from Digest, which folds simulated
@@ -91,8 +84,7 @@ type Result struct {
 }
 
 // Digest folds every simulated observable into one printable string; two
-// runs of the same Config must produce identical digests regardless of
-// HostProcs.
+// runs of the same Config must produce identical digests.
 func (r Result) Digest() string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -118,7 +110,6 @@ func Run(cfg Config) (Result, error) {
 	rcfg := ityr.Config{
 		Ranks:        cfg.Ranks,
 		CoresPerNode: cfg.CoresPerNode,
-		HostProcs:    cfg.HostProcs,
 		Profile:      cfg.Profile,
 	}
 	if cfg.NodesPerRack > 0 {
@@ -199,7 +190,6 @@ func Run(cfg Config) (Result, error) {
 	res := Result{
 		Elapsed:    elapsed,
 		Stats:      rt.Comm().Stats(),
-		HostShards: rt.Engine().Shards(),
 		Events:     rt.Engine().Stats().Events,
 		FinalState: make([]float64, 0, n*cells),
 	}

@@ -213,7 +213,7 @@ type Result struct {
 }
 
 // Digest folds every simulated observable into one printable string; two
-// runs of the same (Config, Params) must match regardless of HostProcs.
+// runs of the same (Config, Params) must match.
 func (r Result) Digest() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "checksum=%016x tasks=%d edges=%d\n", r.Checksum, r.Tasks, r.Edges)

@@ -193,29 +193,3 @@ func TestGrainExtendsElapsed(t *testing.T) {
 		t.Fatalf("coarse grain elapsed %d <= fine %d", coarse.Elapsed, fine.Elapsed)
 	}
 }
-
-// TestHostProcsParity: the digest must not depend on host sharding, under
-// every scheduling policy (the sharded-engine contract extended to the new
-// policies). The -race CI smoke runs exactly this test.
-func TestHostProcsParity(t *testing.T) {
-	for _, pol := range ityr.SchedPolicies {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			serial := smokeConfig(pol)
-			serial.HostProcs = 1
-			sharded := smokeConfig(pol)
-			sharded.HostProcs = 4
-			r1, err := Run(serial, smokeParams(Nearest))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r4, err := Run(sharded, smokeParams(Nearest))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r1.Digest() != r4.Digest() {
-				t.Fatalf("digest depends on HostProcs:\n  1: %s\n  4: %s", r1.Digest(), r4.Digest())
-			}
-		})
-	}
-}

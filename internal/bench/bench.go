@@ -139,20 +139,6 @@ type Row struct {
 	Value    float64 // figure-specific metric (speedup, nodes/s, idleness...)
 }
 
-// hostProcs is the engine shard count every experiment runtime uses.
-// Simulated results are bit-identical for any value (the parallel host
-// execution contract, see internal/sim); it only changes host wall-clock.
-var hostProcs = 1
-
-// SetHostProcs sets the host worker count for subsequent experiment runs
-// (cmd/itybench's -procs flag). Values below 1 are clamped to 1.
-func SetHostProcs(n int) {
-	if n < 1 {
-		n = 1
-	}
-	hostProcs = n
-}
-
 // cacheCoalesce / cachePrefetch are the cache communication-batching knobs
 // every experiment runtime uses (cmd/itybench's -coalesce / -prefetch
 // flags). Batching is on by default: the headline experiments report the
@@ -207,7 +193,6 @@ func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Co
 	cfg := ityr.Config{
 		Ranks:        ranks,
 		CoresPerNode: coresPerNode,
-		HostProcs:    hostProcs,
 		Pgas: ityr.PgasConfig{
 			BlockSize:         64 << 10,
 			SubBlockSize:      4 << 10,
@@ -247,7 +232,7 @@ func CilksortRun(n, cutoff int64, ranks, coresPerNode int, pol ityr.Policy, seed
 		s.RootExec(func(c *ityr.Ctx) {
 			cilksort.Generate(c, a, uint64(seed))
 		})
-		rt.Profiler().Reset()
+		rt.Profiler().ResetRank(s.Rank())
 		t0 := s.Now()
 		s.RootExec(func(c *ityr.Ctx) {
 			cilksort.Sort(c, a, b, cutoff)

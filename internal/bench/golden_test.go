@@ -43,7 +43,7 @@ func configDigest(t *testing.T, cfg ityr.Config, n, cutoff int64) string {
 		s.RootExec(func(c *ityr.Ctx) {
 			cilksort.Generate(c, a, 11)
 		})
-		rt.Profiler().Reset()
+		rt.Profiler().ResetRank(s.Rank())
 		t0 := s.Now()
 		s.RootExec(func(c *ityr.Ctx) {
 			cilksort.Sort(c, a, b, cutoff)

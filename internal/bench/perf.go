@@ -80,7 +80,6 @@ func PerfSuite(w io.Writer, sc Scale) (*Report, error) {
 		CoresPerNode: sc.CoresPerNode,
 		CellsPerRank: 256,
 		Steps:        20,
-		HostProcs:    hostProcs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("perf suite: halo: %w", err)

@@ -16,9 +16,7 @@ import (
 //
 // kernelDigest covers the fork-join path (cilksort at the Smoke scale,
 // tracing on); the halo digests cover the pure-SPMD path at two geometries,
-// including the 64-rank config the fleet benchmark replicates. Each config
-// is also run sharded (HostProcs > 1) to pin that parallel host execution
-// still reproduces the exact same pre-PR schedule.
+// including the 64-rank config the fleet benchmark replicates.
 
 var pinnedKernelDigests = map[string]string{
 	"No Cache":          "elapsed=1072872 final=1155212 events=13515 fnv=f263a64ed20028ff",
@@ -55,17 +53,13 @@ var pinnedHaloDigests = []struct {
 
 func TestPinnedHaloDigests(t *testing.T) {
 	for _, tc := range pinnedHaloDigests {
-		for _, procs := range []int{1, 4} {
-			cfg := tc.cfg
-			cfg.HostProcs = procs
-			res, err := halo.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Digest(); got != tc.want {
-				t.Errorf("halo %dx%d steps=%d procs=%d diverged from pre-diet capture:\n  pinned: %s\n  got:    %s",
-					cfg.Ranks, cfg.CellsPerRank, cfg.Steps, procs, tc.want, got)
-			}
+		res, err := halo.Run(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Digest(); got != tc.want {
+			t.Errorf("halo %dx%d steps=%d diverged from pre-diet capture:\n  pinned: %s\n  got:    %s",
+				tc.cfg.Ranks, tc.cfg.CellsPerRank, tc.cfg.Steps, tc.want, got)
 		}
 	}
 }

@@ -1,17 +1,16 @@
 // Rank-count scaling sweep and fleet throughput: the paper-scale serving
 // story. The paper evaluates Itoyori at 1,728 ranks (36 A64FX nodes); the
-// sweep here runs the same two workload archetypes — halo (pure SPMD,
-// shardable end to end) and cilksort (fork-join, globally serialized
-// steals) — from 64 simulated ranks up to 16,384, recording how host cost
-// and memory grow with rank count. Fleet mode answers the complementary
+// sweep here runs the same two workload archetypes — halo (pure SPMD) and
+// cilksort (fork-join) — from 64 simulated ranks up to 16,384, recording how
+// host cost and memory grow with rank count. Fleet mode answers the complementary
 // question: how many *independent* deterministic simulations per second
 // the host can serve when they run concurrently on separate goroutines,
 // digest-verified against one another. The simulated half of every row
 // (sim_ns, events, the fork-join rows' handoffs, the fleet's digest verdict)
 // is gated through BENCH_scaling.json; the host half (wall clock,
 // allocation, throughput) is listed in the report's Host and only printed —
-// unit costs and shard speedup are the business of the gated host-time
-// benchmark in benchmark/.
+// unit costs are the business of the gated host-time benchmark in
+// benchmark/.
 package bench
 
 import (
@@ -39,11 +38,10 @@ var scalingHost = []string{
 }
 
 // scalingWorkloads are the sweep's workload archetypes. Each runs the
-// workload at the given rank count (with the package-level hostProcs
-// shard knob) and returns the gated half of its row: simulated ns and
-// kernel events, and for fork-join the process switches too — an exact
-// count on the serial engine, and the one an idle worker that has to be
-// switched in to find nothing to steal would multiply.
+// workload at the given rank count and returns the gated half of its row:
+// simulated ns and kernel events, and for fork-join the process switches
+// too — the count an idle worker that has to be switched in to find nothing
+// to steal would multiply.
 var scalingWorkloads = []struct {
 	name string
 	run  func(ranks int) Metrics
@@ -54,7 +52,6 @@ var scalingWorkloads = []struct {
 			CoresPerNode: 8,
 			CellsPerRank: 256,
 			Steps:        10,
-			HostProcs:    hostProcs,
 		})
 	}},
 	// halo on the three-tier rack topology (4 nodes/rack): same stencil,
@@ -67,7 +64,6 @@ var scalingWorkloads = []struct {
 			NodesPerRack: 4,
 			CellsPerRank: 256,
 			Steps:        10,
-			HostProcs:    hostProcs,
 		})
 	}},
 	{"cilksort-forkjoin", func(ranks int) Metrics {
@@ -148,26 +144,14 @@ func newHostReport(suite string, sc Scale) *Report {
 // digest must match bit for bit.
 var fleetConfig = halo.Config{Ranks: 64, CoresPerNode: 8, CellsPerRank: 256, Steps: 20}
 
-// fleetRun executes sims independent copies of fleetConfig across
-// GOMAXPROCS host goroutines, each member on its own serial engine, and
-// adds the "fleet" row to rep: total_events over all members, digest_ok —
-// every member produced the identical digest; engines running
-// concurrently in one host process must not perturb one another, and a 0
-// here (returned as an error too) means shared mutable state leaked
-// between supposedly independent simulations — and the serving
-// throughput, sims_per_sec and events_per_sec of host wall clock.
-func fleetRun(w io.Writer, sims int, rep *Report) error {
-	workers := min(runtime.GOMAXPROCS(0), sims)
-	rep.Config["fleet_sims"] = sims
-	rep.Config["fleet_ranks_per_sim"] = fleetConfig.Ranks
-	rep.Config["host_workers"] = workers
-	digests := make([]string, sims)
-	events := make([]uint64, sims)
-	var completed atomic.Uint64
-	stopHB := watchCounter(fmt.Sprintf("fleet x%d ranks=%d", sims, fleetConfig.Ranks), sims, &completed)
+// fleetMembers runs sims independent copies of fleetConfig on workers host
+// goroutines, each member on an engine of its own, and returns every
+// member's digest and event count; completed counts the members done.
+func fleetMembers(sims, workers int, completed *atomic.Uint64) (digests []string, events []uint64) {
+	digests = make([]string, sims)
+	events = make([]uint64, sims)
 	var wg sync.WaitGroup
 	next := make(chan int)
-	t0 := time.Now()
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -188,6 +172,25 @@ func fleetRun(w io.Writer, sims int, rep *Report) error {
 	}
 	close(next)
 	wg.Wait()
+	return digests, events
+}
+
+// fleetRun runs the fleet across GOMAXPROCS host goroutines and adds the
+// "fleet" row to rep: total_events over all members, digest_ok — every
+// member produced the identical digest; engines running concurrently in
+// one host process must not perturb one another, and a 0 here (returned
+// as an error too) means shared mutable state leaked between supposedly
+// independent simulations — and the serving throughput, sims_per_sec and
+// events_per_sec of host wall clock.
+func fleetRun(w io.Writer, sims int, rep *Report) error {
+	workers := min(runtime.GOMAXPROCS(0), sims)
+	rep.Config["fleet_sims"] = sims
+	rep.Config["fleet_ranks_per_sim"] = fleetConfig.Ranks
+	rep.Config["host_workers"] = workers
+	var completed atomic.Uint64
+	stopHB := watchCounter(fmt.Sprintf("fleet x%d ranks=%d", sims, fleetConfig.Ranks), sims, &completed)
+	t0 := time.Now()
+	digests, events := fleetMembers(sims, workers, &completed)
 	stopHB()
 	hostSec := time.Since(t0).Seconds()
 	var total uint64

@@ -140,29 +140,6 @@ func TestSDCCombinedFlakyRecovery(t *testing.T) {
 	}
 }
 
-// TestSDCShardedParity pins that replication without a fault plan keeps
-// the sharded host engine digest-identical to the serial engine: the
-// protector's per-rank streams are engine-schedule-independent, so arming
-// heavy replication must not open a serial-vs-parallel divergence. (With a
-// corruption plan armed the runtime pins shards=1 itself, so the
-// fault-free case is exactly the one that must hold.) Run under -race this
-// also proves the protector state is properly sharded.
-func TestSDCShardedParity(t *testing.T) {
-	digest := func(procs int) string {
-		cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
-		cfg.HostProcs = procs
-		cfg.SDC = &ityr.SDCConfig{Replicate: 0.5}
-		return configDigest(t, cfg, Smoke.CilksortN, Smoke.Cutoffs[0])
-	}
-	serial := digest(0)
-	for _, procs := range []int{2, 4} {
-		if got := digest(procs); got != serial {
-			t.Errorf("procs=%d digest diverged with replication armed:\n  serial: %s\n  procs:  %s",
-				procs, serial, got)
-		}
-	}
-}
-
 // TestSDCWireCRC pins the wire-corruption side: under the sdc-wire plan
 // the payload checksum (armed with the defenses) must catch and retransmit
 // every in-flight flip so the run verifies, while the same plan with the

@@ -45,7 +45,7 @@ func SetHeartbeat(w io.Writer, every time.Duration) {
 // watchEngine starts the heartbeat for one in-flight simulation and
 // returns its stop function (a no-op func when disarmed). The watcher
 // polls the engine's live snapshots from its own goroutine; the engine
-// publishes them at serial pop intervals and sharded round boundaries.
+// publishes them every few thousand pops.
 func watchEngine(label string, ranks int, eng *sim.Engine) func() {
 	w, every := hbWriter, hbEvery
 	if every <= 0 {

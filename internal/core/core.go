@@ -57,16 +57,9 @@ type Config struct {
 	// while a checkout's remote fetch is in flight, the rank runs other
 	// ready tasks instead of stalling.
 	Overlap bool
-	// HostProcs shards the simulated ranks across this many host worker
-	// goroutines (sim.NewEngineShards): SPMD/RMA phases execute in
-	// parallel conservative rounds, while fork-join regions pin the engine
-	// to its globally serialized phase (their steal protocol interacts at
-	// sub-lookahead granularity). 0 or 1 selects the serial engine. All
-	// simulated observables — times, traffic stats, traces, digests — are
-	// bit-identical across HostProcs values; only host wall-clock and
-	// host-side EngineStats counters vary. Runs with Faults armed force
-	// the serial engine: straggler windows are engine-global callbacks.
-	HostProcs int
+
+	HostProcs int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
+
 	// Faults, when non-nil, arms the deterministic fault-injection plan:
 	// link-degradation windows in the network model, transient RMA
 	// failures with retry/backoff, straggler windows scheduled as engine
@@ -96,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed != 0 && c.Sched.Seed == 0 {
 		c.Sched.Seed = c.Seed
 	}
-	if c.HostProcs == 0 {
-		c.HostProcs = 1
-	}
 	return c
 }
 
@@ -124,17 +114,7 @@ func NewRuntime(cfg Config) *Runtime {
 		net = *cfg.Net
 		net.CoresPerNode = cfg.CoresPerNode
 	}
-	shards := cfg.HostProcs
-	if shards > cfg.Ranks {
-		shards = cfg.Ranks
-	}
-	if cfg.Faults != nil {
-		// Straggler windows run as engine-global callbacks and link
-		// perturbations consult a shared plan; keep those runs on the
-		// serial engine rather than weaken the shard isolation argument.
-		shards = 1
-	}
-	eng := sim.NewEngineShards(shards, net.MinLatency())
+	eng := sim.NewEngine()
 	var inj *fault.Injector
 	if cfg.Faults != nil {
 		inj = fault.NewInjector(*cfg.Faults, cfg.Ranks)
@@ -255,13 +235,6 @@ func (rt *Runtime) MetricsSnapshot() metrics.Snapshot {
 	reg.Counter("sim_handoffs").Set(es.Handoffs)
 	reg.Counter("sim_callbacks").Set(es.Callbacks)
 	reg.Counter("sim_spawns").Set(es.Spawns)
-	// Host-side parallel-execution counters: how many quiesce rounds the
-	// sharded engine ran and how many global->parallel splits it took.
-	// Zero on a serial (HostProcs=1) run; like sim_handoffs these describe
-	// the host's path through the simulation, not simulated behaviour, so
-	// they are excluded from determinism digests.
-	reg.Counter("sim_parallel_rounds").Set(es.Rounds)
-	reg.Counter("sim_parallel_splits").Set(es.Splits)
 
 	cs := rt.comm.Stats()
 	reg.Counter("rma_get_ops").Set(cs.GetOps)
@@ -444,14 +417,10 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // Run executes spmd once per rank (the program's SPMD mode, as launched by
 // mpiexec) and drives the simulation to completion.
 func (rt *Runtime) Run(spmd func(s *SPMD)) error {
-	shards := rt.eng.Shards()
 	for i := 0; i < rt.cfg.Ranks; i++ {
 		r := rt.comm.Rank(i)
 		s := &SPMD{rt: rt, rank: i, local: rt.space.Local(i)}
-		// Rank-contiguous block partitioning onto host shards, so shard
-		// assignment (and with it the parallel round structure) is a pure
-		// function of (Ranks, HostProcs).
-		rt.eng.SpawnOn(i*shards/rt.cfg.Ranks, fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+		rt.eng.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 			r.Attach(p)
 			spmd(s)
 		})
@@ -486,8 +455,7 @@ func (s *SPMD) Rank() int { return s.rank }
 // NRanks returns the total number of ranks.
 func (s *SPMD) NRanks() int { return s.rt.cfg.Ranks }
 
-// Now returns the rank's current virtual time (its shard clock under
-// parallel host execution).
+// Now returns the rank's current virtual time.
 func (s *SPMD) Now() sim.Time { return s.local.Rank().Proc().Now() }
 
 // Local returns the rank's PGAS handle for SPMD-mode memory access.

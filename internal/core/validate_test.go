@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // validateCfg is the machine every validator test runs on: small blocks so
 // a few bytes exercise real cache traffic, multiple nodes so continuations
 // migrate, and the validator armed.
-func validateCfg(hostProcs int) Config {
+func validateCfg() Config {
 	return Config{
 		Ranks:        4,
 		CoresPerNode: 2,
@@ -23,8 +22,7 @@ func validateCfg(hostProcs int) Config {
 			BlockSize: 512, SubBlockSize: 64, CacheSize: 8192,
 			Policy: pgas.WriteBackLazy, Validate: true,
 		},
-		Seed:      7,
-		HostProcs: hostProcs,
+		Seed: 7,
 	}
 }
 
@@ -34,9 +32,9 @@ func validateCfg(hostProcs int) Config {
 // checks out the overlapping [base+32, base+96) in contMode. It returns
 // the recorded violations and the fail-fast error the overlapping checkout
 // observed.
-func runOverlapScenario(t *testing.T, childMode, contMode pgas.Mode, hostProcs int) ([]trace.ViolationRecord, error) {
+func runOverlapScenario(t *testing.T, childMode, contMode pgas.Mode) ([]trace.ViolationRecord, error) {
 	t.Helper()
-	rt := NewRuntime(validateCfg(hostProcs))
+	rt := NewRuntime(validateCfg())
 	var vioErr error
 	err := rt.Run(func(s *SPMD) {
 		var base pgas.Addr
@@ -104,7 +102,7 @@ func checkViolation(t *testing.T, recs []trace.ViolationRecord, vioErr error, ru
 }
 
 func TestValidatorWriteUnderRead(t *testing.T) {
-	recs, vioErr := runOverlapScenario(t, pgas.Read, pgas.ReadWrite, 0)
+	recs, vioErr := runOverlapScenario(t, pgas.Read, pgas.ReadWrite)
 	v := checkViolation(t, recs, vioErr, "write-under-read")
 	if v.Rank == v.OtherRank {
 		t.Fatalf("expected a cross-rank overlap (stolen continuation), got both on rank %d", v.Rank)
@@ -112,19 +110,19 @@ func TestValidatorWriteUnderRead(t *testing.T) {
 }
 
 func TestValidatorConflictingCheckouts(t *testing.T) {
-	recs, vioErr := runOverlapScenario(t, pgas.Write, pgas.Write, 0)
+	recs, vioErr := runOverlapScenario(t, pgas.Write, pgas.Write)
 	checkViolation(t, recs, vioErr, "conflicting-checkouts")
 }
 
 // TestValidatorReadUnderWrite is the symmetric write-under-read case: the
 // reader arrives second.
 func TestValidatorReadUnderWrite(t *testing.T) {
-	recs, vioErr := runOverlapScenario(t, pgas.ReadWrite, pgas.Read, 0)
+	recs, vioErr := runOverlapScenario(t, pgas.ReadWrite, pgas.Read)
 	checkViolation(t, recs, vioErr, "write-under-read")
 }
 
 func TestValidatorUseAfterCheckin(t *testing.T) {
-	rt := NewRuntime(validateCfg(0))
+	rt := NewRuntime(validateCfg())
 	var vioErr error
 	err := rt.Run(func(s *SPMD) {
 		var base pgas.Addr
@@ -149,7 +147,7 @@ func TestValidatorUseAfterCheckin(t *testing.T) {
 }
 
 func TestValidatorUnreleasedWrite(t *testing.T) {
-	rt := NewRuntime(validateCfg(0))
+	rt := NewRuntime(validateCfg())
 	var vioErr error
 	err := rt.Run(func(s *SPMD) {
 		var base pgas.Addr
@@ -234,25 +232,11 @@ func TestValidatorCleanRuns(t *testing.T) {
 	}
 }
 
-// TestValidatorShardParity runs the same violating program on the serial
-// engine and on four host shards: the violation report (every field of
-// every record) must be identical, because fork-join regions execute in
-// the globally serialized engine phase regardless of sharding.
-func TestValidatorShardParity(t *testing.T) {
-	serialRecs, serialErr := runOverlapScenario(t, pgas.Read, pgas.ReadWrite, 1)
-	shardRecs, shardErr := runOverlapScenario(t, pgas.Read, pgas.ReadWrite, 4)
-	checkViolation(t, serialRecs, serialErr, "write-under-read")
-	checkViolation(t, shardRecs, shardErr, "write-under-read")
-	if !reflect.DeepEqual(serialRecs, shardRecs) {
-		t.Fatalf("violation reports diverge:\nserial:  %+v\nsharded: %+v", serialRecs, shardRecs)
-	}
-}
-
 // TestValidatorOffZeroAllocs pins the validator-off hot path: a warm
 // read-hit checkout/checkin pair allocates nothing on the host, so leaving
 // the validator off costs only its nil checks.
 func TestValidatorOffZeroAllocs(t *testing.T) {
-	cfg := validateCfg(0)
+	cfg := validateCfg()
 	cfg.Ranks, cfg.CoresPerNode = 2, 1 // two nodes: block 1 is remote to rank 0
 	cfg.Pgas.Validate = false
 	rt := NewRuntime(cfg)

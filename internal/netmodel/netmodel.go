@@ -244,35 +244,6 @@ func (p Params) AtomicTime(a, b int) sim.Time {
 	return p.AtomicRTT
 }
 
-// MinLatency returns the smallest one-way latency any cross-rank
-// interaction can be charged: the minimum positive latency over the
-// configured tiers (intra-node, intra-rack, fabric). This is the lookahead
-// bound for conservative parallel host execution (sim.NewEngineShards): no
-// rank can affect another rank's simulated state sooner than MinLatency
-// after initiating an operation, so events less than MinLatency apart on
-// different shards are causally independent. Perturbations (fault plans)
-// only ever add time, so they never shrink the bound.
-//
-// Zero-valued tiers are skipped symmetrically — a Params with only one
-// latency set still yields that latency instead of zero, and the fully
-// degenerate all-zero Params yields zero (callers needing a sharded engine
-// must then configure a latency, as NewEngineShards rejects a zero
-// lookahead).
-func (p Params) MinLatency() sim.Time {
-	min := sim.Time(0)
-	consider := func(t sim.Time) {
-		if t > 0 && (min == 0 || t < min) {
-			min = t
-		}
-	}
-	consider(p.Latency)
-	if p.NodesPerRack > 0 {
-		consider(p.rackLatency())
-	}
-	consider(p.IntraLatency)
-	return min
-}
-
 // TransferTimeAt is TransferTime plus any fault-plan perturbation active
 // at virtual time now. With no Perturber (or a == b) it equals
 // TransferTime exactly.

@@ -129,55 +129,6 @@ func TestAtVariantsApplyPerturber(t *testing.T) {
 	}
 }
 
-func TestMinLatency(t *testing.T) {
-	p := Default(8)
-	if got := p.MinLatency(); got != p.IntraLatency {
-		t.Errorf("default MinLatency = %d, want intra-node latency %d", got, p.IntraLatency)
-	}
-	p.IntraLatency = 0 // single-core nodes: no intra-node hops configured
-	if got := p.MinLatency(); got != p.Latency {
-		t.Errorf("MinLatency with no intra latency = %d, want %d", got, p.Latency)
-	}
-	p.IntraLatency = p.Latency * 2 // inter-node is the floor
-	if got := p.MinLatency(); got != p.Latency {
-		t.Errorf("MinLatency = %d, want inter-node latency %d", got, p.Latency)
-	}
-}
-
-// TestMinLatencyDegenerate: every zero tier is skipped symmetrically, so a
-// Params with any single latency configured yields that latency, and the
-// all-zero Params yields zero rather than silently picking one tier's zero
-// as a "minimum" (the historical bug guarded IntraLatency but not Latency).
-func TestMinLatencyDegenerate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Params
-		want sim.Time
-	}{
-		{"all zero", Params{}, 0},
-		{"fabric only", Params{Latency: 900}, 900},
-		{"intra only, zero fabric", Params{IntraLatency: 250}, 250},
-		{"rack tier set but inactive (NodesPerRack 0)",
-			Params{Latency: 900, RackLatency: 500}, 900},
-		{"rack below fabric", Params{CoresPerNode: 4, NodesPerRack: 2,
-			Latency: 900, RackLatency: 500}, 500},
-		{"rack unset falls back to fabric", Params{CoresPerNode: 4,
-			NodesPerRack: 2, Latency: 900}, 900},
-		{"intra floor under three tiers", Params{CoresPerNode: 4,
-			NodesPerRack: 2, Latency: 900, RackLatency: 500,
-			IntraLatency: 250}, 250},
-		{"single-node machine, intra only", Params{CoresPerNode: 64,
-			IntraLatency: 250}, 250},
-		{"single rank, fabric configured", Params{CoresPerNode: 1,
-			Latency: 1200}, 1200},
-	}
-	for _, tc := range cases {
-		if got := tc.p.MinLatency(); got != tc.want {
-			t.Errorf("%s: MinLatency = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestRackTopology: rack indexing and the tier predicate.
 func TestRackTopology(t *testing.T) {
 	p := Default(4)
@@ -247,9 +198,6 @@ func TestThreeTierCosts(t *testing.T) {
 	if q.AtomicTime(0, 5) != q.AtomicRTT {
 		t.Error("unset RackAtomicRTT should fall back to fabric AtomicRTT")
 	}
-	if q.MinLatency() != Default(4).MinLatency() {
-		t.Error("unset rack latency must not change MinLatency")
-	}
 }
 
 // TestTwoTierDefaultUnchanged: with NodesPerRack at its zero default the
@@ -275,9 +223,6 @@ func TestTwoTierDefaultUnchanged(t *testing.T) {
 		if p.AtomicTime(a, b) != r.AtomicTime(a, b) {
 			t.Errorf("AtomicTime(%d,%d) changed with inert rack fields", a, b)
 		}
-	}
-	if p.MinLatency() != r.MinLatency() {
-		t.Error("MinLatency changed with inert rack fields")
 	}
 }
 

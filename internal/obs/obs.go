@@ -25,7 +25,7 @@ import (
 // Apply carries them into a Config, Write emits the requested dumps.
 type Options struct {
 	trace, metrics, profile string
-	ring, procs             int
+	ring                    int
 	sched                   string
 	coalesce                bool
 	prefetch                int
@@ -56,8 +56,6 @@ func Register() *Options {
 	// never truncate) is the graceful-degradation companion.
 	flag.IntVar(&o.ring, "tracering", 0,
 		"bound the trace to the most recent N events per rank (ring buffer); 0 keeps everything")
-	flag.IntVar(&o.procs, "procs", 0,
-		"host engine shards for parallel execution (0 = serial; results are identical either way)")
 	flag.BoolVar(&o.Validate, "validate", false,
 		"enforce the checkout-discipline memory-model contract (see PITFALLS.md); violations abort with a diagnostic")
 	flag.StringVar(&o.sched, "sched", uth.ChildFirst.String(),
@@ -80,11 +78,9 @@ func Register() *Options {
 // Apply carries the parsed flag values into cfg, whose Seed must already
 // be set (the -sdc plan is seeded from it). A nonempty -trace or -profile
 // arms the span trace or the streaming collector for the run; negative
-// prefetch depths are clamped to 0 (off); corruption injection forces the
-// serial engine (fault plans pin shards=1) while replication alone keeps
-// sharded runs digest-identical. An unknown -sched value returns the parse
-// error listing the valid set; callers should treat it as a usage error
-// (exit 2).
+// prefetch depths are clamped to 0 (off). An unknown -sched value returns
+// the parse error listing the valid set; callers should treat it as a usage
+// error (exit 2).
 func (o *Options) Apply(cfg *core.Config) error {
 	pol, err := uth.ParseSchedPolicy(o.sched)
 	if err != nil {
@@ -94,7 +90,6 @@ func (o *Options) Apply(cfg *core.Config) error {
 	cfg.Trace = cfg.Trace || o.trace != ""
 	cfg.Profile = o.profile != ""
 	cfg.TraceRing = o.ring
-	cfg.HostProcs = o.procs
 	cfg.Pgas.Validate = o.Validate
 	cfg.Pgas.CoalesceWriteBack = o.coalesce
 	cfg.Pgas.PrefetchBlocks = max(o.prefetch, 0)

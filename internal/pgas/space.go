@@ -78,11 +78,8 @@ type Space struct {
 	// handles are indexed, not individually heap-allocated.
 	locals []Local
 
-	// Stats aggregates cache behaviour over the whole space. It is one
-	// struct shared by every rank and mutated without synchronization from
-	// whatever phase a rank checks out in: fork-join regions are globally
-	// serialized, but SPMD-phase checkouts under HostProcs > 1 race on it
-	// (PITFALLS.md, "SPMD-phase checkouts under host shards").
+	// Stats aggregates cache behaviour over the whole space: one struct
+	// shared by every rank.
 	Stats SpaceStats
 	// Batch aggregates communication-batching behaviour (write-back
 	// coalescing and prefetch). Kept separate from Stats so runs with the

@@ -41,8 +41,7 @@ package pgas
 // records the virtual time of its last completed acquire fence (which
 // self-invalidates its cache). A remote write is proven visible iff it
 // was home before the reader's last acquire: only then is every stale
-// copy of it provably gone from the reader's cache. Virtual times are
-// bit-identical across host shardings, so the verdicts are too. Any true
+// copy of it provably gone from the reader's cache. Any true
 // release→acquire chain (fork handlers, steal acquires, migration
 // fences) homes the writes before the dependent acquire completes, so
 // data-race-free programs never trip the rule — including tasks reading
@@ -51,7 +50,6 @@ package pgas
 
 import (
 	"fmt"
-	"sync"
 
 	"ityr/internal/sim"
 	"ityr/internal/trace"
@@ -114,14 +112,10 @@ type writeRec struct {
 // retiredRing bounds the use-after-checkin lookback window.
 const retiredRing = 128
 
-// validator holds the space-global discipline state. All methods are
-// mutex-guarded: checkout/checkin traffic is serialized by the engine's
-// fork-join phase, but SPMD-phase accesses may run on parallel host
-// shards and the reports must stay identical (and race-free) either way.
+// validator holds the space-global discipline state.
 type validator struct {
 	space *Space
 
-	mu      sync.Mutex
 	out     []valRec // outstanding checkouts, all ranks, append order
 	retired []valRec // ring of recently retired checkouts
 	retPos  int
@@ -183,8 +177,6 @@ func (v *validator) onCheckout(l *Local, lo, hi uint64, mode Mode) error {
 	now := l.rank.Proc().Now()
 	rank := l.rank.ID()
 	task := v.space.taskOf(rank)
-	v.mu.Lock()
-	defer v.mu.Unlock()
 
 	// Concurrent-checkout rules: scan the outstanding rights of other
 	// task segments for overlap.
@@ -245,9 +237,7 @@ func (v *validator) onCheckout(l *Local, lo, hi uint64, mode Mode) error {
 func (v *validator) registerCheckout(l *Local, lo, hi uint64, mode Mode, t0 sim.Time) {
 	rank := l.rank.ID()
 	task := v.space.taskOf(rank)
-	v.mu.Lock()
 	v.out = append(v.out, valRec{lo: lo, hi: hi, mode: mode, rank: rank, task: task, t0: t0})
-	v.mu.Unlock()
 }
 
 // onCheckin retires the matching outstanding right and, for written
@@ -255,8 +245,6 @@ func (v *validator) registerCheckout(l *Local, lo, hi uint64, mode Mode, t0 sim.
 func (v *validator) onCheckin(l *Local, lo, hi uint64, mode Mode) {
 	now := l.rank.Proc().Now()
 	rank := l.rank.ID()
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	for i := len(v.out) - 1; i >= 0; i-- {
 		o := v.out[i]
 		if o.rank != rank || o.lo != lo || o.hi != hi || o.mode != mode {
@@ -306,8 +294,6 @@ func (v *validator) noteWrite(lo, hi uint64, rank int, task int64, t sim.Time) {
 // home-visible (splitting records homed only in part). The first homing
 // wins — re-putting already-homed bytes cannot make them less visible.
 func (v *validator) markHomed(lo, hi uint64, now sim.Time) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	keep := make([]writeRec, 0, len(v.writes)+2)
 	for _, w := range v.writes {
 		if w.homed >= 0 || w.hi <= lo || w.lo >= hi {
@@ -345,8 +331,6 @@ func (v *validator) onMissingCheckin(l *Local, lo, hi uint64, mode Mode) error {
 	now := l.rank.Proc().Now()
 	rank := l.rank.ID()
 	task := v.space.taskOf(rank)
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	for i := len(v.retired) - 1; i >= 0; i-- {
 		o := v.retired[(v.retPos+i)%len(v.retired)]
 		if o.rank != rank || o.lo != lo || o.hi != hi || o.mode != mode {
@@ -368,17 +352,12 @@ func (v *validator) onMissingCheckin(l *Local, lo, hi uint64, mode Mode) error {
 // release on the old rank before the thread resumes — so the comparison
 // homed <= acqT always admits properly synchronized reads.
 func (v *validator) onAcquire(rank int, now sim.Time) {
-	v.mu.Lock()
 	v.acqT[rank] = now
-	v.mu.Unlock()
 }
 
 // Violations returns the violations recorded so far, ordered by the time
-// the rule tripped (ties by rank, then global offset) so serial and
-// host-sharded runs of the same program report identically.
+// the rule tripped (ties by rank, then global offset).
 func (v *validator) Violations() []trace.ViolationRecord {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	out := append([]trace.ViolationRecord(nil), v.viol...)
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && less(&out[j], &out[j-1]); j-- {

@@ -18,13 +18,10 @@
 //     doubles (folding pairs of buckets, exactly) whenever a span lands
 //     past the end, so any run length fits the same storage.
 //
-// Everything is per rank: each rank mutates only its own accumulator, so
-// recording is lock-free under parallel host execution (the same argument
-// as the rma per-rank counters), and the snapshot merge — a rank-ordered
-// fold — is deterministic regardless of shard count. Recording never
-// advances virtual time, so profiles are digest-inert. A nil *Profile is
-// the off switch: every method is nil-safe and allocation-free, matching
-// the trace/metrics discipline.
+// Everything is per rank: each rank mutates only its own accumulator.
+// Recording never advances virtual time, so profiles are digest-inert. A
+// nil *Profile is the off switch: every method is nil-safe and
+// allocation-free, matching the trace/metrics discipline.
 package profile
 
 import (
@@ -83,7 +80,7 @@ const (
 
 // rec is one rank's accumulator. Fixed size by construction (the matrix
 // row is only allocated at or below MatrixMaxRanks); each rank writes only
-// its own rec, which keeps recording lock-free under sharded execution.
+// its own rec.
 type rec struct {
 	spanNs [numSpanKinds]uint64
 
@@ -369,9 +366,7 @@ type Doc struct {
 	Timeline Timeline `json:"timeline"`
 }
 
-// Snapshot merges the per-rank accumulators into a Doc. The merge is a
-// rank-ordered fold over state that is itself independent of host
-// execution, so the result is bit-identical across host shard counts.
+// Snapshot merges the per-rank accumulators into a Doc, in rank order.
 // Safe to call only when the simulation is idle.
 func (p *Profile) Snapshot() *Doc {
 	doc := &Doc{Schema: Schema, Ranks: len(p.ranks)}
@@ -477,7 +472,7 @@ func (p *Profile) hotPairs() ([]HotPair, bool) {
 
 // WriteJSON writes the snapshot as indented JSON. Field order is fixed by
 // the Doc struct and every merge is rank-ordered, so the bytes are stable
-// across runs and host shard counts.
+// across runs.
 func (p *Profile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

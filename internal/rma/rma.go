@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"ityr/internal/fault"
 	"ityr/internal/netmodel"
@@ -80,23 +79,16 @@ type Comm struct {
 	// before fail-stop. 0 (the default) lets wire flips land silently.
 	sdcReplays int
 
-	// Barrier state: per-rank virtual arrival times plus an atomic arrival
-	// counter. Writing the slot before the Add and reading all slots only
-	// after observing the final Add is the release/acquire pattern that
-	// makes the last arriver's max-over-slots read race-free even when
-	// ranks arrive from different host shards.
-	barSlots   []atomic.Int64
-	barArrived atomic.Int32
+	// Barrier state: per-rank virtual arrival times and the number of
+	// ranks that have arrived at the current episode.
+	barSlots   []sim.Time
+	barArrived int
 
-	// barriers counts completed episodes. Only the releaser of an episode
-	// touches it, and consecutive releasers are ordered by the barrier
-	// itself, so no synchronization is needed.
-	barriers uint64
+	barriers uint64 // completed episodes
 
-	// nwins numbers windows in creation order. Window creation is a
-	// setup-time or globally serialized operation, so a plain counter is
-	// race-free; the resulting IDs give callers a deterministic sort key
-	// (sorting by *Win pointer would depend on the host allocator).
+	// nwins numbers windows in creation order; the resulting IDs give
+	// callers a deterministic sort key (sorting by *Win pointer would depend
+	// on the host allocator).
 	nwins int
 }
 
@@ -105,7 +97,7 @@ type Comm struct {
 // sized by the communicator (the per-target pending table) is now a pruned
 // pair list that grows only with each rank's live communication fan-out.
 func New(e *sim.Engine, n int, p netmodel.Params) *Comm {
-	c := &Comm{eng: e, net: p, barSlots: make([]atomic.Int64, n)}
+	c := &Comm{eng: e, net: p, barSlots: make([]sim.Time, n)}
 	c.ranks = make([]Rank, n)
 	for i := range c.ranks {
 		c.ranks[i].id = i
@@ -217,10 +209,7 @@ func (c *Comm) SdcWire() SdcWireStats {
 }
 
 // Stats returns cumulative traffic counters: the sum of every rank's
-// per-rank counters. Keeping the counters per rank (each rank only ever
-// increments its own) is what lets window ops run concurrently on
-// different host shards without locks; call Stats from outside the
-// simulation, or from a globally serialized section.
+// per-rank counters.
 func (c *Comm) Stats() Stats {
 	s := Stats{Barriers: c.barriers}
 	for i := range c.ranks {
@@ -262,10 +251,8 @@ func (c *Comm) Stats() Stats {
 // instead; CheckAccess performs the same classification without the panic.
 //
 // All mutable per-operation state (NIC serialization watermark, pending
-// completion time, traffic and retry counters) is private to the rank, so
-// ranks on different host shards may drive their endpoints concurrently
-// during parallel execution; cross-rank synchronization happens only
-// through Barrier.
+// completion time, traffic and retry counters) is private to the rank;
+// cross-rank synchronization happens only through Barrier.
 type Rank struct {
 	id   int
 	c    *Comm
@@ -602,11 +589,8 @@ func (r *Rank) PendingTime() sim.Time { return r.pending }
 // dissemination cost of ceil(log2 n) one-way latencies — and schedules a
 // keyed wake for every rank (itself included) at that instant, keyed by
 // rank number. The release time and the wake order are therefore pure
-// functions of the arrival times: which host goroutine happens to arrive
-// last has no observable effect, which is what keeps barrier-paced phases
-// bit-identical between serial and parallel host execution. The release
-// offset is at least one link latency, satisfying the sharded engine's
-// cross-shard lookahead contract.
+// functions of the arrival times: which rank happens to arrive last has no
+// observable effect.
 func (r *Rank) Barrier() {
 	c := r.c
 	n := len(c.ranks)
@@ -615,11 +599,11 @@ func (r *Rank) Barrier() {
 		return
 	}
 	arrive := r.proc.Now()
-	c.barSlots[r.id].Store(arrive)
-	if int(c.barArrived.Add(1)) == n {
+	c.barSlots[r.id] = arrive
+	if c.barArrived++; c.barArrived == n {
 		rel := sim.Time(0)
-		for i := range c.barSlots {
-			if t := sim.Time(c.barSlots[i].Load()); t > rel {
+		for _, t := range c.barSlots {
+			if t > rel {
 				rel = t
 			}
 		}
@@ -629,7 +613,7 @@ func (r *Rank) Barrier() {
 		}
 		rel += sim.Time(steps) * c.net.Latency
 		c.barriers++
-		c.barArrived.Store(0)
+		c.barArrived = 0
 		for i := range c.ranks {
 			r.proc.ScheduleWake(c.ranks[i].proc, rel, uint64(i))
 		}
@@ -647,9 +631,8 @@ type Win struct {
 }
 
 // ID returns the window's creation-order number within its communicator.
-// Windows are created in a deterministic order (setup or globally
-// serialized allocation), so the ID is stable across runs and usable as a
-// sort key where a pointer comparison would not be.
+// Windows are created in a deterministic order, so the ID is stable across
+// runs and usable as a sort key where a pointer comparison would not be.
 func (w *Win) ID() int { return w.id }
 
 // NewWin creates a window where rank i exposes sizes[i] bytes. It is a
@@ -713,8 +696,7 @@ func (w *Win) Generation(rank int) uint64 { return w.gens[rank] }
 // so no in-flight transfer ever reads or writes the segment after Grow
 // returns — growing mid-flight cannot corrupt an outstanding op. Reads of
 // a just-grown segment by other ranks in the same epoch are well-defined
-// under the kernel's baton discipline (global, or per-shard with Grows
-// confined to globally serialized or barrier-separated phases): either the Grow fits
+// under the kernel's one-process-at-a-time discipline: either the Grow fits
 // within the existing capacity, in which case the segment is extended in
 // place and every previously taken slice still aliases the same backing
 // array, or the backing array is reallocated (with doubled capacity, so

@@ -25,30 +25,6 @@ func sleepLiteral(p *Proc, d Time, step func() (Time, bool)) {
 	}
 }
 
-// stepMode says where a stepProgram's steps run.
-type stepMode struct {
-	name   string
-	mk     func() *Engine
-	pinned bool // every stepper holds a global pin while it steps
-	// parallel: the steps run in parallel rounds, where a step may not call
-	// At and may wake only its own shard's processes, so the program leaves
-	// callbacks out and keeps a log per group.
-	parallel bool
-	// handover > 0: the steppers start in a global phase that another
-	// process's pin holds until that time, and finish in parallel rounds —
-	// resumes queued by a dispatcher's step are popped by a shard's.
-	handover Time
-}
-
-func fourShards() *Engine { return NewEngineShards(4, 100) }
-
-var stepModes = []stepMode{
-	{name: "serial", mk: NewEngine},
-	{name: "4 shards pinned global", mk: fourShards, pinned: true},
-	{name: "4 shards parallel rounds", mk: fourShards, parallel: true},
-	{name: "4 shards global then parallel", mk: fourShards, parallel: true, handover: 60},
-}
-
 // stepOp is what one step of a stepper does besides sleeping on.
 type stepOp struct {
 	sleep    Time // the sleep that ends in this step
@@ -58,11 +34,11 @@ type stepOp struct {
 	num, den int64
 }
 
-const stepGroups = 4 // one per shard on the sharded engines
+const stepGroups = 4
 
 // stepResult is everything the two executions must agree on, and Handoffs.
 type stepResult struct {
-	log   [stepGroups + 1][]string // per group; the last is every group's, in order
+	log   []string
 	now   Time
 	stats EngineStats
 }
@@ -73,28 +49,16 @@ type stepResult struct {
 // — and of parkers, which log every wake-up and sleep a little of their own.
 // Durations come from a handful of small values, zero among them, so the
 // processes keep landing on the same instant.
-func runStepProgram(t *testing.T, m stepMode, seed int64, sleep func(*Proc, Time, func() (Time, bool))) stepResult {
+func runStepProgram(t *testing.T, seed int64, sleep func(*Proc, Time, func() (Time, bool))) stepResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	durs := []Time{0, 5, 5, 10, 10, 15, 20, 40}
-	e := m.mk()
+	e := NewEngine()
 	var res stepResult
-	if m.handover > 0 {
-		e.SpawnOn(0, "pinner", func(p *Proc) {
-			p.PinGlobal()
-			p.Advance(m.handover)
-			p.UnpinGlobal()
-		})
+	record := func(p *Proc, what string) {
+		res.log = append(res.log, fmt.Sprintf("%d %s %s", p.Now(), p.Name, what))
 	}
 	for g := 0; g < stepGroups; g++ {
-		g := g
-		record := func(p *Proc, what string) {
-			line := fmt.Sprintf("%d %s %s", p.Now(), p.Name, what)
-			res.log[g] = append(res.log[g], line)
-			if !m.parallel {
-				res.log[stepGroups] = append(res.log[stepGroups], line)
-			}
-		}
 		nSteppers, nParkers := 2+rng.Intn(4), 1+rng.Intn(3)
 		steppers := make([]*Proc, nSteppers)
 		parkers := make([]*Proc, nParkers)
@@ -102,7 +66,7 @@ func runStepProgram(t *testing.T, m stepMode, seed int64, sleep func(*Proc, Time
 		left := nSteppers
 		for i := range parkers {
 			own := durs[1+rng.Intn(len(durs)-1)]
-			parkers[i] = e.SpawnOn(g, fmt.Sprintf("parker%d.%d", g, i), func(p *Proc) {
+			parkers[i] = e.Spawn(fmt.Sprintf("parker%d.%d", g, i), func(p *Proc) {
 				for {
 					p.Park()
 					if stop {
@@ -124,27 +88,19 @@ func runStepProgram(t *testing.T, m stepMode, seed int64, sleep func(*Proc, Time
 				case 0, 1:
 					op.wake = rng.Intn(nParkers)
 				case 2:
-					if !m.parallel {
-						op.after = durs[rng.Intn(len(durs))]
-					}
+					op.after = durs[rng.Intn(len(durs))]
 				case 3:
 					op.rescale = rng.Intn(nSteppers)
 					op.num, op.den = int64(rng.Intn(4)), int64(1+rng.Intn(2)) // num 0: back to nominal
 				}
 				script[k] = op
 			}
-			steppers[i] = e.SpawnOn(g, fmt.Sprintf("stepper%d.%d", g, i), func(p *Proc) {
-				if m.pinned || m.handover > 0 {
-					p.PinGlobal() // resumes in the global phase
-				}
-				if m.handover > 0 {
-					p.UnpinGlobal()
-				}
+			steppers[i] = e.Spawn(fmt.Sprintf("stepper%d.%d", g, i), func(p *Proc) {
 				pc := 0
 				sleep(p, script[0].sleep, func() (Time, bool) {
 					op := script[pc]
 					record(p, fmt.Sprintf("step %d", pc))
-					if !m.parallel && e.Current() != p {
+					if e.Current() != p {
 						t.Errorf("%s step %d: Current() = %v", p.Name, pc, e.Current())
 					}
 					if op.wake >= 0 {
@@ -153,8 +109,7 @@ func runStepProgram(t *testing.T, m stepMode, seed int64, sleep func(*Proc, Time
 					if op.after >= 0 {
 						at := p.Now()
 						e.After(op.after, func() {
-							line := fmt.Sprintf("%d callback of %s at %d", e.Now(), p.Name, at)
-							res.log[stepGroups] = append(res.log[stepGroups], line)
+							res.log = append(res.log, fmt.Sprintf("%d callback of %s at %d", e.Now(), p.Name, at))
 						})
 					}
 					if op.rescale >= 0 {
@@ -173,9 +128,6 @@ func runStepProgram(t *testing.T, m stepMode, seed int64, sleep func(*Proc, Time
 				})
 				record(p, "through")
 				p.Advance(5)
-				if m.pinned {
-					p.UnpinGlobal()
-				}
 			})
 		}
 	}
@@ -191,39 +143,34 @@ func runStepProgram(t *testing.T, m stepMode, seed int64, sleep func(*Proc, Time
 }
 
 func TestAdvanceFuncMatchesAdvanceLoop(t *testing.T) {
-	for _, m := range stepModes {
-		t.Run(m.name, func(t *testing.T) {
-			var stepped, literal uint64
-			for seed := int64(1); seed <= 40; seed++ {
-				got := runStepProgram(t, m, seed, (*Proc).AdvanceFunc)
-				want := runStepProgram(t, m, seed, sleepLiteral)
-				for g := range want.log {
-					if !reflect.DeepEqual(got.log[g], want.log[g]) {
-						t.Fatalf("seed %d: log %d differs\nAdvanceFunc:\n  %s\nAdvance loop:\n  %s", seed, g,
-							strings.Join(got.log[g], "\n  "), strings.Join(want.log[g], "\n  "))
-					}
-				}
-				if got.now != want.now {
-					t.Errorf("seed %d: final clock %d, the Advance loop's %d", seed, got.now, want.now)
-				}
-				gs, ws := got.stats, want.stats
-				stepped += gs.Handoffs
-				literal += ws.Handoffs
-				if gs.Handoffs > ws.Handoffs {
-					t.Errorf("seed %d: %d handoffs, the Advance loop's %d", seed, gs.Handoffs, ws.Handoffs)
-				}
-				gs.Handoffs, ws.Handoffs = 0, 0
-				if gs != ws {
-					t.Errorf("seed %d: stats %+v, the Advance loop's %+v", seed, gs, ws)
-				}
+	t.Run("serial", func(t *testing.T) {
+		var stepped, literal uint64
+		for seed := int64(1); seed <= 40; seed++ {
+			got := runStepProgram(t, seed, (*Proc).AdvanceFunc)
+			want := runStepProgram(t, seed, sleepLiteral)
+			if !reflect.DeepEqual(got.log, want.log) {
+				t.Fatalf("seed %d: log differs\nAdvanceFunc:\n  %s\nAdvance loop:\n  %s", seed,
+					strings.Join(got.log, "\n  "), strings.Join(want.log, "\n  "))
 			}
-			// A parallel round runs the loop itself: nothing to save there.
-			if (!m.parallel || m.handover > 0) && stepped >= literal {
-				t.Errorf("%d handoffs in all through AdvanceFunc, %d through the Advance loop: want fewer", stepped, literal)
+			if got.now != want.now {
+				t.Errorf("seed %d: final clock %d, the Advance loop's %d", seed, got.now, want.now)
 			}
-			t.Logf("handoffs over 40 programs: AdvanceFunc %d, Advance loop %d", stepped, literal)
-		})
-	}
+			gs, ws := got.stats, want.stats
+			stepped += gs.Handoffs
+			literal += ws.Handoffs
+			if gs.Handoffs > ws.Handoffs {
+				t.Errorf("seed %d: %d handoffs, the Advance loop's %d", seed, gs.Handoffs, ws.Handoffs)
+			}
+			gs.Handoffs, ws.Handoffs = 0, 0
+			if gs != ws {
+				t.Errorf("seed %d: stats %+v, the Advance loop's %+v", seed, gs, ws)
+			}
+		}
+		if stepped >= literal {
+			t.Errorf("%d handoffs in all through AdvanceFunc, %d through the Advance loop: want fewer", stepped, literal)
+		}
+		t.Logf("handoffs over 40 programs: AdvanceFunc %d, Advance loop %d", stepped, literal)
+	})
 }
 
 // TestStepMustNotBlock pins the contract's one prohibition: a step that
@@ -240,28 +187,25 @@ func TestStepMustNotBlock(t *testing.T) {
 		{"Park", func(p *Proc) { p.Park() }},
 		{"AdvanceFunc", func(p *Proc) { p.AdvanceFunc(1, never) }},
 	}
-	for _, k := range engineKinds {
-		for _, mu := range misuses {
-			for _, queued := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%s/%s/queued=%v", k.name, mu.call, queued), func(t *testing.T) {
-					e := k.mk()
-					if queued {
-						spawnBystanders(e)
-					}
-					e.SpawnOn(e.Shards()-1, "bad", func(p *Proc) {
-						p.PinGlobal()
-						p.AdvanceFunc(50, func() (Time, bool) {
-							mu.block(p)
-							return 0, true
-						})
+	for _, mu := range misuses {
+		for _, queued := range []bool{true, false} {
+			t.Run(fmt.Sprintf("serial/%s/queued=%v", mu.call, queued), func(t *testing.T) {
+				e := NewEngine()
+				if queued {
+					spawnBystander(e)
+				}
+				e.Spawn("bad", func(p *Proc) {
+					p.AdvanceFunc(50, func() (Time, bool) {
+						mu.block(p)
+						return 0, true
 					})
-					end := underWatchdog(t, func() { _ = e.Run() })
-					msg, _ := end.panicked.(string)
-					if want := "sim: " + mu.call + " called from an AdvanceFunc step"; !strings.HasPrefix(msg, want) {
-						t.Fatalf("Run ended %+v, want a panic starting %q", end, want)
-					}
 				})
-			}
+				end := underWatchdog(t, func() { _ = e.Run() })
+				msg, _ := end.panicked.(string)
+				if want := "sim: " + mu.call + " called from an AdvanceFunc step"; !strings.HasPrefix(msg, want) {
+					t.Fatalf("Run ended %+v, want a panic starting %q", end, want)
+				}
+			})
 		}
 	}
 }

@@ -14,9 +14,9 @@ import "iter"
 // scheduler, a channel or a futex.
 //
 // A carrier outlives the bodies it runs: when one returns, the carrier
-// parks itself in its engine's (or shard's) pool and the next first resume
-// there takes it, grown stack and all, instead of paying for iter.Pull
-// again. Run stops every pooled carrier before it returns.
+// parks itself in its engine's pool and the next first resume there takes
+// it, grown stack and all, instead of paying for iter.Pull again. Run stops
+// every pooled carrier before it returns.
 type carrier struct {
 	proc  *Proc                // the process whose body runs at the next switch in
 	next  func() (*Proc, bool) // driver side: switch in; returns what the process yielded
@@ -45,9 +45,7 @@ func (c *carrier) loop(yield func(*Proc) bool) {
 	}
 }
 
-// carrierPool holds the idle carriers of one driver at a time: the serial
-// engine's, or one shard's. A shard's pool is touched by its worker during
-// parallel rounds and by the coordinator during global phases, never both.
+// carrierPool holds an engine's idle carriers.
 type carrierPool []*carrier
 
 // stopAll ends every pooled carrier's coroutine.
@@ -65,10 +63,9 @@ func (cp *carrierPool) stopAll() {
 func (p *Proc) resume() *Proc {
 	c := p.car
 	if c == nil {
-		cp := p.pool()
-		if n := len(*cp); n > 0 {
-			c = (*cp)[n-1]
-			*cp = (*cp)[:n-1]
+		if pool := p.eng.pool; len(pool) > 0 {
+			c = pool[len(pool)-1]
+			p.eng.pool = pool[:len(pool)-1]
 		} else {
 			c = newCarrier()
 		}
@@ -82,6 +79,5 @@ func (p *Proc) resume() *Proc {
 func (p *Proc) release() {
 	c := p.car
 	c.proc, p.car = nil, nil
-	cp := p.pool()
-	*cp = append(*cp, c)
+	p.eng.pool = append(p.eng.pool, c)
 }

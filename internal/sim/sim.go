@@ -71,33 +71,24 @@
 // on its process panics with a message naming the call. During a step
 // Engine.Current is the stepping process (during a callback it is nil).
 // A step does not always run in engine context: after a sleep that took
-// the zero-handoff fast path, and in a sharded engine's parallel rounds,
-// its own process calls it. It must not care.
+// the zero-handoff fast path its own process calls it. It must not care.
 //
 // # Panics and Goexit in a process body
 //
 // A body's panic, and a runtime.Goexit such as t.Fatal's, ends its carrier
 // and is re-raised on the driver, so it leaves Run on the goroutine that
-// called it (a shard worker forwards it to the coordinator first): the
-// panic with the value the body gave, though with the driver's stack, not
-// the body's. The run is over at that point; processes suspended mid-body
-// keep their carriers, as the parked processes of a deadlock do — they
-// could only be unwound by running their deferred calls against a dead
-// engine. A panic in engine context — a callback's or a step's — unwinds
-// the stack it ran on: straight out of Run when that is the driver's;
-// otherwise through the body of the process that was dispatching, whose
-// deferred calls run (and may recover it) as if the panic were its own,
-// and from there out of Run the same way.
+// called it: the panic with the value the body gave, though with the
+// driver's stack, not the body's. The run is over at that point; processes
+// suspended mid-body keep their carriers, as the parked processes of a
+// deadlock do — they could only be unwound by running their deferred calls
+// against a dead engine. A panic in engine context — a callback's or a
+// step's — unwinds the stack it ran on: straight out of Run when that is the
+// driver's; otherwise through the body of the process that was dispatching,
+// whose deferred calls run (and may recover it) as if the panic were its
+// own, and from there out of Run the same way.
 //
-// # Parallel host execution
-//
-// Engines created by NewEngineShards relax the one-driver invariant:
-// processes are assigned to shards, each with its own event queue and
-// clock, and shards drain conservative time windows on separate host
-// goroutines, each a trampoline of its own (see shard.go for the protocol
-// and its determinism argument). The serial engine from NewEngine is
-// unchanged — everything above still holds for it — and a sharded engine
-// degenerates to it when asked for one shard.
+// An engine uses one host thread (DESIGN.md §8 has the reason); engines
+// share nothing, so independent simulations may run side by side.
 package sim
 
 import (
@@ -122,12 +113,10 @@ const (
 // (proc != nil) or an engine-context callback (fire != nil).
 //
 // key is the tie-break within an instant. Events created in engine or
-// process context get the next value of a FIFO counter (scheduling order,
-// exactly the pre-parallel kernel's behaviour); events created by
-// Proc.ScheduleWake carry a caller-chosen key in a space that sorts after
-// all FIFO keys, so their relative order is a property of the workload
-// (e.g. rank number), not of which host goroutine created them first. The
-// parallel engine's cross-shard merge depends on that location-independence.
+// process context get the next value of a FIFO counter (scheduling order);
+// events created by Proc.ScheduleWake carry a caller-chosen key in a space
+// that sorts after all FIFO keys, so their relative order is a property of
+// the workload (e.g. rank number), not of who scheduled first.
 //
 // # A keyed wake is a resume
 //
@@ -135,46 +124,37 @@ const (
 // whoever pops it does what Proc.Wake does, except that a parked target is
 // handed the CPU in that very event instead of through a second, FIFO-keyed
 // resume queued at the same instant. The schedule is the one that second
-// event gave, by construction. A keyed key sorts after every FIFO and
-// shard-banded key of its instant, so when a keyed wake is popped nothing
-// else of that instant is left on the queue but keyed wakes with larger
-// keys; the resume Wake pushed — same instant, a FIFO or banded key — was
-// therefore always the very next pop on that queue, with nothing between the
-// two but the push. (Mail waiting in a cross-shard inbox is delivered at a
-// round boundary, never between two pops.) Not queueing it also takes one
-// value out of the FIFO (or the shard's banded) counter per wake, the same
-// for every later event, and keys are only ever compared: every later pair
-// of keys keeps its order. Every simulated time, every digest, Handoffs and
-// FastAdvances are what they were with the two-event form; Callbacks is
-// lower by one per keyed wake and Events by one per keyed wake that found
-// its target parked — ranks × barriers on a barrier-paced program.
+// event gave, by construction. A keyed key sorts after every FIFO key of its
+// instant, so when a keyed wake is popped nothing else of that instant is
+// left on the queue but keyed wakes with larger keys; the resume Wake
+// pushed — same instant, a FIFO key — was therefore always the very next
+// pop, with nothing between the two but the push. Not queueing it also takes
+// one value out of the FIFO counter per wake, the same for every later
+// event, and keys are only ever compared: every later pair of keys keeps its
+// order. Every simulated time, every digest, Handoffs and FastAdvances are
+// what they were with the two-event form; Callbacks is lower by one per
+// keyed wake and Events by one per keyed wake that found its target parked —
+// ranks × barriers on a barrier-paced program.
 type event struct {
-	at    Time
-	key   uint64
-	proc  *Proc
-	fire  func()
-	shard int32 // owning shard for fire events (sharded engines only)
+	at   Time
+	key  uint64
+	proc *Proc
+	fire func()
 	// wake marks a resume queued by ScheduleWake: proc is resumed only if it
 	// is parked when the event is popped, and is granted a permit otherwise.
 	wake bool
-	// steps marks a resume that ends a sleep of AdvanceFunc, queued on the
-	// serial/global queue: whoever pops it there runs the process's step.
-	// It is a hint carried by the event so that an ordinary resume costs
-	// dispatch no look at a process that may be cold (1–2% of a 4,096-rank
-	// halo run when it did): a stepping process whose resume is popped
-	// without it, or by a parallel round's dispatcher, which ignores it,
-	// runs its step itself.
+	// steps marks a resume that ends a sleep of AdvanceFunc: whoever pops it
+	// runs the process's step. It rides on the event so that an ordinary
+	// resume costs dispatch no look at a process that may be cold (1–2% of a
+	// 4,096-rank halo run when it did).
 	steps bool
 }
 
-// Key spaces for event.key. FIFO keys count up from zero; each shard's
-// parallel-round keys live in a disjoint band above them; keyed wakes sort
-// last within an instant in every mode.
+// Key spaces for event.key. FIFO keys count up from zero; keyed wakes sort
+// last within an instant.
 const (
-	keyShardShift = 40                           // FIFO counters stay below 1<<40
-	keyedBase     = uint64(1) << 63              // ScheduleWake keys
-	keyedMask     = keyedBase - 1                // caller key must fit below keyedBase
-	keyShardMask  = uint64(1)<<keyShardShift - 1 // per-shard FIFO width
+	keyedBase = uint64(1) << 63 // ScheduleWake keys
+	keyedMask = keyedBase - 1   // caller key must fit below keyedBase
 )
 
 // EngineStats counts kernel activity for observability. All counters are
@@ -186,38 +166,29 @@ type EngineStats struct {
 	Handoffs     uint64 // resumes popped for a process other than the one dispatching
 	Callbacks    uint64 // engine-context callbacks fired
 	Spawns       uint64 // processes created
-	Rounds       uint64 // parallel rounds completed (sharded engines)
-	Splits       uint64 // global→parallel transitions (sharded engines)
 }
 
-// Engine is a discrete-event simulation engine. The zero value is not
-// usable; create engines with NewEngine (serial) or NewEngineShards
-// (parallel host execution, see shard.go).
+// Engine is a discrete-event simulation engine; create one with NewEngine.
 type Engine struct {
 	now     Time
 	queue   []event // 4-ary min-heap ordered by (at, key)
 	seq     uint64
 	live    procList
 	current *Proc
-	pool    carrierPool // idle carriers (serial engines; shards have their own)
+	pool    carrierPool // idle carriers
 	stats   EngineStats
-
-	// sh is non-nil for engines created by NewEngineShards with more than
-	// one shard. All parallel behaviour hangs off it; when nil, every path
-	// below is the serial kernel unchanged.
-	sh *sharded
 
 	// liveNow/liveEvents are low-frequency snapshots of the clock and the
 	// dispatched-event count, published for host-side progress reporting
 	// (LiveTime/LiveEvents). They are written by whichever process or driver
-	// is dispatching — every few thousand pops on the serial path, at round
-	// boundaries on the sharded path — so reading them from a heartbeat
-	// goroutine is race-free, cheap, and never perturbs the simulation.
+	// is dispatching, every few thousand pops, so reading them from a
+	// heartbeat goroutine is race-free, cheap, and never perturbs the
+	// simulation.
 	liveNow    atomic.Int64
 	liveEvents atomic.Uint64
 }
 
-// liveEvery sets how many serial event pops elapse between live-snapshot
+// liveEvery sets how many event pops elapse between live-snapshot
 // publications (a power of two; the check is a mask on a counter the pop
 // path maintains anyway).
 const liveEvery = 4096
@@ -231,21 +202,10 @@ func (e *Engine) LiveTime() Time { return e.liveNow.Load() }
 // with the same concurrency contract as LiveTime.
 func (e *Engine) LiveEvents() uint64 { return e.liveEvents.Load() }
 
-// publishLive refreshes the live snapshots from the aggregate stats. Only
-// call with the engine quiescent or from its one running context.
+// publishLive refreshes the live snapshots.
 func (e *Engine) publishLive() {
-	now := e.now
-	ev := e.stats.Events
-	if e.sh != nil {
-		for _, shd := range e.sh.shards {
-			ev += shd.stats.Events
-			if shd.now > now {
-				now = shd.now
-			}
-		}
-	}
-	e.liveNow.Store(now)
-	e.liveEvents.Store(ev)
+	e.liveNow.Store(e.now)
+	e.liveEvents.Store(e.stats.Events)
 }
 
 // procList is an intrusive doubly-linked list of live processes, threaded
@@ -305,26 +265,8 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Stats returns the cumulative kernel counters. On a sharded engine the
-// per-shard counters are folded in; call it only while the engine is idle
-// or in a global phase. Counter values (Handoffs, FastAdvances, ...) are
-// host-execution details and may legitimately differ between shard counts
-// even though all simulated observables are bit-identical.
-func (e *Engine) Stats() EngineStats {
-	s := e.stats
-	if e.sh != nil {
-		s.Rounds = e.sh.rounds
-		s.Splits = e.sh.splits
-		for _, shd := range e.sh.shards {
-			s.Events += shd.stats.Events
-			s.FastAdvances += shd.stats.FastAdvances
-			s.Handoffs += shd.stats.Handoffs
-			s.Callbacks += shd.stats.Callbacks
-			s.Spawns += shd.stats.Spawns
-		}
-	}
-	return s
-}
+// Stats returns the cumulative kernel counters.
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // eventLess orders the heap by deadline, then by tie-break key (FIFO
 // within an instant for engine- and process-scheduled events).
@@ -336,8 +278,7 @@ func eventLess(a, b *event) bool {
 }
 
 // heapPush inserts ev into the 4-ary heap held in q and returns the
-// (possibly reallocated) slice. Shared by the serial queue and the
-// per-shard queues.
+// (possibly reallocated) slice.
 func heapPush(q []event, ev event) []event {
 	q = append(q, ev)
 	i := len(q) - 1
@@ -381,10 +322,10 @@ func heapPop(q []event) (event, []event) {
 	return top, q
 }
 
-// push inserts ev into the engine's serial/global queue.
+// push inserts ev into the engine's queue.
 func (e *Engine) push(ev event) { e.queue = heapPush(e.queue, ev) }
 
-// pop removes and returns the earliest event from the serial/global queue.
+// pop removes and returns the earliest event from the queue.
 func (e *Engine) pop() event {
 	e.stats.Events++
 	if e.stats.Events&(liveEvery-1) == 0 {
@@ -397,27 +338,18 @@ func (e *Engine) pop() event {
 
 // At schedules fn to run in engine context at time t. fn must not block;
 // it runs between process executions. Scheduling in the past is an error.
-// On a sharded engine, At may only be called before Run or while the
-// engine is in its global (serial) phase.
 func (e *Engine) At(t Time, fn func()) {
-	if e.sh != nil && e.sh.parallel {
-		panic("sim: At called during a parallel round; use Proc.ScheduleWake or schedule before Run")
-	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	ev := event{at: t, key: e.seq, fire: fn}
-	if cur := e.current; cur != nil && cur.shd != nil {
-		ev.shard = int32(cur.shd.id)
-	}
-	e.push(ev)
+	e.push(event{at: t, key: e.seq, fire: fn})
 }
 
 // After schedules fn to run in engine context after duration d.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// scheduleResume queues a resume of p at time t on the serial/global queue.
+// scheduleResume queues a resume of p at time t.
 func (e *Engine) scheduleResume(p *Proc, t Time) {
 	e.seq++
 	e.push(event{at: t, key: e.seq, proc: p, steps: p.step != nil})
@@ -425,33 +357,11 @@ func (e *Engine) scheduleResume(p *Proc, t Time) {
 
 // Spawn creates a new simulated process that will begin executing fn at the
 // current virtual time (after already-queued events for this instant).
-// The name is used in diagnostics only. On a sharded engine the process
-// inherits the spawning process's shard (shard 0 from engine context); use
-// SpawnOn to choose a shard explicitly.
+// The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	shard := 0
-	if e.sh != nil && e.current != nil && e.current.shd != nil {
-		shard = e.current.shd.id
-	}
-	return e.SpawnOn(shard, name, fn)
-}
-
-// SpawnOn is Spawn with an explicit shard assignment. The process's events
-// run on that shard's host worker during parallel rounds. On a serial
-// engine the shard index is ignored. SpawnOn may only be called before Run
-// or during a global phase.
-func (e *Engine) SpawnOn(shard int, name string, fn func(*Proc)) *Proc {
-	if e.sh != nil && e.sh.parallel {
-		panic("sim: Spawn during a parallel round")
-	}
 	p := &Proc{Name: name, eng: e, body: fn}
 	e.stats.Spawns++
-	if e.sh != nil {
-		p.shd = e.sh.shards[shard]
-		p.shd.live.add(p)
-	} else {
-		e.live.add(p)
-	}
+	e.live.add(p)
 	e.scheduleResume(p, e.now)
 	return p
 }
@@ -461,38 +371,17 @@ func (e *Engine) SpawnOn(shard int, name string, fn func(*Proc)) *Proc {
 // should name.
 func (p *Proc) exit() *Proc {
 	p.dead = true
-	if p.shd != nil {
-		p.shd.live.remove(p)
-	} else {
-		p.eng.live.remove(p)
-	}
-	q := p.dispatch(nil)
+	p.eng.live.remove(p)
+	q := p.eng.dispatch(nil)
 	p.release()
 	return q
-}
-
-// pool returns the carrier pool p's carrier comes from and goes back to.
-func (p *Proc) pool() *carrierPool {
-	if p.shd != nil {
-		return &p.shd.pool
-	}
-	return &p.eng.pool
-}
-
-// dispatch runs the event loop that governs p — its shard's during a
-// parallel round, the engine's otherwise — on p's behalf.
-func (p *Proc) dispatch(self *Proc) *Proc {
-	if p.shd != nil && p.eng.sh.parallel {
-		return p.shd.dispatch(self)
-	}
-	return p.eng.dispatch(self)
 }
 
 // yield gives up the virtual CPU until p's next resume is popped — the
 // caller has queued it, or left it to a Wake. p dispatches inline first and
 // switches out only when that hands to a different process or to none.
 func (p *Proc) yield() {
-	if q := p.dispatch(p); q != p {
+	if q := p.eng.dispatch(p); q != p {
 		p.car.yield(q)
 	}
 }
@@ -502,15 +391,12 @@ func (p *Proc) yield() {
 // AdvanceFunc — inline until it pops a resume that a process has to be
 // switched in for, and returns that process for the caller to switch to — self itself when the
 // resume is the caller's own, which then simply keeps running. It returns
-// nil when there is nothing more to run here: the queue has drained
-// (deadlock detection happens in Run) or, on a sharded engine, the last pin
-// has been released and pending events should run in parallel rounds
-// instead.
+// nil when the queue has drained (deadlock detection happens in Run).
 //
-// self is nil in the drivers and at process exit.
+// self is nil in the driver and at process exit.
 func (e *Engine) dispatch(self *Proc) *Proc {
 	for {
-		if len(e.queue) == 0 || e.sh != nil && e.sh.pins.Load() == 0 {
+		if len(e.queue) == 0 {
 			e.current = nil
 			return nil
 		}
@@ -556,8 +442,8 @@ func (e *Engine) runSteps(p *Proc) bool {
 	}
 }
 
-// fastAdvance takes the zero-handoff fast path of a sleep of d on the
-// serial/global queue when it may — d is positive and no queued event fires
+// fastAdvance takes the zero-handoff fast path of a sleep of d when it
+// may — d is positive and no queued event fires
 // at or before now+d, so whoever sleeps would be resumed next in any case —
 // and reports whether it did.
 func (e *Engine) fastAdvance(d Time) bool {
@@ -569,10 +455,9 @@ func (e *Engine) fastAdvance(d Time) bool {
 	return false
 }
 
-// drive is the trampoline of the serial engine and of a sharded engine's
-// global phase: it dispatches to the first process, then switches into
-// whichever process the last one handed to, until one hands to none — its
-// dispatch found nothing more to run, and neither would the driver's.
+// drive is the trampoline: it dispatches to the first process, then switches
+// into whichever process the last one handed to, until one hands to none —
+// its dispatch found nothing more to run, and neither would the driver's.
 func (e *Engine) drive() {
 	for p := e.dispatch(nil); p != nil; {
 		p = p.resume()
@@ -596,11 +481,8 @@ func (d *DeadlockError) Error() string {
 
 // Run executes events until the queue is empty. It returns a *DeadlockError
 // if any process is still alive (parked forever) when the queue drains, and
-// nil otherwise. Run may be called at most once on a sharded engine.
+// nil otherwise.
 func (e *Engine) Run() error {
-	if e.sh != nil {
-		return e.runSharded()
-	}
 	defer e.pool.stopAll()
 	e.drive()
 	if e.live.n > 0 {
@@ -619,7 +501,6 @@ type Proc struct {
 	Name string
 
 	eng *Engine
-	shd *shard   // nil on serial engines
 	car *carrier // nil until the first resume and after the body returns
 
 	// step is the function AdvanceFunc is running between p's sleeps, nil
@@ -632,8 +513,8 @@ type Proc struct {
 	parked  bool
 	permits int32 // with the two flags, one word: a Proc stays in the 96-byte size class
 
-	// livePrev/liveNext thread the engine's (or shard's) intrusive list
-	// of live processes; see procList.
+	// livePrev/liveNext thread the engine's intrusive list of live
+	// processes; see procList.
 	livePrev, liveNext *Proc
 
 	// scaleNum/scaleDen stretch Advance durations (straggler modelling);
@@ -644,14 +525,8 @@ type Proc struct {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now returns the current virtual time: the process's shard clock during
-// parallel rounds, the global clock otherwise.
-func (p *Proc) Now() Time {
-	if p.shd != nil && p.eng.sh.parallel {
-		return p.shd.now
-	}
-	return p.eng.now
-}
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Advance blocks the process for d nanoseconds of virtual time, modelling
 // local computation or fixed-cost operations. Advance(0) yields without
@@ -677,10 +552,6 @@ func (p *Proc) Advance(d Time) {
 func (p *Proc) advance(d Time) {
 	d = p.scaled(d)
 	e := p.eng
-	if p.shd != nil {
-		p.advanceSharded(d)
-		return
-	}
 	if e.fastAdvance(d) {
 		return
 	}
@@ -725,10 +596,9 @@ func blockedInStep(call string) {
 // switches per iteration and the cold stack they touch.
 //
 // A step must not block: Advance, Park or AdvanceFunc on p panics, naming
-// the call. A step whose sleep took the fast path runs on p's own stack, as
-// does every step of a sharded engine's parallel round (which runs the loop
-// above as written), so a step must not care which stack it is on. Build
-// the step once per process: a closure made per call allocates per call.
+// the call. A step whose sleep took the fast path runs on p's own stack, so
+// a step must not care which stack it is on. Build the step once per
+// process: a closure made per call allocates per call.
 func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
 	if p.step != nil {
 		blockedInStep("AdvanceFunc")
@@ -739,8 +609,7 @@ func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
 		if p.step == nil {
 			return // a dispatcher ran the steps that were left
 		}
-		// The sleep ended with p running: the fast path, or a resume
-		// popped by a parallel round's dispatcher.
+		// The sleep took the fast path: p runs this step itself.
 		var done bool
 		if d, done = step(); done {
 			p.step = nil
@@ -795,22 +664,26 @@ func (p *Proc) wakeNow() bool {
 // Wake unparks p at the current virtual time. If p is not parked, a permit
 // is stored and the next Park returns immediately. Each Wake grants exactly
 // one Park.
-//
-// During a parallel round, Wake may only target a process on the caller's
-// own shard; cross-shard wakeups must go through Proc.ScheduleWake, which
-// routes them via the window-boundary mailboxes.
 func (p *Proc) Wake() {
+	if p.wakeNow() {
+		p.eng.scheduleResume(p, p.eng.now)
+	}
+}
+
+// ScheduleWake schedules a Wake of q at time t, with an explicit
+// caller-chosen tie-break key (unique per instant among keyed events; e.g.
+// the target's rank number). Keyed wakes fire after all FIFO-scheduled
+// events of the same instant, in key order: the order is a property of the
+// workload, not of who scheduled first. The event queued is q's resume
+// itself: a q parked at t runs in it, a q not parked is granted the permit
+// (see the event type).
+func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
+	if key&^keyedMask != 0 {
+		panic("sim: ScheduleWake key out of range")
+	}
 	e := p.eng
-	if !p.wakeNow() {
-		return
+	if t < e.now {
+		panic(fmt.Sprintf("sim: wake at %d before now %d", t, e.now))
 	}
-	if p.shd != nil {
-		if e.sh.parallel {
-			p.shd.scheduleResume(p, p.shd.now)
-		} else {
-			e.scheduleResume(p, e.now)
-		}
-		return
-	}
-	e.scheduleResume(p, e.now)
+	e.push(event{at: t, key: keyedBase | key, proc: q, wake: true})
 }

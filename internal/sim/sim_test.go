@@ -12,6 +12,7 @@ func TestClockAdvance(t *testing.T) {
 		p.Advance(250)
 		at = p.Now()
 	})
+	e.Spawn("short", func(p *Proc) { p.Advance(10) }) // the final clock is the last event's
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,7 @@ var routes = [numKinds]route{
 // A nil *Recorder records nothing (the layers' own unit tests run that
 // way). In a live one the ring and the profile are nil unless Config.Trace
 // / Config.Profile armed them; the category totals and histograms are
-// always on. The profile and the totals are per-rank, safe from any host
-// shard; the ring and the histograms are shared and rely on a serialized
-// phase (PITFALLS.md names the gap this leaves).
+// always on.
 type Recorder struct {
 	log   *Log
 	prof  *profile.Profile
@@ -194,8 +192,7 @@ func (r *Recorder) RMA(rank, target int, op Op, nbytes int) {
 }
 
 // Categories holds the totals behind the paper's Fig. 9 breakdown: virtual
-// time per category and rank. A rank only ever adds to its own column, so
-// concurrent host shards never touch the same cell.
+// time per category and rank. A rank only ever touches its own column.
 type Categories struct {
 	index map[string]int // name -> row of acc; runtimeCats come first
 	acc   [][]sim.Time   // [category][rank]
@@ -228,10 +225,11 @@ func (c *Categories) Breakdown(elapsed sim.Time) map[string]sim.Time {
 	return out
 }
 
-// Reset clears all accumulated time; registered names persist.
-func (c *Categories) Reset() {
+// ResetRank clears the time rank has accumulated; registered names persist.
+// Every rank calls it for itself where a measured region starts.
+func (c *Categories) ResetRank(rank int) {
 	for _, row := range c.acc {
-		clear(row)
+		row[rank] = 0
 	}
 }
 

@@ -92,15 +92,21 @@ func TestBreakdownOthersClampedAtZero(t *testing.T) {
 	}
 }
 
-// Reset clears runtime and application categories alike; an application
-// category registered by its first charge survives the reset.
+// ResetRank clears runtime and application categories alike, in the
+// resetting rank's column only; an application category registered by its
+// first charge survives the reset.
 func TestCategoriesReset(t *testing.T) {
 	r, c := catsOnly(2)
 	r.Span(0, KGet, 0, 100, 0, 0)
+	r.Span(1, KGet, 0, 30, 0, 0)
 	r.SpanAs("Serial Quicksort", 1, KCompute, 0, 77, 0, 0)
-	c.Reset()
-	if c.Total("Get") != 0 || c.Total("Serial Quicksort") != 0 {
-		t.Fatalf("after reset: %v", c.Breakdown(0))
+	c.ResetRank(1)
+	if c.Total("Get") != 100 || c.Total("Serial Quicksort") != 0 {
+		t.Fatalf("after rank 1's reset: %v, want rank 0's Get alone", c.Breakdown(0))
+	}
+	c.ResetRank(0)
+	if c.Total("Get") != 0 {
+		t.Fatalf("after both resets: %v", c.Breakdown(0))
 	}
 	r.SpanAs("Serial Quicksort", 0, KCompute, 0, 5, 0, 0)
 	if c.Total("Serial Quicksort") != 5 {

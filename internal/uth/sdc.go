@@ -19,8 +19,8 @@ package uth
 // The Protector's selection stream is deliberately independent of the
 // fault injector: replication can be armed without any fault plan (the
 // overhead rows of the coverage sweep), in which case runs stay
-// shard-parallel and digest-identical to unprotected runs except for the
-// replica traffic itself.
+// digest-identical to unprotected runs except for the replica traffic
+// itself.
 
 import (
 	"errors"
@@ -61,8 +61,7 @@ type ProtStats struct {
 }
 
 // Protector implements selective task replication over a scheduler.
-// Like the scheduler itself it is driven only from simulation
-// goroutines; per-rank state keeps it race-free under sharded hosts.
+// Like the scheduler itself it is driven only from simulated processes.
 type Protector struct {
 	s   *Sched
 	cfg SDCConfig

@@ -353,13 +353,6 @@ func (t *Thread) Done() bool { return t.th.done }
 func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 	w := s.workers[rankID]
 	w.proc = w.rank.Proc()
-	// A fork-join region interacts across ranks at sub-lookahead
-	// granularity (steals CAS into victim deques and read them directly,
-	// with zero-latency local reply hops), so it cannot run in the sharded
-	// engine's parallel rounds. Pin the engine into its globally
-	// serialized phase for the whole region; the pin is released after the
-	// final barrier below, when every rank has left the region.
-	w.proc.PinGlobal()
 	w.rank.Barrier()
 	s.done = false
 	w.rank.Barrier()
@@ -394,7 +387,6 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 	w.rank.Barrier()
 	s.hooks.OnMigrateArrive(rankID)
 	w.rank.Barrier()
-	w.proc.UnpinGlobal()
 }
 
 // idlePhase names the sleep an idle worker is in.
