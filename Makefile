@@ -1,6 +1,7 @@
 # Checks every PR must pass. `make check` is the full gate; the individual
-# targets exist so CI can fan them out. The race target covers the event
-# kernel and the one-sided layer, whose no-host-races-by-construction claim
+# targets exist so CI can fan them out (golden, faults, sdc and validate are
+# subsets of `test`, which `check` runs ordered and shuffled, so only CI
+# names them). The race target covers the event kernel and the one-sided layer, whose no-host-races-by-construction claim
 # (one simulated process runs at a time, handed the thread by coroutine
 # switch from the engine's one driver) is what the whole deterministic
 # simulation rests on; the scheduler, whose idle loop is an AdvanceFunc step
@@ -18,7 +19,7 @@ GO ?= go
 
 .PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate docscheck linkcheck profile
 
-check: fmt vet build test benchmark-test shuffle race golden faults sdc validate docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling
+check: fmt vet build test benchmark-test shuffle race docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -46,25 +47,33 @@ benchmark-test:
 shuffle:
 	$(GO) test -shuffle=on -count=1 ./...
 
+# $(call subset,PATTERN,PACKAGE[,FLAGS]) is `go test -count=1 -run PATTERN`
+# (-count=1 defeats the test cache so CI really re-runs it) that fails when
+# the pattern matches nothing: go test then prints "no tests to run" and
+# exits 0, so a renamed test would silently leave its target.
+subset = out=$$($(GO) test -count=1 $(3) -run '$(1)' $(2) 2>&1); status=$$?; echo "$$out"; \
+	case "$$out" in *"no tests to run"*) echo "make $@: -run '$(1)' matches no test in $(2)"; exit 1;; esac; \
+	exit $$status
+
 race:
 	$(GO) test -race ./internal/sim ./internal/rma ./internal/uth
-	$(GO) test -race -run Fleet ./internal/bench
+	@$(call subset,Fleet,./internal/bench,-race)
 
 # Whole-module race run (CI's second job; slower than `race`).
 race-all:
 	$(GO) test -race ./...
 
-# Determinism gate: the golden digest must be bit-identical run-to-run
-# with tracing ON, and the trace->dump->analyze pipeline must hold up on
-# a 16-rank run. -count=1 defeats the test cache so CI really re-runs it.
+# Determinism gate: the fork-join and halo digests must reproduce their
+# pins (the golden table, tracing ON), and the trace->dump->analyze
+# pipeline must hold up on a 16-rank run.
 golden:
-	$(GO) test -count=1 -run 'KernelDeterminismGolden|CilksortTraceReport|MetricsRunStable' ./internal/bench
+	@$(call subset,Pinned(Kernel|Halo)Digests|CilksortTraceReport|MetricsRunStable,./internal/bench)
 
-# Fault suite: the seeded-fault golden (same plan -> bit-identical run),
-# the zero-overhead-when-off digest, and every app terminating correctly
+# Fault suite: the seeded-fault pins (same plan -> the pinned run), the
+# zero-overhead-when-off digest, and every app terminating correctly
 # under every canned plan.
 faults:
-	$(GO) test -count=1 -run 'FaultDeterminismGolden|EmptyPlanMatchesNoPlan|FaultPlansAppsTerminate|FaultBenchSmoke' ./internal/bench
+	@$(call subset,FaultDeterminismGolden|EmptyPlanMatchesNoPlan|FaultPlansAppsTerminate|FaultBenchSmoke,./internal/bench)
 	$(GO) test -count=1 ./internal/fault
 
 # Silent-data-corruption suite: disabled-path digest inertness, seeded
@@ -72,14 +81,14 @@ faults:
 # provably corrupt), zero escapes at full replication, combined
 # corruption+flaky-RMA recovery and the wire checksum.
 sdc:
-	$(GO) test -count=1 -run 'SDC' ./internal/bench
+	@$(call subset,SDC,./internal/bench)
 
 # Checkout-discipline validator suite: every documented memory-model rule
 # has a failing program whose diagnostic names the rule, window, offset
 # range and task segments; clean DAG runs stay silent; and the
 # validator-off hot path allocates nothing.
 validate:
-	$(GO) test -count=1 -run 'TestValidator' ./internal/core
+	@$(call subset,TestValidator,./internal/core)
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -15,6 +15,10 @@ type Params struct {
 	NSpawn int     // spawn parallel tasks only above this body count (1000)
 	Seed   int64
 	Dist   Dist // particle distribution (Cube in the paper)
+	// Verify makes Run fetch the evaluated bodies once the clock has
+	// stopped and compare them bit for bit with EvaluateHost's. Off, the
+	// run contains no verification event.
+	Verify bool
 }
 
 // WithDefaults fills zero fields with the paper's parameters.

@@ -18,35 +18,20 @@ func cfg(ranks int, pol ityr.Policy) ityr.Config {
 	}
 }
 
-// runSim evaluates the FMM in the simulator and returns the resulting
-// bodies plus the virtual time of the evaluation phase.
+// runSim evaluates the FMM in the simulator (Run, output verified against
+// the host evaluation) and returns the resulting bodies plus the virtual
+// time of the evaluation phase.
 func runSim(t *testing.T, ranks int, pol ityr.Policy, p Params) ([]Body, sim.Time) {
 	t.Helper()
-	var out []Body
-	var elapsed sim.Time
-	err := ityr.Launch(cfg(ranks, pol), func(s *ityr.SPMD) {
-		var pr Problem
-		if s.Rank() == 0 {
-			pr = Setup(s, p)
-		}
-		s.Barrier()
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			pr.Evaluate(c)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-			b, err := ityr.GetSlice(s, pr.Bodies)
-			if err != nil {
-				t.Error(err)
-			}
-			out = b
-		}
-	})
+	p.Verify = true
+	res, err := Run(ityr.NewRuntime(cfg(ranks, pol)), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, elapsed
+	if !res.Verified {
+		t.Errorf("%d ranks, %v: bodies differ from EvaluateHost's", ranks, pol)
+	}
+	return res.Bodies, res.EvalTime
 }
 
 func TestParallelMatchesHost(t *testing.T) {

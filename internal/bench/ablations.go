@@ -25,49 +25,11 @@ func ablUTSTree(sc Scale) uts.Tree {
 	return t
 }
 
-// utsTraversalTime builds the tree and returns the traversal time plus the
-// runtime for stats, under an explicit cache geometry.
-func utsTraversalTime(tree uts.Tree, cfg ityr.Config) (sim.Time, *ityr.Runtime) {
-	rt := ityr.NewRuntime(cfg)
-	var trav sim.Time
-	err := rt.Run(func(s *ityr.SPMD) {
-		var root ityr.GPtr[uts.Node]
-		s.RootExec(func(c *ityr.Ctx) { root, _ = uts.Build(c, tree) })
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) { uts.Traverse(c, root) })
-		if s.Rank() == 0 {
-			trav = s.Now() - t0
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	return trav, rt
-}
-
-// cilksortSortTime generates and sorts, returning the sort time and the
-// runtime for stats.
-func cilksortSortTime(cfg ityr.Config, n, cutoff int64, d ityr.DistPolicy) (sim.Time, *ityr.Runtime) {
-	rt := ityr.NewRuntime(cfg)
-	var elapsed sim.Time
-	err := rt.Run(func(s *ityr.SPMD) {
-		var a, b ityr.GSpan[cilksort.Elem]
-		if s.Rank() == 0 {
-			a = ityr.AllocArraySPMD[cilksort.Elem](s, n, d)
-			b = ityr.AllocArraySPMD[cilksort.Elem](s, n, d)
-		}
-		s.Barrier()
-		s.RootExec(func(c *ityr.Ctx) { cilksort.Generate(c, a, 77) })
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) { cilksort.Sort(c, a, b, cutoff) })
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	return elapsed, rt
+// ablCilksort is the ablations' (and the perf suite's) Cilksort: generator
+// seed 77 under an explicit runtime configuration and distribution.
+func ablCilksort(cfg ityr.Config, n, cutoff int64, d ityr.DistPolicy) (sim.Time, *ityr.Runtime) {
+	res, rt := runCilksort(cfg, cilksort.Params{N: n, Cutoff: cutoff, Seed: 77, Dist: d})
+	return res.SortTime, rt
 }
 
 // AblationSubBlock sweeps the remote-fetch granularity on the UTS-Mem
@@ -78,7 +40,8 @@ func AblationSubBlock(w io.Writer, sc Scale) {
 	for _, sbs := range []int{256, 1 << 10, 4 << 10, 16 << 10} {
 		cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 5)
 		cfg.Pgas.SubBlockSize = sbs
-		trav, rt := utsTraversalTime(tree, cfg)
+		res, rt := runUTS(cfg, tree)
+		trav := res.TraverseTime
 		fmt.Fprintf(w, "  sub-block %6d B: traverse %8.3f ms, fetched %6.2f MB in %d ops\n",
 			sbs, ms(trav), float64(rt.Space().Stats.FetchBytes)/1e6, rt.Space().Stats.FetchOps)
 	}
@@ -92,7 +55,7 @@ func AblationCacheSize(w io.Writer, sc Scale) {
 	for _, cache := range []int{512 << 10, 2 << 20, 16 << 20} {
 		cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 5)
 		cfg.Pgas.CacheSize = cache
-		t, rt := cilksortSortTime(cfg, n, 4<<10, ityr.BlockCyclicDist)
+		t, rt := ablCilksort(cfg, n, 4<<10, ityr.BlockCyclicDist)
 		fmt.Fprintf(w, "  cache %4d KiB: sort %8.3f ms, evictions %d, refetched %.2f MB\n",
 			cache>>10, ms(t), rt.Space().Stats.Evictions, float64(rt.Space().Stats.FetchBytes)/1e6)
 	}
@@ -107,7 +70,7 @@ func AblationDistribution(w io.Writer, sc Scale) {
 	fmt.Fprintf(w, "\n== Ablation: distribution policy (Cilksort %d elements, %d ranks, 4/node) ==\n", n, sc.FixedRanks)
 	for _, d := range []ityr.DistPolicy{ityr.BlockDist, ityr.BlockCyclicDist} {
 		cfg := runtimeConfig(sc.FixedRanks, 4, ityr.WriteBackLazy, 5)
-		t, rt := cilksortSortTime(cfg, n, 16<<10, d)
+		t, rt := ablCilksort(cfg, n, 16<<10, d)
 		name := "block"
 		if d == ityr.BlockCyclicDist {
 			name = "block-cyclic"
@@ -123,7 +86,7 @@ func AblationLazyRelease(w io.Writer, sc Scale) {
 	fmt.Fprintf(w, "\n== Ablation: lazy release (Cilksort %d elements, cutoff 256, %d ranks) ==\n", n, sc.FixedRanks)
 	for _, pol := range []ityr.Policy{ityr.WriteBack, ityr.WriteBackLazy} {
 		cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, pol, 5)
-		t, rt := cilksortSortTime(cfg, n, 256, ityr.BlockCyclicDist)
+		t, rt := ablCilksort(cfg, n, 256, ityr.BlockCyclicDist)
 		fmt.Fprintf(w, "  %-20s sort %8.3f ms (lazy releases deferred: %d)\n",
 			pol, ms(t), rt.Space().Stats.LazyReleases)
 	}
@@ -136,7 +99,8 @@ func AblationFMMTheta(w io.Writer, sc Scale) {
 	fmt.Fprintf(w, "\n== Ablation: FMM θ sweep (%d bodies, %d ranks) ==\n", n, sc.FixedRanks)
 	for _, theta := range []float64{0.2, 0.3, 0.5} {
 		p := fmm.Params{N: n, Theta: theta, NCrit: 32, NSpawn: sc.FMMNSpawn, Seed: 7}
-		t, _ := FMMRun(p, sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 9)
+		res, _ := runFMM(runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 9), p)
+		t := res.EvalTime
 		bodies := fmm.GenBodies(p.N, p.Seed)
 		cells := fmm.BuildTree(bodies, p.NCrit)
 		k := fmm.CountKernels(cells, theta)
@@ -154,7 +118,8 @@ func AblationSharedCache(w io.Writer, sc Scale) {
 	for _, shared := range []bool{false, true} {
 		cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 5)
 		cfg.Pgas.SharedCache = shared
-		trav, rt := utsTraversalTime(tree, cfg)
+		res, rt := runUTS(cfg, tree)
+		trav := res.TraverseTime
 		name := "private caches"
 		if shared {
 			name = "node-shared cache"
@@ -173,7 +138,7 @@ func AblationLocalitySteals(w io.Writer, sc Scale) {
 	for _, loc := range []bool{false, true} {
 		cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 5)
 		cfg.Sched.LocalityAware = loc
-		t, rt := cilksortSortTime(cfg, n, 4<<10, ityr.BlockCyclicDist)
+		t, rt := ablCilksort(cfg, n, 4<<10, ityr.BlockCyclicDist)
 		name := "random"
 		if loc {
 			name = "locality-aware"
@@ -198,7 +163,8 @@ func AblationFMMDistribution(w io.Writer, sc Scale) {
 		n, sc.FixedRanks, nodes)
 	for _, d := range []fmm.Dist{fmm.Cube, fmm.Sphere, fmm.Plummer} {
 		p := fmm.Params{N: n, Theta: sc.FMMTheta, NCrit: 32, NSpawn: sc.FMMNSpawn, Seed: 7, Dist: d}
-		t, _ := FMMRun(p, sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 9)
+		res, _ := runFMM(runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 9), p)
+		t := res.EvalTime
 		r := fmmmpi.Run(p, nodes, sc.CoresPerNode, net)
 		fmt.Fprintf(w, "  %-8s itoyori %8.3f ms | MPI %8.3f ms (idleness %.3f)\n",
 			d, ms(t), ms(r.Elapsed), r.Idleness)
@@ -255,7 +221,7 @@ func AblationBatching(w io.Writer, sc Scale) {
 			}
 			cfg.Pgas.CoalesceWriteBack = v.coalesce
 			cfg.Pgas.PrefetchBlocks = v.prefetch
-			t, rt := cilksortSortTime(cfg, n, sc.SortCutoff, g.dist)
+			t, rt := ablCilksort(cfg, n, sc.SortCutoff, g.dist)
 			st := rt.Comm().Stats()
 			b := rt.Space().Batch
 			fmt.Fprintf(w, "  %-14s sort %8.3f ms: %7d round trips, %5d wb ops, prefetch %4d hits / %d evicted unused\n",
@@ -288,7 +254,8 @@ func AblationOverlap(w io.Writer, sc Scale) {
 	for _, overlap := range []bool{false, true} {
 		cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 5)
 		cfg.Overlap = overlap
-		trav, rt := utsTraversalTime(tree, cfg)
+		res, rt := runUTS(cfg, tree)
+		trav := res.TraverseTime
 		name := "blocking fetches"
 		if overlap {
 			name = "overlapped fetches"

@@ -12,6 +12,7 @@ import (
 
 	"ityr"
 	"ityr/internal/apps/cilksort"
+	"ityr/internal/apps/fmm"
 	"ityr/internal/apps/uts"
 	"ityr/internal/netmodel"
 	"ityr/internal/sim"
@@ -214,37 +215,39 @@ func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Co
 // ms renders virtual nanoseconds as milliseconds.
 func ms(t sim.Time) float64 { return float64(t) / 1e6 }
 
-// CilksortRun sorts n elements at the given cutoff and returns the sorting
-// time (generation excluded, as in the paper) and the runtime for profiler
-// access.
-func CilksortRun(n, cutoff int64, ranks, coresPerNode int, pol ityr.Policy, seed int64) (sim.Time, *ityr.Runtime) {
-	rt := ityr.NewRuntime(runtimeConfig(ranks, coresPerNode, pol, seed))
-	stopHB := watchEngine(fmt.Sprintf("cilksort n=%d", n), ranks, rt.Engine())
-	defer stopHB()
-	var elapsed sim.Time
-	err := rt.Run(func(s *ityr.SPMD) {
-		var a, b ityr.GSpan[cilksort.Elem]
-		if s.Rank() == 0 {
-			a = ityr.AllocArraySPMD[cilksort.Elem](s, n, ityr.BlockCyclicDist)
-			b = ityr.AllocArraySPMD[cilksort.Elem](s, n, ityr.BlockCyclicDist)
-		}
-		s.Barrier()
-		s.RootExec(func(c *ityr.Ctx) {
-			cilksort.Generate(c, a, uint64(seed))
-		})
-		rt.Profiler().ResetRank(s.Rank())
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			cilksort.Sort(c, a, b, cutoff)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-		}
-	})
+// run is the one way an experiment runs an application: build the runtime
+// from cfg, attach the heartbeat under label for the run's duration, and
+// hand the runtime to the app's Run. The runtime comes back for stats.
+func run[P, R any](label string, cfg ityr.Config, app func(*ityr.Runtime, P) (R, error), p P) (R, *ityr.Runtime) {
+	rt := ityr.NewRuntime(cfg)
+	defer watchEngine(label, cfg.Ranks, rt.Engine())()
+	res, err := app(rt, p)
 	if err != nil {
 		panic(err)
 	}
-	return elapsed, rt
+	return res, rt
+}
+
+// runCilksort, runUTS and runFMM are run for each app, under the label its
+// heartbeat lines carry.
+func runCilksort(cfg ityr.Config, p cilksort.Params) (cilksort.Result, *ityr.Runtime) {
+	return run(fmt.Sprintf("cilksort n=%d", p.N), cfg, cilksort.Run, p)
+}
+
+func runUTS(cfg ityr.Config, tree uts.Tree) (uts.Result, *ityr.Runtime) {
+	return run("utsmem "+tree.Name, cfg, uts.Run, uts.Params{Tree: tree})
+}
+
+func runFMM(cfg ityr.Config, p fmm.Params) (fmm.Result, *ityr.Runtime) {
+	return run(fmt.Sprintf("fmm n=%d", p.N), cfg, fmm.Run, p)
+}
+
+// figCilksort is the figures' Cilksort: block-cyclic arrays, generated
+// from the runtime's seed.
+func figCilksort(n, cutoff int64, ranks, coresPerNode int, pol ityr.Policy, seed int64) (sim.Time, *ityr.Runtime) {
+	res, rt := runCilksort(runtimeConfig(ranks, coresPerNode, pol, seed),
+		cilksort.Params{N: n, Cutoff: cutoff, Seed: uint64(seed), Dist: ityr.BlockCyclicDist})
+	return res.SortTime, rt
 }
 
 // MetricsRun runs the canonical Fig. 7 cilksort configuration (the lazy
@@ -252,7 +255,7 @@ func CilksortRun(n, cutoff int64, ranks, coresPerNode int, pol ityr.Policy, seed
 // run's "itoyori-metrics/v1" snapshot — the machine-readable runtime
 // counters the app CLIs' -metrics flag writes.
 func MetricsRun(w io.Writer, sc Scale) error {
-	_, rt := CilksortRun(sc.CilksortN, sc.SortCutoff, sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 11)
+	_, rt := figCilksort(sc.CilksortN, sc.SortCutoff, sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 11)
 	return rt.WriteMetrics(w)
 }
 
@@ -265,7 +268,7 @@ func Fig7(w io.Writer, sc Scale) []Row {
 	var rows []Row
 	for _, pol := range ityr.Policies {
 		for _, cutoff := range sc.Cutoffs {
-			t, _ := CilksortRun(sc.CilksortN, cutoff, sc.FixedRanks, sc.CoresPerNode, pol, 11)
+			t, _ := figCilksort(sc.CilksortN, cutoff, sc.FixedRanks, sc.CoresPerNode, pol, 11)
 			fmt.Fprintf(w, "%-20s %10d %14.3f\n", pol, cutoff, ms(t))
 			rows = append(rows, Row{Fig: "7", Workload: "cilksort", Policy: pol.String(),
 				Ranks: sc.FixedRanks, Param: cutoff, Time: t})
@@ -274,91 +277,89 @@ func Fig7(w io.Writer, sc Scale) []Row {
 	return rows
 }
 
+// Fig8Run is what Figs. 8 and 9 keep of one run: its size, rank count, sort
+// time and per-category breakdown.
+type Fig8Run struct {
+	N         int64
+	Ranks     int
+	Time      sim.Time
+	Breakdown map[string]sim.Time
+}
+
+// fig8Run is one run of Figs. 8 and 9: seed 13 at the scaling cutoff.
+func runFig8(sc Scale, n int64, ranks int, pol ityr.Policy) Fig8Run {
+	t, rt := figCilksort(n, sc.SortCutoff, ranks, sc.CoresPerNode, pol, 13)
+	return Fig8Run{N: n, Ranks: ranks, Time: t, Breakdown: rt.Profiler().Breakdown(t)}
+}
+
 // Fig8 regenerates Figure 8: Cilksort strong scaling for two input sizes,
 // No Cache vs Write-Back (Lazy), with speedups over the modelled serial
-// execution. It returns the rows and the per-run runtimes of the lazy
-// configuration for Fig. 9's breakdowns.
-func Fig8(w io.Writer, sc Scale) ([]Row, map[string]*ityr.Runtime) {
+// execution. It returns the rows and, for Fig. 9, the breakdown of each run
+// of the lazy configuration — not the runtimes, which would keep every
+// finished run's arrays and caches alive until the figure returns.
+func Fig8(w io.Writer, sc Scale) ([]Row, []Fig8Run) {
 	fmt.Fprintf(w, "\n== Figure 8: Cilksort strong scaling (cutoff %d) ==\n", sc.SortCutoff)
 	fmt.Fprintf(w, "%-10s %-20s %7s %12s %10s\n", "size", "policy", "ranks", "time (ms)", "speedup")
 	var rows []Row
-	lazyRuntimes := make(map[string]*ityr.Runtime)
+	var lazy []Fig8Run
 	for _, n := range []int64{sc.CilksortN, sc.CilksortBigN} {
 		serial := cilksort.SerialTime(n)
 		fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10s\n", n, "(serial model)", 1, ms(serial), "1.0")
 		for _, pol := range []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy} {
 			for _, ranks := range sc.Ranks {
-				t, rt := CilksortRun(n, sc.SortCutoff, ranks, sc.CoresPerNode, pol, 13)
+				r := runFig8(sc, n, ranks, pol)
+				t := r.Time
 				sp := float64(serial) / float64(t)
 				fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10.1f\n", n, pol, ranks, ms(t), sp)
 				rows = append(rows, Row{Fig: "8", Workload: fmt.Sprintf("cilksort-%d", n),
 					Policy: pol.String(), Ranks: ranks, Param: n, Time: t, Value: sp})
 				if pol == ityr.WriteBackLazy {
-					lazyRuntimes[fmt.Sprintf("%d/%d", n, ranks)] = rt
+					lazy = append(lazy, r)
 				}
 			}
 		}
 	}
-	return rows, lazyRuntimes
+	return rows, lazy
 }
 
 // Fig9 regenerates Figure 9: the per-category performance breakdown of the
-// Write-Back (Lazy) Cilksort runs, normalized per input size.
+// Write-Back (Lazy) Cilksort runs, normalized per input size. It makes the
+// runs itself; `all` prints the figure from Fig. 8's (fig9From).
 func Fig9(w io.Writer, sc Scale) []Row {
-	fmt.Fprintf(w, "\n== Figure 9: Cilksort Write-Back (Lazy) breakdown ==\n")
-	var rows []Row
+	var lazy []Fig8Run
 	for _, n := range []int64{sc.CilksortN, sc.CilksortBigN} {
 		for _, ranks := range sc.Ranks {
-			t, rt := CilksortRun(n, sc.SortCutoff, ranks, sc.CoresPerNode, ityr.WriteBackLazy, 13)
-			bd := rt.Profiler().Breakdown(t)
-			fmt.Fprintf(w, "-- %d elements, %d ranks (total %0.3f ms x %d ranks) --\n", n, ranks, ms(t), ranks)
-			var total sim.Time
-			for _, v := range bd {
-				total += v
+			lazy = append(lazy, runFig8(sc, n, ranks, ityr.WriteBackLazy))
+		}
+	}
+	return fig9From(w, lazy)
+}
+
+// fig9From prints Figure 9 from the lazy runs Fig8 returned.
+func fig9From(w io.Writer, lazy []Fig8Run) []Row {
+	fmt.Fprintf(w, "\n== Figure 9: Cilksort Write-Back (Lazy) breakdown ==\n")
+	var rows []Row
+	for _, r := range lazy {
+		fmt.Fprintf(w, "-- %d elements, %d ranks (total %0.3f ms x %d ranks) --\n", r.N, r.Ranks, ms(r.Time), r.Ranks)
+		var total sim.Time
+		for _, v := range r.Breakdown {
+			total += v
+		}
+		for _, cat := range []string{
+			cilksort.CatGet, "Checkout", "Checkin", "Release", "Lazy Release",
+			"Acquire", cilksort.CatMerge, cilksort.CatQuicksort, "Others",
+		} {
+			v := r.Breakdown[cat]
+			frac := 0.0
+			if total > 0 {
+				frac = float64(v) / float64(total)
 			}
-			for _, cat := range []string{
-				cilksort.CatGet, "Checkout", "Checkin", "Release", "Lazy Release",
-				"Acquire", cilksort.CatMerge, cilksort.CatQuicksort, "Others",
-			} {
-				v := bd[cat]
-				frac := 0.0
-				if total > 0 {
-					frac = float64(v) / float64(total)
-				}
-				fmt.Fprintf(w, "   %-18s %10.3f ms  %5.1f%%\n", cat, ms(v), 100*frac)
-				rows = append(rows, Row{Fig: "9", Workload: fmt.Sprintf("cilksort-%d", n),
-					Policy: cat, Ranks: ranks, Time: v, Value: frac})
-			}
+			fmt.Fprintf(w, "   %-18s %10.3f ms  %5.1f%%\n", cat, ms(v), 100*frac)
+			rows = append(rows, Row{Fig: "9", Workload: fmt.Sprintf("cilksort-%d", r.N),
+				Policy: cat, Ranks: r.Ranks, Time: v, Value: frac})
 		}
 	}
 	return rows
-}
-
-// UTSRun builds the tree, then measures traversal time and throughput,
-// returning the runtime as well for traffic-counter access.
-func UTSRun(tree uts.Tree, ranks, coresPerNode int, pol ityr.Policy, seed int64) (sim.Time, int64, *ityr.Runtime) {
-	rt := ityr.NewRuntime(runtimeConfig(ranks, coresPerNode, pol, seed))
-	stopHB := watchEngine("utsmem "+tree.Name, ranks, rt.Engine())
-	defer stopHB()
-	var elapsed sim.Time
-	var nodes int64
-	err := rt.Run(func(s *ityr.SPMD) {
-		var root ityr.GPtr[uts.Node]
-		s.RootExec(func(c *ityr.Ctx) {
-			root, _ = uts.Build(c, tree)
-		})
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			nodes = uts.Traverse(c, root)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	return elapsed, nodes, rt
 }
 
 // Fig10 regenerates Figure 10: UTS-Mem traversal throughput (nodes/s) for
@@ -370,7 +371,8 @@ func Fig10(w io.Writer, sc Scale) []Row {
 	for _, tree := range []uts.Tree{sc.UTSSmall, sc.UTSBig} {
 		for _, pol := range []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy} {
 			for _, ranks := range sc.Ranks {
-				t, n, _ := UTSRun(tree, ranks, sc.CoresPerNode, pol, 17)
+				res, _ := runUTS(runtimeConfig(ranks, sc.CoresPerNode, pol, 17), tree)
+				t, n := res.TraverseTime, res.Counted
 				tput := float64(n) / (float64(t) / 1e9)
 				fmt.Fprintf(w, "%-8s %-20s %7d %12.3f %16.0f\n", tree.Name, pol, ranks, ms(t), tput)
 				rows = append(rows, Row{Fig: "10", Workload: tree.Name, Policy: pol.String(),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -124,5 +125,33 @@ func TestTable1Prints(t *testing.T) {
 	Table1(&sb, Smoke)
 	if !strings.Contains(sb.String(), "Tofu") {
 		t.Error("environment table incomplete")
+	}
+}
+
+// TestAppsVerifiedAcrossPoliciesAndSchedulers is the app-level slice of the
+// differential matrix: every application, output verified, under every
+// cache policy × scheduling policy. The output must not depend on either,
+// so each cell verifies and all twelve cells of an app agree on one output
+// checksum.
+func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
+	for _, app := range verifiedApps {
+		var first string
+		var checksum uint64
+		for _, pol := range ityr.Policies {
+			for _, sched := range ityr.SchedPolicies {
+				cell := fmt.Sprintf("%s/%v/%v", app.Name, pol, sched)
+				cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
+				cfg.Sched.Policy = sched
+				r := app.Run(Smoke, cfg)
+				if !r.Verified {
+					t.Errorf("%s: output verification failed", cell)
+				}
+				if first == "" {
+					first, checksum = cell, r.Checksum
+				} else if r.Checksum != checksum {
+					t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, first, checksum)
+				}
+			}
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"ityr"
 	"ityr/internal/apps/cilksort"
 	"ityr/internal/apps/fmm"
-	"ityr/internal/apps/uts"
 	"ityr/internal/fault"
 	"ityr/internal/sim"
 )
@@ -40,124 +39,36 @@ func faultConfig(sc Scale, plan *fault.Plan, replicate float64) ityr.Config {
 	return cfg
 }
 
-// FaultCilksortRun runs the Fig. 7 cilksort configuration under plan
-// (nil = clean) and verifies the result: the array must be sorted and its
-// checksum conserved. Returns the sort time, the runtime for counter
-// access, and the verification verdict.
-func FaultCilksortRun(sc Scale, plan *fault.Plan, replicate float64) (sim.Time, *ityr.Runtime, bool) {
-	rt := ityr.NewRuntime(faultConfig(sc, plan, replicate))
-	n, cutoff := sc.CilksortN, sc.SortCutoff
-	var elapsed sim.Time
-	var before, after int64
-	sorted := false
-	err := rt.Run(func(s *ityr.SPMD) {
-		var a, b ityr.GSpan[cilksort.Elem]
-		if s.Rank() == 0 {
-			a = ityr.AllocArraySPMD[cilksort.Elem](s, n, ityr.BlockCyclicDist)
-			b = ityr.AllocArraySPMD[cilksort.Elem](s, n, ityr.BlockCyclicDist)
-		}
-		s.Barrier()
-		s.RootExec(func(c *ityr.Ctx) {
-			cilksort.Generate(c, a, faultSeed)
-			before = cilksort.Checksum(c, a)
-		})
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			cilksort.Sort(c, a, b, cutoff)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-		}
-		s.RootExec(func(c *ityr.Ctx) {
-			sorted = cilksort.IsSorted(c, a)
-			after = cilksort.Checksum(c, a)
-		})
-	})
-	if err != nil {
-		panic(err)
-	}
-	return elapsed, rt, sorted && before == after
+// verifiedRun is one application run with its output checked.
+type verifiedRun struct {
+	Time     sim.Time // the app's timed phase
+	Verified bool
+	Checksum uint64 // of the output; equal across every correct run of one input
+	rt       *ityr.Runtime
 }
 
-// FaultUTSRun traverses the scale's small tree under plan and verifies
-// the traversal count against the host-side count.
-func FaultUTSRun(sc Scale, plan *fault.Plan, replicate float64) (sim.Time, *ityr.Runtime, bool) {
-	rt := ityr.NewRuntime(faultConfig(sc, plan, replicate))
-	tree := sc.UTSSmall
-	var elapsed sim.Time
-	var nodes, want int64
-	err := rt.Run(func(s *ityr.SPMD) {
-		var root ityr.GPtr[uts.Node]
-		s.RootExec(func(c *ityr.Ctx) {
-			root, want = uts.Build(c, tree)
-		})
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			nodes = uts.Traverse(c, root)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	return elapsed, rt, nodes == want && nodes > 0
-}
-
-// FaultFMMRun evaluates the scale's small FMM instance under plan and
-// verifies the simulated potentials bit-exactly against the host
-// evaluation of the same tree — fault injection perturbs timing, never
-// arithmetic, so exact equality must hold.
-func FaultFMMRun(sc Scale, plan *fault.Plan, replicate float64) (sim.Time, *ityr.Runtime, bool) {
-	p := fmm.Params{N: sc.FMMSmallN, Theta: sc.FMMTheta, NCrit: 32, NSpawn: sc.FMMNSpawn, Seed: 21}
-	rt := ityr.NewRuntime(faultConfig(sc, plan, replicate))
-	var elapsed sim.Time
-	var got []fmm.Body
-	err := rt.Run(func(s *ityr.SPMD) {
-		var pr fmm.Problem
-		if s.Rank() == 0 {
-			pr = fmm.Setup(s, p)
-		}
-		s.Barrier()
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			pr.Evaluate(c)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-			b, gerr := ityr.GetSlice(s, pr.Bodies)
-			if gerr != nil {
-				panic(gerr)
-			}
-			got = b
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	p = p.WithDefaults()
-	ref := fmm.GenBodiesDist(p.N, p.Seed, p.Dist)
-	cells := fmm.BuildTree(ref, p.NCrit)
-	fmm.EvaluateHost(cells, ref, p.Theta)
-	ok := len(got) == len(ref)
-	for i := 0; ok && i < len(got); i++ {
-		if got[i].P != ref[i].P || got[i].AX != ref[i].AX ||
-			got[i].AY != ref[i].AY || got[i].AZ != ref[i].AZ {
-			ok = false
-		}
-	}
-	return elapsed, rt, ok
-}
-
-// faultApps maps app names to their verified runners.
-var faultApps = []struct {
+// verifiedApps runs each application at a scale's Fig. 7 / small sizes
+// under cfg with verification on: sortedness and checksum conservation for
+// cilksort, built against traversed node count for UTS-Mem, potentials and
+// accelerations bit-exact against the host evaluation for FMM.
+var verifiedApps = []struct {
 	Name string
-	Run  func(Scale, *fault.Plan, float64) (sim.Time, *ityr.Runtime, bool)
+	Run  func(sc Scale, cfg ityr.Config) verifiedRun
 }{
-	{"cilksort", FaultCilksortRun},
-	{"utsmem", FaultUTSRun},
-	{"fmm", FaultFMMRun},
+	{"cilksort", func(sc Scale, cfg ityr.Config) verifiedRun {
+		res, rt := runCilksort(cfg, cilksort.Params{N: sc.CilksortN, Cutoff: sc.SortCutoff,
+			Seed: faultSeed, Dist: ityr.BlockCyclicDist, Verify: true})
+		return verifiedRun{res.SortTime, res.Verified, uint64(res.Checksum), rt}
+	}},
+	{"utsmem", func(sc Scale, cfg ityr.Config) verifiedRun {
+		res, rt := runUTS(cfg, sc.UTSSmall)
+		return verifiedRun{res.TraverseTime, res.Verified, uint64(res.Counted), rt}
+	}},
+	{"fmm", func(sc Scale, cfg ityr.Config) verifiedRun {
+		res, rt := runFMM(cfg, fmm.Params{N: sc.FMMSmallN, Theta: sc.FMMTheta, NCrit: 32,
+			NSpawn: sc.FMMNSpawn, Seed: 21, Verify: true})
+		return verifiedRun{res.EvalTime, res.Verified, res.Checksum, rt}
+	}},
 }
 
 // faultRow assembles one report row from a finished run: the run under
@@ -173,7 +84,8 @@ var faultApps = []struct {
 // observable), and a run without escapes must verify. The negative-control
 // rows (corruption armed, replication off) are therefore ok precisely
 // because they are unverified.
-func faultRow(replicate float64, t, clean sim.Time, rt *ityr.Runtime, verified bool) Metrics {
+func faultRow(replicate float64, r verifiedRun, clean sim.Time) Metrics {
+	rt, t, verified := r.rt, r.Time, r.Verified
 	cs := rt.Comm().Stats()
 	ss := rt.Sched().Stats
 	ws := rt.Comm().SdcWire()
@@ -243,7 +155,7 @@ func FaultBench(w io.Writer, sc Scale) (*Report, error) {
 	fmt.Fprintf(w, "%-10s %-16s %5s %12s %9s %9s %8s %7s %7s %7s  %s\n",
 		"app", "plan", "repl", "time (ms)", "slowdown", "injected", "flips", "detect", "escape", "replica", "verdict")
 	bad := 0
-	for _, app := range faultApps {
+	for _, app := range verifiedApps {
 		var cleanT sim.Time
 		run := func(plan *fault.Plan, frac float64, sweep bool) {
 			name, key := "clean", app.Name+"/clean"
@@ -253,11 +165,12 @@ func FaultBench(w io.Writer, sc Scale) (*Report, error) {
 			if sweep {
 				key = fmt.Sprintf("%s/%.2f", key, frac)
 			}
-			t, rt, ok := app.Run(sc, plan, frac)
+			r := app.Run(sc, faultConfig(sc, plan, frac))
+			t, ok := r.Time, r.Verified
 			if plan == nil {
 				cleanT = t
 			}
-			row := faultRow(frac, t, cleanT, rt, ok)
+			row := faultRow(frac, r, cleanT)
 			rep.Rows[key] = row
 			mark := "ok"
 			switch {

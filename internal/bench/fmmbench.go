@@ -8,39 +8,7 @@ import (
 	"ityr/internal/apps/fmm"
 	"ityr/internal/apps/fmmmpi"
 	"ityr/internal/netmodel"
-	"ityr/internal/sim"
 )
-
-// FMMRun evaluates the FMM and returns the evaluation time plus the
-// runtime for traffic-counter access.
-func FMMRun(p fmm.Params, ranks, coresPerNode int, pol ityr.Policy, seed int64) (sim.Time, *ityr.Runtime) {
-	return fmmEvalTime(runtimeConfig(ranks, coresPerNode, pol, seed), p)
-}
-
-// fmmEvalTime evaluates the FMM under an explicit runtime configuration,
-// returning the evaluation time and the runtime for stats.
-func fmmEvalTime(cfg ityr.Config, p fmm.Params) (sim.Time, *ityr.Runtime) {
-	rt := ityr.NewRuntime(cfg)
-	var elapsed sim.Time
-	err := rt.Run(func(s *ityr.SPMD) {
-		var pr fmm.Problem
-		if s.Rank() == 0 {
-			pr = fmm.Setup(s, p)
-		}
-		s.Barrier()
-		t0 := s.Now()
-		s.RootExec(func(c *ityr.Ctx) {
-			pr.Evaluate(c)
-		})
-		if s.Rank() == 0 {
-			elapsed = s.Now() - t0
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	return elapsed, rt
-}
 
 // Fig11 regenerates Figure 11: ExaFMM execution time, strong scaling for
 // two body counts across the four cache policies plus the MPI baseline.
@@ -59,7 +27,8 @@ func Fig11(w io.Writer, sc Scale) []Row {
 		fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10s\n", n, "(serial model)", 1, ms(serial), "1.0")
 		for _, pol := range ityr.Policies {
 			for _, ranks := range sc.Ranks {
-				t, _ := FMMRun(p, ranks, sc.CoresPerNode, pol, 29)
+				res, _ := runFMM(runtimeConfig(ranks, sc.CoresPerNode, pol, 29), p)
+				t := res.EvalTime
 				sp := float64(serial) / float64(t)
 				fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10.1f\n", n, pol, ranks, ms(t), sp)
 				rows = append(rows, Row{Fig: "11", Workload: fmt.Sprintf("fmm-%d", n),

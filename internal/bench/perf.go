@@ -65,15 +65,15 @@ func PerfSuite(w io.Writer, sc Scale) (*Report, error) {
 		fmt.Fprintf(w, "%-10s %14.3f %12.0f %14.0f\n", name, ms(t), m["round_trips"], m["rma_bytes"])
 	}
 
-	t, rt := cilksortSortTime(perfConfig(sc, ityr.WriteBackLazy, 11), sc.CilksortN, sc.SortCutoff, ityr.BlockDist)
+	t, rt := ablCilksort(perfConfig(sc, ityr.WriteBackLazy, 11), sc.CilksortN, sc.SortCutoff, ityr.BlockDist)
 	add("cilksort", t, rt.Comm().Stats())
 
-	tf, rtf := fmmEvalTime(perfConfig(sc, ityr.WriteBackLazy, 29),
+	rf, rt := runFMM(perfConfig(sc, ityr.WriteBackLazy, 29),
 		fmm.Params{N: sc.FMMSmallN, Theta: sc.FMMTheta, NCrit: 32, NSpawn: sc.FMMNSpawn, Seed: 21})
-	add("fmm", tf, rtf.Comm().Stats())
+	add("fmm", rf.EvalTime, rt.Comm().Stats())
 
-	tu, rtu := utsTraversalTime(sc.UTSBig, perfConfig(sc, ityr.WriteBackLazy, 17))
-	add("uts", tu, rtu.Comm().Stats())
+	ru, rt := runUTS(perfConfig(sc, ityr.WriteBackLazy, 17), sc.UTSBig)
+	add("uts", ru.TraverseTime, rt.Comm().Stats())
 
 	res, err := halo.Run(halo.Config{
 		Ranks:        sc.FixedRanks,

@@ -13,43 +13,18 @@ import (
 	"ityr/internal/profile"
 )
 
-// haloProfileRun runs the profile workload: a 16-rank ring on the
-// three-tier rack topology (4 cores/node, 2 nodes/rack), so the
-// communication matrix must attribute self, node, rack AND fabric traffic.
-func haloProfileRun(t *testing.T, prof bool) (string, []byte) {
-	t.Helper()
-	res, err := halo.Run(halo.Config{
-		Ranks:        16,
-		CoresPerNode: 4,
-		NodesPerRack: 2,
-		CellsPerRank: 256,
-		Steps:        15,
-		Profile:      prof,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap []byte
-	if prof {
-		if res.Profile == nil {
-			t.Fatal("profile armed but Result.Profile is nil")
-		}
-		if snap, err = json.Marshal(res.Profile); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return res.Digest(), snap
-}
-
 // TestProfileHaloSnapshot checks what the streaming profile of an SPMD run
 // holds: the header, barrier and stall activity, and every locality tier
 // the ring crosses.
 func TestProfileHaloSnapshot(t *testing.T) {
-	_, snap := haloProfileRun(t, true)
-	var doc profile.Doc
-	if err := json.Unmarshal(snap, &doc); err != nil {
+	res, err := halo.Run(withProfile(profileHalo))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Profile == nil {
+		t.Fatal("profile armed but Result.Profile is nil")
+	}
+	doc := *res.Profile
 	if doc.Schema != profile.Schema || doc.Ranks != 16 {
 		t.Errorf("snapshot header = %s/%d", doc.Schema, doc.Ranks)
 	}
@@ -77,20 +52,8 @@ func TestProfileForkJoinEquivalence(t *testing.T) {
 	run := func() []byte {
 		cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
 		cfg.Profile = true
-		rt := ityr.NewRuntime(cfg)
-		err := rt.Run(func(s *ityr.SPMD) {
-			var a, b ityr.GSpan[cilksort.Elem]
-			if s.Rank() == 0 {
-				a = ityr.AllocArraySPMD[cilksort.Elem](s, Smoke.CilksortN, ityr.BlockCyclicDist)
-				b = ityr.AllocArraySPMD[cilksort.Elem](s, Smoke.CilksortN, ityr.BlockCyclicDist)
-			}
-			s.Barrier()
-			s.RootExec(func(c *ityr.Ctx) { cilksort.Generate(c, a, 11) })
-			s.RootExec(func(c *ityr.Ctx) { cilksort.Sort(c, a, b, Smoke.Cutoffs[0]) })
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, rt := runCilksort(cfg, cilksort.Params{N: Smoke.CilksortN, Cutoff: Smoke.Cutoffs[0],
+			Seed: 11, Dist: ityr.BlockCyclicDist})
 		var buf bytes.Buffer
 		if err := rt.WriteProfile(&buf); err != nil {
 			t.Fatal(err)
@@ -107,17 +70,6 @@ func TestProfileForkJoinEquivalence(t *testing.T) {
 	}
 	if doc.Rollup.TaskNs == 0 || doc.Rollup.CheckoutCalls == 0 {
 		t.Errorf("fork-join rollup missing task/checkout activity: %+v", doc.Rollup)
-	}
-}
-
-// TestProfileDigestInert: arming the profile must not perturb a single
-// simulated observable — golden digests are bit-identical with it on or
-// off (recording reads the clock but never advances it).
-func TestProfileDigestInert(t *testing.T) {
-	off, _ := haloProfileRun(t, false)
-	on, _ := haloProfileRun(t, true)
-	if on != off {
-		t.Errorf("profiling perturbed the digest:\n  off: %s\n  on:  %s", off, on)
 	}
 }
 

@@ -132,8 +132,17 @@ func timed(label string, fn func(io.Writer, Scale)) func(io.Writer, Scale) (*Rep
 	})
 }
 
+// runAll runs the figures in order, printing Fig. 9 from Fig. 8's runs
+// instead of repeating them.
 func runAll(w io.Writer, sc Scale) (*Report, error) {
+	var lazy []Fig8Run
 	for _, s := range figures {
+		switch s.Name {
+		case "fig8":
+			s.Run = timed("fig8", func(w io.Writer, sc Scale) { _, lazy = Fig8(w, sc) })
+		case "fig9":
+			s.Run = timed("fig9", func(w io.Writer, _ Scale) { fig9From(w, lazy) })
+		}
 		s.Run(w, sc) // print-only: nothing to return
 	}
 	return nil, nil

@@ -67,7 +67,7 @@ var scalingWorkloads = []struct {
 		})
 	}},
 	{"cilksort-forkjoin", func(ranks int) Metrics {
-		elapsed, rt := CilksortRun(1<<18, 16<<10, ranks, 8, ityr.WriteBackLazy, 11)
+		elapsed, rt := figCilksort(1<<18, 16<<10, ranks, 8, ityr.WriteBackLazy, 11)
 		st := rt.Engine().Stats()
 		return Metrics{"sim_ns": float64(elapsed), "events": float64(st.Events), "handoffs": float64(st.Handoffs)}
 	}},

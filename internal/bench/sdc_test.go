@@ -7,50 +7,11 @@ import (
 	"ityr/internal/fault"
 )
 
-// TestSDCDisabledDigestInert pins the zero-overhead-when-off guarantee at
-// the observable level, from both directions: a plan whose corruption
-// config is the zero value must not move a single virtual timestamp or
-// event relative to no plan at all, and arming the defenses with
-// Replicate=0 (protector present, selection stream never consumed) must be
-// equally invisible.
-func TestSDCDisabledDigestInert(t *testing.T) {
-	base := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
-	none := configDigest(t, base, Smoke.CilksortN, Smoke.Cutoffs[0])
-
-	cfg := base
-	cfg.Faults = &fault.Plan{Name: "empty-corrupt", Seed: 11, Corrupt: fault.Corruption{}}
-	emptyCorrupt := configDigest(t, cfg, Smoke.CilksortN, Smoke.Cutoffs[0])
-	if none != emptyCorrupt {
-		t.Errorf("zero-valued corruption plan perturbed the run:\n  no plan: %s\n  empty:   %s",
-			none, emptyCorrupt)
-	}
-
-	cfg = base
-	cfg.SDC = &ityr.SDCConfig{Replicate: 0}
-	repOff := configDigest(t, cfg, Smoke.CilksortN, Smoke.Cutoffs[0])
-	if none != repOff {
-		t.Errorf("replication-off protector perturbed the run:\n  no sdc:      %s\n  replicate=0: %s",
-			none, repOff)
-	}
-}
-
-// TestSDCCorruptionDeterministic pins that a corruption plan plus
-// replication replays bit-identically: same seed, same flips, same
-// detections, same replica traffic, same final clock.
-func TestSDCCorruptionDeterministic(t *testing.T) {
-	run := func() string {
-		cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
-		plan := fault.PlanSDC(11)
-		cfg.Faults = &plan
-		cfg.Sched.VictimBlacklist = true
-		cfg.SDC = &ityr.SDCConfig{Replicate: 0.5}
-		return configDigest(t, cfg, Smoke.CilksortN, Smoke.Cutoffs[0])
-	}
-	a, b := run(), run()
-	t.Logf("sdc-task+replicate=0.5 %s", a)
-	if a != b {
-		t.Errorf("run-to-run digest mismatch:\n  first:  %s\n  second: %s", a, b)
-	}
+// faultCilksort is the verified Smoke cilksort under plan and a replication
+// fraction.
+func faultCilksort(plan *fault.Plan, replicate float64) (*ityr.Runtime, bool) {
+	r := verifiedApps[0].Run(Smoke, faultConfig(Smoke, plan, replicate))
+	return r.rt, r.Verified
 }
 
 // TestSDCNegativeControl pins the sharp edge of the injection model: with
@@ -60,10 +21,11 @@ func TestSDCCorruptionDeterministic(t *testing.T) {
 // detection numbers elsewhere are meaningless.
 func TestSDCNegativeControl(t *testing.T) {
 	plan := fault.PlanSDC(11)
-	for _, app := range faultApps {
+	for _, app := range verifiedApps {
 		t.Run(app.Name, func(t *testing.T) {
-			_, rt, verified := app.Run(Smoke, &plan, 0)
-			if verified {
+			r := app.Run(Smoke, faultConfig(Smoke, &plan, 0))
+			rt := r.rt
+			if r.Verified {
 				t.Errorf("%s verified despite unprotected corruption", app.Name)
 			}
 			fs := rt.Injector().Stats()
@@ -91,10 +53,11 @@ func TestSDCNegativeControl(t *testing.T) {
 // output.
 func TestSDCFullReplicationDetectsAll(t *testing.T) {
 	plan := fault.PlanSDC(11)
-	for _, app := range faultApps {
+	for _, app := range verifiedApps {
 		t.Run(app.Name, func(t *testing.T) {
-			_, rt, verified := app.Run(Smoke, &plan, 1.0)
-			if !verified {
+			r := app.Run(Smoke, faultConfig(Smoke, &plan, 1.0))
+			rt := r.rt
+			if !r.Verified {
 				t.Errorf("%s failed verification with full replication", app.Name)
 			}
 			fs := rt.Injector().Stats()
@@ -122,7 +85,7 @@ func TestSDCFullReplicationDetectsAll(t *testing.T) {
 // the output must still verify.
 func TestSDCCombinedFlakyRecovery(t *testing.T) {
 	plan := fault.PlanSDCStorm(11)
-	_, rt, verified := FaultCilksortRun(Smoke, &plan, 1.0)
+	rt, verified := faultCilksort(&plan, 1.0)
 	if !verified {
 		t.Errorf("cilksort failed verification under sdc-storm with full replication")
 	}
@@ -151,7 +114,7 @@ func TestSDCWireCRC(t *testing.T) {
 	// probability to make the hooks' engagement certain.
 	plan.Corrupt.WireProb = 0.25
 
-	_, rt, verified := FaultCilksortRun(Smoke, &plan, 0.0001) // arms cfg.SDC (and the checksum) with negligible replication
+	rt, verified := faultCilksort(&plan, 0.0001) // arms cfg.SDC (and the checksum) with negligible replication
 	ws := rt.Comm().SdcWire()
 	if ws.Flips == 0 {
 		t.Fatalf("wire plan injected no flips")
@@ -167,7 +130,7 @@ func TestSDCWireCRC(t *testing.T) {
 		t.Errorf("wire checksum detected flips but recorded no retransmissions")
 	}
 
-	_, rt, verified = FaultCilksortRun(Smoke, &plan, 0) // defenses down
+	rt, verified = faultCilksort(&plan, 0) // defenses down
 	ws = rt.Comm().SdcWire()
 	if ws.Flips == 0 || ws.Escapes != ws.Flips {
 		t.Errorf("unprotected wire: flips=%d escapes=%d; want every flip to escape", ws.Flips, ws.Escapes)

@@ -102,21 +102,3 @@ func TestBaselinesFresh(t *testing.T) {
 		})
 	}
 }
-
-// TestExplicitChildFirstMatchesPinned is the scheduler-seam golden pin:
-// selecting -sched childfirst explicitly (rather than by default) routes
-// through the same SetSchedPolicy path itybench uses and must reproduce
-// the pre-seam kernel digest bit for bit. Together with
-// TestPinnedKernelDigests (which exercises the default), this pins that
-// introducing the policy seam changed nothing about the paper's
-// child-first schedule.
-func TestExplicitChildFirstMatchesPinned(t *testing.T) {
-	old := schedPolicy
-	defer SetSchedPolicy(old)
-	SetSchedPolicy(ityr.ChildFirst)
-	pol := ityr.WriteBackLazy
-	want := pinnedKernelDigests[pol.String()]
-	if got := kernelDigest(t, Smoke, pol); got != want {
-		t.Errorf("explicit childfirst diverged from the pre-seam capture:\n  pinned: %s\n  got:    %s", want, got)
-	}
-}

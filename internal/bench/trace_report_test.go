@@ -21,23 +21,7 @@ func TestCilksortTraceReport(t *testing.T) {
 	const nranks = 16
 	cfg := runtimeConfig(nranks, 8, ityr.WriteBackLazy, 7)
 	cfg.Trace = true
-	rt := ityr.NewRuntime(cfg)
-	n, cutoff := int64(1<<15), int64(1024)
-	err := rt.Run(func(s *ityr.SPMD) {
-		var a, b ityr.GSpan[cilksort.Elem]
-		if s.Rank() == 0 {
-			a = ityr.AllocArraySPMD[cilksort.Elem](s, n, ityr.BlockCyclicDist)
-			b = ityr.AllocArraySPMD[cilksort.Elem](s, n, ityr.BlockCyclicDist)
-		}
-		s.Barrier()
-		s.RootExec(func(c *ityr.Ctx) {
-			cilksort.Generate(c, a, 7)
-			cilksort.Sort(c, a, b, cutoff)
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rt := runCilksort(cfg, cilksort.Params{N: 1 << 15, Cutoff: 1024, Seed: 7, Dist: ityr.BlockCyclicDist})
 
 	var buf bytes.Buffer
 	if err := rt.WriteTrace(&buf); err != nil {

@@ -1,29 +1,93 @@
-// Package obs is the shared command-line plumbing for the example
-// binaries (cilksort, fmm, utsmem): the -trace/-metrics/-profile
+// Package obs is the command line of the application binaries (cilksort,
+// fmm, utsmem) but for the application: Main registers the machine flags
+// (-ranks/-cores/-policy/-seed), the -trace/-metrics/-profile
 // observability flags, the -coalesce/-prefetch cache
 // communication-batching knobs, the -sched scheduling-policy selector,
-// and the -sdc/-replicate silent-data-corruption knobs.
-// Each binary calls Register before flag.Parse, Apply on its Config, and
-// Write after the run. Keeping this here means every command emits the
-// same file formats (itytrace/v1 and itoyori-metrics/v1) that
-// cmd/itytrace consumes, and exposes the same batching defaults that
-// cmd/itybench uses.
+// -validate and the -sdc/-replicate silent-data-corruption knobs, builds
+// the runtime, hands it to the binary's body, writes the requested dumps
+// and sets the exit status. Keeping this here means every command has the
+// same flags with the same defaults and valid sets, emits the same file
+// formats (itytrace/v1 and itoyori-metrics/v1) that cmd/itytrace consumes,
+// and fails the same way.
 package obs
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"ityr"
 	"ityr/internal/core"
 	"ityr/internal/fault"
 	"ityr/internal/trace"
 	"ityr/internal/uth"
 )
 
-// Options holds the values of the shared flags. Register binds them,
-// Apply carries them into a Config, Write emits the requested dumps.
-type Options struct {
+// Body is what a binary does with the runtime Main built: run the
+// application on it and print the report on stdout. ok false means the
+// output failed the binary's own check: the dumps are still written — a
+// corrupted run (the -sdc negative control) is exactly the one whose trace
+// and metrics are worth inspecting — and the exit status is 1.
+type Body func(rt *core.Runtime) (ok bool, err error)
+
+// Main is an application binary's main once its own flags are declared. It
+// registers the shared flags (-seed with the binary's default and help
+// text), parses the command line, fills the Config and passes it to setup,
+// which checks the binary's own flags (an error is a usage error), may
+// adjust the Config, and returns the body to run. Exit status: 2 for a
+// usage error; 1 for a run that failed, an output that did not verify, a
+// dump that could not be written or, in a validated run, a recorded
+// violation; else 0.
+func Main(seed int64, seedHelp string, setup func(cfg *core.Config) (Body, error)) {
+	cfg := &core.Config{}
+	flag.IntVar(&cfg.Ranks, "ranks", 32, "number of simulated ranks")
+	flag.IntVar(&cfg.CoresPerNode, "cores", 8, "cores (ranks) per node")
+	policy := flag.String("policy", "lazy", "cache policy: nocache|wt|wb|lazy")
+	flag.Int64Var(&cfg.Seed, "seed", seed, seedHelp)
+	o := register()
+	flag.Parse()
+	os.Exit(o.run(cfg, *policy, setup))
+}
+
+func (o *options) run(cfg *core.Config, policy string, setup func(cfg *core.Config) (Body, error)) int {
+	fail := func(status int, err error) int {
+		fmt.Fprintln(os.Stderr, err)
+		return status
+	}
+	var err error
+	if cfg.Pgas.Policy, err = ityr.ParsePolicy(policy); err != nil {
+		return fail(2, err)
+	}
+	if err := o.apply(cfg); err != nil {
+		return fail(2, err)
+	}
+	body, err := setup(cfg)
+	if err != nil {
+		return fail(2, err)
+	}
+	rt := core.NewRuntime(*cfg)
+	ok, err := body(rt)
+	if err != nil {
+		return fail(1, err)
+	}
+	if err := o.write(rt); err != nil {
+		return fail(1, err)
+	}
+	// The report of a validated run: its violations, or the line that
+	// confirms there were none.
+	if cfg.Pgas.Validate && reportViolations(rt) {
+		ok = false
+	}
+	if !ok {
+		return 1
+	}
+	return 0
+}
+
+// options holds the values of the shared flags: register binds them, apply
+// carries them into a Config, write emits the requested dumps.
+type options struct {
 	trace, metrics, profile string
 	ring                    int
 	sched                   string
@@ -31,20 +95,16 @@ type Options struct {
 	prefetch                int
 	sdc                     bool
 	replicate               float64
-
-	// Validate is the -validate value: the checkout-discipline validator
+	// validate arms the checkout-discipline validator
 	// (Config.Pgas.Validate). Violating runs fail fast with a diagnostic
 	// naming the broken rule; clean validated runs are bit-identical to
-	// unvalidated ones. Print the report with ReportViolations, or read it
-	// from the trace dump's "validator" section via itytrace.
-	Validate bool
+	// unvalidated ones. The report is also in the trace dump's "validator"
+	// section, for itytrace.
+	validate bool
 }
 
-// Register registers the shared flags on the default flag set — once, for
-// every CLI, so cilksort, fmm and utsmem stay flag-consistent: same names,
-// same defaults, same valid sets. Call it before flag.Parse.
-func Register() *Options {
-	o := &Options{}
+func register() *options {
+	o := &options{}
 	flag.StringVar(&o.trace, "trace", "",
 		"write an itytrace/v1 dump (analyze with itytrace) to this file")
 	flag.StringVar(&o.metrics, "metrics", "",
@@ -56,7 +116,7 @@ func Register() *Options {
 	// never truncate) is the graceful-degradation companion.
 	flag.IntVar(&o.ring, "tracering", 0,
 		"bound the trace to the most recent N events per rank (ring buffer); 0 keeps everything")
-	flag.BoolVar(&o.Validate, "validate", false,
+	flag.BoolVar(&o.validate, "validate", false,
 		"enforce the checkout-discipline memory-model contract (see PITFALLS.md); violations abort with a diagnostic")
 	flag.StringVar(&o.sched, "sched", uth.ChildFirst.String(),
 		"scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
@@ -75,22 +135,21 @@ func Register() *Options {
 	return o
 }
 
-// Apply carries the parsed flag values into cfg, whose Seed must already
+// apply carries the parsed flag values into cfg, whose Seed must already
 // be set (the -sdc plan is seeded from it). A nonempty -trace or -profile
 // arms the span trace or the streaming collector for the run; negative
 // prefetch depths are clamped to 0 (off). An unknown -sched value returns
-// the parse error listing the valid set; callers should treat it as a usage
-// error (exit 2).
-func (o *Options) Apply(cfg *core.Config) error {
+// the parse error listing the valid set.
+func (o *options) apply(cfg *core.Config) error {
 	pol, err := uth.ParseSchedPolicy(o.sched)
 	if err != nil {
 		return err
 	}
 	cfg.Sched.Policy = pol
-	cfg.Trace = cfg.Trace || o.trace != ""
+	cfg.Trace = o.trace != ""
 	cfg.Profile = o.profile != ""
 	cfg.TraceRing = o.ring
-	cfg.Pgas.Validate = o.Validate
+	cfg.Pgas.Validate = o.validate
 	cfg.Pgas.CoalesceWriteBack = o.coalesce
 	cfg.Pgas.PrefetchBlocks = max(o.prefetch, 0)
 	if o.sdc {
@@ -103,59 +162,43 @@ func (o *Options) Apply(cfg *core.Config) error {
 	return nil
 }
 
-// ReportViolations prints the validator report to stderr and reports
-// whether any violation was recorded. Call it when a run aborts with
-// pgas.ErrViolation (and at the end of validated runs for the clean
-// confirmation line).
-func ReportViolations(rt *core.Runtime) bool {
+// reportViolations prints the validator report to stderr and reports
+// whether any violation was recorded.
+func reportViolations(rt *core.Runtime) bool {
 	recs := rt.Space().Violations()
 	trace.WriteViolations(os.Stderr, recs)
 	return len(recs) > 0
 }
 
-// Write emits the dump files requested by the flags. rt must have been
-// built from a Config that went through Apply.
-func (o *Options) Write(rt *core.Runtime) error {
-	traceFile, metricsFile, profileFile := o.trace, o.metrics, o.profile
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
+// write emits the dump files requested by the flags. rt must have been
+// built from a Config that went through apply.
+func (o *options) write(rt *core.Runtime) error {
+	for _, d := range []struct {
+		what, path string
+		write      func(io.Writer) error
+	}{
+		{"trace", o.trace, rt.WriteTrace},
+		{"metrics", o.metrics, rt.WriteMetrics},
+		{"profile", o.profile, rt.WriteProfile},
+	} {
+		var err error
+		switch {
+		case d.path == "":
+			continue
+		case d.path == "-" && d.what != "trace": // -trace has no stdout form
+			err = d.write(os.Stdout)
+		default:
+			f, cerr := os.Create(d.path)
+			if cerr != nil {
+				return cerr
+			}
+			err = d.write(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			return err
-		}
-		werr := rt.WriteTrace(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("writing trace %s: %w", traceFile, werr)
-		}
-	}
-	if metricsFile != "" {
-		w := os.Stdout
-		if metricsFile != "-" {
-			f, err := os.Create(metricsFile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rt.WriteMetrics(w); err != nil {
-			return fmt.Errorf("writing metrics %s: %w", metricsFile, err)
-		}
-	}
-	if profileFile != "" {
-		w := os.Stdout
-		if profileFile != "-" {
-			f, err := os.Create(profileFile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rt.WriteProfile(w); err != nil {
-			return fmt.Errorf("writing profile %s: %w", profileFile, err)
+			return fmt.Errorf("writing %s %s: %w", d.what, d.path, err)
 		}
 	}
 	return nil

@@ -29,6 +29,8 @@
 package ityr
 
 import (
+	"fmt"
+
 	"ityr/internal/core"
 	"ityr/internal/netmodel"
 	"ityr/internal/pgas"
@@ -94,6 +96,22 @@ const (
 
 // Policies lists all cache policies in the paper's plotting order.
 var Policies = pgas.Policies
+
+// ParsePolicy maps a -policy flag spelling (nocache, wt, wb, lazy) to its
+// cache policy, listing the valid set on error.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "nocache":
+		return NoCache, nil
+	case "wt":
+		return WriteThrough, nil
+	case "wb":
+		return WriteBack, nil
+	case "lazy":
+		return WriteBackLazy, nil
+	}
+	return NoCache, fmt.Errorf("unknown policy %q (valid: nocache, wt, wb, lazy)", s)
+}
 
 // Scheduling policies (Config.Sched.Policy). ChildFirst is the paper's
 // discipline and the default; HelpFirst and FBC are the Task Bench study's

@@ -2,6 +2,7 @@ package ityr_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ityr"
@@ -226,4 +227,17 @@ func ExampleLaunchRoot() {
 	})
 	fmt.Println(err == nil, elapsed > 0)
 	// Output: true true
+}
+
+// TestParsePolicy: the four -policy spellings, in plotting order, and the
+// error that lists them.
+func TestParsePolicy(t *testing.T) {
+	for i, s := range []string{"nocache", "wt", "wb", "lazy"} {
+		if got, err := ityr.ParsePolicy(s); err != nil || got != ityr.Policies[i] {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", s, got, err, ityr.Policies[i])
+		}
+	}
+	if _, err := ityr.ParsePolicy("writeback"); err == nil || !strings.Contains(err.Error(), "nocache, wt, wb, lazy") {
+		t.Errorf("ParsePolicy(writeback) error = %v; want one listing the valid set", err)
+	}
 }
