@@ -9,17 +9,20 @@
 # worker's own; and the fleet, the one place engines run concurrently.
 # internal/sim needs a Go 1.23+ toolchain (README.md, "Install / run").
 #
-# Not a check: `make profile ROW=halo-spmd/4096` CPU-profiles one row of
-# `itybench scaling` and prints the flat top of the profile. It wraps
+# Not a check: `make profile BENCH=Scaling/halo-spmd/4096` CPU-profiles one
+# row of `itybench scaling`, `make profile BENCH=Suite/fig11` one suite at the
+# quick scale, and prints the flat top of the profile. It wraps
 #   go test ./internal/bench -run '^$' -bench 'Scaling/halo-spmd/4096' -cpuprofile halo.prof
-# (BenchmarkScaling runs each row through the sweep's own run function), the
-# way to find out where a workload's host time goes before explaining it.
+#   go test . -run '^$' -bench 'Suite/fig11' -cpuprofile fig11.prof
+# (BenchmarkScaling and BenchmarkSuite run each row or suite through its own
+# run function), the way to find out where a workload's host time goes
+# before explaining it.
 
 GO ?= go
 
 .PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate docscheck linkcheck profile
 
-check: fmt vet build test benchmark-test shuffle race docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling
+check: fmt vet build test benchmark-test shuffle race docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling gate-figures
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -102,11 +105,16 @@ validate:
 #              replication sweep: times, counters and the ok verdict
 #   scaling    64→16,384-rank halo/cilksort sweep (sim time, events) and
 #              the 64-simulation fleet's digest cross-check
+#   figures    the reproduction: every point of Table 1, Fig 7–11, Table 2
+#              and the ablations, and each claim the paper makes about them
+#              as a 0/1 verdict (claim/<figure> rows, held exactly);
+#              EXPERIMENTS.md's tables are rendered from this file
 # Each baseline is taken at the scale its row says below.
 SCALE_perf      = smoke
 SCALE_taskbench = smoke
 SCALE_faults    = full
 SCALE_scaling   = full
+SCALE_figures   = quick
 
 gate-%:
 	$(GO) run ./cmd/itybench -scale $(SCALE_$*) -o BENCH_$*.current.json $*
@@ -118,15 +126,19 @@ gate-%:
 baseline-%:
 	$(GO) run ./cmd/itybench -scale $(SCALE_$*) -o BENCH_$*.json $*
 
-# CPU profile of one scaling row (workload/ranks, as `itybench scaling` names
-# them). The test binary and the profile stay out of the checkout.
-ROW         ?= halo-spmd/4096
+# CPU profile of one benchmark: Scaling/<workload>/<ranks>, a row as
+# `itybench scaling` names it (BenchmarkScaling in internal/bench, 5 runs), or
+# Suite/<name>, an `itybench` suite at the quick scale (BenchmarkSuite in the
+# root package, 1 run). The test binary and the profile stay out of the
+# checkout.
+BENCH       ?= Scaling/halo-spmd/4096
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)
 
 profile:
-	$(GO) test ./internal/bench -run '^$$' -bench '^BenchmarkScaling$$/^$(subst /,$$/^,$(ROW))$$' -benchtime 5x \
-		-o $(PROFILE_DIR)/bench.test -outputdir $(PROFILE_DIR) -cpuprofile scaling.prof
-	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/scaling.prof
+	$(GO) test $(if $(filter Suite/%,$(BENCH)),.,./internal/bench) -run '^$$' \
+		-bench '^Benchmark$(subst /,$$/^,$(BENCH))$$' -benchtime $(if $(filter Suite/%,$(BENCH)),1x,5x) \
+		-o $(PROFILE_DIR)/bench.test -outputdir $(PROFILE_DIR) -cpuprofile bench.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/bench.prof
 
 # Documentation gates: every package keeps a package comment (and the public
 # ityr package plus internal/pgas — the memory-model contract surface —

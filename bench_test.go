@@ -1,123 +1,25 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§6). Each benchmark runs the corresponding experiment of
-// internal/bench at the Quick scale and prints the same rows/series the
-// paper reports on the first iteration; cmd/itybench runs the same
-// experiments at the Full scale for EXPERIMENTS.md.
-//
-// Ablation benchmarks at the bottom probe the design choices DESIGN.md
-// calls out: sub-block size (§4.3.1), cache capacity (§3.3), distribution
-// policy (§4.2), lazy release (§5.2), FMM θ and particle distribution,
-// plus the three implemented future-work extensions (node-shared cache,
-// locality-aware stealing, communication-computation overlap).
 package ityr_test
 
 import (
 	"io"
-	"os"
 	"testing"
 
 	"ityr/internal/bench"
 )
 
-// out returns the writer for figure rows: stdout on the first iteration of
-// a benchmark, discarded afterwards.
-func out(i int) io.Writer {
-	if i == 0 {
-		return os.Stdout
-	}
-	return io.Discard
-}
-
-func BenchmarkFig7CilksortGranularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig7(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkFig8CilksortScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig8(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkFig9CilksortBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig9(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkFig10UTSMem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig10(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkFig11FMM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig11(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkTable2MPIIdleness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Table2(out(i), bench.Quick)
-	}
-}
-
-// --- Ablations ---
-// Each ablation probes a design choice DESIGN.md calls out; the runners
-// live in internal/bench so cmd/itybench can reproduce them too.
-
-func BenchmarkAblationSubBlockSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationSubBlock(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationCacheSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationCacheSize(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationDistribution(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationLazyRelease(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationLazyRelease(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationFMMTheta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationFMMTheta(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationSharedCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationSharedCache(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationLocalitySteals(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationLocalitySteals(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationFMMDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationFMMDistribution(out(i), bench.Quick)
-	}
-}
-
-func BenchmarkAblationOverlap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblationOverlap(out(i), bench.Quick)
+// BenchmarkSuite is the host cost of everything `itybench` runs: one
+// sub-benchmark per entry of bench.Suites at the Quick scale, through the
+// suite's own Run. The results themselves are not read here — they are the
+// suite's report, gated as BENCH_<suite>.json. It is also how a suite is
+// profiled: `make profile BENCH=Suite/fig11`.
+func BenchmarkSuite(b *testing.B) {
+	for _, s := range bench.Suites {
+		b.Run(s.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Run(io.Discard, bench.Quick); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

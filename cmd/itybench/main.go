@@ -1,23 +1,24 @@
 // Command itybench reproduces the paper's evaluation: it runs the
-// experiment behind every figure and table of §6 on the simulated cluster
-// and prints the corresponding rows/series, and it runs the gated suites
-// whose itoyori-bench/v1 reports `make check` holds to the checked-in
+// experiment behind every figure and table of §6 on the simulated cluster,
+// prints the corresponding rows/series with the paper's claims about them as
+// 0/1 verdicts, and runs the other gated suites. Every suite returns one
+// itoyori-bench/v1 report, which `make check` holds to the checked-in
 // BENCH_<suite>.json files.
 //
 // Usage:
 //
 //	itybench [flags] <suite>
 //
-//	itybench                 # suite "all" at the default (full) scale
+//	itybench                 # suite "figures" at the default (full) scale
 //	itybench fig7            # only Figure 7 (fig7..fig11, table1, table2, abl)
 //	itybench -scale quick fig8
 //	                         # reduced sizes (smoke | quick | full)
-//	itybench -scale smoke -o BENCH_perf.current.json perf
-//	                         # a gated suite (perf | taskbench | faults |
-//	                         # scaling): table on stdout, report in the file;
-//	                         # compare with internal/tools/perfgate
-//	itybench -scale smoke -o - taskbench | jq .rows
-//	                         # report on stdout, table on stderr
+//	itybench -scale quick -o BENCH_figures.current.json figures
+//	                         # a gated suite (figures | perf | taskbench |
+//	                         # faults | scaling): table on stdout, report in
+//	                         # the file; compare with internal/tools/perfgate
+//	itybench -scale smoke -o - fig7 | jq .rows
+//	                         # any suite's report on stdout, table on stderr
 //	itybench scaling         # 64 → 16,384 simulated-rank sweep (halo +
 //	                         # cilksort) and a 64-simulation fleet; -scale
 //	                         # smoke stops at the paper's 1,728 ranks
@@ -79,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	name := "all"
+	name := "figures"
 	switch fs.NArg() {
 	case 0:
 	case 1:
@@ -107,9 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if sc.Name == "" {
 		return usage("itybench: unknown scale %q (valid: %s)", *scaleName, strings.Join(scales, ", "))
-	}
-	if *outFile != "" && !suite.Reports {
-		return usage("itybench: suite %q only prints: it has no report for -o", name)
 	}
 	pol, err := ityr.ParseSchedPolicy(*sched)
 	if err != nil {
@@ -139,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = file
 	}
 	rep, runErr := suite.Run(table, sc)
-	if out != nil && rep != nil {
+	if out != nil && rep != nil { // nil: the suite failed before it had a report
 		err := rep.WriteJSON(out)
 		if file != nil && err == nil {
 			err = file.Close()

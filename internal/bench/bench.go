@@ -1,14 +1,18 @@
 // Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§6), each printing the same rows/series the
-// paper reports and returning them for programmatic checks. The runners
-// are shared by cmd/itybench (full-scale reproduction, EXPERIMENTS.md) and
-// the root bench_test.go (reduced-scale regeneration under `go test
-// -bench`).
+// of the paper's evaluation (§6) and per gated suite, behind one dispatch
+// table (Suites). Every runner returns the one Report; a figure's runner
+// prints the rows/series the paper reports from it, and scores what the
+// paper claims about them as 0/1 verdicts on its claim/<figure> row. The
+// table is walked by cmd/itybench, by the root BenchmarkSuite, and — through
+// the checked-in BENCH_<suite>.json reports — by internal/tools/perfgate and
+// EXPERIMENTS.md.
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"ityr"
 	"ityr/internal/apps/cilksort"
@@ -78,7 +82,7 @@ var Smoke = Scale{
 	ScalingMaxRanks: 1728, FleetSims: 16, // 1,728: the paper's machine
 }
 
-// Quick is the scale used by `go test -bench`.
+// Quick is the scale of `go test -bench` and of BENCH_figures.json.
 var Quick = Scale{
 	Name:         "quick",
 	CilksortN:    1 << 18,
@@ -102,7 +106,7 @@ var Quick = Scale{
 	ScalingMaxRanks: 4096, FleetSims: 32,
 }
 
-// Full is the paper-regime scale used by cmd/itybench for EXPERIMENTS.md.
+// Full is the paper-regime scale, cmd/itybench's default.
 var Full = Scale{
 	Name:         "full",
 	CilksortN:    1 << 20, // "1G elements" analogue
@@ -129,21 +133,10 @@ var Full = Scale{
 // Scales are the scales `itybench -scale` accepts.
 var Scales = []Scale{Smoke, Quick, Full}
 
-// Row is one measured data point.
-type Row struct {
-	Fig      string
-	Workload string
-	Policy   string
-	Ranks    int
-	Param    int64 // cutoff / node count / tree size, by figure
-	Time     sim.Time
-	Value    float64 // figure-specific metric (speedup, nodes/s, idleness...)
-}
-
 // cacheCoalesce / cachePrefetch are the cache communication-batching knobs
 // every experiment runtime uses (cmd/itybench's -coalesce / -prefetch
 // flags). Batching is on by default: the headline experiments report the
-// batched cache, and AblationBatching quantifies each knob's contribution.
+// batched cache, and ablBatching quantifies each knob's contribution.
 var (
 	cacheCoalesce = true
 	cachePrefetch = 2
@@ -250,135 +243,231 @@ func figCilksort(n, cutoff int64, ranks, coresPerNode int, pol ityr.Policy, seed
 	return res.SortTime, rt
 }
 
-// MetricsRun runs the canonical Fig. 7 cilksort configuration (the lazy
-// write-back policy on the scale's fixed rank count) and writes the
-// run's "itoyori-metrics/v1" snapshot — the machine-readable runtime
-// counters the app CLIs' -metrics flag writes.
-func MetricsRun(w io.Writer, sc Scale) error {
-	_, rt := figCilksort(sc.CilksortN, sc.SortCutoff, sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 11)
-	return rt.WriteMetrics(w)
-}
-
-// Fig7 regenerates Figure 7: Cilksort execution time across task cutoffs
-// for the four cache policies on a fixed rank count.
-func Fig7(w io.Writer, sc Scale) []Row {
+// fig7 regenerates Figure 7: Cilksort execution time across task cutoffs
+// for the four cache policies on a fixed rank count. Rows
+// fig7/<policy>/<cutoff>.
+func fig7(w io.Writer, rep *Report, sc Scale) {
 	fmt.Fprintf(w, "\n== Figure 7: Cilksort (%d elements) vs cutoff on %d ranks (%d/node) ==\n",
 		sc.CilksortN, sc.FixedRanks, sc.CoresPerNode)
 	fmt.Fprintf(w, "%-20s %10s %14s\n", "policy", "cutoff", "time (ms)")
-	var rows []Row
 	for _, pol := range ityr.Policies {
 		for _, cutoff := range sc.Cutoffs {
-			t, _ := figCilksort(sc.CilksortN, cutoff, sc.FixedRanks, sc.CoresPerNode, pol, 11)
-			fmt.Fprintf(w, "%-20s %10d %14.3f\n", pol, cutoff, ms(t))
-			rows = append(rows, Row{Fig: "7", Workload: "cilksort", Policy: pol.String(),
-				Ranks: sc.FixedRanks, Param: cutoff, Time: t})
+			m := rep.row(rowName("fig7", pol, cutoff), func() Metrics {
+				t, _ := figCilksort(sc.CilksortN, cutoff, sc.FixedRanks, sc.CoresPerNode, pol, 11)
+				return Metrics{"sim_ns": float64(t)}
+			})
+			fmt.Fprintf(w, "%-20s %10d %14.3f\n", pol, cutoff, m.ms())
 		}
 	}
-	return rows
 }
 
-// Fig8Run is what Figs. 8 and 9 keep of one run: its size, rank count, sort
-// time and per-category breakdown.
-type Fig8Run struct {
-	N         int64
-	Ranks     int
-	Time      sim.Time
-	Breakdown map[string]sim.Time
+// fig7Claims: the more the write-back is delayed the better at fine grain
+// (No Cache > Write-Through > Write-Back > Lazy at the finest cutoff, and
+// its weaker half, No Cache the slowest there); a U-shape whose minimum is
+// the paper's 16K cutoff, strictly inside the sweep, for every policy; and
+// Lazy the most robust to fine grain (the smallest finest ÷ best ratio).
+func fig7Claims(rep *Report, sc Scale) Metrics {
+	t := func(pol ityr.Policy, cutoff int64) float64 { return rep.at("sim_ns", "fig7", pol, cutoff) }
+	fine, last := sc.Cutoffs[0], sc.Cutoffs[len(sc.Cutoffs)-1]
+	penalty := func(pol ityr.Policy) (best int64, ratio float64) {
+		best = slices.MinFunc(sc.Cutoffs, func(a, b int64) int { return cmp.Compare(t(pol, a), t(pol, b)) })
+		return best, t(pol, fine) / t(pol, best)
+	}
+	_, lazy := penalty(ityr.WriteBackLazy)
+	order, slowest, uShape, robust := true, true, true, true
+	for i, pol := range ityr.Policies {
+		if i > 0 {
+			order = order && t(ityr.Policies[i-1], fine) > t(pol, fine)
+			slowest = slowest && t(ityr.NoCache, fine) > t(pol, fine)
+		}
+		best, ratio := penalty(pol)
+		uShape = uShape && best == 16<<10 && best != fine && best != last
+		robust = robust && lazy <= ratio
+	}
+	return Metrics{
+		"policy_order_at_finest_cutoff":    verdict(order),
+		"nocache_slowest_at_finest_cutoff": verdict(slowest),
+		"u_shape_min_at_16k":               verdict(uShape),
+		"lazy_most_robust":                 verdict(robust),
+	}
 }
 
-// fig8Run is one run of Figs. 8 and 9: seed 13 at the scaling cutoff.
-func runFig8(sc Scale, n int64, ranks int, pol ityr.Policy) Fig8Run {
-	t, rt := figCilksort(n, sc.SortCutoff, ranks, sc.CoresPerNode, pol, 13)
-	return Fig8Run{N: n, Ranks: ranks, Time: t, Breakdown: rt.Profiler().Breakdown(t)}
+// fig8Policies are the two configurations Figs. 8 and 10 compare.
+var fig8Policies = []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy}
+
+// fig9Cats are Fig. 9's categories in the paper's order, with the metric
+// each is stored under on a Fig. 8 lazy row. "Others" is not among them: it
+// is what the named categories leave of elapsed × ranks (fig9Others).
+var fig9Cats = []struct{ name, metric string }{
+	{cilksort.CatGet, "get_ns"}, {"Checkout", "checkout_ns"}, {"Checkin", "checkin_ns"},
+	{"Release", "release_ns"}, {"Lazy Release", "lazy_release_ns"}, {"Acquire", "acquire_ns"},
+	{cilksort.CatMerge, "merge_ns"}, {cilksort.CatQuicksort, "quicksort_ns"},
 }
 
-// Fig8 regenerates Figure 8: Cilksort strong scaling for two input sizes,
-// No Cache vs Write-Back (Lazy), with speedups over the modelled serial
-// execution. It returns the rows and, for Fig. 9, the breakdown of each run
-// of the lazy configuration — not the runtimes, which would keep every
-// finished run's arrays and caches alive until the figure returns.
-func Fig8(w io.Writer, sc Scale) ([]Row, []Fig8Run) {
+// fig8Row is one run of Figs. 8 and 9 — seed 13 at the scaling cutoff — as
+// the row fig8/<n>/<policy>/<ranks>: time, speedup over the modelled serial
+// execution and, under the lazy policy, the time every rank accumulated per
+// category, which is Fig. 9.
+func fig8Row(rep *Report, sc Scale, n int64, pol ityr.Policy, ranks int) Metrics {
+	return rep.row(rowName("fig8", n, pol, ranks), func() Metrics {
+		t, rt := figCilksort(n, sc.SortCutoff, ranks, sc.CoresPerNode, pol, 13)
+		m := Metrics{"sim_ns": float64(t), "speedup": float64(cilksort.SerialTime(n)) / float64(t)}
+		if pol == ityr.WriteBackLazy {
+			for _, c := range fig9Cats {
+				m[c.metric] = float64(rt.Profiler().Total(c.name))
+			}
+		}
+		return m
+	})
+}
+
+// fig8 regenerates Figure 8: Cilksort strong scaling for two input sizes,
+// No Cache vs Write-Back (Lazy).
+func fig8(w io.Writer, rep *Report, sc Scale) {
 	fmt.Fprintf(w, "\n== Figure 8: Cilksort strong scaling (cutoff %d) ==\n", sc.SortCutoff)
 	fmt.Fprintf(w, "%-10s %-20s %7s %12s %10s\n", "size", "policy", "ranks", "time (ms)", "speedup")
-	var rows []Row
-	var lazy []Fig8Run
 	for _, n := range []int64{sc.CilksortN, sc.CilksortBigN} {
-		serial := cilksort.SerialTime(n)
-		fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10s\n", n, "(serial model)", 1, ms(serial), "1.0")
-		for _, pol := range []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy} {
+		serial := rep.row(rowName("fig8", n, "serial"), func() Metrics {
+			return Metrics{"sim_ns": float64(cilksort.SerialTime(n))}
+		})
+		fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10s\n", n, "(serial model)", 1, serial.ms(), "1.0")
+		for _, pol := range fig8Policies {
 			for _, ranks := range sc.Ranks {
-				r := runFig8(sc, n, ranks, pol)
-				t := r.Time
-				sp := float64(serial) / float64(t)
-				fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10.1f\n", n, pol, ranks, ms(t), sp)
-				rows = append(rows, Row{Fig: "8", Workload: fmt.Sprintf("cilksort-%d", n),
-					Policy: pol.String(), Ranks: ranks, Param: n, Time: t, Value: sp})
-				if pol == ityr.WriteBackLazy {
-					lazy = append(lazy, r)
-				}
+				m := fig8Row(rep, sc, n, pol, ranks)
+				fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10.1f\n", n, pol, ranks, m.ms(), m["speedup"])
 			}
 		}
 	}
-	return rows, lazy
 }
 
-// Fig9 regenerates Figure 9: the per-category performance breakdown of the
-// Write-Back (Lazy) Cilksort runs, normalized per input size. It makes the
-// runs itself; `all` prints the figure from Fig. 8's (fig9From).
-func Fig9(w io.Writer, sc Scale) []Row {
-	var lazy []Fig8Run
+// fig8Claims: the larger input scales better (a higher speedup at the top
+// rank count under both policies) and does speed up with ranks at all; and
+// caching gains more on the larger input (Lazy's time advantage over No
+// Cache at the top rank count, as a fraction of No Cache's time).
+func fig8Claims(rep *Report, sc Scale) Metrics {
+	lo, top := sc.Ranks[0], sc.Ranks[len(sc.Ranks)-1]
+	small, big := sc.CilksortN, sc.CilksortBigN
+	gain := func(n int64) float64 {
+		return 1 - rep.at("sim_ns", "fig8", n, ityr.WriteBackLazy, top)/rep.at("sim_ns", "fig8", n, ityr.NoCache, top)
+	}
+	scalesBetter := true
+	for _, pol := range fig8Policies {
+		scalesBetter = scalesBetter && rep.at("speedup", "fig8", big, pol, top) > rep.at("speedup", "fig8", small, pol, top)
+	}
+	return Metrics{
+		"larger_input_scales_better": verdict(scalesBetter),
+		"larger_input_speeds_up_with_ranks": verdict(
+			rep.at("sim_ns", "fig8", big, ityr.WriteBackLazy, top) < rep.at("sim_ns", "fig8", big, ityr.WriteBackLazy, lo)),
+		"cache_gain_larger_on_larger_input": verdict(gain(big) > gain(small)),
+	}
+}
+
+// fig9Others is what the named categories leave of a lazy run's accumulated
+// time, elapsed × ranks — negative, not clamped, if more time was attributed
+// than elapsed.
+func fig9Others(m Metrics, ranks int) float64 {
+	others := m["sim_ns"] * float64(ranks)
+	for _, c := range fig9Cats {
+		others -= m[c.metric]
+	}
+	return others
+}
+
+// fig9 regenerates Figure 9: the per-category breakdown of the Write-Back
+// (Lazy) Cilksort runs of Fig. 8 (its rows; run alone it makes just those),
+// as shares of each run's accumulated time.
+func fig9(w io.Writer, rep *Report, sc Scale) {
+	fmt.Fprintf(w, "\n== Figure 9: Cilksort Write-Back (Lazy) breakdown ==\n")
 	for _, n := range []int64{sc.CilksortN, sc.CilksortBigN} {
 		for _, ranks := range sc.Ranks {
-			lazy = append(lazy, runFig8(sc, n, ranks, ityr.WriteBackLazy))
-		}
-	}
-	return fig9From(w, lazy)
-}
-
-// fig9From prints Figure 9 from the lazy runs Fig8 returned.
-func fig9From(w io.Writer, lazy []Fig8Run) []Row {
-	fmt.Fprintf(w, "\n== Figure 9: Cilksort Write-Back (Lazy) breakdown ==\n")
-	var rows []Row
-	for _, r := range lazy {
-		fmt.Fprintf(w, "-- %d elements, %d ranks (total %0.3f ms x %d ranks) --\n", r.N, r.Ranks, ms(r.Time), r.Ranks)
-		var total sim.Time
-		for _, v := range r.Breakdown {
-			total += v
-		}
-		for _, cat := range []string{
-			cilksort.CatGet, "Checkout", "Checkin", "Release", "Lazy Release",
-			"Acquire", cilksort.CatMerge, cilksort.CatQuicksort, "Others",
-		} {
-			v := r.Breakdown[cat]
-			frac := 0.0
-			if total > 0 {
-				frac = float64(v) / float64(total)
+			m := fig8Row(rep, sc, n, ityr.WriteBackLazy, ranks)
+			fmt.Fprintf(w, "-- %d elements, %d ranks (total %0.3f ms x %d ranks) --\n", n, ranks, m.ms(), ranks)
+			line := func(cat string, ns float64) {
+				fmt.Fprintf(w, "   %-18s %10.3f ms  %5.1f%%\n", cat, ns/1e6, 100*ns/(m["sim_ns"]*float64(ranks)))
 			}
-			fmt.Fprintf(w, "   %-18s %10.3f ms  %5.1f%%\n", cat, ms(v), 100*frac)
-			rows = append(rows, Row{Fig: "9", Workload: fmt.Sprintf("cilksort-%d", r.N),
-				Policy: cat, Ranks: r.Ranks, Time: v, Value: frac})
+			for _, c := range fig9Cats {
+				line(c.name, m[c.metric])
+			}
+			line("Others", fig9Others(m, ranks))
 		}
 	}
-	return rows
 }
 
-// Fig10 regenerates Figure 10: UTS-Mem traversal throughput (nodes/s) for
-// the two trees, Cache (Write-Back, Lazy) vs No Cache, strong scaling.
-func Fig10(w io.Writer, sc Scale) []Row {
+// fig9Claims: the accumulated serial time (merge + quicksort) is the same at
+// every rank count — exactly: the tolerance is zero, the leaves' charges are
+// analytic — while "Others" (idle and scheduling) takes over faster on the
+// small input (its share of accumulated time rises by more points from the
+// lowest to the highest rank count); and no run attributes more time to its
+// categories than elapsed × ranks holds.
+func fig9Claims(rep *Report, sc Scale) Metrics {
+	lo, top := sc.Ranks[0], sc.Ranks[len(sc.Ranks)-1]
+	row := func(n int64, ranks int) Metrics { return rep.Rows[rowName("fig8", n, ityr.WriteBackLazy, ranks)] }
+	serial := func(m Metrics) float64 { return m["merge_ns"] + m["quicksort_ns"] }
+	rise := func(n int64) float64 {
+		share := func(ranks int) float64 {
+			return fig9Others(row(n, ranks), ranks) / (row(n, ranks)["sim_ns"] * float64(ranks))
+		}
+		return share(top) - share(lo)
+	}
+	constant, within := true, true
+	for _, n := range []int64{sc.CilksortN, sc.CilksortBigN} {
+		for _, ranks := range sc.Ranks {
+			constant = constant && serial(row(n, ranks)) == serial(row(n, lo))
+			within = within && fig9Others(row(n, ranks), ranks) >= 0
+		}
+	}
+	return Metrics{
+		"serial_time_constant":               verdict(constant),
+		"others_grows_faster_on_small_input": verdict(rise(sc.CilksortN) > rise(sc.CilksortBigN)),
+		"attribution_within_elapsed":         verdict(within),
+	}
+}
+
+// fig10 regenerates Figure 10: UTS-Mem traversal throughput (nodes/s) for
+// the two trees, Cache (Write-Back, Lazy) vs No Cache, strong scaling. Rows
+// fig10/<tree>/<policy>/<ranks>.
+func fig10(w io.Writer, rep *Report, sc Scale) {
 	fmt.Fprintf(w, "\n== Figure 10: UTS-Mem traversal throughput ==\n")
 	fmt.Fprintf(w, "%-8s %-20s %7s %12s %16s\n", "tree", "policy", "ranks", "time (ms)", "nodes/s")
-	var rows []Row
 	for _, tree := range []uts.Tree{sc.UTSSmall, sc.UTSBig} {
-		for _, pol := range []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy} {
+		for _, pol := range fig8Policies {
 			for _, ranks := range sc.Ranks {
-				res, _ := runUTS(runtimeConfig(ranks, sc.CoresPerNode, pol, 17), tree)
-				t, n := res.TraverseTime, res.Counted
-				tput := float64(n) / (float64(t) / 1e9)
-				fmt.Fprintf(w, "%-8s %-20s %7d %12.3f %16.0f\n", tree.Name, pol, ranks, ms(t), tput)
-				rows = append(rows, Row{Fig: "10", Workload: tree.Name, Policy: pol.String(),
-					Ranks: ranks, Param: n, Time: t, Value: tput})
+				m := rep.row(rowName("fig10", tree.Name, pol, ranks), func() Metrics {
+					res, _ := runUTS(runtimeConfig(ranks, sc.CoresPerNode, pol, 17), tree)
+					return Metrics{"sim_ns": float64(res.TraverseTime),
+						"nodes_per_sec": float64(res.Counted) / (float64(res.TraverseTime) / 1e9)}
+				})
+				fmt.Fprintf(w, "%-8s %-20s %7d %12.3f %16.0f\n", tree.Name, pol, ranks, m.ms(), m["nodes_per_sec"])
 			}
 		}
 	}
-	return rows
+}
+
+// fig10Claims: caching wins in every cell; its gain (cached ÷ no-cache
+// throughput) is larger at the highest rank count than at the lowest, on
+// both trees; and on the larger tree no-cache flattens — over the last step
+// of the rank sweep its throughput grows by a smaller factor than the
+// cached version's.
+func fig10Claims(rep *Report, sc Scale) Metrics {
+	tput := func(tree uts.Tree, pol ityr.Policy, ranks int) float64 {
+		return rep.at("nodes_per_sec", "fig10", tree.Name, pol, ranks)
+	}
+	n := len(sc.Ranks)
+	lo, prev, top := sc.Ranks[0], sc.Ranks[n-2], sc.Ranks[n-1]
+	wins, grows := true, true
+	for _, tree := range []uts.Tree{sc.UTSSmall, sc.UTSBig} {
+		gain := func(ranks int) float64 {
+			return tput(tree, ityr.WriteBackLazy, ranks) / tput(tree, ityr.NoCache, ranks)
+		}
+		for _, ranks := range sc.Ranks {
+			wins = wins && gain(ranks) > 1
+		}
+		grows = grows && gain(top) > gain(lo)
+	}
+	step := func(pol ityr.Policy) float64 { return tput(sc.UTSBig, pol, top) / tput(sc.UTSBig, pol, prev) }
+	return Metrics{
+		"cache_wins_every_cell":       verdict(wins),
+		"cache_gain_grows_with_ranks": verdict(grows),
+		"nocache_flattens":            verdict(step(ityr.NoCache) < step(ityr.WriteBackLazy)),
+	}
 }

@@ -3,153 +3,137 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ityr"
+	"ityr/internal/fault"
 )
 
-func TestFig7SmokeShape(t *testing.T) {
+// smokeFigures is the `figures` suite's report at Smoke and what it printed,
+// run once for every test that selects from it.
+var smokeFigures = sync.OnceValues(func() (*Report, string) {
 	var sb strings.Builder
-	rows := Fig7(&sb, Smoke)
-	if len(rows) != len(ityr.Policies)*len(Smoke.Cutoffs) {
-		t.Fatalf("rows = %d", len(rows))
+	rep, err := figuresSuite("figures", figures...)(&sb, Smoke)
+	if err != nil {
+		panic(err)
 	}
-	// At the smallest cutoff, No Cache must be the slowest policy.
-	var noCache, lazy Row
-	for _, r := range rows {
-		if r.Param != Smoke.Cutoffs[0] {
-			continue
+	return rep, sb.String()
+})
+
+// checkClaims requires the named verdicts of the smoke report's
+// claim/<figure> row to hold — the way checkGolden selects golden rows. The
+// paper's other claims about the figure need the quick scale's sweep to
+// mean anything; BENCH_figures.json gates those.
+func checkClaims(t *testing.T, figure string, claims ...string) {
+	rep, _ := smokeFigures()
+	row := rep.Rows["claim/"+figure]
+	for _, c := range claims {
+		if v, ok := row[c]; !ok || v != 1 {
+			t.Errorf("claim/%s %s = %v (present: %v), want 1", figure, c, v, ok)
 		}
-		switch r.Policy {
-		case ityr.NoCache.String():
-			noCache = r
-		case ityr.WriteBackLazy.String():
-			lazy = r
+	}
+}
+
+func TestFig7SmokeShape(t *testing.T) {
+	checkClaims(t, "fig7", "nocache_slowest_at_finest_cutoff")
+	rep, out := smokeFigures()
+	rows := 0
+	for name := range rep.Rows {
+		if strings.HasPrefix(name, "fig7/") {
+			rows++
 		}
 	}
-	if noCache.Time <= lazy.Time {
-		t.Errorf("fine grain: no-cache (%d) should exceed lazy (%d)", noCache.Time, lazy.Time)
+	if rows != len(ityr.Policies)*len(Smoke.Cutoffs) {
+		t.Errorf("rows = %d", rows)
 	}
-	if !strings.Contains(sb.String(), "Figure 7") {
+	if !strings.Contains(out, "Figure 7") {
 		t.Error("missing header")
 	}
 }
 
 func TestFig8SmokeShape(t *testing.T) {
-	rows, _ := Fig8(io.Discard, Smoke)
-	// More ranks must not be drastically slower for the big input with
-	// caching.
-	byRanks := map[int]Row{}
-	for _, r := range rows {
-		if r.Policy == ityr.WriteBackLazy.String() && r.Param == Smoke.CilksortBigN {
-			byRanks[r.Ranks] = r
-		}
-	}
-	lo, hi := byRanks[Smoke.Ranks[0]], byRanks[Smoke.Ranks[len(Smoke.Ranks)-1]]
-	if hi.Time > lo.Time*2 {
-		t.Errorf("scaling regressed: %d ranks %d ns vs %d ranks %d ns", lo.Ranks, lo.Time, hi.Ranks, hi.Time)
-	}
+	checkClaims(t, "fig8", "larger_input_speeds_up_with_ranks", "larger_input_scales_better")
 }
 
 func TestFig9SmokeBreakdownSums(t *testing.T) {
-	rows := Fig9(io.Discard, Smoke)
-	// Fractions for each (workload, ranks) group must sum to ~1.
-	sums := map[string]float64{}
-	for _, r := range rows {
-		key := r.Workload + "/" + string(rune(r.Ranks))
-		sums[key] += r.Value
-	}
-	for k, s := range sums {
-		if s < 0.99 || s > 1.01 {
-			t.Errorf("breakdown %q sums to %f", k, s)
-		}
-	}
+	checkClaims(t, "fig9", "attribution_within_elapsed", "serial_time_constant")
 }
 
-func TestFig10SmokeShape(t *testing.T) {
-	rows := Fig10(io.Discard, Smoke)
-	// Caching must beat no-cache at the top rank count on the big tree.
-	var nc, cz Row
-	top := Smoke.Ranks[len(Smoke.Ranks)-1]
-	for _, r := range rows {
-		if r.Workload == Smoke.UTSBig.Name && r.Ranks == top {
-			if r.Policy == ityr.NoCache.String() {
-				nc = r
-			} else {
-				cz = r
-			}
-		}
-	}
-	if cz.Value <= nc.Value {
-		t.Errorf("cached throughput %.0f <= no-cache %.0f", cz.Value, nc.Value)
-	}
-}
+func TestFig10SmokeShape(t *testing.T) { checkClaims(t, "fig10", "cache_wins_every_cell") }
 
 func TestFig11SmokeShape(t *testing.T) {
-	rows := Fig11(io.Discard, Smoke)
-	// Caching (lazy) must beat no-cache on the big input at top ranks.
-	var nc, cz Row
-	top := Smoke.Ranks[len(Smoke.Ranks)-1]
-	for _, r := range rows {
-		if r.Workload == "fmm-1200" && r.Ranks == top {
-			switch r.Policy {
-			case ityr.NoCache.String():
-				nc = r
-			case ityr.WriteBackLazy.String():
-				cz = r
-			}
-		}
-	}
-	if nc.Time == 0 || cz.Time == 0 {
-		t.Fatal("missing rows")
-	}
-	if cz.Time >= nc.Time {
-		t.Errorf("cached FMM (%d) not faster than no-cache (%d)", cz.Time, nc.Time)
-	}
+	checkClaims(t, "fig11", "cache_beats_nocache", "wb_no_slower_than_wt")
 }
 
 func TestTable2SmokeShape(t *testing.T) {
-	rows := Table2(io.Discard, Smoke)
-	if rows[0].Value != 0 {
-		t.Errorf("1-node idleness = %f", rows[0].Value)
-	}
-	last := rows[len(rows)-1]
-	if last.Value < 0 || last.Value >= 1 {
-		t.Errorf("idleness out of range: %f", last.Value)
+	checkClaims(t, "table2", "zero_on_one_node", "idleness_grows")
+	rep, _ := smokeFigures()
+	for _, nodes := range Smoke.MPINodes {
+		if v := rep.at("idleness", "table2", nodes); v < 0 || v >= 1 {
+			t.Errorf("idleness on %d nodes out of range: %f", nodes, v)
+		}
 	}
 }
 
 func TestTable1Prints(t *testing.T) {
-	var sb strings.Builder
-	Table1(&sb, Smoke)
-	if !strings.Contains(sb.String(), "Tofu") {
+	if _, out := smokeFigures(); !strings.Contains(out, "Tofu") {
 		t.Error("environment table incomplete")
+	}
+}
+
+// TestEverySuiteReports walks the dispatch table: every suite returns its
+// report — `itybench -o` needs no per-suite case — and one that records host
+// time lists it under Host, so no gate ever holds a wall clock.
+func TestEverySuiteReports(t *testing.T) {
+	for _, s := range Suites {
+		rep, err := s.Run(io.Discard, Smoke)
+		if err != nil || rep == nil || rep.Suite != s.Name || len(rep.Rows) == 0 {
+			t.Errorf("%s: report %+v, error %v", s.Name, rep, err)
+			continue
+		}
+		for row, m := range rep.Rows {
+			if _, ok := m["host_s"]; ok != strings.HasPrefix(row, "host/") || ok && !slices.Contains(rep.Host, "host_s") {
+				t.Errorf("%s: row %s: host_s out of place (host list %v)", s.Name, row, rep.Host)
+			}
+		}
 	}
 }
 
 // TestAppsVerifiedAcrossPoliciesAndSchedulers is the app-level slice of the
 // differential matrix: every application, output verified, under every
-// cache policy × scheduling policy. The output must not depend on either,
-// so each cell verifies and all twelve cells of an app agree on one output
-// checksum.
+// cache policy × scheduling policy × batching knob setting (write-back
+// coalescing on/off, prefetch depth 0/2) × fault plan {none, armed but
+// empty}. The output must depend on none of them, so each of an app's 96
+// cells verifies and all agree on one output checksum.
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 	for _, app := range verifiedApps {
 		var first string
 		var checksum uint64
 		for _, pol := range ityr.Policies {
 			for _, sched := range ityr.SchedPolicies {
-				cell := fmt.Sprintf("%s/%v/%v", app.Name, pol, sched)
-				cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
-				cfg.Sched.Policy = sched
-				r := app.Run(Smoke, cfg)
-				if !r.Verified {
-					t.Errorf("%s: output verification failed", cell)
-				}
-				if first == "" {
-					first, checksum = cell, r.Checksum
-				} else if r.Checksum != checksum {
-					t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, first, checksum)
+				for _, coalesce := range []bool{true, false} {
+					for _, prefetch := range []int{2, 0} {
+						for _, plan := range []*fault.Plan{nil, {Name: "empty", Seed: faultSeed}} {
+							cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
+							cfg.Sched.Policy = sched
+							cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = coalesce, prefetch
+							cfg.Faults = plan
+							cell := fmt.Sprintf("%s/%v/%v/coalesce=%v/prefetch=%d/faults=%v seed=%d",
+								app.Name, pol, sched, coalesce, prefetch, plan != nil, cfg.Seed)
+							r := app.Run(Smoke, cfg)
+							if !r.Verified {
+								t.Errorf("%s: output verification failed", cell)
+							}
+							if first == "" {
+								first, checksum = cell, r.Checksum
+							} else if r.Checksum != checksum {
+								t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, first, checksum)
+							}
+						}
+					}
 				}
 			}
 		}

@@ -76,74 +76,124 @@ func verdict(ok bool) float64 {
 	return 0
 }
 
+// row returns the named row, measuring it first if the report does not hold
+// it yet. A figure is therefore one function: given a fresh report it
+// measures and prints, given a report read back from a file it only prints —
+// which is how EXPERIMENTS.md's blocks are re-rendered from
+// BENCH_figures.json, and how Fig. 9 is printed from Fig. 8's runs.
+func (rep *Report) row(name string, measure func() Metrics) Metrics {
+	m, ok := rep.Rows[name]
+	if !ok {
+		m = measure()
+		rep.Rows[name] = m
+	}
+	return m
+}
+
+// at is the metric of the row named by path's elements joined with "/" (zero
+// if the report has no such row): how the claim functions read a report.
+func (rep *Report) at(metric string, path ...any) float64 {
+	return rep.Rows[rowName(path...)][metric]
+}
+
+func rowName(path ...any) string {
+	name := fmt.Sprint(path[0])
+	for _, p := range path[1:] {
+		name += "/" + fmt.Sprint(p)
+	}
+	return name
+}
+
+// ms is the row's simulated time in milliseconds.
+func (m Metrics) ms() float64 { return m["sim_ns"] / 1e6 }
+
 // Suite is one entry of the dispatch table behind `itybench <suite>`.
 type Suite struct {
 	Name string
 	Help string
 	// Run prints the suite's human-readable table to w and returns its
-	// report; suites that only print return a nil report. A non-nil error
-	// alongside a report means the run completed but failed its own
-	// verdict (the report is still worth writing).
+	// report. A non-nil error alongside a report means the run completed
+	// but failed its own verdict (the report is still worth writing).
 	Run func(w io.Writer, sc Scale) (*Report, error)
-	// Reports says Run returns a report, so that a caller asked to write
-	// one can refuse a print-only suite before running it.
-	Reports bool
 }
 
-// figures are the paper-evaluation suites, in the order `all` runs them.
-// Each prints its rows and, Table 1 apart, how long the host took.
-var figures = []Suite{
-	{Name: "table1", Help: "the simulated environment (Table 1)", Run: printOnly(Table1)},
-	{Name: "fig7", Help: "Figure 7: Cilksort time vs task cutoff, four cache policies", Run: timed("fig7", func(w io.Writer, sc Scale) { Fig7(w, sc) })},
-	{Name: "fig8", Help: "Figure 8: Cilksort strong scaling", Run: timed("fig8", func(w io.Writer, sc Scale) { Fig8(w, sc) })},
-	{Name: "fig9", Help: "Figure 9: Cilksort Write-Back (Lazy) time breakdown", Run: timed("fig9", func(w io.Writer, sc Scale) { Fig9(w, sc) })},
-	{Name: "fig10", Help: "Figure 10: UTS-Mem traversal throughput", Run: timed("fig10", func(w io.Writer, sc Scale) { Fig10(w, sc) })},
-	{Name: "fig11", Help: "Figure 11: ExaFMM strong scaling", Run: timed("fig11", func(w io.Writer, sc Scale) { Fig11(w, sc) })},
-	{Name: "table2", Help: "Table 2: ExaFMM vs the static MPI baseline", Run: timed("table2", func(w io.Writer, sc Scale) { Table2(w, sc) })},
-	{Name: "abl", Help: "the design-choice ablations", Run: timed("ablations", Ablations)},
+// Suites is everything `itybench <suite>` can run: each figure on its own;
+// `figures`, the reproduction — all of them into one report, the union of
+// theirs, Fig. 9 read off Fig. 8's rows instead of repeating its runs; and
+// the other suites whose reports `make check` gates.
+var Suites = append(eachFigure(),
+	Suite{Name: "figures", Help: "table1, every figure, table2 and the ablations with the paper's claims as 0/1 verdicts (the default; gated at quick: BENCH_figures.json)", Run: figuresSuite("figures", figures...)},
+	Suite{Name: "perf", Help: "deterministic perf suite: simulated time, RMA round trips and bytes per app (gated: BENCH_perf.json)", Run: PerfSuite},
+	Suite{Name: "taskbench", Help: "Task Bench matrix: graph shape × task grain × scheduling policy (gated: BENCH_taskbench.json)", Run: TaskbenchSuite},
+	Suite{Name: "faults", Help: "the apps under the canned fault plans and the SDC replication sweep, outputs verified (gated: BENCH_faults.json)", Run: FaultBench},
+	Suite{Name: "scaling", Help: "rank-count scaling sweep (halo + cilksort, 64 ranks up to the scale's cap) and the fleet (gated: BENCH_scaling.json)", Run: ScalingSuite},
+	Suite{Name: "fleet", Help: "independent simulations run concurrently across host cores, digests cross-checked", Run: FleetSuite},
+)
+
+// figure is one table or figure of the paper's evaluation (§6), or the
+// ablation set: table measures whatever rows rep lacks and prints the
+// table from rep (Report.row); claims derives, from rep's rows alone, the
+// 0/1 verdicts of what the paper claims about the figure.
+type figure struct {
+	name, help string
+	table      func(w io.Writer, rep *Report, sc Scale)
+	claims     func(rep *Report, sc Scale) Metrics
 }
 
-// Suites is everything `itybench <suite>` can run.
-var Suites = slices.Concat(figures, []Suite{
-	{Name: "all", Help: "table1, every figure, table2 and the ablations (the default; full_results.txt)", Run: runAll},
-	{Name: "perf", Help: "deterministic perf suite: simulated time, RMA round trips and bytes per app (gated: BENCH_perf.json)", Run: PerfSuite, Reports: true},
-	{Name: "taskbench", Help: "Task Bench matrix: graph shape × task grain × scheduling policy (gated: BENCH_taskbench.json)", Run: TaskbenchSuite, Reports: true},
-	{Name: "faults", Help: "the apps under the canned fault plans and the SDC replication sweep, outputs verified (gated: BENCH_faults.json)", Run: FaultBench, Reports: true},
-	{Name: "scaling", Help: "rank-count scaling sweep (halo + cilksort, 64 ranks up to the scale's cap) and the fleet (gated: BENCH_scaling.json)", Run: ScalingSuite, Reports: true},
-	{Name: "fleet", Help: "independent simulations run concurrently across host cores, digests cross-checked", Run: FleetSuite, Reports: true},
-	{Name: "metrics", Help: "the canonical cilksort run's itoyori-metrics/v1 snapshot", Run: func(w io.Writer, sc Scale) (*Report, error) {
-		return nil, MetricsRun(w, sc)
-	}},
-})
+// figures are the paper-evaluation suites, in the order `figures` runs them.
+var figures = []figure{
+	{name: "table1", help: "the simulated environment (Table 1)", table: table1},
+	{name: "fig7", help: "Figure 7: Cilksort time vs task cutoff, four cache policies", table: fig7, claims: fig7Claims},
+	{name: "fig8", help: "Figure 8: Cilksort strong scaling", table: fig8, claims: fig8Claims},
+	{name: "fig9", help: "Figure 9: Cilksort Write-Back (Lazy) time breakdown (Fig. 8's lazy rows)", table: fig9, claims: fig9Claims},
+	{name: "fig10", help: "Figure 10: UTS-Mem traversal throughput", table: fig10, claims: fig10Claims},
+	{name: "fig11", help: "Figure 11: ExaFMM strong scaling", table: fig11, claims: fig11Claims},
+	{name: "table2", help: "Table 2: ExaFMM vs the static MPI baseline", table: table2, claims: table2Claims},
+	{name: "abl", help: "the design-choice ablations", table: abl, claims: ablClaims},
+}
 
-func printOnly(fn func(io.Writer, Scale)) func(io.Writer, Scale) (*Report, error) {
+func eachFigure() (suites []Suite) {
+	for _, f := range figures {
+		suites = append(suites, Suite{Name: f.name, Help: f.help, Run: figuresSuite(f.name, f)})
+	}
+	return suites
+}
+
+// run adds the figure to rep — its rows, its verdicts as the row
+// claim/<figure>, and how long the host took as host/<figure> (never gated,
+// never printed: stdout is a pure function of the gated rows) — and prints
+// it.
+func (f figure) run(w io.Writer, rep *Report, sc Scale) {
+	t0 := time.Now()
+	f.table(w, rep, sc)
+	rep.Rows["host/"+f.name] = Metrics{"host_s": time.Since(t0).Seconds()}
+	if f.claims != nil {
+		rep.Rows["claim/"+f.name] = f.claims(rep, sc)
+	}
+	f.printClaims(w, rep)
+}
+
+// printClaims prints the figure's verdicts, one line each, sorted by name.
+func (f figure) printClaims(w io.Writer, rep *Report) {
+	claims := rep.Rows["claim/"+f.name]
+	names := make([]string, 0, len(claims))
+	for name := range claims {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "   claim/%s %s = %.0f\n", f.name, name, claims[name])
+	}
+}
+
+// figuresSuite is the suite named name that runs figs into one report.
+func figuresSuite(name string, figs ...figure) func(io.Writer, Scale) (*Report, error) {
 	return func(w io.Writer, sc Scale) (*Report, error) {
-		fn(w, sc)
-		return nil, nil
-	}
-}
-
-// timed is printOnly plus the host-time footer under label.
-func timed(label string, fn func(io.Writer, Scale)) func(io.Writer, Scale) (*Report, error) {
-	return printOnly(func(w io.Writer, sc Scale) {
-		t0 := time.Now()
-		fn(w, sc)
-		fmt.Fprintf(w, "   [%s: %.1fs host time]\n", label, time.Since(t0).Seconds())
-	})
-}
-
-// runAll runs the figures in order, printing Fig. 9 from Fig. 8's runs
-// instead of repeating them.
-func runAll(w io.Writer, sc Scale) (*Report, error) {
-	var lazy []Fig8Run
-	for _, s := range figures {
-		switch s.Name {
-		case "fig8":
-			s.Run = timed("fig8", func(w io.Writer, sc Scale) { _, lazy = Fig8(w, sc) })
-		case "fig9":
-			s.Run = timed("fig9", func(w io.Writer, _ Scale) { fig9From(w, lazy) })
+		rep := newReport(name, sc)
+		rep.Host = []string{"host_s"}
+		for _, f := range figs {
+			f.run(w, rep, sc)
 		}
-		s.Run(w, sc) // print-only: nothing to return
+		return rep, nil
 	}
-	return nil, nil
 }

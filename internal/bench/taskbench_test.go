@@ -64,8 +64,9 @@ func TestTaskbenchSuiteDeterministic(t *testing.T) {
 // deterministic and WriteJSON sorts its keys). That makes a CI gate
 // failure reproducible locally: if this test fails, the baseline is stale
 // — regenerate it with `make baseline-<suite>` and review the diff as part
-// of the change. BENCH_faults.json and BENCH_scaling.json are full-scale;
-// `make gate-faults gate-scaling` is their freshness check.
+// of the change. BENCH_faults.json and BENCH_scaling.json are full-scale
+// and BENCH_figures.json quick-scale; `make gate-faults gate-scaling
+// gate-figures` is their freshness check.
 func TestBaselinesFresh(t *testing.T) {
 	for name, suite := range map[string]func(io.Writer, Scale) (*Report, error){
 		"perf": PerfSuite, "taskbench": TaskbenchSuite,

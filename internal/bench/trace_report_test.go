@@ -85,21 +85,25 @@ func TestCilksortTraceReport(t *testing.T) {
 	}
 }
 
-// TestMetricsRunStable pins the promise made by `itybench metrics`: the
-// snapshot is deterministic, so two identical runs emit byte-identical
-// JSON (stable key order included) that downstream diffing can rely on.
+// TestMetricsRunStable pins the promise made by the app CLIs' -metrics flag:
+// the snapshot is deterministic, so two identical runs — the canonical Fig. 7
+// cilksort configuration, the lazy policy on the scale's fixed rank count —
+// emit byte-identical JSON (stable key order included) that downstream
+// diffing can rely on.
 func TestMetricsRunStable(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := MetricsRun(&a, Smoke); err != nil {
-		t.Fatal(err)
+	snapshot := func() string {
+		var b bytes.Buffer
+		_, rt := figCilksort(Smoke.CilksortN, Smoke.SortCutoff, Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
+		if err := rt.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	if err := MetricsRun(&b, Smoke); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
+	a, b := snapshot(), snapshot()
+	if a != b {
 		t.Error("metrics snapshots differ between identical runs")
 	}
-	if !strings.Contains(a.String(), `"schema": "itoyori-metrics/v1"`) {
-		t.Errorf("snapshot missing schema marker:\n%.400s", a.String())
+	if !strings.Contains(a, `"schema": "itoyori-metrics/v1"`) {
+		t.Errorf("snapshot missing schema marker:\n%.400s", a)
 	}
 }

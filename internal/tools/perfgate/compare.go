@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"ityr/internal/bench"
 )
@@ -92,8 +93,17 @@ func sortedKeys[V any](m map[string]V) []string {
 // baseline; a zero baseline only accepts an exact zero (relative drift
 // from zero is undefined, and the deterministic simulator reproduces true
 // zeros exactly) — which also makes 0/1 verdicts such as ok and digest_ok
-// exact.
+// exact. A claim/<figure> row holds nothing but verdicts on the paper's
+// claims, where 1 → 0 is no improvement: either direction is a flip.
 func compareMetric(row, metric string, base, cur, tol float64) []string {
+	if strings.HasPrefix(row, "claim/") {
+		if cur != base {
+			return []string{fmt.Sprintf(
+				"%s %s flipped: baseline %s, current %s — the change moves a verdict on one of the paper's claims; if that is intended, re-baseline and say why in EXPERIMENTS.md",
+				row, metric, num(base), num(cur))}
+		}
+		return nil
+	}
 	if base == 0 {
 		if cur != 0 {
 			return []string{fmt.Sprintf(

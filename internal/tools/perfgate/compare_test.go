@@ -17,6 +17,7 @@ func sampleReport() *bench.Report {
 		Rows: map[string]bench.Metrics{
 			"cilksort": {"sim_ns": 484333, "round_trips": 387, "rma_bytes": 495988, "host_ms": 12.5},
 			"halo":     {"sim_ns": 188101, "round_trips": 336, "rma_bytes": 2688, "host_ms": 3.1},
+			"claim/x":  {"holds": 1, "does_not": 0},
 		},
 	}
 }
@@ -49,6 +50,8 @@ func TestComparePerturbedMetricFails(t *testing.T) {
 		{"round trips regression", func(r *bench.Report) { r.Rows["cilksort"]["round_trips"] += 100 }, "cilksort round_trips regressed"},
 		{"rma bytes regression", func(r *bench.Report) { r.Rows["cilksort"]["rma_bytes"] *= 2 }, "cilksort rma_bytes regressed"},
 		{"unre-baselined improvement", func(r *bench.Report) { r.Rows["cilksort"]["round_trips"] /= 2 }, "cilksort round_trips improved past tolerance"},
+		{"claim stops holding", func(r *bench.Report) { r.Rows["claim/x"]["holds"] = 0 }, "claim/x holds flipped: baseline 1, current 0"},
+		{"claim starts holding", func(r *bench.Report) { r.Rows["claim/x"]["does_not"] = 1 }, "claim/x does_not flipped: baseline 0, current 1"},
 		{"host metric 10x", func(r *bench.Report) { r.Rows["cilksort"]["host_ms"] *= 10 }, ""},
 		{"host metric absent", func(r *bench.Report) { delete(r.Rows["halo"], "host_ms") }, ""},
 		{"host config differs", func(r *bench.Report) { r.Config["host_cpus"] = 64.0 }, ""},
