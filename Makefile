@@ -20,9 +20,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate docscheck linkcheck profile
+.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate obs-smoke docscheck linkcheck profile
 
-check: fmt vet build test benchmark-test shuffle race docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling gate-figures
+check: fmt vet build test benchmark-test shuffle race obs-smoke docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling gate-figures
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -92,6 +92,17 @@ sdc:
 # validator-off hot path allocates nothing.
 validate:
 	@$(call subset,TestValidator,./internal/core)
+
+# Observability pipeline smoke: a small cilksort with the span trace, the
+# metrics document and the streaming profile all armed, pushed through the
+# whole itytrace report. The ring is unbounded, so a dropped-span WARNING
+# (or any report error) fails it. Leaves obs-smoke.* in the checkout
+# (git-ignored); CI uploads the profile and the report.
+obs-smoke:
+	$(GO) run ./cmd/cilksort -n 32768 -cutoff 1024 -ranks 16 \
+		-trace obs-smoke.trace -metrics obs-smoke.metrics.json -profile obs-smoke.profile.json
+	$(GO) run ./cmd/itytrace obs-smoke.trace > obs-smoke.report.txt
+	@if grep -E '^WARNING' obs-smoke.report.txt; then echo "make obs-smoke: the report warns"; exit 1; fi
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,5 +63,33 @@ func TestReportToStdout(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "== Perf suite") {
 		t.Errorf("table did not move to stderr:\n%s", stderr.String())
+	}
+}
+
+// TestReadmeNamesEverySuite holds README.md's suite list to the dispatch
+// table: its "`itybench -h` lists the suites (...)" sentence names exactly
+// the bench.Suites entries, in order.
+func TestReadmeNamesEverySuite(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lead = "`itybench -h` lists the suites ("
+	_, rest, ok := strings.Cut(string(readme), lead)
+	if !ok {
+		t.Fatalf("README.md has no %q sentence", lead)
+	}
+	list, _, _ := strings.Cut(rest, ")")
+	var named, want []string
+	for i, part := range strings.Split(list, "`") {
+		if i%2 == 1 {
+			named = append(named, part)
+		}
+	}
+	for _, s := range bench.Suites {
+		want = append(want, s.Name)
+	}
+	if !slices.Equal(named, want) {
+		t.Errorf("README.md's suite list names %v; bench.Suites is %v", named, want)
 	}
 }

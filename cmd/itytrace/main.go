@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ityr/internal/trace"
@@ -21,6 +23,39 @@ import (
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "itytrace:", err)
 	os.Exit(1)
+}
+
+// save writes a file through write and fails on any create, write or close
+// error.
+func save(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fail(err)
+	}
+}
+
+// extract writes a snapshot the dump embeds to path ('-' for stdout); a
+// dump without one fails with missing.
+func extract(path string, doc []byte, missing string) {
+	if len(doc) == 0 {
+		fail(errors.New(missing))
+	}
+	write := func(w io.Writer) error {
+		_, err := w.Write(append(doc, '\n'))
+		return err
+	}
+	if path != "-" {
+		save(path, write)
+	} else if err := write(os.Stdout); err != nil {
+		fail(err)
+	}
 }
 
 func main() {
@@ -79,51 +114,13 @@ func main() {
 	}
 
 	if *chrome != "" {
-		cf, err := os.Create(*chrome)
-		if err != nil {
-			fail(err)
-		}
-		werr := l.ChromeJSON(cf)
-		if cerr := cf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail(werr)
-		}
+		save(*chrome, l.ChromeJSON)
 		fmt.Printf("\nchrome trace -> %s (open in https://ui.perfetto.dev)\n", *chrome)
 	}
 	if *metricsOut != "" {
-		w := os.Stdout
-		if *metricsOut != "-" {
-			mf, err := os.Create(*metricsOut)
-			if err != nil {
-				fail(err)
-			}
-			defer mf.Close()
-			w = mf
-		}
-		if len(meta.Metrics) == 0 {
-			fail(fmt.Errorf("dump carries no metrics snapshot"))
-		}
-		if _, err := w.Write(append(meta.Metrics, '\n')); err != nil {
-			fail(err)
-		}
+		extract(*metricsOut, meta.Metrics, "dump carries no metrics snapshot")
 	}
 	if *profileOut != "" {
-		w := os.Stdout
-		if *profileOut != "-" {
-			pf, err := os.Create(*profileOut)
-			if err != nil {
-				fail(err)
-			}
-			defer pf.Close()
-			w = pf
-		}
-		if len(meta.Profile) == 0 {
-			fail(fmt.Errorf("dump carries no profile snapshot (run with -profile)"))
-		}
-		if _, err := w.Write(append(meta.Profile, '\n')); err != nil {
-			fail(err)
-		}
+		extract(*profileOut, meta.Profile, "dump carries no profile snapshot (run with -profile)")
 	}
 }

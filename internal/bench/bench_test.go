@@ -106,36 +106,59 @@ func TestEverySuiteReports(t *testing.T) {
 // differential matrix: every application, output verified, under every
 // cache policy × scheduling policy × batching knob setting (write-back
 // coalescing on/off, prefetch depth 0/2) × fault plan {none, armed but
-// empty}. The output must depend on none of them, so each of an app's 96
-// cells verifies and all agree on one output checksum.
+// empty} × communication-computation overlap off/on, and on the default
+// knobs under two more victim seeds (Config.Seed; the inputs' seeds stay
+// fixed). The output must depend on none of them, so each of an app's 216
+// cells verifies and all agree on one output checksum — except the 144
+// Overlap cells PITFALLS.md #5 lists as a known failure, which are skipped.
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
+	skipped := 0
 	for _, app := range verifiedApps {
 		var first string
 		var checksum uint64
+		check := func(cfg ityr.Config, knobs string) {
+			cell := fmt.Sprintf("%s/%v/%v/%s seed=%d", app.Name, cfg.Pgas.Policy, cfg.Sched.Policy, knobs, cfg.Seed)
+			r := app.Run(Smoke, cfg)
+			if !r.Verified {
+				t.Errorf("%s: output verification failed", cell)
+			}
+			if first == "" {
+				first, checksum = cell, r.Checksum
+			} else if r.Checksum != checksum {
+				t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, first, checksum)
+			}
+		}
 		for _, pol := range ityr.Policies {
 			for _, sched := range ityr.SchedPolicies {
+				base := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
+				base.Sched.Policy = sched
 				for _, coalesce := range []bool{true, false} {
 					for _, prefetch := range []int{2, 0} {
 						for _, plan := range []*fault.Plan{nil, {Name: "empty", Seed: faultSeed}} {
-							cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
-							cfg.Sched.Policy = sched
-							cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = coalesce, prefetch
-							cfg.Faults = plan
-							cell := fmt.Sprintf("%s/%v/%v/coalesce=%v/prefetch=%d/faults=%v seed=%d",
-								app.Name, pol, sched, coalesce, prefetch, plan != nil, cfg.Seed)
-							r := app.Run(Smoke, cfg)
-							if !r.Verified {
-								t.Errorf("%s: output verification failed", cell)
-							}
-							if first == "" {
-								first, checksum = cell, r.Checksum
-							} else if r.Checksum != checksum {
-								t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, first, checksum)
+							for _, overlap := range []bool{false, true} {
+								// Known failure (PITFALLS.md #5, "under Config.Overlap"):
+								// the per-rank checkout count panics.
+								if overlap && pol != ityr.NoCache && app.Name != "utsmem" {
+									skipped++
+									continue
+								}
+								cfg := base
+								cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = coalesce, prefetch
+								cfg.Faults, cfg.Overlap = plan, overlap
+								check(cfg, fmt.Sprintf("coalesce=%v/prefetch=%d/faults=%v/overlap=%v",
+									coalesce, prefetch, plan != nil, overlap))
 							}
 						}
 					}
 				}
+				for _, seed := range []int64{faultSeed + 1, faultSeed + 2} {
+					cfg := base
+					cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = true, 2
+					cfg.Seed = seed
+					check(cfg, "default knobs")
+				}
 			}
 		}
 	}
+	t.Logf("%d Overlap cells skipped (PITFALLS.md #5)", skipped)
 }

@@ -68,8 +68,8 @@ func TestProfileForkJoinEquivalence(t *testing.T) {
 	if err := json.Unmarshal(want, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Rollup.TaskNs == 0 || doc.Rollup.CheckoutCalls == 0 {
-		t.Errorf("fork-join rollup missing task/checkout activity: %+v", doc.Rollup)
+	if doc.Rollup.TaskNs == 0 || doc.Rollup.GetOps == 0 {
+		t.Errorf("fork-join rollup missing task/get activity: %+v", doc.Rollup)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"io"
 
 	"ityr/internal/fault"
-	"ityr/internal/metrics"
 	"ityr/internal/netmodel"
 	"ityr/internal/pgas"
 	"ityr/internal/profile"
@@ -95,15 +94,14 @@ func (c Config) withDefaults() Config {
 // Runtime is one simulated Itoyori instance: engine, interconnect, global
 // address space and scheduler.
 type Runtime struct {
-	cfg     Config
-	eng     *sim.Engine
-	comm    *rma.Comm
-	space   *pgas.Space
-	sched   *uth.Sched
-	rec     *trace.Recorder
-	metrics *metrics.Registry
-	inj     *fault.Injector
-	prot    *uth.Protector
+	cfg   Config
+	eng   *sim.Engine
+	comm  *rma.Comm
+	space *pgas.Space
+	sched *uth.Sched
+	rec   *trace.Recorder
+	inj   *fault.Injector
+	prot  *uth.Protector
 }
 
 // NewRuntime builds a runtime from cfg.
@@ -148,13 +146,9 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Profile {
 		stream = profile.New(cfg.Ranks, net)
 	}
-	reg := metrics.NewRegistry()
-	rec := trace.NewRecorder(cfg.Ranks, tl, stream, reg)
+	rec := trace.NewRecorder(cfg.Ranks, tl, stream)
 	comm.SetRecorder(rec)
 	space := pgas.New(comm, cfg.Pgas)
-	reg.Label("policy", space.Policy().String())
-	reg.Gauge("ranks").Set(int64(cfg.Ranks))
-	reg.Gauge("cores_per_node").Set(int64(cfg.CoresPerNode))
 	sched := uth.NewSched(comm, cfg.Sched, hooks{space: space})
 	if cfg.Pgas.Validate {
 		// Validator diagnostics name the task segment running on the
@@ -192,7 +186,7 @@ func NewRuntime(cfg Config) *Runtime {
 		}
 	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
-		rec: rec, metrics: reg, inj: inj, prot: protector}
+		rec: rec, inj: inj, prot: protector}
 }
 
 // Injector returns the armed fault injector (nil unless Config.Faults).
@@ -218,128 +212,108 @@ func (rt *Runtime) WriteProfile(w io.Writer) error {
 	return rt.Profile().WriteJSON(w)
 }
 
-// Metrics returns the runtime's metrics registry (always present).
-func (rt *Runtime) Metrics() *metrics.Registry { return rt.metrics }
+// MetricsSnapshot returns the run's "itoyori-metrics/v1" document: the
+// layers' Stats structs as counters and the recorder's live histograms
+// (steal latency, fence costs, checkout sizes). Optional subsystems add
+// their keys only when armed, so a run without them keeps the key set it
+// has always had.
+func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
+	es, cs, ps, bs, us := rt.eng.Stats(), rt.comm.Stats(), rt.space.Stats, rt.space.Batch, rt.sched.Stats
+	c := map[string]uint64{
+		"sim_events_dispatched": es.Events,
+		"sim_fast_advances":     es.FastAdvances,
+		"sim_handoffs":          es.Handoffs,
+		"sim_callbacks":         es.Callbacks,
+		"sim_spawns":            es.Spawns,
 
-// MetricsSnapshot mirrors every layer's statistics into the registry and
-// returns the combined snapshot ("itoyori-metrics/v1"). The live
-// histograms (steal latency, fence costs, checkout sizes) are already in
-// the registry; the counters below copy the layers' cheap accumulator
-// structs so the hot paths never pay a map lookup.
-func (rt *Runtime) MetricsSnapshot() metrics.Snapshot {
-	reg := rt.metrics
+		"rma_get_ops":        cs.GetOps,
+		"rma_put_ops":        cs.PutOps,
+		"rma_atomic_ops":     cs.AtomicOps,
+		"rma_get_bytes":      cs.GetBytes,
+		"rma_put_bytes":      cs.PutBytes,
+		"rma_flush_waits":    cs.FlushWaits,
+		"rma_barriers":       cs.Barriers,
+		"rma_retries":        cs.Retries,
+		"rma_retry_stall_ns": cs.RetryNs,
 
-	es := rt.eng.Stats()
-	reg.Counter("sim_events_dispatched").Set(es.Events)
-	reg.Counter("sim_fast_advances").Set(es.FastAdvances)
-	reg.Counter("sim_handoffs").Set(es.Handoffs)
-	reg.Counter("sim_callbacks").Set(es.Callbacks)
-	reg.Counter("sim_spawns").Set(es.Spawns)
+		"pgas_checkout_calls":  ps.CheckoutCalls,
+		"pgas_checkin_calls":   ps.CheckinCalls,
+		"pgas_fetch_ops":       ps.FetchOps,
+		"pgas_fetch_bytes":     ps.FetchBytes,
+		"pgas_hit_bytes":       ps.HitBytes,
+		"pgas_writeback_ops":   ps.WriteBackOps,
+		"pgas_writeback_bytes": ps.WriteBackBytes,
+		"pgas_invalidations":   ps.Invalidations,
+		"pgas_mmaps":           ps.Mmaps,
+		"pgas_evictions":       ps.Evictions,
+		"pgas_lazy_releases":   ps.LazyReleases,
 
-	cs := rt.comm.Stats()
-	reg.Counter("rma_get_ops").Set(cs.GetOps)
-	reg.Counter("rma_put_ops").Set(cs.PutOps)
-	reg.Counter("rma_atomic_ops").Set(cs.AtomicOps)
-	reg.Counter("rma_get_bytes").Set(cs.GetBytes)
-	reg.Counter("rma_put_bytes").Set(cs.PutBytes)
-	reg.Counter("rma_flush_waits").Set(cs.FlushWaits)
-	reg.Counter("rma_barriers").Set(cs.Barriers)
-	reg.Counter("rma_retries").Set(cs.Retries)
-	reg.Counter("rma_retry_stall_ns").Set(cs.RetryNs)
+		// Communication batching (all zero unless the CoalesceWriteBack /
+		// PrefetchBlocks knobs are on).
+		"pgas_wb_runs_merged":     bs.WBRunsMerged,
+		"pgas_wb_coalesced_bytes": bs.WBCoalescedBytes,
+		"pgas_prefetch_ops":       bs.PrefetchOps,
+		"pgas_prefetch_blocks":    bs.PrefetchedBlocks,
+		"pgas_prefetch_bytes":     bs.PrefetchBytes,
+		"pgas_prefetch_hits":      bs.PrefetchHits,
+		"pgas_prefetch_misses":    bs.PrefetchMisses,
 
-	ps := rt.space.Stats
-	reg.Counter("pgas_checkout_calls").Set(ps.CheckoutCalls)
-	reg.Counter("pgas_checkin_calls").Set(ps.CheckinCalls)
-	reg.Counter("pgas_fetch_ops").Set(ps.FetchOps)
-	reg.Counter("pgas_fetch_bytes").Set(ps.FetchBytes)
-	reg.Counter("pgas_hit_bytes").Set(ps.HitBytes)
-	reg.Counter("pgas_writeback_ops").Set(ps.WriteBackOps)
-	reg.Counter("pgas_writeback_bytes").Set(ps.WriteBackBytes)
-	reg.Counter("pgas_invalidations").Set(ps.Invalidations)
-	reg.Counter("pgas_mmaps").Set(ps.Mmaps)
-	reg.Counter("pgas_evictions").Set(ps.Evictions)
-	reg.Counter("pgas_lazy_releases").Set(ps.LazyReleases)
-
-	// Communication-batching counters (all zero unless the
-	// CoalesceWriteBack / PrefetchBlocks knobs are on).
-	bs := rt.space.Batch
-	reg.Counter("pgas_wb_runs_merged").Set(bs.WBRunsMerged)
-	reg.Counter("pgas_wb_coalesced_bytes").Set(bs.WBCoalescedBytes)
-	reg.Counter("pgas_prefetch_ops").Set(bs.PrefetchOps)
-	reg.Counter("pgas_prefetch_blocks").Set(bs.PrefetchedBlocks)
-	reg.Counter("pgas_prefetch_bytes").Set(bs.PrefetchBytes)
-	reg.Counter("pgas_prefetch_hits").Set(bs.PrefetchHits)
-	reg.Counter("pgas_prefetch_misses").Set(bs.PrefetchMisses)
-
-	us := rt.sched.Stats
-	reg.Counter("uth_forks").Set(us.Forks)
-	reg.Counter("uth_steals").Set(us.Steals)
-	reg.Counter("uth_intra_steals").Set(us.IntraSteals)
-	reg.Counter("uth_failed_steals").Set(us.FailedSteals)
-	reg.Counter("uth_comm_waits").Set(us.CommWaits)
-	reg.Counter("uth_migrations").Set(us.Migrations)
-	reg.Counter("uth_steal_timeouts").Set(us.StealTimeouts)
-	reg.Counter("uth_steal_blacklists").Set(us.Blacklists)
-	reg.Counter("uth_blacklist_skips").Set(us.BlacklistSkips)
-
-	// Ring-truncation observability: surfaced only when tracing is on, so
-	// trace-free snapshots keep their historical key set.
+		"uth_forks":            us.Forks,
+		"uth_steals":           us.Steals,
+		"uth_intra_steals":     us.IntraSteals,
+		"uth_failed_steals":    us.FailedSteals,
+		"uth_comm_waits":       us.CommWaits,
+		"uth_migrations":       us.Migrations,
+		"uth_steal_timeouts":   us.StealTimeouts,
+		"uth_steal_blacklists": us.Blacklists,
+		"uth_blacklist_skips":  us.BlacklistSkips,
+	}
 	if rt.Trace() != nil {
-		reg.Counter("trace_dropped_spans").Set(rt.Trace().Dropped())
+		c["trace_dropped_spans"] = rt.Trace().Dropped()
 	}
-
-	// Validator observability: surfaced only when checkout validation is
-	// on, so validator-off snapshots keep their historical key set (and
-	// stay bit-identical to pre-validator runs).
 	if rt.space.Validating() {
-		reg.Counter("pgas_validator_violations").Set(uint64(len(rt.space.Violations())))
+		c["pgas_validator_violations"] = uint64(len(rt.space.Violations()))
 	}
-
-	// Fault-plan observability: surfaced only when a plan is armed, so
-	// fault-free snapshots keep their historical key set.
 	if rt.inj != nil {
 		fs := rt.inj.Stats()
-		reg.Counter("fault_injected_failures").Set(fs.Injected)
-		reg.Counter("fault_budget_exhausted_ranks").Set(fs.BudgetExhausted)
+		c["fault_injected_failures"] = fs.Injected
+		c["fault_budget_exhausted_ranks"] = fs.BudgetExhausted
 		for i, v := range rt.comm.RetriesByRank() {
-			reg.Counter(fmt.Sprintf("rma_retries_rank_%02d", i)).Set(v)
+			c[fmt.Sprintf("rma_retries_rank_%02d", i)] = v
 		}
 	}
-
-	// SDC observability: surfaced only when the protector exists (defenses
-	// configured or a task-corrupting plan armed), preserving the key set
-	// of every earlier snapshot schema. sdc_detected/sdc_recovered/
-	// sdc_escaped combine the task (replication) and wire (checksum)
-	// sides; the per-rank injected-vs-detected pairs feed the itytrace
-	// resilience table.
+	// SDC: sdc_detected/sdc_recovered/sdc_escaped combine the task
+	// (replication) and wire (checksum) sides; the per-rank
+	// injected-vs-detected pairs feed the itytrace resilience table.
 	if rt.prot != nil {
-		ts := rt.prot.Stats
-		ws := rt.comm.SdcWire()
-		reg.Counter("sdc_protected_tasks").Set(ts.Protected)
-		reg.Counter("replica_tasks").Set(ts.Replicas)
-		reg.Counter("sdc_detected").Set(ts.Detected + ws.Detected)
-		reg.Counter("sdc_recovered").Set(ts.Recovered + ws.Retrans)
-		reg.Counter("sdc_escaped").Set(ts.Escaped + ws.Escapes)
-		reg.Counter("sdc_wire_flips").Set(ws.Flips)
-		reg.Counter("sdc_wire_retrans").Set(ws.Retrans)
+		ts, ws := rt.prot.Stats, rt.comm.SdcWire()
+		c["sdc_protected_tasks"] = ts.Protected
+		c["replica_tasks"] = ts.Replicas
+		c["sdc_detected"] = ts.Detected + ws.Detected
+		c["sdc_recovered"] = ts.Recovered + ws.Retrans
+		c["sdc_escaped"] = ts.Escaped + ws.Escapes
+		c["sdc_wire_flips"] = ws.Flips
+		c["sdc_wire_retrans"] = ws.Retrans
 		if rt.inj != nil {
 			fs := rt.inj.Stats()
-			reg.Counter("sdc_injected_flips").Set(fs.WireFlips + fs.TaskFlips)
-			wf := rt.inj.WireFlipsByRank()
-			tf := rt.inj.TaskFlipsByRank()
-			det := rt.prot.DetectedByRank()
-			wdet := rt.comm.SdcWireDetectedByRank()
-			esc := rt.prot.EscapedByRank()
-			wesc := rt.comm.SdcWireEscapesByRank()
+			c["sdc_injected_flips"] = fs.WireFlips + fs.TaskFlips
+			wf, tf := rt.inj.WireFlipsByRank(), rt.inj.TaskFlipsByRank()
+			det, wdet := rt.prot.DetectedByRank(), rt.comm.SdcWireDetectedByRank()
+			esc, wesc := rt.prot.EscapedByRank(), rt.comm.SdcWireEscapesByRank()
 			for i := range wf {
-				reg.Counter(fmt.Sprintf("sdc_injected_rank_%02d", i)).Set(wf[i] + tf[i])
-				reg.Counter(fmt.Sprintf("sdc_detected_rank_%02d", i)).Set(det[i] + wdet[i])
-				reg.Counter(fmt.Sprintf("sdc_escaped_rank_%02d", i)).Set(esc[i] + wesc[i])
+				c[fmt.Sprintf("sdc_injected_rank_%02d", i)] = wf[i] + tf[i]
+				c[fmt.Sprintf("sdc_detected_rank_%02d", i)] = det[i] + wdet[i]
+				c[fmt.Sprintf("sdc_escaped_rank_%02d", i)] = esc[i] + wesc[i]
 			}
 		}
 	}
-
-	return reg.Snapshot()
+	return trace.MetricsDoc{
+		Schema:     trace.MetricsSchema,
+		Labels:     map[string]string{"policy": rt.space.Policy().String()},
+		Counters:   c,
+		Gauges:     map[string]int64{"ranks": int64(rt.cfg.Ranks), "cores_per_node": int64(rt.cfg.CoresPerNode)},
+		Histograms: rt.rec.Histograms(),
+	}
 }
 
 // WriteMetrics writes the metrics snapshot as indented JSON.

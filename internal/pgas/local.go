@@ -227,10 +227,7 @@ func (l *Local) span(k trace.Kind, t0 sim.Time, size uint64) {
 }
 
 // hit counts n requested bytes found valid in the cache or home-local.
-func (l *Local) hit(n uint64) {
-	l.space.Stats.HitBytes += n
-	l.space.rec.Instant(l.rank.ID(), trace.KCacheHit, l.rank.Proc().Now(), int64(n), 0)
-}
+func (l *Local) hit(n uint64) { l.space.Stats.HitBytes += n }
 
 // Checkout claims access to the global region [addr, addr+size) in the
 // given mode and returns a view of it (§3.3). The view's contents are the
@@ -243,7 +240,6 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	s := l.space
 	t0 := l.rank.Proc().Now()
 	s.Stats.CheckoutCalls++
-	s.rec.Instant(l.rank.ID(), trace.KCheckoutCall, t0, 0, 0)
 
 	if size == 0 {
 		l.outstanding = append(l.outstanding, checkoutRec{addr: addr, size: 0, mode: mode})

@@ -6,8 +6,10 @@
 // fixed-size per-rank accumulators as events happen instead of keeping the
 // events themselves:
 //
-//   - Rollups: busy/steal/idle/stall/barrier virtual time, checkout
-//     hit/miss traffic and RMA op counts/bytes, summed online.
+//   - RMA op counts and bytes per operation kind, summed online. They
+//     include the scheduler's CAS and stack traffic, which rma.Stats does
+//     not count; event counts the layers' own Stats keep are not repeated
+//     here.
 //   - Communication matrix: per-locality-tier (self/node/rack/fabric)
 //     op and byte totals attributed via netmodel.Tier, plus a per-rank
 //     top-K heavy-hitter table of hot targets (space-saving sketch), so a
@@ -16,12 +18,13 @@
 //   - Timeline: a fixed number of buckets over simulated time with
 //     per-kind occupancy; bucket width starts at timelineBaseNs and
 //     doubles (folding pairs of buckets, exactly) whenever a span lands
-//     past the end, so any run length fits the same storage.
+//     past the end, so any run length fits the same storage. The rollup's
+//     busy/steal/idle/stall/barrier totals are its column sums.
 //
 // Everything is per rank: each rank mutates only its own accumulator.
 // Recording never advances virtual time, so profiles are digest-inert. A
 // nil *Profile is the off switch: every method is nil-safe and
-// allocation-free, matching the trace/metrics discipline.
+// allocation-free, matching the trace discipline.
 package profile
 
 import (
@@ -82,10 +85,6 @@ const (
 // row is only allocated at or below MatrixMaxRanks); each rank writes only
 // its own rec.
 type rec struct {
-	spanNs [numSpanKinds]uint64
-
-	checkoutCalls, hitBytes, missOps, missBytes uint64
-
 	getOps, putOps, atomicOps uint64
 	getBytes, putBytes        uint64
 
@@ -181,7 +180,7 @@ type Profile struct {
 
 // New returns a collector for the given rank count, attributing
 // communication locality with net. Memory is O(ranks · (buckets + top-K)):
-// roughly 1.6 KiB per rank, independent of the rank² pair space.
+// roughly 1.5 KiB per rank, independent of the rank² pair space.
 func New(ranks int, net netmodel.Params) *Profile {
 	p := &Profile{net: net, ranks: make([]rec, ranks)}
 	if ranks <= MatrixMaxRanks {
@@ -196,14 +195,11 @@ func New(ranks int, net netmodel.Params) *Profile {
 }
 
 // Span folds a closed span of kind k covering [t0, t0+d) into rank's
-// rollup and timeline. Nil-safe, allocation-free, never advances time.
+// timeline. Nil-safe, allocation-free, never advances time.
 func (p *Profile) Span(rank int, k SpanKind, t0, d sim.Time) {
-	if p == nil || d <= 0 {
-		return
+	if p != nil {
+		p.ranks[rank].tl.add(k, t0, d)
 	}
-	r := &p.ranks[rank]
-	r.spanNs[k] += uint64(d)
-	r.tl.add(k, t0, d)
 }
 
 // RMA folds one one-sided operation from rank to target into the
@@ -263,47 +259,15 @@ func (r *rec) noteHot(target int32, nbytes uint64) {
 	r.hotBytes[min] += nbytes
 }
 
-// CheckoutCall counts one cache checkout on rank. Nil-safe.
-func (p *Profile) CheckoutCall(rank int) {
-	if p == nil {
-		return
-	}
-	p.ranks[rank].checkoutCalls++
-}
-
-// CheckoutHit folds bytes served from the local cache (or home memory)
-// into rank's rollup. Nil-safe.
-func (p *Profile) CheckoutHit(rank int, bytes uint64) {
-	if p == nil {
-		return
-	}
-	p.ranks[rank].hitBytes += bytes
-}
-
-// CheckoutMiss folds one remote fetch of the given size into rank's
-// rollup. Nil-safe.
-func (p *Profile) CheckoutMiss(rank int, bytes uint64) {
-	if p == nil {
-		return
-	}
-	r := &p.ranks[rank]
-	r.missOps++
-	r.missBytes += bytes
-}
-
 // Rollup is the cross-rank sum of every scalar accumulator.
 type Rollup struct {
-	// Virtual-time rollups by span kind, in nanoseconds.
+	// Virtual time by span kind, in nanoseconds: the timeline's column
+	// sums.
 	TaskNs    uint64 `json:"task_ns"`
 	StealNs   uint64 `json:"steal_ns"`
 	IdleNs    uint64 `json:"idle_ns"`
 	StallNs   uint64 `json:"stall_ns"`
 	BarrierNs uint64 `json:"barrier_ns"`
-	// Cache checkout traffic.
-	CheckoutCalls     uint64 `json:"checkout_calls"`
-	CheckoutHitBytes  uint64 `json:"checkout_hit_bytes"`
-	CheckoutMissOps   uint64 `json:"checkout_miss_ops"`
-	CheckoutMissBytes uint64 `json:"checkout_miss_bytes"`
 	// One-sided operation totals.
 	GetOps    uint64 `json:"rma_get_ops"`
 	PutOps    uint64 `json:"rma_put_ops"`
@@ -375,15 +339,6 @@ func (p *Profile) Snapshot() *Doc {
 	width := timelineBaseNs
 	for i := range p.ranks {
 		r := &p.ranks[i]
-		doc.Rollup.TaskNs += r.spanNs[SpanTask]
-		doc.Rollup.StealNs += r.spanNs[SpanSteal]
-		doc.Rollup.IdleNs += r.spanNs[SpanIdle]
-		doc.Rollup.StallNs += r.spanNs[SpanStall]
-		doc.Rollup.BarrierNs += r.spanNs[SpanBarrier]
-		doc.Rollup.CheckoutCalls += r.checkoutCalls
-		doc.Rollup.CheckoutHitBytes += r.hitBytes
-		doc.Rollup.CheckoutMissOps += r.missOps
-		doc.Rollup.CheckoutMissBytes += r.missBytes
 		doc.Rollup.GetOps += r.getOps
 		doc.Rollup.PutOps += r.putOps
 		doc.Rollup.AtomicOps += r.atomicOps
@@ -416,6 +371,7 @@ func (p *Profile) Snapshot() *Doc {
 	for b := range occ {
 		occ[b] = cells[b*int(numSpanKinds) : (b+1)*int(numSpanKinds)]
 	}
+	var total [numSpanKinds]uint64
 	for i := range p.ranks {
 		r := &p.ranks[i]
 		if r.tl.width == 0 {
@@ -425,10 +381,14 @@ func (p *Profile) Snapshot() *Doc {
 		for b := 0; b < TimelineBuckets; b++ {
 			for k := 0; k < int(numSpanKinds); k++ {
 				occ[b][k] += binned[b][k]
+				total[k] += binned[b][k]
 			}
 		}
 	}
 	doc.Timeline.Occupancy = occ
+	ru := &doc.Rollup
+	ru.TaskNs, ru.StealNs, ru.IdleNs = total[SpanTask], total[SpanSteal], total[SpanIdle]
+	ru.StallNs, ru.BarrierNs = total[SpanStall], total[SpanBarrier]
 	return doc
 }
 

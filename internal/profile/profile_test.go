@@ -154,9 +154,6 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 		for r := 0; r < 8; r++ {
 			p.Span(r, SpanTask, sim.Time(r)*10, 100)
 			p.RMA(r, (r+1)%8, OpPut, 256)
-			p.CheckoutCall(r)
-			p.CheckoutHit(r, 64)
-			p.CheckoutMiss(r, 192)
 		}
 		return p
 	}
@@ -190,9 +187,6 @@ func TestProfileZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		off.Span(0, SpanTask, 0, 10)
 		off.RMA(0, 1, OpGet, 64)
-		off.CheckoutCall(0)
-		off.CheckoutHit(0, 64)
-		off.CheckoutMiss(0, 64)
 	}); n != 0 {
 		t.Errorf("disabled profile allocates %v per record, want 0", n)
 	}
@@ -200,9 +194,6 @@ func TestProfileZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		on.Span(0, SpanTask, 0, 10)
 		on.RMA(0, 1, OpGet, 64)
-		on.CheckoutCall(0)
-		on.CheckoutHit(0, 64)
-		on.CheckoutMiss(0, 64)
 	}); n != 0 {
 		t.Errorf("armed profile allocates %v per record, want 0", n)
 	}

@@ -20,7 +20,7 @@ const internalPrefix = "ityr/internal/"
 var order = []string{"sim", "netmodel", "rma", "pgas", "uth", "core"}
 
 // observability are the packages a layer could report to.
-var observability = map[string]bool{"metrics": true, "profile": true, "trace": true}
+var observability = map[string]bool{"profile": true, "trace": true}
 
 // allowed lists, per pinned package, every ityr/internal package its
 // non-test files may import. The observability packages are pinned too, so
@@ -28,13 +28,12 @@ var observability = map[string]bool{"metrics": true, "profile": true, "trace": t
 var allowed = map[string][]string{
 	"sim":      {},
 	"netmodel": {"sim"},
-	"metrics":  {},
 	"profile":  {"netmodel", "sim"},
-	"trace":    {"metrics", "profile", "sim"},
+	"trace":    {"profile", "sim"},
 	"rma":      {"fault", "netmodel", "sim", "trace"},
 	"pgas":     {"memblock", "region", "rma", "sim", "trace"},
 	"uth":      {"rma", "sim", "trace"},
-	"core":     {"fault", "metrics", "netmodel", "pgas", "profile", "rma", "sim", "trace", "uth"},
+	"core":     {"fault", "netmodel", "pgas", "profile", "rma", "sim", "trace", "uth"},
 }
 
 // internalImports returns the ityr/internal packages pkg's non-test files

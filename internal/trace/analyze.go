@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 
-	"ityr/internal/metrics"
 	"ityr/internal/sim"
 )
 
@@ -34,8 +33,8 @@ type Analysis struct {
 	FailedSteals int
 	// StealLatency / FailedStealLatency bucket the durations of KSteal /
 	// KFailedSteal spans (thief-side latency, in virtual ns).
-	StealLatency       metrics.HistogramSnapshot
-	FailedStealLatency metrics.HistogramSnapshot
+	StealLatency       HistogramSnapshot
+	FailedStealLatency HistogramSnapshot
 
 	// LiveTasks is the number of forked-but-unjoined threads left at the
 	// end of the trace. Nonzero means the trace is truncated (ring
@@ -53,7 +52,7 @@ type Analysis struct {
 
 // StealLatencyBounds are the histogram bucket bounds (virtual ns) used
 // for steal latency: 500ns .. ~16ms, doubling.
-var StealLatencyBounds = metrics.ExpBuckets(500, 2, 16)
+var StealLatencyBounds = ExpBuckets(500, 2, 16)
 
 // Analyze computes work/span and per-rank activity from a log. nranks is
 // the total rank count of the run (ranks that recorded nothing still get
@@ -68,8 +67,8 @@ var StealLatencyBounds = metrics.ExpBuckets(500, 2, 16)
 func Analyze(l *Log, nranks int) Analysis {
 	events := l.Events()
 	var a Analysis
-	stealLat := metrics.NewHistogram(StealLatencyBounds)
-	failedLat := metrics.NewHistogram(StealLatencyBounds)
+	stealLat := NewHistogram(StealLatencyBounds)
+	failedLat := NewHistogram(StealLatencyBounds)
 
 	cp := map[int64]sim.Time{}  // thread ID -> accumulated path length
 	busy := map[int]sim.Time{}  // rank -> busy time
@@ -194,7 +193,7 @@ func (a Analysis) WriteReport(w io.Writer) {
 
 // writeHistBars prints the non-empty buckets of a histogram with
 // proportional bars.
-func writeHistBars(w io.Writer, h metrics.HistogramSnapshot) {
+func writeHistBars(w io.Writer, h HistogramSnapshot) {
 	var maxCount uint64
 	for _, c := range h.Counts {
 		if c > maxCount {
@@ -231,7 +230,7 @@ func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	var snap metrics.Snapshot
+	var snap MetricsDoc
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("trace: parsing metrics snapshot: %w", err)
 	}
@@ -278,7 +277,7 @@ func ResilienceReport(w io.Writer, raw json.RawMessage) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	var snap metrics.Snapshot
+	var snap MetricsDoc
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("trace: parsing metrics snapshot: %w", err)
 	}
@@ -313,7 +312,7 @@ func ResilienceReport(w io.Writer, raw json.RawMessage) error {
 // Escapes — corruptions that reached neither the replication digest nor the
 // wire checksum — are the dangerous quantity, so they are flagged
 // explicitly rather than left as a column the reader must scan.
-func sdcReport(w io.Writer, snap *metrics.Snapshot) {
+func sdcReport(w io.Writer, snap *MetricsDoc) {
 	escaped := snap.Counters["sdc_escaped"]
 	fmt.Fprintf(w, "  sdc: protected %d  replicas %d  detected %d  recovered %d  injected flips %d (wire %d)\n",
 		snap.Counters["sdc_protected_tasks"],

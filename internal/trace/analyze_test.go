@@ -19,14 +19,14 @@ import (
 // idle 200.
 func fixtureLog() *Log {
 	l := New()
-	l.RecSpan(0, 200, 0, KTaskRun, 1, 0)
-	l.Rec2(200, 0, KFork, 2, 1)
-	l.RecSpan(200, 100, 0, KTaskRun, 1, 0)
-	l.RecSpan(200, 50, 1, KSteal, 0, 2)
-	l.RecSpan(250, 200, 1, KTaskRun, 2, 0)
-	l.Rec2(450, 1, KTaskEnd, 2, 1)
-	l.Rec2(450, 0, KJoin, 2, 1)
-	l.Rec2(450, 0, KTaskEnd, 1, 0)
+	l.rec(Event{T: 0, Dur: 200, Rank: 0, Kind: KTaskRun, Arg: 1})
+	l.rec(Event{T: 200, Rank: 0, Kind: KFork, Arg: 2, Arg2: 1})
+	l.rec(Event{T: 200, Dur: 100, Rank: 0, Kind: KTaskRun, Arg: 1})
+	l.rec(Event{T: 200, Dur: 50, Rank: 1, Kind: KSteal, Arg2: 2})
+	l.rec(Event{T: 250, Dur: 200, Rank: 1, Kind: KTaskRun, Arg: 2})
+	l.rec(Event{T: 450, Rank: 1, Kind: KTaskEnd, Arg: 2, Arg2: 1})
+	l.rec(Event{T: 450, Rank: 0, Kind: KJoin, Arg: 2, Arg2: 1})
+	l.rec(Event{T: 450, Rank: 0, Kind: KTaskEnd, Arg: 1})
 	return l
 }
 
@@ -75,8 +75,8 @@ func TestAnalyzeFixture(t *testing.T) {
 // silently reporting a too-short critical path.
 func TestAnalyzeTruncated(t *testing.T) {
 	l := New()
-	l.RecSpan(0, 200, 0, KTaskRun, 1, 0)
-	l.Rec2(200, 0, KFork, 2, 1)
+	l.rec(Event{T: 0, Dur: 200, Rank: 0, Kind: KTaskRun, Arg: 1})
+	l.rec(Event{T: 200, Rank: 0, Kind: KFork, Arg: 2, Arg2: 1})
 	a := Analyze(l, 1)
 	if a.LiveTasks != 2 {
 		t.Errorf("LiveTasks = %d, want 2 (root + unjoined child)", a.LiveTasks)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ityr/internal/metrics"
 	"ityr/internal/sim"
 )
 
@@ -60,22 +59,17 @@ func TestReadDumpRejectsUnknownSchema(t *testing.T) {
 	}
 }
 
-// Satellite regression: Summary must report the min..max time range even
-// when ranks record out of timestamp order (per-rank rings are only
-// locally sorted), and must account span durations in the range end.
-func TestSummaryOutOfOrderRanks(t *testing.T) {
+// Analyze must take the elapsed range min..max even when ranks record
+// out of timestamp order (per-rank rings are only locally sorted), and
+// must account span durations in the range end.
+func TestAnalyzeOutOfOrderRanks(t *testing.T) {
 	l := New()
-	l.Rec(100, 0, KFork, 1)               // recorded first, but not the earliest
-	l.Rec(10, 1, KAcquire, 0)             // earliest event, later rank
-	l.RecSpan(20, 500, 1, KTaskRun, 1, 0) // ends at 520: the true max
-	l.Rec(110, 0, KRelease, 0)            // recorded last, not the latest
-	if first, last := l.Span(); first != 10 || last != 520 {
-		t.Fatalf("Span() = (%d, %d), want (10, 520)", first, last)
-	}
-	var b strings.Builder
-	l.Summary(&b)
-	if !strings.Contains(b.String(), "over 510 ns") {
-		t.Errorf("summary range wrong (want 'over 510 ns'):\n%s", b.String())
+	l.rec(Event{T: 100, Rank: 0, Kind: KFork, Arg: 1})             // recorded first, but not the earliest
+	l.rec(Event{T: 10, Rank: 1, Kind: KAcquire})                   // earliest event, later rank
+	l.rec(Event{T: 20, Dur: 500, Rank: 1, Kind: KTaskRun, Arg: 1}) // ends at 520: the true max
+	l.rec(Event{T: 110, Rank: 0, Kind: KRelease})                  // recorded last, not the latest
+	if a := Analyze(l, 2); a.Elapsed != 510 {
+		t.Fatalf("Elapsed = %d, want 510 (10 .. 520)", a.Elapsed)
 	}
 }
 
@@ -84,8 +78,8 @@ func TestSummaryOutOfOrderRanks(t *testing.T) {
 func TestChromeJSONSpansAndNodePID(t *testing.T) {
 	l := New()
 	l.CoresPerNode = 2
-	l.RecSpan(1000, 2000, 3, KTaskRun, 7, 0) // rank 3 -> node 1
-	l.Rec(500, 0, KFork, 1)                  // rank 0 -> node 0
+	l.rec(Event{T: 1000, Dur: 2000, Rank: 3, Kind: KTaskRun, Arg: 7}) // rank 3 -> node 1
+	l.rec(Event{T: 500, Rank: 0, Kind: KFork, Arg: 1})                // rank 0 -> node 0
 	var b bytes.Buffer
 	if err := l.ChromeJSON(&b); err != nil {
 		t.Fatal(err)
@@ -112,7 +106,7 @@ func TestChromeJSONSpansAndNodePID(t *testing.T) {
 func TestRingDropsOldest(t *testing.T) {
 	l := NewRing(2)
 	for i := int64(1); i <= 5; i++ {
-		l.Rec(sim.Time(i*10), 0, KFork, i)
+		l.rec(Event{T: sim.Time(i * 10), Rank: 0, Kind: KFork, Arg: i})
 	}
 	if l.Len() != 2 {
 		t.Errorf("Len = %d, want 2", l.Len())
@@ -124,26 +118,21 @@ func TestRingDropsOldest(t *testing.T) {
 	if evs[0].Arg != 4 || evs[1].Arg != 5 {
 		t.Errorf("retained args %d,%d, want 4,5", evs[0].Arg, evs[1].Arg)
 	}
-	var b strings.Builder
-	l.Summary(&b)
-	if !strings.Contains(b.String(), "3 older events dropped") {
-		t.Errorf("summary does not mention drops:\n%s", b.String())
+	if d := l.DroppedByRank(); len(d) != 1 || d[0] != 3 {
+		t.Errorf("DroppedByRank = %v, want [3]", d)
 	}
 }
 
-// The off-switch must be free: a nil log and nil metrics instruments do
-// no work and no allocation per event — this is what lets every call
-// site record unconditionally.
+// The off-switch must be free: a live recorder with the ring and the
+// profile off records spans, instants and RMA operations without
+// allocating — what lets every call site record unconditionally.
 func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
-	var l *Log
-	var h *metrics.Histogram
-	var c *metrics.Counter
+	r := NewRecorder(2, nil, nil)
 	if n := testing.AllocsPerRun(100, func() {
-		l.Rec(1, 0, KFork, 1)
-		l.Rec2(1, 0, KFork, 1, 2)
-		l.RecSpan(1, 2, 0, KTaskRun, 1, 0)
-		h.Observe(42)
-		c.Inc()
+		r.Span(0, KSteal, 1, 2, 1, 0)
+		r.Span(1, KCheckout, 1, 2, 64, 0)
+		r.Instant(0, KFork, 1, 1, 2)
+		r.RMA(0, 1, OpGet, 64)
 	}); n != 0 {
 		t.Errorf("disabled instrumentation allocates %v per event, want 0", n)
 	}
@@ -155,9 +144,9 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 func TestDumpProfileAndDropsRoundtrip(t *testing.T) {
 	l := NewRing(2)
 	for i := int64(1); i <= 5; i++ {
-		l.Rec(sim.Time(i*10), 1, KFork, i) // rank 1 drops 3
+		l.rec(Event{T: sim.Time(i * 10), Rank: 1, Kind: KFork, Arg: i}) // rank 1 drops 3
 	}
-	l.Rec(60, 0, KFork, 9) // rank 0 drops none
+	l.rec(Event{T: 60, Rank: 0, Kind: KFork, Arg: 9}) // rank 0 drops none
 	prof := json.RawMessage(`{"schema":"itoyori-profile/v1","ranks":2}`)
 	var b bytes.Buffer
 	if err := l.WriteDump(&b, Meta{Ranks: 2, Profile: prof}); err != nil {

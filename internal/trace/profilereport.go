@@ -90,11 +90,6 @@ func ProfileReport(w io.Writer, raw json.RawMessage) error {
 		ru.TaskNs, ru.StealNs, ru.IdleNs, ru.StallNs, ru.BarrierNs)
 	fmt.Fprintf(w, "  rma        %d gets / %d bytes   %d puts / %d bytes   %d atomics\n",
 		ru.GetOps, ru.GetBytes, ru.PutOps, ru.PutBytes, ru.AtomicOps)
-	if total := ru.CheckoutHitBytes + ru.CheckoutMissBytes; total > 0 {
-		fmt.Fprintf(w, "  checkout   %d calls, hit rate %.1f%% (%d hit / %d fetched bytes in %d fetches)\n",
-			ru.CheckoutCalls, 100*float64(ru.CheckoutHitBytes)/float64(total),
-			ru.CheckoutHitBytes, ru.CheckoutMissBytes, ru.CheckoutMissOps)
-	}
 
 	var tierBytes, tierOps uint64
 	for _, t := range doc.Tiers {

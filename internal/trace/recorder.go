@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"ityr/internal/metrics"
 	"ityr/internal/profile"
 	"ityr/internal/sim"
 )
@@ -35,7 +34,7 @@ const (
 var runtimeCats = [...]string{"Get", "Put", "Checkout", "Checkin", "Release", "Lazy Release", "Acquire"}
 
 const (
-	// Live histograms (names and bounds in NewRecorder).
+	// Live histograms (names in histNames, bounds in NewRecorder).
 	histAcquireNs = iota + 1
 	histReleaseNs
 	histCheckoutBytes // observes a span's Arg (bytes), not its duration
@@ -43,6 +42,15 @@ const (
 	histFailedStealNs
 	numHists
 )
+
+// histNames are the live histograms' keys in the metrics document.
+var histNames = [numHists]string{
+	histAcquireNs:     "pgas_acquire_ns",
+	histReleaseNs:     "pgas_release_ns",
+	histCheckoutBytes: "pgas_checkout_bytes",
+	histStealNs:       "uth_steal_latency_ns",
+	histFailedStealNs: "uth_failed_steal_latency_ns",
+}
 
 // lastRingKind bounds the span ring (Config.Trace): it takes spans and
 // instants of every kind up to here — the event stream "itytrace/v1" dumps
@@ -91,26 +99,35 @@ type Recorder struct {
 	log   *Log
 	prof  *profile.Profile
 	cats  Categories
-	hists [numHists]*metrics.Histogram
+	hists [numHists]*Histogram
 }
 
 // NewRecorder creates the recorder for a run of ranks ranks. log and prof
-// may be nil (tracing / profiling off); reg receives the live histograms.
-func NewRecorder(ranks int, log *Log, prof *profile.Profile, reg *metrics.Registry) *Recorder {
+// may be nil (tracing / profiling off).
+func NewRecorder(ranks int, log *Log, prof *profile.Profile) *Recorder {
 	r := &Recorder{log: log, prof: prof, cats: Categories{index: map[string]int{}}}
 	for i, name := range runtimeCats {
 		r.cats.index[name] = i
 		r.cats.acc = append(r.cats.acc, make([]sim.Time, ranks))
 	}
-	fence := metrics.ExpBuckets(250, 2, 16)
-	r.hists = [numHists]*metrics.Histogram{
-		histAcquireNs:     reg.Histogram("pgas_acquire_ns", fence),
-		histReleaseNs:     reg.Histogram("pgas_release_ns", fence),
-		histCheckoutBytes: reg.Histogram("pgas_checkout_bytes", metrics.ExpBuckets(64, 4, 12)),
-		histStealNs:       reg.Histogram("uth_steal_latency_ns", StealLatencyBounds),
-		histFailedStealNs: reg.Histogram("uth_failed_steal_latency_ns", StealLatencyBounds),
+	fence := ExpBuckets(250, 2, 16)
+	r.hists = [numHists]*Histogram{
+		histAcquireNs:     NewHistogram(fence),
+		histReleaseNs:     NewHistogram(fence),
+		histCheckoutBytes: NewHistogram(ExpBuckets(64, 4, 12)),
+		histStealNs:       NewHistogram(StealLatencyBounds),
+		histFailedStealNs: NewHistogram(StealLatencyBounds),
 	}
 	return r
+}
+
+// Histograms returns the live histograms' snapshots by metrics key.
+func (r *Recorder) Histograms() map[string]HistogramSnapshot {
+	out := make(map[string]HistogramSnapshot, numHists-1)
+	for h := histAcquireNs; h < numHists; h++ {
+		out[histNames[h]] = r.hists[h].Snap()
+	}
+	return out
 }
 
 // Log returns the span ring (nil when tracing is off).
@@ -165,22 +182,10 @@ func (r *Recorder) SpanAs(cat string, rank int, k Kind, t0, d sim.Time, arg, arg
 }
 
 // Instant reports a moment of kind k at time t on rank. It reaches the
-// ring and, for the three checkout kinds (Arg = bytes), the profile's
-// checkout counters — none of the consumers that account time.
+// ring alone: none of the consumers that account time.
 func (r *Recorder) Instant(rank int, k Kind, t sim.Time, arg, arg2 int64) {
-	if r == nil {
-		return
-	}
-	if k <= lastRingKind && r.log != nil {
+	if r != nil && k <= lastRingKind && r.log != nil {
 		r.log.rec(Event{T: t, Rank: rank, Kind: k, Arg: arg, Arg2: arg2})
-	}
-	switch k {
-	case KCheckoutCall:
-		r.prof.CheckoutCall(rank)
-	case KCacheHit:
-		r.prof.CheckoutHit(rank, uint64(arg))
-	case KCacheMiss:
-		r.prof.CheckoutMiss(rank, uint64(arg))
 	}
 }
 

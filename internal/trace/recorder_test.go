@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ityr/internal/metrics"
 	"ityr/internal/netmodel"
 	"ityr/internal/profile"
 )
@@ -13,7 +12,7 @@ import (
 // catsOnly is a recorder with every optional consumer off: only the
 // always-on category totals listen.
 func catsOnly(ranks int) (*Recorder, *Categories) {
-	r := NewRecorder(ranks, nil, nil, metrics.NewRegistry())
+	r := NewRecorder(ranks, nil, nil)
 	return r, r.Categories()
 }
 
@@ -133,20 +132,17 @@ func TestFormatOrdering(t *testing.T) {
 }
 
 // One Span call reaches every consumer its kind routes to and no other;
-// an instant reaches the ring but none of the time consumers; and the
-// kinds added with the recorder (KIdle, KCacheHit, ...) never enter the ring.
+// an instant reaches the ring alone; and the kinds added with the recorder
+// (KIdle, ...) never enter the ring.
 func TestRecorderRouting(t *testing.T) {
 	log := New()
 	prof := profile.New(2, netmodel.Default(2))
-	reg := metrics.NewRegistry()
-	r := NewRecorder(2, log, prof, reg)
+	r := NewRecorder(2, log, prof)
 
 	r.Span(1, KSteal, 100, 40, 0, 7)
 	r.Span(0, KCheckout, 0, 25, 4096, 0)
 	r.Instant(0, KRelease, 50, 1, 0) // NoCache fence: nothing to account
 	r.Span(0, KIdle, 60, 30, 0, 0)
-	r.Instant(0, KCheckoutCall, 0, 0, 0)
-	r.Instant(0, KCacheHit, 0, 64, 0)
 	r.Instant(0, KCacheMiss, 5, 32, 0)
 
 	evs := log.Events()
@@ -165,11 +161,8 @@ func TestRecorderRouting(t *testing.T) {
 	if ru.StealNs != 40 || ru.IdleNs != 30 || ru.TaskNs != 0 {
 		t.Errorf("profile spans = %+v", ru)
 	}
-	if ru.CheckoutCalls != 1 || ru.CheckoutHitBytes != 64 || ru.CheckoutMissOps != 1 || ru.CheckoutMissBytes != 32 {
-		t.Errorf("profile checkout counters = %+v", ru)
-	}
 
-	h := reg.Snapshot().Histograms
+	h := r.Histograms()
 	if h["uth_steal_latency_ns"].Sum != 40 || h["uth_failed_steal_latency_ns"].Count != 0 {
 		t.Errorf("steal histograms = %+v / %+v", h["uth_steal_latency_ns"], h["uth_failed_steal_latency_ns"])
 	}
@@ -182,7 +175,6 @@ func TestRecorderRouting(t *testing.T) {
 	if got := r.Categories().Total("Checkout"); got != 25 {
 		t.Errorf("Checkout total = %d, want 25", got)
 	}
-
 }
 
 // A nil recorder is the layers' off-switch.

@@ -3,16 +3,18 @@
 // simulator's equivalent of Itoyori's execution tracer. Since PR 2 it
 // records both instant events and *spans* (events with a duration), kept
 // in per-rank ring buffers so long runs can bound memory to the most
-// recent events per rank. Logs can be dumped as text, summarized per
-// rank, serialized to a self-describing JSON dump ("itytrace/v1") for
-// offline analysis with cmd/itytrace, or exported in the Chrome tracing
-// JSON format for visual timelines (spans become "X" complete events,
-// grouped by simulated node via the PID field).
+// recent events per rank. Logs can be dumped as text, serialized to a
+// self-describing JSON dump ("itytrace/v1") for offline analysis with
+// cmd/itytrace, or exported in the Chrome tracing JSON format for visual
+// timelines (spans become "X" complete events, grouped by simulated node
+// via the PID field). The Recorder (recorder.go) is the one way events are
+// written; the package also owns the "itoyori-metrics/v1" document
+// (metrics.go).
 //
 // All timestamps are virtual (sim.Time); recording never advances the
 // clock, so enabling tracing cannot change simulated behavior. A nil *Log
-// records nothing, which is the off-switch: call sites need no
-// enabled-checks and the off path does zero allocations.
+// is the ring switched off: the recorder skips it, and the off path does
+// zero allocations.
 package trace
 
 import (
@@ -73,8 +75,6 @@ const (
 	KIdle             // span over one scheduler idle backoff
 	KStall            // span over one RMA flush wait
 	KBarrier          // span from barrier arrival to release
-	KCacheHit         // instant: Arg = bytes a checkout found valid or home-local
-	KCheckoutCall     // instant: a Checkout call began (counted even if it fails)
 	KCompute          // span of application compute, charged by name (Ctx.ChargeAs)
 	numKinds
 )
@@ -85,7 +85,7 @@ var kindNames = [numKinds]string{
 	"checkout", "task", "task-end", "join", "retry", "blacklist", "prefetch",
 	"replica", "sdc-detect", "violation",
 	"checkin", "get", "put", "write-back-all", "lazy-write-back-all", "idle", "stall", "barrier",
-	"cache-hit", "checkout-call", "compute",
+	"compute",
 }
 
 func (k Kind) String() string {
@@ -164,8 +164,7 @@ func (rg *ring) add(e entry, capPerRank int) {
 	rg.dropped++
 }
 
-// Log is an event recorder. A nil *Log is valid and records nothing, so
-// callers need no enabled-checks.
+// Log is the span ring the Recorder writes to. A nil *Log reads as empty.
 type Log struct {
 	rings      []ring
 	seq        uint64
@@ -195,30 +194,6 @@ func (l *Log) rec(ev Event) {
 	}
 	l.seq++
 	l.rings[r].add(entry{seq: l.seq, ev: ev}, l.capPerRank)
-}
-
-// Rec appends an instant event. No-op on a nil log.
-func (l *Log) Rec(t sim.Time, rank int, kind Kind, arg int64) {
-	if l == nil {
-		return
-	}
-	l.rec(Event{T: t, Rank: rank, Kind: kind, Arg: arg})
-}
-
-// Rec2 appends an instant event with two arguments. No-op on a nil log.
-func (l *Log) Rec2(t sim.Time, rank int, kind Kind, arg, arg2 int64) {
-	if l == nil {
-		return
-	}
-	l.rec(Event{T: t, Rank: rank, Kind: kind, Arg: arg, Arg2: arg2})
-}
-
-// RecSpan appends a span covering [t, t+dur). No-op on a nil log.
-func (l *Log) RecSpan(t, dur sim.Time, rank int, kind Kind, arg, arg2 int64) {
-	if l == nil {
-		return
-	}
-	l.rec(Event{T: t, Dur: dur, Rank: rank, Kind: kind, Arg: arg, Arg2: arg2})
 }
 
 // Len returns the number of retained events (0 for nil).
@@ -298,27 +273,6 @@ func (l *Log) Count(kind Kind) int {
 	return n
 }
 
-// Span returns the [min start, max end] of all retained events, or (0, 0)
-// when empty. The end accounts for span durations.
-func (l *Log) Span() (first, last sim.Time) {
-	if l.Len() == 0 {
-		return 0, 0
-	}
-	started := false
-	for i := range l.rings {
-		for _, e := range l.rings[i].buf {
-			if !started || e.ev.T < first {
-				first = e.ev.T
-			}
-			if end := e.ev.T + e.ev.Dur; !started || end > last {
-				last = end
-			}
-			started = true
-		}
-	}
-	return first, last
-}
-
 // Dump writes one line per event in recording order.
 func (l *Log) Dump(w io.Writer) {
 	for _, e := range l.Events() {
@@ -328,41 +282,6 @@ func (l *Log) Dump(w io.Writer) {
 		} else {
 			fmt.Fprintf(w, "%12d ns  rank %3d  %-13s %d\n", e.T, e.Rank, e.Kind, e.Arg)
 		}
-	}
-}
-
-// Summary writes per-kind totals and the overall time range. Events are
-// recorded per rank, so the log is not globally time-sorted: the range is
-// computed from min/max timestamps, not first/last entries.
-func (l *Log) Summary(w io.Writer) {
-	if l.Len() == 0 {
-		fmt.Fprintln(w, "trace: no events")
-		return
-	}
-	totals := map[Kind]int{}
-	ranks := map[int]bool{}
-	for _, e := range l.Events() {
-		totals[e.Kind]++
-		ranks[e.Rank] = true
-	}
-	kinds := make([]Kind, 0, len(totals))
-	for k := range totals {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool {
-		if totals[kinds[i]] != totals[kinds[j]] {
-			return totals[kinds[i]] > totals[kinds[j]]
-		}
-		return kinds[i] < kinds[j]
-	})
-	first, last := l.Span()
-	fmt.Fprintf(w, "trace: %d events on %d ranks over %d ns\n",
-		l.Len(), len(ranks), last-first)
-	if d := l.Dropped(); d > 0 {
-		fmt.Fprintf(w, "  (%d older events dropped by ring buffers)\n", d)
-	}
-	for _, k := range kinds {
-		fmt.Fprintf(w, "  %-13s %8d\n", k, totals[k])
 	}
 }
 

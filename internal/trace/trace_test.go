@@ -8,7 +8,6 @@ import (
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	l.Rec(10, 0, KFork, 0) // must not panic
 	if l.Len() != 0 || l.Count(KFork) != 0 || l.Events() != nil {
 		t.Fatal("nil log misbehaved")
 	}
@@ -21,10 +20,10 @@ func TestNilLogIsSafe(t *testing.T) {
 
 func TestRecordAndQuery(t *testing.T) {
 	l := New()
-	l.Rec(100, 0, KFork, 0)
-	l.Rec(200, 1, KSteal, 0)
-	l.Rec(300, 1, KCacheMiss, 4096)
-	l.Rec(400, 0, KFork, 0)
+	l.rec(Event{T: 100, Rank: 0, Kind: KFork})
+	l.rec(Event{T: 200, Rank: 1, Kind: KSteal})
+	l.rec(Event{T: 300, Rank: 1, Kind: KCacheMiss, Arg: 4096})
+	l.rec(Event{T: 400, Rank: 0, Kind: KFork})
 	if l.Len() != 4 || l.Count(KFork) != 2 || l.Count(KSteal) != 1 {
 		t.Fatalf("counts wrong: %d events, %d forks", l.Len(), l.Count(KFork))
 	}
@@ -33,28 +32,27 @@ func TestRecordAndQuery(t *testing.T) {
 	}
 }
 
-func TestSummaryAndDump(t *testing.T) {
+func TestDumpLines(t *testing.T) {
 	l := New()
 	for i := 0; i < 5; i++ {
-		l.Rec(int64(i*100), i%2, KFork, 0)
+		l.rec(Event{T: int64(i * 100), Rank: i % 2, Kind: KFork})
 	}
-	l.Rec(600, 1, KSteal, 0)
+	l.rec(Event{T: 600, Dur: 30, Rank: 1, Kind: KSteal})
 	var sb strings.Builder
-	l.Summary(&sb)
-	if !strings.Contains(sb.String(), "fork") || !strings.Contains(sb.String(), "steal") {
-		t.Fatalf("summary missing kinds:\n%s", sb.String())
-	}
-	sb.Reset()
 	l.Dump(&sb)
-	if lines := strings.Count(sb.String(), "\n"); lines != 6 {
+	out := sb.String()
+	if lines := strings.Count(out, "\n"); lines != 6 {
 		t.Fatalf("dump has %d lines, want 6", lines)
+	}
+	if !strings.Contains(out, "fork") || !strings.Contains(out, "steal         dur 30") {
+		t.Fatalf("dump missing kinds or the span's duration:\n%s", out)
 	}
 }
 
 func TestChromeJSONWellFormed(t *testing.T) {
 	l := New()
-	l.Rec(1500, 2, KAcquire, 0)
-	l.Rec(2500, 3, KRelease, 0)
+	l.rec(Event{T: 1500, Rank: 2, Kind: KAcquire})
+	l.rec(Event{T: 2500, Rank: 3, Kind: KRelease})
 	var sb strings.Builder
 	if err := l.ChromeJSON(&sb); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ityr/internal/fault"
-	"ityr/internal/metrics"
 	"ityr/internal/netmodel"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
@@ -47,7 +46,7 @@ func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) id
 	e := sim.NewEngine()
 	c := rma.New(e, idleRanks, netmodel.Default(idleCoresPerNode))
 	log := trace.New()
-	c.SetRecorder(trace.NewRecorder(idleRanks, log, nil, metrics.NewRegistry()))
+	c.SetRecorder(trace.NewRecorder(idleRanks, log, nil))
 	if flaky {
 		c.SetFaults(fault.NewInjector(fault.PlanFlakyRMA(7), idleRanks))
 	}
