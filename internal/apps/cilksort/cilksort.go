@@ -272,7 +272,7 @@ func IsSorted(c *ityr.Ctx, a ityr.GSpan[Elem]) bool {
 	}
 	ok := true
 	c.ParallelFor(0, a.Len-1, 1<<14, func(c *ityr.Ctx, lo, hi int64) {
-		// Overlap chunks by one element to check the seams.
+		// Each chunk reads one element past its end to check the seams.
 		v := ityr.Checkout(c, a.Slice(lo, hi+1), ityr.Read)
 		for i := 0; i+1 < len(v); i++ {
 			if v[i] > v[i+1] {

@@ -14,15 +14,14 @@ import (
 
 // Ablation experiments probing the design choices DESIGN.md calls out:
 // sub-block size (§4.3.1), cache capacity (§3.3), distribution policy
-// (§4.2), lazy release (§5.2), FMM θ, the node-shared cache (§3.2 future
-// work), locality-aware stealing and communication-computation overlap (§8
-// future work), and the cache communication batching (DESIGN.md §4.5). Rows
+// (§4.2), lazy release (§5.2), FMM θ, locality-aware stealing (§8 future
+// work), and the cache communication batching (DESIGN.md §4.5). Rows
 // abl/<ablation>/<variant>; one stated direction each in claim/abl.
 
 // ablations is what `itybench abl` walks, in print order.
 var ablations = []func(io.Writer, *Report, Scale){
 	ablSubBlock, ablCacheSize, ablDistribution, ablLazyRelease, ablFMMTheta,
-	ablSharedCache, ablLocalitySteals, ablFMMDistribution, ablOverlap, ablBatching,
+	ablLocalitySteals, ablFMMDistribution, ablBatching,
 }
 
 func abl(w io.Writer, rep *Report, sc Scale) {
@@ -49,7 +48,6 @@ func ablMetrics(t sim.Time, rt *ityr.Runtime) Metrics {
 		"round_trips":   float64(wire.GetOps + wire.PutOps + wire.AtomicOps),
 		"prefetch_hits": float64(batch.PrefetchHits), "prefetch_unused": float64(batch.PrefetchMisses),
 		"steals": float64(sched.Steals), "intra_steals": float64(sched.IntraSteals),
-		"comm_waits": float64(sched.CommWaits),
 	}
 }
 
@@ -159,21 +157,6 @@ func ablFMMTheta(w io.Writer, rep *Report, sc Scale) {
 
 var fmmThetas = []float64{0.2, 0.3, 0.5}
 
-// ablSharedCache compares private and node-shared caches on UTS-Mem (§3.2
-// future work).
-func ablSharedCache(w io.Writer, rep *Report, sc Scale) {
-	fmt.Fprintf(w, "\n== Ablation: node-shared cache (UTS traversal, %d ranks, %d/node) ==\n",
-		sc.FixedRanks, sc.CoresPerNode)
-	for _, name := range []string{"private caches", "node-shared cache"} {
-		m := rep.row(rowName("abl/sharedcache", name), func() Metrics {
-			cfg := ablConfig(sc)
-			cfg.Pgas.SharedCache = name == "node-shared cache"
-			return ablUTS(sc, cfg)
-		})
-		fmt.Fprintf(w, "  %-18s traverse %8.3f ms, fetched %6.2f MB\n", name, m.ms(), m["fetch_bytes"]/1e6)
-	}
-}
-
 // ablLocalitySteals compares random and locality-aware victim selection (§8
 // future work).
 func ablLocalitySteals(w io.Writer, rep *Report, sc Scale) {
@@ -210,21 +193,6 @@ func ablFMMDistribution(w io.Writer, rep *Report, sc Scale) {
 		})
 		fmt.Fprintf(w, "  %-8s itoyori %8.3f ms | MPI %8.3f ms (idleness %.3f)\n",
 			d, m.ms(), m["mpi_ns"]/1e6, m["mpi_idleness"])
-	}
-}
-
-// ablOverlap compares blocking checkout fetches with
-// communication-computation overlap (§8 future work) on the UTS-Mem
-// traversal, whose cache misses are frequent and latency-bound.
-func ablOverlap(w io.Writer, rep *Report, sc Scale) {
-	fmt.Fprintf(w, "\n== Ablation: communication-computation overlap (UTS traversal, %d ranks) ==\n", sc.FixedRanks)
-	for _, name := range []string{"blocking fetches", "overlapped fetches"} {
-		m := rep.row(rowName("abl/overlap", name), func() Metrics {
-			cfg := ablConfig(sc)
-			cfg.Overlap = name == "overlapped fetches"
-			return ablUTS(sc, cfg)
-		})
-		fmt.Fprintf(w, "  %-18s traverse %8.3f ms (comm waits overlapped: %.0f)\n", name, m.ms(), m["comm_waits"])
 	}
 }
 
@@ -292,12 +260,10 @@ func ablBatching(w io.Writer, rep *Report, sc Scale) {
 // growing the sub-block trades fetch operations for fetched bytes; a
 // smaller cache evicts more and the full-size one never; block vs
 // block-cyclic is a wash for Cilksort (within 5%); lazy release is faster
-// than eager write-back at fine grain; a larger θ is cheaper; the
-// node-shared cache is slower than private caches at this scale; locality-
-// aware stealing raises the intra-node share of steals and is faster;
-// clustered bodies (sphere, Plummer) leave the static MPI partitioning idler
-// than the uniform cube; overlapping fetches is faster than blocking; and
-// of the batching knobs, at the fine geometry coalescing cuts round trips
+// than eager write-back at fine grain; a larger θ is cheaper; locality-aware
+// stealing raises the intra-node share of steals and is faster; clustered
+// bodies (sphere, Plummer) leave the static MPI partitioning idler than the
+// uniform cube; and of the batching knobs, at the fine geometry coalescing cuts round trips
 // at the same time (within 1%) and the shipped prefetch depth 2 is faster
 // than unbatched, while at the paper's geometry every setting is inert.
 func ablClaims(rep *Report, sc Scale) Metrics {
@@ -329,14 +295,12 @@ func ablClaims(rep *Report, sc Scale) Metrics {
 		"distribution_is_a_wash":            verdict(wash > 0.95 && wash < 1.05),
 		"lazy_release_faster_at_fine_grain": verdict(t("lazyrelease", ityr.WriteBackLazy) < t("lazyrelease", ityr.WriteBack)),
 		"larger_theta_is_cheaper":           verdict(theta),
-		"shared_cache_slower":               verdict(t("sharedcache/node-shared cache") > t("sharedcache/private caches")),
 		"locality_steals_stay_on_node_and_win": verdict(
 			intraShare(rep.Rows["abl/victim/locality-aware"]) > intraShare(rep.Rows["abl/victim/random"]) &&
 				t("victim/locality-aware") < t("victim/random")),
 		"clustered_bodies_idle_mpi_more": verdict(
 			at("mpi_idleness", "fmmdist", fmm.Sphere) > at("mpi_idleness", "fmmdist", fmm.Cube) &&
 				at("mpi_idleness", "fmmdist", fmm.Plummer) > at("mpi_idleness", "fmmdist", fmm.Cube)),
-		"overlap_faster": verdict(t("overlap/overlapped fetches") < t("overlap/blocking fetches")),
 		"batching_coalesce_cuts_round_trips_at_same_time": verdict(
 			at("round_trips", "batching/fine/coalesce") < at("round_trips", "batching/fine/unbatched") &&
 				t("batching/fine/coalesce") <= 1.01*t("batching/fine/unbatched")),

@@ -106,13 +106,10 @@ func TestEverySuiteReports(t *testing.T) {
 // differential matrix: every application, output verified, under every
 // cache policy × scheduling policy × batching knob setting (write-back
 // coalescing on/off, prefetch depth 0/2) × fault plan {none, armed but
-// empty} × communication-computation overlap off/on, and on the default
-// knobs under two more victim seeds (Config.Seed; the inputs' seeds stay
-// fixed). The output must depend on none of them, so each of an app's 216
-// cells verifies and all agree on one output checksum — except the 144
-// Overlap cells PITFALLS.md #5 lists as a known failure, which are skipped.
+// empty}, and on the default knobs under two more victim seeds (Config.Seed;
+// the inputs' seeds stay fixed). The output must depend on none of them, so
+// each of an app's 120 cells verifies and all agree on one output checksum.
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
-	skipped := 0
 	for _, app := range verifiedApps {
 		var first string
 		var checksum uint64
@@ -135,19 +132,10 @@ func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 				for _, coalesce := range []bool{true, false} {
 					for _, prefetch := range []int{2, 0} {
 						for _, plan := range []*fault.Plan{nil, {Name: "empty", Seed: faultSeed}} {
-							for _, overlap := range []bool{false, true} {
-								// Known failure (PITFALLS.md #5, "under Config.Overlap"):
-								// the per-rank checkout count panics.
-								if overlap && pol != ityr.NoCache && app.Name != "utsmem" {
-									skipped++
-									continue
-								}
-								cfg := base
-								cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = coalesce, prefetch
-								cfg.Faults, cfg.Overlap = plan, overlap
-								check(cfg, fmt.Sprintf("coalesce=%v/prefetch=%d/faults=%v/overlap=%v",
-									coalesce, prefetch, plan != nil, overlap))
-							}
+							cfg := base
+							cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = coalesce, prefetch
+							cfg.Faults = plan
+							check(cfg, fmt.Sprintf("coalesce=%v/prefetch=%d/faults=%v", coalesce, prefetch, plan != nil))
 						}
 					}
 				}
@@ -160,5 +148,4 @@ func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d Overlap cells skipped (PITFALLS.md #5)", skipped)
 }

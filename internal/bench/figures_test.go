@@ -133,10 +133,8 @@ var doctorings = map[string]func(r rows){
 	"claim/abl distribution_is_a_wash":               func(r rows) { r.scale("abl/dist/block", "sim_ns", 1.1) },
 	"claim/abl lazy_release_faster_at_fine_grain":    func(r rows) { r.swap("abl/lazyrelease/Write-Back", "abl/lazyrelease/Write-Back (Lazy)", "sim_ns") },
 	"claim/abl larger_theta_is_cheaper":              func(r rows) { r.swap("abl/theta/0.3", "abl/theta/0.5", "sim_ns") },
-	"claim/abl shared_cache_slower":                  func(r rows) { r.swap("abl/sharedcache/private caches", "abl/sharedcache/node-shared cache", "sim_ns") },
 	"claim/abl locality_steals_stay_on_node_and_win": func(r rows) { r.set("abl/victim/locality-aware", "intra_steals", 0) },
 	"claim/abl clustered_bodies_idle_mpi_more":       func(r rows) { r.set("abl/fmmdist/plummer", "mpi_idleness", 0) },
-	"claim/abl overlap_faster":                       func(r rows) { r.swap("abl/overlap/blocking fetches", "abl/overlap/overlapped fetches", "sim_ns") },
 	"claim/abl batching_coalesce_cuts_round_trips_at_same_time": func(r rows) {
 		r.swap("abl/batching/fine/unbatched", "abl/batching/fine/coalesce", "round_trips")
 	},

@@ -115,7 +115,9 @@ func withProfile(cfg halo.Config) halo.Config {
 // simulated behaviour (a timestamp, an RMA counter, a trace event), not
 // just host cost. To diff a kernel change against a pre-change run, run
 // `go test -run 'Pinned|Matches|Inert|Determinis' -v` on both: every row
-// logs its digest.
+// logs its digest. The cilksort rows' fnv values were re-taken once, when
+// uth.Stats lost its comm-wait counter (the sched= line folds the struct);
+// elapsed, final and events did not move.
 var golden = []struct {
 	test, name string
 	digest     func(*testing.T) string
@@ -126,13 +128,13 @@ var golden = []struct {
 	// with the default two-tier topology the simulated schedule is
 	// bit-identical to what the repo produced before.
 	{test: "TestPinnedKernelDigests", name: "No Cache", digest: cilk(ityr.NoCache, nil),
-		pin: "elapsed=1072872 final=1155212 events=13515 fnv=f263a64ed20028ff"},
+		pin: "elapsed=1072872 final=1155212 events=13515 fnv=979d0ad8a1a988cf"},
 	{test: "TestPinnedKernelDigests", name: "Write-Through", digest: cilk(ityr.WriteThrough, nil),
-		pin: "elapsed=578327 final=661067 events=13769 fnv=65aac4844bbc1689"},
+		pin: "elapsed=578327 final=661067 events=13769 fnv=173fe68bee91093d"},
 	{test: "TestPinnedKernelDigests", name: "Write-Back", digest: cilk(ityr.WriteBack, nil),
-		pin: "elapsed=590386 final=673126 events=13607 fnv=0a73ab85caa57462"},
+		pin: "elapsed=590386 final=673126 events=13607 fnv=dfe2d13afa1ca552"},
 	{test: "TestPinnedKernelDigests", name: "Write-Back (Lazy)", digest: lazy(nil),
-		pin: "elapsed=597253 final=679993 events=13415 fnv=c0b23cefbbe25faa"},
+		pin: "elapsed=597253 final=679993 events=13415 fnv=65f3bb73229ccd22"},
 
 	// The cache communication-batching layer's zero-cost-when-off contract:
 	// with CoalesceWriteBack off and PrefetchBlocks zero the runtime
@@ -142,7 +144,7 @@ var golden = []struct {
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Through", digest: cilk(ityr.WriteThrough, batchingOff), same: "Write-Through"},
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Back", digest: cilk(ityr.WriteBack, batchingOff), same: "Write-Back"},
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Back (Lazy)", digest: lazy(batchingOff),
-		pin: "elapsed=597253 final=679993 events=13415 fnv=a2fb3109db2cdbc4"},
+		pin: "elapsed=597253 final=679993 events=13415 fnv=75bdd24e9f14637c"},
 
 	// The scheduler seam: selecting childfirst explicitly is the default.
 	{test: "TestExplicitChildFirstMatchesPinned", name: "explicit-childfirst",
@@ -175,18 +177,18 @@ var golden = []struct {
 	// failure, retry backoff, latency spike, straggler window and blacklist
 	// decision. Captured on PR 21's commit (go test -v logged them).
 	{test: "TestFaultDeterminismGolden", name: "link-degraded", digest: lazy(armed(fault.PlanLinkDegraded(11))),
-		pin: "elapsed=824470 final=911786 events=13307 fnv=153f70b0b534e524"},
+		pin: "elapsed=824470 final=911786 events=13307 fnv=30d6217c85b4c0c0"},
 	{test: "TestFaultDeterminismGolden", name: "flaky-rma", digest: lazy(armed(fault.PlanFlakyRMA(11))),
-		pin: "elapsed=599706 final=688451 events=13462 fnv=a488e723e8b0b6a2"},
+		pin: "elapsed=599706 final=688451 events=13462 fnv=64c1cf6b269e802a"},
 	{test: "TestFaultDeterminismGolden", name: "straggler", digest: lazy(armed(fault.PlanStraggler(11))),
-		pin: "elapsed=918610 final=1008010 events=13556 fnv=010ae1661ccf67db"},
+		pin: "elapsed=918610 final=1008010 events=13556 fnv=829ae37a43642e47"},
 	// ... and so do a corruption plan's flips, detections and replica traffic.
 	{test: "TestSDCCorruptionDeterministic", name: "sdc-task+replicate=0.5",
 		digest: lazy(func(cfg *ityr.Config) {
 			armed(fault.PlanSDC(11))(cfg)
 			cfg.SDC = &ityr.SDCConfig{Replicate: 0.5}
 		}),
-		pin: "elapsed=992097 final=1074837 events=16440 fnv=1917bfbc29d7d2f9"},
+		pin: "elapsed=992097 final=1074837 events=16440 fnv=06bc8933479029e5"},
 
 	// The pure-SPMD path at two geometries, captured with the kernel pins.
 	// A long, wide halo: 4,096 cells per rank for 50 steps (the geometry of

@@ -52,10 +52,6 @@ type Config struct {
 	// never advances virtual time, so simulated results are bit-identical
 	// with it on or off.
 	Profile bool
-	// Overlap enables communication-computation overlap (§8 future work):
-	// while a checkout's remote fetch is in flight, the rank runs other
-	// ready tasks instead of stalling.
-	Overlap bool
 
 	HostProcs int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 
@@ -177,14 +173,6 @@ func NewRuntime(cfg Config) *Runtime {
 			comm.SetSDCVerify(protector.Config().MaxReplays)
 		}
 	}
-	if cfg.Overlap {
-		space.CommWait = func(l *pgas.Local) {
-			until := l.Rank().PendingTime()
-			if !sched.CommWait(until) {
-				l.Rank().Flush() // SPMD-mode caller: block conventionally
-			}
-		}
-	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
 		rec: rec, inj: inj, prot: protector}
 }
@@ -262,7 +250,6 @@ func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
 		"uth_steals":           us.Steals,
 		"uth_intra_steals":     us.IntraSteals,
 		"uth_failed_steals":    us.FailedSteals,
-		"uth_comm_waits":       us.CommWaits,
 		"uth_migrations":       us.Migrations,
 		"uth_steal_timeouts":   us.StealTimeouts,
 		"uth_steal_blacklists": us.Blacklists,

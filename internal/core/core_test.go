@@ -190,27 +190,39 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCheckoutAcrossForkPanics holds a checkout across each fork-join
+// point: Fork and Join must both refuse it (§3.3).
 func TestCheckoutAcrossForkPanics(t *testing.T) {
-	rt := NewRuntime(cfgFor(2, pgas.WriteBack, 1))
-	panicked := false
-	_, err := rt.RunRoot(func(c *Ctx) {
-		base := c.Local().AllocCollective(256, pgas.BlockDist)
-		c.MustCheckout(base, 8, pgas.Read)
-		func() {
-			defer func() {
-				if recover() != nil {
-					panicked = true
-				}
+	for _, tc := range []struct {
+		op  string
+		cut func(c *Ctx, child *Thread)
+	}{
+		{"Fork", func(c *Ctx, _ *Thread) { c.Fork(func(*Ctx) {}) }},
+		{"Join", func(c *Ctx, child *Thread) { c.Join(child) }},
+	} {
+		rt := NewRuntime(cfgFor(2, pgas.WriteBack, 1))
+		panicked := false
+		_, err := rt.RunRoot(func(c *Ctx) {
+			base := c.Local().AllocCollective(256, pgas.BlockDist)
+			child := c.Fork(func(*Ctx) {})
+			c.MustCheckout(base, 8, pgas.Read)
+			func() {
+				defer func() {
+					if recover() != nil {
+						panicked = true
+					}
+				}()
+				tc.cut(c, child)
 			}()
-			c.Fork(func(*Ctx) {})
-		}()
-		c.Checkin(base, 8, pgas.Read)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !panicked {
-		t.Fatal("fork with outstanding checkout did not panic")
+			c.Checkin(base, 8, pgas.Read)
+			c.Join(child)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !panicked {
+			t.Errorf("%s with outstanding checkout did not panic", tc.op)
+		}
 	}
 }
 

@@ -1,38 +1,20 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"ityr/internal/pgas"
-)
+// regressionSeed is a previously-failing random-DAG seed (once a lost write
+// under a node-shared cache, an extension since removed), pinned here and
+// under the validator in TestValidatorCleanRuns.
+const regressionSeed = 7212503127583136179
 
-// TestRandomDAGRegressions pins previously-failing random-DAG seeds as a
-// permanent table: the ROADMAP item 5 shared-cache WriteBackLazy lost-write
-// (seed 7212503127583136179) plus the same seed across the other policies,
-// so a coherence regression in any policy path trips deterministically
-// rather than waiting for testing/quick to rediscover the seed.
+// TestRandomDAGRegressions runs regressionSeed under each cache policy, so a
+// coherence regression in any policy path trips deterministically rather
+// than waiting for testing/quick to rediscover the seed.
 func TestRandomDAGRegressions(t *testing.T) {
-	cases := []struct {
-		name   string
-		seed   int64
-		ci     int
-		ranks  int
-		cpn    int
-		pol    pgas.Policy
-		shared bool
-	}{
-		// The ROADMAP item 5 repro: lost write under SharedCache +
-		// WriteBackLazy, fixed by the checkout-discipline validator PR.
-		{"SharedWriteBackLazy", 7212503127583136179, 4, 8, 4, pgas.WriteBackLazy, true},
-		{"WriteBackLazy", 7212503127583136179, 0, 4, 2, pgas.WriteBackLazy, false},
-		{"WriteBack", 7212503127583136179, 1, 8, 4, pgas.WriteBack, false},
-		{"WriteThrough", 7212503127583136179, 2, 8, 4, pgas.WriteThrough, false},
-		{"NoCache", 7212503127583136179, 3, 8, 4, pgas.NoCache, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if !runRandomDAG(t, tc.seed, tc.ci, tc.ranks, tc.cpn, tc.pol, tc.shared) {
-				t.Fatalf("seed %d (pol=%v shared=%v) produced wrong cell values", tc.seed, tc.pol, tc.shared)
+	for ci, dc := range dagConfigs {
+		t.Run(dc.name, func(t *testing.T) {
+			if !runRandomDAG(t, regressionSeed, ci) {
+				t.Fatalf("seed %d (pol=%v) produced wrong cell values", regressionSeed, dc.pol)
 			}
 		})
 	}

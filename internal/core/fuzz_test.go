@@ -19,21 +19,9 @@ import (
 // subtasks — stressing fences, caching, eviction and stealing under many
 // schedules and configurations.
 func TestRandomDAGPrograms(t *testing.T) {
-	configs := []struct {
-		ranks  int
-		cpn    int
-		pol    pgas.Policy
-		shared bool
-	}{
-		{4, 2, pgas.WriteBackLazy, false},
-		{8, 4, pgas.WriteBack, false},
-		{8, 4, pgas.WriteThrough, false},
-		{8, 4, pgas.NoCache, false},
-		{8, 4, pgas.WriteBackLazy, true},
-	}
 	f := func(seed int64) bool {
-		for ci, cc := range configs {
-			if !runRandomDAG(t, seed, ci, cc.ranks, cc.cpn, cc.pol, cc.shared) {
+		for ci := range dagConfigs {
+			if !runRandomDAG(t, seed, ci) {
 				return false
 			}
 		}
@@ -98,24 +86,36 @@ func (d *dagSpec) hostRun() []uint64 {
 	return vals
 }
 
-func runRandomDAG(t *testing.T, seed int64, ci, ranks, cpn int, pol pgas.Policy, shared bool) bool {
-	return runRandomDAGWith(t, seed, ci, ranks, cpn, pol, shared, false)
+// dagConfigs are the machines and cache policies every random-DAG test
+// runs a program under, one subtest name each.
+var dagConfigs = []struct {
+	name       string
+	ranks, cpn int
+	pol        pgas.Policy
+}{
+	{"WriteBackLazy", 4, 2, pgas.WriteBackLazy},
+	{"WriteBack", 8, 4, pgas.WriteBack},
+	{"WriteThrough", 8, 4, pgas.WriteThrough},
+	{"NoCache", 8, 4, pgas.NoCache},
 }
 
-func runRandomDAGWith(t *testing.T, seed int64, ci, ranks, cpn int, pol pgas.Policy, shared, overlap bool, mut ...func(*Config)) bool {
+// runRandomDAG runs seed's random program under dagConfigs[ci], after the
+// edits in mut, and reports whether every cell holds the host reference's
+// value. ci also perturbs the runtime seed.
+func runRandomDAG(t *testing.T, seed int64, ci int, mut ...func(*Config)) bool {
 	rng := rand.New(rand.NewSource(seed))
 	d := genDAG(rng)
 	want := d.hostRun()
 
+	dc := dagConfigs[ci]
 	cfg := Config{
-		Ranks:        ranks,
-		CoresPerNode: cpn,
+		Ranks:        dc.ranks,
+		CoresPerNode: dc.cpn,
 		Pgas: pgas.Config{
 			BlockSize: 512, SubBlockSize: 64, CacheSize: 8192,
-			Policy: pol, SharedCache: shared,
+			Policy: dc.pol,
 		},
-		Seed:    seed ^ int64(ci)<<8,
-		Overlap: overlap,
+		Seed: seed ^ int64(ci)<<8,
 	}
 	for _, m := range mut {
 		m(&cfg)
@@ -181,8 +181,8 @@ func runRandomDAGWith(t *testing.T, seed int64, ci, ranks, cpn int, pol pgas.Pol
 	}
 	for cell := range want {
 		if got[cell] != want[cell] {
-			t.Logf("seed %d config %d (pol=%v shared=%v): cell %d = %d, want %d",
-				seed, ci, pol, shared, cell, got[cell], want[cell])
+			t.Logf("seed %d config %s: cell %d = %d, want %d",
+				seed, dc.name, cell, got[cell], want[cell])
 			return false
 		}
 	}

@@ -207,26 +207,11 @@ func TestValidatorUnreleasedWrite(t *testing.T) {
 // stay silent (a violation would fail the checkout, panicking the DAG's
 // MustCheckout) and the results must stay correct.
 func TestValidatorCleanRuns(t *testing.T) {
-	seed := int64(7212503127583136179) // the ROADMAP item 5 regression seed
 	validate := func(cfg *Config) { cfg.Pgas.Validate = true }
-	cases := []struct {
-		name   string
-		ci     int
-		ranks  int
-		cpn    int
-		pol    pgas.Policy
-		shared bool
-	}{
-		{"SharedWriteBackLazy", 4, 8, 4, pgas.WriteBackLazy, true},
-		{"WriteBackLazy", 0, 4, 2, pgas.WriteBackLazy, false},
-		{"WriteBack", 1, 8, 4, pgas.WriteBack, false},
-		{"WriteThrough", 2, 8, 4, pgas.WriteThrough, false},
-		{"NoCache", 3, 8, 4, pgas.NoCache, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if !runRandomDAGWith(t, seed, tc.ci, tc.ranks, tc.cpn, tc.pol, tc.shared, false, validate) {
-				t.Fatalf("validated run of seed %d (%v) produced wrong cell values", seed, tc.pol)
+	for ci, dc := range dagConfigs {
+		t.Run(dc.name, func(t *testing.T) {
+			if !runRandomDAG(t, regressionSeed, ci, validate) {
+				t.Fatalf("validated run of seed %d (%v) produced wrong cell values", regressionSeed, dc.pol)
 			}
 		})
 	}

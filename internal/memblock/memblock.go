@@ -213,21 +213,15 @@ func (t *Table) DirtyBlocks() []*Block {
 	return out
 }
 
-// InvalidateAll clears the valid regions of every block (acquire fence
-// self-invalidation, §4.4). Dirty state is untouched — the protocol writes
-// dirty data back before or during an acquire as required.
-func (t *Table) InvalidateAll() {
-	t.ForEach(func(b *Block) { b.Valid.Clear() })
-}
-
 // InvalidateAllExceptDirty clears valid regions but keeps dirty bytes
-// valid. Dirty bytes are this cache's own unreleased writes — under
-// data-race-freedom no other rank can have released a conflicting write,
-// so they are always at least as fresh as home memory, and clearing their
-// valid bits would let a later fetch overwrite them (the invariant of
-// Fig. 4 line 19: dirty ⊆ valid). This matters when a cache is shared by
-// a node's processes: one rank's acquire may interleave with another
-// rank's in-flight access in virtual time.
+// valid (acquire fence self-invalidation, §4.4). Dirty bytes are this
+// cache's own unreleased writes — under data-race-freedom no other rank can
+// have released a conflicting write, so they are always at least as fresh
+// as home memory, and clearing their valid bits would let a later fetch
+// overwrite them (the invariant of Fig. 4 line 19: dirty ⊆ valid). The
+// fence protocol writes a cache back before invalidating it, so no block is
+// dirty here in practice; keeping dirty bytes valid makes the invalidation
+// safe under any schedule regardless.
 func (t *Table) InvalidateAllExceptDirty() {
 	t.ForEach(func(b *Block) {
 		b.Valid.Clear()

@@ -128,16 +128,24 @@ func TestAcquireClearsStaleState(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
+// TestInvalidateAllExceptDirty: invalidation clears every block's valid
+// bytes except its dirty ones, which stay valid (dirty ⊆ valid).
+func TestInvalidateAllExceptDirty(t *testing.T) {
 	tb := NewTable(4, 64, false)
 	for id := int64(0); id < 4; id++ {
 		b, _, _ := tb.Acquire(id)
 		b.Valid.Add(region.Interval{Lo: uint64(id) * 64, Hi: uint64(id)*64 + 64})
 	}
-	tb.InvalidateAll()
+	dirty := region.Interval{Lo: 8, Hi: 16}
+	tb.Peek(0).Dirty.Add(dirty)
+	tb.InvalidateAllExceptDirty()
 	tb.ForEach(func(b *Block) {
-		if !b.Valid.Empty() {
-			t.Fatalf("block %d still valid after invalidate", b.ID)
+		want := uint64(0)
+		if b.ID == 0 {
+			want = dirty.Len()
+		}
+		if b.Valid.Bytes() != want || want > 0 && !b.Valid.Contains(dirty) {
+			t.Fatalf("block %d valid %v after invalidate", b.ID, b.Valid.Intervals())
 		}
 	})
 }

@@ -76,9 +76,8 @@ func (l *Local) pfMiss() {
 }
 
 // wbRun is one contiguous dirty byte run resolved to its home location.
-// iv is a snapshot: issuing the puts advances virtual time, during which a
-// node-mate sharing the cache may register new dirty regions, so only the
-// snapshot is flushed and cleared.
+// iv is a snapshot of the interval gathered: exactly it is flushed and
+// cleared.
 type wbRun struct {
 	cb     *memblock.Block
 	iv     region.Interval // global addresses
@@ -147,10 +146,8 @@ func (l *Local) issueRuns() []int {
 // a single nonblocking Put. Multi-run groups stage through a reusable
 // host-side buffer; the copy is bookkeeping, not simulated work. Each
 // run's dirty interval is cleared here, at the Put's copy instant (rma.Put
-// copies host bytes before charging time): a node-mate sharing the cache
-// can check in new dirty bytes while the Put's time charge runs, and a
-// deferred subtract of the stale gathered intervals would silently clear
-// — and so lose — that newer data.
+// copies host bytes before charging time), so the dirty set lists exactly
+// the bytes not yet sent home at every virtual instant of the pass.
 func (l *Local) putRuns(group []wbRun, n int) {
 	s := l.space
 	bs := uint64(s.cfg.BlockSize)
@@ -209,8 +206,7 @@ func (l *Local) writeBackCoalesced() bool {
 	if len(l.wbRuns) == 0 {
 		return false
 	}
-	// putRuns clears each run's dirty interval at its Put's copy
-	// instant, so dirty data a node-mate checks in mid-flush survives.
+	// putRuns clears each run's dirty interval at its Put's copy instant.
 	targets := l.issueRuns()
 	for _, t := range targets {
 		l.rank.FlushRank(t)
@@ -265,9 +261,6 @@ func (l *Local) prefetch(a *allocation, g0 Addr, homeRank int, win *rma.Win, seg
 		bid := int64(uint64(g) / bs)
 		if l.cache.Peek(bid) != nil {
 			break // already cached: keep the batched Get contiguous
-		}
-		if s.cfg.SharedCache {
-			l.rank.Proc().Advance(costSharedLock)
 		}
 		cb, evicted, err := l.cache.Acquire(bid)
 		if err != nil {

@@ -37,14 +37,11 @@ func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 		wrote = l.writeBackCoalesced()
 	} else {
 		for _, cb := range l.cache.DirtyBlocks() {
-			// Snapshot the intervals: issuing the puts advances virtual
-			// time, during which a node-mate sharing this cache may
-			// register new dirty regions. Each interval is cleared at its
-			// put's copy instant — rma.Put copies host bytes before
-			// charging time — so a node-mate checkin landing during the
-			// put's time charge re-dirties the block with its newer bytes
-			// and survives to the next write-back, instead of being
-			// silently cleared by a deferred subtract of stale intervals.
+			// Snapshot the intervals: the loop subtracts from the set it
+			// walks. Each interval is cleared at its put's copy instant —
+			// rma.Put copies host bytes before charging time — so the
+			// dirty set lists exactly the bytes not yet sent home at every
+			// virtual instant of the pass.
 			ivs := append([]region.Interval(nil), cb.Dirty.Intervals()...)
 			for _, iv := range ivs {
 				cb.Dirty.Subtract(iv)

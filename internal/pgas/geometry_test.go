@@ -36,7 +36,6 @@ func TestRandomGeometryMatchesReference(t *testing.T) {
 			SubBlockSize: sub,
 			CacheSize:    nblocks * blockSize,
 			Policy:       Policies[rng.Intn(len(Policies))],
-			SharedCache:  rng.Intn(2) == 0,
 		}
 		nranks := 1 + rng.Intn(6)
 		cpn := 1 + rng.Intn(3)
@@ -78,8 +77,8 @@ func TestRandomGeometryMatchesReference(t *testing.T) {
 					case Read:
 						for i := range v {
 							if v[i] != ref[off+i] {
-								failed = fmt.Sprintf("op %d: read byte %d = %d, want %d (geom b=%d sb=%d cap=%d pol=%v shared=%v dist=%v)",
-									op, off+i, v[i], ref[off+i], blockSize, sub, nblocks, cfg.Policy, cfg.SharedCache, dist)
+								failed = fmt.Sprintf("op %d: read byte %d = %d, want %d (geom b=%d sb=%d cap=%d pol=%v dist=%v)",
+									op, off+i, v[i], ref[off+i], blockSize, sub, nblocks, cfg.Policy, dist)
 								return
 							}
 						}

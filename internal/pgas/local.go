@@ -329,10 +329,6 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		}
 
 		// Cache path (Fig. 4).
-		if s.cfg.SharedCache {
-			// Concurrent processes contend on the shared table.
-			l.rank.Proc().Advance(costSharedLock)
-		}
 		cb, err := l.acquireCacheBlock(int64(bid))
 		if err != nil {
 			undo()
@@ -361,19 +357,11 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			if padded.Hi > limit {
 				padded.Hi = limit
 			}
-			// Each Get advances virtual time (the rma issue cost), and
-			// under a node-shared cache another rank can run inside that
-			// window and check out, write, and check in bytes of this very
-			// block. A missing-list snapshot taken once would then fetch
-			// stale home bytes over the node-mate's freshly checked-in
-			// dirty data — the shared-cache lost write once tracked as a ROADMAP known bug.
-			// So the next missing interval is re-resolved against the
-			// block's *current* valid set immediately before every fetch,
-			// and marked valid at the copy instant: rma.Get copies host
-			// bytes before charging time, so Add-then-Get validates the
-			// bytes atomically in virtual time, and a concurrent
-			// invalidation during the Get's time charge correctly strips
-			// the just-added validity again.
+			// The next missing interval is resolved against the block's
+			// current valid set right before each fetch, so no missing list
+			// is built, and marked valid at the copy instant: rma.Get copies
+			// host bytes before charging time, so Add-then-Get keeps the
+			// valid set exact at every virtual instant of the fetch.
 			for {
 				m, ok := cb.Valid.FirstMissing(padded)
 				if !ok {
@@ -425,13 +413,8 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		}
 	}
 
-	// Wait for all fetches (MPI_Win_flush_all at Fig. 4 line 30). With
-	// overlap enabled, the scheduler may run other tasks during the wait.
-	if s.CommWait != nil {
-		s.CommWait(l)
-	} else {
-		l.rank.Flush()
-	}
+	// Wait for all fetches (MPI_Win_flush_all at Fig. 4 line 30).
+	l.rank.Flush()
 
 	view := l.getView(size)
 	if mode != Write {
@@ -575,11 +558,13 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 				} else {
 					p.cb.Dirty.Add(iv)
 				}
-				// Re-validate the written region: the block now holds the
-				// freshest bytes even if a fence invalidated it between
-				// checkout and checkin (possible with a node-shared cache),
-				// and dirty ⊆ valid must hold so fetches never overwrite
-				// dirty data (Fig. 4 line 19).
+				// Re-validate the written region: dirty ⊆ valid must hold so
+				// fetches never overwrite dirty data (Fig. 4 line 19). Only
+				// this rank's thread touches its cache and the runtime's
+				// fences run at fork-join points, which a checkout may not
+				// span, so the region is normally still valid here; re-adding
+				// it keeps the invariant even when code fences explicitly
+				// between a checkout and its checkin.
 				p.cb.Valid.Add(iv)
 			}
 			p.cb.Ref--

@@ -123,14 +123,6 @@ type Config struct {
 	MaxMapEntries int
 	// Policy selects the cache policy.
 	Policy Policy
-	// SharedCache shares one cache (of CacheSize bytes) among all
-	// processes of a node instead of giving each process a private one —
-	// the extension §3.2 of the paper leaves as future work ("a cache can
-	// be shared among multiple processes within the same node"). The
-	// checkout/checkin API makes this possible because the runtime owns
-	// the cache memory; coherence stays correct because fences
-	// conservatively act on the whole node cache.
-	SharedCache bool
 	// CoalesceWriteBack enables communication batching on the write-back
 	// path (the paper's Fig. 6 motivation: few large transfers instead of
 	// many small ones): dirty regions that land contiguously in the same
@@ -191,7 +183,6 @@ const (
 	costInvalidate    = 400 * sim.Nanosecond // acquire fence self-invalidation
 	costAllocLocal    = 150 * sim.Nanosecond // noncollective allocation
 	costEpoch         = 40 * sim.Nanosecond  // local epoch bookkeeping
-	costSharedLock    = 35 * sim.Nanosecond  // per-block lock on a node-shared cache table
 )
 
 // Errors.

@@ -571,3 +571,40 @@ func TestMmapCostsCharged(t *testing.T) {
 		t.Fatal("no mmap charged for first-time cache block mapping")
 	}
 }
+
+// TestPrivateCacheRefetchesAcrossRanks: every rank's cache is its own, so
+// a node-mate having fetched a region saves this rank nothing. Ranks 0 and 1
+// share node 0; rank 2, alone on node 1, is the home.
+func TestPrivateCacheRefetchesAcrossRanks(t *testing.T) {
+	var fetchesAfterA, fetchesAfterB uint64
+	testCluster(t, 3, 2, smallCfg(WriteBackLazy), func(l *Local) {
+		switch l.Rank().ID() {
+		case 2:
+			shared[0] = l.AllocLocal(512)
+			v, _ := l.Checkout(shared[0], 512, Write)
+			for i := range v {
+				v[i] = 9
+			}
+			l.Checkin(shared[0], 512, Write)
+			l.ReleaseFence()
+			l.Rank().Barrier()
+			l.Rank().Barrier()
+		case 0:
+			l.Rank().Barrier()
+			l.Checkout(shared[0], 512, Read)
+			l.Checkin(shared[0], 512, Read)
+			fetchesAfterA = l.Space().Stats.FetchOps
+			l.Rank().Barrier()
+		case 1:
+			l.Rank().Barrier()
+			l.Rank().Proc().Advance(1 << 20)
+			l.Checkout(shared[0], 512, Read)
+			l.Checkin(shared[0], 512, Read)
+			fetchesAfterB = l.Space().Stats.FetchOps
+			l.Rank().Barrier()
+		}
+	})
+	if fetchesAfterB <= fetchesAfterA {
+		t.Fatalf("private caches should refetch: %d -> %d", fetchesAfterA, fetchesAfterB)
+	}
+}

@@ -87,12 +87,6 @@ type Space struct {
 	// when it is nonzero, which keeps knobs-off digests bit-identical to
 	// runs that predate the batching layer.
 	Batch BatchStats
-	// CommWait, when non-nil, replaces the blocking flush at the end of a
-	// cache-miss checkout: it is called with the issuing Local and must
-	// not return before the rank's outstanding transfers complete. The
-	// runtime uses it for communication-computation overlap (§8 future
-	// work): the scheduler runs other tasks while the fetch is in flight.
-	CommWait func(l *Local)
 	// TaskOf, when non-nil, maps a rank to the trace DAG thread ID of the
 	// task segment it is currently executing (0 = SPMD context). The
 	// runtime wires it so validator diagnostics name task segments; it is
@@ -165,22 +159,12 @@ func New(comm *rma.Comm, cfg Config) *Space {
 	// The per-rank noncollective pseudo-allocations come out of one slab
 	// too; only the pointers land in the sorted alloc list.
 	ncAllocs := make([]allocation, n)
-	nodeCaches := make(map[int]*memblock.Table)
 	for i := 0; i < n; i++ {
 		s.ncNext[i] = ncBase + Addr(i)*ncSpan
-		cache := memblock.NewTable(cacheBlocks, cfg.BlockSize, false)
-		if cfg.SharedCache {
-			node := comm.Net().Node(i)
-			if t, ok := nodeCaches[node]; ok {
-				cache = t
-			} else {
-				nodeCaches[node] = cache
-			}
-		}
 		s.locals[i] = Local{
 			space:    s,
 			rank:     comm.Rank(i),
-			cache:    cache,
+			cache:    memblock.NewTable(cacheBlocks, cfg.BlockSize, false),
 			home:     memblock.NewTable(cfg.MaxHomeBlocks, cfg.BlockSize, true),
 			pfCredit: pfInitCredit,
 		}

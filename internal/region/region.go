@@ -175,10 +175,9 @@ func (s *Set) Missing(iv Interval) []Interval {
 
 // FirstMissing returns the lowest part of iv not covered by the set, and
 // whether one exists. Equivalent to Missing(iv)[0] without allocating: the
-// software cache's fetch loop re-resolves its next missing interval against
-// the block's current valid set before every transfer, because issuing a
-// transfer advances virtual time, during which a node-mate sharing the
-// cache may validate bytes of the same block.
+// software cache's fetch loop resolves its next missing interval against
+// the block's current valid set before every transfer instead of building
+// the missing list.
 func (s *Set) FirstMissing(iv Interval) (Interval, bool) {
 	if iv.Empty() {
 		return Interval{}, false

@@ -578,8 +578,7 @@ func (r *Rank) stall(until sim.Time) {
 
 // PendingTime returns the virtual time at which all currently outstanding
 // nonblocking operations will have completed — the earliest instant a
-// Flush issued now could return. Used by communication-computation
-// overlap to schedule work during the wait.
+// Flush issued now could return.
 func (r *Rank) PendingTime() sim.Time { return r.pending }
 
 // Barrier synchronizes all ranks in the communicator (SPMD regions only).

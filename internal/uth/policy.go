@@ -8,7 +8,6 @@ package uth
 import (
 	"fmt"
 
-	"ityr/internal/sim"
 	"ityr/internal/trace"
 )
 
@@ -88,23 +87,11 @@ type PolicyStats struct {
 // WorkerMain's root). The entry's closure is consumed; the thread then
 // finishes through the normal finish path.
 func (w *Worker) runPending(e *entry) {
-	s := w.sched
 	child := e.th
 	child.worker = w
 	fn := e.fn
 	e.fn = nil
-	w.proc.Engine().Spawn("thread", func(p *sim.Proc) {
-		child.proc = p
-		s.threadOf[p] = child
-		defer delete(s.threadOf, p)
-		cw := child.worker
-		cw.rank.Attach(p)
-		child.segStart = p.Now()
-		cb := &TB{w: cw, th: child}
-		fn(cb)
-		s.traceEnd(child, cb.w.rank.ID(), p.Now())
-		child.finish(cb.w)
-	})
+	w.spawn(child, fn)
 	w.proc.Park() // until the child's finish (or a suspend) hands the token back
 	w.rank.Attach(w.proc)
 }

@@ -165,7 +165,6 @@ type Stats struct {
 	Forks        uint64
 	Steals       uint64
 	IntraSteals  uint64 // steals whose victim shared the thief's node
-	CommWaits    uint64 // checkouts that overlapped their fetch with other work
 	FailedSteals uint64
 	Migrations   uint64 // resumes on a rank other than where the thread suspended
 
@@ -182,9 +181,9 @@ type Sched struct {
 	workers []*Worker
 	done    bool
 
-	// threadOf maps a live thread's process to its record, so layers that
-	// only know "the currently executing process" (e.g. the PGAS layer's
-	// communication-overlap hook) can find the thread.
+	// threadOf maps a live thread's process to its record, so CurrentTID
+	// can name the thread a rank's process is running (the validator's
+	// diagnostics).
 	threadOf map[*sim.Proc]*thread
 
 	// Stats holds cumulative scheduler statistics.
@@ -266,10 +265,6 @@ type Worker struct {
 	idle idleState
 	step func() (sim.Time, bool)
 
-	// ready holds threads paused on in-flight communication (overlap):
-	// each becomes runnable on this rank at its wake time.
-	ready []timedThread
-
 	// runnable holds join waiters woken in place by FBC completion
 	// notifications; always empty under the other policies.
 	runnable []*thread
@@ -280,12 +275,6 @@ type Worker struct {
 	strikes    []int
 	blackUntil []sim.Time
 	blackDur   []sim.Time
-}
-
-// timedThread is a thread waiting for its communication to complete.
-type timedThread struct {
-	th    *thread
-	until sim.Time
 }
 
 // entry is a stealable deque item: under ChildFirst a parent continuation
@@ -434,12 +423,7 @@ func (w *Worker) schedLoop() {
 		case idleCAS:
 			w.finishSteal()
 		case idleTick:
-			// Threads whose communication completed take priority: they
-			// hold pinned cache blocks and their continuations are on the
-			// critical path.
-			if th, ok := w.popReadyDue(); ok {
-				w.resumeHere(th, false)
-			} else if th := w.popRunnable(); th != nil {
+			if th := w.popRunnable(); th != nil {
 				// FBC completion notifications wake blocked joins in place;
 				// the queue is always empty under the other policies.
 				s.PolicyStats.FBCWakes++
@@ -483,7 +467,7 @@ func (w *Worker) idleStep() (sim.Time, bool) {
 		st.phase = idleTick
 		return costSchedIter, false
 	case idleTick:
-		if w.readyDue() >= 0 || len(w.runnable) > 0 || len(w.deque) > 0 || s.done {
+		if len(w.runnable) > 0 || len(w.deque) > 0 || s.done {
 			return 0, true
 		}
 		if len(s.workers) == 1 {
@@ -518,17 +502,9 @@ func (w *Worker) idleStep() (sim.Time, bool) {
 // nothing and returns its length.
 func (w *Worker) startBackoff() sim.Time {
 	st := &w.idle
-	d := st.backoff
-	// Never sleep past a comm-waiting thread's wake time.
-	if wake, ok := w.minReadyWait(); ok && wake < d {
-		d = wake
-	}
-	if d < 1 {
-		d = 1
-	}
 	st.t0 = w.proc.Now()
 	st.phase = idleBackoff
-	return d
+	return st.backoff
 }
 
 // resumeHere hands the rank token to th and parks the scheduler until a
@@ -714,6 +690,20 @@ func (tb *TB) Fork(fn func(*TB)) *Thread {
 	now := tb.th.proc.Now()
 	s.traceSeg(tb.th, w.rank.ID(), now)
 	s.rec.Instant(w.rank.ID(), trace.KFork, now, child.tid, tb.th.tid)
+	w.spawn(child, fn)
+	// The child takes the rank token; the parent parks at the fork point.
+	// No time passes between the deque push and the park, so a thief
+	// cannot observe a pushed entry whose thread is still running.
+	tb.suspendAndResume()
+	return &Thread{th: child}
+}
+
+// spawn starts child's process running fn: it takes the token of the rank
+// child.worker names, and when fn returns the thread's final segment is
+// recorded and the thread finishes on the rank it ended on. The root's
+// process (WorkerMain) ends the region instead.
+func (w *Worker) spawn(child *thread, fn func(*TB)) {
+	s := w.sched
 	w.proc.Engine().Spawn("thread", func(p *sim.Proc) {
 		child.proc = p
 		s.threadOf[p] = child
@@ -726,11 +716,6 @@ func (tb *TB) Fork(fn func(*TB)) *Thread {
 		s.traceEnd(child, cb.w.rank.ID(), p.Now())
 		child.finish(cb.w)
 	})
-	// The child takes the rank token; the parent parks at the fork point.
-	// No time passes between the deque push and the park, so a thief
-	// cannot observe a pushed entry whose thread is still running.
-	tb.suspendAndResume()
-	return &Thread{th: child}
 }
 
 // finish handles thread completion on worker w (the rank that executed the
@@ -851,74 +836,4 @@ func (tb *TB) Yield() {
 func (s *Sched) String() string {
 	return fmt.Sprintf("sched{forks=%d steals=%d failed=%d migrations=%d}",
 		s.Stats.Forks, s.Stats.Steals, s.Stats.FailedSteals, s.Stats.Migrations)
-}
-
-// readyDue returns the index in w.ready of the first comm-waiting thread
-// whose wake time has arrived, or -1.
-func (w *Worker) readyDue() int {
-	now := w.proc.Now()
-	for i, tt := range w.ready {
-		if tt.until <= now {
-			return i
-		}
-	}
-	return -1
-}
-
-// popReadyDue removes and returns a comm-waiting thread whose wake time
-// has arrived.
-func (w *Worker) popReadyDue() (*thread, bool) {
-	i := w.readyDue()
-	if i < 0 {
-		return nil, false
-	}
-	th := w.ready[i].th
-	w.ready = append(w.ready[:i], w.ready[i+1:]...)
-	return th, true
-}
-
-// minReadyWait returns the shortest time until a comm-waiting thread wakes.
-func (w *Worker) minReadyWait() (sim.Time, bool) {
-	if len(w.ready) == 0 {
-		return 0, false
-	}
-	now := w.proc.Now()
-	min := w.ready[0].until - now
-	for _, tt := range w.ready[1:] {
-		if d := tt.until - now; d < min {
-			min = d
-		}
-	}
-	if min < 0 {
-		min = 0
-	}
-	return min, true
-}
-
-// CommWait implements communication-computation overlap (§8 future work):
-// the thread currently executing (identified through the engine) parks
-// until the given virtual time, handing its rank's token back to the
-// scheduler so other tasks can run during the wait. It returns false —
-// having done nothing — when the caller is not a registered user-level
-// thread (e.g. SPMD-mode code), in which case the caller must block
-// conventionally.
-func (s *Sched) CommWait(until sim.Time) bool {
-	cur := s.comm.Engine().Current()
-	th := s.threadOf[cur]
-	if th == nil {
-		return false
-	}
-	if until <= cur.Now() {
-		return true // already complete: nothing to overlap
-	}
-	w := th.worker
-	s.Stats.CommWaits++
-	s.traceSeg(th, w.rank.ID(), cur.Now())
-	w.ready = append(w.ready, timedThread{th: th, until: until})
-	w.rank.Attach(w.proc)
-	w.proc.Wake()
-	th.proc.Park()
-	// Resumed by the scheduler at or after `until`, on the same rank.
-	th.segStart = th.proc.Now()
-	return true
 }
