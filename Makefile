@@ -6,7 +6,9 @@
 # switch from the engine's one driver) is what the whole deterministic
 # simulation rests on; the scheduler, whose idle loop is an AdvanceFunc step
 # and so runs on whichever coroutine (or driver) is dispatching, not on its
-# worker's own; and the fleet, the one place engines run concurrently.
+# worker's own; the fleet, the one place engines run concurrently; and the
+# process-wide cache-block pool those engines share (the fleet runs halo,
+# which never takes a block from it, so memblock's own test does).
 # internal/sim needs a Go 1.23+ toolchain (README.md, "Install / run").
 #
 # Not a check: `make profile BENCH=Scaling/halo-spmd/4096` CPU-profiles one
@@ -59,7 +61,7 @@ subset = out=$$($(GO) test -count=1 $(3) -run '$(1)' $(2) 2>&1); status=$$?; ech
 	exit $$status
 
 race:
-	$(GO) test -race ./internal/sim ./internal/rma ./internal/uth
+	$(GO) test -race ./internal/sim ./internal/rma ./internal/uth ./internal/memblock
 	@$(call subset,Fleet,./internal/bench,-race)
 
 # Whole-module race run (CI's second job; slower than `race`).

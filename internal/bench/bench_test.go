@@ -10,6 +10,7 @@ import (
 
 	"ityr"
 	"ityr/internal/fault"
+	"ityr/internal/memblock"
 )
 
 // smokeFigures is the `figures` suite's report at Smoke and what it printed,
@@ -109,12 +110,35 @@ func TestEverySuiteReports(t *testing.T) {
 // empty}, and on the default knobs under two more victim seeds (Config.Seed;
 // the inputs' seeds stay fixed). The output must depend on none of them, so
 // each of an app's 120 cells verifies and all agree on one output checksum.
+// Every cell runs on a poisoned cache-block pool (poisonPool), so the
+// output also cannot depend on what an unfetched cache byte holds.
+// poisonBlocks is how many poisoned blocks each matrix cell starts with:
+// four times the most any cell touches across all its ranks (utsmem, 17).
+const poisonBlocks = 64
+
+// poisonPool tops the process-wide cache-block pool with n blocks of
+// blockSize bytes filled with 0xA5, through the production path: a cache
+// table takes them from the pool (or allocates), and Release hands them
+// back. The pool is last in, first out, so the next n blocks any cache of
+// that block size acquires are poisoned.
+func poisonPool(n, blockSize int) {
+	tb := memblock.NewTable(n, blockSize, false)
+	for id := 0; id < n; id++ {
+		b, _, _ := tb.Acquire(int64(id))
+		for i := range b.Data {
+			b.Data[i] = 0xA5
+		}
+	}
+	tb.Release()
+}
+
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 	for _, app := range verifiedApps {
 		var first string
 		var checksum uint64
 		check := func(cfg ityr.Config, knobs string) {
 			cell := fmt.Sprintf("%s/%v/%v/%s seed=%d", app.Name, cfg.Pgas.Policy, cfg.Sched.Policy, knobs, cfg.Seed)
+			poisonPool(poisonBlocks, cfg.Pgas.BlockSize)
 			r := app.Run(Smoke, cfg)
 			if !r.Verified {
 				t.Errorf("%s: output verification failed", cell)

@@ -386,7 +386,11 @@ func (rt *Runtime) Run(spmd func(s *SPMD)) error {
 			spmd(s)
 		})
 	}
-	return rt.eng.Run()
+	err := rt.eng.Run()
+	// No process runs again, parked ones included: the cache storage can go
+	// back to the pool for the next runtime.
+	rt.space.ReleaseCaches()
+	return err
 }
 
 // RunRoot is the common pattern: enter the fork-join region immediately and

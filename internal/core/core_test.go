@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"ityr/internal/memblock"
 	"ityr/internal/pgas"
 	"ityr/internal/sim"
 )
@@ -307,5 +309,142 @@ func TestAllocFreeInsideTasks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheStoragePooledAcrossRuntimes: cache-block storage outlives its
+// runtime. The first runtime allocates every cache block it touches; Run
+// hands the storage back to the process-wide pool, and a second, identical
+// runtime allocates at least that many bytes less.
+func TestCacheStoragePooledAcrossRuntimes(t *testing.T) {
+	// 32 KiB blocks: no other test in the package uses the size, so the
+	// first runtime starts from an empty pool.
+	const ranks, perRank, bs = 4, 8, 32 << 10
+	cfg := Config{Ranks: ranks, CoresPerNode: 1,
+		Pgas: pgas.Config{BlockSize: bs, SubBlockSize: 4 << 10, CacheSize: ranks * perRank * bs, Policy: pgas.WriteBackLazy}}
+	// Every rank reads every block homed elsewhere: ranks·(ranks-1)·perRank
+	// cache blocks in all.
+	const blocks = ranks * (ranks - 1) * perRank
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var base pgas.Addr
+		err := NewRuntime(cfg).Run(func(s *SPMD) {
+			if s.Rank() == 0 {
+				base = s.AllocCollective(ranks*perRank*bs, pgas.BlockDist)
+			}
+			s.Barrier()
+			for r := 0; r < ranks; r++ {
+				if r == s.Rank() {
+					continue
+				}
+				addr, size := base+pgas.Addr(r*perRank*bs), uint64(perRank*bs)
+				if _, err := s.Local().Checkout(addr, size, pgas.Read); err != nil {
+					t.Error(err)
+					return
+				}
+				s.Local().Checkin(addr, size, pgas.Read)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Take the pooled blocks back out at the end, so a repeated run of this
+	// test (go test -count) starts from an empty pool again.
+	t.Cleanup(func() {
+		drain := memblock.NewTable(blocks, bs, false)
+		for id := int64(0); id < blocks; id++ {
+			drain.Acquire(id)
+		}
+	})
+	// The rest of a run allocates the same give or take a few hundred
+	// bytes; one block of slack absorbs that.
+	first, second := run(), run()
+	if second+(blocks-1)*bs > first {
+		t.Fatalf("second runtime allocated %d B, first %d B: want about %d B (%d blocks) less",
+			second, first, blocks*bs, blocks)
+	}
+}
+
+// TestRunTwiceSeesFirstRunsWrites: a second Run on the same runtime reads
+// every byte the first one wrote — the fork-join region's writes, released
+// at its end, and SPMD-mode writes still dirty in the writers' caches when
+// Run returned, which keep their cache storage through it.
+func TestRunTwiceSeesFirstRunsWrites(t *testing.T) {
+	const ranks, n = 4, 2048 // int64 cells; each rank's half-chunk is written in SPMD mode
+	for _, pol := range pgas.Policies {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := cfgFor(ranks, pol, 3)
+			cfg.CoresPerNode = 1 // every other rank's memory goes through the cache
+			rt := NewRuntime(cfg)
+			var base pgas.Addr
+			chunk := int64(n / ranks)
+			err := rt.Run(func(s *SPMD) {
+				if s.Rank() == 0 {
+					base = s.AllocCollective(n*8, pgas.BlockDist)
+				}
+				s.Barrier()
+				s.RootExec(func(c *Ctx) {
+					c.ParallelFor(0, n, 64, func(c *Ctx, lo, hi int64) {
+						for i := lo; i < hi; i++ {
+							if i%chunk < chunk/2 {
+								writeCell(c.Local(), base, i, i+1)
+							}
+						}
+					})
+				})
+				// The other half of the next rank's chunk, written from SPMD
+				// mode with no fence after it.
+				next := int64((s.Rank() + 1) % ranks)
+				for i := next*chunk + chunk/2; i < (next+1)*chunk; i++ {
+					writeCell(s.Local(), base, i, i+1)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty := uint64(0)
+			for r := 0; r < ranks; r++ {
+				dirty += rt.Space().Local(r).DirtyBytes()
+			}
+			if wb := pol == pgas.WriteBack || pol == pgas.WriteBackLazy; wb != (dirty > 0) {
+				t.Fatalf("%d dirty bytes after the first Run", dirty)
+			}
+			err = rt.Run(func(s *SPMD) {
+				s.Local().ReleaseFence()
+				s.Barrier()
+				s.Local().AcquireFence()
+				s.RootExec(func(c *Ctx) {
+					c.ParallelFor(0, n, 64, func(c *Ctx, lo, hi int64) {
+						v := c.MustCheckout(base+pgas.Addr(lo*8), uint64((hi-lo)*8), pgas.Read)
+						for i := lo; i < hi; i++ {
+							if got := int64(binary.LittleEndian.Uint64(v[(i-lo)*8:])); got != i+1 {
+								t.Errorf("cell %d = %d after the second Run, want %d", i, got, i+1)
+							}
+						}
+						c.Checkin(base+pgas.Addr(lo*8), uint64((hi-lo)*8), pgas.Read)
+					})
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// writeCell stores v in int64 cell i of the array at base.
+func writeCell(l *pgas.Local, base pgas.Addr, i, v int64) {
+	addr := base + pgas.Addr(i*8)
+	w, err := l.Checkout(addr, 8, pgas.Write)
+	if err != nil {
+		panic(err)
+	}
+	binary.LittleEndian.PutUint64(w, uint64(v))
+	if err := l.Checkin(addr, 8, pgas.Write); err != nil {
+		panic(err)
 	}
 }

@@ -7,9 +7,41 @@ package memblock
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ityr/internal/region"
 )
+
+// storage is the process-wide free list of cache-block storage, keyed by
+// block size: the host's stand-in for the paper's cache region, mapped once
+// at start-up (§4.3). A table takes a block's bytes from it on first touch
+// and Release gives them back when a run ends, so every runtime after the
+// first in a process reuses storage instead of allocating it. Storage is
+// never zeroed. It does not need to be: the bytes of a cache block outside
+// its Valid set are never read — a read checkout fetches every missing byte
+// before copying, a write checkout's view overwrites the bytes it marks
+// valid, and write-back copies only Dirty ⊆ Valid. It is not a sync.Pool,
+// which drops what it holds at every garbage collection, and a run
+// collects many times.
+var storage = struct {
+	mu   sync.Mutex
+	free map[int][][]byte
+}{free: make(map[int][][]byte)}
+
+// takeStorage returns size bytes of block storage, from the pool when it
+// has some.
+func takeStorage(size int) []byte {
+	storage.mu.Lock()
+	if l := storage.free[size]; len(l) > 0 {
+		b := l[len(l)-1]
+		l[len(l)-1] = nil
+		storage.free[size] = l[:len(l)-1]
+		storage.mu.Unlock()
+		return b
+	}
+	storage.mu.Unlock()
+	return make([]byte, size)
+}
 
 // Errors reported by Acquire.
 var (
@@ -27,8 +59,9 @@ type Block struct {
 	// ID is the global block number currently associated with this
 	// physical block, or -1 when free.
 	ID int64
-	// Data is the backing storage. For cache blocks it is owned by the
-	// block; for home blocks it aliases the rank's home segment.
+	// Data is the backing storage of a cache block, taken from the
+	// process-wide pool (nil for home blocks, whose bytes are the rank's
+	// home segment).
 	Data []byte
 	// Valid tracks the up-to-date byte regions within the block, in
 	// absolute global addresses (cache blocks only; home blocks are
@@ -46,10 +79,11 @@ type Block struct {
 	Home bool
 	// Prefetched marks a cache block whose bytes were speculatively
 	// fetched by the pgas prefetcher and not yet touched by a demand
-	// checkout. The table never modifies it — Acquire deliberately leaves
-	// it alone when recycling a block, so the pgas layer can still read
-	// the evicted identity's flag (an eviction of a still-set flag is a
-	// wasted prefetch) before resetting it for the new identity.
+	// checkout. Acquire deliberately leaves it alone when recycling a
+	// block, so the pgas layer can still read the evicted identity's flag
+	// (an eviction of a still-set flag is a wasted prefetch) before
+	// resetting it for the new identity; InvalidateAllExceptDirty clears
+	// and counts it.
 	Prefetched bool
 
 	prev, next *Block
@@ -71,7 +105,7 @@ type Table struct {
 	// LRU list with sentinel: head.next is least recently used.
 	head, tail Block
 	nblocks    int
-	allocated  int // physical blocks lazily allocated so far
+	allocated  int // physical blocks created since NewTable or the last Release
 	mapped     int // blocks currently mapped into the global view
 
 	// Evictions counts completed evictions, for tests and the profiler.
@@ -79,9 +113,11 @@ type Table struct {
 }
 
 // NewTable creates a table of nblocks physical blocks of blockSize bytes.
-// Backing storage is allocated lazily, so a large configured cache costs
-// host memory only for blocks actually touched. If home is true the blocks
-// are home blocks (no Valid tracking, storage supplied by the caller).
+// A cache block takes its storage from the process-wide pool when it is
+// first assigned, so a large configured cache costs host memory only for
+// blocks actually touched, and Release returns it. If home is true the
+// blocks are home blocks (no Valid tracking, storage supplied by the
+// caller: they own none and are never pooled).
 func NewTable(nblocks, blockSize int, home bool) *Table {
 	if nblocks <= 0 || blockSize <= 0 {
 		panic(fmt.Sprintf("memblock: invalid table %d x %d", nblocks, blockSize))
@@ -137,7 +173,7 @@ func (t *Table) Acquire(id int64) (blk *Block, evicted *Block, err error) {
 	if t.allocated < t.nblocks {
 		b = &Block{ID: -1, table: t}
 		if !t.home {
-			b.Data = make([]byte, t.blockSize)
+			b.Data = takeStorage(t.blockSize)
 		}
 		t.allocated++
 		t.insertTail(b)
@@ -192,24 +228,24 @@ func (t *Table) SetMapped(b *Block, mapped bool) bool {
 	return true
 }
 
-// ForEach calls fn for every block currently assigned an ID, in LRU order
-// (least recently used first).
-func (t *Table) ForEach(fn func(*Block)) {
+// HasDirty reports whether any block has dirty regions.
+func (t *Table) HasDirty() bool {
 	for cur := t.head.next; cur != &t.tail; cur = cur.next {
-		if cur.ID >= 0 {
-			fn(cur)
+		if !cur.Dirty.Empty() {
+			return true
 		}
 	}
+	return false
 }
 
 // DirtyBlocks returns the blocks that have dirty regions, LRU order.
 func (t *Table) DirtyBlocks() []*Block {
 	var out []*Block
-	t.ForEach(func(b *Block) {
-		if !b.Dirty.Empty() {
-			out = append(out, b)
+	for cur := t.head.next; cur != &t.tail; cur = cur.next {
+		if !cur.Dirty.Empty() {
+			out = append(out, cur)
 		}
-	})
+	}
 	return out
 }
 
@@ -221,14 +257,49 @@ func (t *Table) DirtyBlocks() []*Block {
 // overwrite them (the invariant of Fig. 4 line 19: dirty ⊆ valid). The
 // fence protocol writes a cache back before invalidating it, so no block is
 // dirty here in practice; keeping dirty bytes valid makes the invalidation
-// safe under any schedule regardless.
-func (t *Table) InvalidateAllExceptDirty() {
-	t.ForEach(func(b *Block) {
-		b.Valid.Clear()
-		if !b.Dirty.Empty() {
-			b.Valid.AddSet(&b.Dirty)
+// safe under any schedule regardless. The same pass clears every Prefetched
+// mark and returns how many were set: speculative bytes discarded unread.
+func (t *Table) InvalidateAllExceptDirty() (prefetched int) {
+	for cur := t.head.next; cur != &t.tail; cur = cur.next {
+		if cur.Prefetched {
+			cur.Prefetched = false
+			prefetched++
 		}
-	})
+		cur.Valid.Clear()
+		if !cur.Dirty.Empty() {
+			cur.Valid.AddSet(&cur.Dirty)
+		}
+	}
+	return prefetched
+}
+
+// Release hands the table's block storage back to the process-wide pool
+// and empties the table, as if it had just been created. A table that
+// still holds a dirty or pinned block keeps everything: those bytes have
+// not reached their home yet. A home table owns no storage and is left
+// alone. The caller must hold no Block of the table across a Release.
+func (t *Table) Release() {
+	if t.home {
+		return
+	}
+	for cur := t.head.next; cur != &t.tail; cur = cur.next {
+		if !cur.Evictable() {
+			return
+		}
+	}
+	storage.mu.Lock()
+	free := storage.free[t.blockSize]
+	for cur := t.head.next; cur != &t.tail; cur = cur.next {
+		free = append(free, cur.Data)
+		cur.Data = nil
+	}
+	storage.free[t.blockSize] = free
+	storage.mu.Unlock()
+	clear(t.byID)
+	t.head.next = &t.tail
+	t.tail.prev = &t.head
+	t.allocated = 0
+	t.mapped = 0
 }
 
 func (t *Table) touch(b *Block) {

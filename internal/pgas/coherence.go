@@ -1,7 +1,6 @@
 package pgas
 
 import (
-	"ityr/internal/memblock"
 	"ityr/internal/region"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
@@ -97,7 +96,7 @@ func (l *Local) ReleaseLazy() ReleaseHandler {
 		return Unneeded
 	}
 	l.rank.Proc().Advance(costEpoch)
-	if len(l.cache.DirtyBlocks()) == 0 {
+	if !l.cache.HasDirty() {
 		return Unneeded
 	}
 	l.space.Stats.LazyReleases++
@@ -177,18 +176,15 @@ func (l *Local) invalidateAll() {
 	// Write back defensively anyway: when the invariant holds this is
 	// free, and it makes invalidation safe under any schedule — clearing
 	// a dirty region's valid bit would let a later fetch overwrite it.
-	if len(l.cache.DirtyBlocks()) > 0 {
+	if l.cache.HasDirty() {
 		l.writeBackAll(trace.KWriteBackAll, 0)
 	}
+	// Invalidation discards speculative bytes nothing ever read: count
+	// them as wasted prefetches.
+	for n := l.cache.InvalidateAllExceptDirty(); n > 0; n-- {
+		l.pfMiss()
+	}
 	if l.space.cfg.PrefetchBlocks > 0 {
-		// Invalidation discards speculative bytes nothing ever read:
-		// count them as wasted prefetches before the valid bits go.
-		l.cache.ForEach(func(b *memblock.Block) {
-			if b.Prefetched {
-				b.Prefetched = false
-				l.pfMiss()
-			}
-		})
 		// The access-run detector's history predates the invalidation, so
 		// a run it reports would span the epoch boundary — exactly the
 		// speculation the invalidation just proved worthless. Reset it so
@@ -196,7 +192,6 @@ func (l *Local) invalidateAll() {
 		l.lastBid = -1
 		l.runLen = 0
 	}
-	l.cache.InvalidateAllExceptDirty()
 	l.rank.Proc().Advance(costInvalidate)
 	l.space.Stats.Invalidations++
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ityr/internal/memblock"
 	"ityr/internal/netmodel"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
@@ -606,5 +607,79 @@ func TestPrivateCacheRefetchesAcrossRanks(t *testing.T) {
 	})
 	if fetchesAfterB <= fetchesAfterA {
 		t.Fatalf("private caches should refetch: %d -> %d", fetchesAfterA, fetchesAfterB)
+	}
+}
+
+// poisonPool tops the process-wide cache-block pool with n blocks of
+// blockSize bytes filled with 0xA5, through the production path: a cache
+// table takes them from the pool (or allocates), and Release hands them
+// back. The next n blocks any cache of that block size acquires are
+// poisoned.
+func poisonPool(n, blockSize int) {
+	tb := memblock.NewTable(n, blockSize, false)
+	for id := 0; id < n; id++ {
+		b, _, _ := tb.Acquire(int64(id))
+		for i := range b.Data {
+			b.Data[i] = 0xA5
+		}
+	}
+	tb.Release()
+}
+
+// TestPoisonedBlockNeverRead: cache-block storage is never zeroed, and
+// nothing needs it to be. A partial Write checkout of a block whose
+// storage is all 0xA5 marks only its own bytes valid, and a later Read of
+// the whole block fetches the rest from home: it returns home bytes plus
+// the written ones, never a poisoned byte.
+func TestPoisonedBlockNeverRead(t *testing.T) {
+	for _, pol := range Policies {
+		if pol == NoCache {
+			continue
+		}
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := smallCfg(pol)
+			poisonPool(cfg.CacheSize/cfg.BlockSize, cfg.BlockSize)
+			testCluster(t, 2, 1, cfg, func(l *Local) {
+				if l.Rank().ID() != 0 {
+					l.Rank().Barrier()
+					return
+				}
+				// One block per rank: the block at base+256 is homed on rank 1.
+				base := l.AllocCollective(512, BlockDist)
+				blk := base + 256
+				home := make([]byte, 256)
+				for i := range home {
+					home[i] = byte(i%64 + 1)
+				}
+				if err := l.Put(home, blk); err != nil {
+					t.Fatal(err)
+				}
+				const lo, n = 70, 50 // straddles two 64-byte sub-blocks
+				v, err := l.Checkout(blk+lo, n, Write)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range v {
+					v[i] = byte(0xC0 + i%16)
+				}
+				if err := l.Checkin(blk+lo, n, Write); err != nil {
+					t.Fatal(err)
+				}
+				want := append([]byte(nil), home...)
+				copy(want[lo:], v)
+				if l.cache.Peek(int64(blk) / 256).Data[0] != 0xA5 {
+					t.Fatal("the cache block was not taken from the poisoned pool")
+				}
+				got, err := l.Checkout(blk, 256, Read)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.IndexByte(got, 0xA5) >= 0 || !bytes.Equal(got, want) {
+					t.Fatalf("Read of a partly written poisoned block = %x, want %x", got, want)
+				}
+				l.Checkin(blk, 256, Read)
+				l.Rank().Barrier()
+			})
+		})
 	}
 }

@@ -216,6 +216,17 @@ func (s *Space) Config() Config { return s.cfg }
 // Policy returns the cache policy.
 func (s *Space) Policy() Policy { return s.cfg.Policy }
 
+// ReleaseCaches hands every rank's cache-block storage back to the
+// process-wide pool (memblock.Table.Release) when a run ends, so the next
+// runtime in the process reuses it. A rank whose cache still holds dirty or
+// pinned blocks keeps it; every other cache is left empty, and a later run
+// on this space starts cold. It costs no simulated time.
+func (s *Space) ReleaseCaches() {
+	for i := range s.locals {
+		s.locals[i].cache.Release()
+	}
+}
+
 // Local returns rank i's handle.
 func (s *Space) Local(i int) *Local { return &s.locals[i] }
 
