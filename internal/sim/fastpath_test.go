@@ -236,6 +236,38 @@ func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWideIdleDispatchZeroAllocs is the zero-allocation claim at width: the
+// shape of a fork-join region on thousands of ranks with little parallelism,
+// where almost every rank idles in AdvanceFunc at once and the queue holds
+// one sleep per rank. Once the heap, the slab and its free list have grown
+// to that width, every further event allocates nothing.
+func TestWideIdleDispatchZeroAllocs(t *testing.T) {
+	const width = 1024
+	run := func(rounds int) {
+		e := NewEngine()
+		for rank := 0; rank < width; rank++ {
+			e.Spawn("idle", func(p *Proc) {
+				steps := 0
+				p.AdvanceFunc(10, func() (Time, bool) { // tick, CAS, backoff: three lengths
+					steps++
+					return Time(10 + 7*(steps%3) + rank%5), steps == rounds
+				})
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const extra = 64
+	small := testing.AllocsPerRun(3, func() { run(8) })
+	big := testing.AllocsPerRun(3, func() { run(8 + extra) })
+	perEvent := (big - small) / (width * extra)
+	if perEvent > 0.001 {
+		t.Fatalf("%.4f allocations per event (small run %.1f, big run %.1f), want 0",
+			perEvent, small, big)
+	}
+}
+
 func emptyBody(*Proc) {}
 
 // TestSpawnReusesCarrier verifies the pooled-carrier claim: a process that

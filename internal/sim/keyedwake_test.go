@@ -75,7 +75,7 @@ func TestKeyedWakeOrder(t *testing.T) {
 	}
 }
 
-// A keyed wake is queued as the resume of its target (see the event type).
+// A keyed wake is queued as the resume of its target (see the slot type).
 // The tests below hold that form to the contract of the callback form it
 // replaced — an event that called Wake, which queued the resume.
 

@@ -32,8 +32,11 @@
 //     yielded, it just keeps running — a handoff costs two coroutine
 //     switches (out to the driver, in to the target) only when control
 //     genuinely moves to a different process.
-//   - Pooled events: the queue is a concrete 4-ary min-heap over event
-//     values (no container/heap interface boxing, no per-event pointer), so
+//   - A pointer-free queue: the heap is a concrete 4-ary min-heap of
+//     24-byte (at, key, index) slots with no pointer in them, over a slab
+//     holding each event's process or closure. A sift moves a hole and
+//     writes the placed slot once; nothing it moves needs a GC write barrier
+//     and the GC never scans the heap. Slab entries are recycled, so
 //     steady-state dispatch performs zero heap allocations per event.
 //   - Pooled carriers: a body that returns leaves its carrier, with its
 //     grown stack, for the next process that starts, so a fork-join tree
@@ -54,7 +57,7 @@
 //     callback that calls Wake and so queues the resume as a second event
 //     at the same instant. One event, one heap push and pop, and no
 //     allocation per wake; the schedule is exactly that of the two-event
-//     form (the argument is on the event type).
+//     form (the argument is on the slot type).
 //
 // None of this changes simulated timestamps: the fast paths are taken only
 // when the slow path would produce the identical schedule, and the golden
@@ -109,14 +112,19 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// event is one queue entry, stored by value: either a process resume
-// (proc != nil) or an engine-context callback (fire != nil).
+// slot is one entry of the event queue's heap: the event's place in the
+// order, how it resumes a process, and the index of its payload in
+// Engine.slab. A slot holds no pointer (TestSlotHoldsNoPointer), so the
+// heap's moves are plain 24-byte copies and the GC never scans it.
 //
 // key is the tie-break within an instant. Events created in engine or
 // process context get the next value of a FIFO counter (scheduling order);
 // events created by Proc.ScheduleWake carry a caller-chosen key in a space
 // that sorts after all FIFO keys, so their relative order is a property of
-// the workload (e.g. rank number), not of who scheduled first.
+// the workload (e.g. rank number), not of who scheduled first. A FIFO key is
+// never reused and a keyed one is unique per instant, so no two queued
+// events tie on (at, key): the order is total, and any correct min-heap pops
+// the one sequence it defines (TestQueueMatchesEventHeap).
 //
 // # A keyed wake is a resume
 //
@@ -135,13 +143,13 @@ const (
 // what they were with the two-event form; Callbacks is lower by one per
 // keyed wake and Events by one per keyed wake that found its target parked —
 // ranks × barriers on a barrier-paced program.
-type event struct {
-	at   Time
-	key  uint64
-	proc *Proc
-	fire func()
-	// wake marks a resume queued by ScheduleWake: proc is resumed only if it
-	// is parked when the event is popped, and is granted a permit otherwise.
+type slot struct {
+	at  Time
+	key uint64
+	ev  int32 // index of the payload in Engine.slab
+	// wake marks a resume queued by ScheduleWake: the process is resumed only
+	// if it is parked when the event is popped, and is granted a permit
+	// otherwise.
 	wake bool
 	// steps marks a resume that ends a sleep of AdvanceFunc: whoever pops it
 	// runs the process's step. It rides on the event so that an ordinary
@@ -150,7 +158,14 @@ type event struct {
 	steps bool
 }
 
-// Key spaces for event.key. FIFO keys count up from zero; keyed wakes sort
+// payload is what an event acts on: the process it resumes (proc != nil) or
+// the engine-context callback it fires (fire != nil).
+type payload struct {
+	proc *Proc
+	fire func()
+}
+
+// Key spaces for slot.key. FIFO keys count up from zero; keyed wakes sort
 // last within an instant.
 const (
 	keyedBase = uint64(1) << 63 // ScheduleWake keys
@@ -170,8 +185,14 @@ type EngineStats struct {
 
 // Engine is a discrete-event simulation engine; create one with NewEngine.
 type Engine struct {
-	now     Time
-	queue   []event // 4-ary min-heap ordered by (at, key)
+	now   Time
+	queue []slot // 4-ary min-heap ordered by (at, key)
+	// slab holds the queued events' payloads, indexed by slot.ev. It is as
+	// long as the queue has ever been, so its free entries are as many as the
+	// elements of queue's backing array past its length, and those elements
+	// keep their indices: a pop parks the index it frees in the slot it
+	// vacates, a push takes the index parked in the slot it is about to fill.
+	slab    []payload
 	seq     uint64
 	live    procList
 	current *Proc
@@ -268,72 +289,78 @@ func (e *Engine) Now() Time { return e.now }
 // Stats returns the cumulative kernel counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
 
-// eventLess orders the heap by deadline, then by tie-break key (FIFO
+// slotLess orders the heap by deadline, then by tie-break key (FIFO
 // within an instant for engine- and process-scheduled events).
-func eventLess(a, b *event) bool {
+func slotLess(a, b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.key < b.key
 }
 
-// heapPush inserts ev into the 4-ary heap held in q and returns the
-// (possibly reallocated) slice.
-func heapPush(q []event, ev event) []event {
-	q = append(q, ev)
-	i := len(q) - 1
+// push queues the event s with payload pl (s.ev is set here), sifting a hole
+// up from the end of the heap to where s belongs.
+func (e *Engine) push(s slot, pl payload) {
+	q := e.queue
+	n := len(q)
+	if n < len(e.slab) {
+		s.ev = q[:n+1][n].ev // parked there by a pop
+		e.slab[s.ev] = pl
+	} else {
+		s.ev = int32(len(e.slab))
+		e.slab = append(e.slab, pl)
+	}
+	q = append(q, s)
+	i := n
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(&q[i], &q[p]) {
+		if !slotLess(&s, &q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
-	return q
+	q[i] = s
+	e.queue = q
 }
 
-// heapPop removes and returns the earliest event from the heap in q.
-func heapPop(q []event) (event, []event) {
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // drop the proc/closure reference for GC
-	q = q[:n]
-	i := 0
-	for {
-		min := i
-		base := 4*i + 1
-		end := base + 4
-		if end > n {
-			end = n
-		}
-		for c := base; c < end; c++ {
-			if eventLess(&q[c], &q[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top, q
-}
-
-// push inserts ev into the engine's queue.
-func (e *Engine) push(ev event) { e.queue = heapPush(e.queue, ev) }
-
-// pop removes and returns the earliest event from the queue.
-func (e *Engine) pop() event {
+// pop removes the earliest event from the queue and returns it with its
+// payload. The heap's last slot fills the hole the root leaves, sifted down
+// to where it belongs; the payload's slab entry is cleared — no process or
+// closure outlives its event there — and freed.
+func (e *Engine) pop() (slot, payload) {
 	e.stats.Events++
 	if e.stats.Events&(liveEvery-1) == 0 {
 		e.publishLive()
 	}
-	top, q := heapPop(e.queue)
-	e.queue = q
-	return top
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m, end := c, min(c+4, n)
+		for c++; c < end; c++ {
+			if slotLess(&q[c], &q[m]) {
+				m = c
+			}
+		}
+		if !slotLess(&q[m], &last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	q[n] = slot{ev: top.ev} // the freed index, parked past the heap's end
+	e.queue = q[:n]
+	pl := e.slab[top.ev]
+	e.slab[top.ev] = payload{}
+	return top, pl
 }
 
 // At schedules fn to run in engine context at time t. fn must not block;
@@ -343,7 +370,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, key: e.seq, fire: fn})
+	e.push(slot{at: t, key: e.seq}, payload{fire: fn})
 }
 
 // After schedules fn to run in engine context after duration d.
@@ -352,7 +379,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // scheduleResume queues a resume of p at time t.
 func (e *Engine) scheduleResume(p *Proc, t Time) {
 	e.seq++
-	e.push(event{at: t, key: e.seq, proc: p, steps: p.step != nil})
+	e.push(slot{at: t, key: e.seq, steps: p.step != nil}, payload{proc: p})
 }
 
 // Spawn creates a new simulated process that will begin executing fn at the
@@ -400,25 +427,25 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 			e.current = nil
 			return nil
 		}
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
+		s, pl := e.pop()
+		e.now = s.at
+		if pl.proc == nil {
 			e.current = nil
 			e.stats.Callbacks++
-			ev.fire()
+			pl.fire()
 			continue
 		}
-		if ev.wake && !ev.proc.wakeNow() {
+		if s.wake && !pl.proc.wakeNow() {
 			continue
 		}
-		e.current = ev.proc
-		if ev.steps && !e.runSteps(ev.proc) {
+		e.current = pl.proc
+		if s.steps && !e.runSteps(pl.proc) {
 			continue
 		}
-		if ev.proc != self {
+		if pl.proc != self {
 			e.stats.Handoffs++
 		}
-		return ev.proc
+		return pl.proc
 	}
 }
 
@@ -505,7 +532,7 @@ type Proc struct {
 
 	// step is the function AdvanceFunc is running between p's sleeps, nil
 	// outside AdvanceFunc. A dispatcher that pops a resume of p marked
-	// event.steps runs it in p's stead; while it is set p must not block.
+	// slot.steps runs it in p's stead; while it is set p must not block.
 	step func() (next Time, done bool)
 
 	body    func(*Proc)
@@ -676,7 +703,7 @@ func (p *Proc) Wake() {
 // events of the same instant, in key order: the order is a property of the
 // workload, not of who scheduled first. The event queued is q's resume
 // itself: a q parked at t runs in it, a q not parked is granted the permit
-// (see the event type).
+// (see the slot type).
 func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 	if key&^keyedMask != 0 {
 		panic("sim: ScheduleWake key out of range")
@@ -685,5 +712,5 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: wake at %d before now %d", t, e.now))
 	}
-	e.push(event{at: t, key: keyedBase | key, proc: q, wake: true})
+	e.push(slot{at: t, key: keyedBase | key, wake: true}, payload{proc: q})
 }
