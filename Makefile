@@ -22,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate obs-smoke docscheck linkcheck profile
+.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate obs-smoke docscheck linkcheck profile loc
 
 check: fmt vet build test benchmark-test shuffle race obs-smoke docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling gate-figures
 
@@ -152,6 +152,12 @@ profile:
 		-bench '^Benchmark$(subst /,$$/^,$(BENCH))$$' -benchtime $(if $(filter Suite/%,$(BENCH)),1x,5x) \
 		-o $(PROFILE_DIR)/bench.test -outputdir $(PROFILE_DIR) -cpuprofile bench.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/bench.prof
+
+# Non-test Go lines outside the nested benchmark module (and hidden build
+# directories): the size ROADMAP aim 2 tracks. A PR's "net lines" in
+# CHANGES.md is the change in this number.
+loc:
+	@find . \( -path ./benchmark -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Documentation gates: every package keeps a package comment (and the public
 # ityr package plus internal/pgas — the memory-model contract surface —

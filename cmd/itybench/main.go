@@ -22,12 +22,6 @@
 //	itybench scaling         # 64 → 16,384 simulated-rank sweep (halo +
 //	                         # cilksort) and a 64-simulation fleet; -scale
 //	                         # smoke stops at the paper's 1,728 ranks
-//	itybench -sched helpfirst fig7
-//	                         # any suite under an alternative scheduling
-//	                         # policy (childfirst | helpfirst | fbc)
-//	itybench -coalesce=false -prefetch 0 perf
-//	                         # any suite with the cache communication
-//	                         # batching disabled
 //
 // Flags come before the suite name. Host unit costs are not measured here:
 // that is `bash benchmark/run.sh` (BENCHMARK.json).
@@ -42,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"ityr"
 	"ityr/internal/bench"
 )
 
@@ -56,10 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scaleName := fs.String("scale", "full", "experiment scale: smoke, quick, or full")
 	outFile := fs.String("o", "", "write the suite's itoyori-bench/v1 JSON report to this file ('-' for stdout, which moves the table to stderr); gate it with internal/tools/perfgate")
-	sched := fs.String("sched", ityr.ChildFirst.String(), "scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
-	coalesce := fs.Bool("coalesce", true, "coalesce adjacent dirty regions into merged write-back puts (cache communication batching)")
-	prefetch := fs.Int("prefetch", 2, "sequential-access prefetch depth in blocks, 0 to disable (cache communication batching)")
-	racks := fs.Int("racks", 0, "nodes per rack for the three-tier network model (rack latency/bandwidth between intra-node and fabric); 0 keeps the flat fabric")
 	heartbeat := fs.Duration("heartbeat", 2*time.Second, "live-telemetry interval for long host runs: periodic stderr lines with sim-time watermark, events/sec and host RSS; 0 disables")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: itybench [flags] <suite>")
@@ -109,14 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if sc.Name == "" {
 		return usage("itybench: unknown scale %q (valid: %s)", *scaleName, strings.Join(scales, ", "))
 	}
-	pol, err := ityr.ParseSchedPolicy(*sched)
-	if err != nil {
-		return usage("itybench: %v", err)
-	}
-
-	bench.SetCacheBatching(*coalesce, *prefetch)
-	bench.SetRacks(*racks)
-	bench.SetSchedPolicy(pol)
 	bench.SetHeartbeat(stderr, *heartbeat)
 
 	// The one output block: the table goes to stdout unless the report
@@ -124,6 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the run so an unwritable path fails in milliseconds, not minutes.
 	table, out := stdout, io.Writer(nil)
 	var file *os.File
+	var err error
 	switch *outFile {
 	case "":
 	case "-":

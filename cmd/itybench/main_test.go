@@ -22,7 +22,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"unknown suite", []string{"fig12"}, []string{`unknown suite "fig12"`, "fig7", "table1", "abl", "figures", "perf", "taskbench", "faults", "scaling", "fleet"}},
 		{"unknown scale", []string{"-scale", "huge", "fig7"}, []string{`unknown scale "huge"`, "smoke", "quick", "full"}},
-		{"unknown sched", []string{"-sched", "bogus", "fig7"}, []string{"bogus", "childfirst", "helpfirst", "fbc"}},
+		{"removed knob flag", []string{"-sched", "fbc", "fig7"}, []string{"-sched", "usage: itybench [flags] <suite>"}},
 		{"flag after suite", []string{"fig7", "-scale", "smoke"}, []string{"flags first"}},
 		{"removed mode flag", []string{"-fig", "7"}, []string{"usage: itybench [flags] <suite>"}},
 	}

@@ -1,9 +1,11 @@
 // Command itytrace analyzes an "itytrace/v1" dump produced by the
 // example binaries' -trace flag (or core.Runtime.WriteTrace). The
 // default report shows critical-path vs. total work (the available
-// parallelism, as in Cilkview), a per-rank busy/idle/steal breakdown,
-// the steal-latency histogram, and the cache hit rate for the run's
-// policy from the embedded metrics snapshot.
+// parallelism, as in Cilkview) and a per-rank busy/idle/steal breakdown
+// from the spans, then — from the embedded metrics snapshot, which covers
+// the whole run even when the span ring dropped — the steal counts and
+// latency histograms, the cache hit rate for the run's policy and any
+// resilience activity.
 //
 //	cilksort -ranks 16 -trace cilksort.trace
 //	itytrace cilksort.trace
@@ -100,6 +102,9 @@ func main() {
 
 	a := trace.Analyze(l, meta.Ranks)
 	a.WriteReport(os.Stdout)
+	if err := trace.StealReport(os.Stdout, meta.Metrics); err != nil {
+		fail(err)
+	}
 	if err := trace.CacheReport(os.Stdout, meta.Policy, meta.Metrics); err != nil {
 		fail(err)
 	}

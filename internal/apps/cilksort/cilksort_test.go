@@ -132,6 +132,35 @@ func TestDuplicateHeavyInput(t *testing.T) {
 	}
 }
 
+// TestAllEqualKeysStayWithinCache sorts 1 Mi equal keys through a 1 MiB
+// cache. Every binary search then returns 0, so each split of a merge above
+// the cutoff hands its first half an empty side: a copy, a quarter of the
+// array at the top merge. Copies must split like merges; that one in a
+// single checkout would fail with ErrTooMuchCheckout.
+func TestAllEqualKeysStayWithinCache(t *testing.T) {
+	const n = 1 << 20
+	conf := ityr.Config{
+		Ranks:        8,
+		CoresPerNode: 1,
+		Pgas:         ityr.PgasConfig{CacheSize: 1 << 20, Policy: ityr.WriteBackLazy},
+		Seed:         3,
+	}
+	var ok bool
+	_, err := ityr.LaunchRoot(conf, func(c *ityr.Ctx) {
+		a := ityr.AllocArray[Elem](c, n, ityr.BlockCyclicDist)
+		b := ityr.AllocArray[Elem](c, n, ityr.BlockCyclicDist)
+		ityr.Fill(c, a, 7)
+		Sort(c, a, b, 4096)
+		ok = IsSorted(c, a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Error("not sorted")
+	}
+}
+
 func TestCachingImprovesFineGrainedSort(t *testing.T) {
 	// The Fig. 7 claim in miniature: at a small cutoff, the lazy
 	// write-back cache beats the no-cache GET/PUT baseline.

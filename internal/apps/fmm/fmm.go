@@ -329,55 +329,64 @@ func (k Counters) SerialTime() sim.Time {
 
 // CountKernels performs the traversal on the host, tallying kernel calls.
 func CountKernels(cells []Cell, theta float64) Counters {
-	var k Counters
-	countUp(cells, 0, &k)
-	countDTT(cells, 0, 0, theta, &k)
-	countDown(cells, 0, &k)
+	return CountKernelsByPart(cells, theta, 1, func(int) int { return 0 })[0]
+}
+
+// CountKernelsByPart is CountKernels with the tally split by owner: parts
+// Counters, each kernel call tallied to part(ci) of the cell ci that owns
+// it — the target cell of a traversal step, M2L or P2P, the parent of an
+// M2M or L2L, the leaf of a P2M or L2P.
+func CountKernelsByPart(cells []Cell, theta float64, parts int, part func(ci int) int) []Counters {
+	k := make([]Counters, parts)
+	countUp(cells, 0, k, part)
+	countDTT(cells, 0, 0, theta, k, part)
+	countDown(cells, 0, k, part)
 	return k
 }
 
-func countUp(cells []Cell, ci int, k *Counters) {
+func countUp(cells []Cell, ci int, k []Counters, part func(int) int) {
 	c := &cells[ci]
 	if c.Child < 0 {
-		k.P2MBody += int64(c.NBody)
+		k[part(ci)].P2MBody += int64(c.NBody)
 		return
 	}
 	for i := int32(0); i < c.NChild; i++ {
-		countUp(cells, int(c.Child+i), k)
-		k.M2M++
+		countUp(cells, int(c.Child+i), k, part)
+		k[part(ci)].M2M++
 	}
 }
 
-func countDTT(cells []Cell, a, b int, theta float64, k *Counters) {
+func countDTT(cells []Cell, a, b int, theta float64, k []Counters, part func(int) int) {
 	ca, cb := &cells[a], &cells[b]
-	k.Steps++
+	w := &k[part(a)]
+	w.Steps++
 	if MAC(ca, cb, theta) {
-		k.M2L++
+		w.M2L++
 		return
 	}
 	if ca.Child < 0 && cb.Child < 0 {
-		k.P2PPairs += int64(ca.NBody) * int64(cb.NBody)
+		w.P2PPairs += int64(ca.NBody) * int64(cb.NBody)
 		return
 	}
 	if cb.Child < 0 || (ca.Child >= 0 && ca.R >= cb.R) {
 		for i := int32(0); i < ca.NChild; i++ {
-			countDTT(cells, int(ca.Child+i), b, theta, k)
+			countDTT(cells, int(ca.Child+i), b, theta, k, part)
 		}
 	} else {
 		for i := int32(0); i < cb.NChild; i++ {
-			countDTT(cells, a, int(cb.Child+i), theta, k)
+			countDTT(cells, a, int(cb.Child+i), theta, k, part)
 		}
 	}
 }
 
-func countDown(cells []Cell, ci int, k *Counters) {
+func countDown(cells []Cell, ci int, k []Counters, part func(int) int) {
 	c := &cells[ci]
 	if c.Child < 0 {
-		k.L2PBody += int64(c.NBody)
+		k[part(ci)].L2PBody += int64(c.NBody)
 		return
 	}
 	for i := int32(0); i < c.NChild; i++ {
-		k.L2L++
-		countDown(cells, int(c.Child+i), k)
+		k[part(ci)].L2L++
+		countDown(cells, int(c.Child+i), k, part)
 	}
 }

@@ -6,10 +6,10 @@
 // balancing is the static partition — so the irregular tree workload
 // produces idleness that grows with the node count (Table 2).
 //
-// The model runs the real dual tree traversal on the host, attributing
-// every kernel invocation to the node that owns the target, and derives
-// the makespan from per-node busy times plus the particle-exchange
-// (allgather) communication cost.
+// The model counts the real dual tree traversal's kernel calls on the
+// host (fmm's own tally and cost table), attributing each to the node that
+// owns its target, and derives the makespan from per-node busy times plus
+// the particle-exchange (allgather) communication cost.
 package fmmmpi
 
 import (
@@ -31,86 +31,22 @@ type Result struct {
 	Idleness float64
 }
 
-// kernel cost constants mirror the task-parallel implementation so the two
-// versions are directly comparable.
-const (
-	costP2PPair = 23 * sim.Nanosecond
-	costM2L     = 1100 * sim.Nanosecond
-	costM2M     = 400 * sim.Nanosecond
-	costL2L     = 400 * sim.Nanosecond
-	costP2MBody = 120 * sim.Nanosecond
-	costL2PBody = 180 * sim.Nanosecond
-	costStep    = 14 * sim.Nanosecond
-)
-
-// Run models the MPI ExaFMM on the given problem. The same octree and
-// traversal as the task-parallel version are used; only the work placement
-// differs (static, by body index).
+// Run models the MPI ExaFMM on the given problem. The same octree,
+// traversal and kernel costs as the task-parallel version are used
+// (fmm.CountKernelsByPart); only the work placement differs (static, by
+// body index).
 func Run(p fmm.Params, nodes, coresPerNode int, net netmodel.Params) Result {
 	p = p.WithDefaults()
 	bodies := fmm.GenBodiesDist(p.N, p.Seed, p.Dist)
 	cells := fmm.BuildTree(bodies, p.NCrit)
 
+	owner := func(ci int) int {
+		return min(int(int64(cells[ci].Body)*int64(nodes)/int64(len(bodies))), nodes-1)
+	}
 	busy := make([]sim.Time, nodes)
-	nodeOf := func(body int32) int {
-		n := int(int64(body) * int64(nodes) / int64(len(bodies)))
-		if n >= nodes {
-			n = nodes - 1
-		}
-		return n
+	for n, k := range fmm.CountKernelsByPart(cells, p.Theta, nodes, owner) {
+		busy[n] = k.SerialTime()
 	}
-	owner := func(ci int) int { return nodeOf(cells[ci].Body) }
-
-	var up func(ci int)
-	up = func(ci int) {
-		c := &cells[ci]
-		if c.Child < 0 {
-			busy[owner(ci)] += sim.Time(c.NBody) * costP2MBody
-			return
-		}
-		for k := int32(0); k < c.NChild; k++ {
-			up(int(c.Child + k))
-			busy[owner(ci)] += costM2M
-		}
-	}
-	var dtt func(a, b int)
-	dtt = func(a, b int) {
-		ca, cb := &cells[a], &cells[b]
-		w := owner(a)
-		busy[w] += costStep
-		if fmm.MAC(ca, cb, p.Theta) {
-			busy[w] += costM2L
-			return
-		}
-		if ca.Child < 0 && cb.Child < 0 {
-			busy[w] += sim.Time(ca.NBody) * sim.Time(cb.NBody) * costP2PPair
-			return
-		}
-		if cb.Child < 0 || (ca.Child >= 0 && ca.R >= cb.R) {
-			for k := int32(0); k < ca.NChild; k++ {
-				dtt(int(ca.Child+k), b)
-			}
-		} else {
-			for k := int32(0); k < cb.NChild; k++ {
-				dtt(a, int(cb.Child+k))
-			}
-		}
-	}
-	var down func(ci int)
-	down = func(ci int) {
-		c := &cells[ci]
-		if c.Child < 0 {
-			busy[owner(ci)] += sim.Time(c.NBody) * costL2PBody
-			return
-		}
-		for k := int32(0); k < c.NChild; k++ {
-			busy[owner(ci)] += costL2L
-			down(int(c.Child + k))
-		}
-	}
-	up(0)
-	dtt(0, 0)
-	down(0)
 
 	// Communication: each node gathers the remote particles and cells it
 	// needs (modelled as an allgather of the problem state).

@@ -88,3 +88,23 @@ func TestIdlenessWorseForClusteredDistributions(t *testing.T) {
 		t.Errorf("plummer idleness %.3f below cube %.3f", plummer, cube)
 	}
 }
+
+// TestBusyIsFMMSerialTime pins the shared accounting: whatever the partition,
+// the nodes' busy times sum to the task-parallel version's serial time, the
+// same tree's kernel counts priced by the same cost table.
+func TestBusyIsFMMSerialTime(t *testing.T) {
+	net := netmodel.Default(8)
+	for _, d := range []fmm.Dist{fmm.Cube, fmm.Sphere, fmm.Plummer} {
+		p := fmm.Params{N: 3000, Dist: d}.WithDefaults()
+		want := fmm.CountKernels(fmm.BuildTree(fmm.GenBodiesDist(p.N, p.Seed, p.Dist), p.NCrit), p.Theta).SerialTime()
+		for _, nodes := range []int{1, 3, 8} {
+			var sum int64
+			for _, b := range Run(p, nodes, 8, net).Busy {
+				sum += b
+			}
+			if sum != want {
+				t.Errorf("dist %v, %d nodes: busy sums to %d, fmm serial time is %d", d, nodes, sum, want)
+			}
+		}
+	}
+}

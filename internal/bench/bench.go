@@ -18,7 +18,6 @@ import (
 	"ityr/internal/apps/cilksort"
 	"ityr/internal/apps/fmm"
 	"ityr/internal/apps/uts"
-	"ityr/internal/netmodel"
 	"ityr/internal/sim"
 )
 
@@ -133,58 +132,14 @@ var Full = Scale{
 // Scales are the scales `itybench -scale` accepts.
 var Scales = []Scale{Smoke, Quick, Full}
 
-// cacheCoalesce / cachePrefetch are the cache communication-batching knobs
-// every experiment runtime uses (cmd/itybench's -coalesce / -prefetch
-// flags). Batching is on by default: the headline experiments report the
-// batched cache, and ablBatching quantifies each knob's contribution.
-var (
-	cacheCoalesce = true
-	cachePrefetch = 2
-)
-
-// SetCacheBatching sets the write-back-coalescing and prefetch-depth knobs
-// for subsequent experiment runs. Negative depths are clamped to 0 (off).
-func SetCacheBatching(coalesce bool, prefetch int) {
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	cacheCoalesce = coalesce
-	cachePrefetch = prefetch
-}
-
-// schedPolicy is the scheduling-policy knob (the CLIs' shared -sched
-// flag): the discipline every subsequent experiment runtime uses. The
-// default is the paper's child-first policy, which keeps every golden
-// digest valid. The taskbench suite ignores it — it always sweeps the
-// full policy matrix.
-var schedPolicy = ityr.ChildFirst
-
-// SetSchedPolicy sets the scheduling policy for subsequent experiment
-// runs.
-func SetSchedPolicy(p ityr.SchedPolicy) { schedPolicy = p }
-
-// racksNodes is the rack-topology knob (cmd/itybench's -racks flag):
-// nodes per rack for the three-tier network model. 0 — the default —
-// keeps the flat two-tier fabric, so existing experiment outputs are
-// untouched unless the flag is given.
-var racksNodes = 0
-
-// SetRacks selects the three-tier rack topology (netmodel.RackDefault)
-// for subsequent experiment runs: nodesPerRack nodes share a rack tier
-// between intra-node and fabric. Values below 1 restore the flat fabric.
-func SetRacks(nodesPerRack int) {
-	if nodesPerRack < 0 {
-		nodesPerRack = 0
-	}
-	racksNodes = nodesPerRack
-}
-
 // runtimeConfig assembles the paper-like machine configuration (Table 1,
 // scaled): 64 KiB blocks, 4 KiB sub-blocks, 16 MiB private cache per
-// process, block-cyclic collective distribution (chosen by the apps), with
-// the communication-batching knobs applied.
+// process, block-cyclic collective distribution (chosen by the apps), the
+// child-first scheduler, and the cache's communication batching on
+// (write-back coalescing, prefetch depth 2): the headline experiments report
+// the batched cache, and abl/batching measures each knob's contribution.
 func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Config {
-	cfg := ityr.Config{
+	return ityr.Config{
 		Ranks:        ranks,
 		CoresPerNode: coresPerNode,
 		Pgas: ityr.PgasConfig{
@@ -192,17 +147,11 @@ func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Co
 			SubBlockSize:      4 << 10,
 			CacheSize:         16 << 20,
 			Policy:            pol,
-			CoalesceWriteBack: cacheCoalesce,
-			PrefetchBlocks:    cachePrefetch,
+			CoalesceWriteBack: true,
+			PrefetchBlocks:    2,
 		},
-		Sched: ityr.SchedConfig{Policy: schedPolicy},
-		Seed:  seed,
+		Seed: seed,
 	}
-	if racksNodes > 0 {
-		net := netmodel.RackDefault(coresPerNode, racksNodes)
-		cfg.Net = &net
-	}
-	return cfg
 }
 
 // ms renders virtual nanoseconds as milliseconds.
@@ -299,9 +248,9 @@ var fig8Policies = []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy}
 // each is stored under on a Fig. 8 lazy row. "Others" is not among them: it
 // is what the named categories leave of elapsed × ranks (fig9Others).
 var fig9Cats = []struct{ name, metric string }{
-	{cilksort.CatGet, "get_ns"}, {"Checkout", "checkout_ns"}, {"Checkin", "checkin_ns"},
+	{ityr.CatGet, "get_ns"}, {"Checkout", "checkout_ns"}, {"Checkin", "checkin_ns"},
 	{"Release", "release_ns"}, {"Lazy Release", "lazy_release_ns"}, {"Acquire", "acquire_ns"},
-	{cilksort.CatMerge, "merge_ns"}, {cilksort.CatQuicksort, "quicksort_ns"},
+	{ityr.CatMerge, "merge_ns"}, {ityr.CatQuicksort, "quicksort_ns"},
 }
 
 // fig8Row is one run of Figs. 8 and 9 — seed 13 at the scaling cutoff — as

@@ -45,19 +45,18 @@ func perfConfig(sc Scale, pol ityr.Policy, seed int64) ityr.Config {
 	return cfg
 }
 
-// PerfSuite runs the gated experiments at sc under the current knobs and
-// returns the report. Each experiment is one representative
-// configuration of an app the paper evaluates (§6), chosen for coverage of
-// the access patterns that stress the cache differently: cilksort
-// (streaming merges over a block distribution, the sequential-run regime
-// prefetch targets), fmm (irregular tree walks whose releases stress the
-// write-back path), uts (pointer chasing — batching should stay out of
-// the way), halo (raw SPMD RMA that bypasses the cache entirely — a
-// control whose numbers batching must not disturb).
+// PerfSuite runs the gated experiments at sc and returns the report. Each
+// experiment is one representative configuration of an app the paper
+// evaluates (§6), chosen for coverage of the access patterns that stress
+// the cache differently: cilksort (streaming merges over a block
+// distribution, the sequential-run regime prefetch targets), fmm (irregular
+// tree walks whose releases stress the write-back path), uts (pointer
+// chasing — batching should stay out of the way), halo (raw SPMD RMA that
+// bypasses the cache entirely — a control whose numbers batching must not
+// disturb).
 func PerfSuite(w io.Writer, sc Scale) (*Report, error) {
 	rep := newReport("perf", sc)
-	fmt.Fprintf(w, "\n== Perf suite (%s scale, %d ranks, coalesce=%v prefetch=%d) ==\n",
-		sc.Name, sc.FixedRanks, cacheCoalesce, cachePrefetch)
+	fmt.Fprintf(w, "\n== Perf suite (%s scale, %d ranks) ==\n", sc.Name, sc.FixedRanks)
 	fmt.Fprintf(w, "%-10s %14s %12s %14s\n", "experiment", "sim time (ms)", "round trips", "rma bytes")
 	add := func(name string, t sim.Time, st rma.Stats) {
 		m := perfMetrics(t, st)

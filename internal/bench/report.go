@@ -24,8 +24,8 @@ type Report struct {
 	Schema string `json:"schema"`
 	Suite  string `json:"suite"`
 	Scale  string `json:"scale"`
-	// Config records the knobs the run was taken under; reports taken
-	// under different knobs are not comparable.
+	// Config records the suite-specific settings the run was taken under;
+	// reports taken under different settings are not comparable.
 	Config map[string]any `json:"config"`
 	// Host names the metrics and config keys that depend on the host the
 	// run was taken on (wall clock, allocation, CPU count): reported,
@@ -34,17 +34,10 @@ type Report struct {
 	Rows map[string]Metrics `json:"rows"`
 }
 
-// newReport starts suite's report at sc under the current knobs — the
-// settings every experiment runtime is built from (runtimeConfig). A suite
-// with more to record adds its own Config entries.
+// newReport starts suite's report at sc. A suite with settings of its own
+// to record adds them as Config entries.
 func newReport(suite string, sc Scale) *Report {
-	return &Report{Schema: Schema, Suite: suite, Scale: sc.Name, Rows: map[string]Metrics{},
-		Config: map[string]any{
-			"coalesce": cacheCoalesce,
-			"prefetch": cachePrefetch,
-			"sched":    schedPolicy.String(),
-			"racks":    racksNodes,
-		}}
+	return &Report{Schema: Schema, Suite: suite, Scale: sc.Name, Rows: map[string]Metrics{}, Config: map[string]any{}}
 }
 
 // WriteJSON serializes the report as indented JSON. Map keys are written

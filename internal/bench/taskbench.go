@@ -26,16 +26,12 @@ var taskbenchGrains = []struct {
 	{"coarse", func(sc Scale) sim.Time { return sc.TBCoarseGrain }},
 }
 
-// TaskbenchSuite runs the shape × grain × scheduler matrix at sc under
-// the current knobs and returns the report. Every cell is one
-// taskbench.Run on the perf-suite machine geometry; row names are
-// shape/grain/policy. The suite deliberately ignores the
-// -sched global (and so drops it from the report's config): the matrix
-// always covers all three policies, and the per-cell checksum is verified
-// to be policy-invariant before any number is reported.
+// TaskbenchSuite runs the shape × grain × scheduler matrix at sc and
+// returns the report. Every cell is one taskbench.Run on the perf-suite
+// machine geometry; row names are shape/grain/policy. The per-cell checksum
+// is verified to be policy-invariant before any number is reported.
 func TaskbenchSuite(w io.Writer, sc Scale) (*Report, error) {
 	rep := newReport("taskbench", sc)
-	delete(rep.Config, "sched")
 	fmt.Fprintf(w, "\n== Task Bench matrix (%s scale, %d ranks, W=%d S=%d edge=%dB) ==\n",
 		sc.Name, sc.FixedRanks, sc.TBWidth, sc.TBSteps, sc.TBEdgeBytes)
 	fmt.Fprintf(w, "%-28s %14s %12s %14s %8s\n", "cell", "sim time (ms)", "round trips", "rma bytes", "steals")

@@ -118,9 +118,6 @@ type Config struct {
 	CacheSize int
 	// MaxHomeBlocks bounds simultaneously mapped home blocks (§4.3.2).
 	MaxHomeBlocks int
-	// MaxMapEntries bounds memory-mapping entries per process
-	// (vm.max_map_count; 65530 in the paper's environment).
-	MaxMapEntries int
 	// Policy selects the cache policy.
 	Policy Policy
 	// CoalesceWriteBack enables communication batching on the write-back
@@ -165,14 +162,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxHomeBlocks == 0 {
 		c.MaxHomeBlocks = 4096
 	}
-	if c.MaxMapEntries == 0 {
-		c.MaxMapEntries = 65530
-	}
 	if c.SubBlockSize > c.BlockSize || c.BlockSize%c.SubBlockSize != 0 {
 		panic(fmt.Sprintf("pgas: sub-block size %d must divide block size %d", c.SubBlockSize, c.BlockSize))
 	}
 	return c
 }
+
+// maxMapEntries bounds memory-mapping entries per process
+// (vm.max_map_count; 65530 in the paper's environment).
+const maxMapEntries = 65530
 
 // Operation cost constants (virtual time). These model the local CPU cost
 // of cache bookkeeping; communication costs come from the network model.

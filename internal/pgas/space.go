@@ -151,9 +151,9 @@ func New(comm *rma.Comm, cfg Config) *Space {
 	if cacheBlocks < 1 {
 		cacheBlocks = 1
 	}
-	if need := 2*cacheBlocks + 2*cfg.MaxHomeBlocks + 1; need > cfg.MaxMapEntries {
+	if need := 2*cacheBlocks + 2*cfg.MaxHomeBlocks + 1; need > maxMapEntries {
 		panic(fmt.Sprintf("pgas: cache of %d blocks + %d home blocks needs %d mapping entries > limit %d (§4.3.2)",
-			cacheBlocks, cfg.MaxHomeBlocks, need, cfg.MaxMapEntries))
+			cacheBlocks, cfg.MaxHomeBlocks, need, maxMapEntries))
 	}
 	s.locals = make([]Local, n)
 	// The per-rank noncollective pseudo-allocations come out of one slab

@@ -1,7 +1,9 @@
 // Trace analysis: Cilkview-style work/span accounting and per-rank
-// activity breakdowns computed from a recorded log. This is the engine
-// behind cmd/itytrace; it lives here so it can be unit-tested against
-// hand-built fixtures and reused by benchmarks.
+// activity breakdowns computed from a recorded log — what only the spans
+// can give — and the report sections read from the metrics document the
+// dump embeds, whose whole-run counters survive ring truncation. This is
+// the engine behind cmd/itytrace; it lives here so it can be unit-tested
+// against hand-built fixtures and reused by benchmarks.
 package trace
 
 import (
@@ -29,25 +31,10 @@ type Analysis struct {
 
 	Ranks []RankActivity
 
-	Steals       int
-	FailedSteals int
-	// StealLatency / FailedStealLatency bucket the durations of KSteal /
-	// KFailedSteal spans (thief-side latency, in virtual ns).
-	StealLatency       HistogramSnapshot
-	FailedStealLatency HistogramSnapshot
-
 	// LiveTasks is the number of forked-but-unjoined threads left at the
 	// end of the trace. Nonzero means the trace is truncated (ring
 	// overwrote fork/join events) and CritPath is a lower bound.
 	LiveTasks int
-
-	// Resilience activity (all zero for fault-free runs): RMA retries and
-	// the virtual time their timeouts + backoff cost, and steal-victim
-	// blacklisting episodes with their total penalty-window time.
-	Retries       int
-	RetryTime     sim.Time
-	Blacklists    int
-	BlacklistTime sim.Time
 }
 
 // StealLatencyBounds are the histogram bucket bounds (virtual ns) used
@@ -67,8 +54,6 @@ var StealLatencyBounds = ExpBuckets(500, 2, 16)
 func Analyze(l *Log, nranks int) Analysis {
 	events := l.Events()
 	var a Analysis
-	stealLat := NewHistogram(StealLatencyBounds)
-	failedLat := NewHistogram(StealLatencyBounds)
 
 	cp := map[int64]sim.Time{}  // thread ID -> accumulated path length
 	busy := map[int]sim.Time{}  // rank -> busy time
@@ -108,20 +93,8 @@ func Analyze(l *Log, nranks int) Analysis {
 				a.CritPath += cp[e.Arg]
 				delete(cp, e.Arg)
 			}
-		case KSteal:
-			a.Steals++
+		case KSteal, KFailedSteal:
 			steal[e.Rank] += e.Dur
-			stealLat.Observe(int64(e.Dur))
-		case KFailedSteal:
-			a.FailedSteals++
-			steal[e.Rank] += e.Dur
-			failedLat.Observe(int64(e.Dur))
-		case KRetry:
-			a.Retries++
-			a.RetryTime += e.Dur
-		case KBlacklist:
-			a.Blacklists++
-			a.BlacklistTime += e.Dur
 		}
 	}
 
@@ -130,8 +103,6 @@ func Analyze(l *Log, nranks int) Analysis {
 	if a.CritPath > 0 {
 		a.Parallelism = float64(a.Work) / float64(a.CritPath)
 	}
-	a.StealLatency = stealLat.Snap()
-	a.FailedStealLatency = failedLat.Snap()
 
 	if nranks <= 0 {
 		nranks = maxRank + 1
@@ -163,32 +134,47 @@ func (a Analysis) WriteReport(w io.Writer) {
 	if a.LiveTasks > 0 {
 		fmt.Fprintf(w, "  (trace truncated: %d unjoined tasks; critical path is a lower bound)\n", a.LiveTasks)
 	}
-	fmt.Fprintf(w, "steals        %8d ok, %d failed\n", a.Steals, a.FailedSteals)
 	fmt.Fprintf(w, "\nper-rank activity (%% of elapsed):\n")
 	fmt.Fprintf(w, "  rank        busy       steal        idle\n")
 	for _, r := range a.Ranks {
 		fmt.Fprintf(w, "  %4d     %6.1f%%     %6.1f%%     %6.1f%%\n",
 			r.Rank, pct(r.Busy, a.Elapsed), pct(r.Steal, a.Elapsed), pct(r.Idle, a.Elapsed))
 	}
-	if a.StealLatency.Count > 0 {
-		fmt.Fprintf(w, "\nsteal latency (ns): count %d  mean %.0f  min %d  max %d\n",
-			a.StealLatency.Count,
-			float64(a.StealLatency.Sum)/float64(a.StealLatency.Count),
-			a.StealLatency.Min, a.StealLatency.Max)
-		writeHistBars(w, a.StealLatency)
+}
+
+// readMetrics parses the metrics document a dump embeds; nil when there is
+// none.
+func readMetrics(raw json.RawMessage) (*MetricsDoc, error) {
+	if len(raw) == 0 {
+		return nil, nil
 	}
-	if a.FailedStealLatency.Count > 0 {
-		fmt.Fprintf(w, "\nfailed-steal latency (ns): count %d  mean %.0f\n",
-			a.FailedStealLatency.Count,
-			float64(a.FailedStealLatency.Sum)/float64(a.FailedStealLatency.Count))
+	var snap MetricsDoc
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return nil, fmt.Errorf("trace: parsing metrics snapshot: %w", err)
 	}
-	if a.Retries > 0 || a.Blacklists > 0 {
-		fmt.Fprintf(w, "\nresilience:\n")
-		fmt.Fprintf(w, "  rma retries        %8d  (%d ns timeout+backoff, %.1f%% of elapsed)\n",
-			a.Retries, a.RetryTime, pct(a.RetryTime, a.Elapsed))
-		fmt.Fprintf(w, "  victim blacklists  %8d  (%d ns of penalty windows)\n",
-			a.Blacklists, a.BlacklistTime)
+	return &snap, nil
+}
+
+// StealReport prints the whole run's steal counts and the thief-side
+// latency histograms of successful and failed steals from a metrics
+// snapshot.
+func StealReport(w io.Writer, raw json.RawMessage) error {
+	snap, err := readMetrics(raw)
+	if snap == nil {
+		return err
 	}
+	fmt.Fprintf(w, "\nsteals        %8d ok, %d failed\n",
+		snap.Counters["uth_steals"], snap.Counters["uth_failed_steals"])
+	if h := snap.Histograms["uth_steal_latency_ns"]; h.Count > 0 {
+		fmt.Fprintf(w, "steal latency (ns): count %d  mean %.0f  min %d  max %d\n",
+			h.Count, float64(h.Sum)/float64(h.Count), h.Min, h.Max)
+		writeHistBars(w, h)
+	}
+	if h := snap.Histograms["uth_failed_steal_latency_ns"]; h.Count > 0 {
+		fmt.Fprintf(w, "failed-steal latency (ns): count %d  mean %.0f\n",
+			h.Count, float64(h.Sum)/float64(h.Count))
+	}
+	return nil
 }
 
 // writeHistBars prints the non-empty buckets of a histogram with
@@ -227,12 +213,9 @@ const bars = "########################################"
 // snapshot (as embedded in a dump's Meta.Metrics). It reports the
 // hit rate by bytes: HitBytes / (HitBytes + FetchBytes).
 func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	var snap MetricsDoc
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("trace: parsing metrics snapshot: %w", err)
+	snap, err := readMetrics(raw)
+	if snap == nil {
+		return err
 	}
 	if policy == "" {
 		policy = snap.Labels["policy"]
@@ -270,16 +253,12 @@ func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
 
 // ResilienceReport summarizes fault-injection and recovery activity from a
 // metrics snapshot: retry/timeout/backoff counters from the RMA layer and
-// steal-blacklist counters from the scheduler. Unlike the span-based
-// section of WriteReport it survives ring truncation, because the counters
-// cover the whole run. Silent when the run saw no resilience activity.
+// steal-blacklist counters from the scheduler. Silent when the run saw no
+// resilience activity.
 func ResilienceReport(w io.Writer, raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	var snap MetricsDoc
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("trace: parsing metrics snapshot: %w", err)
+	snap, err := readMetrics(raw)
+	if snap == nil {
+		return err
 	}
 	retries := snap.Counters["rma_retries"]
 	blacklists := snap.Counters["uth_steal_blacklists"]
@@ -302,7 +281,7 @@ func ResilienceReport(w io.Writer, raw json.RawMessage) error {
 			snap.Counters["uth_blacklist_skips"])
 	}
 	if sdcActive {
-		sdcReport(w, &snap)
+		sdcReport(w, snap)
 	}
 	return nil
 }

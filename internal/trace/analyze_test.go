@@ -44,9 +44,6 @@ func TestAnalyzeFixture(t *testing.T) {
 	if a.Parallelism != 1.25 {
 		t.Errorf("Parallelism = %v, want 1.25", a.Parallelism)
 	}
-	if a.Steals != 1 || a.FailedSteals != 0 {
-		t.Errorf("Steals = %d/%d failed, want 1/0", a.Steals, a.FailedSteals)
-	}
 	if a.LiveTasks != 0 {
 		t.Errorf("LiveTasks = %d, want 0", a.LiveTasks)
 	}
@@ -61,13 +58,6 @@ func TestAnalyzeFixture(t *testing.T) {
 		if a.Ranks[i] != w {
 			t.Errorf("Ranks[%d] = %+v, want %+v", i, a.Ranks[i], w)
 		}
-	}
-	if a.StealLatency.Count != 1 || a.StealLatency.Sum != 50 {
-		t.Errorf("StealLatency = %+v, want count 1 sum 50", a.StealLatency)
-	}
-	// 50ns lands in the first bucket (<= 500).
-	if a.StealLatency.Counts[0] != 1 {
-		t.Errorf("StealLatency.Counts[0] = %d, want 1", a.StealLatency.Counts[0])
 	}
 }
 
@@ -103,10 +93,38 @@ func TestWriteReportContents(t *testing.T) {
 	var b strings.Builder
 	Analyze(fixtureLog(), 2).WriteReport(&b)
 	out := b.String()
-	for _, want := range []string{"critical path", "parallelism", "1.25", "busy", "steal latency"} {
+	for _, want := range []string{"critical path", "parallelism", "1.25", "busy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// The steal section comes from the metrics document's counters and
+// histograms, not from the spans.
+func TestStealReport(t *testing.T) {
+	raw := json.RawMessage(`{
+		"schema": "itoyori-metrics/v1",
+		"counters": {"uth_steals": 3, "uth_failed_steals": 5},
+		"histograms": {
+			"uth_steal_latency_ns": {"bounds": [500, 1000], "counts": [1, 2, 0], "count": 3, "sum": 2100, "min": 100, "max": 1000},
+			"uth_failed_steal_latency_ns": {"bounds": [500, 1000], "counts": [5, 0, 0], "count": 5, "sum": 1000, "min": 200, "max": 200}
+		}
+	}`)
+	var b strings.Builder
+	if err := StealReport(&b, raw); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"3 ok, 5 failed", "steal latency (ns): count 3  mean 700  min 100  max 1000",
+		"<= 1000", "failed-steal latency (ns): count 5  mean 200"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("steal report missing %q:\n%s", want, out)
+		}
+	}
+	b.Reset()
+	if err := StealReport(&b, nil); err != nil || b.Len() != 0 {
+		t.Errorf("empty metrics: got err %v, output %q", err, b.String())
 	}
 }
 

@@ -25,7 +25,7 @@ const (
 	ChildFirst SchedPolicy = iota
 	// HelpFirst pushes the child task's descriptor on the deque and lets
 	// the parent keep running. Thieves steal not-yet-started tasks (a
-	// descriptor transfer, Config.TaskBytes), never live stacks; joins
+	// descriptor transfer, taskBytes), never live stacks; joins
 	// still migrate the blocked parent to the completing child's rank.
 	HelpFirst
 	// FBC is finish-based coordination (the ItoyoriFBC variant of the
@@ -74,7 +74,7 @@ type PolicyStats struct {
 	// rank that forked them.
 	PendingRuns uint64
 	// PendingSteals counts pending tasks stolen before they started —
-	// descriptor transfers of Config.TaskBytes, not stack transfers.
+	// descriptor transfers of taskBytes, not stack transfers.
 	PendingSteals uint64
 	// FBCWakes counts join waiters woken in place by a completion
 	// notification under FBC.

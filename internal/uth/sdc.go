@@ -167,7 +167,7 @@ func (p *Protector) Replicate(tb *TB, victim int, exec func() (uint64, uint64)) 
 	for {
 		t0 := tb.th.proc.Now()
 		tb.w.rank.ChargeAtomic(victim)
-		tb.w.rank.ChargeTransfer(victim, s.cfg.StackBytes)
+		tb.w.rank.ChargeTransfer(victim, stackBytes)
 		execN++
 		ret2, dig2 := exec()
 		p.Stats.Replicas++

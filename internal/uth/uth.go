@@ -92,13 +92,6 @@ type Config struct {
 	// and the policy every golden digest is pinned against. See
 	// SchedPolicy for HelpFirst and FBC.
 	Policy SchedPolicy
-	// StackBytes models the call-stack payload moved by a steal
-	// (uni-address stack transfer).
-	StackBytes int
-	// TaskBytes models the descriptor payload moved when a thief steals
-	// a pending (not-yet-started) task under HelpFirst and FBC (default
-	// 256). Child-first steals always move live stacks (StackBytes).
-	TaskBytes int
 	// Seed seeds the per-worker victim-selection PRNGs.
 	Seed int64
 	// LocalityAware makes thieves try same-node victims (cheap steals,
@@ -110,7 +103,7 @@ type Config struct {
 
 	// VictimBlacklist enables steal-victim backoff: a victim whose
 	// attempts repeatedly fail or exceed StealTimeout is skipped for a
-	// penalty window (doubling per repeat up to BlacklistMax, decaying on
+	// penalty window (doubling per repeat up to blacklistMax, decaying on
 	// a healthy probe), so a steal storm against a straggler does not
 	// serialize the cluster. Off by default: clean runs keep the paper's
 	// purely random victim selection, and the golden digest.
@@ -121,32 +114,31 @@ type Config struct {
 	// BlacklistAfter is the consecutive-strike count that blacklists a
 	// victim (default 3).
 	BlacklistAfter int
-	// BlacklistBase and BlacklistMax bound the doubling penalty window
-	// (defaults 50µs and 2ms).
-	BlacklistBase, BlacklistMax sim.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.StackBytes == 0 {
-		c.StackBytes = 2048
-	}
-	if c.TaskBytes == 0 {
-		c.TaskBytes = 256
-	}
 	if c.StealTimeout == 0 {
 		c.StealTimeout = 20 * sim.Microsecond
 	}
 	if c.BlacklistAfter == 0 {
 		c.BlacklistAfter = 3
 	}
-	if c.BlacklistBase == 0 {
-		c.BlacklistBase = 50 * sim.Microsecond
-	}
-	if c.BlacklistMax == 0 {
-		c.BlacklistMax = 2 * sim.Millisecond
-	}
 	return c
 }
+
+// Steal payloads and the victim blacklist's penalty bounds.
+const (
+	// stackBytes is the call-stack payload a steal moves (uni-address
+	// stack transfer).
+	stackBytes = 2048
+	// taskBytes is the descriptor payload a thief moves when it steals a
+	// pending (not-yet-started) task under HelpFirst and FBC. Child-first
+	// steals always move live stacks.
+	taskBytes = 256
+	// blacklistBase and blacklistMax bound the doubling penalty window.
+	blacklistBase = 50 * sim.Microsecond
+	blacklistMax  = 2 * sim.Millisecond
+)
 
 // Local scheduling costs (virtual time).
 const (
@@ -546,9 +538,9 @@ func (w *Worker) finishSteal() {
 	// A started continuation migrates its live stack; a pending task
 	// (help-first/FBC) moves only its descriptor and migrates nothing —
 	// the thread has never run anywhere yet.
-	bytes := s.cfg.StackBytes
+	bytes := stackBytes
 	if e.fn != nil {
-		bytes = s.cfg.TaskBytes
+		bytes = taskBytes
 		s.PolicyStats.PendingSteals++
 	} else {
 		s.Stats.Migrations++
@@ -594,13 +586,7 @@ func (w *Worker) noteStealOutcome(v int, d sim.Time, ok bool) {
 		return
 	}
 	w.strikes[v] = 0
-	dur := w.blackDur[v] * 2
-	if dur < s.cfg.BlacklistBase {
-		dur = s.cfg.BlacklistBase
-	}
-	if dur > s.cfg.BlacklistMax {
-		dur = s.cfg.BlacklistMax
-	}
+	dur := min(max(w.blackDur[v]*2, blacklistBase), blacklistMax)
 	w.blackDur[v] = dur
 	now := w.proc.Now()
 	w.blackUntil[v] = now + dur
