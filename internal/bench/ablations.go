@@ -15,7 +15,7 @@ import (
 // Ablation experiments probing the design choices DESIGN.md calls out:
 // sub-block size (§4.3.1), cache capacity (§3.3), distribution policy
 // (§4.2), lazy release (§5.2), FMM θ, locality-aware stealing (§8 future
-// work), and the cache communication batching (DESIGN.md §4.5). Rows
+// work), and write-back coalescing (DESIGN.md §4.5). Rows
 // abl/<ablation>/<variant>; one stated direction each in claim/abl.
 
 // ablations is what `itybench abl` walks, in print order.
@@ -39,15 +39,14 @@ func ablConfig(sc Scale) ityr.Config {
 // ablMetrics are the numbers an ablation row keeps of a run: its time and
 // the cache, scheduler and wire counters the ablations' lines print.
 func ablMetrics(t sim.Time, rt *ityr.Runtime) Metrics {
-	cache, batch, sched, wire := rt.Space().Stats, rt.Space().Batch, rt.Sched().Stats, rt.Comm().Stats()
+	cache, sched, wire := rt.Space().Stats, rt.Sched().Stats, rt.Comm().Stats()
 	return Metrics{
 		"sim_ns":      float64(t),
 		"fetch_bytes": float64(cache.FetchBytes), "fetch_ops": float64(cache.FetchOps),
 		"evictions": float64(cache.Evictions), "lazy_releases": float64(cache.LazyReleases),
-		"wb_ops":        float64(cache.WriteBackOps),
-		"round_trips":   float64(wire.GetOps + wire.PutOps + wire.AtomicOps),
-		"prefetch_hits": float64(batch.PrefetchHits), "prefetch_unused": float64(batch.PrefetchMisses),
-		"steals": float64(sched.Steals), "intra_steals": float64(sched.IntraSteals),
+		"wb_ops":      float64(cache.WriteBackOps),
+		"round_trips": float64(wire.GetOps + wire.PutOps + wire.AtomicOps),
+		"steals":      float64(sched.Steals), "intra_steals": float64(sched.IntraSteals),
 	}
 }
 
@@ -196,39 +195,19 @@ func ablFMMDistribution(w io.Writer, rep *Report, sc Scale) {
 	}
 }
 
-// batchVariants are the batching ablation's knob settings, in sweep order.
-var batchVariants = []struct {
-	name     string
-	coalesce bool
-	prefetch int
-}{
-	{"unbatched", false, 0},
-	{"coalesce", true, 0},
-	{"coalesce+pf1", true, 1},
-	{"coalesce+pf2", true, 2},
-	{"coalesce+pf4", true, 4},
-	{"coalesce+pf8", true, 8},
-}
-
-// ablBatching quantifies the cache communication-batching layer
-// (DESIGN.md §4.5): write-back coalescing and sequential prefetch,
-// separately and at increasing lookahead depth, on a Cilksort whose merge
-// phases stream sequentially through the distributed arrays — the pattern
-// both mechanisms target. Two block geometries bracket the effect: the
-// paper's 64 KiB blocks over block-cyclic arrays give the mechanisms
-// almost nothing to merge (adjacent same-home blocks sit nranks apart and
-// working sets span few blocks), so batching must be neutral there, while
-// 4 KiB blocks over a block distribution — the perf gate's
-// "communication microscope" geometry — expose the per-block structure
-// the mechanisms batch. Round trips are the paper's cost driver.
-// Coalescing only merges traffic the run would have issued anyway, so
-// its time does not move (30 ns in 1.97 ms at quick); prefetch is speculative — it trades extra
-// fetched bytes (and occasionally a little time) for fewer round trips,
-// which is why the depth sweep is here and why the perf gate pins the
-// shipped depth.
+// ablBatching quantifies write-back coalescing (DESIGN.md §4.5), off and
+// on, on a Cilksort whose merge phases stream sequentially through the
+// distributed arrays. Two block geometries bracket the effect: the paper's
+// 64 KiB blocks over block-cyclic arrays give coalescing nothing to merge
+// (adjacent same-home blocks sit nranks apart), so it must be inert there,
+// while 4 KiB blocks over a block distribution — the perf gate's
+// "communication microscope" geometry — expose the per-block dirty runs it
+// merges. Round trips are the paper's cost driver. Coalescing only merges
+// traffic the run would have issued anyway, so its time does not move
+// (30 ns in 1.97 ms at quick).
 func ablBatching(w io.Writer, rep *Report, sc Scale) {
 	n := sc.CilksortN
-	fmt.Fprintf(w, "\n== Ablation: cache communication batching (Cilksort %d elements, cutoff %d, %d ranks) ==\n",
+	fmt.Fprintf(w, "\n== Ablation: write-back coalescing (Cilksort %d elements, cutoff %d, %d ranks) ==\n",
 		n, sc.SortCutoff, sc.FixedRanks)
 	for _, g := range []struct {
 		name, title string
@@ -238,7 +217,10 @@ func ablBatching(w io.Writer, rep *Report, sc Scale) {
 		{"fine", "fine geometry: 4 KiB blocks, block dist", ityr.BlockDist},
 	} {
 		fmt.Fprintf(w, " -- %s --\n", g.title)
-		for _, v := range batchVariants {
+		for _, v := range []struct {
+			name     string
+			coalesce bool
+		}{{"unbatched", false}, {"coalesce", true}} {
 			m := rep.row(rowName("abl/batching", g.name, v.name), func() Metrics {
 				cfg := ablConfig(sc)
 				if g.name == "fine" {
@@ -246,11 +228,10 @@ func ablBatching(w io.Writer, rep *Report, sc Scale) {
 					cfg.Pgas.SubBlockSize = 512
 				}
 				cfg.Pgas.CoalesceWriteBack = v.coalesce
-				cfg.Pgas.PrefetchBlocks = v.prefetch
 				return ablMetrics(ablCilksort(cfg, n, sc.SortCutoff, g.dist))
 			})
-			fmt.Fprintf(w, "  %-14s sort %8.3f ms: %7.0f round trips, %5.0f wb ops, prefetch %4.0f hits / %.0f evicted unused\n",
-				v.name, m.ms(), m["round_trips"], m["wb_ops"], m["prefetch_hits"], m["prefetch_unused"])
+			fmt.Fprintf(w, "  %-14s sort %8.3f ms: %7.0f round trips, %5.0f wb ops\n",
+				v.name, m.ms(), m["round_trips"], m["wb_ops"])
 		}
 	}
 }
@@ -263,9 +244,8 @@ func ablBatching(w io.Writer, rep *Report, sc Scale) {
 // than eager write-back at fine grain; a larger θ is cheaper; locality-aware
 // stealing raises the intra-node share of steals and is faster; clustered
 // bodies (sphere, Plummer) leave the static MPI partitioning idler than the
-// uniform cube; and of the batching knobs, at the fine geometry coalescing cuts round trips
-// at the same time (within 1%) and the shipped prefetch depth 2 is faster
-// than unbatched, while at the paper's geometry every setting is inert.
+// uniform cube; and write-back coalescing cuts round trips at the same time
+// (within 1%) at the fine geometry, while at the paper's it is inert.
 func ablClaims(rep *Report, sc Scale) Metrics {
 	at := func(metric string, path ...any) float64 { return rep.at(metric, append([]any{"abl"}, path...)...) }
 	t := func(path ...any) float64 { return at("sim_ns", path...) }
@@ -283,11 +263,6 @@ func ablClaims(rep *Report, sc Scale) Metrics {
 	for i := 1; i < len(fmmThetas); i++ {
 		theta = theta && t("theta", fmmThetas[i-1]) > t("theta", fmmThetas[i])
 	}
-	inert := true
-	for _, v := range batchVariants[1:] {
-		inert = inert && t("batching/paper", v.name) == t("batching/paper", "unbatched") &&
-			at("round_trips", "batching/paper", v.name) == at("round_trips", "batching/paper", "unbatched")
-	}
 	wash := t("dist/block") / t("dist/block-cyclic")
 	return Metrics{
 		"subblock_trades_ops_for_bytes":     verdict(subblock),
@@ -304,7 +279,8 @@ func ablClaims(rep *Report, sc Scale) Metrics {
 		"batching_coalesce_cuts_round_trips_at_same_time": verdict(
 			at("round_trips", "batching/fine/coalesce") < at("round_trips", "batching/fine/unbatched") &&
 				t("batching/fine/coalesce") <= 1.01*t("batching/fine/unbatched")),
-		"batching_prefetch2_faster_than_unbatched": verdict(t("batching/fine/coalesce+pf2") < t("batching/fine/unbatched")),
-		"batching_inert_at_paper_geometry":         verdict(inert),
+		"batching_inert_at_paper_geometry": verdict(
+			t("batching/paper/coalesce") == t("batching/paper/unbatched") &&
+				at("round_trips", "batching/paper/coalesce") == at("round_trips", "batching/paper/unbatched")),
 	}
 }

@@ -135,9 +135,9 @@ var Scales = []Scale{Smoke, Quick, Full}
 // runtimeConfig assembles the paper-like machine configuration (Table 1,
 // scaled): 64 KiB blocks, 4 KiB sub-blocks, 16 MiB private cache per
 // process, block-cyclic collective distribution (chosen by the apps), the
-// child-first scheduler, and the cache's communication batching on
-// (write-back coalescing, prefetch depth 2): the headline experiments report
-// the batched cache, and abl/batching measures each knob's contribution.
+// child-first scheduler, and write-back coalescing on: the headline
+// experiments report the coalescing cache, and abl/batching measures what
+// coalescing contributes.
 func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Config {
 	return ityr.Config{
 		Ranks:        ranks,
@@ -148,7 +148,6 @@ func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Co
 			CacheSize:         16 << 20,
 			Policy:            pol,
 			CoalesceWriteBack: true,
-			PrefetchBlocks:    2,
 		},
 		Seed: seed,
 	}

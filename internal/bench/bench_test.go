@@ -11,6 +11,7 @@ import (
 	"ityr"
 	"ityr/internal/fault"
 	"ityr/internal/memblock"
+	"ityr/internal/sim"
 )
 
 // smokeFigures is the `figures` suite's report at Smoke and what it printed,
@@ -105,11 +106,11 @@ func TestEverySuiteReports(t *testing.T) {
 
 // TestAppsVerifiedAcrossPoliciesAndSchedulers is the app-level slice of the
 // differential matrix: every application, output verified, under every
-// cache policy × scheduling policy × batching knob setting (write-back
-// coalescing on/off, prefetch depth 0/2) × fault plan {none, armed but
-// empty}, and on the default knobs under two more victim seeds (Config.Seed;
-// the inputs' seeds stay fixed). The output must depend on none of them, so
-// each of an app's 120 cells verifies and all agree on one output checksum.
+// cache policy × scheduling policy × write-back coalescing on/off × fault
+// plan {none, armed but empty, latency jitter only}, and with coalescing on
+// under two more victim seeds (Config.Seed; the inputs' seeds stay fixed).
+// The output must depend on none of them, so each of an app's 96 cells
+// verifies and all agree on one output checksum.
 // Every cell runs on a poisoned cache-block pool (poisonPool), so the
 // output also cannot depend on what an unfetched cache byte holds.
 // poisonBlocks is how many poisoned blocks each matrix cell starts with:
@@ -133,6 +134,11 @@ func poisonPool(n, blockSize int) {
 }
 
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
+	plans := []*fault.Plan{
+		nil,
+		{Name: "empty", Seed: faultSeed},
+		{Name: "jitter", Seed: faultSeed, Links: []fault.LinkWindow{{Src: -1, Dst: -1, Jitter: 2 * sim.Microsecond}}},
+	}
 	for _, app := range verifiedApps {
 		var first string
 		var checksum uint64
@@ -154,18 +160,19 @@ func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 				base := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
 				base.Sched.Policy = sched
 				for _, coalesce := range []bool{true, false} {
-					for _, prefetch := range []int{2, 0} {
-						for _, plan := range []*fault.Plan{nil, {Name: "empty", Seed: faultSeed}} {
-							cfg := base
-							cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = coalesce, prefetch
-							cfg.Faults = plan
-							check(cfg, fmt.Sprintf("coalesce=%v/prefetch=%d/faults=%v", coalesce, prefetch, plan != nil))
+					for _, plan := range plans {
+						cfg := base
+						cfg.Pgas.CoalesceWriteBack = coalesce
+						cfg.Faults = plan
+						name := "none"
+						if plan != nil {
+							name = plan.Name
 						}
+						check(cfg, fmt.Sprintf("coalesce=%v/faults=%s", coalesce, name))
 					}
 				}
 				for _, seed := range []int64{faultSeed + 1, faultSeed + 2} {
 					cfg := base
-					cfg.Pgas.CoalesceWriteBack, cfg.Pgas.PrefetchBlocks = true, 2
 					cfg.Seed = seed
 					check(cfg, "default knobs")
 				}

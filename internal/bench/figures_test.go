@@ -116,7 +116,7 @@ var doctorings = map[string]func(r rows){
 		r.set("fig10/T1L'/Write-Back (Lazy)/32", "nodes_per_sec", 1.01*r["fig10/T1L'/No Cache/32"]["nodes_per_sec"])
 	},
 	"claim/fig10 nocache_flattens": func(r rows) {
-		r.set("fig10/T1L'/No Cache/32", "nodes_per_sec", r["fig10/T1L'/No Cache/16"]["nodes_per_sec"])
+		r.set("fig10/T1L'/Write-Back (Lazy)/32", "nodes_per_sec", r["fig10/T1L'/Write-Back (Lazy)/16"]["nodes_per_sec"])
 	},
 
 	"claim/fig11 cache_beats_nocache":        func(r rows) { r.swap("fig11/3000/No Cache/16", "fig11/3000/Write-Through/16", "sim_ns") },
@@ -138,8 +138,7 @@ var doctorings = map[string]func(r rows){
 	"claim/abl batching_coalesce_cuts_round_trips_at_same_time": func(r rows) {
 		r.swap("abl/batching/fine/unbatched", "abl/batching/fine/coalesce", "round_trips")
 	},
-	"claim/abl batching_prefetch2_faster_than_unbatched": func(r rows) { r.scale("abl/batching/fine/coalesce+pf2", "sim_ns", 0.9) },
-	"claim/abl batching_inert_at_paper_geometry":         func(r rows) { r["abl/batching/paper/coalesce+pf8"]["round_trips"]-- },
+	"claim/abl batching_inert_at_paper_geometry": func(r rows) { r["abl/batching/paper/coalesce"]["round_trips"]-- },
 }
 
 // TestClaimsCanFail is what makes a checked-in 1 mean something: every claim

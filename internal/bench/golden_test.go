@@ -70,10 +70,7 @@ func lazy(edit func(*ityr.Config)) func(*testing.T) string {
 	return cilk(ityr.WriteBackLazy, edit)
 }
 
-func batchingOff(cfg *ityr.Config) {
-	cfg.Pgas.CoalesceWriteBack = false
-	cfg.Pgas.PrefetchBlocks = 0
-}
+func batchingOff(cfg *ityr.Config) { cfg.Pgas.CoalesceWriteBack = false }
 
 // armed arms plan the way the fault suite does (faultConfig): victim
 // blacklisting on — the scheduler-side half of the resilience story.
@@ -136,15 +133,19 @@ var golden = []struct {
 	{test: "TestPinnedKernelDigests", name: "Write-Back (Lazy)", digest: lazy(nil),
 		pin: "elapsed=597253 final=679993 events=13415 fnv=65f3bb73229ccd22"},
 
-	// The cache communication-batching layer's zero-cost-when-off contract:
-	// with CoalesceWriteBack off and PrefetchBlocks zero the runtime
-	// reproduces the digests of the tree immediately before the layer was
-	// added. Only the lazy policy's differs from its batched row.
+	// Write-back coalescing's zero-cost-when-off contract: with
+	// CoalesceWriteBack off the runtime reproduces the digests of the tree
+	// immediately before the batching layer was added. Only the lazy
+	// policy's differs from its coalescing row.
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/No Cache", digest: cilk(ityr.NoCache, batchingOff), same: "No Cache"},
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Through", digest: cilk(ityr.WriteThrough, batchingOff), same: "Write-Through"},
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Back", digest: cilk(ityr.WriteBack, batchingOff), same: "Write-Back"},
 	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Back (Lazy)", digest: lazy(batchingOff),
 		pin: "elapsed=597253 final=679993 events=13415 fnv=75bdd24e9f14637c"},
+
+	// The field the benchmark module still sets is ignored.
+	{test: "TestIgnoredConfigInert", name: "prefetch-blocks-ignored",
+		digest: lazy(func(cfg *ityr.Config) { cfg.Pgas.PrefetchBlocks = 8 }), same: "Write-Back (Lazy)"},
 
 	// The scheduler seam: selecting childfirst explicitly is the default.
 	{test: "TestExplicitChildFirstMatchesPinned", name: "explicit-childfirst",
@@ -236,6 +237,7 @@ func checkGolden(t *testing.T) {
 func TestPinnedKernelDigests(t *testing.T)             { checkGolden(t) }
 func TestBatchingOffMatchesSeed(t *testing.T)          { checkGolden(t) }
 func TestExplicitChildFirstMatchesPinned(t *testing.T) { checkGolden(t) }
+func TestIgnoredConfigInert(t *testing.T)              { checkGolden(t) }
 func TestEmptyPlanMatchesNoPlan(t *testing.T)          { checkGolden(t) }
 func TestSDCDisabledDigestInert(t *testing.T)          { checkGolden(t) }
 func TestProfileDigestInert(t *testing.T)              { checkGolden(t) }

@@ -37,7 +37,7 @@ func perfMetrics(t sim.Time, st rma.Stats) Metrics {
 // only a couple of the paper's 64 KiB blocks, which hides the per-block
 // communication structure this gate exists to watch; shrinking the block
 // keeps blocks-per-working-set near the full-scale ratio, so coalescing
-// and prefetch exercise the same code paths they do at full scale.
+// exercises the same code paths it does at full scale.
 func perfConfig(sc Scale, pol ityr.Policy, seed int64) ityr.Config {
 	cfg := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, pol, seed)
 	cfg.Pgas.BlockSize = 4 << 10
@@ -49,7 +49,7 @@ func perfConfig(sc Scale, pol ityr.Policy, seed int64) ityr.Config {
 // experiment is one representative configuration of an app the paper
 // evaluates (§6), chosen for coverage of the access patterns that stress
 // the cache differently: cilksort (streaming merges over a block
-// distribution, the sequential-run regime prefetch targets), fmm (irregular
+// distribution, the dirty runs coalescing merges), fmm (irregular
 // tree walks whose releases stress the write-back path), uts (pointer
 // chasing — batching should stay out of the way), halo (raw SPMD RMA that
 // bypasses the cache entirely — a control whose numbers batching must not

@@ -236,15 +236,9 @@ func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
 		"pgas_evictions":       ps.Evictions,
 		"pgas_lazy_releases":   ps.LazyReleases,
 
-		// Communication batching (all zero unless the CoalesceWriteBack /
-		// PrefetchBlocks knobs are on).
+		// Write-back coalescing (zero unless CoalesceWriteBack is on).
 		"pgas_wb_runs_merged":     bs.WBRunsMerged,
 		"pgas_wb_coalesced_bytes": bs.WBCoalescedBytes,
-		"pgas_prefetch_ops":       bs.PrefetchOps,
-		"pgas_prefetch_blocks":    bs.PrefetchedBlocks,
-		"pgas_prefetch_bytes":     bs.PrefetchBytes,
-		"pgas_prefetch_hits":      bs.PrefetchHits,
-		"pgas_prefetch_misses":    bs.PrefetchMisses,
 
 		"uth_forks":            us.Forks,
 		"uth_steals":           us.Steals,

@@ -77,14 +77,6 @@ type Block struct {
 	Mapped bool
 	// Home distinguishes home blocks from cache blocks.
 	Home bool
-	// Prefetched marks a cache block whose bytes were speculatively
-	// fetched by the pgas prefetcher and not yet touched by a demand
-	// checkout. Acquire deliberately leaves it alone when recycling a
-	// block, so the pgas layer can still read the evicted identity's flag
-	// (an eviction of a still-set flag is a wasted prefetch) before
-	// resetting it for the new identity; InvalidateAllExceptDirty clears
-	// and counts it.
-	Prefetched bool
 
 	prev, next *Block
 	table      *Table
@@ -257,20 +249,14 @@ func (t *Table) DirtyBlocks() []*Block {
 // overwrite them (the invariant of Fig. 4 line 19: dirty ⊆ valid). The
 // fence protocol writes a cache back before invalidating it, so no block is
 // dirty here in practice; keeping dirty bytes valid makes the invalidation
-// safe under any schedule regardless. The same pass clears every Prefetched
-// mark and returns how many were set: speculative bytes discarded unread.
-func (t *Table) InvalidateAllExceptDirty() (prefetched int) {
+// safe under any schedule regardless.
+func (t *Table) InvalidateAllExceptDirty() {
 	for cur := t.head.next; cur != &t.tail; cur = cur.next {
-		if cur.Prefetched {
-			cur.Prefetched = false
-			prefetched++
-		}
 		cur.Valid.Clear()
 		if !cur.Dirty.Empty() {
 			cur.Valid.AddSet(&cur.Dirty)
 		}
 	}
-	return prefetched
 }
 
 // Release hands the table's block storage back to the process-wide pool

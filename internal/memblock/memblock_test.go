@@ -130,20 +130,16 @@ func TestAcquireClearsStaleState(t *testing.T) {
 }
 
 // TestInvalidateAllExceptDirty: invalidation clears every block's valid
-// bytes except its dirty ones, which stay valid (dirty ⊆ valid), and
-// counts and clears the prefetched marks.
+// bytes except its dirty ones, which stay valid (dirty ⊆ valid).
 func TestInvalidateAllExceptDirty(t *testing.T) {
 	tb := NewTable(4, 64, false)
 	for id := int64(0); id < 4; id++ {
 		b, _, _ := tb.Acquire(id)
 		b.Valid.Add(region.Interval{Lo: uint64(id) * 64, Hi: uint64(id)*64 + 64})
-		b.Prefetched = id%2 == 1
 	}
 	dirty := region.Interval{Lo: 8, Hi: 16}
 	tb.Peek(0).Dirty.Add(dirty)
-	if n := tb.InvalidateAllExceptDirty(); n != 2 {
-		t.Fatalf("InvalidateAllExceptDirty counted %d prefetched blocks, want 2", n)
-	}
+	tb.InvalidateAllExceptDirty()
 	for id := int64(0); id < 4; id++ {
 		b := tb.Peek(id)
 		want := uint64(0)
@@ -152,9 +148,6 @@ func TestInvalidateAllExceptDirty(t *testing.T) {
 		}
 		if b.Valid.Bytes() != want || want > 0 && !b.Valid.Contains(dirty) {
 			t.Fatalf("block %d valid %v after invalidate", id, b.Valid.Intervals())
-		}
-		if b.Prefetched {
-			t.Fatalf("block %d still marked prefetched", id)
 		}
 	}
 }

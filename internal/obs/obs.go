@@ -1,14 +1,13 @@
 // Package obs is the command line of the application binaries (cilksort,
 // fmm, utsmem) but for the application: Main registers the machine flags
 // (-ranks/-cores/-policy/-seed), the -trace/-metrics/-profile
-// observability flags, the -coalesce/-prefetch cache
-// communication-batching knobs, the -sched scheduling-policy selector,
-// -validate and the -sdc/-replicate silent-data-corruption knobs, builds
-// the runtime, hands it to the binary's body, writes the requested dumps
-// and sets the exit status. Keeping this here means every command has the
-// same flags with the same defaults and valid sets, emits the same file
-// formats (itytrace/v1 and itoyori-metrics/v1) that cmd/itytrace consumes,
-// and fails the same way.
+// observability flags, the -coalesce write-back coalescing knob, the -sched
+// scheduling-policy selector, -validate and the -sdc/-replicate
+// silent-data-corruption knobs, builds the runtime, hands it to the
+// binary's body, writes the requested dumps and sets the exit status.
+// Keeping this here means every command has the same flags with the same
+// defaults and valid sets, emits the same file formats (itytrace/v1 and
+// itoyori-metrics/v1) that cmd/itytrace consumes, and fails the same way.
 package obs
 
 import (
@@ -92,7 +91,6 @@ type options struct {
 	ring                    int
 	sched                   string
 	coalesce                bool
-	prefetch                int
 	sdc                     bool
 	replicate               float64
 	// validate arms the checkout-discipline validator
@@ -122,8 +120,6 @@ func register() *options {
 		"scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
 	flag.BoolVar(&o.coalesce, "coalesce", true,
 		"coalesce adjacent dirty regions into merged write-back puts")
-	flag.IntVar(&o.prefetch, "prefetch", 2,
-		"sequential-access prefetch depth in blocks (0 disables)")
 	// -sdc alone is the negative control (the run reports undetected
 	// escapes and usually fails verification); -replicate alone measures
 	// the pure replication overhead; together they show detection and
@@ -137,9 +133,8 @@ func register() *options {
 
 // apply carries the parsed flag values into cfg, whose Seed must already
 // be set (the -sdc plan is seeded from it). A nonempty -trace or -profile
-// arms the span trace or the streaming collector for the run; negative
-// prefetch depths are clamped to 0 (off). An unknown -sched value returns
-// the parse error listing the valid set.
+// arms the span trace or the streaming collector for the run. An unknown
+// -sched value returns the parse error listing the valid set.
 func (o *options) apply(cfg *core.Config) error {
 	pol, err := uth.ParseSchedPolicy(o.sched)
 	if err != nil {
@@ -151,7 +146,6 @@ func (o *options) apply(cfg *core.Config) error {
 	cfg.TraceRing = o.ring
 	cfg.Pgas.Validate = o.validate
 	cfg.Pgas.CoalesceWriteBack = o.coalesce
-	cfg.Pgas.PrefetchBlocks = max(o.prefetch, 0)
 	if o.sdc {
 		plan := fault.PlanSDC(cfg.Seed)
 		cfg.Faults = &plan

@@ -92,98 +92,3 @@ func TestCoalesceAcrossBlockBoundaryWithHole(t *testing.T) {
 		t.Errorf("batch stats = %+v, want 1 run merged / 100 coalesced bytes", on.Batch)
 	}
 }
-
-// streamRead sequentially reads n 256-byte blocks of rank 1's home chunk
-// through the cache on rank 0, verifying each view against the pattern.
-func streamRead(t *testing.T, l *Local, chunk Addr, n int) {
-	t.Helper()
-	for k := 0; k < n; k++ {
-		addr := chunk + Addr(k*256)
-		v, err := l.Checkout(addr, 256, Read)
-		if err != nil {
-			t.Errorf("checkout block %d: %v", k, err)
-			return
-		}
-		for i, b := range v {
-			if want := byte((int(addr-chunk) + i) % 251); b != want {
-				t.Errorf("block %d byte %d = %#x, want %#x", k, i, b, want)
-				break
-			}
-		}
-		if err := l.Checkin(addr, 256, Read); err != nil {
-			t.Errorf("checkin block %d: %v", k, err)
-		}
-	}
-}
-
-func fillChunk(t *testing.T, l *Local, chunk Addr) {
-	t.Helper()
-	data := make([]byte, 2048)
-	for i := range data {
-		data[i] = byte(i % 251)
-	}
-	if err := l.Put(data, chunk); err != nil {
-		t.Errorf("fill: %v", err)
-	}
-}
-
-// TestPrefetchClampedAtSpaceEnd checks that an 8-deep prefetch triggered
-// near the end of the allocation stops at the boundary: the second demand
-// miss prefetches exactly the six remaining blocks in one batched Get, and
-// every subsequent read is a prefetch hit.
-func TestPrefetchClampedAtSpaceEnd(t *testing.T) {
-	cfg := smallCfg(WriteBack)
-	cfg.PrefetchBlocks = 8
-	s := testCluster(t, 2, 1, cfg, func(l *Local) {
-		if l.Rank().ID() != 0 {
-			l.Rank().Barrier()
-			return
-		}
-		base := l.AllocCollective(4096, BlockDist)
-		chunk := base + 2048 // rank 1's home: 8 blocks of 256 bytes
-		fillChunk(t, l, chunk)
-		streamRead(t, l, chunk, 8)
-		l.Rank().Barrier()
-	})
-	if s.Batch.PrefetchOps != 1 || s.Batch.PrefetchedBlocks != 6 || s.Batch.PrefetchBytes != 6*256 {
-		t.Errorf("prefetch stats = %+v, want 1 op / 6 blocks / %d bytes (clamped at space end)",
-			s.Batch, 6*256)
-	}
-	if s.Stats.FetchOps != 2 {
-		t.Errorf("FetchOps = %d, want 2 demand fetches (rest prefetched)", s.Stats.FetchOps)
-	}
-	if s.Batch.PrefetchHits != 6 || s.Batch.PrefetchMisses != 0 {
-		t.Errorf("prefetch hits/misses = %d/%d, want 6/0", s.Batch.PrefetchHits, s.Batch.PrefetchMisses)
-	}
-}
-
-// TestPrefetchUnderTinyCache streams through a cache holding only 4 blocks
-// with an 8-deep prefetcher: speculation must survive evicting its own
-// blocks (and never pinning or writing anything back) while every read
-// still returns correct data.
-func TestPrefetchUnderTinyCache(t *testing.T) {
-	cfg := smallCfg(WriteBack)
-	cfg.CacheSize = 4 * 256 // 4 cache blocks
-	cfg.MaxHomeBlocks = 2   // tiny home-mapping budget on the side
-	cfg.PrefetchBlocks = 8
-	s := testCluster(t, 2, 1, cfg, func(l *Local) {
-		if l.Rank().ID() != 0 {
-			l.Rank().Barrier()
-			return
-		}
-		base := l.AllocCollective(4096, BlockDist)
-		chunk := base + 2048
-		fillChunk(t, l, chunk)
-		streamRead(t, l, chunk, 8)
-		l.Rank().Barrier()
-	})
-	if s.Batch.PrefetchOps == 0 {
-		t.Errorf("expected at least one prefetch under the tiny cache")
-	}
-	if s.Batch.PrefetchMisses == 0 {
-		t.Errorf("an 8-deep prefetch into a 4-block cache must evict some of its own blocks unused: %+v", s.Batch)
-	}
-	if s.Stats.WriteBackOps != 0 {
-		t.Errorf("read-only prefetch stream wrote back %d times", s.Stats.WriteBackOps)
-	}
-}

@@ -179,19 +179,7 @@ func (l *Local) invalidateAll() {
 	if l.cache.HasDirty() {
 		l.writeBackAll(trace.KWriteBackAll, 0)
 	}
-	// Invalidation discards speculative bytes nothing ever read: count
-	// them as wasted prefetches.
-	for n := l.cache.InvalidateAllExceptDirty(); n > 0; n-- {
-		l.pfMiss()
-	}
-	if l.space.cfg.PrefetchBlocks > 0 {
-		// The access-run detector's history predates the invalidation, so
-		// a run it reports would span the epoch boundary — exactly the
-		// speculation the invalidation just proved worthless. Reset it so
-		// prefetching resumes only once a fresh run forms.
-		l.lastBid = -1
-		l.runLen = 0
-	}
+	l.cache.InvalidateAllExceptDirty()
 	l.rank.Proc().Advance(costInvalidate)
 	l.space.Stats.Invalidations++
 }

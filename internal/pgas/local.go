@@ -48,17 +48,6 @@ type Local struct {
 	wbStage   []byte
 	wbTargets []int
 
-	// Prefetch state (Config.PrefetchBlocks): the last block ID this rank
-	// checked out through the cache path and the length of the current
-	// ascending run, plus scratch for the blocks and bytes of one batched
-	// lookahead Get. pfCredit is the confidence counter gating
-	// speculation (see the constants in batch.go).
-	lastBid  int64
-	runLen   int
-	pfCredit int
-	pfBlks   []pfBlock
-	pfStage  []byte
-
 	// ProfCategory, when non-empty, redirects the time of subsequent
 	// checkout/checkin calls to the named profiler category instead of
 	// "Checkout"/"Checkin". The paper uses this to attribute the
@@ -335,9 +324,6 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			return nil, err
 		}
 		cb.Ref++
-		wasPrefetched := cb.Prefetched
-		cb.Prefetched = false
-		var fetched uint64
 		if mode == Write {
 			cb.Valid.Add(req)
 			l.hit(req.Len())
@@ -362,6 +348,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			// is built, and marked valid at the copy instant: rma.Get copies
 			// host bytes before charging time, so Add-then-Get keeps the
 			// valid set exact at every virtual instant of the fetch.
+			var fetched uint64
 			for {
 				m, ok := cb.Valid.FirstMissing(padded)
 				if !ok {
@@ -380,37 +367,11 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			}
 		} else {
 			l.hit(req.Len())
-			if wasPrefetched {
-				l.pfHit()
-			}
 		}
 		rec.pieces = append(rec.pieces, piece{
 			g: Addr(req.Lo), n: int(req.Len()),
 			cb: cb, blockBase: g0,
 		})
-		if s.cfg.PrefetchBlocks > 0 {
-			// Sequential-run detection: a run extends when the block ID
-			// advances by at most one home stride (1, or nranks under a
-			// block-cyclic distribution, where a rank streaming the whole
-			// array still steps block IDs by 1). A demand miss that
-			// extends a run of length >= 2 triggers the lookahead fetch.
-			strideBlocks := int64(1)
-			if a.base < ncBase && a.policy == BlockCyclicDist {
-				strideBlocks = int64(a.nranks)
-			}
-			switch d := int64(bid) - l.lastBid; {
-			case d == 0:
-				// Same block as last time: the run is unchanged.
-			case d >= 1 && d <= strideBlocks:
-				l.runLen++
-			default:
-				l.runLen = 1
-			}
-			l.lastBid = int64(bid)
-			if fetched > 0 && l.runLen >= 2 && l.pfCredit > 0 {
-				l.prefetch(a, g0, homeRank, win, segOff0)
-			}
-		}
 	}
 
 	// Wait for all fetches (MPI_Win_flush_all at Fig. 4 line 30).
@@ -441,13 +402,6 @@ func (l *Local) acquireCacheBlock(bid int64) (*memblock.Block, error) {
 		return nil, fmt.Errorf("%w: %v", ErrTooMuchCheckout, err)
 	}
 	if evicted != nil {
-		// The evicted identity's prefetch flag survives Acquire's reset
-		// (see memblock.Block.Prefetched): still set means the speculative
-		// bytes were evicted unused.
-		if cb.Prefetched {
-			l.pfMiss()
-			cb.Prefetched = false
-		}
 		l.rank.Proc().Advance(costMmap)
 		l.space.Stats.Mmaps++
 		l.space.Stats.Evictions++

@@ -129,14 +129,7 @@ type Config struct {
 	// for everything. Off (false, the default) reproduces the unbatched
 	// seed behaviour bit-identically.
 	CoalesceWriteBack bool
-	// PrefetchBlocks enables sequential-access block prefetch on checkout:
-	// when a cache miss extends a detected run of ascending same-home
-	// block accesses, up to PrefetchBlocks lookahead blocks from that home
-	// are fetched in one batched rma.Get alongside the demand fetch.
-	// Prefetched blocks are unpinned and evict normally, and the prefetch
-	// never forces a write-back: under cache pressure it simply stops.
-	// 0 (the default) disables prefetching.
-	PrefetchBlocks int
+	PrefetchBlocks    int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 	// Validate enables the checkout-discipline validator (see validate.go):
 	// every checkout carries tracked access rights, and accesses breaking
 	// the memory-model contract (write-under-read, conflicting-checkouts,

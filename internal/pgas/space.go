@@ -81,11 +81,10 @@ type Space struct {
 	// Stats aggregates cache behaviour over the whole space: one struct
 	// shared by every rank.
 	Stats SpaceStats
-	// Batch aggregates communication-batching behaviour (write-back
-	// coalescing and prefetch). Kept separate from Stats so runs with the
-	// batching knobs off leave it zero — golden digests fold Batch in only
-	// when it is nonzero, which keeps knobs-off digests bit-identical to
-	// runs that predate the batching layer.
+	// Batch aggregates write-back coalescing behaviour. Kept separate from
+	// Stats so runs with coalescing off leave it zero — golden digests fold
+	// Batch in only when it is nonzero, which keeps knobs-off digests
+	// bit-identical to runs that predate the batching layer.
 	Batch BatchStats
 	// TaskOf, when non-nil, maps a rank to the trace DAG thread ID of the
 	// task segment it is currently executing (0 = SPMD context). The
@@ -96,26 +95,16 @@ type Space struct {
 	val *validator
 }
 
-// BatchStats counts communication-batching events across all ranks. All
-// fields stay zero unless Config.CoalesceWriteBack or
-// Config.PrefetchBlocks is set.
+// BatchStats counts write-back coalescing events across all ranks. All
+// fields stay zero unless Config.CoalesceWriteBack is set.
 type BatchStats struct {
 	// WBRunsMerged counts dirty runs folded into a preceding run's Put
 	// (k runs merged into one Put add k-1 here).
 	WBRunsMerged uint64
 	// WBCoalescedBytes counts bytes shipped in merged (multi-run) Puts.
 	WBCoalescedBytes uint64
-	// PrefetchOps counts batched prefetch Gets issued.
-	PrefetchOps uint64
-	// PrefetchedBlocks counts cache blocks filled by prefetch.
-	PrefetchedBlocks uint64
-	// PrefetchBytes counts bytes moved by prefetch Gets.
-	PrefetchBytes uint64
-	// PrefetchHits counts checkouts fully satisfied by a prefetched block.
-	PrefetchHits uint64
-	// PrefetchMisses counts prefetched blocks evicted or invalidated
-	// before any demand checkout touched them (wasted prefetches).
-	PrefetchMisses uint64
+	PrefetchedBlocks uint64 // always zero; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
+	PrefetchHits     uint64 // always zero; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 }
 
 // SpaceStats counts cache events across all ranks.
@@ -162,11 +151,10 @@ func New(comm *rma.Comm, cfg Config) *Space {
 	for i := 0; i < n; i++ {
 		s.ncNext[i] = ncBase + Addr(i)*ncSpan
 		s.locals[i] = Local{
-			space:    s,
-			rank:     comm.Rank(i),
-			cache:    memblock.NewTable(cacheBlocks, cfg.BlockSize, false),
-			home:     memblock.NewTable(cfg.MaxHomeBlocks, cfg.BlockSize, true),
-			pfCredit: pfInitCredit,
+			space: s,
+			rank:  comm.Rank(i),
+			cache: memblock.NewTable(cacheBlocks, cfg.BlockSize, false),
+			home:  memblock.NewTable(cfg.MaxHomeBlocks, cfg.BlockSize, true),
 		}
 		// A pseudo-allocation per rank describing its noncollective region
 		// keeps address resolution uniform.

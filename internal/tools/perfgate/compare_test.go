@@ -12,7 +12,7 @@ func sampleReport() *bench.Report {
 		Schema: bench.Schema,
 		Suite:  "perf",
 		Scale:  "smoke",
-		Config: map[string]any{"coalesce": true, "prefetch": 2.0, "host_cpus": 2.0},
+		Config: map[string]any{"coalesce": true, "ranks": 32.0, "host_cpus": 2.0},
 		Host:   []string{"host_cpus", "host_ms"},
 		Rows: map[string]bench.Metrics{
 			"cilksort": {"sim_ns": 484333, "round_trips": 387, "rma_bytes": 495988, "host_ms": 12.5},
@@ -105,10 +105,10 @@ func TestCompareExperimentSetMismatch(t *testing.T) {
 
 func TestCompareKnobOrScaleMismatch(t *testing.T) {
 	cur := sampleReport()
-	cur.Config["prefetch"] = 0.0
+	cur.Config["ranks"] = 16.0
 	f := compare(sampleReport(), cur, 0.02)
-	if len(f) != 1 || !strings.Contains(f[0], "prefetch=2") || !strings.Contains(f[0], "prefetch=0") {
-		t.Fatalf("want a single finding showing both prefetch values, got %v", f)
+	if len(f) != 1 || !strings.Contains(f[0], "ranks=32") || !strings.Contains(f[0], "ranks=16") {
+		t.Fatalf("want a single finding showing both rank counts, got %v", f)
 	}
 
 	cur = sampleReport()

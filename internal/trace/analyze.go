@@ -235,18 +235,10 @@ func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
 		snap.Counters["pgas_evictions"],
 		snap.Counters["pgas_writeback_ops"],
 		snap.Counters["pgas_writeback_bytes"])
-	// Communication-batching lines appear only when the knobs were on.
+	// The coalescing line appears only when the knob was on.
 	if merged := snap.Counters["pgas_wb_runs_merged"]; merged > 0 {
 		fmt.Fprintf(w, "  coalesced  %d dirty runs merged into larger puts (%d bytes shipped merged)\n",
 			merged, snap.Counters["pgas_wb_coalesced_bytes"])
-	}
-	if ops := snap.Counters["pgas_prefetch_ops"]; ops > 0 {
-		fmt.Fprintf(w, "  prefetch   %d batched gets / %d blocks / %d bytes: %d hits, %d evicted unused\n",
-			ops,
-			snap.Counters["pgas_prefetch_blocks"],
-			snap.Counters["pgas_prefetch_bytes"],
-			snap.Counters["pgas_prefetch_hits"],
-			snap.Counters["pgas_prefetch_misses"])
 	}
 	return nil
 }

@@ -54,8 +54,9 @@ const (
 	// meaning across versions.
 	KRetry
 	KBlacklist
-	// KPrefetch was added with the cache communication-batching layer
-	// (sequential-access block prefetch), appended per the same rule.
+	// KPrefetch was added with the sequential-access block prefetch, appended
+	// per the same rule. The prefetch is gone and nothing records the kind;
+	// the slot stays so later kinds keep their values.
 	KPrefetch
 	// KReplica and KSdcDetect were added with the silent-data-corruption
 	// subsystem (task replication + wire checksums), appended per the
@@ -111,7 +112,6 @@ func (k Kind) String() string {
 //	             which the recording rank skips the victim for steals)
 //	KCacheMiss   Arg = bytes fetched
 //	KWriteBack   Arg = bytes written back
-//	KPrefetch    Arg = bytes prefetched in one batched lookahead Get
 //	KReplica     Arg = victim rank,     Arg2 = execution number ≥ 2 (span:
 //	             one redundant execution of a protected task segment)
 //	KSdcDetect   Arg = target/victim rank, Arg2 = attempt/replay number
