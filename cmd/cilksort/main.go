@@ -36,7 +36,7 @@ func main() {
 			if err != nil {
 				return false, err
 			}
-			serial := cilksort.SerialTime(p.N)
+			serial := ityr.SortSerialTime(p.N)
 			fmt.Printf("cilksort: n=%d cutoff=%d ranks=%d policy=%v\n", p.N, p.Cutoff, cfg.Ranks, cfg.Pgas.Policy)
 			fmt.Printf("  sort time      %.3f ms (virtual)\n", float64(res.SortTime)/1e6)
 			fmt.Printf("  serial model   %.3f ms  -> speedup %.1fx\n",

@@ -9,17 +9,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"strings"
 
 	"ityr"
 )
 
-const (
-	nValues = 1 << 19
-	nBins   = 64
-)
+const nBins = 64
 
 func main() {
+	if err := run(os.Stdout, 1<<19); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run histograms nValues pseudo-random values, failing if one is lost.
+func run(w io.Writer, nValues int64) error {
 	cfg := ityr.Config{
 		Ranks:        24,
 		CoresPerNode: 8,
@@ -47,30 +54,26 @@ func main() {
 		hist = histogram(c, data)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var total int64
-	max := int64(0)
+	var total, max int64
 	for _, h := range hist {
 		total += h
 		if h > max {
 			max = h
 		}
 	}
-	fmt.Printf("histogram of %d values into %d bins in %.3f ms (virtual)\n",
+	fmt.Fprintf(w, "histogram of %d values into %d bins in %.3f ms (virtual)\n",
 		total, nBins, float64(elapsed)/1e6)
 	for b := 0; b < 8; b++ { // print the first few bins as a bar chart
 		bar := int(hist[b] * 40 / max)
-		fmt.Printf("  bin %2d %8d ", b, hist[b])
-		for i := 0; i < bar; i++ {
-			fmt.Print("#")
-		}
-		fmt.Println()
+		fmt.Fprintf(w, "  bin %2d %8d %s\n", b, hist[b], strings.Repeat("#", bar))
 	}
 	if total != nValues {
-		log.Fatalf("histogram lost values: %d != %d", total, nValues)
+		return fmt.Errorf("histogram lost values: %d != %d", total, nValues)
 	}
+	return nil
 }
 
 func histogram(c *ityr.Ctx, data ityr.GSpan[uint32]) [nBins]int64 {

@@ -8,16 +8,25 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ityr"
 	"ityr/internal/apps/fmm"
 )
 
 func main() {
-	params := fmm.Params{N: 4000, Theta: 0.3, NCrit: 32, NSpawn: 200, Seed: 7}
+	if err := run(os.Stdout, 4000); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	fmt.Printf("FMM with %d bodies, θ=%.2f on 32 simulated ranks\n", params.N, params.Theta)
+// run evaluates n bodies under every cache policy.
+func run(w io.Writer, n int) error {
+	params := fmm.Params{N: n, Theta: 0.3, NCrit: 32, NSpawn: 200, Seed: 7}
+
+	fmt.Fprintf(w, "FMM with %d bodies, θ=%.2f on 32 simulated ranks\n", params.N, params.Theta)
 	for _, pol := range ityr.Policies {
 		cfg := ityr.Config{
 			Ranks:        32,
@@ -48,14 +57,15 @@ func main() {
 			}
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		// Accuracy against O(N²) direct summation on the host.
 		bodies := fmm.GenBodies(params.N, params.Seed)
 		fmm.BuildTree(bodies, params.NCrit) // same tree ordering as the run
 		ref := fmm.DirectHost(bodies)
-		fmt.Printf("  %-18s %9.3f ms   potential err %.1e\n",
+		fmt.Fprintf(w, "  %-18s %9.3f ms   potential err %.1e\n",
 			pol, float64(elapsed)/1e6, fmm.PotentialError(result, ref))
 	}
+	return nil
 }

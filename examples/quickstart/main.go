@@ -7,19 +7,27 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ityr"
 )
 
 func main() {
+	if err := run(os.Stdout, 1<<20); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run initializes and sums an n-element global array.
+func run(w io.Writer, n int64) error {
 	cfg := ityr.Config{
 		Ranks:        16, // 2 simulated nodes x 8 cores
 		CoresPerNode: 8,
 		Seed:         1,
 	}
 
-	const n = 1 << 20
 	var sum int64
 	elapsed, err := ityr.LaunchRoot(cfg, func(c *ityr.Ctx) {
 		// A global array distributed block-cyclically over all ranks.
@@ -40,12 +48,13 @@ func main() {
 		sum = reduce(c, a)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	want := int64(n) * (n - 1) / 2
-	fmt.Printf("sum = %d (want %d, match=%v)\n", sum, want, sum == want)
-	fmt.Printf("virtual execution time: %.3f ms on %d ranks\n", float64(elapsed)/1e6, cfg.Ranks)
+	want := n * (n - 1) / 2
+	fmt.Fprintf(w, "sum = %d (want %d, match=%v)\n", sum, want, sum == want)
+	fmt.Fprintf(w, "virtual execution time: %.3f ms on %d ranks\n", float64(elapsed)/1e6, cfg.Ranks)
+	return nil
 }
 
 func reduce(c *ityr.Ctx, a ityr.GSpan[int64]) int64 {

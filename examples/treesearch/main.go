@@ -9,15 +9,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ityr"
 	"ityr/internal/apps/uts"
 )
 
 func main() {
-	tree := uts.Tree{Name: "demo", Seed: 11, RootKids: 500, MeanKids: 0.97, MaxDepth: 500}
-	fmt.Printf("unbalanced tree with %d nodes on 16 simulated ranks\n", uts.CountHost(tree))
+	if err := run(os.Stdout, uts.Tree{Name: "demo", Seed: 11, RootKids: 500, MeanKids: 0.97, MaxDepth: 500}); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds and searches tree under two cache policies.
+func run(w io.Writer, tree uts.Tree) error {
+	fmt.Fprintf(w, "unbalanced tree with %d nodes on 16 simulated ranks\n", uts.CountHost(tree))
 
 	for _, pol := range []ityr.Policy{ityr.NoCache, ityr.WriteBackLazy} {
 		cfg := ityr.Config{
@@ -45,10 +53,11 @@ func main() {
 			}
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		st := rt.Space().Stats
-		fmt.Printf("  %-18s build %8.3f ms, traverse %8.3f ms (%d nodes, %.2f MB fetched, %d steals)\n",
+		fmt.Fprintf(w, "  %-18s build %8.3f ms, traverse %8.3f ms (%d nodes, %.2f MB fetched, %d steals)\n",
 			pol, buildMS, travMS, count, float64(st.FetchBytes)/1e6, rt.Sched().Stats.Steals)
 	}
+	return nil
 }

@@ -2,13 +2,10 @@
 // recursive parallel merge sort over global memory with checkout/checkin.
 // The sort is the library's, ityr.SortSpanWith — an ordinary program over
 // the public API (§3.1) — and this package is the benchmark around it: the
-// element type, the input generator, the checks and the serial-time model.
+// element type, the input generator and the checks.
 package cilksort
 
-import (
-	"ityr"
-	"ityr/internal/sim"
-)
+import "ityr"
 
 // Elem is the element type sorted by the benchmark (4-byte integers, as in
 // the paper).
@@ -27,7 +24,7 @@ func Generate(c *ityr.Ctx, a ityr.GSpan[Elem], seed uint64) {
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			v[i] = Elem(z ^ (z >> 31))
 		}
-		c.Charge(sim.Time(hi-lo) * 2)
+		c.Charge(ityr.Time(hi-lo) * 2)
 		ityr.Checkin(c, a.Slice(lo, hi), ityr.Write)
 	})
 }
@@ -52,7 +49,7 @@ func IsSorted(c *ityr.Ctx, a ityr.GSpan[Elem]) bool {
 				ok = false
 			}
 		}
-		c.Charge(sim.Time(hi - lo))
+		c.Charge(ityr.Time(hi - lo))
 		ityr.Checkin(c, a.Slice(lo, hi+1), ityr.Read)
 	})
 	return ok
@@ -69,7 +66,7 @@ func Checksum(c *ityr.Ctx, a ityr.GSpan[Elem]) int64 {
 			for _, x := range v {
 				t += int64(x)
 			}
-			c.Charge(sim.Time(s.Len))
+			c.Charge(ityr.Time(s.Len))
 			ityr.Checkin(c, s, ityr.Read)
 			return t
 		}
@@ -83,8 +80,3 @@ func Checksum(c *ityr.Ctx, a ityr.GSpan[Elem]) int64 {
 	}
 	return sum(c, a)
 }
-
-// SerialTime returns the modelled serial execution time for sorting n
-// elements (the all-runtime-calls-elided baseline used for speedups in
-// Fig. 8): ityr.SortSerialTime.
-func SerialTime(n int64) sim.Time { return ityr.SortSerialTime(n) }

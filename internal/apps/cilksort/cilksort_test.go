@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ityr"
-	"ityr/internal/sim"
 )
 
 func cfg(ranks int, pol ityr.Policy) ityr.Config {
@@ -165,7 +164,7 @@ func TestCachingImprovesFineGrainedSort(t *testing.T) {
 	// The Fig. 7 claim in miniature: at a small cutoff, the lazy
 	// write-back cache beats the no-cache GET/PUT baseline.
 	const n = 1 << 14
-	run := func(pol ityr.Policy) sim.Time {
+	run := func(pol ityr.Policy) ityr.Time {
 		elapsed, err := ityr.LaunchRoot(cfg(8, pol), func(c *ityr.Ctx) {
 			a := ityr.AllocArray[Elem](c, n, ityr.BlockCyclicDist)
 			b := ityr.AllocArray[Elem](c, n, ityr.BlockCyclicDist)

@@ -1,9 +1,6 @@
 package cilksort
 
-import (
-	"ityr"
-	"ityr/internal/sim"
-)
+import "ityr"
 
 // Params sizes one Cilksort run.
 type Params struct {
@@ -21,7 +18,7 @@ type Params struct {
 type Result struct {
 	// SortTime is the virtual time of the sort alone (generation excluded,
 	// as in the paper).
-	SortTime sim.Time
+	SortTime ityr.Time
 	// Checksum is the sorted array's element sum and Verified says it is
 	// sorted and sums to what was generated; both only under Params.Verify.
 	Checksum int64

@@ -4,7 +4,6 @@ import (
 	"unsafe"
 
 	"ityr"
-	"ityr/internal/sim"
 )
 
 // Params configures an FMM run (defaults follow §6.4 of the paper).
@@ -44,13 +43,13 @@ func (p Params) WithDefaults() Params {
 // package's (cheaper) Cartesian order-2 kernels, so that the
 // compute-to-communication ratio matches the evaluated system.
 const (
-	costP2PPair  = 23 * sim.Nanosecond
-	costM2L      = 1100 * sim.Nanosecond // O(P⁴) translation
-	costM2M      = 400 * sim.Nanosecond
-	costL2L      = 400 * sim.Nanosecond
-	costP2MBody  = 120 * sim.Nanosecond
-	costL2PBody  = 180 * sim.Nanosecond
-	costTraverse = 14 * sim.Nanosecond // MAC + recursion step
+	costP2PPair  = 23 * ityr.Nanosecond
+	costM2L      = 1100 * ityr.Nanosecond // O(P⁴) translation
+	costM2M      = 400 * ityr.Nanosecond
+	costL2L      = 400 * ityr.Nanosecond
+	costP2MBody  = 120 * ityr.Nanosecond
+	costL2PBody  = 180 * ityr.Nanosecond
+	costTraverse = 14 * ityr.Nanosecond // MAC + recursion step
 )
 
 // Profiler categories.
@@ -180,7 +179,7 @@ func (pr *Problem) upward(c *ityr.Ctx, ci int32) {
 			bspan := pr.Bodies.Slice(int64(h.Body), int64(h.Body+h.NBody))
 			v := ityr.Checkout(c, bspan, ityr.Read)
 			P2M(v, h.CX, h.CY, h.CZ, &m)
-			c.ChargeAs(CatKernel, sim.Time(h.NBody)*costP2MBody)
+			c.ChargeAs(CatKernel, ityr.Time(h.NBody)*costP2MBody)
 			ityr.Checkin(c, bspan, ityr.Read)
 			pr.writeM(c, ci, &m)
 			return 0
@@ -274,7 +273,7 @@ func (pr *Problem) p2pLeaves(c *ityr.Ctx, ha, hb *cellHdr, self bool) {
 		P2P(tv, sv, false)
 		ityr.Checkin(c, sspan, ityr.Read)
 	}
-	c.ChargeAs(CatP2P, sim.Time(ha.NBody)*sim.Time(hb.NBody)*costP2PPair)
+	c.ChargeAs(CatP2P, ityr.Time(ha.NBody)*ityr.Time(hb.NBody)*costP2PPair)
 	ityr.Checkin(c, tspan, ityr.ReadWrite)
 }
 
@@ -285,7 +284,7 @@ func (pr *Problem) downward(c *ityr.Ctx, ci int32) {
 		bspan := pr.Bodies.Slice(int64(h.Body), int64(h.Body+h.NBody))
 		v := ityr.Checkout(c, bspan, ityr.ReadWrite)
 		L2P(&l, h.CX, h.CY, h.CZ, v)
-		c.ChargeAs(CatKernel, sim.Time(h.NBody)*costL2PBody)
+		c.ChargeAs(CatKernel, ityr.Time(h.NBody)*costL2PBody)
 		ityr.Checkin(c, bspan, ityr.ReadWrite)
 		return
 	}
@@ -317,14 +316,14 @@ type Counters struct {
 
 // SerialTime converts kernel counts into the modelled serial execution
 // time (the elided-runtime baseline of Fig. 11's speedup lines).
-func (k Counters) SerialTime() sim.Time {
-	return sim.Time(k.P2PPairs)*costP2PPair +
-		sim.Time(k.M2L)*costM2L +
-		sim.Time(k.M2M)*costM2M +
-		sim.Time(k.L2L)*costL2L +
-		sim.Time(k.P2MBody)*costP2MBody +
-		sim.Time(k.L2PBody)*costL2PBody +
-		sim.Time(k.Steps)*costTraverse
+func (k Counters) SerialTime() ityr.Time {
+	return ityr.Time(k.P2PPairs)*costP2PPair +
+		ityr.Time(k.M2L)*costM2L +
+		ityr.Time(k.M2M)*costM2M +
+		ityr.Time(k.L2L)*costL2L +
+		ityr.Time(k.P2MBody)*costP2MBody +
+		ityr.Time(k.L2PBody)*costL2PBody +
+		ityr.Time(k.Steps)*costTraverse
 }
 
 // CountKernels performs the traversal on the host, tallying kernel calls.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ityr"
-	"ityr/internal/sim"
 )
 
 func cfg(ranks int, pol ityr.Policy) ityr.Config {
@@ -21,7 +20,7 @@ func cfg(ranks int, pol ityr.Policy) ityr.Config {
 // runSim evaluates the FMM in the simulator (Run, output verified against
 // the host evaluation) and returns the resulting bodies plus the virtual
 // time of the evaluation phase.
-func runSim(t *testing.T, ranks int, pol ityr.Policy, p Params) ([]Body, sim.Time) {
+func runSim(t *testing.T, ranks int, pol ityr.Policy, p Params) ([]Body, ityr.Time) {
 	t.Helper()
 	p.Verify = true
 	res, err := Run(ityr.NewRuntime(cfg(ranks, pol)), p)

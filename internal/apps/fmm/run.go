@@ -6,13 +6,12 @@ import (
 	"math"
 
 	"ityr"
-	"ityr/internal/sim"
 )
 
 // Result is a finished run.
 type Result struct {
 	// EvalTime is the virtual time of Evaluate alone (set-up excluded).
-	EvalTime sim.Time
+	EvalTime ityr.Time
 	// Bodies are the evaluated bodies in tree order and Checksum folds their
 	// potentials and accelerations; Verified says every one of those equals,
 	// bit for bit, what EvaluateHost computes on the same tree — scheduling,

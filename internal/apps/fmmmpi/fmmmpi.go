@@ -13,19 +13,18 @@
 package fmmmpi
 
 import (
+	"ityr"
 	"ityr/internal/apps/fmm"
-	"ityr/internal/netmodel"
-	"ityr/internal/sim"
 )
 
 // Result summarizes one modelled MPI execution.
 type Result struct {
 	// Elapsed is the modelled execution time.
-	Elapsed sim.Time
+	Elapsed ityr.Time
 	// Busy is the per-node accumulated kernel time.
-	Busy []sim.Time
+	Busy []ityr.Time
 	// CommTime is the particle/LET exchange cost per step.
-	CommTime sim.Time
+	CommTime ityr.Time
 	// Idleness is 1 − mean(busy)/max(busy): the fraction of the total
 	// compute time nodes spend waiting for the slowest node (Table 2).
 	Idleness float64
@@ -35,7 +34,7 @@ type Result struct {
 // traversal and kernel costs as the task-parallel version are used
 // (fmm.CountKernelsByPart); only the work placement differs (static, by
 // body index).
-func Run(p fmm.Params, nodes, coresPerNode int, net netmodel.Params) Result {
+func Run(p fmm.Params, nodes, coresPerNode int, net ityr.NetParams) Result {
 	p = p.WithDefaults()
 	bodies := fmm.GenBodiesDist(p.N, p.Seed, p.Dist)
 	cells := fmm.BuildTree(bodies, p.NCrit)
@@ -43,24 +42,24 @@ func Run(p fmm.Params, nodes, coresPerNode int, net netmodel.Params) Result {
 	owner := func(ci int) int {
 		return min(int(int64(cells[ci].Body)*int64(nodes)/int64(len(bodies))), nodes-1)
 	}
-	busy := make([]sim.Time, nodes)
+	busy := make([]ityr.Time, nodes)
 	for n, k := range fmm.CountKernelsByPart(cells, p.Theta, nodes, owner) {
 		busy[n] = k.SerialTime()
 	}
 
 	// Communication: each node gathers the remote particles and cells it
 	// needs (modelled as an allgather of the problem state).
-	var comm sim.Time
+	var comm ityr.Time
 	if nodes > 1 {
 		bytes := (len(bodies)*64 + len(cells)*208) * (nodes - 1) / nodes
 		steps := 0
 		for n := 1; n < nodes; n *= 2 {
 			steps++
 		}
-		comm = sim.Time(steps)*net.Latency + sim.Time(float64(bytes)/net.Bandwidth)
+		comm = ityr.Time(steps)*net.Latency + ityr.Time(float64(bytes)/net.Bandwidth)
 	}
 
-	var max, sum sim.Time
+	var max, sum ityr.Time
 	for _, b := range busy {
 		sum += b
 		if b > max {
@@ -72,7 +71,7 @@ func Run(p fmm.Params, nodes, coresPerNode int, net netmodel.Params) Result {
 		idle = 1 - float64(sum)/float64(nodes)/float64(max)
 	}
 	return Result{
-		Elapsed:  comm + max/sim.Time(coresPerNode),
+		Elapsed:  comm + max/ityr.Time(coresPerNode),
 		Busy:     busy,
 		CommTime: comm,
 		Idleness: idle,

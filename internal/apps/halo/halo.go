@@ -3,8 +3,10 @@
 // Puts into neighbour ghost cells, fenced by barriers.
 //
 // Unlike the fork-join benchmarks (cilksort, fmm, uts), halo spends its
-// entire life in SPMD mode: only sim, netmodel and rma run, which makes it
-// the control on which a cache or scheduler change must show nothing.
+// entire life in SPMD mode, on ityr.SPMD's one-sided surface (a window,
+// PutUint64, Flush, Barrier, Charge): only the event kernel, the network
+// model and the one-sided layer run, which makes it the control on which a
+// cache or scheduler change must show nothing.
 //
 // Each step, every rank applies a three-point smoothing stencil to its
 // block of cells (real host floating-point work, charged to virtual time
@@ -25,11 +27,10 @@ import (
 	"math"
 
 	"ityr"
-	"ityr/internal/netmodel"
-	"ityr/internal/profile"
-	"ityr/internal/rma"
-	"ityr/internal/sim"
 )
+
+// cellCost is the virtual compute cost charged per cell per step.
+const cellCost = 2 * ityr.Nanosecond
 
 // Config sizes a halo run.
 type Config struct {
@@ -44,15 +45,13 @@ type Config struct {
 
 	HostProcs int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 
-	// CellCost is the virtual compute cost charged per cell per step
-	// (defaults to 2ns).
-	CellCost sim.Time
 	// NodesPerRack, when positive, swaps in the three-tier rack topology
-	// (netmodel.RackDefault) so the run exercises node/rack/fabric
-	// locality attribution.
+	// (ityr.DefaultNet) so the run exercises node/rack/fabric locality
+	// attribution.
 	NodesPerRack int
-	// Profile arms the streaming profile collector (ityr.Config.Profile).
-	// Digest-inert: the digest is bit-identical with it on or off.
+	// Profile arms the streaming profile collector (ityr.Config.Profile),
+	// read through the runtime Observe is given. Digest-inert: the digest
+	// is bit-identical with it on or off.
 	Profile bool
 	// Observe, when non-nil, is called with the built runtime before the
 	// simulation starts — the hook live-telemetry callers use to watch
@@ -63,12 +62,12 @@ type Config struct {
 // Result carries a finished run's observables.
 type Result struct {
 	// Elapsed is the virtual time from the first barrier to the last.
-	Elapsed sim.Time
+	Elapsed ityr.Time
 	// Checksum sums every rank's final cells (bit-deterministic: the
 	// stencil is fixed-order float64 arithmetic).
 	Checksum float64
 	// Stats is the RMA traffic of the whole run.
-	Stats rma.Stats
+	Stats ityr.CommStats
 	// FinalState is the concatenated per-rank cell state (ghosts
 	// excluded), used by the digest.
 	FinalState []float64
@@ -77,10 +76,6 @@ type Result struct {
 	// only — deliberately excluded from Digest, which folds simulated
 	// observables alone.
 	Events uint64
-	// Profile is the streaming-profile snapshot (nil unless
-	// Config.Profile). Excluded from Digest by construction — the digest
-	// must not change when profiling toggles.
-	Profile *profile.Doc
 }
 
 // Digest folds every simulated observable into one printable string; two
@@ -104,63 +99,51 @@ func Run(cfg Config) (Result, error) {
 	if cfg.CellsPerRank < 2 {
 		return Result{}, fmt.Errorf("halo: need at least 2 cells per rank, got %d", cfg.CellsPerRank)
 	}
-	if cfg.CellCost == 0 {
-		cfg.CellCost = 2 * sim.Nanosecond
-	}
-	rcfg := ityr.Config{
+	// The runtime's default net when NodesPerRack is 0. NewRuntime sets
+	// CoresPerNode, defaulted, in either case.
+	net := ityr.DefaultNet(cfg.CoresPerNode, cfg.NodesPerRack)
+	rt := ityr.NewRuntime(ityr.Config{
 		Ranks:        cfg.Ranks,
 		CoresPerNode: cfg.CoresPerNode,
+		Net:          &net,
 		Profile:      cfg.Profile,
-	}
-	if cfg.NodesPerRack > 0 {
-		cores := cfg.CoresPerNode
-		if cores == 0 {
-			cores = 8 // mirror core.Config.withDefaults
-		}
-		net := netmodel.RackDefault(cores, cfg.NodesPerRack)
-		rcfg.Net = &net
-	}
-	rt := ityr.NewRuntime(rcfg)
+	})
 	if cfg.Observe != nil {
 		cfg.Observe(rt)
 	}
 	n := cfg.Ranks
 	cells := cfg.CellsPerRank
 	// Segment layout per rank, in float64 slots: [ghostL | cells... | ghostR].
-	segSlots := cells + 2
-	win := rt.Comm().NewUniformWin(segSlots * 8)
-	// Deterministic initial condition, written host-side before the run.
-	for r := 0; r < n; r++ {
-		seg := win.Seg(r)
-		x := uint64(r)*0x9E3779B97F4A7C15 + 1
+	win := rt.NewWin((cells + 2) * 8)
+	final := make([]float64, n*cells)
+
+	var elapsed ityr.Time
+	err := rt.Run(func(s *ityr.SPMD) {
+		me := s.Rank()
+		left := (me + n - 1) % n
+		right := (me + 1) % n
+		seg := win.Seg(s)
+		// Deterministic initial condition. Neighbours' Puts touch only the
+		// ghost slots, so no rank needs to wait for another's.
+		x := uint64(me)*0x9E3779B97F4A7C15 + 1
 		for i := 0; i < cells; i++ {
 			x += 0x9E3779B97F4A7C15
 			z := (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			storeF64(seg, i+1, float64(z>>11)/(1<<53))
 		}
-	}
-
-	var elapsed sim.Time
-	err := rt.Run(func(s *ityr.SPMD) {
-		me := s.Rank()
-		r := s.Local().Rank()
-		p := r.Proc()
-		left := (me + n - 1) % n
-		right := (me + 1) % n
-		seg := win.Seg(me)
 		tmp := make([]float64, cells)
 
 		exchange := func() {
 			// My first cell is my left neighbour's right ghost; my last
 			// cell is my right neighbour's left ghost.
-			win.PutUint64(r, loadBits(seg, 1), left, uint64Off(cells+1))
-			win.PutUint64(r, loadBits(seg, cells), right, uint64Off(0))
-			r.Flush()
-			r.Barrier()
+			win.PutUint64(s, loadBits(seg, 1), left, uint64Off(cells+1))
+			win.PutUint64(s, loadBits(seg, cells), right, uint64Off(0))
+			s.Flush()
+			s.Barrier()
 		}
 
-		start := p.Now()
+		start := s.Now()
 		exchange() // populate ghosts for the first step
 		for step := 0; step < cfg.Steps; step++ {
 			// Each cell is loaded once: l, c, rr slide along the segment.
@@ -173,15 +156,19 @@ func Run(cfg Config) (Result, error) {
 			for i, v := range tmp {
 				storeF64(seg, i+1, v)
 			}
-			p.Advance(sim.Time(cells) * cfg.CellCost)
+			s.Charge(ityr.Time(cells) * cellCost)
 			// Fence the compute phase off from the exchange phase: every
 			// rank must be done reading its ghosts before any neighbour
 			// overwrites them.
-			r.Barrier()
+			s.Barrier()
 			exchange()
 		}
 		if me == 0 {
-			elapsed = p.Now() - start
+			elapsed = s.Now() - start
+		}
+		// After the last barrier no Put is in flight: read my cells back.
+		for i := range cells {
+			final[me*cells+i] = loadF64(seg, i+1)
 		}
 	})
 	if err != nil {
@@ -191,18 +178,10 @@ func Run(cfg Config) (Result, error) {
 		Elapsed:    elapsed,
 		Stats:      rt.Comm().Stats(),
 		Events:     rt.Engine().Stats().Events,
-		FinalState: make([]float64, 0, n*cells),
+		FinalState: final,
 	}
-	if p := rt.Profile(); p != nil {
-		res.Profile = p.Snapshot()
-	}
-	for r := 0; r < n; r++ {
-		seg := win.Seg(r)
-		for i := 0; i < cells; i++ {
-			v := loadF64(seg, i+1)
-			res.FinalState = append(res.FinalState, v)
-			res.Checksum += v
-		}
+	for _, v := range final {
+		res.Checksum += v
 	}
 	return res, nil
 }
@@ -211,9 +190,8 @@ func Run(cfg Config) (Result, error) {
 func uint64Off(slot int) int { return slot * 8 }
 
 // loadBits, loadF64 and storeF64 access a rank's own window memory a word
-// at a time, like rma.Win.LocalUint64 and StoreLocalUint64 without the
-// per-access window check: the little-endian byte order of PutUint64's wire
-// format, whatever the host's.
+// at a time in the little-endian byte order of PutUint64's wire format,
+// whatever the host's.
 func loadBits(seg []byte, slot int) uint64 { return binary.LittleEndian.Uint64(seg[uint64Off(slot):]) }
 
 func loadF64(seg []byte, slot int) float64 { return math.Float64frombits(loadBits(seg, slot)) }

@@ -30,8 +30,6 @@ import (
 	"sort"
 
 	"ityr"
-	"ityr/internal/rma"
-	"ityr/internal/sim"
 )
 
 // Shape selects the dependency pattern between consecutive steps.
@@ -44,17 +42,21 @@ const (
 	// Stencil depends on {i-1, i, i+1} clamped at the edges — the 1D
 	// stencil pattern with purely local communication.
 	Stencil
-	// Nearest depends on the periodic window of Params.Radius cells on
-	// each side of i (2·Radius+1 edges per task).
+	// Nearest depends on the periodic window of radius cells on each side
+	// of i (2·radius+1 edges per task).
 	Nearest
-	// Spread depends on Params.Fan cells strided W/Fan apart and shifted
-	// by the step index — long-range edges that defeat spatial locality.
+	// Spread depends on fan cells strided W/fan apart and shifted by the
+	// step index — long-range edges that defeat spatial locality.
 	Spread
-	// Random depends on Params.Fan cells drawn per (seed, step, task)
+	// Random depends on fan cells drawn per (seed, step, task)
 	// from splitmix64 — a different irregular graph every seed, the same
 	// graph every run of one seed.
 	Random
 )
+
+// fan is the dependency count per task for Spread and Random; radius is the
+// window half-width for Nearest.
+const fan, radius = 3, 2
 
 // Shapes lists every graph shape in matrix order.
 var Shapes = []Shape{Trivial, Stencil, Nearest, Spread, Random}
@@ -76,18 +78,6 @@ func (s Shape) String() string {
 	return fmt.Sprintf("Shape(%d)", int(s))
 }
 
-// ParseShape maps a flag spelling to its shape, listing the valid set on
-// error.
-func ParseShape(s string) (Shape, error) {
-	for _, sh := range Shapes {
-		if s == sh.String() {
-			return sh, nil
-		}
-	}
-	return Trivial, fmt.Errorf("unknown shape %q (valid: %s, %s, %s, %s, %s)",
-		s, Trivial, Stencil, Nearest, Spread, Random)
-}
-
 // Params sizes one task-graph run.
 type Params struct {
 	// Shape is the dependency pattern.
@@ -99,31 +89,20 @@ type Params struct {
 	Steps int
 	// GrainNs is the virtual compute charged per task — the task grain
 	// knob (default 1µs).
-	GrainNs sim.Time
+	GrainNs ityr.Time
 	// EdgeBytes is each task's output-cell size, and therefore the bytes
 	// a dependency edge moves through the PGAS layer (default 512).
 	EdgeBytes int
-	// Fan is the dependency count per task for Spread and Random
-	// (default 3).
-	Fan int
-	// Radius is the window half-width for Nearest (default 2).
-	Radius int
 	// Seed determinizes the Random graph and the initial cell values.
 	Seed int64
 }
 
 func (p Params) withDefaults() Params {
 	if p.GrainNs == 0 {
-		p.GrainNs = sim.Microsecond
+		p.GrainNs = ityr.Microsecond
 	}
 	if p.EdgeBytes == 0 {
 		p.EdgeBytes = 512
-	}
-	if p.Fan == 0 {
-		p.Fan = 3
-	}
-	if p.Radius == 0 {
-		p.Radius = 2
 	}
 	return p
 }
@@ -157,16 +136,16 @@ func (p Params) Deps(step, i int) []int {
 			}
 		}
 	case Nearest:
-		for o := -p.Radius; o <= p.Radius; o++ {
+		for o := -radius; o <= radius; o++ {
 			deps = append(deps, ((i+o)%w+w)%w)
 		}
 	case Spread:
-		for k := 0; k < p.Fan; k++ {
-			deps = append(deps, (i+step+k*w/p.Fan)%w)
+		for k := 0; k < fan; k++ {
+			deps = append(deps, (i+step+k*w/fan)%w)
 		}
 	case Random:
 		x := uint64(p.Seed)*0x9E3779B97F4A7C15 ^ uint64(step)<<32 ^ uint64(i)
-		for k := 0; k < p.Fan; k++ {
+		for k := 0; k < fan; k++ {
 			x = splitmix64(x)
 			deps = append(deps, int(x%uint64(w)))
 		}
@@ -199,7 +178,7 @@ func (p Params) CountEdges() int64 {
 type Result struct {
 	// Elapsed is the virtual time of the timed phase (all Steps rounds;
 	// the dependency-free producer step is excluded).
-	Elapsed sim.Time
+	Elapsed ityr.Time
 	// Checksum folds the final buffer's cell values; it depends only on
 	// Params, never on the schedule, so it cross-checks the scheduling
 	// policies against each other.
@@ -207,7 +186,7 @@ type Result struct {
 	// Tasks and Edges count the graph actually executed.
 	Tasks, Edges int64
 	// Stats is the RMA traffic of the whole run.
-	Stats rma.Stats
+	Stats ityr.CommStats
 	// Steals and Migrations summarize the schedule that ran the graph.
 	Steals, Migrations uint64
 }
@@ -250,7 +229,7 @@ func Run(rcfg ityr.Config, p Params) (Result, error) {
 	}
 	rt := ityr.NewRuntime(rcfg)
 	n := int64(p.Width) * int64(p.EdgeBytes)
-	var elapsed sim.Time
+	var elapsed ityr.Time
 	var final []byte
 	err := rt.Run(func(s *ityr.SPMD) {
 		// Rank 0 drives the collective allocations; the other ranks only

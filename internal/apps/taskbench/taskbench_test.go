@@ -23,18 +23,6 @@ func smokeConfig(pol ityr.SchedPolicy) ityr.Config {
 	}
 }
 
-func TestShapeParseRoundTrip(t *testing.T) {
-	for _, sh := range Shapes {
-		got, err := ParseShape(sh.String())
-		if err != nil || got != sh {
-			t.Fatalf("ParseShape(%q) = %v, %v", sh.String(), got, err)
-		}
-	}
-	if _, err := ParseShape("nope"); err == nil {
-		t.Fatal("ParseShape(nope) succeeded")
-	}
-}
-
 // TestDepsDeterministic pins generator determinism per shape: the same
 // Params produce the same graph on every call (same seed → same graph).
 func TestDepsDeterministic(t *testing.T) {
@@ -67,7 +55,7 @@ func depsAll(p Params) [][]int {
 // TestDepsShapeProperties checks each shape's structural contract: edge
 // counts, bounds, and sortedness/deduplication.
 func TestDepsShapeProperties(t *testing.T) {
-	p := Params{Width: 16, Steps: 3, Fan: 3, Radius: 2, Seed: 5}
+	p := Params{Width: 16, Steps: 3, Seed: 5}
 	for _, sh := range Shapes {
 		p.Shape = sh
 		for step := 1; step <= p.Steps; step++ {
@@ -95,16 +83,16 @@ func TestDepsShapeProperties(t *testing.T) {
 						t.Fatalf("stencil(%d) deps = %v, want %d", i, deps, want)
 					}
 				case Nearest:
-					if len(deps) != 2*p.Radius+1 {
-						t.Fatalf("nearest deps = %v, want %d", deps, 2*p.Radius+1)
+					if len(deps) != 2*radius+1 {
+						t.Fatalf("nearest deps = %v, want %d", deps, 2*radius+1)
 					}
 				case Spread:
-					if len(deps) != p.Fan {
-						t.Fatalf("spread deps = %v, want %d", deps, p.Fan)
+					if len(deps) != fan {
+						t.Fatalf("spread deps = %v, want %d", deps, fan)
 					}
 				case Random:
-					if len(deps) == 0 || len(deps) > p.Fan {
-						t.Fatalf("random deps = %v, want 1..%d", deps, p.Fan)
+					if len(deps) == 0 || len(deps) > fan {
+						t.Fatalf("random deps = %v, want 1..%d", deps, fan)
 					}
 				}
 			}

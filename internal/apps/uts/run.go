@@ -1,9 +1,6 @@
 package uts
 
-import (
-	"ityr"
-	"ityr/internal/sim"
-)
+import "ityr"
 
 // Params selects one UTS-Mem run. Verification costs no simulated event
 // (it compares two counts the run produces anyway), so it has no switch.
@@ -13,10 +10,10 @@ type Params struct {
 
 // Result is a finished run.
 type Result struct {
-	BuildTime    sim.Time // virtual time of the parallel build (set-up)
-	TraverseTime sim.Time // virtual time of the traversal — Fig. 10's measured phase
-	Built        int64    // nodes Build created
-	Counted      int64    // nodes Traverse visited
+	BuildTime    ityr.Time // virtual time of the parallel build (set-up)
+	TraverseTime ityr.Time // virtual time of the traversal — Fig. 10's measured phase
+	Built        int64     // nodes Build created
+	Counted      int64     // nodes Traverse visited
 	// Verified says the traversal visited exactly the nodes that were built.
 	Verified bool
 }

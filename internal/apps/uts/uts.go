@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"ityr"
-	"ityr/internal/sim"
 )
 
 // Tree describes a UTS tree workload.
@@ -59,8 +58,8 @@ type Node struct {
 
 // Compute cost model: SHA-1 evaluation and node bookkeeping.
 const (
-	costHashNode  = 220 * sim.Nanosecond
-	costVisitNode = 40 * sim.Nanosecond
+	costHashNode  = 220 * ityr.Nanosecond
+	costVisitNode = 40 * ityr.Nanosecond
 )
 
 // childDigest derives child i's digest from the parent digest, as UTS
@@ -103,9 +102,7 @@ func (t Tree) rootDigest() [20]byte {
 // Build constructs the tree in global memory in parallel and returns the
 // root pointer and the number of nodes created.
 func Build(c *ityr.Ctx, t Tree) (ityr.GPtr[Node], int64) {
-	root := t.rootDigest()
-	p, n := buildNode(c, t, root, 0)
-	return p, n
+	return buildNode(c, t, t.rootDigest(), 0)
 }
 
 func buildNode(c *ityr.Ctx, t Tree, digest [20]byte, depth int) (ityr.GPtr[Node], int64) {
@@ -183,12 +180,6 @@ func Traverse(c *ityr.Ctx, p ityr.GPtr[Node]) int64 {
 		total += k
 	}
 	return total
-}
-
-// SerialTraversalTime models the runtime-free serial traversal time for a
-// tree of n nodes, used for speedup baselines.
-func SerialTraversalTime(n int64) sim.Time {
-	return sim.Time(n) * (costVisitNode + 60*sim.Nanosecond)
 }
 
 // CountParallel is the original UTS benchmark (§6.3): count the tree's

@@ -259,7 +259,7 @@ var fig9Cats = []struct{ name, metric string }{
 func fig8Row(rep *Report, sc Scale, n int64, pol ityr.Policy, ranks int) Metrics {
 	return rep.row(rowName("fig8", n, pol, ranks), func() Metrics {
 		t, rt := figCilksort(n, sc.SortCutoff, ranks, sc.CoresPerNode, pol, 13)
-		m := Metrics{"sim_ns": float64(t), "speedup": float64(cilksort.SerialTime(n)) / float64(t)}
+		m := Metrics{"sim_ns": float64(t), "speedup": float64(ityr.SortSerialTime(n)) / float64(t)}
 		if pol == ityr.WriteBackLazy {
 			for _, c := range fig9Cats {
 				m[c.metric] = float64(rt.Profiler().Total(c.name))
@@ -276,7 +276,7 @@ func fig8(w io.Writer, rep *Report, sc Scale) {
 	fmt.Fprintf(w, "%-10s %-20s %7s %12s %10s\n", "size", "policy", "ranks", "time (ms)", "speedup")
 	for _, n := range []int64{sc.CilksortN, sc.CilksortBigN} {
 		serial := rep.row(rowName("fig8", n, "serial"), func() Metrics {
-			return Metrics{"sim_ns": float64(cilksort.SerialTime(n))}
+			return Metrics{"sim_ns": float64(ityr.SortSerialTime(n))}
 		})
 		fmt.Fprintf(w, "%-10d %-20s %7d %12.3f %10s\n", n, "(serial model)", 1, serial.ms(), "1.0")
 		for _, pol := range fig8Policies {

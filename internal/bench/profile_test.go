@@ -9,7 +9,6 @@ import (
 	"ityr"
 	"ityr/internal/apps/cilksort"
 	"ityr/internal/apps/halo"
-	"ityr/internal/netmodel"
 	"ityr/internal/profile"
 )
 
@@ -17,14 +16,16 @@ import (
 // holds: the header, barrier and stall activity, and every locality tier
 // the ring crosses.
 func TestProfileHaloSnapshot(t *testing.T) {
-	res, err := halo.Run(withProfile(profileHalo))
-	if err != nil {
+	cfg := withProfile(profileHalo)
+	var rt *ityr.Runtime
+	cfg.Observe = func(r *ityr.Runtime) { rt = r }
+	if _, err := halo.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile == nil {
-		t.Fatal("profile armed but Result.Profile is nil")
+	if rt.Profile() == nil {
+		t.Fatal("profile armed but Runtime.Profile is nil")
 	}
-	doc := *res.Profile
+	doc := *rt.Profile().Snapshot()
 	if doc.Schema != profile.Schema || doc.Ranks != 16 {
 		t.Errorf("snapshot header = %s/%d", doc.Schema, doc.Ranks)
 	}
@@ -96,7 +97,7 @@ func TestProfileMemoryBudget16K(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16K-rank profile setup allocates ~30MB; skipped under -short")
 	}
-	net := netmodel.RackDefault(8, 4)
+	net := ityr.DefaultNet(8, 4)
 	small := retainedBytes(t, func() any { return profile.New(1024, net) }) / 1024
 	big := retainedBytes(t, func() any { return profile.New(budgetRanks, net) }) / budgetRanks
 	t.Logf("profile state: %.0f B/rank at 1K ranks, %.0f B/rank at %d ranks (budget %d)",

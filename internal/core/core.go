@@ -423,6 +423,30 @@ func (s *SPMD) Local() *pgas.Local { return s.local }
 // Barrier synchronizes all ranks (SPMD mode only).
 func (s *SPMD) Barrier() { s.local.Rank().Barrier() }
 
+// Flush waits until every one-sided operation the rank issued is complete.
+func (s *SPMD) Flush() { s.local.Rank().Flush() }
+
+// Charge advances the rank's virtual time by d, modelling local computation.
+func (s *SPMD) Charge(d sim.Time) { s.local.Rank().Proc().Advance(d) }
+
+// Win is a one-sided memory window for the SPMD region: an equal-sized
+// segment per rank (MPI_Win_allocate). An op acts as the rank it is given.
+type Win struct{ w *rma.Win }
+
+// NewWin creates a window of size bytes per rank, zeroed. Call it before
+// Run; creating it costs no simulated time.
+func (rt *Runtime) NewWin(size int) *Win { return &Win{rt.comm.NewUniformWin(size)} }
+
+// Seg returns the calling rank's own segment, read and written directly.
+func (w *Win) Seg(s *SPMD) []byte { return w.w.Seg(s.rank) }
+
+// PutUint64 starts a nonblocking little-endian write of v at byte off of
+// target's segment, complete after the caller's next Flush. An out-of-range
+// target or offset panics (rma.ErrRankOutOfRange, rma.ErrOutOfRange).
+func (w *Win) PutUint64(s *SPMD, v uint64, target, off int) {
+	w.w.PutUint64(s.local.Rank(), v, target, off)
+}
+
 // AllocCollective allocates distributed global memory; call on rank 0
 // (it is modelled as a collective with every rank participating).
 func (s *SPMD) AllocCollective(size uint64, d pgas.DistPolicy) pgas.Addr {

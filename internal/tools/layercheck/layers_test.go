@@ -2,12 +2,15 @@
 // ityr/internal packages each may import, that nothing imports upward
 // against sim → netmodel → rma → pgas → uth → core, and that the three
 // middle layers reach observability through exactly one package (the
-// recorder in internal/trace). It reads import declarations with go/build —
-// no compile — and runs with `go test ./...`.
+// recorder in internal/trace). It pins the programs too: the apps, the
+// examples and the app commands are written on the public ityr API alone.
+// It reads import declarations with go/build — no compile — and runs with
+// `go test ./...`.
 package layercheck
 
 import (
 	"go/build"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -36,13 +39,16 @@ var allowed = map[string][]string{
 	"core":     {"fault", "netmodel", "pgas", "profile", "rma", "sim", "trace", "uth"},
 }
 
-// internalImports returns the ityr/internal packages pkg's non-test files
-// import, without the prefix.
-func internalImports(t *testing.T, pkg string) []string {
+// moduleRoot is the module's root directory, relative to this package.
+var moduleRoot = filepath.Join("..", "..", "..")
+
+// internalImports returns the ityr/internal packages that the non-test files
+// of dir (relative to the module root) import, without the prefix.
+func internalImports(t *testing.T, dir string) []string {
 	t.Helper()
-	p, err := build.ImportDir(filepath.Join("..", "..", pkg), 0)
+	p, err := build.ImportDir(filepath.Join(moduleRoot, dir), 0)
 	if err != nil {
-		t.Fatalf("reading internal/%s: %v", pkg, err)
+		t.Fatalf("reading %s: %v", dir, err)
 	}
 	var out []string
 	for _, imp := range p.Imports {
@@ -69,7 +75,7 @@ func TestLayerImports(t *testing.T) {
 			ok[a] = true
 		}
 		var obs []string
-		for _, imp := range internalImports(t, pkg) {
+		for _, imp := range internalImports(t, "internal/"+pkg) {
 			if !ok[imp] {
 				t.Errorf("internal/%s imports internal/%s, which its layer may not (allowed: %v)", pkg, imp, allow)
 			}
@@ -84,6 +90,35 @@ func TestLayerImports(t *testing.T) {
 		case "rma", "pgas", "uth":
 			if len(obs) != 1 {
 				t.Errorf("internal/%s imports observability packages %v; it must report through exactly one", pkg, obs)
+			}
+		}
+	}
+}
+
+// TestProgramImports walks every app, example and app command by directory,
+// so a new one is pinned without a table edit. Within the module their
+// non-test files may import only ityr and the apps; the commands may also
+// import internal/obs, their shared flag and dump skeleton.
+func TestProgramImports(t *testing.T) {
+	var dirs []string
+	for _, pattern := range []string{"internal/apps/*", "examples/*", "cmd/cilksort", "cmd/fmm", "cmd/utsmem"} {
+		m, err := filepath.Glob(filepath.Join(moduleRoot, pattern))
+		if err != nil || len(m) == 0 {
+			t.Fatalf("%s matches no directory (%v)", pattern, err)
+		}
+		for _, d := range m {
+			if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
+				continue
+			}
+			rel, _ := filepath.Rel(moduleRoot, d)
+			dirs = append(dirs, filepath.ToSlash(rel))
+		}
+	}
+	for _, dir := range dirs {
+		for _, imp := range internalImports(t, dir) {
+			ok := strings.HasPrefix(imp, "apps/") || imp == "obs" && strings.HasPrefix(dir, "cmd/")
+			if !ok {
+				t.Errorf("%s imports internal/%s; a program may import only ityr and internal/apps/* (and a command internal/obs)", dir, imp)
 			}
 		}
 	}

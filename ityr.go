@@ -34,6 +34,7 @@ import (
 	"ityr/internal/core"
 	"ityr/internal/netmodel"
 	"ityr/internal/pgas"
+	"ityr/internal/rma"
 	"ityr/internal/sim"
 	"ityr/internal/uth"
 )
@@ -46,6 +47,8 @@ type (
 	Runtime = core.Runtime
 	// SPMD is a rank's handle in the SPMD region.
 	SPMD = core.SPMD
+	// Win is a one-sided memory window for the SPMD region (Runtime.NewWin).
+	Win = core.Win
 	// Ctx is a thread's handle in the fork-join region.
 	Ctx = core.Ctx
 	// Thread is a forked child handle.
@@ -71,7 +74,21 @@ type (
 	NetParams = netmodel.Params
 	// Time is virtual time in nanoseconds.
 	Time = sim.Time
+	// CommStats counts a run's one-sided traffic (Runtime.Comm().Stats()).
+	CommStats = rma.Stats
 )
+
+// Units of virtual time.
+const (
+	Nanosecond  = sim.Nanosecond
+	Microsecond = sim.Microsecond
+)
+
+// DefaultNet is the shipped interconnect model: Config.Net's two-tier
+// default, plus a rack tier of nodesPerRack nodes when that is positive.
+func DefaultNet(coresPerNode, nodesPerRack int) NetParams {
+	return netmodel.RackDefault(coresPerNode, nodesPerRack)
+}
 
 // Access modes (§3.3 of the paper).
 const (

@@ -1,11 +1,14 @@
 package ityr_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"ityr"
+	"ityr/internal/rma"
 )
 
 func testCfg(ranks int, pol ityr.Policy) ityr.Config {
@@ -239,5 +242,59 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ityr.ParsePolicy("writeback"); err == nil || !strings.Contains(err.Error(), "nocache, wt, wb, lazy") {
 		t.Errorf("ParsePolicy(writeback) error = %v; want one listing the valid set", err)
+	}
+}
+
+// TestSPMDOneSidedRing drives the SPMD region's one-sided surface on a
+// 4-rank ring: each rank Puts into its right neighbour's segment, and after
+// Flush and Barrier finds its left neighbour's value in its own.
+func TestSPMDOneSidedRing(t *testing.T) {
+	const ranks = 4
+	rt := ityr.NewRuntime(ityr.Config{Ranks: ranks, CoresPerNode: 2})
+	win := rt.NewWin(8)
+	got := make([]uint64, ranks)
+	var charged ityr.Time
+	err := rt.Run(func(s *ityr.SPMD) {
+		me := s.Rank()
+		win.PutUint64(s, uint64(100+me), (me+1)%ranks, 0)
+		s.Flush()
+		s.Barrier()
+		got[me] = binary.LittleEndian.Uint64(win.Seg(s))
+		if me == 0 {
+			t0 := s.Now()
+			s.Charge(1234)
+			charged = s.Now() - t0
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for me, v := range got {
+		if want := uint64(100 + (me+ranks-1)%ranks); v != want {
+			t.Errorf("rank %d reads %d, want its left neighbour's %d", me, v, want)
+		}
+	}
+	if charged != 1234 {
+		t.Errorf("Charge(1234) advanced Now by %d", charged)
+	}
+}
+
+// TestSPMDPutOutOfRange: a Put to a rank outside the window panics with a
+// classifiable error.
+func TestSPMDPutOutOfRange(t *testing.T) {
+	const ranks = 4
+	rt := ityr.NewRuntime(ityr.Config{Ranks: ranks, CoresPerNode: 2})
+	win := rt.NewWin(8)
+	var err error
+	func() {
+		defer func() { err, _ = recover().(error) }()
+		_ = rt.Run(func(s *ityr.SPMD) {
+			if s.Rank() == 0 {
+				win.PutUint64(s, 1, ranks, 0)
+			}
+		})
+	}()
+	if !errors.Is(err, rma.ErrRankOutOfRange) {
+		t.Fatalf("PutUint64 to rank %d panicked with %v, want rma.ErrRankOutOfRange", ranks, err)
 	}
 }
