@@ -91,9 +91,11 @@ sdc:
 # Checkout-discipline validator suite: every documented memory-model rule
 # has a failing program whose diagnostic names the rule, window, offset
 # range and task segments; clean DAG runs stay silent; and the
-# validator-off hot path allocates nothing.
+# validator-off hot path allocates nothing. The app matrix then runs
+# cilksort and utsmem validated in every cell and requires no violation.
 validate:
 	@$(call subset,TestValidator,./internal/core)
+	@$(call subset,TestAppsVerifiedAcrossPoliciesAndSchedulers,./internal/bench)
 
 # Observability pipeline smoke: a small cilksort with the span trace, the
 # metrics document and the streaming profile all armed, pushed through the

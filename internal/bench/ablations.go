@@ -14,13 +14,13 @@ import (
 // Ablation experiments probing the design choices DESIGN.md calls out:
 // sub-block size (§4.3.1), cache capacity (§3.3), distribution policy
 // (§4.2), lazy release (§5.2), FMM θ, locality-aware stealing (§8 future
-// work), and write-back coalescing (DESIGN.md §4.5). Rows
-// abl/<ablation>/<variant>; one stated direction each in claim/abl.
+// work) and the FMM particle distribution. Rows abl/<ablation>/<variant>;
+// one stated direction each in claim/abl.
 
 // ablations is what `itybench abl` walks, in print order.
 var ablations = []func(io.Writer, *Report, Scale){
 	ablSubBlock, ablCacheSize, ablDistribution, ablLazyRelease, ablFMMTheta,
-	ablLocalitySteals, ablFMMDistribution, ablBatching,
+	ablLocalitySteals, ablFMMDistribution,
 }
 
 func abl(w io.Writer, rep *Report, sc Scale) {
@@ -194,47 +194,6 @@ func ablFMMDistribution(w io.Writer, rep *Report, sc Scale) {
 	}
 }
 
-// ablBatching quantifies write-back coalescing (DESIGN.md §4.5), off and
-// on, on a Cilksort whose merge phases stream sequentially through the
-// distributed arrays. Two block geometries bracket the effect: the paper's
-// 64 KiB blocks over block-cyclic arrays give coalescing nothing to merge
-// (adjacent same-home blocks sit nranks apart), so it must be inert there,
-// while 4 KiB blocks over a block distribution — the perf gate's
-// "communication microscope" geometry — expose the per-block dirty runs it
-// merges. Round trips are the paper's cost driver. Coalescing only merges
-// traffic the run would have issued anyway, so its time does not move
-// (30 ns in 1.97 ms at quick).
-func ablBatching(w io.Writer, rep *Report, sc Scale) {
-	n := sc.CilksortN
-	fmt.Fprintf(w, "\n== Ablation: write-back coalescing (Cilksort %d elements, cutoff %d, %d ranks) ==\n",
-		n, sc.SortCutoff, sc.FixedRanks)
-	for _, g := range []struct {
-		name, title string
-		dist        ityr.DistPolicy
-	}{
-		{"paper", "paper geometry: 64 KiB blocks, block-cyclic", ityr.BlockCyclicDist},
-		{"fine", "fine geometry: 4 KiB blocks, block dist", ityr.BlockDist},
-	} {
-		fmt.Fprintf(w, " -- %s --\n", g.title)
-		for _, v := range []struct {
-			name     string
-			coalesce bool
-		}{{"unbatched", false}, {"coalesce", true}} {
-			m := rep.row(rowName("abl/batching", g.name, v.name), func() Metrics {
-				cfg := ablConfig(sc)
-				if g.name == "fine" {
-					cfg.Pgas.BlockSize = 4 << 10
-					cfg.Pgas.SubBlockSize = 512
-				}
-				cfg.Pgas.CoalesceWriteBack = v.coalesce
-				return ablMetrics(ablCilksort(cfg, n, sc.SortCutoff, g.dist))
-			})
-			fmt.Fprintf(w, "  %-14s sort %8.3f ms: %7.0f round trips, %5.0f wb ops\n",
-				v.name, m.ms(), m["round_trips"], m["wb_ops"])
-		}
-	}
-}
-
 // ablClaims holds one stated direction per ablation (EXPERIMENTS.md
 // §Ablations says why each is the one that matters):
 // growing the sub-block trades fetch operations for fetched bytes; a
@@ -243,8 +202,7 @@ func ablBatching(w io.Writer, rep *Report, sc Scale) {
 // than eager write-back at fine grain; a larger θ is cheaper; locality-aware
 // stealing raises the intra-node share of steals and is faster; clustered
 // bodies (sphere, Plummer) leave the static MPI partitioning idler than the
-// uniform cube; and write-back coalescing cuts round trips at the same time
-// (within 1%) at the fine geometry, while at the paper's it is inert.
+// uniform cube.
 func ablClaims(rep *Report, sc Scale) Metrics {
 	at := func(metric string, path ...any) float64 { return rep.at(metric, append([]any{"abl"}, path...)...) }
 	t := func(path ...any) float64 { return at("sim_ns", path...) }
@@ -275,11 +233,5 @@ func ablClaims(rep *Report, sc Scale) Metrics {
 		"clustered_bodies_idle_mpi_more": verdict(
 			at("mpi_idleness", "fmmdist", fmm.Sphere) > at("mpi_idleness", "fmmdist", fmm.Cube) &&
 				at("mpi_idleness", "fmmdist", fmm.Plummer) > at("mpi_idleness", "fmmdist", fmm.Cube)),
-		"batching_coalesce_cuts_round_trips_at_same_time": verdict(
-			at("round_trips", "batching/fine/coalesce") < at("round_trips", "batching/fine/unbatched") &&
-				t("batching/fine/coalesce") <= 1.01*t("batching/fine/unbatched")),
-		"batching_inert_at_paper_geometry": verdict(
-			t("batching/paper/coalesce") == t("batching/paper/unbatched") &&
-				at("round_trips", "batching/paper/coalesce") == at("round_trips", "batching/paper/unbatched")),
 	}
 }

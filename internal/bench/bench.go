@@ -134,20 +134,17 @@ var Scales = []Scale{Smoke, Quick, Full}
 
 // runtimeConfig assembles the paper-like machine configuration (Table 1,
 // scaled): 64 KiB blocks, 4 KiB sub-blocks, 16 MiB private cache per
-// process, block-cyclic collective distribution (chosen by the apps), the
-// child-first scheduler, and write-back coalescing on: the headline
-// experiments report the coalescing cache, and abl/batching measures what
-// coalescing contributes.
+// process, block-cyclic collective distribution (chosen by the apps) and
+// the child-first scheduler.
 func runtimeConfig(ranks, coresPerNode int, pol ityr.Policy, seed int64) ityr.Config {
 	return ityr.Config{
 		Ranks:        ranks,
 		CoresPerNode: coresPerNode,
 		Pgas: ityr.PgasConfig{
-			BlockSize:         64 << 10,
-			SubBlockSize:      4 << 10,
-			CacheSize:         16 << 20,
-			Policy:            pol,
-			CoalesceWriteBack: true,
+			BlockSize:    64 << 10,
+			SubBlockSize: 4 << 10,
+			CacheSize:    16 << 20,
+			Policy:       pol,
 		},
 		Seed: seed,
 	}

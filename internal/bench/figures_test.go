@@ -135,10 +135,6 @@ var doctorings = map[string]func(r rows){
 	"claim/abl larger_theta_is_cheaper":              func(r rows) { r.swap("abl/theta/0.3", "abl/theta/0.5", "sim_ns") },
 	"claim/abl locality_steals_stay_on_node_and_win": func(r rows) { r.set("abl/victim/locality-aware", "intra_steals", 0) },
 	"claim/abl clustered_bodies_idle_mpi_more":       func(r rows) { r.set("abl/fmmdist/plummer", "mpi_idleness", 0) },
-	"claim/abl batching_coalesce_cuts_round_trips_at_same_time": func(r rows) {
-		r.swap("abl/batching/fine/unbatched", "abl/batching/fine/coalesce", "round_trips")
-	},
-	"claim/abl batching_inert_at_paper_geometry": func(r rows) { r["abl/batching/paper/coalesce"]["round_trips"]-- },
 }
 
 // TestClaimsCanFail is what makes a checked-in 1 mean something: every claim

@@ -29,9 +29,9 @@ func cilkDigest(cfg ityr.Config) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "rma=%+v\n", rt.Comm().Stats())
 	fmt.Fprintf(h, "pgas=%+v\n", rt.Space().Stats)
-	// Batch stats join the digest only when nonzero, so digests of runs
-	// with the batching knobs off stay comparable across versions that
-	// predate the batching layer (the batching-off rows).
+	// Batch stats join the digest only when nonzero, which keeps the pins
+	// taken before the batching layer existed valid for runs that merge
+	// nothing.
 	if b := rt.Space().Batch; b != (pgas.BatchStats{}) {
 		fmt.Fprintf(h, "batch=%+v\n", b)
 	}
@@ -69,8 +69,6 @@ func cilk(pol ityr.Policy, edit func(*ityr.Config)) func(*testing.T) string {
 func lazy(edit func(*ityr.Config)) func(*testing.T) string {
 	return cilk(ityr.WriteBackLazy, edit)
 }
-
-func batchingOff(cfg *ityr.Config) { cfg.Pgas.CoalesceWriteBack = false }
 
 // armed arms plan the way the fault suite does (faultConfig): victim
 // blacklisting on — the scheduler-side half of the resilience story.
@@ -133,19 +131,11 @@ var golden = []struct {
 	{test: "TestPinnedKernelDigests", name: "Write-Back (Lazy)", digest: lazy(nil),
 		pin: "elapsed=597253 final=679993 events=13415 fnv=65f3bb73229ccd22"},
 
-	// Write-back coalescing's zero-cost-when-off contract: with
-	// CoalesceWriteBack off the runtime reproduces the digests of the tree
-	// immediately before the batching layer was added. Only the lazy
-	// policy's differs from its coalescing row.
-	{test: "TestBatchingOffMatchesSeed", name: "batching-off/No Cache", digest: cilk(ityr.NoCache, batchingOff), same: "No Cache"},
-	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Through", digest: cilk(ityr.WriteThrough, batchingOff), same: "Write-Through"},
-	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Back", digest: cilk(ityr.WriteBack, batchingOff), same: "Write-Back"},
-	{test: "TestBatchingOffMatchesSeed", name: "batching-off/Write-Back (Lazy)", digest: lazy(batchingOff),
-		pin: "elapsed=597253 final=679993 events=13415 fnv=75bdd24e9f14637c"},
-
-	// The field the benchmark module still sets is ignored.
+	// The fields the benchmark module still sets are ignored.
 	{test: "TestIgnoredConfigInert", name: "prefetch-blocks-ignored",
 		digest: lazy(func(cfg *ityr.Config) { cfg.Pgas.PrefetchBlocks = 8 }), same: "Write-Back (Lazy)"},
+	{test: "TestIgnoredConfigInert", name: "coalesce-writeback-ignored",
+		digest: lazy(func(cfg *ityr.Config) { cfg.Pgas.CoalesceWriteBack = false }), same: "Write-Back (Lazy)"},
 
 	// The scheduler seam: selecting childfirst explicitly is the default.
 	{test: "TestExplicitChildFirstMatchesPinned", name: "explicit-childfirst",
@@ -235,7 +225,6 @@ func checkGolden(t *testing.T) {
 }
 
 func TestPinnedKernelDigests(t *testing.T)             { checkGolden(t) }
-func TestBatchingOffMatchesSeed(t *testing.T)          { checkGolden(t) }
 func TestExplicitChildFirstMatchesPinned(t *testing.T) { checkGolden(t) }
 func TestIgnoredConfigInert(t *testing.T)              { checkGolden(t) }
 func TestEmptyPlanMatchesNoPlan(t *testing.T)          { checkGolden(t) }

@@ -21,8 +21,8 @@ import (
 
 // perfMetrics are one experiment's gated numbers: the simulated elapsed
 // time of the measured phase in virtual nanoseconds, the RMA operations
-// (gets + puts + atomics) of the whole run — the number the cache-batching
-// layer exists to shrink — and the total payload moved (get + put bytes).
+// (gets + puts + atomics) of the whole run — the number write-back
+// coalescing exists to shrink — and the total payload moved (get + put bytes).
 func perfMetrics(t sim.Time, st rma.Stats) Metrics {
 	return Metrics{
 		"sim_ns":      float64(t),
@@ -51,9 +51,9 @@ func perfConfig(sc Scale, pol ityr.Policy, seed int64) ityr.Config {
 // the cache differently: cilksort (streaming merges over a block
 // distribution, the dirty runs coalescing merges), fmm (irregular
 // tree walks whose releases stress the write-back path), uts (pointer
-// chasing — batching should stay out of the way), halo (raw SPMD RMA that
-// bypasses the cache entirely — a control whose numbers batching must not
-// disturb).
+// chasing — coalescing should stay out of the way), halo (raw SPMD RMA
+// that bypasses the cache entirely — a control whose numbers a cache change
+// must not disturb).
 func PerfSuite(w io.Writer, sc Scale) (*Report, error) {
 	rep := newReport("perf", sc)
 	fmt.Fprintf(w, "\n== Perf suite (%s scale, %d ranks) ==\n", sc.Name, sc.FixedRanks)

@@ -236,7 +236,7 @@ func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
 		"pgas_evictions":       ps.Evictions,
 		"pgas_lazy_releases":   ps.LazyReleases,
 
-		// Write-back coalescing (zero unless CoalesceWriteBack is on).
+		// Write-back coalescing: runs and bytes shipped in merged Puts.
 		"pgas_wb_runs_merged":     bs.WBRunsMerged,
 		"pgas_wb_coalesced_bytes": bs.WBCoalescedBytes,
 

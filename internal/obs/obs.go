@@ -1,10 +1,10 @@
 // Package obs is the command line of the application binaries (cilksort,
 // fmm, utsmem) but for the application: Main registers the machine flags
 // (-ranks/-cores/-policy/-seed), the -trace/-metrics/-profile
-// observability flags, the -coalesce write-back coalescing knob, the -sched
-// scheduling-policy selector, -validate and the -sdc/-replicate
-// silent-data-corruption knobs, builds the runtime, hands it to the
-// binary's body, writes the requested dumps and sets the exit status.
+// observability flags, the -sched scheduling-policy selector, -validate
+// and the -sdc/-replicate silent-data-corruption knobs, builds the
+// runtime, hands it to the binary's body, writes the requested dumps and
+// sets the exit status.
 // Keeping this here means every command has the same flags with the same
 // defaults and valid sets, emits the same file formats (itytrace/v1 and
 // itoyori-metrics/v1) that cmd/itytrace consumes, and fails the same way.
@@ -90,7 +90,6 @@ type options struct {
 	trace, metrics, profile string
 	ring                    int
 	sched                   string
-	coalesce                bool
 	sdc                     bool
 	replicate               float64
 	// validate arms the checkout-discipline validator
@@ -118,8 +117,6 @@ func register() *options {
 		"enforce the checkout-discipline memory-model contract (see PITFALLS.md); violations abort with a diagnostic")
 	flag.StringVar(&o.sched, "sched", uth.ChildFirst.String(),
 		"scheduling policy: childfirst (the paper's work-first stealing, default), helpfirst, or fbc (finish-based coordination)")
-	flag.BoolVar(&o.coalesce, "coalesce", true,
-		"coalesce adjacent dirty regions into merged write-back puts")
 	// -sdc alone is the negative control (the run reports undetected
 	// escapes and usually fails verification); -replicate alone measures
 	// the pure replication overhead; together they show detection and
@@ -145,7 +142,6 @@ func (o *options) apply(cfg *core.Config) error {
 	cfg.Profile = o.profile != ""
 	cfg.TraceRing = o.ring
 	cfg.Pgas.Validate = o.validate
-	cfg.Pgas.CoalesceWriteBack = o.coalesce
 	if o.sdc {
 		plan := fault.PlanSDC(cfg.Seed)
 		cfg.Faults = &plan

@@ -1,18 +1,19 @@
 package pgas
 
-// Write-back coalescing for the software cache (Config.CoalesceWriteBack):
-// the paper's observation (§4, Fig. 6) is that the checkout/checkin cache
+// Write-back coalescing, the software cache's one write-back path: the
+// paper's observation (§4, Fig. 6) is that the checkout/checkin cache
 // wins by turning many fine-grained transfers into few large one-sided ops.
-// Dirty regions are gathered over all dirty blocks, resolved to (window,
+// Dirty regions are gathered over all dirty blocks (or, under
+// write-through, over one checkin's pieces), resolved to (window,
 // home rank, segment offset), and runs that land contiguously in the same
 // home segment — which includes consecutive blocks of the same home, since
 // a home's blocks occupy consecutive segment offsets under every
 // distribution policy — are shipped as a single rma.Put. Holes are never
-// bridged: merging only exactly-adjacent runs writes the same bytes with
-// fewer messages, so simulated time can only improve. Adjacent dirty
-// regions within one block are already merged by region.Set; the gather
-// adds the cross-block dimension. Release fences then flush once per
-// written target rank (rma.FlushRank) instead of waiting on all traffic.
+// bridged: merging only exactly-adjacent runs writes the same bytes a
+// Put per run would, in fewer messages. Adjacent dirty regions within one
+// block are already merged by region.Set; the gather adds the cross-block
+// dimension. The pass then flushes once per written target rank
+// (rma.FlushRank, MPI_Win_flush) instead of waiting on all traffic.
 
 import (
 	"fmt"
@@ -36,7 +37,7 @@ type wbRun struct {
 	segOff int // iv.Lo's offset in the home's window segment
 }
 
-// gatherRun records one dirty interval of cb for the next issueRuns.
+// gatherRun records one dirty interval of cb for the next flushRuns.
 func (l *Local) gatherRun(cb *memblock.Block, iv region.Interval) {
 	s := l.space
 	bs := uint64(s.cfg.BlockSize)
@@ -135,31 +136,16 @@ func (l *Local) putRuns(group []wbRun, n int) {
 	}
 }
 
-// resetRuns retires the gathered runs, dropping block references.
-func (l *Local) resetRuns() {
-	for i := range l.wbRuns {
-		l.wbRuns[i] = wbRun{}
-	}
-	l.wbRuns = l.wbRuns[:0]
-}
-
-// writeBackCoalesced is the batched body of writeBackAll: it gathers every
-// dirty interval of every cache block, issues them as coalesced Puts, and
-// flushes each written target rank. Reports whether anything was written.
-func (l *Local) writeBackCoalesced() bool {
-	for _, cb := range l.cache.DirtyBlocks() {
-		for _, iv := range cb.Dirty.Intervals() {
-			l.gatherRun(cb, iv)
-		}
-	}
+// flushRuns issues the gathered runs as coalesced Puts, flushes each
+// written target rank, and retires the runs, dropping block references.
+// With nothing gathered it costs nothing.
+func (l *Local) flushRuns() {
 	if len(l.wbRuns) == 0 {
-		return false
+		return
 	}
-	// putRuns clears each run's dirty interval at its Put's copy instant.
-	targets := l.issueRuns()
-	for _, t := range targets {
+	for _, t := range l.issueRuns() {
 		l.rank.FlushRank(t)
 	}
-	l.resetRuns()
-	return true
+	clear(l.wbRuns)
+	l.wbRuns = l.wbRuns[:0]
 }

@@ -6,14 +6,14 @@ import (
 )
 
 // runCoalesceBody drives the write-back pattern shared by the coalescing
-// tests: rank 0 writes one region spanning the boundary between rank 1's
-// first two home blocks plus a second, hole-separated region in the second
-// block, then release-fences. The home chunk is pre-filled with a sentinel
-// so a put that illegally bridged the hole would destroy it.
-func runCoalesceBody(t *testing.T, coalesce bool) *Space {
+// tests under pol, with no other option set: rank 0 writes one region
+// spanning the boundary between rank 1's first two home blocks plus a
+// second, hole-separated region in the second block, then release-fences.
+// The home chunk is pre-filled with a sentinel so a put that illegally
+// bridged the hole would destroy it.
+func runCoalesceBody(t *testing.T, pol Policy) *Space {
 	t.Helper()
-	cfg := smallCfg(WriteBack) // 256-byte blocks, 64-byte sub-blocks
-	cfg.CoalesceWriteBack = coalesce
+	cfg := smallCfg(pol) // 256-byte blocks, 64-byte sub-blocks
 	return testCluster(t, 2, 1, cfg, func(l *Local) {
 		if l.Rank().ID() != 0 {
 			l.Rank().Barrier()
@@ -38,8 +38,14 @@ func runCoalesceBody(t *testing.T, coalesce bool) *Space {
 			for i := range v {
 				v[i] = fill
 			}
+			puts := l.space.comm.Stats().PutOps
 			if err := l.Checkin(addr, size, Write); err != nil {
 				t.Errorf("checkin(%#x,%d): %v", addr, size, err)
+			}
+			// Under write-through every checkin ships its pieces itself:
+			// consecutive same-home blocks go out as one Put.
+			if got := l.space.comm.Stats().PutOps - puts; pol == WriteThrough && got != 1 {
+				t.Errorf("write-through checkin(%#x,%d) issued %d puts, want 1", addr, size, got)
 			}
 		}
 		// [chunk+200, chunk+300): 56 bytes in block 0, 44 in block 1 —
@@ -67,28 +73,30 @@ func runCoalesceBody(t *testing.T, coalesce bool) *Space {
 	})
 }
 
-// TestCoalesceAcrossBlockBoundaryWithHole checks that two dirty regions
-// adjacent across a block boundary merge into one Put while a
-// hole-separated region does not, with byte-identical home contents and
-// traffic volume versus the unbatched path.
-func TestCoalesceAcrossBlockBoundaryWithHole(t *testing.T) {
-	off := runCoalesceBody(t, false)
-	on := runCoalesceBody(t, true)
+// checkCoalesced checks the traffic both policies must produce: the two
+// boundary-adjacent runs merged into one Put, the hole-separated run its
+// own, and every written byte shipped once.
+func checkCoalesced(t *testing.T, s *Space) {
+	t.Helper()
+	if s.Stats.WriteBackOps != 2 || s.Stats.WriteBackBytes != 150 {
+		t.Errorf("write-back = %d ops / %d bytes, want 2 / 150 (merged boundary + separate hole run)",
+			s.Stats.WriteBackOps, s.Stats.WriteBackBytes)
+	}
+	if s.Batch.WBRunsMerged != 1 || s.Batch.WBCoalescedBytes != 100 {
+		t.Errorf("batch stats = %+v, want 1 run merged / 100 coalesced bytes", s.Batch)
+	}
+}
 
-	if off.Stats.WriteBackOps != 3 {
-		t.Errorf("unbatched WriteBackOps = %d, want 3", off.Stats.WriteBackOps)
-	}
-	if off.Batch != (BatchStats{}) {
-		t.Errorf("unbatched run has nonzero batch stats: %+v", off.Batch)
-	}
-	if on.Stats.WriteBackOps != 2 {
-		t.Errorf("coalesced WriteBackOps = %d, want 2 (merged boundary + separate hole run)", on.Stats.WriteBackOps)
-	}
-	if on.Stats.WriteBackBytes != off.Stats.WriteBackBytes {
-		t.Errorf("coalescing changed write-back volume: %d vs %d bytes",
-			on.Stats.WriteBackBytes, off.Stats.WriteBackBytes)
-	}
-	if on.Batch.WBRunsMerged != 1 || on.Batch.WBCoalescedBytes != 100 {
-		t.Errorf("batch stats = %+v, want 1 run merged / 100 coalesced bytes", on.Batch)
-	}
+// TestCoalesceAcrossBlockBoundaryWithHole checks that, with no option set,
+// two dirty regions adjacent across a block boundary merge into one Put at
+// the release fence while a hole-separated region does not.
+func TestCoalesceAcrossBlockBoundaryWithHole(t *testing.T) {
+	checkCoalesced(t, runCoalesceBody(t, WriteBack))
+}
+
+// TestWriteThroughCheckinCoalesces checks the write-through path: a checkin
+// spanning two consecutive same-home blocks ships one Put, and the fence
+// after it has nothing left to write.
+func TestWriteThroughCheckinCoalesces(t *testing.T) {
+	checkCoalesced(t, runCoalesceBody(t, WriteThrough))
 }

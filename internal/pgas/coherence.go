@@ -1,7 +1,6 @@
 package pgas
 
 import (
-	"ityr/internal/region"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
 )
@@ -25,36 +24,20 @@ func (l *Local) requestEpoch() uint64 {
 // then advances the epoch. Called for release fences, lazy-release polls,
 // and cache-pressure flushes; the pass is reported as one span of kind k
 // (KRelease with its fence-site arg, KWriteBackAll or KLazyWriteBackAll).
-// With Config.CoalesceWriteBack the dirty regions are shipped as merged
-// per-home Puts and each written target rank is flushed individually
-// (batch.go); otherwise every region is its own Put and one Flush waits on
-// everything.
+// The dirty regions are shipped as merged per-home Puts and each written
+// target rank is flushed individually (batch.go).
 func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	t0 := l.rank.Proc().Now()
-	wrote := false
-	if l.space.cfg.CoalesceWriteBack {
-		wrote = l.writeBackCoalesced()
-	} else {
-		for _, cb := range l.cache.DirtyBlocks() {
-			// Snapshot the intervals: the loop subtracts from the set it
-			// walks. Each interval is cleared at its put's copy instant —
-			// rma.Put copies host bytes before charging time — so the
-			// dirty set lists exactly the bytes not yet sent home at every
-			// virtual instant of the pass.
-			ivs := append([]region.Interval(nil), cb.Dirty.Intervals()...)
-			for _, iv := range ivs {
-				cb.Dirty.Subtract(iv)
-				l.putDirtyInterval(cb, iv)
-				wrote = true
-			}
-		}
-		if wrote {
-			l.rank.Flush()
+	for _, cb := range l.cache.DirtyBlocks() {
+		for _, iv := range cb.Dirty.Intervals() {
+			l.gatherRun(cb, iv)
 		}
 	}
-	// No explicit validator hook here: the put paths above already marked
-	// every flushed interval home-visible at its put's copy instant, which
-	// is all the happens-before ledger needs from a release.
+	wrote := len(l.wbRuns) > 0
+	l.flushRuns()
+	// No explicit validator hook here: putRuns already marked every
+	// flushed interval home-visible at its Put's copy instant, which is
+	// all the happens-before ledger needs from a release.
 	cur, req := l.CurrentEpoch(), l.requestEpoch()
 	if wrote || cur < req {
 		l.space.epochWin.StoreLocalUint64(l.rank, cur+1, offCurrentEpoch)

@@ -40,10 +40,10 @@ type Local struct {
 	viewPool  [][]byte
 	piecePool [][]piece
 
-	// Write-back coalescing scratch (Config.CoalesceWriteBack): gathered
-	// dirty runs, the staging buffer merged multi-run Puts ship from, and
-	// the written-target list a release flushes rank by rank. Reused
-	// across write-backs; all host-side bookkeeping.
+	// Write-back scratch (batch.go): gathered dirty runs, the staging
+	// buffer merged multi-run Puts ship from, and the written-target list
+	// a write-back flushes rank by rank. Reused across write-backs; all
+	// host-side bookkeeping.
 	wbRuns    []wbRun
 	wbStage   []byte
 	wbTargets []int
@@ -492,23 +492,17 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 	if mode != Read {
 		l.copyPieces(rec.pieces, rec.view, addr, true)
 	}
-	flush := false
 	for _, p := range rec.pieces {
 		l.rank.Proc().Advance(costCheckinBlock)
 		if p.cb != nil {
 			if mode != Read {
 				iv := region.Interval{Lo: uint64(p.g), Hi: uint64(p.g) + uint64(p.n)}
 				if s.cfg.Policy == WriteThrough {
-					// Write dirty bytes home immediately, forgetting them.
-					// With coalescing the pieces are gathered first, so a
-					// checkin spanning consecutive same-home blocks ships
-					// one Put instead of one per block.
-					if s.cfg.CoalesceWriteBack {
-						l.gatherRun(p.cb, iv)
-					} else {
-						l.putDirtyInterval(p.cb, iv)
-						flush = true
-					}
+					// Write the bytes home immediately, never dirtying the
+					// cache. The pieces are gathered first, so a checkin
+					// spanning consecutive same-home blocks ships one Put
+					// instead of one per block.
+					l.gatherRun(p.cb, iv)
 				} else {
 					p.cb.Dirty.Add(iv)
 				}
@@ -532,43 +526,11 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 			p.hb.Ref--
 		}
 	}
-	if len(l.wbRuns) > 0 {
-		for _, t := range l.issueRuns() {
-			l.rank.FlushRank(t)
-		}
-		l.resetRuns()
-	}
-	if flush {
-		l.rank.Flush()
-	}
+	l.flushRuns()
 	l.putView(rec.view)
 	l.putPieces(rec.pieces)
 	l.span(trace.KCheckin, t0, size)
 	return nil
-}
-
-// putDirtyInterval writes the bytes of iv (global addresses, within cb's
-// block) from the cache block to their home. Nonblocking; callers flush.
-func (l *Local) putDirtyInterval(cb *memblock.Block, iv region.Interval) {
-	s := l.space
-	bs := uint64(s.cfg.BlockSize)
-	g0 := Addr(uint64(cb.ID) * bs)
-	a, err := s.findAlloc(Addr(iv.Lo), iv.Len())
-	if err != nil {
-		panic(fmt.Sprintf("pgas: dirty interval %v outside allocations: %v", iv, err))
-	}
-	homeRank, win, segOff0 := s.blockHome(a, g0)
-	src := cb.Data[iv.Lo-uint64(g0) : iv.Hi-uint64(g0)]
-	win.Put(l.rank, src, homeRank, segOff0+int(iv.Lo-uint64(g0)))
-	s.Stats.WriteBackOps++
-	s.Stats.WriteBackBytes += iv.Len()
-	s.rec.Instant(l.rank.ID(), trace.KWriteBack, l.rank.Proc().Now(), int64(iv.Len()), 0)
-	// The put copied the bytes into home memory at the call instant: for
-	// the validator's ledger they are home-visible from now on, whether
-	// this flush came from a fence, cache pressure, or write-through.
-	if v := s.val; v != nil {
-		v.markHomed(iv.Lo, iv.Hi, l.rank.Proc().Now())
-	}
 }
 
 // getInto reads [addr, addr+len(dst)) from home memory into dst — the

@@ -120,16 +120,9 @@ type Config struct {
 	MaxHomeBlocks int
 	// Policy selects the cache policy.
 	Policy Policy
-	// CoalesceWriteBack enables communication batching on the write-back
-	// path (the paper's Fig. 6 motivation: few large transfers instead of
-	// many small ones): dirty regions that land contiguously in the same
-	// home segment — adjacent regions within a block, or consecutive
-	// blocks of the same home — are merged into a single rma.Put, and a
-	// release fence flushes once per written target rank instead of once
-	// for everything. Off (false, the default) reproduces the unbatched
-	// seed behaviour bit-identically.
-	CoalesceWriteBack bool
-	PrefetchBlocks    int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
+
+	CoalesceWriteBack bool // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
+	PrefetchBlocks    int  // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 	// Validate enables the checkout-discipline validator (see validate.go):
 	// every checkout carries tracked access rights, and accesses breaking
 	// the memory-model contract (write-under-read, conflicting-checkouts,

@@ -82,9 +82,9 @@ type Space struct {
 	// shared by every rank.
 	Stats SpaceStats
 	// Batch aggregates write-back coalescing behaviour. Kept separate from
-	// Stats so runs with coalescing off leave it zero — golden digests fold
-	// Batch in only when it is nonzero, which keeps knobs-off digests
-	// bit-identical to runs that predate the batching layer.
+	// Stats so runs that merge nothing leave it zero — golden digests fold
+	// Batch in only when it is nonzero, which keeps the digests pinned
+	// before the batching layer existed valid.
 	Batch BatchStats
 	// TaskOf, when non-nil, maps a rank to the trace DAG thread ID of the
 	// task segment it is currently executing (0 = SPMD context). The
@@ -95,8 +95,8 @@ type Space struct {
 	val *validator
 }
 
-// BatchStats counts write-back coalescing events across all ranks. All
-// fields stay zero unless Config.CoalesceWriteBack is set.
+// BatchStats counts write-back coalescing events across all ranks: how
+// much of the write-back traffic went out in merged multi-run Puts.
 type BatchStats struct {
 	// WBRunsMerged counts dirty runs folded into a preceding run's Put
 	// (k runs merged into one Put add k-1 here).

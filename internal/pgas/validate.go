@@ -34,9 +34,9 @@ package pgas
 // The happens-before ledger behind unreleased-write tracks, per written
 // byte interval, the virtual time the bytes became home-visible — set at
 // the instant of whatever operation puts them home: a release fence's
-// write-back, a coalesced write-back run, a write-through or no-cache
-// checkin, a cache-pressure flush, or a home-local checkin that stores
-// straight into the home segment (rma.Put copies host bytes at the call
+// write-back run, a write-through or no-cache checkin, a cache-pressure
+// flush, or a home-local checkin that stores straight into the home
+// segment (rma.Put copies host bytes at the call
 // instant, so the put's call time IS the visibility time). Each rank
 // records the virtual time of its last completed acquire fence (which
 // self-invalidates its cache). A remote write is proven visible iff it

@@ -235,7 +235,7 @@ func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
 		snap.Counters["pgas_evictions"],
 		snap.Counters["pgas_writeback_ops"],
 		snap.Counters["pgas_writeback_bytes"])
-	// The coalescing line appears only when the knob was on.
+	// The coalescing line appears only when some run was merged.
 	if merged := snap.Counters["pgas_wb_runs_merged"]; merged > 0 {
 		fmt.Fprintf(w, "  coalesced  %d dirty runs merged into larger puts (%d bytes shipped merged)\n",
 			merged, snap.Counters["pgas_wb_coalesced_bytes"])

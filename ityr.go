@@ -142,10 +142,6 @@ const (
 // SchedPolicies lists all scheduling policies in -sched flag order.
 var SchedPolicies = uth.SchedPolicies
 
-// ParseSchedPolicy maps a -sched flag spelling to its policy, listing the
-// valid set on error.
-func ParseSchedPolicy(s string) (SchedPolicy, error) { return uth.ParseSchedPolicy(s) }
-
 // NewRuntime builds a runtime from cfg.
 func NewRuntime(cfg Config) *Runtime { return core.NewRuntime(cfg) }
 
