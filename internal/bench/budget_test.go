@@ -10,12 +10,11 @@ import (
 // Per-rank budgets on the rank-setup path (ityr.NewRuntime at 16,384
 // ranks): the guardrail for ROADMAP item 1's "memory footprint must stay
 // affordable at 16K ranks". Measured: ~1.7 KB retained and 5 heap objects
-// per rank, flat from 1K to 16K ranks (the pre-diet per-rank maps and O(n²)
-// communicator state blow straight through this; so does the 4.9 KB
-// math/rand source every rank's scheduler used to be built with, which a
-// worker now makes on its first steal). The budgets leave feature work
-// some headroom while a reintroduced per-rank map, ragged slice or eager
-// PRNG fails.
+// per rank, flat from 1K to 16K ranks (per-rank maps or O(n²) communicator
+// state blow straight through this; a worker's victim stream is one uint64
+// in the Worker). The budgets leave feature work some headroom while a
+// reintroduced per-rank map, ragged slice or per-rank PRNG fails;
+// TestRankRunMemoryBudget holds a worker's first steals to the same rule.
 const (
 	budgetRanks           = 16384
 	budgetBytesPerRank    = 3 * 1024
@@ -67,4 +66,32 @@ func BenchmarkRankSetup16K(b *testing.B) {
 		runtime.KeepAlive(rt)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/budgetRanks, "ns/rank")
+}
+
+// runRanks is the run budget's geometry: the benchmark's forkjoin-4096r.
+const runRanks = 4096
+
+// TestRankRunMemoryBudget: one fork-join region in which every idle rank
+// steals retains under 1 KB a rank more than set-up did. The victim stream
+// lives in the Worker, so the first steal allocates nothing; a 4.9 KB
+// per-rank PRNG made on first use would blow through it.
+func TestRankRunMemoryBudget(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	rt := setupRuntime(runRanks)
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if _, err := rt.RunRoot(func(c *ityr.Ctx) { c.Charge(200 * ityr.Microsecond) }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	grew := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / runRanks
+	runtime.KeepAlive(rt)
+	if f := rt.Sched().Stats.FailedSteals; f < runRanks {
+		t.Fatalf("%d failed steals on %d ranks: not every rank stole", f, runRanks)
+	}
+	t.Logf("ranks=%d: a region retains %.0f B/rank over set-up (budget 1024)", runRanks, grew)
+	if grew >= 1024 {
+		t.Errorf("a region in which every rank steals retains %.0f B/rank over set-up, over the 1 KB budget", grew)
+	}
 }

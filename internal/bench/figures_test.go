@@ -101,7 +101,7 @@ var doctorings = map[string]func(r rows){
 
 	"claim/fig8 larger_input_scales_better":        func(r rows) { r.set("fig8/1048576/No Cache/32", "speedup", 1) },
 	"claim/fig8 larger_input_speeds_up_with_ranks": func(r rows) { r.scale("fig8/1048576/Write-Back (Lazy)/32", "sim_ns", 10) },
-	"claim/fig8 cache_gain_larger_on_larger_input": func(r rows) { r.scale("fig8/262144/Write-Back (Lazy)/32", "sim_ns", 0.5) },
+	"claim/fig8 cache_gain_larger_on_larger_input": func(r rows) { r.scale("fig8/1048576/Write-Back (Lazy)/32", "sim_ns", 0.5) },
 
 	"claim/fig9 serial_time_constant":       func(r rows) { r["fig8/262144/Write-Back (Lazy)/16"]["merge_ns"]++ },
 	"claim/fig9 attribution_within_elapsed": func(r rows) { r.scale("fig8/262144/Write-Back (Lazy)/16", "get_ns", 1000) },
@@ -119,9 +119,11 @@ var doctorings = map[string]func(r rows){
 		r.set("fig10/T1L'/Write-Back (Lazy)/32", "nodes_per_sec", r["fig10/T1L'/Write-Back (Lazy)/16"]["nodes_per_sec"])
 	},
 
-	"claim/fig11 cache_beats_nocache":        func(r rows) { r.swap("fig11/3000/No Cache/16", "fig11/3000/Write-Through/16", "sim_ns") },
-	"claim/fig11 wb_no_slower_than_wt":       func(r rows) { r.swap("fig11/10000/Write-Back/32", "fig11/10000/Write-Through/32", "sim_ns") },
-	"claim/fig11 lazy_does_not_help":         func(r rows) { r.scale("fig11/10000/Write-Back (Lazy)/32", "sim_ns", 0.5) },
+	"claim/fig11 cache_beats_nocache":  func(r rows) { r.swap("fig11/3000/No Cache/16", "fig11/3000/Write-Through/16", "sim_ns") },
+	"claim/fig11 wb_no_slower_than_wt": func(r rows) { r.swap("fig11/10000/Write-Back/32", "fig11/10000/Write-Through/32", "sim_ns") },
+	"claim/fig11 lazy_does_not_help": func(r rows) {
+		r.set("fig11/10000/Write-Back (Lazy)/8", "sim_ns", r["fig11/10000/Write-Back/8"]["sim_ns"])
+	},
 	"claim/fig11 bigger_input_scales_better": func(r rows) { r.set("fig11/3000/Write-Back/32", "speedup", 100) },
 	"claim/fig11 closes_on_mpi_with_scale":   func(r rows) { r.scale("fig11/10000/MPI/4", "sim_ns", 0.5) },
 

@@ -2,7 +2,8 @@
 // ityr/internal packages each may import, that nothing imports upward
 // against sim → netmodel → rma → pgas → uth → core, and that the three
 // middle layers reach observability through exactly one package (the
-// recorder in internal/trace). It pins the programs too: the apps, the
+// recorder in internal/trace), and that the runtime draws no math/rand
+// numbers. It pins the programs too: the apps, the
 // examples and the app commands are written on the public ityr API alone.
 // It reads import declarations with go/build — no compile — and runs with
 // `go test ./...`.
@@ -90,6 +91,23 @@ func TestLayerImports(t *testing.T) {
 		case "rma", "pgas", "uth":
 			if len(obs) != 1 {
 				t.Errorf("internal/%s imports observability packages %v; it must report through exactly one", pkg, obs)
+			}
+		}
+	}
+}
+
+// TestRuntimeDrawsAreSplitmix: the simulator and the four runtime layers
+// import no math/rand. Every draw they make (steal victims, replica
+// selection) is a seeded splitmix stream, a word of state per stream.
+func TestRuntimeDrawsAreSplitmix(t *testing.T) {
+	for _, pkg := range []string{"sim", "rma", "pgas", "uth", "core"} {
+		p, err := build.ImportDir(filepath.Join(moduleRoot, "internal", pkg), 0)
+		if err != nil {
+			t.Fatalf("reading internal/%s: %v", pkg, err)
+		}
+		for _, imp := range p.Imports {
+			if imp == "math/rand" || strings.HasPrefix(imp, "math/rand/") {
+				t.Errorf("internal/%s imports %s; a runtime draw is a seeded splitmix stream", pkg, imp)
 			}
 		}
 	}

