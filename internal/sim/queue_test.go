@@ -69,6 +69,9 @@ func heapPop(q []event) (event, []event) {
 	return top, q
 }
 
+// fired is which callback ran: the oracle's and the engine's must agree.
+var fired int
+
 // TestQueueMatchesEventHeap drives the engine's queue and the oracle heap
 // with the same seeded random interleavings of pushes and pops — many events
 // per instant, FIFO and keyed keys mixed, resumes and callbacks, and drains
@@ -79,7 +82,6 @@ func TestQueueMatchesEventHeap(t *testing.T) {
 	for i := range procs {
 		procs[i] = &Proc{Name: "p"}
 	}
-	var fired int // which callback ran: the oracle's and the engine's must agree
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -161,6 +163,163 @@ func TestQueueMatchesEventHeap(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesEventHeap drives the engine through the entry points the
+// kernel itself queues events with — sleeps (of a process in AdvanceFunc,
+// which go to the lane for their length d or, when every lane queues sleeps
+// of another length, to the heap; and of one that is not, which go to the
+// heap), At callbacks, FIFO resumes and keyed wakes,
+// many at the same instants — and pops them as dispatch does, against the
+// oracle heap fed the same events. Every pop must match, and before pops a
+// fastAdvance must go ahead exactly when the oracle has nothing queued at or
+// before now+d. Bursts of sleeps of one length make lanes span several
+// blocks; drains to empty reset them.
+func TestEngineMatchesEventHeap(t *testing.T) {
+	step := func() (Time, bool) { return 0, true }
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		procs := make([]*Proc, 16)
+		for i := range procs {
+			procs[i] = &Proc{Name: "p", eng: e}
+			if i%2 == 0 {
+				procs[i].step = step // in AdvanceFunc: its sleeps are step sleeps
+			}
+		}
+		// Sleep lengths: a few common ones, and more distinct ones than the lane
+		// table holds, so some step sleeps overflow to the heap.
+		length := func() Time {
+			if rng.Intn(2) == 0 {
+				return Time(1 + rng.Intn(3))
+			}
+			return Time(rng.Intn(stepLanes + 8))
+		}
+		var oracle []event
+		var seq uint64
+		queued := map[[2]uint64]bool{} // (at, key) of every queued keyed wake
+		pops, peak := 0, 0
+		add := func(ev event) {
+			oracle = heapPush(oracle, ev)
+			peak = max(peak, len(oracle))
+		}
+		sleep := func(d Time) {
+			p := procs[rng.Intn(len(procs))]
+			seq++
+			add(event{at: e.now + d, key: seq, proc: p, steps: p.step != nil})
+			e.sleep(p, d)
+		}
+		push := func() {
+			at := e.now + Time(rng.Intn(4))
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				sleep(length())
+			case 3:
+				seq++
+				id := int(seq)
+				ev := event{at: at, key: seq}
+				ev.fire = func() { fired = id }
+				add(ev)
+				e.At(at, ev.fire)
+			case 4:
+				p := procs[2*rng.Intn(len(procs)/2)+1] // not in AdvanceFunc
+				seq++
+				add(event{at: at, key: seq, proc: p})
+				e.scheduleResume(p, at)
+			case 5:
+				var k uint64
+				for {
+					k = uint64(rng.Intn(64)) // unique per instant
+					if !queued[[2]uint64{uint64(at), keyedBase | k}] {
+						break
+					}
+				}
+				queued[[2]uint64{uint64(at), keyedBase | k}] = true
+				q := procs[rng.Intn(len(procs))]
+				add(event{at: at, key: keyedBase | k, proc: q, wake: true})
+				procs[0].ScheduleWake(q, at, k)
+			}
+		}
+		pop := func() {
+			if d := Time(rng.Intn(6)); rng.Intn(4) == 0 {
+				want := d > 0 && (len(oracle) == 0 || oracle[0].at > e.now+d)
+				before := e.now
+				if got := e.fastAdvance(d); got != want {
+					t.Fatalf("seed %d pop %d: fastAdvance(%d) at %d = %v, want %v", seed, pops, d, before, got, want)
+				}
+			}
+			var want event
+			want, oracle = heapPop(oracle)
+			s, got := e.pop()
+			pops++
+			if s.at != want.at || s.key != want.key || s.wake != want.wake || s.steps != want.steps ||
+				got.proc != want.proc || (got.fire == nil) != (want.fire == nil) {
+				t.Fatalf("seed %d pop %d: got %+v %+v, want %+v", seed, pops, s, got, want)
+			}
+			if want.fire != nil {
+				want.fire()
+				w := fired
+				got.fire()
+				if fired != w {
+					t.Fatalf("seed %d pop %d: fired callback %d, want %d", seed, pops, fired, w)
+				}
+			}
+			delete(queued, [2]uint64{uint64(want.at), want.key})
+			e.now = s.at
+		}
+		for round := 0; round < 200; round++ {
+			for n := rng.Intn(40); n > 0; n-- {
+				push()
+			}
+			if rng.Intn(8) == 0 {
+				d := length()
+				for n := rng.Intn(3 * laneBlockLen); n > 0; n-- {
+					sleep(d)
+				}
+			}
+			for n := rng.Intn(60); n > 0 && len(oracle) > 0; n-- {
+				pop()
+			}
+			if rng.Intn(10) == 0 {
+				for len(oracle) > 0 {
+					pop()
+				}
+			}
+			if n := queuedEvents(e); n != len(oracle) {
+				t.Fatalf("seed %d round %d: %d queued, oracle has %d", seed, round, n, len(oracle))
+			}
+		}
+		for len(oracle) > 0 {
+			pop()
+		}
+		if e.first != nil || e.nlanes != stepLanes {
+			t.Fatalf("seed %d: drained with first lane %v, %d of %d lanes bound", seed, e.first, e.nlanes, stepLanes)
+		}
+		blocks := 0
+		for b := e.spare; b != nil; b = b.next {
+			blocks++
+		}
+		if blocks == 0 {
+			t.Errorf("seed %d: no spare block after the bursts; no lane ever spanned two blocks", seed)
+		}
+		for i := range e.lanes {
+			for b := e.lanes[i].head; b != nil; b = b.next {
+				blocks++
+			}
+		}
+		if most := 2*stepLanes + peak/laneBlockLen; blocks > most {
+			t.Errorf("seed %d: lanes hold %d blocks for at most %d entries queued, want at most %d; spare blocks are not being reused", seed, blocks, peak, most)
+		}
+	}
+}
+
+// queuedEvents is how many events e has queued, on its heap and its lanes.
+func queuedEvents(e *Engine) int {
+	n := len(e.queue)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
+
 // TestSlotHoldsNoPointer pins the point of the heap's layout: a slot has no
 // pointer-typed field, so moving one needs no GC write barrier and the GC
 // never scans the heap. A slot and a payload together are the 40 bytes the
@@ -182,7 +341,8 @@ func TestSlotHoldsNoPointer(t *testing.T) {
 
 // TestSlabHoldsNothingAfterRun checks the GC guarantee pop keeps by clearing
 // the payloads it frees: once Run returns, no slab entry references a process
-// or a closure — after a run that ends cleanly and after a deadlock alike.
+// or a closure, and no lane entry — in a lane's blocks or a spare one — a
+// process, after a run that ends cleanly and after a deadlock alike.
 func TestSlabHoldsNothingAfterRun(t *testing.T) {
 	for _, deadlock := range []bool{false, true} {
 		e := NewEngine()
@@ -215,6 +375,22 @@ func TestSlabHoldsNothingAfterRun(t *testing.T) {
 		for i, pl := range e.slab {
 			if pl.proc != nil || pl.fire != nil {
 				t.Errorf("deadlock=%v: slab[%d] still references proc %v, fire set %v", deadlock, i, pl.proc, pl.fire != nil)
+			}
+		}
+		if e.nlanes == 0 || queuedEvents(e) != 0 {
+			t.Fatalf("deadlock=%v: %d lanes used, %d events queued", deadlock, e.nlanes, queuedEvents(e))
+		}
+		chains := []*laneBlock{e.spare}
+		for i := range e.lanes {
+			chains = append(chains, e.lanes[i].head)
+		}
+		for _, b := range chains {
+			for ; b != nil; b = b.next {
+				for i, r := range b.rs {
+					if r.proc != nil {
+						t.Errorf("deadlock=%v: lane entry %d still references proc %v", deadlock, i, r.proc)
+					}
+				}
 			}
 		}
 	}

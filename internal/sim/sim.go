@@ -19,7 +19,7 @@
 // The one-at-a-time invariant is also the kernel's fast-path licence:
 // whichever process currently runs owns every piece of engine state
 // outright, so it may mutate the clock and the event queue directly instead
-// of asking the driver to do it. Six consequences:
+// of asking the driver to do it. Seven consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
 //     Advance(d) simply sets now += d and returns — no switch, no
@@ -52,6 +52,19 @@
 //     something for it to do. The events, their times and their FIFO keys
 //     are those of the process looping over Advance itself; the two
 //     switches per iteration, and the cold stack they touch, are gone.
+//   - Step lanes: the resume that ends a stepped sleep skips the heap and
+//     joins a FIFO lane for its sleep length d, one of a small fixed table.
+//     A fork-join region on thousands of ranks with little parallelism is
+//     almost all such resumes, of very few lengths (an idle worker's tick,
+//     steal CAS and backoff: nine in all), so its thousands-deep heap
+//     becomes a handful of queues. A lane needs no sorting: every resume in
+//     it is queued at now+d for its one d, the clock never runs backwards
+//     and FIFO keys only grow, so its entries arrive in (at, key) order and
+//     its head is its minimum. A pop takes the earlier of the heap's top and
+//     the earliest lane head, and the zero-handoff test looks at both; the
+//     order is total, so the sequence popped is the heap-only one. Lanes
+//     keep their entries in 4 KiB blocks drawn from one spare list, so they
+//     hold about as many blocks as resumes are queued.
 //   - Keyed wakes are resumes: the event Proc.ScheduleWake queues — a
 //     barrier queues one per rank — is the resume of its target, not a
 //     callback that calls Wake and so queues the resume as a second event
@@ -124,7 +137,8 @@ const (
 // the workload (e.g. rank number), not of who scheduled first. A FIFO key is
 // never reused and a keyed one is unique per instant, so no two queued
 // events tie on (at, key): the order is total, and any correct min-heap pops
-// the one sequence it defines (TestQueueMatchesEventHeap).
+// the one sequence it defines (TestQueueMatchesEventHeap) — as does any
+// merge of the heap with sorted step lanes (TestEngineMatchesEventHeap).
 //
 // # A keyed wake is a resume
 //
@@ -183,10 +197,60 @@ type EngineStats struct {
 	Spawns       uint64 // processes created
 }
 
+// stepLanes is the size of the engine's table of step lanes: how many
+// distinct sleep lengths may have a lane at once. A step sleep whose length
+// has no lane while every lane queues sleeps of another goes on the heap.
+const stepLanes = 16
+
+// lane is the FIFO of the queued resumes that end step sleeps of one length
+// d, whose head is its earliest entry (see the package comment for why a
+// lane is sorted by construction). Its entries fill a chain of blocks from
+// head.rs[hi] to tail.rs[ti-1]; a block the head leaves goes to the engine's
+// spare list, which every lane draws on, so the lanes hold about as many
+// blocks as entries are queued — not each lane its own high-water mark.
+type lane struct {
+	d          Time
+	head, tail *laneBlock
+	hi, ti     int
+	n          int // entries queued
+}
+
+// laneBlockLen sizes a laneBlock to fill the allocator's 4 KiB size class.
+const laneBlockLen = 170
+
+// laneBlock is a run of lane entries, chained to the next through next.
+type laneBlock struct {
+	rs   [laneBlockLen]stepResume
+	next *laneBlock
+}
+
+// stepResume is a lane entry: the resume of proc, whose step runs when it is
+// popped.
+type stepResume struct {
+	at   Time
+	key  uint64
+	proc *Proc
+}
+
+// before reports whether r sorts before the event (at, key).
+func (r *stepResume) before(at Time, key uint64) bool {
+	return r.at < at || r.at == at && r.key < key
+}
+
+// top returns l's head, its earliest entry; l must not be empty.
+func (l *lane) top() *stepResume { return &l.head.rs[l.hi] }
+
+// headBefore reports whether l's head sorts before m's, or m is nil; l must
+// not be empty.
+func (l *lane) headBefore(m *lane) bool {
+	return m == nil || l.top().before(m.top().at, m.top().key)
+}
+
 // Engine is a discrete-event simulation engine; create one with NewEngine.
 type Engine struct {
 	now   Time
 	queue []slot // 4-ary min-heap ordered by (at, key)
+	first *lane  // the non-empty step lane with the earliest head; nil if none
 	// slab holds the queued events' payloads, indexed by slot.ev. It is as
 	// long as the queue has ever been, so its free entries are as many as the
 	// elements of queue's backing array past its length, and those elements
@@ -207,6 +271,13 @@ type Engine struct {
 	// simulation.
 	liveNow    atomic.Int64
 	liveEvents atomic.Uint64
+
+	// lanes[:nlanes] have been bound to a step sleep length; spare holds the
+	// blocks no lane does, linked through next. Last, so that the fields an
+	// ordinary event touches share their cache lines as they did before.
+	lanes  [stepLanes]lane
+	nlanes int
+	spare  *laneBlock
 }
 
 // liveEvery sets how many event pops elapse between live-snapshot
@@ -324,16 +395,101 @@ func (e *Engine) push(s slot, pl payload) {
 	e.queue = q
 }
 
+// lane returns the step lane for sleeps of length d: the one bound to d,
+// else an unused one or, once all are used, an empty one, bound to d — or
+// nil if every lane is bound to another length and queues something. A lane
+// only ever holds sleeps of its one length, so it stays sorted; rebinding
+// empty lanes keeps a burst of lengths that passes (ranks starting at
+// staggered times) from holding the table for good.
+func (e *Engine) lane(d Time) *lane {
+	for i := range e.lanes[:e.nlanes] {
+		if e.lanes[i].d == d {
+			return &e.lanes[i]
+		}
+	}
+	var l *lane
+	if e.nlanes < stepLanes {
+		l = &e.lanes[e.nlanes]
+		e.nlanes++
+	} else {
+		for i := range e.lanes {
+			if e.lanes[i].n == 0 {
+				l = &e.lanes[i]
+				break
+			}
+		}
+		if l == nil {
+			return nil
+		}
+	}
+	l.d = d
+	return l
+}
+
+// pushLane queues r at the tail of l, chaining a block on when the tail
+// block is full.
+func (e *Engine) pushLane(l *lane, r stepResume) {
+	if l.tail == nil || l.ti == laneBlockLen {
+		b := e.spare
+		if b != nil {
+			e.spare, b.next = b.next, nil
+		} else {
+			b = new(laneBlock)
+		}
+		if l.tail == nil {
+			l.head, l.hi = b, 0
+		} else {
+			l.tail.next = b
+		}
+		l.tail, l.ti = b, 0
+	}
+	l.tail.rs[l.ti] = r
+	l.ti++
+	l.n++
+	if l.n == 1 && l.headBefore(e.first) {
+		e.first = l
+	}
+}
+
+// popLane removes the head of the lane first, clearing its entry, and finds
+// the lane that is first next.
+func (e *Engine) popLane() (slot, payload) {
+	l := e.first
+	r := l.top()
+	s, pl := slot{at: r.at, key: r.key, steps: true}, payload{proc: r.proc}
+	r.proc = nil
+	l.hi++
+	l.n--
+	if l.n == 0 {
+		l.hi, l.ti = 0, 0 // an empty lane keeps its one block
+	} else if l.hi == laneBlockLen {
+		b := l.head
+		l.head, l.hi = b.next, 0
+		b.next, e.spare = e.spare, b
+	}
+	e.first = nil
+	for i := range e.lanes[:e.nlanes] {
+		if m := &e.lanes[i]; m.n > 0 && m.headBefore(e.first) {
+			e.first = m
+		}
+	}
+	return s, pl
+}
+
 // pop removes the earliest event from the queue and returns it with its
-// payload. The heap's last slot fills the hole the root leaves, sifted down
-// to where it belongs; the payload's slab entry is cleared — no process or
-// closure outlives its event there — and freed.
+// payload: the earliest lane head's when it sorts before the heap's top,
+// else the top's. The heap's last slot fills the hole the root leaves,
+// sifted down to where it belongs; the payload's slab entry is cleared — no
+// process or closure outlives its event there — and freed.
 func (e *Engine) pop() (slot, payload) {
 	e.stats.Events++
 	if e.stats.Events&(liveEvery-1) == 0 {
 		e.publishLive()
 	}
 	q := e.queue
+	if l := e.first; l != nil && (len(q) == 0 || l.top().before(q[0].at, q[0].key)) {
+		return e.popLane()
+	}
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
@@ -382,6 +538,19 @@ func (e *Engine) scheduleResume(p *Proc, t Time) {
 	e.push(slot{at: t, key: e.seq, steps: p.step != nil}, payload{proc: p})
 }
 
+// sleep queues the resume of p that ends a sleep of d: in the lane for d
+// when p is in AdvanceFunc and there is one, on the heap otherwise.
+func (e *Engine) sleep(p *Proc, d Time) {
+	if p.step != nil {
+		if l := e.lane(d); l != nil {
+			e.seq++
+			e.pushLane(l, stepResume{at: e.now + d, key: e.seq, proc: p})
+			return
+		}
+	}
+	e.scheduleResume(p, e.now+d)
+}
+
 // Spawn creates a new simulated process that will begin executing fn at the
 // current virtual time (after already-queued events for this instant).
 // The name is used in diagnostics only.
@@ -423,7 +592,7 @@ func (p *Proc) yield() {
 // self is nil in the driver and at process exit.
 func (e *Engine) dispatch(self *Proc) *Proc {
 	for {
-		if len(e.queue) == 0 {
+		if len(e.queue) == 0 && e.first == nil {
 			e.current = nil
 			return nil
 		}
@@ -463,7 +632,7 @@ func (e *Engine) runSteps(p *Proc) bool {
 			return true
 		}
 		if d = p.scaled(d); !e.fastAdvance(d) {
-			e.scheduleResume(p, e.now+d)
+			e.sleep(p, d)
 			return false
 		}
 	}
@@ -474,7 +643,8 @@ func (e *Engine) runSteps(p *Proc) bool {
 // at or before now+d, so whoever sleeps would be resumed next in any case —
 // and reports whether it did.
 func (e *Engine) fastAdvance(d Time) bool {
-	if d > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now+d) {
+	t := e.now + d
+	if d > 0 && (len(e.queue) == 0 || e.queue[0].at > t) && (e.first == nil || e.first.top().at > t) {
 		e.now += d
 		e.stats.FastAdvances++
 		return true
@@ -582,7 +752,7 @@ func (p *Proc) advance(d Time) {
 	if e.fastAdvance(d) {
 		return
 	}
-	e.scheduleResume(p, e.now+d)
+	e.sleep(p, d)
 	p.yield()
 }
 
