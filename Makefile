@@ -100,13 +100,18 @@ validate:
 # Observability pipeline smoke: a small cilksort with the span trace, the
 # metrics document and the streaming profile all armed, pushed through the
 # whole itytrace report. The ring is unbounded, so a dropped-span WARNING
-# (or any report error) fails it. Leaves obs-smoke.* in the checkout
-# (git-ignored); CI uploads the profile and the report.
+# (or any report error) fails it. The metrics and profile documents
+# itytrace extracts from the dump must be the bytes the run wrote itself.
+# Leaves obs-smoke.* in the checkout (git-ignored); CI uploads the profile
+# and the report.
 obs-smoke:
 	$(GO) run ./cmd/cilksort -n 32768 -cutoff 1024 -ranks 16 \
 		-trace obs-smoke.trace -metrics obs-smoke.metrics.json -profile obs-smoke.profile.json
-	$(GO) run ./cmd/itytrace obs-smoke.trace > obs-smoke.report.txt
+	$(GO) run ./cmd/itytrace -metrics obs-smoke.x.metrics.json -profile obs-smoke.x.profile.json \
+		obs-smoke.trace > obs-smoke.report.txt
 	@if grep -E '^WARNING' obs-smoke.report.txt; then echo "make obs-smoke: the report warns"; exit 1; fi
+	cmp obs-smoke.x.metrics.json obs-smoke.metrics.json
+	cmp obs-smoke.x.profile.json obs-smoke.profile.json
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -1,15 +1,19 @@
 // Command itytrace analyzes an "itytrace/v1" dump produced by the
 // example binaries' -trace flag (or core.Runtime.WriteTrace). The
-// default report shows critical-path vs. total work (the available
-// parallelism, as in Cilkview) and a per-rank busy/idle/steal breakdown
-// from the spans, then — from the embedded metrics snapshot, which covers
-// the whole run even when the span ring dropped — the steal counts and
-// latency histograms, the cache hit rate for the run's policy and any
-// resilience activity.
+// default report (trace.Report) shows critical-path vs. total work (the
+// available parallelism, as in Cilkview) and a per-rank busy/idle/steal
+// breakdown from the spans, then — from the embedded metrics snapshot,
+// which covers the whole run even when the span ring dropped — the steal
+// counts and latency histograms, the cache hit rate for the run's policy
+// and any resilience activity.
 //
 //	cilksort -ranks 16 -trace cilksort.trace
 //	itytrace cilksort.trace
 //	itytrace -chrome timeline.json cilksort.trace   # re-export for Perfetto
+//
+// Exit status: 2 for a usage error; 1 for a dump that cannot be read (a
+// document or embedded section of another schema included) or an output
+// that cannot be written; else 0.
 package main
 
 import (
@@ -22,110 +26,99 @@ import (
 	"ityr/internal/trace"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "itytrace:", err)
-	os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("itytrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chrome := fs.String("chrome", "", "also re-export the events as Chrome tracing JSON (load in Perfetto) to this file")
+	metricsOut := fs.String("metrics", "", "also extract the embedded metrics snapshot to this file ('-' for stdout)")
+	profileOut := fs.String("profile", "", "also extract the embedded itoyori-profile/v1 snapshot to this file ('-' for stdout)")
+	events := fs.Bool("events", false, "print the raw event stream instead of the report")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: itytrace [flags] DUMP\nanalyzes an itytrace/v1 dump written by -trace\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	if err := analyze(stdout, fs.Arg(0), *chrome, *metricsOut, *profileOut, *events); err != nil {
+		fmt.Fprintln(stderr, "itytrace:", err)
+		return 1
+	}
+	return 0
 }
 
-// save writes a file through write and fails on any create, write or close
+// analyze reads the dump at path and prints its report (or, with events,
+// the raw event stream), then writes the outputs the flags ask for.
+func analyze(stdout io.Writer, path, chrome, metricsOut, profileOut string, events bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	l, meta, err := trace.ReadDump(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	if events {
+		l.Dump(stdout)
+		return nil
+	}
+	trace.Report(stdout, path, l, meta)
+
+	if chrome != "" {
+		if err := save(chrome, l.ChromeJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nchrome trace -> %s (open in https://ui.perfetto.dev)\n", chrome)
+	}
+	if metricsOut != "" {
+		if meta.Metrics == nil {
+			return errors.New("dump carries no metrics snapshot")
+		}
+		if err := extract(stdout, metricsOut, meta.Metrics.WriteJSON); err != nil {
+			return err
+		}
+	}
+	if profileOut != "" {
+		if meta.Profile == nil {
+			return errors.New("dump carries no profile snapshot (run with -profile)")
+		}
+		if err := extract(stdout, profileOut, meta.Profile.WriteJSON); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// extract writes a document the dump embeds, through the same WriteJSON
+// the app binaries' -metrics and -profile flags use, to path ('-' for
+// stdout).
+func extract(stdout io.Writer, path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(stdout)
+	}
+	return save(path, write)
+}
+
+// save writes a file through write and reports any create, write or close
 // error.
-func save(path string, write func(io.Writer) error) {
+func save(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		fail(err)
-	}
-}
-
-// extract writes a snapshot the dump embeds to path ('-' for stdout); a
-// dump without one fails with missing.
-func extract(path string, doc []byte, missing string) {
-	if len(doc) == 0 {
-		fail(errors.New(missing))
-	}
-	write := func(w io.Writer) error {
-		_, err := w.Write(append(doc, '\n'))
-		return err
-	}
-	if path != "-" {
-		save(path, write)
-	} else if err := write(os.Stdout); err != nil {
-		fail(err)
-	}
-}
-
-func main() {
-	chrome := flag.String("chrome", "", "also re-export the events as Chrome tracing JSON (load in Perfetto) to this file")
-	metricsOut := flag.String("metrics", "", "also extract the embedded metrics snapshot to this file ('-' for stdout)")
-	profileOut := flag.String("profile", "", "also extract the embedded itoyori-profile/v1 snapshot to this file ('-' for stdout)")
-	events := flag.Bool("events", false, "print the raw event stream instead of the report")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: itytrace [flags] DUMP\nanalyzes an itytrace/v1 dump written by -trace\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fail(err)
-	}
-	l, meta, err := trace.ReadDump(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
-
-	if *events {
-		l.Dump(os.Stdout)
-		return
-	}
-
-	fmt.Printf("trace %s: %d events, %d ranks", flag.Arg(0), l.Len(), meta.Ranks)
-	if meta.Policy != "" {
-		fmt.Printf(", policy %s", meta.Policy)
-	}
-	fmt.Println()
-	if trace.DropWarning(os.Stdout, meta) {
-		fmt.Println()
-	}
-	fmt.Println()
-
-	a := trace.Analyze(l, meta.Ranks)
-	a.WriteReport(os.Stdout)
-	if err := trace.StealReport(os.Stdout, meta.Metrics); err != nil {
-		fail(err)
-	}
-	if err := trace.CacheReport(os.Stdout, meta.Policy, meta.Metrics); err != nil {
-		fail(err)
-	}
-	if err := trace.ResilienceReport(os.Stdout, meta.Metrics); err != nil {
-		fail(err)
-	}
-	if err := trace.ProfileReport(os.Stdout, meta.Profile); err != nil {
-		fail(err)
-	}
-	if err := trace.ValidatorReport(os.Stdout, meta.Validator); err != nil {
-		fail(err)
-	}
-
-	if *chrome != "" {
-		save(*chrome, l.ChromeJSON)
-		fmt.Printf("\nchrome trace -> %s (open in https://ui.perfetto.dev)\n", *chrome)
-	}
-	if *metricsOut != "" {
-		extract(*metricsOut, meta.Metrics, "dump carries no metrics snapshot")
-	}
-	if *profileOut != "" {
-		extract(*profileOut, meta.Profile, "dump carries no profile snapshot (run with -profile)")
-	}
+	return err
 }

@@ -107,9 +107,12 @@ func TestEverySuiteReports(t *testing.T) {
 // TestAppsVerifiedAcrossPoliciesAndSchedulers is the app-level slice of the
 // differential matrix: every application, output verified, under every
 // cache policy × scheduling policy × fault plan {none, armed but empty,
-// latency jitter only}, and under two more victim seeds (Config.Seed; the
-// inputs' seeds stay fixed). The output must depend on none of them, so
-// each of an app's 60 cells verifies and all agree on one output checksum.
+// latency jitter only, straggler}, and under two more victim seeds
+// (Config.Seed; the inputs' seeds stay fixed). The straggler plan runs with
+// victim blacklisting armed, as the faults suite arms it, so every
+// scheduler meets a slowed rank and the blacklist that routes steals
+// around it. The output must depend on none of them, so each of an app's
+// 72 cells verifies and all agree on one output checksum.
 // cilksort and utsmem run every cell with the checkout-discipline
 // validator on and must end with no violation. fmm runs unvalidated: its
 // P2P tasks still write field-disjoint halves of one body record that
@@ -137,10 +140,12 @@ func poisonPool(n, blockSize int) {
 }
 
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
+	straggler := fault.PlanStraggler(faultSeed)
 	plans := []*fault.Plan{
 		nil,
 		{Name: "empty", Seed: faultSeed},
 		{Name: "jitter", Seed: faultSeed, Links: []fault.LinkWindow{{Src: -1, Dst: -1, Jitter: 2 * sim.Microsecond}}},
+		&straggler,
 	}
 	for _, app := range verifiedApps {
 		var first string
@@ -169,6 +174,7 @@ func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 				for _, plan := range plans {
 					cfg := base
 					cfg.Faults = plan
+					cfg.Sched.VictimBlacklist = plan == &straggler
 					name := "none"
 					if plan != nil {
 						name = plan.Name

@@ -14,10 +14,10 @@ import (
 // TestCilksortTraceReport is the end-to-end check on the observability
 // pipeline: run cilksort on 16 ranks with tracing on, serialize the
 // itytrace/v1 dump exactly as the -trace flag does, read it back, and
-// require the report cmd/itytrace prints from it — a positive critical
-// path bounded by the work, a busy/steal/idle decomposition for all 16
-// ranks from the spans, and the scheduler's steal count with its latency
-// histogram from the embedded metrics.
+// require of the analysis a positive critical path bounded by the work and
+// a busy/steal/idle decomposition for all 16 ranks from the spans, and of
+// the report cmd/itytrace prints (trace.Report) the scheduler's steal
+// count with its latency histogram from the embedded metrics.
 func TestCilksortTraceReport(t *testing.T) {
 	const nranks = 16
 	cfg := runtimeConfig(nranks, 8, ityr.WriteBackLazy, 7)
@@ -35,7 +35,7 @@ func TestCilksortTraceReport(t *testing.T) {
 	if meta.Ranks != nranks {
 		t.Errorf("meta.Ranks = %d, want %d", meta.Ranks, nranks)
 	}
-	if len(meta.Metrics) == 0 {
+	if meta.Metrics == nil {
 		t.Error("dump carries no embedded metrics snapshot")
 	}
 
@@ -69,15 +69,9 @@ func TestCilksortTraceReport(t *testing.T) {
 	}
 
 	var rep strings.Builder
-	a.WriteReport(&rep)
-	if err := trace.StealReport(&rep, meta.Metrics); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.CacheReport(&rep, meta.Policy, meta.Metrics); err != nil {
-		t.Fatal(err)
-	}
+	trace.Report(&rep, "cilksort.trace", l, meta)
 	steals := rt.Sched().Stats.Steals
-	for _, want := range []string{"critical path", "parallelism", "hit rate",
+	for _, want := range []string{"trace cilksort.trace: ", "critical path", "parallelism", "hit rate",
 		fmt.Sprintf("%8d ok, %d failed", steals, rt.Sched().Stats.FailedSteals),
 		fmt.Sprintf("steal latency (ns): count %d ", steals)} {
 		if !strings.Contains(rep.String(), want) {

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -156,22 +155,10 @@ func NewRuntime(cfg Config) *Runtime {
 	// The SDC protector exists whenever defenses are configured OR a plan
 	// can corrupt task results: the latter case (defenses off) still needs
 	// the protector's escape accounting for the negative control.
+	// Its seed decorrelates selection from the scheduler's victim streams.
 	var protector *uth.Protector
 	if cfg.SDC != nil || (inj != nil && inj.TaskArmed()) {
-		var sc uth.SDCConfig
-		if cfg.SDC != nil {
-			sc = *cfg.SDC
-		}
-		if sc.Seed == 0 {
-			// Decorrelate selection from the scheduler's victim streams.
-			sc.Seed = cfg.Seed + 1
-		}
-		protector = uth.NewProtector(sched, sc)
-		if cfg.SDC != nil {
-			// Defenses armed: the wire side gets the end-to-end payload
-			// checksum with the same replay bound as task replication.
-			comm.SetSDCVerify(protector.Config().MaxReplays)
-		}
+		protector = uth.NewProtector(sched, cfg.SDC, cfg.Seed+1)
 	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
 		rec: rec, inj: inj, prot: protector}
@@ -197,7 +184,7 @@ func (rt *Runtime) WriteProfile(w io.Writer) error {
 	if rt.Profile() == nil {
 		return fmt.Errorf("core: profiling was not enabled (Config.Profile)")
 	}
-	return rt.Profile().WriteJSON(w)
+	return rt.Profile().Snapshot().WriteJSON(w)
 }
 
 // MetricsSnapshot returns the run's "itoyori-metrics/v1" document: the
@@ -309,30 +296,20 @@ func (rt *Runtime) WriteTrace(w io.Writer) error {
 	if rt.Trace() == nil {
 		return fmt.Errorf("core: tracing was not enabled (Config.Trace)")
 	}
-	snap, err := json.Marshal(rt.MetricsSnapshot())
-	if err != nil {
-		return err
-	}
-	var profSnap json.RawMessage
-	if rt.Profile() != nil {
-		if profSnap, err = json.Marshal(rt.Profile().Snapshot()); err != nil {
-			return err
-		}
-	}
-	var valSnap json.RawMessage
-	if rt.space.Validating() {
-		if valSnap, err = trace.MarshalValidator(rt.space.Violations()); err != nil {
-			return err
-		}
-	}
-	return rt.Trace().WriteDump(w, trace.Meta{
+	metrics := rt.MetricsSnapshot()
+	m := trace.Meta{
 		Ranks:        rt.cfg.Ranks,
 		CoresPerNode: rt.cfg.CoresPerNode,
 		Policy:       rt.space.Policy().String(),
-		Metrics:      snap,
-		Profile:      profSnap,
-		Validator:    valSnap,
-	})
+		Metrics:      &metrics,
+	}
+	if rt.Profile() != nil {
+		m.Profile = rt.Profile().Snapshot()
+	}
+	if rt.space.Validating() {
+		m.Validator = &trace.ValidatorDoc{Schema: trace.ValidatorSchema, Violations: rt.space.Violations()}
+	}
+	return rt.Trace().WriteDump(w, m)
 }
 
 // hooks wires the scheduler's synchronization points to the cache

@@ -433,8 +433,8 @@ func (p *Profile) hotPairs() ([]HotPair, bool) {
 // WriteJSON writes the snapshot as indented JSON. Field order is fixed by
 // the Doc struct and every merge is rank-ordered, so the bytes are stable
 // across runs.
-func (p *Profile) WriteJSON(w io.Writer) error {
+func (d *Doc) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(p.Snapshot())
+	return enc.Encode(d)
 }

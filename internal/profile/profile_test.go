@@ -158,10 +158,10 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 		return p
 	}
 	var a, b bytes.Buffer
-	if err := build().WriteJSON(&a); err != nil {
+	if err := build().Snapshot().WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteJSON(&b); err != nil {
+	if err := build().Snapshot().WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -171,7 +171,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 		t.Errorf("snapshot missing schema:\n%s", a.String())
 	}
 	var idle bytes.Buffer
-	if err := New(2, netmodel.Default(8)).WriteJSON(&idle); err != nil {
+	if err := New(2, netmodel.Default(8)).Snapshot().WriteJSON(&idle); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(idle.String(), `"hot_pairs": []`) {

@@ -469,18 +469,22 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 
 // ChargeAtomic charges the full origin-side cost of one remote atomic to
 // target: fault-injected retries, then the (possibly perturbed) atomic
-// round trip. Exported for the threading layer, whose steal protocol
-// performs its own deque compare-and-swap outside any window.
+// round trip, each sleep of an AtomicCharge taken with Advance. Exported
+// for the threading layer, whose steal protocol performs its own deque
+// compare-and-swap outside any window.
 func (r *Rank) ChargeAtomic(target int) {
-	r.retryFaults(target)
-	r.proc.Advance(r.c.net.AtomicTimeAt(r.proc.Now(), r.id, target))
-	r.c.rec.RMA(r.id, target, trace.OpAtomic, 8)
+	c := r.StartAtomic(target)
+	for d, done := c.Next(); !done; d, done = c.Next() {
+		r.proc.Advance(d)
+	}
 }
 
-// AtomicCharge is ChargeAtomic for a caller that may not block — a
-// sim.Proc.AdvanceFunc step, which is how an idle worker pays for its steal
-// attempts: the same sleeps, retry spans, counters, fail-stop and recorder
-// call, handed out one sleep at a time. Start one with Rank.StartAtomic.
+// AtomicCharge is the charge of one remote atomic handed out one sleep at
+// a time: the retry waits, the round trip, the retry spans, counters,
+// fail-stop and recorder call. ChargeAtomic sleeps each with Advance; a
+// caller that may not block — a sim.Proc.AdvanceFunc step, which is how an
+// idle worker pays for its steal attempts — takes them as step sleeps.
+// Start one with Rank.StartAtomic.
 type AtomicCharge struct {
 	r      *Rank
 	retry  retry

@@ -7,7 +7,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -142,27 +141,39 @@ func (a Analysis) WriteReport(w io.Writer) {
 	}
 }
 
-// readMetrics parses the metrics document a dump embeds; nil when there is
-// none.
-func readMetrics(raw json.RawMessage) (*MetricsDoc, error) {
-	if len(raw) == 0 {
-		return nil, nil
+// Report writes the whole itytrace report of a dump ReadDump returned,
+// named name on its first line: the ring-truncation warning, the span
+// analysis, then the sections of the embedded documents the dump carries
+// (steals, cache, resilience and SDC from the metrics; the streaming
+// profile; the validator).
+func Report(w io.Writer, name string, l *Log, m Meta) {
+	fmt.Fprintf(w, "trace %s: %d events, %d ranks", name, l.Len(), m.Ranks)
+	if m.Policy != "" {
+		fmt.Fprintf(w, ", policy %s", m.Policy)
 	}
-	var snap MetricsDoc
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("trace: parsing metrics snapshot: %w", err)
+	fmt.Fprintln(w)
+	if DropWarning(w, m) {
+		fmt.Fprintln(w)
 	}
-	return &snap, nil
+	fmt.Fprintln(w)
+	Analyze(l, m.Ranks).WriteReport(w)
+	if m.Metrics != nil {
+		stealReport(w, m.Metrics)
+		cacheReport(w, m.Policy, m.Metrics)
+		resilienceReport(w, m.Metrics)
+	}
+	if m.Profile != nil {
+		profileReport(w, m.Profile)
+	}
+	if m.Validator != nil {
+		fmt.Fprintln(w)
+		WriteViolations(w, m.Validator.Violations)
+	}
 }
 
-// StealReport prints the whole run's steal counts and the thief-side
-// latency histograms of successful and failed steals from a metrics
-// snapshot.
-func StealReport(w io.Writer, raw json.RawMessage) error {
-	snap, err := readMetrics(raw)
-	if snap == nil {
-		return err
-	}
+// stealReport prints the whole run's steal counts and the thief-side
+// latency histograms of successful and failed steals.
+func stealReport(w io.Writer, snap *MetricsDoc) {
 	fmt.Fprintf(w, "\nsteals        %8d ok, %d failed\n",
 		snap.Counters["uth_steals"], snap.Counters["uth_failed_steals"])
 	if h := snap.Histograms["uth_steal_latency_ns"]; h.Count > 0 {
@@ -174,7 +185,6 @@ func StealReport(w io.Writer, raw json.RawMessage) error {
 		fmt.Fprintf(w, "failed-steal latency (ns): count %d  mean %.0f\n",
 			h.Count, float64(h.Sum)/float64(h.Count))
 	}
-	return nil
 }
 
 // writeHistBars prints the non-empty buckets of a histogram with
@@ -209,14 +219,9 @@ func writeHistBars(w io.Writer, h HistogramSnapshot) {
 
 const bars = "########################################"
 
-// CacheReport summarizes the PGAS cache behavior recorded in a metrics
-// snapshot (as embedded in a dump's Meta.Metrics). It reports the
-// hit rate by bytes: HitBytes / (HitBytes + FetchBytes).
-func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
-	snap, err := readMetrics(raw)
-	if snap == nil {
-		return err
-	}
+// cacheReport summarizes the PGAS cache behavior of the run. It reports
+// the hit rate by bytes: HitBytes / (HitBytes + FetchBytes).
+func cacheReport(w io.Writer, policy string, snap *MetricsDoc) {
 	if policy == "" {
 		policy = snap.Labels["policy"]
 	}
@@ -240,18 +245,13 @@ func CacheReport(w io.Writer, policy string, raw json.RawMessage) error {
 		fmt.Fprintf(w, "  coalesced  %d dirty runs merged into larger puts (%d bytes shipped merged)\n",
 			merged, snap.Counters["pgas_wb_coalesced_bytes"])
 	}
-	return nil
 }
 
-// ResilienceReport summarizes fault-injection and recovery activity from a
-// metrics snapshot: retry/timeout/backoff counters from the RMA layer and
-// steal-blacklist counters from the scheduler. Silent when the run saw no
-// resilience activity.
-func ResilienceReport(w io.Writer, raw json.RawMessage) error {
-	snap, err := readMetrics(raw)
-	if snap == nil {
-		return err
-	}
+// resilienceReport summarizes fault-injection and recovery activity:
+// retry/timeout/backoff counters from the RMA layer and steal-blacklist
+// counters from the scheduler. Silent when the run saw no resilience
+// activity.
+func resilienceReport(w io.Writer, snap *MetricsDoc) {
 	retries := snap.Counters["rma_retries"]
 	blacklists := snap.Counters["uth_steal_blacklists"]
 	injected := snap.Counters["fault_injected_failures"]
@@ -259,7 +259,7 @@ func ResilienceReport(w io.Writer, raw json.RawMessage) error {
 		snap.Counters["sdc_injected_flips"] != 0 ||
 		snap.Counters["replica_tasks"] != 0
 	if retries == 0 && blacklists == 0 && injected == 0 && !sdcActive {
-		return nil
+		return
 	}
 	fmt.Fprintf(w, "\nresilience (whole-run counters):\n")
 	if retries != 0 || blacklists != 0 || injected != 0 {
@@ -275,7 +275,6 @@ func ResilienceReport(w io.Writer, raw json.RawMessage) error {
 	if sdcActive {
 		sdcReport(w, snap)
 	}
-	return nil
 }
 
 // sdcReport prints the silent-data-corruption section of the resilience

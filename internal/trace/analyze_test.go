@@ -100,10 +100,20 @@ func TestWriteReportContents(t *testing.T) {
 	}
 }
 
+// metricsDoc decodes a hand-written metrics document.
+func metricsDoc(t *testing.T, doc string) *MetricsDoc {
+	t.Helper()
+	var m MetricsDoc
+	if err := json.Unmarshal([]byte(doc), &m); err != nil {
+		t.Fatal(err)
+	}
+	return &m
+}
+
 // The steal section comes from the metrics document's counters and
 // histograms, not from the spans.
 func TestStealReport(t *testing.T) {
-	raw := json.RawMessage(`{
+	m := metricsDoc(t, `{
 		"schema": "itoyori-metrics/v1",
 		"counters": {"uth_steals": 3, "uth_failed_steals": 5},
 		"histograms": {
@@ -112,9 +122,7 @@ func TestStealReport(t *testing.T) {
 		}
 	}`)
 	var b strings.Builder
-	if err := StealReport(&b, raw); err != nil {
-		t.Fatal(err)
-	}
+	stealReport(&b, m)
 	out := b.String()
 	for _, want := range []string{"3 ok, 5 failed", "steal latency (ns): count 3  mean 700  min 100  max 1000",
 		"<= 1000", "failed-steal latency (ns): count 5  mean 200"} {
@@ -122,14 +130,10 @@ func TestStealReport(t *testing.T) {
 			t.Errorf("steal report missing %q:\n%s", want, out)
 		}
 	}
-	b.Reset()
-	if err := StealReport(&b, nil); err != nil || b.Len() != 0 {
-		t.Errorf("empty metrics: got err %v, output %q", err, b.String())
-	}
 }
 
 func TestCacheReport(t *testing.T) {
-	raw := json.RawMessage(`{
+	m := metricsDoc(t, `{
 		"schema": "itoyori-metrics/v1",
 		"labels": {"policy": "Write-Back"},
 		"counters": {
@@ -139,21 +143,27 @@ func TestCacheReport(t *testing.T) {
 		}
 	}`)
 	var b strings.Builder
-	if err := CacheReport(&b, "", raw); err != nil {
-		t.Fatal(err)
-	}
+	cacheReport(&b, "", m)
 	out := b.String()
 	for _, want := range []string{"Write-Back", "75.0%", "checkouts  7", "evictions 2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cache report missing %q:\n%s", want, out)
 		}
 	}
-	// No metrics embedded: report nothing, no error.
-	b.Reset()
-	if err := CacheReport(&b, "x", nil); err != nil || b.Len() != 0 {
-		t.Errorf("empty metrics: got err %v, output %q", err, b.String())
+}
+
+// A dump without a metrics document reports the spans and nothing the
+// metrics would have given.
+func TestReportWithoutMetrics(t *testing.T) {
+	var b strings.Builder
+	Report(&b, "fixture", fixtureLog(), Meta{Ranks: 2})
+	out := b.String()
+	if !strings.HasPrefix(out, "trace fixture: ") || !strings.Contains(out, "critical path") {
+		t.Errorf("report lacks its header or the span analysis:\n%s", out)
 	}
-	if err := CacheReport(&b, "x", json.RawMessage(`{bad`)); err == nil {
-		t.Error("malformed metrics snapshot did not error")
+	for _, absent := range []string{"steals", "cache", "resilience", "streaming profile", "validator"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("report without sections prints %q:\n%s", absent, out)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ityr/internal/profile"
 	"ityr/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func TestDumpRoundtrip(t *testing.T) {
 		Ranks:        2,
 		CoresPerNode: 2,
 		Policy:       "Write-Back",
-		Metrics:      json.RawMessage(`{"schema":"itoyori-metrics/v1"}`),
+		Metrics:      &MetricsDoc{Schema: MetricsSchema, Counters: map[string]uint64{"uth_steals": 4}},
 	}
 	var b bytes.Buffer
 	if err := l.WriteDump(&b, meta); err != nil {
@@ -29,8 +30,8 @@ func TestDumpRoundtrip(t *testing.T) {
 	if gotMeta.Ranks != 2 || gotMeta.CoresPerNode != 2 || gotMeta.Policy != "Write-Back" {
 		t.Errorf("meta = %+v", gotMeta)
 	}
-	if string(gotMeta.Metrics) != `{"schema":"itoyori-metrics/v1"}` {
-		t.Errorf("metrics payload = %s", gotMeta.Metrics)
+	if m := gotMeta.Metrics; m == nil || m.Schema != MetricsSchema || m.Counters["uth_steals"] != 4 {
+		t.Errorf("metrics section = %+v", m)
 	}
 	if got.CoresPerNode != 2 {
 		t.Errorf("CoresPerNode = %d, want 2", got.CoresPerNode)
@@ -50,12 +51,36 @@ func TestDumpRoundtrip(t *testing.T) {
 	}
 }
 
+// ReadDump is where a dump from outside the program is checked: it
+// rejects a document of another schema, and a wrong schema or malformed
+// JSON in any of the three sections a dump embeds.
 func TestReadDumpRejectsUnknownSchema(t *testing.T) {
-	if _, _, err := ReadDump(strings.NewReader(`{"schema":"bogus/v9","events":[]}`)); err == nil {
-		t.Error("unknown schema accepted")
+	dump := func(section string) string {
+		return `{"schema":"itytrace/v1","ranks":1,` + section + `"events":[]}`
 	}
-	if _, _, err := ReadDump(strings.NewReader(`not json`)); err == nil {
-		t.Error("malformed input accepted")
+	cases := []struct{ name, doc string }{
+		{"dump schema", `{"schema":"bogus/v9","events":[]}`},
+		{"not json", `not json`},
+		{"metrics schema", dump(`"metrics":{"schema":"bogus","counters":{}},`)},
+		{"metrics malformed", dump(`"metrics":{"schema":"itoyori-metrics/v1","counters":[1]},`)},
+		{"profile schema", dump(`"profile":{"schema":"bogus/v9","ranks":1},`)},
+		{"profile malformed", dump(`"profile":{"schema":"itoyori-profile/v1","ranks":"one"},`)},
+		{"validator schema", dump(`"validator":{"schema":"bogus","violations":[]},`)},
+		{"validator malformed", dump(`"validator":{"schema":"ityr-validator/v1","violations":{bad}},`)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := ReadDump(strings.NewReader(tc.doc)); err == nil {
+				t.Errorf("ReadDump accepted %s", tc.doc)
+			}
+		})
+	}
+	// The same sections with their own schemas are read.
+	good := dump(`"metrics":{"schema":"itoyori-metrics/v1","counters":{}},` +
+		`"profile":{"schema":"itoyori-profile/v1","ranks":1},` +
+		`"validator":{"schema":"ityr-validator/v1","violations":[]},`)
+	if _, m, err := ReadDump(strings.NewReader(good)); err != nil || m.Metrics == nil || m.Profile == nil || m.Validator == nil {
+		t.Errorf("ReadDump(%s) = %+v, %v", good, m, err)
 	}
 }
 
@@ -138,16 +163,16 @@ func TestDisabledInstrumentationZeroAllocs(t *testing.T) {
 	}
 }
 
-// The profile snapshot and per-rank drop totals ride the dump as opaque
-// metadata: WriteDump computes drops from the live rings, ReadDump hands
-// both back so offline reports can warn and render without the runtime.
+// The profile snapshot and per-rank drop totals ride the dump's header:
+// WriteDump computes drops from the live rings, ReadDump hands both back so
+// offline reports can warn and render without the runtime.
 func TestDumpProfileAndDropsRoundtrip(t *testing.T) {
 	l := NewRing(2)
 	for i := int64(1); i <= 5; i++ {
 		l.rec(Event{T: sim.Time(i * 10), Rank: 1, Kind: KFork, Arg: i}) // rank 1 drops 3
 	}
 	l.rec(Event{T: 60, Rank: 0, Kind: KFork, Arg: 9}) // rank 0 drops none
-	prof := json.RawMessage(`{"schema":"itoyori-profile/v1","ranks":2}`)
+	prof := &profile.Doc{Schema: profile.Schema, Ranks: 2}
 	var b bytes.Buffer
 	if err := l.WriteDump(&b, Meta{Ranks: 2, Profile: prof}); err != nil {
 		t.Fatal(err)
@@ -156,8 +181,8 @@ func TestDumpProfileAndDropsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(meta.Profile) != string(prof) {
-		t.Errorf("profile payload = %s", meta.Profile)
+	if meta.Profile == nil || meta.Profile.Schema != profile.Schema || meta.Profile.Ranks != 2 {
+		t.Errorf("profile section = %+v", meta.Profile)
 	}
 	if meta.Dropped != 3 {
 		t.Errorf("Dropped = %d, want 3", meta.Dropped)
@@ -178,16 +203,8 @@ func TestDumpProfileAndDropsRoundtrip(t *testing.T) {
 	}
 
 	var rep strings.Builder
-	if err := ProfileReport(&rep, meta.Profile); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "streaming profile") {
-		t.Errorf("profile report missing header:\n%s", rep.String())
-	}
-	if err := ProfileReport(&rep, nil); err != nil {
-		t.Errorf("empty profile payload should be silent, got %v", err)
-	}
-	if err := ProfileReport(&rep, json.RawMessage(`{"schema":"bogus/v9"}`)); err == nil {
-		t.Error("unknown profile schema accepted")
+	Report(&rep, "truncated", l, meta)
+	if !strings.Contains(rep.String(), "WARNING:") || !strings.Contains(rep.String(), "streaming profile") {
+		t.Errorf("report missing the drop warning or the profile section:\n%s", rep.String())
 	}
 }

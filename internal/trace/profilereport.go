@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -68,22 +67,11 @@ func shade(v, max uint64) byte {
 	return reportShades[idx]
 }
 
-// ProfileReport renders the streaming-profile snapshot embedded in a dump:
-// the whole-run rollup, the communication tier split, the hottest
-// origin→target pairs (with the exact matrix as a heat grid at small rank
-// counts), and the per-kind occupancy timeline. Silent when the dump
-// carries no profile section.
-func ProfileReport(w io.Writer, raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	var doc profile.Doc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("trace: parsing profile snapshot: %w", err)
-	}
-	if doc.Schema != profile.Schema {
-		return fmt.Errorf("trace: unsupported profile schema %q (want %q)", doc.Schema, profile.Schema)
-	}
+// profileReport renders a dump's streaming-profile section: the whole-run
+// rollup, the communication tier split, the hottest origin→target pairs
+// (with the exact matrix as a heat grid at small rank counts), and the
+// per-kind occupancy timeline.
+func profileReport(w io.Writer, doc *profile.Doc) {
 	fmt.Fprintf(w, "\nstreaming profile (%s, %d ranks):\n", doc.Schema, doc.Ranks)
 	ru := doc.Rollup
 	fmt.Fprintf(w, "  time (ns)  task %d  steal %d  idle %d  stall %d  barrier %d\n",
@@ -183,5 +171,4 @@ func ProfileReport(w io.Writer, raw json.RawMessage) error {
 			}
 		}
 	}
-	return nil
 }

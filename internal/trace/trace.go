@@ -23,6 +23,7 @@ import (
 	"io"
 	"sort"
 
+	"ityr/internal/profile"
 	"ityr/internal/sim"
 )
 
@@ -337,77 +338,66 @@ func (l *Log) ChromeJSON(w io.Writer) error {
 // DumpSchema identifies the trace dump document format.
 const DumpSchema = "itytrace/v1"
 
-// Meta is run metadata carried alongside a trace dump so offline analysis
-// does not need the original configuration.
+// Meta is a dump's header: run metadata carried alongside the events so
+// offline analysis does not need the original configuration, and the
+// documents the run embeds, as typed values. ReadDump decodes the whole
+// header once and holds it and each section to its schema, so a report
+// renders sections that are already checked.
 type Meta struct {
-	Ranks        int             `json:"ranks"`
-	CoresPerNode int             `json:"cores_per_node,omitempty"`
-	Policy       string          `json:"policy,omitempty"`
-	Metrics      json.RawMessage `json:"metrics,omitempty"`
-	// Profile, when present, is the run's embedded streaming-profile
-	// snapshot (an "itoyori-profile/v1" document, see internal/profile).
-	Profile json.RawMessage `json:"profile,omitempty"`
-	// Validator, when present, is the run's embedded checkout-discipline
-	// validator snapshot (an "ityr-validator/v1" document; present iff the
-	// run had pgas.Config.Validate on, even when it recorded nothing).
-	Validator json.RawMessage `json:"validator,omitempty"`
+	// Schema is DumpSchema; WriteDump sets it.
+	Schema       string `json:"schema"`
+	Ranks        int    `json:"ranks"`
+	CoresPerNode int    `json:"cores_per_node,omitempty"`
+	Policy       string `json:"policy,omitempty"`
 	// Dropped and DroppedByRank surface ring-buffer truncation: the total
 	// overwritten events and the per-rank breakdown (nil when clean).
-	// Filled by ReadDump; WriteDump computes them from the log itself.
-	Dropped       uint64   `json:"-"`
-	DroppedByRank []uint64 `json:"-"`
+	// WriteDump computes them from the log itself.
+	Dropped       uint64   `json:"dropped,omitempty"`
+	DroppedByRank []uint64 `json:"dropped_by_rank,omitempty"`
+	// Metrics is the run's "itoyori-metrics/v1" document.
+	Metrics *MetricsDoc `json:"metrics,omitempty"`
+	// Profile, when present, is the run's streaming-profile snapshot (an
+	// "itoyori-profile/v1" document, see internal/profile).
+	Profile *profile.Doc `json:"profile,omitempty"`
+	// Validator, when present, is the run's checkout-discipline validator
+	// snapshot (present iff the run had pgas.Config.Validate on, even when
+	// it recorded nothing).
+	Validator *ValidatorDoc `json:"validator,omitempty"`
 }
 
-// dumpDoc is the on-disk form: events as compact [t, dur, rank, kind,
-// arg, arg2] tuples in recording order.
+// dumpDoc is the on-disk form: the header, then the events as compact
+// [t, dur, rank, kind, arg, arg2] tuples in recording order.
 type dumpDoc struct {
-	Schema        string          `json:"schema"`
-	Ranks         int             `json:"ranks"`
-	CoresPerNode  int             `json:"cores_per_node,omitempty"`
-	Policy        string          `json:"policy,omitempty"`
-	Dropped       uint64          `json:"dropped,omitempty"`
-	DroppedByRank []uint64        `json:"dropped_by_rank,omitempty"`
-	Metrics       json.RawMessage `json:"metrics,omitempty"`
-	Profile       json.RawMessage `json:"profile,omitempty"`
-	Validator     json.RawMessage `json:"validator,omitempty"`
-	Events        [][6]int64      `json:"events"`
+	Meta
+	Events [][6]int64 `json:"events"`
 }
 
 // WriteDump serializes the log and metadata as an "itytrace/v1" JSON
 // document for cmd/itytrace.
 func (l *Log) WriteDump(w io.Writer, m Meta) error {
-	doc := dumpDoc{
-		Schema:        DumpSchema,
-		Ranks:         m.Ranks,
-		CoresPerNode:  m.CoresPerNode,
-		Policy:        m.Policy,
-		Dropped:       l.Dropped(),
-		DroppedByRank: l.DroppedByRank(),
-		Metrics:       m.Metrics,
-		Profile:       m.Profile,
-		Validator:     m.Validator,
-		Events:        make([][6]int64, 0, l.Len()),
+	m.Schema = DumpSchema
+	m.Dropped, m.DroppedByRank = l.Dropped(), l.DroppedByRank()
+	if m.CoresPerNode == 0 && l != nil {
+		m.CoresPerNode = l.CoresPerNode
 	}
-	if doc.CoresPerNode == 0 && l != nil {
-		doc.CoresPerNode = l.CoresPerNode
-	}
+	doc := dumpDoc{Meta: m, Events: make([][6]int64, 0, l.Len())}
 	for _, e := range l.Events() {
 		doc.Events = append(doc.Events,
 			[6]int64{int64(e.T), int64(e.Dur), int64(e.Rank), int64(e.Kind), e.Arg, e.Arg2})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
 }
 
 // ReadDump parses an "itytrace/v1" document back into a Log and its Meta.
+// The dump comes from outside the program, so it fails on a document or
+// an embedded section of another schema.
 func ReadDump(r io.Reader) (*Log, Meta, error) {
 	var doc dumpDoc
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, Meta{}, fmt.Errorf("trace: reading dump: %w", err)
 	}
-	if doc.Schema != DumpSchema {
-		return nil, Meta{}, fmt.Errorf("trace: unsupported dump schema %q (want %q)", doc.Schema, DumpSchema)
+	if err := doc.checkSchemas(); err != nil {
+		return nil, Meta{}, err
 	}
 	l := New()
 	l.CoresPerNode = doc.CoresPerNode
@@ -421,15 +411,23 @@ func ReadDump(r io.Reader) (*Log, Meta, error) {
 			Arg2: t[5],
 		})
 	}
-	m := Meta{
-		Ranks:         doc.Ranks,
-		CoresPerNode:  doc.CoresPerNode,
-		Policy:        doc.Policy,
-		Metrics:       doc.Metrics,
-		Profile:       doc.Profile,
-		Validator:     doc.Validator,
-		Dropped:       doc.Dropped,
-		DroppedByRank: doc.DroppedByRank,
+	return l, doc.Meta, nil
+}
+
+// checkSchemas holds the dump and every section it carries to its schema.
+func (m *Meta) checkSchemas() error {
+	bad := func(what, got, want string) error {
+		return fmt.Errorf("trace: unsupported %s schema %q (want %q)", what, got, want)
 	}
-	return l, m, nil
+	switch {
+	case m.Schema != DumpSchema:
+		return bad("dump", m.Schema, DumpSchema)
+	case m.Metrics != nil && m.Metrics.Schema != MetricsSchema:
+		return bad("metrics", m.Metrics.Schema, MetricsSchema)
+	case m.Profile != nil && m.Profile.Schema != profile.Schema:
+		return bad("profile", m.Profile.Schema, profile.Schema)
+	case m.Validator != nil && m.Validator.Schema != ValidatorSchema:
+		return bad("validator", m.Validator.Schema, ValidatorSchema)
+	}
+	return nil
 }

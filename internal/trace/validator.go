@@ -9,7 +9,6 @@ package trace
 // the reverse import would cycle.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -54,16 +53,11 @@ type ViolationRecord struct {
 	Detail string `json:"detail"`
 }
 
-// validatorDoc is the embedded snapshot document.
-type validatorDoc struct {
+// ValidatorDoc is the "ityr-validator/v1" document a dump embeds
+// (Meta.Validator).
+type ValidatorDoc struct {
 	Schema     string            `json:"schema"`
 	Violations []ViolationRecord `json:"violations"`
-}
-
-// MarshalValidator encodes violation records as an "ityr-validator/v1"
-// document for embedding in a trace dump.
-func MarshalValidator(recs []ViolationRecord) (json.RawMessage, error) {
-	return json.Marshal(validatorDoc{Schema: ValidatorSchema, Violations: recs})
 }
 
 // WriteViolations renders the "validator" report section: one header line
@@ -81,23 +75,4 @@ func WriteViolations(w io.Writer, recs []ViolationRecord) {
 			v.Win, v.Off, v.Off+int64(v.Hi-v.Lo))
 		fmt.Fprintf(w, "      %s\n", v.Detail)
 	}
-}
-
-// ValidatorReport parses an embedded validator snapshot and renders it via
-// WriteViolations. An empty raw message (the run did not validate) prints
-// nothing and returns nil.
-func ValidatorReport(w io.Writer, raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	var doc validatorDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("trace: parsing validator snapshot: %w", err)
-	}
-	if doc.Schema != ValidatorSchema {
-		return fmt.Errorf("trace: unsupported validator schema %q (want %q)", doc.Schema, ValidatorSchema)
-	}
-	fmt.Fprintln(w)
-	WriteViolations(w, doc.Violations)
-	return nil
 }

@@ -13,7 +13,7 @@ package uth
 // re-execution itself runs inline on the owning thread (the simulated
 // cost is what matters; the host needs no second goroutine). On a digest
 // mismatch the task re-runs with a strike counter and fail-stops past
-// MaxReplays, the replication policy of Reitz & Fohry's SDC protection
+// maxReplays, the replication policy of Reitz & Fohry's SDC protection
 // for fork-join task parallelism.
 //
 // The Protector's selection stream is deliberately independent of the
@@ -38,18 +38,17 @@ type SDCConfig struct {
 	// Replicate is the fraction of protected task segments that
 	// re-execute for comparison (0 = none, 1 = all).
 	Replicate float64
-	// MaxReplays is the fail-stop bound on digest-mismatch strikes within
-	// one protected segment. Acceptance needs two consecutive executions
-	// to agree, so with per-execution corruption probability p a protocol
-	// survives a strike chain with probability ~(1-(1-p)²) per comparison;
-	// the default of 32 makes bound exhaustion vanishingly unlikely even
-	// under the 50%-corruption storm plan while still fail-stopping a
-	// genuinely divergent (buggy, non-replay-stable) segment quickly.
-	MaxReplays int
-	// Seed seeds the selection and victim streams (the runtime defaults
-	// it to the run seed).
-	Seed int64
 }
+
+// maxReplays is the fail-stop bound on digest-mismatch strikes within one
+// protected segment, and the wire checksum's retransmission bound.
+// Acceptance needs two consecutive executions to agree, so with
+// per-execution corruption probability p a protocol survives a strike
+// chain with probability ~(1-(1-p)²) per comparison; 32 makes bound
+// exhaustion vanishingly unlikely even under the 50%-corruption storm plan
+// while still fail-stopping a genuinely divergent (buggy,
+// non-replay-stable) segment quickly.
+const maxReplays = 32
 
 // ProtStats aggregates replication activity.
 type ProtStats struct {
@@ -63,8 +62,9 @@ type ProtStats struct {
 // Protector implements selective task replication over a scheduler.
 // Like the scheduler itself it is driven only from simulated processes.
 type Protector struct {
-	s   *Sched
-	cfg SDCConfig
+	s         *Sched
+	replicate float64 // SDCConfig.Replicate (0 with the defenses off)
+	seed      uint64  // of the selection stream
 
 	seq        []uint64 // per-rank selection stream position
 	detectedBy []uint64 // per-rank digest mismatches (itytrace table)
@@ -74,23 +74,26 @@ type Protector struct {
 	Stats ProtStats
 }
 
-// NewProtector builds a protector for s with the given config.
-func NewProtector(s *Sched, cfg SDCConfig) *Protector {
-	if cfg.MaxReplays == 0 {
-		cfg.MaxReplays = 32
-	}
+// NewProtector builds a protector for s whose selection stream is seeded
+// with seed. A nil cfg leaves the defenses off: the protector only counts
+// the corruptions that escape to the output (the negative control). A
+// non-nil cfg arms replication and, on the wire, the end-to-end payload
+// checksum with the same replay bound.
+func NewProtector(s *Sched, cfg *SDCConfig, seed int64) *Protector {
 	n := s.comm.Size()
-	return &Protector{
+	p := &Protector{
 		s:          s,
-		cfg:        cfg,
+		seed:       uint64(seed),
 		seq:        make([]uint64, n),
 		detectedBy: make([]uint64, n),
 		escapedBy:  make([]uint64, n),
 	}
+	if cfg != nil {
+		p.replicate = cfg.Replicate
+		s.comm.SetSDCVerify(maxReplays)
+	}
+	return p
 }
-
-// Config returns the protector's configuration (defaults applied).
-func (p *Protector) Config() SDCConfig { return p.cfg }
 
 // DetectedByRank returns each rank's digest-mismatch count.
 func (p *Protector) DetectedByRank() []uint64 {
@@ -129,15 +132,15 @@ func splitmix(x uint64) uint64 {
 // armed consumes one step of rank's selection stream; with Replicate <= 0
 // it consumes nothing, keeping a replication-off protector digest-inert.
 func (p *Protector) Pick(rank int) (victim int, selected bool) {
-	if p.cfg.Replicate <= 0 {
+	if p.replicate <= 0 {
 		return rank, false
 	}
 	seq := p.seq[rank]
 	p.seq[rank] = seq + 1
-	h := splitmix(uint64(p.cfg.Seed) ^ 0x5DC)
+	h := splitmix(p.seed ^ 0x5DC)
 	h = splitmix(h + uint64(rank))
 	h = splitmix(h + seq)
-	if float64(h>>11)/(1<<53) >= p.cfg.Replicate {
+	if float64(h>>11)/(1<<53) >= p.replicate {
 		return rank, false
 	}
 	victim = rank
@@ -158,7 +161,7 @@ func (p *Protector) Pick(rank int) (victim int, selected bool) {
 // redundant execution charges the ship-to-replica protocol (deque CAS +
 // stack transfer toward the victim, the same cost model as a steal) and
 // appears as a KReplica span; each mismatch is a KSdcDetect event and a
-// strike, and a protocol still disagreeing past MaxReplays strikes
+// strike, and a protocol still disagreeing past maxReplays strikes
 // fail-stops with ErrSdcReplaysExhausted.
 func (p *Protector) Replicate(tb *TB, victim int, exec func() (uint64, uint64)) uint64 {
 	s := p.s
@@ -186,7 +189,7 @@ func (p *Protector) Replicate(tb *TB, victim int, exec func() (uint64, uint64)) 
 		p.Stats.Detected++
 		p.detectedBy[me]++
 		s.rec.Instant(me, trace.KSdcDetect, tb.th.proc.Now(), int64(victim), int64(strikes))
-		if strikes > p.cfg.MaxReplays {
+		if strikes > maxReplays {
 			panic(fmt.Errorf("%w: rank %d protected segment disagreed %d times",
 				ErrSdcReplaysExhausted, me, strikes))
 		}
