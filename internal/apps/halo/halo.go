@@ -132,7 +132,6 @@ func Run(cfg Config) (Result, error) {
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			storeF64(seg, i+1, float64(z>>11)/(1<<53))
 		}
-		tmp := make([]float64, cells)
 
 		exchange := func() {
 			// My first cell is my left neighbour's right ghost; my last
@@ -146,16 +145,7 @@ func Run(cfg Config) (Result, error) {
 		start := s.Now()
 		exchange() // populate ghosts for the first step
 		for step := 0; step < cfg.Steps; step++ {
-			// Each cell is loaded once: l, c, rr slide along the segment.
-			l, c := loadF64(seg, 0), loadF64(seg, 1)
-			for i := range tmp {
-				rr := loadF64(seg, i+2)
-				tmp[i] = 0.25*l + 0.5*c + 0.25*rr
-				l, c = c, rr
-			}
-			for i, v := range tmp {
-				storeF64(seg, i+1, v)
-			}
+			smooth(seg, cells)
 			s.Charge(ityr.Time(cells) * cellCost)
 			// Fence the compute phase off from the exchange phase: every
 			// rank must be done reading its ghosts before any neighbour
@@ -184,6 +174,20 @@ func Run(cfg Config) (Result, error) {
 		res.Checksum += v
 	}
 	return res, nil
+}
+
+// smooth applies one step of the three-point stencil to the cells of seg, a
+// rank's segment [ghostL | cells... | ghostR], in place. Each cell is loaded
+// once: l, c, rr slide along the segment, so cell i is written only after
+// cell i+1, the last that needs its old value, has been read. The float
+// operations and their order are those of a stencil into a second buffer.
+func smooth(seg []byte, cells int) {
+	l, c := loadF64(seg, 0), loadF64(seg, 1)
+	for i := 1; i <= cells; i++ {
+		rr := loadF64(seg, i+1)
+		storeF64(seg, i, 0.25*l+0.5*c+0.25*rr)
+		l, c = c, rr
+	}
 }
 
 // uint64Off converts a float64 slot index to a byte offset.

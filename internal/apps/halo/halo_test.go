@@ -143,3 +143,32 @@ func TestRunMatchesSequentialStencil(t *testing.T) {
 		}
 	}
 }
+
+// TestSmoothMatchesTwoBuffers checks the in-place stencil against the same
+// stencil written into a second buffer, bit for bit, on seeded random rows
+// (ghosts included) of the smallest sizes Run accepts and of a typical one.
+func TestSmoothMatchesTwoBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cells := range []int{2, 3, 256} {
+		for trial := 0; trial < 20; trial++ {
+			seg := make([]byte, (cells+2)*8)
+			for i := 0; i < cells+2; i++ {
+				storeF64(seg, i, rng.NormFloat64()*math.Exp2(float64(rng.Intn(40)-20)))
+			}
+			want := make([]float64, cells)
+			for i := range want {
+				want[i] = 0.25*loadF64(seg, i) + 0.5*loadF64(seg, i+1) + 0.25*loadF64(seg, i+2)
+			}
+			ghostL, ghostR := loadBits(seg, 0), loadBits(seg, cells+1)
+			smooth(seg, cells)
+			for i, w := range want {
+				if got := loadBits(seg, i+1); got != math.Float64bits(w) {
+					t.Fatalf("%d cells, trial %d: cell %d = %016x, two-buffer stencil has %016x", cells, trial, i, got, math.Float64bits(w))
+				}
+			}
+			if loadBits(seg, 0) != ghostL || loadBits(seg, cells+1) != ghostR {
+				t.Fatalf("%d cells, trial %d: the stencil wrote a ghost cell", cells, trial)
+			}
+		}
+	}
+}

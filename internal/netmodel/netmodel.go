@@ -130,7 +130,7 @@ var TierName = [NumTiers]string{"self", "node", "rack", "fabric"}
 // Tier classifies the locality tier that traffic from rank a to rank b
 // travels — the same tier TransferTime and AtomicTime price. Without a
 // configured rack tier, TierRack is never returned.
-func (p Params) Tier(a, b int) int {
+func (p *Params) Tier(a, b int) int {
 	switch {
 	case a == b:
 		return TierSelf
@@ -144,7 +144,7 @@ func (p Params) Tier(a, b int) int {
 }
 
 // Node returns the node index hosting rank r.
-func (p Params) Node(r int) int {
+func (p *Params) Node(r int) int {
 	if p.CoresPerNode <= 0 {
 		return r
 	}
@@ -152,11 +152,11 @@ func (p Params) Node(r int) int {
 }
 
 // SameNode reports whether ranks a and b share a node.
-func (p Params) SameNode(a, b int) bool { return p.Node(a) == p.Node(b) }
+func (p *Params) SameNode(a, b int) bool { return p.Node(a) == p.Node(b) }
 
 // Rack returns the rack index hosting rank r. Without a rack tier
 // (NodesPerRack <= 0) every node is its own rack.
-func (p Params) Rack(r int) int {
+func (p *Params) Rack(r int) int {
 	if p.NodesPerRack <= 0 {
 		return p.Node(r)
 	}
@@ -165,32 +165,32 @@ func (p Params) Rack(r int) int {
 
 // SameRack reports whether ranks a and b share a rack. Meaningful only
 // when a rack tier is configured; otherwise it degenerates to SameNode.
-func (p Params) SameRack(a, b int) bool { return p.Rack(a) == p.Rack(b) }
+func (p *Params) SameRack(a, b int) bool { return p.Rack(a) == p.Rack(b) }
 
 // rackTier reports whether a-to-b traffic travels the intra-rack tier:
 // distinct nodes of one rack, with a rack tier configured.
-func (p Params) rackTier(a, b int) bool {
+func (p *Params) rackTier(a, b int) bool {
 	return p.NodesPerRack > 0 && !p.SameNode(a, b) && p.SameRack(a, b)
 }
 
 // rackLatency / rackBandwidth / rackAtomicRTT fall back to the fabric
 // numbers when the rack field is unset, so a rack tier never undercuts the
 // fabric by omission.
-func (p Params) rackLatency() sim.Time {
+func (p *Params) rackLatency() sim.Time {
 	if p.RackLatency > 0 {
 		return p.RackLatency
 	}
 	return p.Latency
 }
 
-func (p Params) rackBandwidth() float64 {
+func (p *Params) rackBandwidth() float64 {
 	if p.RackBandwidth > 0 {
 		return p.RackBandwidth
 	}
 	return p.Bandwidth
 }
 
-func (p Params) rackAtomicRTT() sim.Time {
+func (p *Params) rackAtomicRTT() sim.Time {
 	if p.RackAtomicRTT > 0 {
 		return p.RackAtomicRTT
 	}
@@ -202,7 +202,7 @@ func (p Params) rackAtomicRTT() sim.Time {
 // processes on the same node pay the shared-memory cost, nodes sharing a
 // rack pay the rack cost (when a rack tier is configured), everything else
 // pays the fabric cost; a==b is free.
-func (p Params) TransferTime(a, b, n int) sim.Time {
+func (p *Params) TransferTime(a, b, n int) sim.Time {
 	if a == b {
 		return 0
 	}
@@ -217,7 +217,7 @@ func (p Params) TransferTime(a, b, n int) sim.Time {
 
 // SerializationTime returns the time n bytes occupy the origin NIC, used to
 // model back-to-back message pipelining.
-func (p Params) SerializationTime(a, b, n int) sim.Time {
+func (p *Params) SerializationTime(a, b, n int) sim.Time {
 	if a == b {
 		return 0
 	}
@@ -231,7 +231,7 @@ func (p Params) SerializationTime(a, b, n int) sim.Time {
 }
 
 // AtomicTime returns the cost of a remote atomic from rank a to rank b.
-func (p Params) AtomicTime(a, b int) sim.Time {
+func (p *Params) AtomicTime(a, b int) sim.Time {
 	if a == b {
 		return 60 * sim.Nanosecond // local CAS through the NIC loopback
 	}
@@ -247,7 +247,7 @@ func (p Params) AtomicTime(a, b int) sim.Time {
 // TransferTimeAt is TransferTime plus any fault-plan perturbation active
 // at virtual time now. With no Perturber (or a == b) it equals
 // TransferTime exactly.
-func (p Params) TransferTimeAt(now sim.Time, a, b, n int) sim.Time {
+func (p *Params) TransferTimeAt(now sim.Time, a, b, n int) sim.Time {
 	t := p.TransferTime(a, b, n)
 	if p.Perturb != nil && a != b {
 		t += p.Perturb.TransferExtra(now, a, b, n, t)
@@ -257,7 +257,7 @@ func (p Params) TransferTimeAt(now sim.Time, a, b, n int) sim.Time {
 
 // AtomicTimeAt is AtomicTime plus any fault-plan perturbation active at
 // virtual time now.
-func (p Params) AtomicTimeAt(now sim.Time, a, b int) sim.Time {
+func (p *Params) AtomicTimeAt(now sim.Time, a, b int) sim.Time {
 	t := p.AtomicTime(a, b)
 	if p.Perturb != nil && a != b {
 		t += p.Perturb.AtomicExtra(now, a, b, t)
@@ -270,7 +270,7 @@ func (p Params) AtomicTimeAt(now sim.Time, a, b int) sim.Time {
 // by callers that assemble the base cost from separate serialization and
 // latency terms (the RMA NIC pipeline) yet want the fault plan applied to
 // the whole.
-func (p Params) TransferExtraAt(now sim.Time, a, b, n int, base sim.Time) sim.Time {
+func (p *Params) TransferExtraAt(now sim.Time, a, b, n int, base sim.Time) sim.Time {
 	if p.Perturb == nil || a == b {
 		return 0
 	}

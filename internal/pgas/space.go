@@ -344,7 +344,8 @@ func (l *Local) FreeLocal(addr Addr, size uint64) error {
 	}
 	size = align(size, 16)
 	if owner != l.rank.ID() {
-		l.rank.Proc().Advance(s.comm.Net().AtomicTime(l.rank.ID(), owner))
+		net := s.comm.Net()
+		l.rank.Proc().Advance(net.AtomicTime(l.rank.ID(), owner))
 	} else {
 		l.rank.Proc().Advance(costAllocLocal)
 	}

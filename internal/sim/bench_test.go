@@ -83,3 +83,28 @@ func BenchmarkSimEngineWideIdle(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Stats().Events), "ns/event")
 }
+
+// BenchmarkSimEngineBarrier is a barrier-paced SPMD loop on 4,096 ranks, the
+// shape of a halo-exchange step: every process charges Advance(512) and
+// waits at a barrier that releases all ranks with rank-keyed wakes at one
+// instant, as the rma layer's does. Half the events are those wakes, half
+// the resumes that end the Advances, which wait behind a deep queue.
+func BenchmarkSimEngineBarrier(b *testing.B) {
+	const width = 4096
+	e := NewEngine()
+	rounds := b.N/(2*width) + 1
+	bar := newMiniBarrier(width, 1200)
+	for rank := range bar.procs {
+		bar.procs[rank] = e.Spawn("rank", func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Advance(512)
+				bar.wait(p, rank)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Stats().Events), "ns/event")
+}

@@ -268,6 +268,38 @@ func TestWideIdleDispatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBarrierDispatchZeroAllocs is the zero-allocation claim for a
+// barrier-paced SPMD loop at width: ranks that sleep behind a queue deep
+// enough for their resumes to take a lane, then wait at a barrier whose
+// release fills the wake run. Once the heap, the slab and the lane blocks
+// have grown to that width, every further event allocates nothing.
+func TestBarrierDispatchZeroAllocs(t *testing.T) {
+	const width = 1024
+	run := func(rounds int) {
+		e := NewEngine()
+		bar := newMiniBarrier(width, 1200)
+		for rank := range bar.procs {
+			bar.procs[rank] = e.Spawn("rank", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					p.Advance(Time(120 + 130*(rank%3)))
+					bar.wait(p, rank)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const extra = 64
+	small := testing.AllocsPerRun(3, func() { run(8) })
+	big := testing.AllocsPerRun(3, func() { run(8 + extra) })
+	perEvent := (big - small) / (2 * width * extra)
+	if perEvent > 0.001 {
+		t.Fatalf("%.4f allocations per event (small run %.1f, big run %.1f), want 0",
+			perEvent, small, big)
+	}
+}
+
 func emptyBody(*Proc) {}
 
 // TestSpawnReusesCarrier verifies the pooled-carrier claim: a process that

@@ -166,13 +166,17 @@ func TestQueueMatchesEventHeap(t *testing.T) {
 // TestEngineMatchesEventHeap drives the engine through the entry points the
 // kernel itself queues events with — sleeps (of a process in AdvanceFunc,
 // which go to the lane for their length d or, when every lane queues sleeps
-// of another length, to the heap; and of one that is not, which go to the
-// heap), At callbacks, FIFO resumes and keyed wakes,
-// many at the same instants — and pops them as dispatch does, against the
-// oracle heap fed the same events. Every pop must match, and before pops a
-// fastAdvance must go ahead exactly when the oracle has nothing queued at or
-// before now+d. Bursts of sleeps of one length make lanes span several
-// blocks; drains to empty reset them.
+// of another length and kind, to the heap; and of one that is not, which go
+// to the heap while it is shallow and to a lane of their own kind while it
+// is deep), At callbacks, FIFO resumes and keyed wakes (in random order,
+// and as barrier releases: runs of ascending keys at one instant) — many at
+// the same instants, and pops them as dispatch does, against the oracle heap
+// fed the same events. Every pop must match, and before pops a fastAdvance
+// must go ahead exactly when the oracle has nothing queued at or before
+// now+d. Bursts of sleeps of one length make lanes span several blocks;
+// bursts of callbacks make the heap deep; drains to empty reset them. Each
+// seed must send ordinary sleeps to lanes, keyed wakes to the wake run and
+// keyed wakes that sort before its tail to the heap.
 func TestEngineMatchesEventHeap(t *testing.T) {
 	step := func() (Time, bool) { return 0, true }
 	for seed := int64(1); seed <= 20; seed++ {
@@ -191,12 +195,13 @@ func TestEngineMatchesEventHeap(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				return Time(1 + rng.Intn(3))
 			}
-			return Time(rng.Intn(stepLanes + 8))
+			return Time(rng.Intn(sleepLanes + 8))
 		}
 		var oracle []event
 		var seq uint64
 		queued := map[[2]uint64]bool{} // (at, key) of every queued keyed wake
 		pops, peak := 0, 0
+		laned, run, heaped := 0, 0, 0 // ordinary sleeps on a lane; keyed wakes on the run, on the heap
 		add := func(ev event) {
 			oracle = heapPush(oracle, ev)
 			peak = max(peak, len(oracle))
@@ -205,7 +210,34 @@ func TestEngineMatchesEventHeap(t *testing.T) {
 			p := procs[rng.Intn(len(procs))]
 			seq++
 			add(event{at: e.now + d, key: seq, proc: p, steps: p.step != nil})
+			n := len(e.queue)
 			e.sleep(p, d)
+			if p.step == nil && len(e.queue) == n {
+				if n < deepQueue {
+					t.Fatalf("seed %d: an ordinary sleep joined a lane at heap depth %d", seed, n)
+				}
+				laned++
+			}
+		}
+		wake := func(at Time, k uint64) {
+			queued[[2]uint64{uint64(at), keyedBase | k}] = true
+			q := procs[rng.Intn(len(procs))]
+			add(event{at: at, key: keyedBase | k, proc: q, wake: true})
+			n := len(e.queue)
+			procs[0].ScheduleWake(q, at, k)
+			if len(e.queue) == n {
+				run++
+			} else {
+				heaped++
+			}
+		}
+		// unused returns the least key from k up that no keyed wake queued at
+		// at has.
+		unused := func(at Time, k uint64) uint64 {
+			for queued[[2]uint64{uint64(at), keyedBase | k}] {
+				k++
+			}
+			return k
 		}
 		push := func() {
 			at := e.now + Time(rng.Intn(4))
@@ -225,17 +257,15 @@ func TestEngineMatchesEventHeap(t *testing.T) {
 				add(event{at: at, key: seq, proc: p})
 				e.scheduleResume(p, at)
 			case 5:
-				var k uint64
-				for {
-					k = uint64(rng.Intn(64)) // unique per instant
-					if !queued[[2]uint64{uint64(at), keyedBase | k}] {
-						break
-					}
-				}
-				queued[[2]uint64{uint64(at), keyedBase | k}] = true
-				q := procs[rng.Intn(len(procs))]
-				add(event{at: at, key: keyedBase | k, proc: q, wake: true})
-				procs[0].ScheduleWake(q, at, k)
+				wake(at, unused(at, uint64(rng.Intn(64)))) // unique per instant
+			}
+		}
+		// release queues a barrier's wakes: ascending keys at one instant.
+		release := func() {
+			at, k := e.now+Time(rng.Intn(4)), uint64(rng.Intn(64))
+			for n := 1 + rng.Intn(24); n > 0; n-- {
+				k = unused(at, k)
+				wake(at, k)
 			}
 		}
 		pop := func() {
@@ -275,6 +305,20 @@ func TestEngineMatchesEventHeap(t *testing.T) {
 					sleep(d)
 				}
 			}
+			if rng.Intn(4) == 0 {
+				release()
+			}
+			if rng.Intn(8) == 0 {
+				for n := deepQueue + rng.Intn(64); len(e.queue) < n; {
+					seq++
+					ev := event{at: e.now + Time(rng.Intn(64)), key: seq, fire: func() {}}
+					add(ev)
+					e.At(ev.at, ev.fire)
+				}
+				for n := rng.Intn(80); n > 0; n-- {
+					sleep(length())
+				}
+			}
 			for n := rng.Intn(60); n > 0 && len(oracle) > 0; n-- {
 				pop()
 			}
@@ -290,8 +334,11 @@ func TestEngineMatchesEventHeap(t *testing.T) {
 		for len(oracle) > 0 {
 			pop()
 		}
-		if e.first != nil || e.nlanes != stepLanes {
-			t.Fatalf("seed %d: drained with first lane %v, %d of %d lanes bound", seed, e.first, e.nlanes, stepLanes)
+		if e.first != nil || e.nlanes != sleepLanes {
+			t.Fatalf("seed %d: drained with first lane %v, %d of %d lanes bound", seed, e.first, e.nlanes, sleepLanes)
+		}
+		if laned == 0 || run == 0 || heaped == 0 {
+			t.Fatalf("seed %d: %d ordinary sleeps on a lane, %d keyed wakes on the wake run and %d on the heap; want some of each", seed, laned, run, heaped)
 		}
 		blocks := 0
 		for b := e.spare; b != nil; b = b.next {
@@ -300,20 +347,21 @@ func TestEngineMatchesEventHeap(t *testing.T) {
 		if blocks == 0 {
 			t.Errorf("seed %d: no spare block after the bursts; no lane ever spanned two blocks", seed)
 		}
-		for i := range e.lanes {
-			for b := e.lanes[i].head; b != nil; b = b.next {
+		for _, l := range append(e.lanes[:], e.wakes) {
+			for b := l.head; b != nil; b = b.next {
 				blocks++
 			}
 		}
-		if most := 2*stepLanes + peak/laneBlockLen; blocks > most {
+		if most := 2*(sleepLanes+1) + peak/laneBlockLen; blocks > most {
 			t.Errorf("seed %d: lanes hold %d blocks for at most %d entries queued, want at most %d; spare blocks are not being reused", seed, blocks, peak, most)
 		}
 	}
 }
 
-// queuedEvents is how many events e has queued, on its heap and its lanes.
+// queuedEvents is how many events e has queued, on its heap, its lanes and
+// its wake run.
 func queuedEvents(e *Engine) int {
-	n := len(e.queue)
+	n := len(e.queue) + e.wakes.n
 	for i := range e.lanes {
 		n += e.lanes[i].n
 	}
@@ -341,8 +389,9 @@ func TestSlotHoldsNoPointer(t *testing.T) {
 
 // TestSlabHoldsNothingAfterRun checks the GC guarantee pop keeps by clearing
 // the payloads it frees: once Run returns, no slab entry references a process
-// or a closure, and no lane entry — in a lane's blocks or a spare one — a
-// process, after a run that ends cleanly and after a deadlock alike.
+// or a closure, and no lane entry — in a lane's blocks, the wake run's or a
+// spare one — a process, after a run that ends cleanly and after a deadlock
+// alike.
 func TestSlabHoldsNothingAfterRun(t *testing.T) {
 	for _, deadlock := range []bool{false, true} {
 		e := NewEngine()
@@ -377,10 +426,10 @@ func TestSlabHoldsNothingAfterRun(t *testing.T) {
 				t.Errorf("deadlock=%v: slab[%d] still references proc %v, fire set %v", deadlock, i, pl.proc, pl.fire != nil)
 			}
 		}
-		if e.nlanes == 0 || queuedEvents(e) != 0 {
-			t.Fatalf("deadlock=%v: %d lanes used, %d events queued", deadlock, e.nlanes, queuedEvents(e))
+		if e.nlanes == 0 || e.wakes.head == nil || queuedEvents(e) != 0 {
+			t.Fatalf("deadlock=%v: %d lanes used, wake run used %v, %d events queued", deadlock, e.nlanes, e.wakes.head != nil, queuedEvents(e))
 		}
-		chains := []*laneBlock{e.spare}
+		chains := []*laneBlock{e.spare, e.wakes.head}
 		for i := range e.lanes {
 			chains = append(chains, e.lanes[i].head)
 		}

@@ -19,7 +19,7 @@
 // The one-at-a-time invariant is also the kernel's fast-path licence:
 // whichever process currently runs owns every piece of engine state
 // outright, so it may mutate the clock and the event queue directly instead
-// of asking the driver to do it. Seven consequences:
+// of asking the driver to do it. Eight consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
 //     Advance(d) simply sets now += d and returns — no switch, no
@@ -52,25 +52,38 @@
 //     something for it to do. The events, their times and their FIFO keys
 //     are those of the process looping over Advance itself; the two
 //     switches per iteration, and the cold stack they touch, are gone.
-//   - Step lanes: the resume that ends a stepped sleep skips the heap and
-//     joins a FIFO lane for its sleep length d, one of a small fixed table.
-//     A fork-join region on thousands of ranks with little parallelism is
-//     almost all such resumes, of very few lengths (an idle worker's tick,
-//     steal CAS and backoff: nine in all), so its thousands-deep heap
-//     becomes a handful of queues. A lane needs no sorting: every resume in
-//     it is queued at now+d for its one d, the clock never runs backwards
-//     and FIFO keys only grow, so its entries arrive in (at, key) order and
-//     its head is its minimum. A pop takes the earlier of the heap's top and
-//     the earliest lane head, and the zero-handoff test looks at both; the
-//     order is total, so the sequence popped is the heap-only one. Lanes
-//     keep their entries in 4 KiB blocks drawn from one spare list, so they
-//     hold about as many blocks as resumes are queued.
 //   - Keyed wakes are resumes: the event Proc.ScheduleWake queues — a
 //     barrier queues one per rank — is the resume of its target, not a
 //     callback that calls Wake and so queues the resume as a second event
-//     at the same instant. One event, one heap push and pop, and no
+//     at the same instant. One event, one push and pop, and no
 //     allocation per wake; the schedule is exactly that of the two-event
 //     form (the argument is on the slot type).
+//   - Sleep lanes: the resume that ends a sleep may skip the heap and join
+//     a FIFO lane for its sleep length d and kind (a stepped sleep or an
+//     ordinary Advance), one of a small fixed table. A stepped sleep always
+//     joins one; an ordinary sleep joins one only while the heap is deep
+//     (deepQueue), because on a shallow heap a push and pop are cheaper than
+//     the lane lookup and the scan for the earliest head. A fork-join region
+//     on thousands of ranks with little parallelism is almost all stepped
+//     resumes, of very few lengths (an idle worker's tick, steal CAS and
+//     backoff: nine in all), and an SPMD stencil on thousands of ranks is
+//     almost all sleeps of a few lengths (issue overhead, compute charge,
+//     flush waits: five in all), so a thousands-deep heap becomes a handful
+//     of queues. A lane needs no sorting: every resume in it is queued at
+//     now+d for its one d, the clock never runs backwards and FIFO keys only
+//     grow, so its entries arrive in (at, key) order and its head is its
+//     minimum.
+//   - One wake run: a keyed wake that sorts after the last one queued joins
+//     a single FIFO of keyed wakes instead of the heap, and one that does
+//     not goes to the heap. A barrier queues its n wakes at one instant in
+//     rank order, so its whole release is one sorted run: n appends and n
+//     pops at the head, where the heap paid n sifts each way.
+//
+// A pop takes the earliest of the heap's top and the lane and run heads, and
+// the zero-handoff test looks at all of them; the order is total, so the
+// sequence popped is the heap-only one. Lanes and the run keep their entries
+// in 4 KiB blocks drawn from one spare list, so they hold about as many
+// blocks as resumes are queued.
 //
 // None of this changes simulated timestamps: the fast paths are taken only
 // when the slow path would produce the identical schedule, and the golden
@@ -138,7 +151,8 @@ const (
 // never reused and a keyed one is unique per instant, so no two queued
 // events tie on (at, key): the order is total, and any correct min-heap pops
 // the one sequence it defines (TestQueueMatchesEventHeap) — as does any
-// merge of the heap with sorted step lanes (TestEngineMatchesEventHeap).
+// merge of the heap with sorted lanes and the sorted wake run
+// (TestEngineMatchesEventHeap).
 //
 // # A keyed wake is a resume
 //
@@ -197,19 +211,34 @@ type EngineStats struct {
 	Spawns       uint64 // processes created
 }
 
-// stepLanes is the size of the engine's table of step lanes: how many
-// distinct sleep lengths may have a lane at once. A step sleep whose length
+// sleepLanes is the size of the engine's table of sleep lanes: how many
+// distinct (length, kind) pairs may have a lane at once. A sleep whose pair
 // has no lane while every lane queues sleeps of another goes on the heap.
-const stepLanes = 16
+const sleepLanes = 16
 
-// lane is the FIFO of the queued resumes that end step sleeps of one length
-// d, whose head is its earliest entry (see the package comment for why a
-// lane is sorted by construction). Its entries fill a chain of blocks from
-// head.rs[hi] to tail.rs[ti-1]; a block the head leaves goes to the engine's
-// spare list, which every lane draws on, so the lanes hold about as many
-// blocks as entries are queued — not each lane its own high-water mark.
+// deepQueue is the heap depth from which an ordinary (not stepped) sleep
+// joins a lane. Below it the heap's short sifts cost less than finding the
+// lane and rescanning the lane heads on each pop: with every ordinary sleep
+// on a lane, a 64-rank fork-join, whose heap never holds more than 64
+// events, ran about 6% slower, and a 4,096-rank one, whose lanes then
+// doubled in number, about 8% (EXPERIMENTS.md, "Lanes for every sleep").
+const deepQueue = 256
+
+// lane is a FIFO of queued resumes whose head is its earliest entry. A
+// sleep lane holds the resumes that end sleeps of one length d and one kind
+// — stepped (steps) or not — and the wake run the keyed wakes that each
+// sorted after the one before (see the package comment for why both are
+// sorted by construction). popLane marks the slot it pops with what the
+// lane holds, so an ordinary resume never makes dispatch look at its cold
+// Proc.
+//
+// A lane's entries fill a chain of blocks from head.rs[hi] to tail.rs[ti-1]; a
+// block the head leaves goes to the engine's spare list, which every lane
+// draws on, so the lanes hold about as many blocks as entries are queued —
+// not each lane its own high-water mark.
 type lane struct {
 	d          Time
+	steps      bool // the sleeps are stepped: slot.steps of every resume
 	head, tail *laneBlock
 	hi, ti     int
 	n          int // entries queued
@@ -220,25 +249,27 @@ const laneBlockLen = 170
 
 // laneBlock is a run of lane entries, chained to the next through next.
 type laneBlock struct {
-	rs   [laneBlockLen]stepResume
+	rs   [laneBlockLen]laneResume
 	next *laneBlock
 }
 
-// stepResume is a lane entry: the resume of proc, whose step runs when it is
-// popped.
-type stepResume struct {
+// laneResume is a lane entry: the resume of proc.
+type laneResume struct {
 	at   Time
 	key  uint64
 	proc *Proc
 }
 
 // before reports whether r sorts before the event (at, key).
-func (r *stepResume) before(at Time, key uint64) bool {
+func (r *laneResume) before(at Time, key uint64) bool {
 	return r.at < at || r.at == at && r.key < key
 }
 
 // top returns l's head, its earliest entry; l must not be empty.
-func (l *lane) top() *stepResume { return &l.head.rs[l.hi] }
+func (l *lane) top() *laneResume { return &l.head.rs[l.hi] }
+
+// last returns l's tail, its latest entry; l must not be empty.
+func (l *lane) last() *laneResume { return &l.tail.rs[l.ti-1] }
 
 // headBefore reports whether l's head sorts before m's, or m is nil; l must
 // not be empty.
@@ -250,7 +281,7 @@ func (l *lane) headBefore(m *lane) bool {
 type Engine struct {
 	now   Time
 	queue []slot // 4-ary min-heap ordered by (at, key)
-	first *lane  // the non-empty step lane with the earliest head; nil if none
+	first *lane  // the non-empty lane or wake run with the earliest head; nil if none
 	// slab holds the queued events' payloads, indexed by slot.ev. It is as
 	// long as the queue has ever been, so its free entries are as many as the
 	// elements of queue's backing array past its length, and those elements
@@ -272,11 +303,13 @@ type Engine struct {
 	liveNow    atomic.Int64
 	liveEvents atomic.Uint64
 
-	// lanes[:nlanes] have been bound to a step sleep length; spare holds the
-	// blocks no lane does, linked through next. Last, so that the fields an
-	// ordinary event touches share their cache lines as they did before.
-	lanes  [stepLanes]lane
+	// lanes[:nlanes] have been bound to a sleep length and kind; wakes is the
+	// wake run; spare holds the blocks no lane does, linked through next.
+	// Last, so that the fields an ordinary event touches share their cache
+	// lines as they did before.
+	lanes  [sleepLanes]lane
 	nlanes int
+	wakes  lane
 	spare  *laneBlock
 }
 
@@ -395,20 +428,20 @@ func (e *Engine) push(s slot, pl payload) {
 	e.queue = q
 }
 
-// lane returns the step lane for sleeps of length d: the one bound to d,
-// else an unused one or, once all are used, an empty one, bound to d — or
-// nil if every lane is bound to another length and queues something. A lane
-// only ever holds sleeps of its one length, so it stays sorted; rebinding
-// empty lanes keeps a burst of lengths that passes (ranks starting at
-// staggered times) from holding the table for good.
-func (e *Engine) lane(d Time) *lane {
+// lane returns the sleep lane for sleeps of length d and kind steps: the one
+// bound to them, else an unused one or, once all are used, an empty one,
+// bound to them — or nil if every lane is bound to another pair and queues
+// something. A lane only ever holds sleeps of its one length, so it stays
+// sorted; rebinding empty lanes keeps a burst of lengths that passes (ranks
+// starting at staggered times) from holding the table for good.
+func (e *Engine) lane(d Time, steps bool) *lane {
 	for i := range e.lanes[:e.nlanes] {
-		if e.lanes[i].d == d {
+		if e.lanes[i].d == d && e.lanes[i].steps == steps {
 			return &e.lanes[i]
 		}
 	}
 	var l *lane
-	if e.nlanes < stepLanes {
+	if e.nlanes < sleepLanes {
 		l = &e.lanes[e.nlanes]
 		e.nlanes++
 	} else {
@@ -422,13 +455,13 @@ func (e *Engine) lane(d Time) *lane {
 			return nil
 		}
 	}
-	l.d = d
+	l.d, l.steps = d, steps
 	return l
 }
 
 // pushLane queues r at the tail of l, chaining a block on when the tail
 // block is full.
-func (e *Engine) pushLane(l *lane, r stepResume) {
+func (e *Engine) pushLane(l *lane, r laneResume) {
 	if l.tail == nil || l.ti == laneBlockLen {
 		b := e.spare
 		if b != nil {
@@ -456,7 +489,7 @@ func (e *Engine) pushLane(l *lane, r stepResume) {
 func (e *Engine) popLane() (slot, payload) {
 	l := e.first
 	r := l.top()
-	s, pl := slot{at: r.at, key: r.key, steps: true}, payload{proc: r.proc}
+	s, pl := slot{at: r.at, key: r.key, wake: l == &e.wakes, steps: l.steps}, payload{proc: r.proc}
 	r.proc = nil
 	l.hi++
 	l.n--
@@ -468,6 +501,9 @@ func (e *Engine) popLane() (slot, payload) {
 		b.next, e.spare = e.spare, b
 	}
 	e.first = nil
+	if e.wakes.n > 0 {
+		e.first = &e.wakes
+	}
 	for i := range e.lanes[:e.nlanes] {
 		if m := &e.lanes[i]; m.n > 0 && m.headBefore(e.first) {
 			e.first = m
@@ -538,13 +574,14 @@ func (e *Engine) scheduleResume(p *Proc, t Time) {
 	e.push(slot{at: t, key: e.seq, steps: p.step != nil}, payload{proc: p})
 }
 
-// sleep queues the resume of p that ends a sleep of d: in the lane for d
-// when p is in AdvanceFunc and there is one, on the heap otherwise.
+// sleep queues the resume of p that ends a sleep of d: in the lane for d and
+// p's kind of sleep when there is one and p is in AdvanceFunc or the heap is
+// deep, on the heap otherwise.
 func (e *Engine) sleep(p *Proc, d Time) {
-	if p.step != nil {
-		if l := e.lane(d); l != nil {
+	if steps := p.step != nil; steps || len(e.queue) >= deepQueue {
+		if l := e.lane(d, steps); l != nil {
 			e.seq++
-			e.pushLane(l, stepResume{at: e.now + d, key: e.seq, proc: p})
+			e.pushLane(l, laneResume{at: e.now + d, key: e.seq, proc: p})
 			return
 		}
 	}
@@ -873,7 +910,9 @@ func (p *Proc) Wake() {
 // events of the same instant, in key order: the order is a property of the
 // workload, not of who scheduled first. The event queued is q's resume
 // itself: a q parked at t runs in it, a q not parked is granted the permit
-// (see the slot type).
+// (see the slot type). It joins the wake run when it sorts after the run's
+// last entry, as every wake of a barrier's release does, and the heap
+// otherwise.
 func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 	if key&^keyedMask != 0 {
 		panic("sim: ScheduleWake key out of range")
@@ -882,5 +921,10 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: wake at %d before now %d", t, e.now))
 	}
-	e.push(slot{at: t, key: keyedBase | key, wake: true}, payload{proc: q})
+	key |= keyedBase
+	if w := &e.wakes; w.n == 0 || w.last().before(t, key) {
+		e.pushLane(w, laneResume{at: t, key: key, proc: q})
+		return
+	}
+	e.push(slot{at: t, key: key, wake: true}, payload{proc: q})
 }

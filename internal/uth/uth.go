@@ -533,7 +533,7 @@ func (w *Worker) finishSteal() {
 	v.deque = v.deque[1:]
 	e.taken = true
 	s.Stats.Steals++
-	if s.comm.Net().SameNode(me, vID) {
+	if net := s.comm.Net(); net.SameNode(me, vID) {
 		s.Stats.IntraSteals++
 	}
 	// A started continuation migrates its live stack; a pending task
