@@ -22,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate obs-smoke docscheck linkcheck profile loc
+.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate fuzz-matrix obs-smoke docscheck linkcheck profile loc
 
 check: fmt vet build test benchmark-test shuffle race obs-smoke docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling gate-figures
 
@@ -96,6 +96,16 @@ sdc:
 validate:
 	@$(call subset,TestValidator,./internal/core)
 	@$(call subset,TestAppsVerifiedAcrossPoliciesAndSchedulers,./internal/bench)
+
+# The wide sweep of the app matrix (not in `check`; CI's faults job runs
+# it): the flaky-RMA column of TestAppsVerifiedAcrossPoliciesAndSchedulers
+# — cilksort and utsmem, validated, every cache policy × scheduler under
+# fault.PlanFlakyRMA at eight victim seeds — at the quick scale, 192 cells
+# in about 4–5 minutes on 2 CPUs. It is the only sweep that reaches the
+# paper's default configuration (Write-Back (Lazy), child-first) with
+# write-backs long enough to race a Join.
+fuzz-matrix:
+	@$(call subset,TestFlakyMatrixQuick,./internal/bench -wide-matrix,-timeout 20m -v)
 
 # Observability pipeline smoke: a small cilksort with the span trace, the
 # metrics document and the streaming profile all armed, pushed through the

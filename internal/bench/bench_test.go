@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"slices"
@@ -117,6 +118,11 @@ func TestEverySuiteReports(t *testing.T) {
 // validator on and must end with no violation. fmm runs unvalidated: its
 // P2P tasks still write field-disjoint halves of one body record that
 // other tasks read (ROADMAP 1(b)).
+// The two validated apps also run the flaky-RMA column (flakyCells): every
+// cache × scheduling policy under fault.PlanFlakyRMA at eight victim seeds,
+// 96 cells each. Retried ops stretch write-backs, which is what exposed a
+// child reported done before its Release #2 had reached home
+// (TestChildDoneOnlyAfterRelease).
 // Every cell runs on a poisoned cache-block pool (poisonPool), so the
 // output also cannot depend on what an unfetched cache byte holds.
 // poisonBlocks is how many poisoned blocks each matrix cell starts with:
@@ -139,6 +145,53 @@ func poisonPool(n, blockSize int) {
 	tb.Release()
 }
 
+// appMatrix checks one application's cells at one scale: each verifies,
+// ends with no checkout-discipline violation when validated, and computes
+// the output checksum of the first cell.
+type appMatrix struct {
+	t        *testing.T
+	name     string
+	run      func(Scale, ityr.Config) verifiedRun
+	sc       Scale
+	first    string
+	checksum uint64
+}
+
+func (m *appMatrix) check(cfg ityr.Config, knobs string) {
+	t := m.t
+	cell := fmt.Sprintf("%s/%s/%v/%v/%s seed=%d", m.name, m.sc.Name, cfg.Pgas.Policy, cfg.Sched.Policy, knobs, cfg.Seed)
+	cfg.Pgas.Validate = m.name != "fmm"
+	poisonPool(poisonBlocks, cfg.Pgas.BlockSize)
+	r := m.run(m.sc, cfg)
+	if !r.Verified {
+		t.Errorf("%s: output verification failed", cell)
+	}
+	if v := r.rt.Space().Violations(); len(v) > 0 {
+		t.Errorf("%s: %d checkout-discipline violations, the first %+v", cell, len(v), v[0])
+	}
+	if m.first == "" {
+		m.first, m.checksum = cell, r.Checksum
+	} else if r.Checksum != m.checksum {
+		t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, m.first, m.checksum)
+	}
+}
+
+// flakySeed is the k-th victim seed of the flaky-RMA column, faultSeed +
+// k·7919 for k = 0…7: the eight offsets EXPERIMENTS.md's seed-verdict rule
+// runs the figures at.
+func flakySeed(k int) int64 { return faultSeed + int64(k)*7919 }
+
+// flakyCells runs base under fault.PlanFlakyRMA at the eight victim seeds.
+func (m *appMatrix) flakyCells(base ityr.Config) {
+	flaky := fault.PlanFlakyRMA(faultSeed)
+	for k := range 8 {
+		cfg := base
+		cfg.Faults = &flaky
+		cfg.Seed = flakySeed(k)
+		m.check(cfg, "faults=flaky-rma")
+	}
+}
+
 func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 	straggler := fault.PlanStraggler(faultSeed)
 	plans := []*fault.Plan{
@@ -148,25 +201,7 @@ func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 		&straggler,
 	}
 	for _, app := range verifiedApps {
-		var first string
-		var checksum uint64
-		check := func(cfg ityr.Config, knobs string) {
-			cell := fmt.Sprintf("%s/%v/%v/%s seed=%d", app.Name, cfg.Pgas.Policy, cfg.Sched.Policy, knobs, cfg.Seed)
-			cfg.Pgas.Validate = app.Name != "fmm"
-			poisonPool(poisonBlocks, cfg.Pgas.BlockSize)
-			r := app.Run(Smoke, cfg)
-			if !r.Verified {
-				t.Errorf("%s: output verification failed", cell)
-			}
-			if v := r.rt.Space().Violations(); len(v) > 0 {
-				t.Errorf("%s: %d checkout-discipline violations, the first %+v", cell, len(v), v[0])
-			}
-			if first == "" {
-				first, checksum = cell, r.Checksum
-			} else if r.Checksum != checksum {
-				t.Errorf("%s: output checksum %016x, but %s has %016x", cell, r.Checksum, first, checksum)
-			}
-		}
+		m := &appMatrix{t: t, name: app.Name, run: app.Run, sc: Smoke}
 		for _, pol := range ityr.Policies {
 			for _, sched := range ityr.SchedPolicies {
 				base := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, faultSeed)
@@ -179,14 +214,59 @@ func TestAppsVerifiedAcrossPoliciesAndSchedulers(t *testing.T) {
 					if plan != nil {
 						name = plan.Name
 					}
-					check(cfg, "faults="+name)
+					m.check(cfg, "faults="+name)
 				}
 				for _, seed := range []int64{faultSeed + 1, faultSeed + 2} {
 					cfg := base
 					cfg.Seed = seed
-					check(cfg, "default knobs")
+					m.check(cfg, "default knobs")
+				}
+				if app.Name != "fmm" {
+					m.flakyCells(base)
 				}
 			}
 		}
 	}
+}
+
+// wideMatrix arms TestFlakyMatrixQuick, the wide sweep `make fuzz-matrix`
+// runs: it takes minutes, where the rest of the package takes seconds.
+var wideMatrix = flag.Bool("wide-matrix", false, "run the flaky-RMA victim-seed matrix at the quick scale (make fuzz-matrix)")
+
+// TestFlakyMatrixQuick is the flaky-RMA column of the app matrix at the
+// quick scale: cilksort and utsmem, validated, under every cache ×
+// scheduling policy at the eight victim seeds (192 cells). It is the one
+// sweep that reaches the paper's default configuration (Write-Back (Lazy),
+// child-first) with a write-back long enough to race a Join.
+func TestFlakyMatrixQuick(t *testing.T) {
+	if !*wideMatrix {
+		t.Skip("the wide sweep: make fuzz-matrix (-wide-matrix)")
+	}
+	for _, app := range verifiedApps {
+		if app.Name == "fmm" {
+			continue
+		}
+		m := &appMatrix{t: t, name: app.Name, run: app.Run, sc: Quick}
+		for _, pol := range ityr.Policies {
+			for _, sched := range ityr.SchedPolicies {
+				base := runtimeConfig(Quick.FixedRanks, Quick.CoresPerNode, pol, faultSeed)
+				base.Sched.Policy = sched
+				m.flakyCells(base)
+			}
+		}
+	}
+}
+
+// TestChildDoneOnlyAfterRelease pins the smallest matrix cell that caught a
+// child marked done before its Release #2: a stolen child's write-back
+// sleeps (per-Put overhead, the flush, fault-retry waits), and a parent
+// reaching Join in that window took the fast path, acquired, and read
+// bytes not yet sent home — an [unreleased-write] for the validator.
+func TestChildDoneOnlyAfterRelease(t *testing.T) {
+	cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBack, faultSeed)
+	flaky := fault.PlanFlakyRMA(faultSeed)
+	cfg.Faults = &flaky
+	cfg.Seed = flakySeed(3)
+	m := &appMatrix{t: t, name: "cilksort", run: verifiedApps[0].Run, sc: Smoke}
+	m.check(cfg, "faults=flaky-rma")
 }

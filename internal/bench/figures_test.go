@@ -96,12 +96,12 @@ func (r rows) swap(a, b, metric string)             { r[a][metric], r[b][metric]
 var doctorings = map[string]func(r rows){
 	"claim/fig7 policy_order_at_finest_cutoff":    func(r rows) { r.swap("fig7/Write-Through/256", "fig7/Write-Back/256", "sim_ns") },
 	"claim/fig7 nocache_slowest_at_finest_cutoff": func(r rows) { r.swap("fig7/No Cache/256", "fig7/Write-Back (Lazy)/256", "sim_ns") },
-	"claim/fig7 u_shape_min_at_16k":               func(r rows) { r.scale("fig7/Write-Back/65536", "sim_ns", 0.5) },
+	"claim/fig7 u_shape_min_at_16k":               func(r rows) { r.scale("fig7/Write-Back (Lazy)/16384", "sim_ns", 0.5) },
 	"claim/fig7 lazy_most_robust":                 func(r rows) { r.scale("fig7/Write-Back (Lazy)/256", "sim_ns", 2) },
 
 	"claim/fig8 larger_input_scales_better":        func(r rows) { r.set("fig8/1048576/No Cache/32", "speedup", 1) },
 	"claim/fig8 larger_input_speeds_up_with_ranks": func(r rows) { r.scale("fig8/1048576/Write-Back (Lazy)/32", "sim_ns", 10) },
-	"claim/fig8 cache_gain_larger_on_larger_input": func(r rows) { r.scale("fig8/1048576/Write-Back (Lazy)/32", "sim_ns", 0.5) },
+	"claim/fig8 cache_gain_larger_on_larger_input": func(r rows) { r.scale("fig8/1048576/Write-Back (Lazy)/32", "sim_ns", 2) },
 
 	"claim/fig9 serial_time_constant":       func(r rows) { r["fig8/262144/Write-Back (Lazy)/16"]["merge_ns"]++ },
 	"claim/fig9 attribution_within_elapsed": func(r rows) { r.scale("fig8/262144/Write-Back (Lazy)/16", "get_ns", 1000) },

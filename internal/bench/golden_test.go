@@ -115,7 +115,9 @@ func withProfile(cfg halo.Config) halo.Config {
 // elapsed, final and events did not move. Every cilksort row was re-taken
 // once more when the steal-victim draw became a splitmix stream: a new
 // victim sequence is a new schedule. The halo rows never draw a victim and
-// did not move.
+// did not move. The Write-Back, Write-Back (Lazy), link-degraded and
+// straggler rows were re-taken when a stolen child stopped counting as done
+// before its Release #2 completed: a Join in that window now waits.
 var golden = []struct {
 	test, name string
 	digest     func(*testing.T) string
@@ -128,9 +130,9 @@ var golden = []struct {
 	{test: "TestPinnedKernelDigests", name: "Write-Through", digest: cilk(ityr.WriteThrough, nil),
 		pin: "elapsed=603787 final=686527 events=13877 fnv=d5c8c8b699299c65"},
 	{test: "TestPinnedKernelDigests", name: "Write-Back", digest: cilk(ityr.WriteBack, nil),
-		pin: "elapsed=671266 final=754006 events=13652 fnv=e9659d926041cdf9"},
+		pin: "elapsed=584862 final=667602 events=13616 fnv=e9a2a0fd4efd72da"},
 	{test: "TestPinnedKernelDigests", name: "Write-Back (Lazy)", digest: lazy(nil),
-		pin: "elapsed=676534 final=759274 events=13637 fnv=327aae1b9e786a1a"},
+		pin: "elapsed=671609 final=754349 events=13631 fnv=df4dc00f27847bfd"},
 
 	// The fields the benchmark module still sets are ignored.
 	{test: "TestIgnoredConfigInert", name: "prefetch-blocks-ignored",
@@ -169,11 +171,11 @@ var golden = []struct {
 	// failure, retry backoff, latency spike, straggler window and blacklist
 	// decision.
 	{test: "TestFaultDeterminismGolden", name: "link-degraded", digest: lazy(armed(fault.PlanLinkDegraded(11))),
-		pin: "elapsed=895777 final=983684 events=13304 fnv=9ee3126f5c6f4867"},
+		pin: "elapsed=1042084 final=1129991 events=13376 fnv=3b049055b131d0a5"},
 	{test: "TestFaultDeterminismGolden", name: "flaky-rma", digest: lazy(armed(fault.PlanFlakyRMA(11))),
 		pin: "elapsed=610213 final=698648 events=13464 fnv=71d365bbf2063466"},
 	{test: "TestFaultDeterminismGolden", name: "straggler", digest: lazy(armed(fault.PlanStraggler(11))),
-		pin: "elapsed=769410 final=878410 events=13669 fnv=3f49ef09b4179498"},
+		pin: "elapsed=845116 final=954116 events=13718 fnv=248eece879b07562"},
 	// ... and so do a corruption plan's flips, detections and replica traffic.
 	{test: "TestSDCCorruptionDeterministic", name: "sdc-task+replicate=0.5",
 		digest: lazy(func(cfg *ityr.Config) {

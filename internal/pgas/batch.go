@@ -12,8 +12,11 @@ package pgas
 // bridged: merging only exactly-adjacent runs writes the same bytes a
 // Put per run would, in fewer messages. Adjacent dirty regions within one
 // block are already merged by region.Set; the gather adds the cross-block
-// dimension. The pass then flushes once per written target rank
-// (rma.FlushRank, MPI_Win_flush) instead of waiting on all traffic.
+// dimension. The pass then waits once, with rma.Flush (MPI_Win_flush_all),
+// on everything outstanding. A checkout flushes its Gets before it returns,
+// so that is the Puts just issued, and the wait ends when the last written
+// home is done (a cache-pressure pass inside a multi-block checkout also
+// waits for that checkout's Gets, which the checkout waits for anyway).
 
 import (
 	"fmt"
@@ -54,11 +57,9 @@ func (l *Local) gatherRun(cb *memblock.Block, iv region.Interval) {
 }
 
 // issueRuns sorts the gathered runs by (window, home, segment offset),
-// merges exactly-adjacent runs into single Puts, and issues them. It
-// returns the sorted, deduplicated list of written target ranks (aliasing
-// internal scratch — consume before the next gather). The runs themselves
-// are left in place so the caller can clear the flushed intervals.
-func (l *Local) issueRuns() []int {
+// merges exactly-adjacent runs into single Puts, and issues them. The runs
+// themselves are left in place for the caller to retire.
+func (l *Local) issueRuns() {
 	runs := l.wbRuns
 	sort.Slice(runs, func(i, j int) bool {
 		if runs[i].winID != runs[j].winID {
@@ -69,7 +70,6 @@ func (l *Local) issueRuns() []int {
 		}
 		return runs[i].segOff < runs[j].segOff
 	})
-	l.wbTargets = l.wbTargets[:0]
 	for i := 0; i < len(runs); {
 		j, n := i+1, int(runs[i].iv.Len())
 		for j < len(runs) && runs[j].winID == runs[i].winID &&
@@ -78,18 +78,8 @@ func (l *Local) issueRuns() []int {
 			j++
 		}
 		l.putRuns(runs[i:j], n)
-		l.wbTargets = append(l.wbTargets, runs[i].home)
 		i = j
 	}
-	sort.Ints(l.wbTargets)
-	out := l.wbTargets[:0]
-	for _, t := range l.wbTargets {
-		if len(out) == 0 || out[len(out)-1] != t {
-			out = append(out, t)
-		}
-	}
-	l.wbTargets = out
-	return out
 }
 
 // putRuns writes one merged group of adjacent runs (n total bytes) home as
@@ -136,16 +126,15 @@ func (l *Local) putRuns(group []wbRun, n int) {
 	}
 }
 
-// flushRuns issues the gathered runs as coalesced Puts, flushes each
-// written target rank, and retires the runs, dropping block references.
-// With nothing gathered it costs nothing.
+// flushRuns issues the gathered runs as coalesced Puts, waits for them with
+// one Flush, and retires the runs, dropping block references. With nothing
+// gathered it costs nothing.
 func (l *Local) flushRuns() {
 	if len(l.wbRuns) == 0 {
 		return
 	}
-	for _, t := range l.issueRuns() {
-		l.rank.FlushRank(t)
-	}
+	l.issueRuns()
+	l.rank.Flush()
 	clear(l.wbRuns)
 	l.wbRuns = l.wbRuns[:0]
 }

@@ -24,8 +24,8 @@ func (l *Local) requestEpoch() uint64 {
 // then advances the epoch. Called for release fences, lazy-release polls,
 // and cache-pressure flushes; the pass is reported as one span of kind k
 // (KRelease with its fence-site arg, KWriteBackAll or KLazyWriteBackAll).
-// The dirty regions are shipped as merged per-home Puts and each written
-// target rank is flushed individually (batch.go).
+// The dirty regions are shipped as merged per-home Puts and waited for
+// with one Flush (batch.go).
 func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	t0 := l.rank.Proc().Now()
 	for _, cb := range l.cache.DirtyBlocks() {

@@ -40,13 +40,11 @@ type Local struct {
 	viewPool  [][]byte
 	piecePool [][]piece
 
-	// Write-back scratch (batch.go): gathered dirty runs, the staging
-	// buffer merged multi-run Puts ship from, and the written-target list
-	// a write-back flushes rank by rank. Reused across write-backs; all
-	// host-side bookkeeping.
-	wbRuns    []wbRun
-	wbStage   []byte
-	wbTargets []int
+	// Write-back scratch (batch.go): gathered dirty runs and the staging
+	// buffer merged multi-run Puts ship from. Reused across write-backs;
+	// all host-side bookkeeping.
+	wbRuns  []wbRun
+	wbStage []byte
 
 	// ProfCategory, when non-empty, redirects the time of subsequent
 	// checkout/checkin calls to the named profiler category instead of

@@ -93,9 +93,10 @@ type Comm struct {
 }
 
 // New creates a communicator with n ranks on engine e using network model p.
-// Setup is O(n) in both time and memory: per-rank state that used to be
-// sized by the communicator (the per-target pending table) is now a pruned
-// pair list that grows only with each rank's live communication fan-out.
+// Setup is O(n) in both time and memory: a rank's completion state is two
+// times (its NIC watermark and its latest outstanding completion), whatever
+// it talks to, because the one completion wait is Flush — all outstanding
+// ops at once, like MPI_Win_flush_all.
 func New(e *sim.Engine, n int, p netmodel.Params) *Comm {
 	c := &Comm{eng: e, net: p, barSlots: make([]sim.Time, n)}
 	c.ranks = make([]Rank, n)
@@ -261,18 +262,6 @@ type Rank struct {
 	nicFree sim.Time // when the NIC finishes serializing already-issued messages
 	pending sim.Time // completion time of the latest outstanding nonblocking op
 
-	// pendingTo tracks the completion time of the latest outstanding
-	// nonblocking op per target rank, so FlushRank can wait on one target
-	// without stalling on unrelated traffic. It is a pruned pair list, not
-	// a communicator-sized table: an entry whose time is not in the
-	// rank's future is dead (a FlushRank on it would not wait) and is
-	// dropped on the next update, so the list length follows the rank's
-	// live fan-out — a handful of neighbors for stencils, the steal set
-	// for fork-join — instead of n. That turns per-rank state from O(n)
-	// into O(fan-out) and total communicator memory from O(n²) into O(n),
-	// the difference between 2 GB and a few MB at 16K ranks.
-	pendingTo []pendingEntry
-
 	// slowNum/slowDen is the rank's straggler time scale (0 = nominal),
 	// propagated to whichever process currently drives the rank.
 	slowNum, slowDen int64
@@ -293,48 +282,6 @@ type Rank struct {
 	sdcDetected uint64
 	sdcRetrans  uint64
 	sdcEscapes  uint64
-}
-
-// pendingEntry records the completion time of the latest outstanding
-// nonblocking op bound for one target rank.
-type pendingEntry struct {
-	target int32
-	t      sim.Time
-}
-
-// notePending folds completion time t for ops to target into the pending
-// pair list, keeping the per-target maximum and pruning entries that are
-// no longer in the rank's future. A rank's virtual clock is monotonic, so
-// a pruned entry can never become waitable again; dropping it leaves every
-// future FlushRank's behavior exactly unchanged.
-func (r *Rank) notePending(target int, t, now sim.Time) {
-	out := r.pendingTo[:0]
-	for _, e := range r.pendingTo {
-		if int(e.target) == target {
-			if e.t > t {
-				t = e.t
-			}
-			continue
-		}
-		if e.t > now {
-			out = append(out, e)
-		}
-	}
-	if t > now {
-		out = append(out, pendingEntry{target: int32(target), t: t})
-	}
-	r.pendingTo = out
-}
-
-// pendingToTime returns the completion time of the latest outstanding op
-// to target, or zero when nothing to target is outstanding.
-func (r *Rank) pendingToTime(target int) sim.Time {
-	for _, e := range r.pendingTo {
-		if int(e.target) == target {
-			return e.t
-		}
-	}
-	return 0
 }
 
 // ID returns the rank number.
@@ -534,11 +481,8 @@ func (r *Rank) issue(target, nbytes int) {
 		// Local window access: completes at issue time and never touches
 		// the NIC, so it must not occupy the serialization pipeline (a
 		// local op squeezed between two remote ops must not delay the
-		// second one).
-		if now > r.pending {
-			r.pending = now
-		}
-		r.notePending(target, now, now)
+		// second one). It is complete the moment it is issued, so no Flush
+		// ever waits on it.
 		return
 	}
 	if r.nicFree < now {
@@ -554,36 +498,21 @@ func (r *Rank) issue(target, nbytes int) {
 	if done > r.pending {
 		r.pending = done
 	}
-	r.notePending(target, done, now)
 }
 
 // Flush blocks until all nonblocking operations issued by this rank have
 // completed, like MPI_Win_flush_all. The wait is a plain Advance, so when no
 // other rank has an event due first it rides the kernel's zero-handoff fast
-// path — a flush-heavy rank costs the host nothing per wait.
-func (r *Rank) Flush() { r.stall(r.pending) }
-
-// FlushRank blocks until all nonblocking operations this rank issued to
-// target have completed, like MPI_Win_flush: a targeted wait that lets a
-// release fence drain each written home rank without stalling on traffic
-// bound elsewhere. A FlushRank that has nothing to wait for is free.
-func (r *Rank) FlushRank(target int) { r.stall(r.pendingToTime(target)) }
-
-// stall waits for the completion time until, if still ahead, as one
-// counted KStall span.
-func (r *Rank) stall(until sim.Time) {
+// path — a flush-heavy rank costs the host nothing per wait. A wait is one
+// counted KStall span; a Flush with nothing outstanding is free.
+func (r *Rank) Flush() {
 	t0 := r.proc.Now()
-	if until > t0 {
+	if r.pending > t0 {
 		r.flushWaits++
-		r.proc.Advance(until - t0)
+		r.proc.Advance(r.pending - t0)
 		r.c.rec.Span(r.id, trace.KStall, t0, r.proc.Now()-t0, 0, 0)
 	}
 }
-
-// PendingTime returns the virtual time at which all currently outstanding
-// nonblocking operations will have completed — the earliest instant a
-// Flush issued now could return.
-func (r *Rank) PendingTime() sim.Time { return r.pending }
 
 // Barrier synchronizes all ranks in the communicator (SPMD regions only).
 //

@@ -296,10 +296,13 @@ func TestLocalOpCompletesAtIssueTime(t *testing.T) {
 		w := winFor(r)
 		if r.ID() == 0 {
 			w.Put(r, make([]byte, 1<<16), 0, 0)
-			before := r.Proc().Now()
+			before, waits := r.Proc().Now(), r.flushWaits
 			r.Flush()
 			if after := r.Proc().Now(); after != before {
 				t.Errorf("Flush advanced the clock %d -> %d after a purely local Put", before, after)
+			}
+			if r.flushWaits != waits {
+				t.Errorf("Flush counted a wait after a purely local Put")
 			}
 		}
 		r.Barrier()

@@ -84,7 +84,7 @@ func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) (i
 }
 
 func TestIdleRegionPinned(t *testing.T) {
-	blacklist := Config{VictimBlacklist: true, StealTimeout: 5 * sim.Microsecond, BlacklistAfter: 2}
+	blacklist := Config{VictimBlacklist: true}
 	cases := []struct {
 		name             string
 		cfg              Config

@@ -9,11 +9,11 @@ import (
 )
 
 // runStragglerRegion is runRegion with rank 1 slowed 10× and the given
-// scheduler config.
-func runStragglerRegion(t *testing.T, nranks int, cfg Config, body func(*TB)) (*Sched, sim.Time) {
+// scheduler config, coresPerNode ranks to a node.
+func runStragglerRegion(t *testing.T, nranks, coresPerNode int, cfg Config, body func(*TB)) (*Sched, sim.Time) {
 	t.Helper()
 	e := sim.NewEngine()
-	c := rma.New(e, nranks, netmodel.Default(4))
+	c := rma.New(e, nranks, netmodel.Default(coresPerNode))
 	s := NewSched(c, cfg, nil)
 	var elapsed sim.Time
 	for i := 0; i < nranks; i++ {
@@ -52,7 +52,7 @@ func TestTerminationUnderStraggler(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var got int
-			s, _ := runStragglerRegion(t, 4, cfg, func(tb *TB) {
+			s, _ := runStragglerRegion(t, 4, 4, cfg, func(tb *TB) {
 				got = fib(tb, 13)
 			})
 			if got != 233 {
@@ -68,25 +68,22 @@ func TestTerminationUnderStraggler(t *testing.T) {
 	}
 }
 
-// TestBlacklistEngagesOnStraggler: with blacklisting on and an aggressive
-// timeout, workers stealing from the 10×-slow rank must eventually strike
-// it out, and the run still completes correctly.
+// TestBlacklistEngagesOnStraggler: with blacklisting on, steal attempts
+// involving the 10×-slow rank must exceed stealTimeout and strike victims
+// out, and the run still completes correctly. One rank per node: the
+// straggler's inter-node steal (CAS plus stack transfer, ≈4 µs nominal)
+// takes about 40 µs, past the 20 µs timeout.
 func TestBlacklistEngagesOnStraggler(t *testing.T) {
-	cfg := Config{
-		Seed:            42,
-		VictimBlacklist: true,
-		StealTimeout:    5 * sim.Microsecond,
-		BlacklistAfter:  2,
-	}
+	cfg := Config{Seed: 42, VictimBlacklist: true}
 	var got int
-	s, _ := runStragglerRegion(t, 4, cfg, func(tb *TB) {
+	s, _ := runStragglerRegion(t, 4, 1, cfg, func(tb *TB) {
 		got = fib(tb, 14)
 	})
 	if got != 377 {
 		t.Fatalf("fib(14) = %d, want 377", got)
 	}
 	if s.Stats.StealTimeouts == 0 {
-		t.Errorf("no steal attempts exceeded the 5µs timeout despite a 10× straggler")
+		t.Errorf("no steal attempts exceeded the %d ns timeout despite a 10× straggler", stealTimeout)
 	}
 	if s.Stats.Blacklists == 0 {
 		t.Errorf("straggler never blacklisted (timeouts %d)", s.Stats.StealTimeouts)

@@ -102,28 +102,12 @@ type Config struct {
 	LocalityAware bool
 
 	// VictimBlacklist enables steal-victim backoff: a victim whose
-	// attempts repeatedly fail or exceed StealTimeout is skipped for a
+	// attempts repeatedly fail or exceed stealTimeout is skipped for a
 	// penalty window (doubling per repeat up to blacklistMax, decaying on
 	// a healthy probe), so a steal storm against a straggler does not
 	// serialize the cluster. Off by default: clean runs keep the paper's
 	// purely random victim selection, and the golden digest.
 	VictimBlacklist bool
-	// StealTimeout is the attempt latency beyond which a victim earns a
-	// strike even if the steal succeeded (default 20µs).
-	StealTimeout sim.Time
-	// BlacklistAfter is the consecutive-strike count that blacklists a
-	// victim (default 3).
-	BlacklistAfter int
-}
-
-func (c Config) withDefaults() Config {
-	if c.StealTimeout == 0 {
-		c.StealTimeout = 20 * sim.Microsecond
-	}
-	if c.BlacklistAfter == 0 {
-		c.BlacklistAfter = 3
-	}
-	return c
 }
 
 // Steal payloads and the victim blacklist's penalty bounds.
@@ -135,6 +119,11 @@ const (
 	// pending (not-yet-started) task under HelpFirst and FBC. Child-first
 	// steals always move live stacks.
 	taskBytes = 256
+	// stealTimeout is the attempt latency beyond which a victim earns a
+	// strike even if the steal succeeded; blacklistAfter consecutive
+	// strikes blacklist it.
+	stealTimeout   = 20 * sim.Microsecond
+	blacklistAfter = 3
 	// blacklistBase and blacklistMax bound the doubling penalty window.
 	blacklistBase = 50 * sim.Microsecond
 	blacklistMax  = 2 * sim.Millisecond
@@ -160,7 +149,7 @@ type Stats struct {
 	FailedSteals uint64
 	Migrations   uint64 // resumes on a rank other than where the thread suspended
 
-	StealTimeouts  uint64 // attempts slower than Config.StealTimeout
+	StealTimeouts  uint64 // attempts slower than stealTimeout
 	Blacklists     uint64 // victim blacklisting episodes
 	BlacklistSkips uint64 // picks redirected away from a blacklisted victim
 }
@@ -222,7 +211,6 @@ func (s *Sched) traceEnd(th *thread, rank int, now sim.Time) {
 
 // NewSched creates the scheduler over comm, reporting to comm's recorder.
 func NewSched(comm *rma.Comm, cfg Config, hooks Hooks) *Sched {
-	cfg = cfg.withDefaults()
 	if hooks == nil {
 		hooks = NopHooks{}
 	}
@@ -563,8 +551,8 @@ func (w *Worker) finishSteal() {
 }
 
 // noteStealOutcome updates the victim-blacklist state after one attempt
-// against v that took latency d. A failure or an over-StealTimeout attempt
-// is a strike; BlacklistAfter consecutive strikes blacklist the victim for
+// against v that took latency d. A failure or an over-stealTimeout attempt
+// is a strike; blacklistAfter consecutive strikes blacklist the victim for
 // a doubling penalty window. A healthy attempt clears the strikes and
 // halves the victim's penalty (the decay that re-probes recovered ranks
 // quickly). No-op unless Config.VictimBlacklist armed the state.
@@ -573,7 +561,7 @@ func (w *Worker) noteStealOutcome(v int, d sim.Time, ok bool) {
 		return
 	}
 	s := w.sched
-	slow := d > s.cfg.StealTimeout
+	slow := d > stealTimeout
 	if slow {
 		s.Stats.StealTimeouts++
 	}
@@ -583,7 +571,7 @@ func (w *Worker) noteStealOutcome(v int, d sim.Time, ok bool) {
 		return
 	}
 	w.strikes[v]++
-	if w.strikes[v] < s.cfg.BlacklistAfter {
+	if w.strikes[v] < blacklistAfter {
 		return
 	}
 	w.strikes[v] = 0
@@ -711,15 +699,16 @@ func (w *Worker) spawn(child *thread, fn func(*TB)) {
 }
 
 // finish handles thread completion on worker w (the rank that executed the
-// final part of the thread).
+// final part of the thread). The thread is done — a Join may take its fast
+// path — only once its writes are released: at once on the fast path, where
+// the parent resumes here, and after Release #2 on the slow path.
 func (th *thread) finish(w *Worker) {
 	s := w.sched
-	th.done = true
-	th.doneRank = w.rank.ID()
 	pe := th.parent
 	if pe != nil && !pe.taken && len(w.deque) > 0 && w.deque[len(w.deque)-1] == pe {
 		// Fast path: the parent's continuation is still at the bottom of
 		// our deque — resume it as a serialized call, no fences (§5.1).
+		th.done, th.doneRank = true, w.rank.ID()
 		w.deque = w.deque[:len(w.deque)-1]
 		th.proc.Advance(costJoinFast) // charged on the completing thread
 		pe.th.worker = w
@@ -730,8 +719,10 @@ func (th *thread) finish(w *Worker) {
 	}
 	// Slow path: the parent was stolen (or, under help-first spawning,
 	// never parked at a fork point at all). Publish our writes
-	// (Release #2).
+	// (Release #2). The write-back sleeps, so a parent reaching Join in
+	// the meantime must find the child still running and wait for it.
 	s.hooks.OnChildStolenDone(w.rank.ID())
+	th.done, th.doneRank = true, w.rank.ID()
 	if th.joinWaiter != nil {
 		waiter := th.joinWaiter
 		th.joinWaiter = nil
