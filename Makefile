@@ -8,7 +8,10 @@
 # and so runs on whichever coroutine (or driver) is dispatching, not on its
 # worker's own; the fleet, the one place engines run concurrently; and the
 # process-wide cache-block pool those engines share (the fleet runs halo,
-# which never takes a block from it, so memblock's own test does).
+# which never takes a block from it, so memblock's own test does); and the
+# root package and the software cache, because a checkout that lies in one
+# cache block hands out the block's own bytes and ityr.Checkout reads them
+# as a typed slice through unsafe, whose alignment -race's checkptr checks.
 # internal/sim needs a Go 1.23+ toolchain (README.md, "Install / run").
 #
 # Not a check: `make profile BENCH=Scaling/halo-spmd/4096` CPU-profiles one
@@ -61,7 +64,7 @@ subset = out=$$($(GO) test -count=1 $(3) -run '$(1)' $(2) 2>&1); status=$$?; ech
 	exit $$status
 
 race:
-	$(GO) test -race ./internal/sim ./internal/rma ./internal/uth ./internal/memblock
+	$(GO) test -race . ./internal/sim ./internal/rma ./internal/uth ./internal/memblock ./internal/pgas
 	@$(call subset,Fleet,./internal/bench,-race)
 
 # Whole-module race run (CI's second job; slower than `race`).

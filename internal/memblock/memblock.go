@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"ityr/internal/region"
 )
@@ -18,9 +19,13 @@ import (
 // and Release gives them back when a run ends, so every runtime after the
 // first in a process reuses storage instead of allocating it. Storage is
 // never zeroed. It does not need to be: the bytes of a cache block outside
-// its Valid set are never read — a read checkout fetches every missing byte
-// before copying, a write checkout's view overwrites the bytes it marks
-// valid, and write-back copies only Dirty ⊆ Valid. It is not a sync.Pool,
+// its Valid set are never read as data — a read checkout fetches every
+// missing byte before handing out its view, a write checkout's view is the
+// caller's to overwrite (its contents are undefined, and may be whatever
+// the block last held), and write-back copies only Dirty ⊆ Valid. Storage
+// is 8-byte aligned, because a checkout that lies in one block hands out
+// the block's own bytes and the caller may read them as a typed slice. It
+// is not a sync.Pool,
 // which drops what it holds at every garbage collection, and a run
 // collects many times.
 var storage = struct {
@@ -40,7 +45,8 @@ func takeStorage(size int) []byte {
 		return b
 	}
 	storage.mu.Unlock()
-	return make([]byte, size)
+	w := make([]uint64, (size+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), size)
 }
 
 // Errors reported by Acquire.
@@ -78,8 +84,11 @@ type Block struct {
 	// Home distinguishes home blocks from cache blocks.
 	Home bool
 
+	// onDirty and onValid record that the block is on its table's dirty
+	// or valid list, so MarkDirty and MarkValid list it once.
+	onDirty, onValid bool
+
 	prev, next *Block
-	table      *Table
 }
 
 // Pinned reports whether the block is held by outstanding checkouts.
@@ -90,15 +99,25 @@ func (b *Block) Pinned() bool { return b.Ref > 0 }
 func (b *Block) Evictable() bool { return b.Ref == 0 && b.Dirty.Empty() }
 
 // Table is a fixed pool of physical blocks with an LRU replacement policy.
+//
+// Besides the LRU list the table keeps two lists that fences walk instead
+// of every resident block: dirty holds every block whose Dirty set is
+// non-empty, valid every block whose Valid set is, and either may also
+// hold blocks that have emptied since. A Dirty or Valid set may grow only
+// through MarkDirty and MarkValid, which list the block. Slots past a
+// list's length hold only the table's own blocks, so they keep nothing
+// alive.
 type Table struct {
 	blockSize int
 	home      bool
 	byID      map[int64]*Block
-	// LRU list with sentinel: head.next is least recently used.
-	head, tail Block
-	nblocks    int
-	allocated  int // physical blocks created since NewTable or the last Release
-	mapped     int // blocks currently mapped into the global view
+	// Circular LRU list through the sentinel: lru.next is least recently
+	// used, lru.prev most recently.
+	lru          Block
+	dirty, valid []*Block
+	nblocks      int
+	allocated    int // physical blocks created since NewTable or the last Release
+	mapped       int // blocks currently mapped into the global view
 
 	// Evictions counts completed evictions, for tests and the profiler.
 	Evictions uint64
@@ -120,16 +139,12 @@ func NewTable(nblocks, blockSize int, home bool) *Table {
 		byID:      make(map[int64]*Block),
 		nblocks:   nblocks,
 	}
-	t.head.next = &t.tail
-	t.tail.prev = &t.head
+	t.lru.next, t.lru.prev = &t.lru, &t.lru
 	return t
 }
 
 // BlockSize returns the block size in bytes.
 func (t *Table) BlockSize() int { return t.blockSize }
-
-// Capacity returns the number of physical blocks in the pool.
-func (t *Table) Capacity() int { return t.nblocks }
 
 // MappedCount returns how many blocks are currently mapped into the global
 // view (memory-mapping entries consumed, §4.3.2).
@@ -163,16 +178,17 @@ func (t *Table) Acquire(id int64) (blk *Block, evicted *Block, err error) {
 	}
 	var b *Block
 	if t.allocated < t.nblocks {
-		b = &Block{ID: -1, table: t}
+		b = &Block{ID: -1}
 		if !t.home {
 			b.Data = takeStorage(t.blockSize)
 		}
 		t.allocated++
 		t.insertTail(b)
 	} else {
-		// Walk the LRU list head→tail for an evictable block (Fig. 4).
+		// Walk the LRU list from its least recently used end for an
+		// evictable block (Fig. 4).
 		allPinned := true
-		for cur := t.head.next; cur != &t.tail; cur = cur.next {
+		for cur := t.lru.next; cur != &t.lru; cur = cur.next {
 			if !cur.Pinned() {
 				allPinned = false
 			}
@@ -220,25 +236,49 @@ func (t *Table) SetMapped(b *Block, mapped bool) bool {
 	return true
 }
 
-// HasDirty reports whether any block has dirty regions.
-func (t *Table) HasDirty() bool {
-	for cur := t.head.next; cur != &t.tail; cur = cur.next {
-		if !cur.Dirty.Empty() {
-			return true
-		}
+// MarkDirty adds iv to b's dirty regions and lists b as dirty. It lists b
+// as valid too, because an invalidation leaves a block's dirty bytes valid.
+func (t *Table) MarkDirty(b *Block, iv region.Interval) {
+	b.Dirty.Add(iv)
+	if !b.onDirty {
+		b.onDirty = true
+		t.dirty = append(t.dirty, b)
 	}
-	return false
+	t.listValid(b)
 }
 
-// DirtyBlocks returns the blocks that have dirty regions, LRU order.
+// MarkValid adds iv to b's valid regions and lists b as valid.
+func (t *Table) MarkValid(b *Block, iv region.Interval) {
+	b.Valid.Add(iv)
+	t.listValid(b)
+}
+
+func (t *Table) listValid(b *Block) {
+	if !b.onValid {
+		b.onValid = true
+		t.valid = append(t.valid, b)
+	}
+}
+
+// HasDirty reports whether any block has dirty regions.
+func (t *Table) HasDirty() bool { return len(t.DirtyBlocks()) > 0 }
+
+// DirtyBlocks returns the blocks that have dirty regions, in no particular
+// order. The slice is the table's own list, valid until the next call into
+// the table. It first drops the listed blocks whose dirty regions have all
+// been written back (Dirty.Subtract) or discarded (an eviction's
+// reassignment) since they were listed.
 func (t *Table) DirtyBlocks() []*Block {
-	var out []*Block
-	for cur := t.head.next; cur != &t.tail; cur = cur.next {
-		if !cur.Dirty.Empty() {
-			out = append(out, cur)
+	kept := t.dirty[:0]
+	for _, b := range t.dirty {
+		if b.Dirty.Empty() {
+			b.onDirty = false
+		} else {
+			kept = append(kept, b)
 		}
 	}
-	return out
+	t.dirty = kept
+	return kept
 }
 
 // InvalidateAllExceptDirty clears valid regions but keeps dirty bytes
@@ -249,14 +289,20 @@ func (t *Table) DirtyBlocks() []*Block {
 // overwrite them (the invariant of Fig. 4 line 19: dirty ⊆ valid). The
 // fence protocol writes a cache back before invalidating it, so no block is
 // dirty here in practice; keeping dirty bytes valid makes the invalidation
-// safe under any schedule regardless.
+// safe under any schedule regardless. Only the valid list is walked, and
+// only the blocks left valid stay on it.
 func (t *Table) InvalidateAllExceptDirty() {
-	for cur := t.head.next; cur != &t.tail; cur = cur.next {
-		cur.Valid.Clear()
-		if !cur.Dirty.Empty() {
-			cur.Valid.AddSet(&cur.Dirty)
+	kept := t.valid[:0]
+	for _, b := range t.valid {
+		b.Valid.Clear()
+		if b.Dirty.Empty() {
+			b.onValid = false
+		} else {
+			b.Valid.AddSet(&b.Dirty)
+			kept = append(kept, b)
 		}
 	}
+	t.valid = kept
 }
 
 // Release hands the table's block storage back to the process-wide pool
@@ -268,22 +314,22 @@ func (t *Table) Release() {
 	if t.home {
 		return
 	}
-	for cur := t.head.next; cur != &t.tail; cur = cur.next {
+	for cur := t.lru.next; cur != &t.lru; cur = cur.next {
 		if !cur.Evictable() {
 			return
 		}
 	}
 	storage.mu.Lock()
 	free := storage.free[t.blockSize]
-	for cur := t.head.next; cur != &t.tail; cur = cur.next {
+	for cur := t.lru.next; cur != &t.lru; cur = cur.next {
 		free = append(free, cur.Data)
 		cur.Data = nil
 	}
 	storage.free[t.blockSize] = free
 	storage.mu.Unlock()
 	clear(t.byID)
-	t.head.next = &t.tail
-	t.tail.prev = &t.head
+	t.dirty, t.valid = nil, nil
+	t.lru.next, t.lru.prev = &t.lru, &t.lru
 	t.allocated = 0
 	t.mapped = 0
 }
@@ -297,8 +343,8 @@ func (t *Table) touch(b *Block) {
 }
 
 func (t *Table) insertTail(b *Block) {
-	b.prev = t.tail.prev
-	b.next = &t.tail
-	t.tail.prev.next = b
-	t.tail.prev = b
+	b.prev = t.lru.prev
+	b.next = &t.lru
+	t.lru.prev.next = b
+	t.lru.prev = b
 }

@@ -1,6 +1,8 @@
 package memblock
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -135,10 +137,10 @@ func TestInvalidateAllExceptDirty(t *testing.T) {
 	tb := NewTable(4, 64, false)
 	for id := int64(0); id < 4; id++ {
 		b, _, _ := tb.Acquire(id)
-		b.Valid.Add(region.Interval{Lo: uint64(id) * 64, Hi: uint64(id)*64 + 64})
+		tb.MarkValid(b, region.Interval{Lo: uint64(id) * 64, Hi: uint64(id)*64 + 64})
 	}
 	dirty := region.Interval{Lo: 8, Hi: 16}
-	tb.Peek(0).Dirty.Add(dirty)
+	tb.MarkDirty(tb.Peek(0), dirty)
 	tb.InvalidateAllExceptDirty()
 	for id := int64(0); id < 4; id++ {
 		b := tb.Peek(id)
@@ -157,8 +159,8 @@ func TestDirtyBlocksListing(t *testing.T) {
 	b0, _, _ := tb.Acquire(0)
 	tb.Acquire(1)
 	b2, _, _ := tb.Acquire(2)
-	b0.Dirty.Add(region.Interval{Lo: 0, Hi: 4})
-	b2.Dirty.Add(region.Interval{Lo: 128, Hi: 132})
+	tb.MarkDirty(b0, region.Interval{Lo: 0, Hi: 4})
+	tb.MarkDirty(b2, region.Interval{Lo: 128, Hi: 132})
 	d := tb.DirtyBlocks()
 	if len(d) != 2 || !tb.HasDirty() {
 		t.Fatalf("dirty blocks = %d, HasDirty %v; want 2, true", len(d), tb.HasDirty())
@@ -298,4 +300,107 @@ func TestPoolConcurrentTables(t *testing.T) {
 		}(byte(w))
 	}
 	wg.Wait()
+}
+
+// refDirty is the walk HasDirty and DirtyBlocks made before the table kept
+// a dirty list: every resident block, in LRU order, whose Dirty set is
+// non-empty.
+func refDirty(t *Table) map[*Block]bool {
+	out := make(map[*Block]bool)
+	for cur := t.lru.next; cur != &t.lru; cur = cur.next {
+		if !cur.Dirty.Empty() {
+			out[cur] = true
+		}
+	}
+	return out
+}
+
+// TestBlockListsMatchFullWalk drives seeded random sequences of the
+// operations the cache performs on a table (Acquire with its evictions,
+// MarkValid, MarkDirty, a write-back's Dirty.Subtract, pinning,
+// InvalidateAllExceptDirty, Release) and checks after every step that the
+// dirty and valid lists answer what a walk over every resident block
+// answers: HasDirty, the set DirtyBlocks returns, and each block's Valid
+// set after an invalidation.
+func TestBlockListsMatchFullWalk(t *testing.T) {
+	const nblocks, bs, nids, steps = 6, 64, 12, 400
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable(nblocks, bs, false)
+		var pinned []*Block
+		// resident picks a random block holding an ID, or nil.
+		resident := func() *Block {
+			if len(tb.byID) == 0 {
+				return nil
+			}
+			id := int64(rng.Intn(nids))
+			for tb.Peek(id) == nil {
+				id = (id + 1) % nids
+			}
+			return tb.Peek(id)
+		}
+		interval := func(b *Block) region.Interval {
+			lo := rng.Intn(bs)
+			hi := lo + 1 + rng.Intn(bs-lo)
+			base := uint64(b.ID) * bs
+			return region.Interval{Lo: base + uint64(lo), Hi: base + uint64(hi)}
+		}
+		for step := 0; step < steps; step++ {
+			op := rng.Intn(100)
+			switch b := resident(); {
+			case op < 25:
+				tb.Acquire(int64(rng.Intn(nids)))
+			case op < 45 && b != nil:
+				tb.MarkValid(b, interval(b))
+			case op < 60 && b != nil:
+				iv := interval(b)
+				tb.MarkDirty(b, iv)
+				tb.MarkValid(b, iv)
+			case op < 70 && b != nil:
+				tb.MarkDirty(b, interval(b))
+			case op < 82 && b != nil:
+				b.Dirty.Subtract(interval(b))
+			case op < 87 && b != nil:
+				b.Ref++
+				pinned = append(pinned, b)
+			case op < 92 && len(pinned) > 0:
+				i := rng.Intn(len(pinned))
+				pinned[i].Ref--
+				pinned = append(pinned[:i], pinned[i+1:]...)
+			case op < 98:
+				tb.InvalidateAllExceptDirty()
+				for cur := tb.lru.next; cur != &tb.lru; cur = cur.next {
+					if !slices.Equal(cur.Valid.Intervals(), cur.Dirty.Intervals()) {
+						t.Fatalf("seed %d step %d: block %d valid %v after invalidation, dirty %v",
+							seed, step, cur.ID, cur.Valid.Intervals(), cur.Dirty.Intervals())
+					}
+				}
+			default:
+				tb.Release()
+				if tb.allocated == 0 {
+					pinned = pinned[:0]
+				}
+			}
+			want := refDirty(tb)
+			if got := tb.HasDirty(); got != (len(want) > 0) {
+				t.Fatalf("seed %d step %d: HasDirty %v, full walk finds %d dirty blocks", seed, step, got, len(want))
+			}
+			got := tb.DirtyBlocks()
+			seen := make(map[*Block]bool)
+			for _, b := range got {
+				if seen[b] || !want[b] {
+					t.Fatalf("seed %d step %d: DirtyBlocks lists block %d twice or clean", seed, step, b.ID)
+				}
+				seen[b] = true
+			}
+			if len(seen) != len(want) {
+				t.Fatalf("seed %d step %d: DirtyBlocks has %d blocks, full walk %d", seed, step, len(seen), len(want))
+			}
+			for cur := tb.lru.next; cur != &tb.lru; cur = cur.next {
+				if !cur.Valid.Empty() && !cur.onValid {
+					t.Fatalf("seed %d step %d: block %d valid but not on the valid list", seed, step, cur.ID)
+				}
+			}
+		}
+	}
 }

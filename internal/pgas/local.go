@@ -32,11 +32,13 @@ type Local struct {
 
 	outstanding []checkoutRec
 
-	// viewPool and piecePool recycle checkout view buffers and piece lists
-	// retired by Checkin. Purely a host-allocation optimization: pooling
-	// never touches simulated time, and a view's contents are either
-	// undefined (Write) or fully overwritten from backing (Read modes), so
-	// reuse is invisible to callers who honour the checkout contract.
+	// viewPool and piecePool recycle the staged view buffers (multi-block
+	// and NoCache checkouts; a one-block checkout's view is the cache
+	// block's own bytes and is never pooled) and the piece lists retired by
+	// Checkin. Purely a host-allocation optimization: pooling never touches
+	// simulated time, and a staged view's contents are either undefined
+	// (Write) or fully overwritten from backing (Read modes), so reuse is
+	// invisible to callers who honour the checkout contract.
 	viewPool  [][]byte
 	piecePool [][]piece
 
@@ -219,7 +221,9 @@ func (l *Local) hit(n uint64) { l.space.Stats.HitBytes += n }
 // Checkout claims access to the global region [addr, addr+size) in the
 // given mode and returns a view of it (§3.3). The view's contents are the
 // up-to-date global data for Read and ReadWrite, and undefined for Write.
-// Every Checkout must be paired with exactly one Checkin carrying the same
+// A region within one cache block is viewed in place, in the block's own
+// storage, so the view must not be touched after its Checkin. Every
+// Checkout must be paired with exactly one Checkin carrying the same
 // arguments. Checkout fails with ErrTooMuchCheckout when the region cannot
 // be pinned within the fixed-size cache; callers should then split the
 // access into smaller chunks.
@@ -323,7 +327,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		}
 		cb.Ref++
 		if mode == Write {
-			cb.Valid.Add(req)
+			l.cache.MarkValid(cb, req)
 			l.hit(req.Len())
 		} else if !cb.Valid.Contains(req) {
 			// Fetch missing sub-blocks from the home (Fig. 4 lines 17-21).
@@ -353,7 +357,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 					break
 				}
 				dst := cb.Data[m.Lo-uint64(g0) : m.Hi-uint64(g0)]
-				cb.Valid.Add(m)
+				l.cache.MarkValid(cb, m)
 				win.Get(l.rank, homeRank, segOff0+int(m.Lo-uint64(g0)), dst)
 				s.Stats.FetchOps++
 				s.Stats.FetchBytes += m.Len()
@@ -375,9 +379,19 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	// Wait for all fetches (MPI_Win_flush_all at Fig. 4 line 30).
 	l.rank.Flush()
 
-	view := l.getView(size)
-	if mode != Write {
-		l.copyPieces(rec.pieces, view, addr, false)
+	// A checkout within one cache block gets the block's own bytes, the
+	// paper's pointer into cache memory; the block is pinned until the
+	// checkin. Anything else is staged through a copy: a home piece lives
+	// in a window segment that rma.Win.Grow may reallocate.
+	var view []byte
+	if p := rec.pieces; direct(p) {
+		off := p[0].g - p[0].blockBase
+		view = p[0].cb.Data[off : off+Addr(size) : off+Addr(size)]
+	} else {
+		view = l.getView(size)
+		if mode != Write {
+			l.copyPieces(rec.pieces, view, addr, false)
+		}
 	}
 	rec.view = view
 	l.outstanding = append(l.outstanding, rec)
@@ -411,6 +425,10 @@ func (l *Local) acquireCacheBlock(bid int64) (*memblock.Block, error) {
 	}
 	return cb, nil
 }
+
+// direct reports whether a checkout of these pieces hands out the cache
+// block's own bytes: it lies in one cache block.
+func direct(pieces []piece) bool { return len(pieces) == 1 && pieces[0].cb != nil }
 
 // copyPieces moves bytes between the view and the backing blocks/segments.
 // toBacking=false copies backing→view (checkout); true copies view→backing
@@ -487,7 +505,8 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 		return nil
 	}
 
-	if mode != Read {
+	staged := !direct(rec.pieces)
+	if staged && mode != Read {
 		l.copyPieces(rec.pieces, rec.view, addr, true)
 	}
 	for _, p := range rec.pieces {
@@ -502,7 +521,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 					// instead of one per block.
 					l.gatherRun(p.cb, iv)
 				} else {
-					p.cb.Dirty.Add(iv)
+					l.cache.MarkDirty(p.cb, iv)
 				}
 				// Re-validate the written region: dirty ⊆ valid must hold so
 				// fetches never overwrite dirty data (Fig. 4 line 19). Only
@@ -511,7 +530,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 				// span, so the region is normally still valid here; re-adding
 				// it keeps the invariant even when code fences explicitly
 				// between a checkout and its checkin.
-				p.cb.Valid.Add(iv)
+				l.cache.MarkValid(p.cb, iv)
 			}
 			p.cb.Ref--
 		} else {
@@ -525,7 +544,9 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 		}
 	}
 	l.flushRuns()
-	l.putView(rec.view)
+	if staged {
+		l.putView(rec.view)
+	}
 	l.putPieces(rec.pieces)
 	l.span(trace.KCheckin, t0, size)
 	return nil
