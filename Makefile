@@ -115,6 +115,9 @@ fuzz-matrix:
 # whole itytrace report. The ring is unbounded, so a dropped-span WARNING
 # (or any report error) fails it. The metrics and profile documents
 # itytrace extracts from the dump must be the bytes the run wrote itself.
+# Then the negative control: the same cilksort under -sdc (task-result bit
+# flips, defenses down) must exit 1, and its report must flag the
+# undetected escapes and print the per-rank table.
 # Leaves obs-smoke.* in the checkout (git-ignored); CI uploads the profile
 # and the report.
 obs-smoke:
@@ -125,6 +128,11 @@ obs-smoke:
 	@if grep -E '^WARNING' obs-smoke.report.txt; then echo "make obs-smoke: the report warns"; exit 1; fi
 	cmp obs-smoke.x.metrics.json obs-smoke.metrics.json
 	cmp obs-smoke.x.profile.json obs-smoke.profile.json
+	$(GO) run ./cmd/cilksort -n 32768 -cutoff 1024 -ranks 16 -sdc -trace obs-smoke.sdc.trace > obs-smoke.sdc.out; \
+		status=$$?; if [ $$status -ne 1 ]; then echo "make obs-smoke: cilksort -sdc exited $$status, want 1"; exit 1; fi
+	$(GO) run ./cmd/itytrace obs-smoke.sdc.trace > obs-smoke.sdc.report.txt
+	@grep -q 'UNDETECTED ESCAPE' obs-smoke.sdc.report.txt || { echo "make obs-smoke: the -sdc report flags no escape"; exit 1; }
+	@grep -q 'sdc per-rank corruption' obs-smoke.sdc.report.txt || { echo "make obs-smoke: the -sdc report has no per-rank table"; exit 1; }
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -75,7 +75,8 @@ func analyze(stdout io.Writer, path, chrome, metricsOut, profileOut string, even
 	trace.Report(stdout, path, l, meta)
 
 	if chrome != "" {
-		if err := save(chrome, l.ChromeJSON); err != nil {
+		chromeJSON := func(w io.Writer) error { return l.ChromeJSON(w, meta.CoresPerNode) }
+		if err := save(chrome, chromeJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nchrome trace -> %s (open in https://ui.perfetto.dev)\n", chrome)

@@ -84,25 +84,13 @@ var verifiedApps = []struct {
 // observable), and a run without escapes must verify. The negative-control
 // rows (corruption armed, replication off) are therefore ok precisely
 // because they are unverified.
+//
+// Every counter is read from the run's metrics document, which owns the
+// ledger: a key a run does not arm reads as 0.
 func faultRow(replicate float64, r verifiedRun, clean sim.Time) Metrics {
-	rt, t, verified := r.rt, r.Time, r.Verified
-	cs := rt.Comm().Stats()
-	ss := rt.Sched().Stats
-	ws := rt.Comm().SdcWire()
-	detected, recovered, escaped := ws.Detected, ws.Retrans, ws.Escapes
-	var injected, flips, replicas uint64
-	if inj := rt.Injector(); inj != nil {
-		fs := inj.Stats()
-		injected = fs.Injected
-		flips = fs.WireFlips + fs.TaskFlips
-	}
-	if p := rt.Protector(); p != nil {
-		st := p.Stats
-		detected += st.Detected
-		recovered += st.Recovered
-		escaped += st.Escaped
-		replicas = st.Replicas
-	}
+	t, verified := r.Time, r.Verified
+	c := r.rt.MetricsSnapshot().Counters
+	count := func(key string) float64 { return float64(c[key]) }
 	slowdown := 0.0
 	if clean > 0 {
 		slowdown = float64(t) / float64(clean)
@@ -113,20 +101,20 @@ func faultRow(replicate float64, r verifiedRun, clean sim.Time) Metrics {
 		"clean_time_ns":      float64(clean),
 		"slowdown":           slowdown,
 		"verified":           verdict(verified), // output checked, not just "terminated"
-		"ok":                 verdict(verified == (escaped == 0)),
-		"injected_failures":  float64(injected),
-		"rma_retries":        float64(cs.Retries),
-		"rma_retry_stall_ns": float64(cs.RetryNs),
-		"steals":             float64(ss.Steals),
-		"failed_steals":      float64(ss.FailedSteals),
-		"steal_timeouts":     float64(ss.StealTimeouts),
-		"blacklists":         float64(ss.Blacklists),
-		"blacklist_skips":    float64(ss.BlacklistSkips),
-		"sdc_injected":       float64(flips),
-		"sdc_detected":       float64(detected),
-		"sdc_recovered":      float64(recovered),
-		"sdc_escaped":        float64(escaped),
-		"replica_tasks":      float64(replicas),
+		"ok":                 verdict(verified == (c["sdc_escaped"] == 0)),
+		"injected_failures":  count("fault_injected_failures"),
+		"rma_retries":        count("rma_retries"),
+		"rma_retry_stall_ns": count("rma_retry_stall_ns"),
+		"steals":             count("uth_steals"),
+		"failed_steals":      count("uth_failed_steals"),
+		"steal_timeouts":     count("uth_steal_timeouts"),
+		"blacklists":         count("uth_steal_blacklists"),
+		"blacklist_skips":    count("uth_blacklist_skips"),
+		"sdc_injected":       count("sdc_injected_flips"),
+		"sdc_detected":       count("sdc_detected"),
+		"sdc_recovered":      count("sdc_recovered"),
+		"sdc_escaped":        count("sdc_escaped"),
+		"replica_tasks":      count("replica_tasks"),
 	}
 }
 

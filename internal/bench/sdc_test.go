@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"ityr"
 	"ityr/internal/fault"
+	"ityr/internal/trace"
 )
 
 // faultCilksort is the verified Smoke cilksort under plan and a replication
@@ -137,5 +139,35 @@ func TestSDCWireCRC(t *testing.T) {
 	}
 	if verified {
 		t.Errorf("cilksort verified despite unprotected wire corruption")
+	}
+}
+
+// TestSDCWireOnlyLedger: a run whose only corruption is on the wire, with
+// the defenses down, reports it. The metrics document carries every wire
+// flip as an injected flip and an escape, and the report flags the escapes
+// and prints the per-rank table.
+func TestSDCWireOnlyLedger(t *testing.T) {
+	plan := fault.PlanSDCWire(11)
+	plan.Corrupt.WireProb = 0.25 // the canned 2% can draw no flip at smoke scale (TestSDCWireCRC)
+	rt, verified := faultCilksort(&plan, 0)
+	if verified {
+		t.Error("cilksort verified despite unprotected wire corruption")
+	}
+	flips := rt.Comm().SdcWire().Flips
+	if flips == 0 {
+		t.Fatal("wire plan injected no flips")
+	}
+	snap := rt.MetricsSnapshot()
+	for _, key := range []string{"sdc_injected_flips", "sdc_wire_flips", "sdc_escaped"} {
+		if got := snap.Counters[key]; got != flips {
+			t.Errorf("metrics %s = %d, want the %d wire flips", key, got, flips)
+		}
+	}
+	var b strings.Builder
+	trace.Report(&b, "sdc-wire", nil, trace.Meta{Ranks: rt.Config().Ranks, Metrics: &snap})
+	for _, want := range []string{"UNDETECTED ESCAPE", "sdc per-rank corruption"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, b.String())
+		}
 	}
 }

@@ -80,9 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerNode == 0 {
 		c.CoresPerNode = 8
 	}
-	if c.Seed != 0 && c.Sched.Seed == 0 {
-		c.Sched.Seed = c.Seed
-	}
 	return c
 }
 
@@ -135,7 +132,6 @@ func NewRuntime(cfg Config) *Runtime {
 	var tl *trace.Log
 	if cfg.Trace {
 		tl = trace.NewRing(cfg.TraceRing)
-		tl.CoresPerNode = cfg.CoresPerNode
 	}
 	var stream *profile.Profile
 	if cfg.Profile {
@@ -144,20 +140,21 @@ func NewRuntime(cfg Config) *Runtime {
 	rec := trace.NewRecorder(cfg.Ranks, tl, stream)
 	comm.SetRecorder(rec)
 	space := pgas.New(comm, cfg.Pgas)
-	sched := uth.NewSched(comm, cfg.Sched, hooks{space: space})
+	cfg.Pgas = space.Config() // the cache defaults have one owner: pgas
+	sched := uth.NewSched(comm, cfg.Sched, cfg.Seed, hooks{space: space})
 	if cfg.Pgas.Validate {
 		// Validator diagnostics name the task segment running on the
-		// offending rank; the scheduler knows the thread -> rank binding.
-		space.TaskOf = func(rank int) int64 {
-			return sched.CurrentTID(comm.Rank(rank).Proc())
-		}
+		// offending rank; the scheduler records which thread holds it.
+		space.TaskOf = sched.CurrentTID
 	}
 	// The SDC protector exists whenever defenses are configured OR a plan
-	// can corrupt task results: the latter case (defenses off) still needs
-	// the protector's escape accounting for the negative control.
+	// can corrupt task results or wire payloads: the latter case (defenses
+	// off) still needs the protector's ledger, which MetricsSnapshot reports
+	// the escapes through, for the negative control. Without SDC config it
+	// draws nothing, so arming it moves no simulated number.
 	// Its seed decorrelates selection from the scheduler's victim streams.
 	var protector *uth.Protector
-	if cfg.SDC != nil || (inj != nil && inj.TaskArmed()) {
+	if cfg.SDC != nil || (inj != nil && (inj.TaskArmed() || inj.WireArmed())) {
 		protector = uth.NewProtector(sched, cfg.SDC, cfg.Seed+1)
 	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
@@ -168,7 +165,7 @@ func NewRuntime(cfg Config) *Runtime {
 func (rt *Runtime) Injector() *fault.Injector { return rt.inj }
 
 // Protector returns the SDC task-replication protector (nil unless
-// Config.SDC or a task-corrupting fault plan is armed).
+// Config.SDC or a task- or wire-corrupting fault plan is armed).
 func (rt *Runtime) Protector() *uth.Protector { return rt.prot }
 
 // Trace returns the event log (nil unless Config.Trace was set).
@@ -343,7 +340,10 @@ func (rt *Runtime) Sched() *uth.Sched { return rt.sched }
 // Profiler returns the always-on Fig. 9 category totals.
 func (rt *Runtime) Profiler() *trace.Categories { return rt.rec.Categories() }
 
-// Config returns the runtime configuration after defaulting.
+// Config returns the runtime configuration after defaulting: Ranks and
+// CoresPerNode as the runtime filled them in, and Pgas as the cache layer
+// did (pgas.Space.Config), so a caller reads the block and cache sizes in
+// force, never a zero left for a default.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Run executes spmd once per rank (the program's SPMD mode, as launched by

@@ -9,7 +9,11 @@
 // (Table 1 of the paper).
 package netmodel
 
-import "ityr/internal/sim"
+import (
+	"math"
+
+	"ityr/internal/sim"
+)
 
 // Perturber injects time-dependent link faults on top of the base model:
 // latency spikes, jitter, bandwidth collapse. Implemented by
@@ -36,6 +40,11 @@ type Perturber interface {
 // This mirrors the locality-tiered transports of DART-MPI and the MPI-3
 // shared-memory PGAS designs, which separate intra-node, intra-rack and
 // global costs.
+//
+// Each cost function decides a pair's tier once, through the one lookup
+// that also applies the rack tier's fallbacks; Tier names the same tier.
+// The model is read in place (rma.Comm.Net hands out a pointer), never
+// copied per operation.
 type Params struct {
 	// CoresPerNode gives the number of ranks (one process per core, as in
 	// Itoyori) placed on each node. Rank r lives on node r/CoresPerNode.
@@ -130,18 +139,7 @@ var TierName = [NumTiers]string{"self", "node", "rack", "fabric"}
 // Tier classifies the locality tier that traffic from rank a to rank b
 // travels — the same tier TransferTime and AtomicTime price. Without a
 // configured rack tier, TierRack is never returned.
-func (p *Params) Tier(a, b int) int {
-	switch {
-	case a == b:
-		return TierSelf
-	case p.SameNode(a, b):
-		return TierNode
-	case p.rackTier(a, b):
-		return TierRack
-	default:
-		return TierFabric
-	}
-}
+func (p *Params) Tier(a, b int) int { return p.link(a, b).tier }
 
 // Node returns the node index hosting rank r.
 func (p *Params) Node(r int) int {
@@ -167,82 +165,63 @@ func (p *Params) Rack(r int) int {
 // when a rack tier is configured; otherwise it degenerates to SameNode.
 func (p *Params) SameRack(a, b int) bool { return p.Rack(a) == p.Rack(b) }
 
-// rackTier reports whether a-to-b traffic travels the intra-rack tier:
-// distinct nodes of one rack, with a rack tier configured.
-func (p *Params) rackTier(a, b int) bool {
-	return p.NodesPerRack > 0 && !p.SameNode(a, b) && p.SameRack(a, b)
+// link is the locality tier one rank pair's traffic travels and that
+// tier's costs.
+type link struct {
+	tier      int
+	latency   sim.Time
+	bandwidth float64 // bytes per nanosecond
+	atomicRTT sim.Time
 }
 
-// rackLatency / rackBandwidth / rackAtomicRTT fall back to the fabric
-// numbers when the rack field is unset, so a rack tier never undercuts the
-// fabric by omission.
-func (p *Params) rackLatency() sim.Time {
+// link decides the tier a-to-b traffic travels and returns its costs, the
+// one place every cost function reads them from. A rack field left unset
+// falls back to the fabric's, so a rack tier never undercuts the fabric
+// by omission. Self traffic never touches the wire: its infinite bandwidth
+// and zero latency make every transfer free, and its atomic is a local CAS
+// through the NIC loopback.
+func (p *Params) link(a, b int) link {
+	switch {
+	case a == b:
+		return link{TierSelf, 0, math.Inf(1), 60 * sim.Nanosecond}
+	case p.SameNode(a, b):
+		return link{TierNode, p.IntraLatency, p.IntraBandwidth, p.IntraAtomicRTT}
+	case p.NodesPerRack <= 0 || !p.SameRack(a, b):
+		return link{TierFabric, p.Latency, p.Bandwidth, p.AtomicRTT}
+	}
+	l := link{TierRack, p.Latency, p.Bandwidth, p.AtomicRTT}
 	if p.RackLatency > 0 {
-		return p.RackLatency
+		l.latency = p.RackLatency
 	}
-	return p.Latency
-}
-
-func (p *Params) rackBandwidth() float64 {
 	if p.RackBandwidth > 0 {
-		return p.RackBandwidth
+		l.bandwidth = p.RackBandwidth
 	}
-	return p.Bandwidth
+	if p.RackAtomicRTT > 0 {
+		l.atomicRTT = p.RackAtomicRTT
+	}
+	return l
 }
 
-func (p *Params) rackAtomicRTT() sim.Time {
-	if p.RackAtomicRTT > 0 {
-		return p.RackAtomicRTT
-	}
-	return p.AtomicRTT
+// Wire returns the two parts of moving n bytes from rank a to rank b: the
+// time they occupy the origin NIC (which back-to-back messages pipeline
+// behind) and the latency that follows. Both are 0 for a == b.
+func (p *Params) Wire(a, b, n int) (ser, latency sim.Time) {
+	l := p.link(a, b)
+	return sim.Time(float64(n) / l.bandwidth), l.latency
 }
 
 // TransferTime returns the wire time for moving n bytes between ranks a and
-// b, excluding the origin-side MsgOverhead. Transfers between distinct
-// processes on the same node pay the shared-memory cost, nodes sharing a
-// rack pay the rack cost (when a rack tier is configured), everything else
-// pays the fabric cost; a==b is free.
+// b, excluding the origin-side MsgOverhead: Wire's two parts. Transfers
+// between distinct processes on the same node pay the shared-memory cost,
+// nodes sharing a rack pay the rack cost (when a rack tier is configured),
+// everything else pays the fabric cost; a==b is free.
 func (p *Params) TransferTime(a, b, n int) sim.Time {
-	if a == b {
-		return 0
-	}
-	if p.SameNode(a, b) {
-		return p.IntraLatency + sim.Time(float64(n)/p.IntraBandwidth)
-	}
-	if p.rackTier(a, b) {
-		return p.rackLatency() + sim.Time(float64(n)/p.rackBandwidth())
-	}
-	return p.Latency + sim.Time(float64(n)/p.Bandwidth)
-}
-
-// SerializationTime returns the time n bytes occupy the origin NIC, used to
-// model back-to-back message pipelining.
-func (p *Params) SerializationTime(a, b, n int) sim.Time {
-	if a == b {
-		return 0
-	}
-	if p.SameNode(a, b) {
-		return sim.Time(float64(n) / p.IntraBandwidth)
-	}
-	if p.rackTier(a, b) {
-		return sim.Time(float64(n) / p.rackBandwidth())
-	}
-	return sim.Time(float64(n) / p.Bandwidth)
+	ser, latency := p.Wire(a, b, n)
+	return latency + ser
 }
 
 // AtomicTime returns the cost of a remote atomic from rank a to rank b.
-func (p *Params) AtomicTime(a, b int) sim.Time {
-	if a == b {
-		return 60 * sim.Nanosecond // local CAS through the NIC loopback
-	}
-	if p.SameNode(a, b) {
-		return p.IntraAtomicRTT
-	}
-	if p.rackTier(a, b) {
-		return p.rackAtomicRTT()
-	}
-	return p.AtomicRTT
-}
+func (p *Params) AtomicTime(a, b int) sim.Time { return p.link(a, b).atomicRTT }
 
 // TransferTimeAt is TransferTime plus any fault-plan perturbation active
 // at virtual time now. With no Perturber (or a == b) it equals

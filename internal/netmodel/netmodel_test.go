@@ -56,12 +56,12 @@ func TestTransferMonotonicInSize(t *testing.T) {
 func TestSerializationExcludesLatency(t *testing.T) {
 	p := Default(1)
 	n := 6000
-	st := p.SerializationTime(0, 1, n)
+	st, _ := p.Wire(0, 1, n)
 	tt := p.TransferTime(0, 1, n)
 	if st >= tt {
 		t.Fatalf("serialization %d should be below full transfer %d", st, tt)
 	}
-	if p.SerializationTime(1, 1, n) != 0 {
+	if st, lat := p.Wire(1, 1, n); st != 0 || lat != 0 {
 		t.Fatal("self serialization should be free")
 	}
 }
@@ -144,16 +144,16 @@ func TestRackTopology(t *testing.T) {
 	if q.Rack(5) != q.Node(5) {
 		t.Fatal("rackless Rack should equal Node")
 	}
-	if q.rackTier(0, 5) {
-		t.Fatal("rackTier must be off when NodesPerRack <= 0")
+	if q.Tier(0, 5) == TierRack {
+		t.Fatal("the rack tier must be off when NodesPerRack <= 0")
 	}
-	if p.rackTier(0, 2) {
+	if p.Tier(0, 2) == TierRack {
 		t.Fatal("same-node pairs never travel the rack tier")
 	}
-	if !p.rackTier(0, 5) {
+	if p.Tier(0, 5) != TierRack {
 		t.Fatal("distinct nodes of one rack travel the rack tier")
 	}
-	if p.rackTier(0, 9) {
+	if p.Tier(0, 9) == TierRack {
 		t.Fatal("cross-rack pairs travel the fabric, not the rack tier")
 	}
 }
@@ -179,8 +179,8 @@ func TestThreeTierCosts(t *testing.T) {
 	if got, want := rack, p.RackLatency+sim.Time(float64(n)/p.RackBandwidth); got != want {
 		t.Errorf("rack TransferTime = %d, want %d", got, want)
 	}
-	if st := p.SerializationTime(0, 5, n); st != sim.Time(float64(n)/p.RackBandwidth) {
-		t.Errorf("rack SerializationTime = %d, want %d", st, sim.Time(float64(n)/p.RackBandwidth))
+	if st, _ := p.Wire(0, 5, n); st != sim.Time(float64(n)/p.RackBandwidth) {
+		t.Errorf("rack serialization = %d, want %d", st, sim.Time(float64(n)/p.RackBandwidth))
 	}
 	if at := p.AtomicTime(0, 5); at != p.RackAtomicRTT {
 		t.Errorf("rack AtomicTime = %d, want %d", at, p.RackAtomicRTT)
@@ -216,8 +216,10 @@ func TestTwoTierDefaultUnchanged(t *testing.T) {
 			if p.TransferTime(a, b, n) != r.TransferTime(a, b, n) {
 				t.Errorf("TransferTime(%d,%d,%d) changed with inert rack fields", a, b, n)
 			}
-			if p.SerializationTime(a, b, n) != r.SerializationTime(a, b, n) {
-				t.Errorf("SerializationTime(%d,%d,%d) changed with inert rack fields", a, b, n)
+			ps, pl := p.Wire(a, b, n)
+			rs, rl := r.Wire(a, b, n)
+			if ps != rs || pl != rl {
+				t.Errorf("Wire(%d,%d,%d) changed with inert rack fields", a, b, n)
 			}
 		}
 		if p.AtomicTime(a, b) != r.AtomicTime(a, b) {
@@ -259,5 +261,132 @@ func TestTierAttribution(t *testing.T) {
 	}
 	if RackDefault(4, 0) != Default(4) {
 		t.Error("RackDefault with 0 nodes/rack should be the flat default")
+	}
+}
+
+// The cost model before link: each cost function decided the tier itself,
+// with the rack tier's fallbacks in helpers of their own. Kept verbatim as
+// the oracle of TestLinkMatchesPerFunctionTiers.
+func oldRackTier(p *Params, a, b int) bool {
+	return p.NodesPerRack > 0 && !p.SameNode(a, b) && p.SameRack(a, b)
+}
+
+func oldRackLatency(p *Params) sim.Time {
+	if p.RackLatency > 0 {
+		return p.RackLatency
+	}
+	return p.Latency
+}
+
+func oldRackBandwidth(p *Params) float64 {
+	if p.RackBandwidth > 0 {
+		return p.RackBandwidth
+	}
+	return p.Bandwidth
+}
+
+func oldRackAtomicRTT(p *Params) sim.Time {
+	if p.RackAtomicRTT > 0 {
+		return p.RackAtomicRTT
+	}
+	return p.AtomicRTT
+}
+
+func oldTier(p *Params, a, b int) int {
+	switch {
+	case a == b:
+		return TierSelf
+	case p.SameNode(a, b):
+		return TierNode
+	case oldRackTier(p, a, b):
+		return TierRack
+	default:
+		return TierFabric
+	}
+}
+
+func oldTransferTime(p *Params, a, b, n int) sim.Time {
+	if a == b {
+		return 0
+	}
+	if p.SameNode(a, b) {
+		return p.IntraLatency + sim.Time(float64(n)/p.IntraBandwidth)
+	}
+	if oldRackTier(p, a, b) {
+		return oldRackLatency(p) + sim.Time(float64(n)/oldRackBandwidth(p))
+	}
+	return p.Latency + sim.Time(float64(n)/p.Bandwidth)
+}
+
+func oldSerializationTime(p *Params, a, b, n int) sim.Time {
+	if a == b {
+		return 0
+	}
+	if p.SameNode(a, b) {
+		return sim.Time(float64(n) / p.IntraBandwidth)
+	}
+	if oldRackTier(p, a, b) {
+		return sim.Time(float64(n) / oldRackBandwidth(p))
+	}
+	return sim.Time(float64(n) / p.Bandwidth)
+}
+
+func oldAtomicTime(p *Params, a, b int) sim.Time {
+	if a == b {
+		return 60 * sim.Nanosecond
+	}
+	if p.SameNode(a, b) {
+		return p.IntraAtomicRTT
+	}
+	if oldRackTier(p, a, b) {
+		return oldRackAtomicRTT(p)
+	}
+	return p.AtomicRTT
+}
+
+// TestLinkMatchesPerFunctionTiers holds the one tier lookup to the
+// per-function tier decisions it replaced: every rank pair of a 24-rank
+// machine, under the two-tier model, the rack-tier preset, and the rack
+// tier with each rack field unset in turn (its fallback to the fabric),
+// must price every transfer, serialization, latency and atomic bit-equal,
+// and name the same tier.
+func TestLinkMatchesPerFunctionTiers(t *testing.T) {
+	configs := map[string]Params{"two-tier": Default(4), "rack": RackDefault(4, 2)}
+	for _, unset := range []string{"latency", "bandwidth", "atomic"} {
+		p := RackDefault(4, 2)
+		switch unset {
+		case "latency":
+			p.RackLatency = 0
+		case "bandwidth":
+			p.RackBandwidth = 0
+		case "atomic":
+			p.RackAtomicRTT = 0
+		}
+		configs["rack-no-"+unset] = p
+	}
+	const ranks = 24
+	for name, p := range configs {
+		for a := 0; a < ranks; a++ {
+			for b := 0; b < ranks; b++ {
+				if got, want := p.Tier(a, b), oldTier(&p, a, b); got != want {
+					t.Errorf("%s: Tier(%d,%d) = %d, want %d", name, a, b, got, want)
+				}
+				if got, want := p.AtomicTime(a, b), oldAtomicTime(&p, a, b); got != want {
+					t.Errorf("%s: AtomicTime(%d,%d) = %d, want %d", name, a, b, got, want)
+				}
+				for _, n := range []int{0, 1, 8, 100, 2048, 65536, 1 << 30} {
+					if got, want := p.TransferTime(a, b, n), oldTransferTime(&p, a, b, n); got != want {
+						t.Errorf("%s: TransferTime(%d,%d,%d) = %d, want %d", name, a, b, n, got, want)
+					}
+					ser, latency := p.Wire(a, b, n)
+					if want := oldSerializationTime(&p, a, b, n); ser != want {
+						t.Errorf("%s: Wire(%d,%d,%d) serialization = %d, want %d", name, a, b, n, ser, want)
+					}
+					if want := oldTransferTime(&p, a, b, 0); latency != want {
+						t.Errorf("%s: Wire(%d,%d,%d) latency = %d, want %d", name, a, b, n, latency, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -135,6 +135,12 @@ func TestFreeLocalBadAddr(t *testing.T) {
 			if err := l.FreeLocal(0x100, 16); !errors.Is(err, ErrBadFree) {
 				t.Errorf("free of collective-range addr: %v", err)
 			}
+			if err := l.FreeLocal(l.AllocCollective(256, BlockDist), 16); !errors.Is(err, ErrBadFree) {
+				t.Errorf("free of a live collective allocation: %v", err)
+			}
+			if err := l.FreeLocal(ncBase+2*ncSpan, 16); !errors.Is(err, ErrBadFree) {
+				t.Errorf("free past the last rank's noncollective region: %v", err)
+			}
 		}
 		l.Rank().Barrier()
 	})

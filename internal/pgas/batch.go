@@ -49,9 +49,9 @@ func (l *Local) gatherRun(cb *memblock.Block, iv region.Interval) {
 	if err != nil {
 		panic(fmt.Sprintf("pgas: dirty interval %v outside allocations: %v", iv, err))
 	}
-	home, win, segOff0 := s.blockHome(a, g0)
+	home, segOff0 := a.homeOf(g0, bs)
 	l.wbRuns = append(l.wbRuns, wbRun{
-		cb: cb, iv: iv, win: win, winID: win.ID(), home: home,
+		cb: cb, iv: iv, win: a.win, winID: a.win.ID(), home: home,
 		segOff: segOff0 + int(iv.Lo-uint64(g0)),
 	})
 }

@@ -200,15 +200,6 @@ func (l *Local) Rank() *rma.Rank { return l.rank }
 // Space returns the global address space.
 func (l *Local) Space() *Space { return l.space }
 
-// blockHome resolves the home of the block starting at g0 within a.
-func (s *Space) blockHome(a *allocation, g0 Addr) (rank int, win *rma.Win, off int) {
-	if a.base >= ncBase {
-		return int((a.base - ncBase) / ncSpan), a.win, int(g0 - a.base)
-	}
-	r, o := a.homeOf(g0, uint64(s.cfg.BlockSize))
-	return r, a.win, o
-}
-
 // span reports the Checkout or Checkin call that began at t0 as one span
 // of kind k, its category total redirected to ProfCategory when set.
 func (l *Local) span(k trace.Kind, t0 sim.Time, size uint64) {
@@ -289,7 +280,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	for bid := first; bid <= last; bid++ {
 		g0 := Addr(bid * bs)
 		req := region.Interval{Lo: uint64(maxAddr(g0, addr)), Hi: uint64(minAddr(g0+Addr(bs), addr+Addr(size)))}
-		homeRank, win, segOff0 := s.blockHome(a, g0)
+		homeRank, segOff0 := a.homeOf(g0, bs)
 		l.rank.Proc().Advance(costCheckoutBlock)
 
 		if net.SameNode(homeRank, me) {
@@ -313,7 +304,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			l.hit(req.Len())
 			rec.pieces = append(rec.pieces, piece{
 				g: Addr(req.Lo), n: int(req.Len()),
-				hb: hb, homeRank: homeRank, win: win,
+				hb: hb, homeRank: homeRank, win: a.win,
 				segOff: segOff0 + int(Addr(req.Lo)-g0),
 			})
 			continue
@@ -339,7 +330,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 				padded.Lo = uint64(g0)
 			}
 			limit := uint64(g0) + bs
-			if ncLimit := uint64(a.base) + uint64(len(win.Seg(homeRank))); a.base >= ncBase && ncLimit < limit {
+			if ncLimit := uint64(a.base) + uint64(len(a.win.Seg(homeRank))); a.base >= ncBase && ncLimit < limit {
 				limit = ncLimit
 			}
 			if padded.Hi > limit {
@@ -358,7 +349,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 				}
 				dst := cb.Data[m.Lo-uint64(g0) : m.Hi-uint64(g0)]
 				l.cache.MarkValid(cb, m)
-				win.Get(l.rank, homeRank, segOff0+int(m.Lo-uint64(g0)), dst)
+				a.win.Get(l.rank, homeRank, segOff0+int(m.Lo-uint64(g0)), dst)
 				s.Stats.FetchOps++
 				s.Stats.FetchBytes += m.Len()
 				fetched += m.Len()

@@ -382,6 +382,69 @@ func TestNoncollectiveAllocFree(t *testing.T) {
 	})
 }
 
+// TestNoncollectiveHomeIsOwner: a block of rank 2's noncollective heap has
+// its home on rank 2, the owner, not on rank 0, for every path that
+// resolves a home — HomeRank, a remote checkout's fetch and a remote
+// write-back.
+func TestNoncollectiveHomeIsOwner(t *testing.T) {
+	const n = 300 // spans two 256-byte blocks
+	s := testCluster(t, 3, 1, smallCfg(WriteBack), func(l *Local) {
+		me := l.Rank().ID()
+		if me == 2 {
+			addr := l.AllocLocal(n)
+			v, err := l.Checkout(addr, n, Write)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range v {
+				v[i] = byte(i) ^ 0x5A
+			}
+			l.Checkin(addr, n, Write)
+			l.ReleaseFence()
+			shared[0] = addr
+		}
+		l.Rank().Barrier()
+		addr := shared[0]
+		if me == 0 {
+			if h, err := l.Space().HomeRank(addr + n - 1); err != nil || h != 2 {
+				t.Errorf("HomeRank = %d (%v), want the owner 2", h, err)
+			}
+			// Checkout path: the fetch reads the owner's segment.
+			v, err := l.Checkout(addr, n, Read)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range v {
+				if v[i] != byte(i)^0x5A {
+					t.Fatalf("checked-out byte %d = %#x, want %#x", i, v[i], byte(i)^0x5A)
+				}
+			}
+			l.Checkin(addr, n, Read)
+		}
+		l.Rank().Barrier()
+		if me == 1 {
+			// Write-back path: the release lands the bytes on the owner.
+			v, err := l.Checkout(addr, n, Write)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range v {
+				v[i] = byte(i) ^ 0xC3
+			}
+			l.Checkin(addr, n, Write)
+			l.ReleaseFence()
+		}
+		l.Rank().Barrier()
+	})
+	seg := s.ncWin.Seg(2)
+	off := int(shared[0] - (ncBase + 2*ncSpan))
+	for i := 0; i < n; i++ {
+		if seg[off+i] != byte(i)^0xC3 {
+			t.Fatalf("owner's byte %d = %#x after the write-back, want %#x", i, seg[off+i], byte(i)^0xC3)
+		}
+	}
+}
+
 func TestUnmatchedCheckinFails(t *testing.T) {
 	testCluster(t, 1, 1, smallCfg(WriteBack), func(l *Local) {
 		base := l.AllocCollective(256, BlockDist)

@@ -19,7 +19,10 @@ type allocation struct {
 	win    *rma.Win
 	chunk  uint64 // per-rank contiguous bytes (BlockDist)
 	nranks uint64
-	freed  bool
+	// first is the rank of the first chunk: the owner of a noncollective
+	// region, 0 for a collective allocation.
+	first int
+	freed bool
 }
 
 func (a *allocation) end() Addr { return a.base + a.size }
@@ -30,7 +33,7 @@ func (a *allocation) homeOf(addr Addr, blockSize uint64) (rank int, off int) {
 	rel := addr - a.base
 	switch a.policy {
 	case BlockDist:
-		return int(rel / a.chunk), int(rel % a.chunk)
+		return a.first + int(rel/a.chunk), int(rel % a.chunk)
 	case BlockCyclicDist:
 		b := rel / blockSize
 		return int(b % a.nranks), int((b/a.nranks)*blockSize + rel%blockSize)
@@ -166,6 +169,7 @@ func New(comm *rma.Comm, cfg Config) *Space {
 			win:    s.ncWin,
 			chunk:  uint64(ncSpan),
 			nranks: 1,
+			first:  i,
 		}
 		s.allocs = append(s.allocs, &ncAllocs[i])
 	}
@@ -335,17 +339,14 @@ func (l *Local) AllocLocal(size uint64) Addr {
 // owner's free list. Remote frees pay one atomic round trip.
 func (l *Local) FreeLocal(addr Addr, size uint64) error {
 	s := l.space
-	if addr < ncBase {
+	a, err := s.findAlloc(addr, 1)
+	if err != nil || a.win != s.ncWin {
 		return ErrBadFree
 	}
-	owner := int((addr - ncBase) / ncSpan)
-	if owner >= s.comm.Size() {
-		return ErrBadFree
-	}
+	owner := a.first
 	size = align(size, 16)
 	if owner != l.rank.ID() {
-		net := s.comm.Net()
-		l.rank.Proc().Advance(net.AtomicTime(l.rank.ID(), owner))
+		l.rank.Proc().Advance(s.comm.Net().AtomicTime(l.rank.ID(), owner))
 	} else {
 		l.rank.Proc().Advance(costAllocLocal)
 	}
@@ -364,9 +365,6 @@ func (s *Space) HomeRank(addr Addr) (int, error) {
 		return 0, err
 	}
 	r, _ := a.homeOf(addr, uint64(s.cfg.BlockSize))
-	if a.base >= ncBase {
-		return int((a.base - ncBase) / ncSpan), nil
-	}
 	return r, nil
 }
 
@@ -387,10 +385,6 @@ func (s *Space) forEachHomeSeg(addr Addr, size uint64, fn func(home int, win *rm
 			span = remaining
 		}
 		rank, off := a.homeOf(g, bs)
-		if a.base >= ncBase {
-			rank = int((a.base - ncBase) / ncSpan)
-			off = int(g - a.base)
-		}
 		if err := fn(rank, a.win, off, g, int(span)); err != nil {
 			return err
 		}

@@ -136,8 +136,8 @@ func (v *validator) winOf(lo, hi uint64) (int, int64) {
 	if err != nil {
 		return -1, 0
 	}
-	_, win, off := v.space.blockHome(a, lo)
-	return win.ID(), int64(off)
+	_, off := a.homeOf(lo, uint64(v.space.cfg.BlockSize))
+	return a.win.ID(), int64(off)
 }
 
 // record logs one violation: full ViolationRecord for the report, a

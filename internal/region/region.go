@@ -139,11 +139,6 @@ func (s *Set) Contains(iv Interval) bool {
 	return false
 }
 
-// ContainsByte reports whether byte b is in the set.
-func (s *Set) ContainsByte(b uint64) bool {
-	return s.Contains(Interval{b, b + 1})
-}
-
 // Missing returns the parts of iv not covered by the set, in ascending
 // order: iv \ s. This is the fetch-region computation of Fig. 4 line 19.
 func (s *Set) Missing(iv Interval) []Interval {

@@ -166,8 +166,9 @@ func (c *Comm) SdcWireEscapesByRank() []uint64 {
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return len(c.ranks) }
 
-// Net returns the network parameters.
-func (c *Comm) Net() netmodel.Params { return c.net }
+// Net returns the network parameters, in place: callers read them and
+// must not modify them.
+func (c *Comm) Net() *netmodel.Params { return &c.net }
 
 // Engine returns the simulation engine.
 func (c *Comm) Engine() *sim.Engine { return c.eng }
@@ -488,9 +489,8 @@ func (r *Rank) issue(target, nbytes int) {
 	if r.nicFree < now {
 		r.nicFree = now
 	}
-	ser := r.c.net.SerializationTime(r.id, target, nbytes)
+	ser, wire := r.c.net.Wire(r.id, target, nbytes)
 	r.nicFree += ser
-	wire := r.c.net.TransferTime(r.id, target, 0)
 	// Link-degradation windows see the whole unperturbed wire occupancy
 	// (serialization + latency) as their base.
 	wire += r.c.net.TransferExtraAt(now, r.id, target, nbytes, ser+wire)

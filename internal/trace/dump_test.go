@@ -12,7 +12,6 @@ import (
 
 func TestDumpRoundtrip(t *testing.T) {
 	l := fixtureLog()
-	l.CoresPerNode = 2
 	meta := Meta{
 		Ranks:        2,
 		CoresPerNode: 2,
@@ -32,9 +31,6 @@ func TestDumpRoundtrip(t *testing.T) {
 	}
 	if m := gotMeta.Metrics; m == nil || m.Schema != MetricsSchema || m.Counters["uth_steals"] != 4 {
 		t.Errorf("metrics section = %+v", m)
-	}
-	if got.CoresPerNode != 2 {
-		t.Errorf("CoresPerNode = %d, want 2", got.CoresPerNode)
 	}
 	want, have := l.Events(), got.Events()
 	if len(want) != len(have) {
@@ -102,11 +98,10 @@ func TestAnalyzeOutOfOrderRanks(t *testing.T) {
 // emits spans as complete ("X") events with microsecond durations.
 func TestChromeJSONSpansAndNodePID(t *testing.T) {
 	l := New()
-	l.CoresPerNode = 2
 	l.rec(Event{T: 1000, Dur: 2000, Rank: 3, Kind: KTaskRun, Arg: 7}) // rank 3 -> node 1
 	l.rec(Event{T: 500, Rank: 0, Kind: KFork, Arg: 1})                // rank 0 -> node 0
 	var b bytes.Buffer
-	if err := l.ChromeJSON(&b); err != nil {
+	if err := l.ChromeJSON(&b, 2); err != nil {
 		t.Fatal(err)
 	}
 	var evs []map[string]any

@@ -170,11 +170,6 @@ type Log struct {
 	rings      []ring
 	seq        uint64
 	capPerRank int
-
-	// CoresPerNode, when set, lets exports map a rank to its simulated
-	// node (node = rank / CoresPerNode) so Perfetto groups timelines by
-	// node (PID) instead of lumping every rank under PID 0.
-	CoresPerNode int
 }
 
 // New creates an empty, unbounded log.
@@ -286,14 +281,6 @@ func (l *Log) Dump(w io.Writer) {
 	}
 }
 
-// node maps a rank to its simulated node for timeline grouping.
-func (l *Log) node(rank int) int {
-	if l != nil && l.CoresPerNode > 0 {
-		return rank / l.CoresPerNode
-	}
-	return 0
-}
-
 // chromeEvent is the Chrome tracing event schema (instant and complete).
 type chromeEvent struct {
 	Name string           `json:"name"`
@@ -309,15 +296,18 @@ type chromeEvent struct {
 // ChromeJSON writes the log in the Chrome tracing (about://tracing /
 // Perfetto) JSON array format: spans as "X" complete events, the rest as
 // instants, with one "thread" (TID) per rank grouped into "processes"
-// (PID) by simulated node.
-func (l *Log) ChromeJSON(w io.Writer) error {
+// (PID) by simulated node, rank / coresPerNode (the dump's
+// Meta.CoresPerNode); coresPerNode <= 0 puts every rank under PID 0.
+func (l *Log) ChromeJSON(w io.Writer, coresPerNode int) error {
 	out := make([]chromeEvent, 0, l.Len())
 	for _, e := range l.Events() {
 		ce := chromeEvent{
 			Name: e.Kind.String(),
 			TS:   float64(e.T) / 1000,
-			PID:  l.node(e.Rank),
 			TID:  e.Rank,
+		}
+		if coresPerNode > 0 {
+			ce.PID = e.Rank / coresPerNode
 		}
 		if e.Dur > 0 {
 			ce.Ph = "X"
@@ -377,9 +367,6 @@ type dumpDoc struct {
 func (l *Log) WriteDump(w io.Writer, m Meta) error {
 	m.Schema = DumpSchema
 	m.Dropped, m.DroppedByRank = l.Dropped(), l.DroppedByRank()
-	if m.CoresPerNode == 0 && l != nil {
-		m.CoresPerNode = l.CoresPerNode
-	}
 	doc := dumpDoc{Meta: m, Events: make([][6]int64, 0, l.Len())}
 	for _, e := range l.Events() {
 		doc.Events = append(doc.Events,
@@ -400,7 +387,6 @@ func ReadDump(r io.Reader) (*Log, Meta, error) {
 		return nil, Meta{}, err
 	}
 	l := New()
-	l.CoresPerNode = doc.CoresPerNode
 	for _, t := range doc.Events {
 		l.rec(Event{
 			T:    sim.Time(t[0]),

@@ -54,7 +54,7 @@ func TestChromeJSONWellFormed(t *testing.T) {
 	l.rec(Event{T: 1500, Rank: 2, Kind: KAcquire})
 	l.rec(Event{T: 2500, Rank: 3, Kind: KRelease})
 	var sb strings.Builder
-	if err := l.ChromeJSON(&sb); err != nil {
+	if err := l.ChromeJSON(&sb, 0); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]interface{}

@@ -47,8 +47,7 @@ func runIdleRegion(t *testing.T, cfg Config, straggler, flaky, lateFork bool) (i
 	if flaky {
 		c.SetFaults(fault.NewInjector(fault.PlanFlakyRMA(7), idleRanks))
 	}
-	cfg.Seed = 42
-	s := NewSched(c, cfg, nil)
+	s := NewSched(c, cfg, 42, nil)
 	body := func(tb *TB) {
 		if !lateFork {
 			tb.Proc().Advance(sim.Millisecond)
@@ -149,7 +148,7 @@ func TestIdleRegionPinned(t *testing.T) {
 func TestIdleLoopZeroAllocs(t *testing.T) {
 	var failed uint64
 	run := func(idle sim.Time) {
-		s, _ := runRegionCfg(t, 64, Config{Seed: 42}, nil, func(tb *TB) { tb.Proc().Advance(idle) })
+		s, _ := runRegionCfg(t, 64, Config{}, nil, func(tb *TB) { tb.Proc().Advance(idle) })
 		failed = s.Stats.FailedSteals
 	}
 	small := testing.AllocsPerRun(3, func() { run(200 * sim.Microsecond) })

@@ -9,11 +9,11 @@ import (
 )
 
 // runWithCfg is runRegion with a custom scheduler config.
-func runWithCfg(t *testing.T, nranks, coresPerNode int, cfg Config, body func(*TB)) *Sched {
+func runWithCfg(t *testing.T, nranks, coresPerNode int, seed int64, cfg Config, body func(*TB)) *Sched {
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, nranks, netmodel.Default(coresPerNode))
-	s := NewSched(c, cfg, nil)
+	s := NewSched(c, cfg, seed, nil)
 	for i := 0; i < nranks; i++ {
 		i := i
 		r := c.Rank(i)
@@ -30,7 +30,7 @@ func runWithCfg(t *testing.T, nranks, coresPerNode int, cfg Config, body func(*T
 
 func TestLocalityAwareCorrectness(t *testing.T) {
 	var got int
-	s := runWithCfg(t, 8, 4, Config{Seed: 3, LocalityAware: true}, func(tb *TB) {
+	s := runWithCfg(t, 8, 4, 3, Config{LocalityAware: true}, func(tb *TB) {
 		got = fib(tb, 14)
 	})
 	if got != 377 {
@@ -43,8 +43,8 @@ func TestLocalityAwareCorrectness(t *testing.T) {
 
 func TestLocalityAwareRaisesIntraNodeShare(t *testing.T) {
 	body := func(tb *TB) { fib(tb, 15) }
-	random := runWithCfg(t, 16, 4, Config{Seed: 5}, body)
-	local := runWithCfg(t, 16, 4, Config{Seed: 5, LocalityAware: true}, body)
+	random := runWithCfg(t, 16, 4, 5, Config{}, body)
+	local := runWithCfg(t, 16, 4, 5, Config{LocalityAware: true}, body)
 	if random.Stats.Steals == 0 || local.Stats.Steals == 0 {
 		t.Skip("not enough steals to compare")
 	}
@@ -59,7 +59,7 @@ func TestLocalityAwareRaisesIntraNodeShare(t *testing.T) {
 func TestLocalityAwareSingleCorePerNode(t *testing.T) {
 	// Degenerate topology (1 core/node): must behave like pure random and
 	// never self-steal.
-	s := runWithCfg(t, 4, 1, Config{Seed: 9, LocalityAware: true}, func(tb *TB) {
+	s := runWithCfg(t, 4, 1, 9, Config{LocalityAware: true}, func(tb *TB) {
 		fib(tb, 12)
 	})
 	if s.Stats.IntraSteals != 0 {

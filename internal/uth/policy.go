@@ -93,7 +93,7 @@ func (w *Worker) runPending(e *entry) {
 	e.fn = nil
 	w.spawn(child, fn)
 	w.proc.Park() // until the child's finish (or a suspend) hands the token back
-	w.rank.Attach(w.proc)
+	w.handTo(nil)
 }
 
 // forkHelpFirst is Fork under HelpFirst and FBC: push the child's

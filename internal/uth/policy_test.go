@@ -14,7 +14,7 @@ func runRegionCfg(t *testing.T, nranks int, cfg Config, hooks Hooks, body func(*
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, nranks, netmodel.Default(4))
-	s := NewSched(c, cfg, hooks)
+	s := NewSched(c, cfg, 42, hooks)
 	var elapsed sim.Time
 	for i := 0; i < nranks; i++ {
 		i := i
@@ -60,7 +60,7 @@ func TestFibCorrectUnderEachPolicy(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			var got int
-			s, _ := runRegionCfg(t, 4, Config{Seed: 42, Policy: pol}, nil, func(tb *TB) {
+			s, _ := runRegionCfg(t, 4, Config{Policy: pol}, nil, func(tb *TB) {
 				got = fib(tb, 13)
 			})
 			if got != 233 {
@@ -78,7 +78,7 @@ func TestPolicyDeterministicSchedule(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			run := func() (Stats, PolicyStats, sim.Time) {
-				s, el := runRegionCfg(t, 4, Config{Seed: 42, Policy: pol}, nil, func(tb *TB) { fib(tb, 12) })
+				s, el := runRegionCfg(t, 4, Config{Policy: pol}, nil, func(tb *TB) { fib(tb, 12) })
 				return s.Stats, s.PolicyStats, el
 			}
 			s1, p1, e1 := run()
@@ -105,7 +105,7 @@ func TestChildFirstPolicyStatsZero(t *testing.T) {
 // notifications — and thieves only ever move task descriptors, so the
 // stack-migration counter stays at zero.
 func TestFBCNoMigrations(t *testing.T) {
-	s, _ := runRegionCfg(t, 4, Config{Seed: 42, Policy: FBC}, nil, func(tb *TB) { fib(tb, 13) })
+	s, _ := runRegionCfg(t, 4, Config{Policy: FBC}, nil, func(tb *TB) { fib(tb, 13) })
 	if s.Stats.Migrations != 0 {
 		t.Fatalf("FBC migrated %d threads, want 0", s.Stats.Migrations)
 	}
@@ -124,7 +124,7 @@ func TestFBCNoMigrations(t *testing.T) {
 func TestHelpFirstParentRunsBeforeChild(t *testing.T) {
 	order := func(pol SchedPolicy) []string {
 		var got []string
-		runRegionCfg(t, 1, Config{Seed: 42, Policy: pol}, nil, func(tb *TB) {
+		runRegionCfg(t, 1, Config{Policy: pol}, nil, func(tb *TB) {
 			th := tb.Fork(func(tb *TB) { got = append(got, "child") })
 			got = append(got, "parent")
 			tb.Join(th)
@@ -148,7 +148,7 @@ func TestHelpFirstHooksPairing(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			h := &traceHooks{}
-			s, _ := runRegionCfg(t, 4, Config{Seed: 42, Policy: pol}, h, func(tb *TB) { fib(tb, 12) })
+			s, _ := runRegionCfg(t, 4, Config{Policy: pol}, h, func(tb *TB) { fib(tb, 12) })
 			if uint64(h.steals) != s.Stats.Steals {
 				t.Fatalf("OnSteal fired %d times for %d steals", h.steals, s.Stats.Steals)
 			}
@@ -185,8 +185,8 @@ func TestPolicySpeedup(t *testing.T) {
 	for _, pol := range []SchedPolicy{HelpFirst, FBC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
-			_, e1 := runRegionCfg(t, 1, Config{Seed: 42, Policy: pol}, nil, func(tb *TB) { spawn(tb, 64) })
-			_, e8 := runRegionCfg(t, 8, Config{Seed: 42, Policy: pol}, nil, func(tb *TB) { spawn(tb, 64) })
+			_, e1 := runRegionCfg(t, 1, Config{Policy: pol}, nil, func(tb *TB) { spawn(tb, 64) })
+			_, e8 := runRegionCfg(t, 8, Config{Policy: pol}, nil, func(tb *TB) { spawn(tb, 64) })
 			speedup := float64(e1) / float64(e8)
 			if speedup < 3 {
 				t.Fatalf("8-rank speedup = %.2f, want >= 3 (e1=%v e8=%v)", speedup, e1, e8)
@@ -214,7 +214,7 @@ func TestPolicyNestedStress(t *testing.T) {
 				tb.Join(l)
 				tb.Join(r)
 			}
-			s, _ := runRegionCfg(t, 6, Config{Seed: 42, Policy: pol}, nil, func(tb *TB) { spawn(tb, 10) })
+			s, _ := runRegionCfg(t, 6, Config{Policy: pol}, nil, func(tb *TB) { spawn(tb, 10) })
 			if count != 1024 {
 				t.Fatalf("leaf count = %d, want 1024", count)
 			}

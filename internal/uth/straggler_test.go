@@ -14,7 +14,7 @@ func runStragglerRegion(t *testing.T, nranks, coresPerNode int, cfg Config, body
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, nranks, netmodel.Default(coresPerNode))
-	s := NewSched(c, cfg, nil)
+	s := NewSched(c, cfg, 42, nil)
 	var elapsed sim.Time
 	for i := 0; i < nranks; i++ {
 		i := i
@@ -42,8 +42,8 @@ func runStragglerRegion(t *testing.T, nranks, coresPerNode int, cfg Config, body
 // with and without victim blacklisting (satellite: straggler tolerance).
 func TestTerminationUnderStraggler(t *testing.T) {
 	for _, cfg := range []Config{
-		{Seed: 42},
-		{Seed: 42, VictimBlacklist: true},
+		{},
+		{VictimBlacklist: true},
 	} {
 		cfg := cfg
 		name := "plain"
@@ -74,7 +74,7 @@ func TestTerminationUnderStraggler(t *testing.T) {
 // straggler's inter-node steal (CAS plus stack transfer, ≈4 µs nominal)
 // takes about 40 µs, past the 20 µs timeout.
 func TestBlacklistEngagesOnStraggler(t *testing.T) {
-	cfg := Config{Seed: 42, VictimBlacklist: true}
+	cfg := Config{VictimBlacklist: true}
 	var got int
 	s, _ := runStragglerRegion(t, 4, 1, cfg, func(tb *TB) {
 		got = fib(tb, 14)

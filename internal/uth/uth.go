@@ -92,8 +92,6 @@ type Config struct {
 	// and the policy every golden digest is pinned against. See
 	// SchedPolicy for HelpFirst and FBC.
 	Policy SchedPolicy
-	// Seed seeds the per-worker victim-selection streams.
-	Seed int64
 	// LocalityAware makes thieves try same-node victims (cheap steals,
 	// shared home memory) before stealing across nodes — a simple
 	// hierarchical scheduler in the direction of the locality-aware
@@ -162,11 +160,6 @@ type Sched struct {
 	workers []*Worker
 	done    bool
 
-	// threadOf maps a live thread's process to its record, so CurrentTID
-	// can name the thread a rank's process is running (the validator's
-	// diagnostics).
-	threadOf map[*sim.Proc]*thread
-
 	// Stats holds cumulative scheduler statistics.
 	Stats Stats
 
@@ -183,11 +176,11 @@ type Sched struct {
 }
 
 // CurrentTID returns the trace DAG thread ID of the fork-join thread
-// currently executing on p, or 0 when p is not running one (SPMD mode or
-// scheduler internals). The checkout-discipline validator uses it to name
-// the task segment that owns a global-memory access.
-func (s *Sched) CurrentTID(p *sim.Proc) int64 {
-	if th, ok := s.threadOf[p]; ok {
+// holding rank's token, or 0 when none does (SPMD mode or scheduler
+// internals). The checkout-discipline validator uses it to name the task
+// segment that owns a global-memory access.
+func (s *Sched) CurrentTID(rank int) int64 {
+	if th := s.workers[rank].holder; th != nil {
 		return th.tid
 	}
 	return 0
@@ -209,14 +202,15 @@ func (s *Sched) traceEnd(th *thread, rank int, now sim.Time) {
 	s.rec.Instant(rank, trace.KTaskEnd, now, th.tid, th.ptid)
 }
 
-// NewSched creates the scheduler over comm, reporting to comm's recorder.
-func NewSched(comm *rma.Comm, cfg Config, hooks Hooks) *Sched {
+// NewSched creates the scheduler over comm, reporting to comm's recorder;
+// seed seeds the per-worker victim-selection streams.
+func NewSched(comm *rma.Comm, cfg Config, seed int64, hooks Hooks) *Sched {
 	if hooks == nil {
 		hooks = NopHooks{}
 	}
-	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, rec: comm.Recorder(), threadOf: make(map[*sim.Proc]*thread)}
+	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, rec: comm.Recorder()}
 	s.workers = make([]*Worker, comm.Size())
-	stream := splitmix(uint64(cfg.Seed) ^ 0x57EA1)
+	stream := splitmix(uint64(seed) ^ 0x57EA1)
 	for i := range s.workers {
 		w := &Worker{sched: s, rank: comm.Rank(i), rng: stream + uint64(i) + 1}
 		if cfg.VictimBlacklist {
@@ -235,6 +229,10 @@ type Worker struct {
 	rank  *rma.Rank
 	proc  *sim.Proc // the rank's SPMD/scheduler process
 	deque []*entry
+
+	// holder is the thread holding the rank's token, nil while the
+	// scheduler process holds it; handTo is its only writer.
+	holder *thread
 
 	// rng is the worker's victim stream: a splitmix64 counter, advanced and
 	// mixed by draw.
@@ -331,9 +329,7 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 		root := &thread{worker: w, tid: s.nextTID}
 		w.proc.Engine().Spawn("root", func(p *sim.Proc) {
 			root.proc = p
-			s.threadOf[p] = root
-			defer delete(s.threadOf, p)
-			w.rank.Attach(p)
+			w.handTo(root)
 			root.segStart = p.Now()
 			tb := &TB{w: w, th: root}
 			body(tb)
@@ -344,11 +340,10 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 			s.traceEnd(root, cur.rank.ID(), p.Now())
 			s.hooks.OnSuspend(cur.rank.ID())
 			s.done = true
-			cur.rank.Attach(cur.proc)
-			cur.proc.Wake()
+			cur.handTo(nil).Wake()
 		})
 		w.proc.Park() // until a thread hands rank 0's token back
-		w.rank.Attach(w.proc)
+		w.handTo(nil)
 	}
 	w.schedLoop()
 	// Region exit: flush local caches so the SPMD code (and the next
@@ -493,10 +488,23 @@ func (w *Worker) startBackoff() sim.Time {
 func (w *Worker) resumeHere(th *thread, fence bool) {
 	th.worker = w
 	th.fenceOnResume = fence
-	w.rank.Attach(th.proc)
-	th.proc.Wake()
+	w.handTo(th).Wake()
 	w.proc.Park()
-	w.rank.Attach(w.proc)
+	w.handTo(nil)
+}
+
+// handTo gives the rank's token to th, or to the worker's own scheduler
+// process when th is nil, and records th as the rank's holder: every
+// token handoff goes through here. It returns the process now holding the
+// token, for the caller to wake.
+func (w *Worker) handTo(th *thread) *sim.Proc {
+	w.holder = th
+	p := w.proc
+	if th != nil {
+		p = th.proc
+	}
+	w.rank.Attach(p)
+	return p
 }
 
 // popBottom pops the newest entry from the local deque.
@@ -521,7 +529,7 @@ func (w *Worker) finishSteal() {
 	v.deque = v.deque[1:]
 	e.taken = true
 	s.Stats.Steals++
-	if net := s.comm.Net(); net.SameNode(me, vID) {
+	if s.comm.Net().SameNode(me, vID) {
 		s.Stats.IntraSteals++
 	}
 	// A started continuation migrates its live stack; a pending task
@@ -600,8 +608,7 @@ func (w *Worker) pickVictim() int {
 	n := len(s.workers)
 	me := w.rank.ID()
 	if s.cfg.LocalityAware {
-		net := s.comm.Net()
-		cpn := net.CoresPerNode
+		cpn := s.comm.Net().CoresPerNode
 		if cpn > 1 {
 			base := (me / cpn) * cpn
 			off := w.draw(cpn)
@@ -686,10 +693,8 @@ func (w *Worker) spawn(child *thread, fn func(*TB)) {
 	s := w.sched
 	w.proc.Engine().Spawn("thread", func(p *sim.Proc) {
 		child.proc = p
-		s.threadOf[p] = child
-		defer delete(s.threadOf, p)
 		cw := child.worker
-		cw.rank.Attach(p)
+		cw.handTo(child)
 		child.segStart = p.Now()
 		cb := &TB{w: cw, th: child}
 		fn(cb)
@@ -713,8 +718,7 @@ func (th *thread) finish(w *Worker) {
 		th.proc.Advance(costJoinFast) // charged on the completing thread
 		pe.th.worker = w
 		pe.th.fenceOnResume = false
-		w.rank.Attach(pe.th.proc)
-		pe.th.proc.Wake()
+		w.handTo(pe.th).Wake()
 		return
 	}
 	// Slow path: the parent was stolen (or, under help-first spawning,
@@ -736,8 +740,7 @@ func (th *thread) finish(w *Worker) {
 			waiter.worker = s.workers[th.waiterRank]
 			waiter.fenceOnResume = th.waiterRank != w.rank.ID()
 			s.workers[th.waiterRank].runnable = append(s.workers[th.waiterRank].runnable, waiter)
-			w.rank.Attach(w.proc)
-			w.proc.Wake()
+			w.handTo(nil).Wake()
 			return
 		}
 		// The parent is blocked at Join: migrate it here. It needs
@@ -747,13 +750,11 @@ func (th *thread) finish(w *Worker) {
 		if waiter.fenceOnResume {
 			s.Stats.Migrations++
 		}
-		w.rank.Attach(waiter.proc)
-		waiter.proc.Wake()
+		w.handTo(waiter).Wake()
 		return
 	}
 	// Nobody waiting yet: give the rank token back to its scheduler.
-	w.rank.Attach(w.proc)
-	w.proc.Wake()
+	w.handTo(nil).Wake()
 }
 
 // suspendAndResume parks the calling thread and, upon resumption, rebinds
@@ -800,8 +801,7 @@ func (tb *TB) Join(t *Thread) {
 	s.traceSeg(tb.th, w.rank.ID(), tb.th.proc.Now())
 	// Give this rank's token back to its scheduler and park; the
 	// completing child will hand us its rank's token.
-	w.rank.Attach(w.proc)
-	w.proc.Wake()
+	w.handTo(nil).Wake()
 	tb.suspendAndResume()
 	// The join edge is recorded after the child's final events (we resumed
 	// only once it completed), so the analysis sees the child's full path

@@ -14,7 +14,7 @@ func runRegion(t *testing.T, nranks int, hooks Hooks, body func(*TB)) (*Sched, s
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, nranks, netmodel.Default(4))
-	s := NewSched(c, Config{Seed: 42}, hooks)
+	s := NewSched(c, Config{}, 42, hooks)
 	var elapsed sim.Time
 	for i := 0; i < nranks; i++ {
 		i := i
@@ -199,7 +199,7 @@ func TestHooksWiredCorrectly(t *testing.T) {
 func TestSequentialRegions(t *testing.T) {
 	e := sim.NewEngine()
 	c := rma.New(e, 2, netmodel.Default(2))
-	s := NewSched(c, Config{Seed: 1}, nil)
+	s := NewSched(c, Config{}, 1, nil)
 	total := 0
 	for i := 0; i < 2; i++ {
 		r := c.Rank(i)
@@ -267,4 +267,64 @@ func TestManyTasksStress(t *testing.T) {
 	if s.Stats.Forks != 2*1024-2 {
 		t.Fatalf("forks = %d, want %d", s.Stats.Forks, 2*1024-2)
 	}
+}
+
+// TestCurrentTIDNamesTokenHolder: CurrentTID(rank) names the thread holding
+// the rank's token after a steal, after a join migration and after an FBC
+// in-place wake, and reads 0 on every rank once the region ends.
+func TestCurrentTIDNamesTokenHolder(t *testing.T) {
+	check := func(s *Sched, rank int, want int64, when string) {
+		t.Helper()
+		if got := s.CurrentTID(rank); got != want {
+			t.Errorf("%s: CurrentTID(%d) = %d, want %d", when, rank, got, want)
+		}
+	}
+	regionOver := func(s *Sched) {
+		t.Helper()
+		for r := range s.workers {
+			check(s, r, 0, "after the region")
+		}
+	}
+
+	// Child-first: the child keeps rank 0 busy while rank 1 steals the
+	// root's continuation; the root then joins the still-running child and
+	// migrates back to rank 0 when it completes.
+	s, _ := runRegionCfg(t, 2, Config{}, nil, func(tb *TB) {
+		s, root := tb.Sched(), tb.th.tid
+		th := tb.Fork(func(cb *TB) {
+			cb.Proc().Advance(100 * sim.Microsecond)
+			check(s, 0, cb.th.tid, "child on its rank")
+		})
+		if tb.RankID() != 1 {
+			t.Fatalf("the continuation resumed on rank %d, want a steal to rank 1", tb.RankID())
+		}
+		check(s, 1, root, "after the steal")
+		check(s, 0, th.th.tid, "after the steal")
+		tb.Join(th)
+		if tb.RankID() != 0 {
+			t.Fatalf("the join resumed on rank %d, want a migration to rank 0", tb.RankID())
+		}
+		check(s, 0, root, "after the join migration")
+		check(s, 1, 0, "after the join migration")
+	})
+	regionOver(s)
+
+	// FBC: rank 1 steals the pending child; the root joins it while it runs
+	// and is woken in place on rank 0 by the completion notification.
+	s, _ = runRegionCfg(t, 2, Config{Policy: FBC}, nil, func(tb *TB) {
+		s, root := tb.Sched(), tb.th.tid
+		th := tb.Fork(func(cb *TB) {
+			cb.Proc().Advance(100 * sim.Microsecond)
+			check(s, 1, cb.th.tid, "stolen child")
+		})
+		tb.Proc().Advance(50 * sim.Microsecond)
+		tb.Join(th)
+		if s.PolicyStats.FBCWakes != 1 || tb.RankID() != 0 {
+			t.Fatalf("FBC wakes = %d on rank %d, want one wake in place on rank 0",
+				s.PolicyStats.FBCWakes, tb.RankID())
+		}
+		check(s, 0, root, "after the FBC in-place wake")
+		check(s, 1, 0, "after the FBC in-place wake")
+	})
+	regionOver(s)
 }

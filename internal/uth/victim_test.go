@@ -10,7 +10,7 @@ import (
 
 // victimSched builds (but does not run) an n-rank scheduler with seed.
 func victimSched(n int, seed int64) *Sched {
-	return NewSched(rma.New(sim.NewEngine(), n, netmodel.Default(8)), Config{Seed: seed}, nil)
+	return NewSched(rma.New(sim.NewEngine(), n, netmodel.Default(8)), Config{}, seed, nil)
 }
 
 // TestVictimDraw: the purely random pick never names the thief, stays in
@@ -37,8 +37,8 @@ func TestVictimDraw(t *testing.T) {
 	}
 }
 
-// TestVictimStreamsDiffer: every worker of a scheduler shares its Seed, yet
-// each draws its own sequence; the same Seed and rank replay it.
+// TestVictimStreamsDiffer: every worker of a scheduler shares its seed, yet
+// each draws its own sequence; the same seed and rank replay it.
 func TestVictimStreamsDiffer(t *testing.T) {
 	seq := func(w *Worker) [16]int {
 		var out [16]int
@@ -49,9 +49,9 @@ func TestVictimStreamsDiffer(t *testing.T) {
 	}
 	a, b := victimSched(8, 42), victimSched(8, 42)
 	if seq(a.workers[0]) == seq(a.workers[1]) {
-		t.Error("workers 0 and 1 drew the same sequence from one Seed")
+		t.Error("workers 0 and 1 drew the same sequence from one seed")
 	}
 	if seq(a.workers[3]) != seq(b.workers[3]) {
-		t.Error("the same Seed and rank drew two different sequences")
+		t.Error("the same seed and rank drew two different sequences")
 	}
 }

@@ -21,9 +21,6 @@ func autoGrain(c *Ctx, elemSize uint64, spans int) int64 {
 		elemSize = 1 // zero-sized element types
 	}
 	budget := uint64(c.Runtime().Config().Pgas.CacheSize)
-	if budget == 0 {
-		budget = 16 << 20
-	}
 	g := int64(budget / 8 / uint64(spans) / elemSize)
 	if g < 1 {
 		return 1
