@@ -67,7 +67,7 @@ func main() {
 			}
 			if *mpi {
 				nodes := (cfg.Ranks + cfg.CoresPerNode - 1) / cfg.CoresPerNode
-				r := fmmmpi.Run(p, nodes, cfg.CoresPerNode, ityr.DefaultNet(cfg.CoresPerNode, 0))
+				r := fmmmpi.Run(p, nodes, cfg.CoresPerNode, ityr.DefaultNet(cfg.CoresPerNode))
 				fmt.Printf("  MPI model  %.3f ms on %d nodes (idleness %.2f)\n",
 					float64(r.Elapsed)/1e6, nodes, r.Idleness)
 			}

@@ -10,7 +10,7 @@ import (
 var testParams = fmm.Params{N: 5000, Theta: 0.35, NCrit: 32, Seed: 7}
 
 func TestSingleNodeHasNoIdleness(t *testing.T) {
-	r := Run(testParams, 1, 8, ityr.DefaultNet(8, 0))
+	r := Run(testParams, 1, 8, ityr.DefaultNet(8))
 	if r.Idleness != 0 {
 		t.Fatalf("idleness on 1 node = %f, want 0", r.Idleness)
 	}
@@ -20,7 +20,7 @@ func TestSingleNodeHasNoIdleness(t *testing.T) {
 }
 
 func TestIdlenessGrowsWithNodes(t *testing.T) {
-	net := ityr.DefaultNet(8, 0)
+	net := ityr.DefaultNet(8)
 	var prev float64 = -1
 	for _, nodes := range []int{1, 2, 4, 8, 16} {
 		r := Run(testParams, nodes, 8, net)
@@ -39,7 +39,7 @@ func TestIdlenessGrowsWithNodes(t *testing.T) {
 }
 
 func TestElapsedDecreasesWithNodes(t *testing.T) {
-	net := ityr.DefaultNet(8, 0)
+	net := ityr.DefaultNet(8)
 	r1 := Run(testParams, 1, 8, net)
 	r8 := Run(testParams, 8, 8, net)
 	if r8.Elapsed >= r1.Elapsed {
@@ -48,7 +48,7 @@ func TestElapsedDecreasesWithNodes(t *testing.T) {
 }
 
 func TestBusyConservation(t *testing.T) {
-	net := ityr.DefaultNet(8, 0)
+	net := ityr.DefaultNet(8)
 	r1 := Run(testParams, 1, 8, net)
 	r4 := Run(testParams, 4, 8, net)
 	var sum1, sum4 int64
@@ -64,7 +64,7 @@ func TestBusyConservation(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	net := ityr.DefaultNet(8, 0)
+	net := ityr.DefaultNet(8)
 	a := Run(testParams, 8, 8, net)
 	b := Run(testParams, 8, 8, net)
 	if a.Elapsed != b.Elapsed || a.Idleness != b.Idleness {
@@ -76,7 +76,7 @@ func TestIdlenessWorseForClusteredDistributions(t *testing.T) {
 	// The paper's idleness comes from static particle-count partitioning
 	// mismatching interaction counts. Clustered distributions widen that
 	// mismatch, so Plummer idleness must be at least the cube's.
-	net := ityr.DefaultNet(8, 0)
+	net := ityr.DefaultNet(8)
 	idle := func(d fmm.Dist) float64 {
 		p := testParams
 		p.Dist = d
@@ -93,7 +93,7 @@ func TestIdlenessWorseForClusteredDistributions(t *testing.T) {
 // the nodes' busy times sum to the task-parallel version's serial time, the
 // same tree's kernel counts priced by the same cost table.
 func TestBusyIsFMMSerialTime(t *testing.T) {
-	net := ityr.DefaultNet(8, 0)
+	net := ityr.DefaultNet(8)
 	for _, d := range []fmm.Dist{fmm.Cube, fmm.Sphere, fmm.Plummer} {
 		p := fmm.Params{N: 3000, Dist: d}.WithDefaults()
 		want := fmm.CountKernels(fmm.BuildTree(fmm.GenBodiesDist(p.N, p.Seed, p.Dist), p.NCrit), p.Theta).SerialTime()

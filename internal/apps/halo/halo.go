@@ -45,10 +45,6 @@ type Config struct {
 
 	HostProcs int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 
-	// NodesPerRack, when positive, swaps in the three-tier rack topology
-	// (ityr.DefaultNet) so the run exercises node/rack/fabric locality
-	// attribution.
-	NodesPerRack int
 	// Profile arms the streaming profile collector (ityr.Config.Profile),
 	// read through the runtime Observe is given. Digest-inert: the digest
 	// is bit-identical with it on or off.
@@ -99,13 +95,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.CellsPerRank < 2 {
 		return Result{}, fmt.Errorf("halo: need at least 2 cells per rank, got %d", cfg.CellsPerRank)
 	}
-	// The runtime's default net when NodesPerRack is 0. NewRuntime sets
-	// CoresPerNode, defaulted, in either case.
-	net := ityr.DefaultNet(cfg.CoresPerNode, cfg.NodesPerRack)
 	rt := ityr.NewRuntime(ityr.Config{
 		Ranks:        cfg.Ranks,
 		CoresPerNode: cfg.CoresPerNode,
-		Net:          &net,
 		Profile:      cfg.Profile,
 	})
 	if cfg.Observe != nil {

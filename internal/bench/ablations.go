@@ -186,7 +186,7 @@ func ablFMMDistribution(w io.Writer, rep *Report, sc Scale) {
 	for _, d := range []fmm.Dist{fmm.Cube, fmm.Sphere, fmm.Plummer} {
 		m := rep.row(rowName("abl/fmmdist", d), func() Metrics {
 			p := fmm.Params{N: n, Theta: sc.FMMTheta, NCrit: 32, NSpawn: sc.FMMNSpawn, Seed: 7, Dist: d}
-			r := fmmmpi.Run(p, nodes, sc.CoresPerNode, ityr.DefaultNet(sc.CoresPerNode, 0))
+			r := fmmmpi.Run(p, nodes, sc.CoresPerNode, ityr.DefaultNet(sc.CoresPerNode))
 			return Metrics{"sim_ns": float64(ablFMM(sc, p)), "mpi_ns": float64(r.Elapsed), "mpi_idleness": r.Idleness}
 		})
 		fmt.Fprintf(w, "  %-8s itoyori %8.3f ms | MPI %8.3f ms (idleness %.3f)\n",

@@ -16,7 +16,7 @@ func fig11(w io.Writer, rep *Report, sc Scale) {
 	fmt.Fprintf(w, "\n== Figure 11: FMM strong scaling (θ=%.2f, ncrit=32, nspawn=%d) ==\n",
 		sc.FMMTheta, sc.FMMNSpawn)
 	fmt.Fprintf(w, "%-10s %-20s %7s %12s %10s\n", "bodies", "policy", "ranks", "time (ms)", "speedup")
-	net := ityr.DefaultNet(sc.CoresPerNode, 0)
+	net := ityr.DefaultNet(sc.CoresPerNode)
 	for _, n := range []int{sc.FMMSmallN, sc.FMMBigN} {
 		p := fmm.Params{N: n, Theta: sc.FMMTheta, NCrit: 32, NSpawn: sc.FMMNSpawn, Seed: 21}
 		// Serial model from the real kernel counts.
@@ -98,7 +98,7 @@ func table2(w io.Writer, rep *Report, sc Scale) {
 	p := fmm.Params{N: sc.FMMBigN, Theta: sc.FMMTheta, NCrit: 32, Seed: 21}
 	for _, nodes := range sc.MPINodes {
 		m := rep.row(rowName("table2", nodes), func() Metrics {
-			return Metrics{"idleness": fmmmpi.Run(p, nodes, sc.CoresPerNode, ityr.DefaultNet(sc.CoresPerNode, 0)).Idleness}
+			return Metrics{"idleness": fmmmpi.Run(p, nodes, sc.CoresPerNode, ityr.DefaultNet(sc.CoresPerNode)).Idleness}
 		})
 		fmt.Fprintf(w, "%12d %12.2f\n", nodes, m["idleness"])
 	}
@@ -125,7 +125,7 @@ func table2Claims(rep *Report, sc Scale) Metrics {
 // (row table1).
 func table1(w io.Writer, rep *Report, sc Scale) {
 	m := rep.row("table1", func() Metrics {
-		net := ityr.DefaultNet(sc.CoresPerNode, 0)
+		net := ityr.DefaultNet(sc.CoresPerNode)
 		mem := runtimeConfig(sc.FixedRanks, sc.CoresPerNode, ityr.WriteBackLazy, 0).Pgas
 		return Metrics{
 			"cores_per_node": float64(sc.CoresPerNode),

@@ -89,10 +89,9 @@ func haloDigest(cfg halo.Config) func(*testing.T) string {
 	}
 }
 
-// profileHalo is the profile workload: a 16-rank ring on the three-tier
-// rack topology (4 cores/node, 2 nodes/rack), so the communication matrix
-// must attribute self, node, rack AND fabric traffic.
-var profileHalo = halo.Config{Ranks: 16, CoresPerNode: 4, NodesPerRack: 2, CellsPerRank: 256, Steps: 15}
+// profileHalo is the profile workload: a 16-rank ring on 4-core nodes, so
+// the communication matrix must attribute both node and fabric traffic.
+var profileHalo = halo.Config{Ranks: 16, CoresPerNode: 4, CellsPerRank: 256, Steps: 15}
 
 func withProfile(cfg halo.Config) halo.Config {
 	cfg.Profile = true
@@ -163,9 +162,9 @@ var golden = []struct {
 	// profile on is the profile off, fork-join and SPMD.
 	{test: "TestProfileDigestInert", name: "profile-on",
 		digest: lazy(func(cfg *ityr.Config) { cfg.Profile = true }), same: "Write-Back (Lazy)"},
-	{test: "TestProfileDigestInert", name: "halo-racks-16r", digest: haloDigest(profileHalo),
+	{test: "TestProfileDigestInert", name: "halo-16r-4c", digest: haloDigest(profileHalo),
 		pin: "elapsed=179536 checksum=409ecd3722c20368 fnv=c7464d46827f9922"},
-	{test: "TestProfileDigestInert", name: "halo-racks-16r/profile-on", digest: haloDigest(withProfile(profileHalo)), same: "halo-racks-16r"},
+	{test: "TestProfileDigestInert", name: "halo-16r-4c/profile-on", digest: haloDigest(withProfile(profileHalo)), same: "halo-16r-4c"},
 
 	// The same plan (same seed) replays bit for bit — every injected
 	// failure, retry backoff, latency spike, straggler window and blacklist

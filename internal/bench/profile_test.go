@@ -32,14 +32,13 @@ func TestProfileHaloSnapshot(t *testing.T) {
 	if doc.Rollup.PutOps == 0 || doc.Rollup.BarrierNs == 0 || doc.Rollup.StallNs == 0 {
 		t.Errorf("halo rollup missing expected activity: %+v", doc.Rollup)
 	}
-	// The ring topology on 4-rank nodes and 2-node racks crosses every
-	// locality tier except self.
+	// The ring on 4-rank nodes crosses every locality tier except self.
 	byTier := map[string]uint64{}
 	for _, ts := range doc.Tiers {
 		byTier[ts.Tier] = ts.Ops
 	}
-	if byTier["node"] == 0 || byTier["rack"] == 0 || byTier["fabric"] == 0 {
-		t.Errorf("rack-topology ring should touch node, rack and fabric tiers: %+v", doc.Tiers)
+	if byTier["node"] == 0 || byTier["fabric"] == 0 {
+		t.Errorf("the ring should touch the node and fabric tiers: %+v", doc.Tiers)
 	}
 	if doc.Matrix == nil {
 		t.Error("16-rank run should carry the exact matrix")
@@ -97,7 +96,7 @@ func TestProfileMemoryBudget16K(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16K-rank profile setup allocates ~30MB; skipped under -short")
 	}
-	net := ityr.DefaultNet(8, 4)
+	net := ityr.DefaultNet(8)
 	small := retainedBytes(t, func() any { return profile.New(1024, net) }) / 1024
 	big := retainedBytes(t, func() any { return profile.New(budgetRanks, net) }) / budgetRanks
 	t.Logf("profile state: %.0f B/rank at 1K ranks, %.0f B/rank at %d ranks (budget %d)",

@@ -54,18 +54,6 @@ var scalingWorkloads = []struct {
 			Steps:        10,
 		})
 	}},
-	// halo on the three-tier rack topology (4 nodes/rack): same stencil,
-	// but every ring neighbour pair is attributed to the self/node/rack/
-	// fabric locality tier the profile's communication matrix reports.
-	{"halo-racks", func(ranks int) Metrics {
-		return runHaloWatched("halo-racks", halo.Config{
-			Ranks:        ranks,
-			CoresPerNode: 8,
-			NodesPerRack: 4,
-			CellsPerRank: 256,
-			Steps:        10,
-		})
-	}},
 	{"cilksort-forkjoin", func(ranks int) Metrics {
 		elapsed, rt := figCilksort(1<<18, 16<<10, ranks, 8, ityr.WriteBackLazy, 11)
 		st := rt.Engine().Stats()

@@ -564,10 +564,12 @@ func (c *Ctx) Checkin(addr pgas.Addr, size uint64, mode pgas.Mode) {
 // AllocLocal allocates from the executing rank's noncollective heap.
 func (c *Ctx) AllocLocal(size uint64) pgas.Addr { return c.Local().AllocLocal(size) }
 
-// FreeLocal frees a noncollective allocation.
+// FreeLocal frees a noncollective allocation. A free of memory that is not
+// allocated (a double free included) panics with an error wrapping
+// pgas.ErrBadFree.
 func (c *Ctx) FreeLocal(addr pgas.Addr, size uint64) {
 	if err := c.Local().FreeLocal(addr, size); err != nil {
-		panic(fmt.Sprintf("core: %v", err))
+		panic(fmt.Errorf("core: free(%#x,%d): %w", addr, size, err))
 	}
 }
 

@@ -32,31 +32,21 @@ type Perturber interface {
 
 // Params describes the simulated machine: topology and communication costs.
 //
-// The model has up to three locality tiers, selected per rank pair by
-// topology: intra-node (shared memory), intra-rack (one leaf switch), and
-// fabric (the full interconnect). The rack tier is optional — with
-// NodesPerRack <= 0 the model is the classic two-tier node/fabric one and
-// every cost is bit-identical to the pre-rack schedules (golden-pinned).
-// This mirrors the locality-tiered transports of DART-MPI and the MPI-3
-// shared-memory PGAS designs, which separate intra-node, intra-rack and
-// global costs.
+// The model has the paper's two locality tiers, selected per rank pair by
+// topology: intra-node (shared memory) and fabric (the full interconnect),
+// plus the free self pair. A deeper hierarchy, such as the intra-rack tier
+// of DART-MPI's locality-tiered transports, would be one more case of
+// link and one more Tier.
 //
 // Each cost function decides a pair's tier once, through the one lookup
-// that also applies the rack tier's fallbacks; Tier names the same tier.
-// The model is read in place (rma.Comm.Net hands out a pointer), never
-// copied per operation.
+// link; Tier names the same tier. The model is read in place
+// (rma.Comm.Net hands out a pointer), never copied per operation.
 type Params struct {
 	// CoresPerNode gives the number of ranks (one process per core, as in
 	// Itoyori) placed on each node. Rank r lives on node r/CoresPerNode.
 	CoresPerNode int
 
-	// NodesPerRack groups nodes into racks: node m lives in rack
-	// m/NodesPerRack. 0 (the default) disables the rack tier entirely:
-	// all inter-node traffic pays the fabric cost below.
-	NodesPerRack int
-
-	// Latency is the one-way RDMA latency across the fabric (between
-	// racks, or between nodes when no rack tier is configured).
+	// Latency is the one-way RDMA latency across the fabric (between nodes).
 	Latency sim.Time
 	// Bandwidth is the per-rank fabric bandwidth in bytes per
 	// nanosecond (1 byte/ns = 1 GB/s).
@@ -64,15 +54,6 @@ type Params struct {
 	// AtomicRTT is the round-trip cost of a remote atomic operation
 	// (compare-and-swap, fetch-and-op) across the fabric.
 	AtomicRTT sim.Time
-
-	// RackLatency / RackBandwidth / RackAtomicRTT apply between ranks on
-	// distinct nodes of the same rack (one leaf-switch hop). Only
-	// consulted when NodesPerRack > 0; zero values fall back to the
-	// fabric numbers, so a partially specified rack tier never makes a
-	// link free.
-	RackLatency   sim.Time
-	RackBandwidth float64
-	RackAtomicRTT sim.Time
 
 	// IntraLatency and IntraBandwidth apply between ranks on the same node
 	// (shared-memory transport).
@@ -105,40 +86,21 @@ func Default(coresPerNode int) Params {
 	}
 }
 
-// RackDefault returns Default with a rack tier of the given width armed:
-// node m lives in rack m/nodesPerRack, and traffic between distinct nodes
-// of one rack pays a leaf-switch cost between the shared-memory and fabric
-// numbers. This is the shipped three-tier experiment preset (itybench
-// -racks); nodesPerRack <= 0 degenerates to the two-tier Default.
-func RackDefault(coresPerNode, nodesPerRack int) Params {
-	p := Default(coresPerNode)
-	if nodesPerRack <= 0 {
-		return p
-	}
-	p.NodesPerRack = nodesPerRack
-	p.RackLatency = 700 * sim.Nanosecond
-	p.RackBandwidth = 10.0
-	p.RackAtomicRTT = 1600 * sim.Nanosecond
-	return p
-}
-
 // Locality tiers returned by Tier, ordered nearest to farthest. The values
 // are stable indices (profile accumulators array over them); NumTiers is
 // the array length.
 const (
 	TierSelf   = iota // a == b: no wire traffic at all
 	TierNode          // distinct ranks sharing a node (shared-memory transport)
-	TierRack          // distinct nodes sharing a rack (one leaf-switch hop)
 	TierFabric        // everything else: the full interconnect
 	NumTiers          // number of locality tiers
 )
 
 // TierName maps a Tier index to its short lowercase name.
-var TierName = [NumTiers]string{"self", "node", "rack", "fabric"}
+var TierName = [NumTiers]string{"self", "node", "fabric"}
 
 // Tier classifies the locality tier that traffic from rank a to rank b
-// travels — the same tier TransferTime and AtomicTime price. Without a
-// configured rack tier, TierRack is never returned.
+// travels — the same tier TransferTime and AtomicTime price.
 func (p *Params) Tier(a, b int) int { return p.link(a, b).tier }
 
 // Node returns the node index hosting rank r.
@@ -152,19 +114,6 @@ func (p *Params) Node(r int) int {
 // SameNode reports whether ranks a and b share a node.
 func (p *Params) SameNode(a, b int) bool { return p.Node(a) == p.Node(b) }
 
-// Rack returns the rack index hosting rank r. Without a rack tier
-// (NodesPerRack <= 0) every node is its own rack.
-func (p *Params) Rack(r int) int {
-	if p.NodesPerRack <= 0 {
-		return p.Node(r)
-	}
-	return p.Node(r) / p.NodesPerRack
-}
-
-// SameRack reports whether ranks a and b share a rack. Meaningful only
-// when a rack tier is configured; otherwise it degenerates to SameNode.
-func (p *Params) SameRack(a, b int) bool { return p.Rack(a) == p.Rack(b) }
-
 // link is the locality tier one rank pair's traffic travels and that
 // tier's costs.
 type link struct {
@@ -175,31 +124,18 @@ type link struct {
 }
 
 // link decides the tier a-to-b traffic travels and returns its costs, the
-// one place every cost function reads them from. A rack field left unset
-// falls back to the fabric's, so a rack tier never undercuts the fabric
-// by omission. Self traffic never touches the wire: its infinite bandwidth
-// and zero latency make every transfer free, and its atomic is a local CAS
-// through the NIC loopback.
+// one place every cost function reads them from. Self traffic never
+// touches the wire: its infinite bandwidth and zero latency make every
+// transfer free, and its atomic is a local CAS through the NIC loopback.
 func (p *Params) link(a, b int) link {
 	switch {
 	case a == b:
 		return link{TierSelf, 0, math.Inf(1), 60 * sim.Nanosecond}
 	case p.SameNode(a, b):
 		return link{TierNode, p.IntraLatency, p.IntraBandwidth, p.IntraAtomicRTT}
-	case p.NodesPerRack <= 0 || !p.SameRack(a, b):
+	default:
 		return link{TierFabric, p.Latency, p.Bandwidth, p.AtomicRTT}
 	}
-	l := link{TierRack, p.Latency, p.Bandwidth, p.AtomicRTT}
-	if p.RackLatency > 0 {
-		l.latency = p.RackLatency
-	}
-	if p.RackBandwidth > 0 {
-		l.bandwidth = p.RackBandwidth
-	}
-	if p.RackAtomicRTT > 0 {
-		l.atomicRTT = p.RackAtomicRTT
-	}
-	return l
 }
 
 // Wire returns the two parts of moving n bytes from rank a to rank b: the
@@ -213,7 +149,6 @@ func (p *Params) Wire(a, b, n int) (ser, latency sim.Time) {
 // TransferTime returns the wire time for moving n bytes between ranks a and
 // b, excluding the origin-side MsgOverhead: Wire's two parts. Transfers
 // between distinct processes on the same node pay the shared-memory cost,
-// nodes sharing a rack pay the rack cost (when a rack tier is configured),
 // everything else pays the fabric cost; a==b is free.
 func (p *Params) TransferTime(a, b, n int) sim.Time {
 	ser, latency := p.Wire(a, b, n)

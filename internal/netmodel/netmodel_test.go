@@ -129,177 +129,35 @@ func TestAtVariantsApplyPerturber(t *testing.T) {
 	}
 }
 
-// TestRackTopology: rack indexing and the tier predicate.
-func TestRackTopology(t *testing.T) {
-	p := Default(4)
-	p.NodesPerRack = 2 // ranks 0-7 rack 0, 8-15 rack 1, ...
-	if p.Rack(0) != 0 || p.Rack(7) != 0 || p.Rack(8) != 1 || p.Rack(17) != 2 {
-		t.Fatal("rack mapping wrong for 4 cores/node, 2 nodes/rack")
-	}
-	if !p.SameRack(3, 7) || p.SameRack(7, 8) {
-		t.Fatal("SameRack wrong")
-	}
-	// No rack tier: every node is its own rack.
-	q := Default(4)
-	if q.Rack(5) != q.Node(5) {
-		t.Fatal("rackless Rack should equal Node")
-	}
-	if q.Tier(0, 5) == TierRack {
-		t.Fatal("the rack tier must be off when NodesPerRack <= 0")
-	}
-	if p.Tier(0, 2) == TierRack {
-		t.Fatal("same-node pairs never travel the rack tier")
-	}
-	if p.Tier(0, 5) != TierRack {
-		t.Fatal("distinct nodes of one rack travel the rack tier")
-	}
-	if p.Tier(0, 9) == TierRack {
-		t.Fatal("cross-rack pairs travel the fabric, not the rack tier")
-	}
-}
-
-// TestThreeTierCosts: with a rack tier configured the cost functions select
-// among three tiers, ordered local < intra-node < intra-rack < fabric, and
-// partially specified rack params fall back to the fabric numbers.
-func TestThreeTierCosts(t *testing.T) {
-	p := Default(4)
-	p.NodesPerRack = 2
-	p.RackLatency = 600 * sim.Nanosecond
-	p.RackBandwidth = 10.0
-	p.RackAtomicRTT = 1300 * sim.Nanosecond
-	const n = 4096
-	local := p.TransferTime(2, 2, n)
-	intra := p.TransferTime(0, 2, n)  // same node
-	rack := p.TransferTime(0, 5, n)   // same rack, different node
-	fabric := p.TransferTime(0, 9, n) // different rack
-	if !(local < intra && intra < rack && rack < fabric) {
-		t.Fatalf("three-tier ordering violated: local=%d intra=%d rack=%d fabric=%d",
-			local, intra, rack, fabric)
-	}
-	if got, want := rack, p.RackLatency+sim.Time(float64(n)/p.RackBandwidth); got != want {
-		t.Errorf("rack TransferTime = %d, want %d", got, want)
-	}
-	if st, _ := p.Wire(0, 5, n); st != sim.Time(float64(n)/p.RackBandwidth) {
-		t.Errorf("rack serialization = %d, want %d", st, sim.Time(float64(n)/p.RackBandwidth))
-	}
-	if at := p.AtomicTime(0, 5); at != p.RackAtomicRTT {
-		t.Errorf("rack AtomicTime = %d, want %d", at, p.RackAtomicRTT)
-	}
-	if at := p.AtomicTime(0, 9); at != p.AtomicRTT {
-		t.Errorf("fabric AtomicTime = %d, want %d", at, p.AtomicRTT)
-	}
-	// Partial rack tier: unset fields inherit the fabric values, so rack
-	// links never undercut the fabric by omission.
-	q := Default(4)
-	q.NodesPerRack = 2
-	if q.TransferTime(0, 5, n) != q.TransferTime(0, 9, n) {
-		t.Error("unset rack params should price rack links as fabric")
-	}
-	if q.AtomicTime(0, 5) != q.AtomicRTT {
-		t.Error("unset RackAtomicRTT should fall back to fabric AtomicRTT")
-	}
-}
-
-// TestTwoTierDefaultUnchanged: with NodesPerRack at its zero default the
-// cost model is bit-identical to the classic two-tier one — the rack fields
-// are dead weight. This is the contract that keeps all pre-rack golden
-// digests valid.
-func TestTwoTierDefaultUnchanged(t *testing.T) {
-	p := Default(4)
-	r := p
-	r.RackLatency = 600 * sim.Nanosecond // set but inert: NodesPerRack == 0
-	r.RackBandwidth = 10.0
-	r.RackAtomicRTT = 1300 * sim.Nanosecond
-	for _, pair := range [][2]int{{0, 0}, {0, 2}, {0, 5}, {0, 13}, {3, 4}} {
-		a, b := pair[0], pair[1]
-		for _, n := range []int{0, 8, 4096} {
-			if p.TransferTime(a, b, n) != r.TransferTime(a, b, n) {
-				t.Errorf("TransferTime(%d,%d,%d) changed with inert rack fields", a, b, n)
-			}
-			ps, pl := p.Wire(a, b, n)
-			rs, rl := r.Wire(a, b, n)
-			if ps != rs || pl != rl {
-				t.Errorf("Wire(%d,%d,%d) changed with inert rack fields", a, b, n)
-			}
-		}
-		if p.AtomicTime(a, b) != r.AtomicTime(a, b) {
-			t.Errorf("AtomicTime(%d,%d) changed with inert rack fields", a, b)
-		}
-	}
-}
-
 // Tier attribution drives the streaming profile's communication matrix:
-// self < node < rack < fabric, with the rack tier appearing only when the
-// topology defines one.
+// self < node < fabric, and a pair of distinct nodes is fabric whatever
+// their distance.
 func TestTierAttribution(t *testing.T) {
-	p := RackDefault(4, 2) // 4 cores/node, 2 nodes/rack => 8 ranks/rack
+	p := Default(4)
 	cases := []struct{ a, b, want int }{
 		{3, 3, TierSelf},
 		{0, 3, TierNode},
-		{0, 4, TierRack},
+		{0, 4, TierFabric},
 		{0, 8, TierFabric},
-		{8, 11, TierNode}, // second rack's intra-node pair
-		{8, 15, TierRack}, // second rack, across its two nodes
+		{8, 11, TierNode}, // third node's intra-node pair
+		{8, 15, TierFabric},
 	}
 	for _, c := range cases {
 		if got := p.Tier(c.a, c.b); got != c.want {
 			t.Errorf("Tier(%d,%d) = %s, want %s", c.a, c.b, TierName[got], TierName[c.want])
 		}
 	}
-	// Rack transfers must price between intra-node and fabric.
-	const n = 4096
-	intra := p.TransferTime(0, 1, n)
-	rack := p.TransferTime(0, 4, n)
-	fabric := p.TransferTime(0, 8, n)
-	if !(intra < rack && rack < fabric) {
-		t.Errorf("rack cost ordering violated: intra=%d rack=%d fabric=%d", intra, rack, fabric)
-	}
-	// The flat default has no rack tier: everything cross-node is fabric.
-	flat := Default(4)
-	if flat.Tier(0, 4) != TierFabric || flat.Tier(0, 3) != TierNode || flat.Tier(2, 2) != TierSelf {
-		t.Error("flat-fabric tier attribution wrong")
-	}
-	if RackDefault(4, 0) != Default(4) {
-		t.Error("RackDefault with 0 nodes/rack should be the flat default")
-	}
 }
 
-// The cost model before link: each cost function decided the tier itself,
-// with the rack tier's fallbacks in helpers of their own. Kept verbatim as
-// the oracle of TestLinkMatchesPerFunctionTiers.
-func oldRackTier(p *Params, a, b int) bool {
-	return p.NodesPerRack > 0 && !p.SameNode(a, b) && p.SameRack(a, b)
-}
-
-func oldRackLatency(p *Params) sim.Time {
-	if p.RackLatency > 0 {
-		return p.RackLatency
-	}
-	return p.Latency
-}
-
-func oldRackBandwidth(p *Params) float64 {
-	if p.RackBandwidth > 0 {
-		return p.RackBandwidth
-	}
-	return p.Bandwidth
-}
-
-func oldRackAtomicRTT(p *Params) sim.Time {
-	if p.RackAtomicRTT > 0 {
-		return p.RackAtomicRTT
-	}
-	return p.AtomicRTT
-}
-
+// The cost model before link: each cost function decided the tier itself.
+// Kept verbatim, less the rack tier, as the oracle of
+// TestLinkMatchesPerFunctionTiers.
 func oldTier(p *Params, a, b int) int {
 	switch {
 	case a == b:
 		return TierSelf
 	case p.SameNode(a, b):
 		return TierNode
-	case oldRackTier(p, a, b):
-		return TierRack
 	default:
 		return TierFabric
 	}
@@ -312,9 +170,6 @@ func oldTransferTime(p *Params, a, b, n int) sim.Time {
 	if p.SameNode(a, b) {
 		return p.IntraLatency + sim.Time(float64(n)/p.IntraBandwidth)
 	}
-	if oldRackTier(p, a, b) {
-		return oldRackLatency(p) + sim.Time(float64(n)/oldRackBandwidth(p))
-	}
 	return p.Latency + sim.Time(float64(n)/p.Bandwidth)
 }
 
@@ -324,9 +179,6 @@ func oldSerializationTime(p *Params, a, b, n int) sim.Time {
 	}
 	if p.SameNode(a, b) {
 		return sim.Time(float64(n) / p.IntraBandwidth)
-	}
-	if oldRackTier(p, a, b) {
-		return sim.Time(float64(n) / oldRackBandwidth(p))
 	}
 	return sim.Time(float64(n) / p.Bandwidth)
 }
@@ -338,53 +190,34 @@ func oldAtomicTime(p *Params, a, b int) sim.Time {
 	if p.SameNode(a, b) {
 		return p.IntraAtomicRTT
 	}
-	if oldRackTier(p, a, b) {
-		return oldRackAtomicRTT(p)
-	}
 	return p.AtomicRTT
 }
 
 // TestLinkMatchesPerFunctionTiers holds the one tier lookup to the
 // per-function tier decisions it replaced: every rank pair of a 24-rank
-// machine, under the two-tier model, the rack-tier preset, and the rack
-// tier with each rack field unset in turn (its fallback to the fabric),
-// must price every transfer, serialization, latency and atomic bit-equal,
-// and name the same tier.
+// machine under the two-tier model must price every transfer,
+// serialization, latency and atomic bit-equal, and name the same tier.
 func TestLinkMatchesPerFunctionTiers(t *testing.T) {
-	configs := map[string]Params{"two-tier": Default(4), "rack": RackDefault(4, 2)}
-	for _, unset := range []string{"latency", "bandwidth", "atomic"} {
-		p := RackDefault(4, 2)
-		switch unset {
-		case "latency":
-			p.RackLatency = 0
-		case "bandwidth":
-			p.RackBandwidth = 0
-		case "atomic":
-			p.RackAtomicRTT = 0
-		}
-		configs["rack-no-"+unset] = p
-	}
+	p := Default(4)
 	const ranks = 24
-	for name, p := range configs {
-		for a := 0; a < ranks; a++ {
-			for b := 0; b < ranks; b++ {
-				if got, want := p.Tier(a, b), oldTier(&p, a, b); got != want {
-					t.Errorf("%s: Tier(%d,%d) = %d, want %d", name, a, b, got, want)
+	for a := 0; a < ranks; a++ {
+		for b := 0; b < ranks; b++ {
+			if got, want := p.Tier(a, b), oldTier(&p, a, b); got != want {
+				t.Errorf("Tier(%d,%d) = %d, want %d", a, b, got, want)
+			}
+			if got, want := p.AtomicTime(a, b), oldAtomicTime(&p, a, b); got != want {
+				t.Errorf("AtomicTime(%d,%d) = %d, want %d", a, b, got, want)
+			}
+			for _, n := range []int{0, 1, 8, 100, 2048, 65536, 1 << 30} {
+				if got, want := p.TransferTime(a, b, n), oldTransferTime(&p, a, b, n); got != want {
+					t.Errorf("TransferTime(%d,%d,%d) = %d, want %d", a, b, n, got, want)
 				}
-				if got, want := p.AtomicTime(a, b), oldAtomicTime(&p, a, b); got != want {
-					t.Errorf("%s: AtomicTime(%d,%d) = %d, want %d", name, a, b, got, want)
+				ser, latency := p.Wire(a, b, n)
+				if want := oldSerializationTime(&p, a, b, n); ser != want {
+					t.Errorf("Wire(%d,%d,%d) serialization = %d, want %d", a, b, n, ser, want)
 				}
-				for _, n := range []int{0, 1, 8, 100, 2048, 65536, 1 << 30} {
-					if got, want := p.TransferTime(a, b, n), oldTransferTime(&p, a, b, n); got != want {
-						t.Errorf("%s: TransferTime(%d,%d,%d) = %d, want %d", name, a, b, n, got, want)
-					}
-					ser, latency := p.Wire(a, b, n)
-					if want := oldSerializationTime(&p, a, b, n); ser != want {
-						t.Errorf("%s: Wire(%d,%d,%d) serialization = %d, want %d", name, a, b, n, ser, want)
-					}
-					if want := oldTransferTime(&p, a, b, 0); latency != want {
-						t.Errorf("%s: Wire(%d,%d,%d) latency = %d, want %d", name, a, b, n, latency, want)
-					}
+				if want := oldTransferTime(&p, a, b, 0); latency != want {
+					t.Errorf("Wire(%d,%d,%d) latency = %d, want %d", a, b, n, latency, want)
 				}
 			}
 		}

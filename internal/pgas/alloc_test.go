@@ -141,6 +141,30 @@ func TestFreeLocalBadAddr(t *testing.T) {
 			if err := l.FreeLocal(ncBase+2*ncSpan, 16); !errors.Is(err, ErrBadFree) {
 				t.Errorf("free past the last rank's noncollective region: %v", err)
 			}
+			// A double free is refused, so two later allocations of the
+			// size class cannot both be handed the one block.
+			a := l.AllocLocal(64)
+			if err := l.FreeLocal(a, 64); err != nil {
+				t.Fatalf("first free: %v", err)
+			}
+			if err := l.FreeLocal(a, 64); !errors.Is(err, ErrBadFree) {
+				t.Errorf("double free: %v", err)
+			}
+			if x, y := l.AllocLocal(64), l.AllocLocal(64); x == y {
+				t.Errorf("two live allocations share address %#x", x)
+			}
+			// A free of a live block's interior that runs past the last
+			// block handed out, and one of an address never handed out.
+			b := l.AllocLocal(64)
+			if err := l.FreeLocal(b+16, 64); !errors.Is(err, ErrBadFree) {
+				t.Errorf("free of a live block's interior: %v", err)
+			}
+			if err := l.FreeLocal(b+64, 16); !errors.Is(err, ErrBadFree) {
+				t.Errorf("free of a never-allocated address: %v", err)
+			}
+			if err := l.FreeLocal(b, 64); err != nil {
+				t.Errorf("free of the live block: %v", err)
+			}
 		}
 		l.Rank().Barrier()
 	})

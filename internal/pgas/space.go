@@ -336,7 +336,12 @@ func (l *Local) AllocLocal(size uint64) Addr {
 }
 
 // FreeLocal returns a noncollective allocation of the given size to its
-// owner's free list. Remote frees pay one atomic round trip.
+// owner's free list. Remote frees pay one atomic round trip. It fails with
+// ErrBadFree, charging nothing, for a range that runs past the owner's
+// bump pointer (never handed out) or overlaps a block already on the
+// owner's free list (a double free). A range wholly inside one live block
+// but not at its start goes undetected: that would take per-block
+// bookkeeping on AllocLocal's path.
 func (l *Local) FreeLocal(addr Addr, size uint64) error {
 	s := l.space
 	a, err := s.findAlloc(addr, 1)
@@ -344,7 +349,21 @@ func (l *Local) FreeLocal(addr Addr, size uint64) error {
 		return ErrBadFree
 	}
 	owner := a.first
+	if size == 0 {
+		size = 1
+	}
 	size = align(size, 16)
+	end := addr + Addr(size)
+	if end > s.ncNext[owner] {
+		return ErrBadFree
+	}
+	for class, lst := range s.ncFree[owner] {
+		for _, f := range lst {
+			if f < end && addr < f+Addr(class) {
+				return ErrBadFree
+			}
+		}
+	}
 	if owner != l.rank.ID() {
 		l.rank.Proc().Advance(s.comm.Net().AtomicTime(l.rank.ID(), owner))
 	} else {

@@ -10,7 +10,7 @@
 //     include the scheduler's CAS and stack traffic, which rma.Stats does
 //     not count; event counts the layers' own Stats keep are not repeated
 //     here.
-//   - Communication matrix: per-locality-tier (self/node/rack/fabric)
+//   - Communication matrix: per-locality-tier (self/node/fabric)
 //     op and byte totals attributed via netmodel.Tier, plus a per-rank
 //     top-K heavy-hitter table of hot targets (space-saving sketch), so a
 //     rank×rank matrix never materializes at scale. At or below
@@ -278,7 +278,7 @@ type Rollup struct {
 
 // TierStat is one locality tier's share of the communication matrix.
 type TierStat struct {
-	// Tier is the locality tier name (self/node/rack/fabric).
+	// Tier is the locality tier name (self/node/fabric).
 	Tier string `json:"tier"`
 	// Ops counts one-sided operations on this tier.
 	Ops uint64 `json:"ops"`

@@ -98,7 +98,7 @@ func TestExactMatrixSmallRanks(t *testing.T) {
 	for _, ts := range doc.Tiers {
 		byTier[ts.Tier] = ts.Bytes
 	}
-	if byTier["node"] != 128 || byTier["fabric"] != 64 || byTier["self"] != 8 || byTier["rack"] != 0 {
+	if byTier["node"] != 128 || byTier["fabric"] != 64 || byTier["self"] != 8 || len(byTier) != 3 {
 		t.Errorf("tier split = %v", byTier)
 	}
 	if len(doc.HotPairs) == 0 || doc.HotPairs[0].From != 0 || doc.HotPairs[0].To != 1 || doc.HotPairs[0].Bytes != 128 {
@@ -150,7 +150,7 @@ func TestHotTargetSketchNeverUndercounts(t *testing.T) {
 // emit [] (not null) for hot_pairs so consumers can range unconditionally.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	build := func() *Profile {
-		p := New(8, netmodel.RackDefault(2, 2))
+		p := New(8, netmodel.Default(2))
 		for r := 0; r < 8; r++ {
 			p.Span(r, SpanTask, sim.Time(r)*10, 100)
 			p.RMA(r, (r+1)%8, OpPut, 256)

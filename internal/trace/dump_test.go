@@ -203,3 +203,34 @@ func TestDumpProfileAndDropsRoundtrip(t *testing.T) {
 		t.Errorf("report missing the drop warning or the profile section:\n%s", rep.String())
 	}
 }
+
+// TestDumpWithRackTierStillReads: a profile section written while the
+// network model had a rack tier carries a zero {"tier":"rack"} entry
+// between node and fabric. Such a dump still decodes, since readers key
+// tiers by name and the schema stays itoyori-profile/v1, and the report's
+// tier split shows only the tiers that carried traffic.
+func TestDumpWithRackTierStillReads(t *testing.T) {
+	const old = `{"schema":"itytrace/v1","ranks":2,"cores_per_node":1,` +
+		`"profile":{"schema":"itoyori-profile/v1","ranks":2,` +
+		`"rollup":{"rma_put_ops":3,"rma_put_bytes":192},` +
+		`"tiers":[{"tier":"self","ops":0,"bytes":0},{"tier":"node","ops":0,"bytes":0},` +
+		`{"tier":"rack","ops":0,"bytes":0},{"tier":"fabric","ops":3,"bytes":192}],` +
+		`"hot_pairs":[{"from":0,"to":1,"ops":3,"bytes":192}],"timeline":{"bucket_ns":0,"kinds":null,"occupancy":null}},` +
+		`"events":[[10,0,0,1,1,0]]}`
+	l, meta, err := ReadDump(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Profile == nil || len(meta.Profile.Tiers) != 4 || meta.Profile.Tiers[2].Tier != "rack" {
+		t.Fatalf("profile tiers = %+v", meta.Profile)
+	}
+	var rep strings.Builder
+	Report(&rep, "old", l, meta)
+	out := rep.String()
+	if !strings.Contains(out, "comm tier split:") || !strings.Contains(out, "  fabric ") {
+		t.Errorf("report has no fabric line in its tier split:\n%s", out)
+	}
+	if strings.Contains(out, "rack") {
+		t.Errorf("report renders the zero rack tier:\n%s", out)
+	}
+}

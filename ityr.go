@@ -84,10 +84,10 @@ const (
 	Microsecond = sim.Microsecond
 )
 
-// DefaultNet is the shipped interconnect model: Config.Net's two-tier
-// default, plus a rack tier of nodesPerRack nodes when that is positive.
-func DefaultNet(coresPerNode, nodesPerRack int) NetParams {
-	return netmodel.RackDefault(coresPerNode, nodesPerRack)
+// DefaultNet is the shipped interconnect model, Config.Net's default: the
+// paper's two tiers, shared memory inside a node and RDMA between nodes.
+func DefaultNet(coresPerNode int) NetParams {
+	return netmodel.Default(coresPerNode)
 }
 
 // Access modes (§3.3 of the paper).

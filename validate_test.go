@@ -1,0 +1,31 @@
+package ityr_test
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"ityr"
+	"ityr/internal/pgas"
+)
+
+// TestGVectorFreedTwice: an owning GVector handle copied into a forked
+// child and freed on both sides frees its buffer and header twice. The
+// second Free panics with pgas.ErrBadFree, naming the free, instead of
+// putting the blocks on the free list again, where two later allocations
+// would both be handed them.
+func TestGVectorFreedTwice(t *testing.T) {
+	var err error
+	func() {
+		defer func() { err, _ = recover().(error) }()
+		_, _ = ityr.LaunchRoot(testCfg(2, ityr.WriteBackLazy), func(c *ityr.Ctx) {
+			v := ityr.NewGVector[int64](c, 4)
+			v.Append(c, 1, 2, 3)
+			c.Join(c.Fork(func(c *ityr.Ctx) { v.Free(c) }))
+			v.Free(c)
+		})
+	}()
+	if !errors.Is(err, pgas.ErrBadFree) || !strings.Contains(err.Error(), "core: free(0x") {
+		t.Fatalf("second Free of a GVector panicked with %v, want pgas.ErrBadFree naming the free", err)
+	}
+}
