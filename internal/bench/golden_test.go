@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"ityr/internal/apps/halo"
 	"ityr/internal/fault"
 	"ityr/internal/pgas"
+	"ityr/internal/trace"
 )
 
 // cilkDigest runs the Fig. 7 cilksort configuration at Smoke's finest
@@ -116,7 +118,11 @@ func withProfile(cfg halo.Config) halo.Config {
 // victim sequence is a new schedule. The halo rows never draw a victim and
 // did not move. The Write-Back, Write-Back (Lazy), link-degraded and
 // straggler rows were re-taken when a stolen child stopped counting as done
-// before its Release #2 completed: a Join in that window now waits.
+// before its Release #2 completed: a Join in that window now waits. Every
+// cilksort row's fnv was re-taken once more when the trace stream took its
+// canonical order (trace.Log.Events): same-instant events of different
+// ranks now sort by rank, not by the host's recording order; elapsed, final
+// and events did not move.
 var golden = []struct {
 	test, name string
 	digest     func(*testing.T) string
@@ -125,13 +131,13 @@ var golden = []struct {
 	// The fork-join path under each cache policy, on the default two-tier
 	// topology.
 	{test: "TestPinnedKernelDigests", name: "No Cache", digest: cilk(ityr.NoCache, nil),
-		pin: "elapsed=1052036 final=1134376 events=13525 fnv=7a3999157899c2f4"},
+		pin: "elapsed=1052036 final=1134376 events=13525 fnv=02616e0a23fbdb5c"},
 	{test: "TestPinnedKernelDigests", name: "Write-Through", digest: cilk(ityr.WriteThrough, nil),
-		pin: "elapsed=603787 final=686527 events=13877 fnv=d5c8c8b699299c65"},
+		pin: "elapsed=603787 final=686527 events=13877 fnv=dce6ab4fd4b567af"},
 	{test: "TestPinnedKernelDigests", name: "Write-Back", digest: cilk(ityr.WriteBack, nil),
-		pin: "elapsed=584862 final=667602 events=13616 fnv=e9a2a0fd4efd72da"},
+		pin: "elapsed=584862 final=667602 events=13616 fnv=123f57718c9c7df6"},
 	{test: "TestPinnedKernelDigests", name: "Write-Back (Lazy)", digest: lazy(nil),
-		pin: "elapsed=671609 final=754349 events=13631 fnv=df4dc00f27847bfd"},
+		pin: "elapsed=671609 final=754349 events=13631 fnv=1ad1d4c622fda67d"},
 
 	// The fields the benchmark module still sets are ignored.
 	{test: "TestIgnoredConfigInert", name: "prefetch-blocks-ignored",
@@ -170,18 +176,18 @@ var golden = []struct {
 	// failure, retry backoff, latency spike, straggler window and blacklist
 	// decision.
 	{test: "TestFaultDeterminismGolden", name: "link-degraded", digest: lazy(armed(fault.PlanLinkDegraded(11))),
-		pin: "elapsed=1042084 final=1129991 events=13376 fnv=3b049055b131d0a5"},
+		pin: "elapsed=1042084 final=1129991 events=13376 fnv=f0e3e80e38009b15"},
 	{test: "TestFaultDeterminismGolden", name: "flaky-rma", digest: lazy(armed(fault.PlanFlakyRMA(11))),
-		pin: "elapsed=610213 final=698648 events=13464 fnv=71d365bbf2063466"},
+		pin: "elapsed=610213 final=698648 events=13464 fnv=5c12a7cd63c890f4"},
 	{test: "TestFaultDeterminismGolden", name: "straggler", digest: lazy(armed(fault.PlanStraggler(11))),
-		pin: "elapsed=845116 final=954116 events=13718 fnv=248eece879b07562"},
+		pin: "elapsed=845116 final=954116 events=13718 fnv=5315c71bb7d265fa"},
 	// ... and so do a corruption plan's flips, detections and replica traffic.
 	{test: "TestSDCCorruptionDeterministic", name: "sdc-task+replicate=0.5",
 		digest: lazy(func(cfg *ityr.Config) {
 			armed(fault.PlanSDC(11))(cfg)
 			cfg.SDC = &ityr.SDCConfig{Replicate: 0.5}
 		}),
-		pin: "elapsed=974383 final=1057123 events=16421 fnv=f0dd31e176c04ca5"},
+		pin: "elapsed=974383 final=1057123 events=16421 fnv=b604b2169d1854d9"},
 
 	// The pure-SPMD path at two geometries, captured with the kernel pins.
 	// A long, wide halo: 4,096 cells per rank for 50 steps (the geometry of
@@ -223,6 +229,41 @@ func checkGolden(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatalf("no golden row names %s", t.Name())
+	}
+}
+
+// TestTraceOrderCanonical holds the fork-join path's traces under each
+// cache policy to trace.Log.Events' canonical order, end instant then rank,
+// and checks that the order only interleaves the ranks: the events are
+// every rank's records, each rank's in the order it recorded them. The
+// host's recording order, which the log kept before, differs from this one
+// only in how same-instant events of different ranks interleave.
+func TestTraceOrderCanonical(t *testing.T) {
+	for _, pol := range []ityr.Policy{ityr.NoCache, ityr.WriteThrough, ityr.WriteBack, ityr.WriteBackLazy} {
+		cfg := runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, pol, 11)
+		cfg.Trace = true
+		_, rt := runCilksort(cfg, cilksort.Params{N: Smoke.CilksortN, Cutoff: Smoke.Cutoffs[0],
+			Seed: 11, Dist: ityr.BlockCyclicDist})
+		log := rt.Trace()
+		evs := log.Events()
+		byRank := make([][]trace.Event, Smoke.FixedRanks)
+		for i, e := range evs {
+			if i > 0 {
+				p := evs[i-1]
+				if pe, ee := p.T+p.Dur, e.T+e.Dur; pe > ee || pe == ee && p.Rank > e.Rank {
+					t.Fatalf("%v: event %d %+v sorts before event %d %+v", pol, i, e, i-1, p)
+				}
+			}
+			byRank[e.Rank] = append(byRank[e.Rank], e)
+		}
+		for r, got := range byRank {
+			if want := log.RankEvents(r); !slices.Equal(got, want) {
+				t.Errorf("%v: rank %d's %d events are not the %d it recorded, in order", pol, r, len(got), len(want))
+			}
+		}
+		if len(evs) == 0 {
+			t.Fatalf("%v: empty trace", pol)
+		}
 	}
 }
 

@@ -49,7 +49,10 @@ var StealLatencyBounds = ExpBuckets(500, 2, 16)
 // KTaskRun span extends its thread's path, and a KJoin folds the child's
 // path back into the parent with max(). The root thread's final path
 // length is the span (T_inf); Work/Span is the available parallelism, as
-// in Cilkview.
+// in Cilkview. The walk takes the log's canonical order, which puts a
+// join after the child's last span: a join that finds the child done
+// first pays the fast-join cost, and one that blocked resumes on the
+// child's rank, whose own order the log keeps.
 func Analyze(l *Log, nranks int) Analysis {
 	events := l.Events()
 	var a Analysis

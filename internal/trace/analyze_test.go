@@ -9,9 +9,11 @@ import (
 // fixtureLog builds a tiny two-rank fork-join trace by hand:
 //
 //	rank 0, tid 1 (root): runs [0,200), forks tid 2, runs [200,300),
-//	                      joins at 450, ends (root).
+//	                      blocks at its join.
 //	rank 1:               steals tid 2 over [200,250), runs it [250,450),
-//	                      tid 2 ends into parent tid 1.
+//	                      tid 2 ends into parent tid 1, which resumes here
+//	                      (a blocked join migrates to the child's rank),
+//	                      joins at 450 and ends (root).
 //
 // Hand-computed ground truth: work 500, critical path 400 (root's 200
 // pre-fork + child's 200, which exceeds the root continuation's 100),
@@ -25,8 +27,8 @@ func fixtureLog() *Log {
 	l.rec(Event{T: 200, Dur: 50, Rank: 1, Kind: KSteal, Arg2: 2})
 	l.rec(Event{T: 250, Dur: 200, Rank: 1, Kind: KTaskRun, Arg: 2})
 	l.rec(Event{T: 450, Rank: 1, Kind: KTaskEnd, Arg: 2, Arg2: 1})
-	l.rec(Event{T: 450, Rank: 0, Kind: KJoin, Arg: 2, Arg2: 1})
-	l.rec(Event{T: 450, Rank: 0, Kind: KTaskEnd, Arg: 1})
+	l.rec(Event{T: 450, Rank: 1, Kind: KJoin, Arg: 2, Arg2: 1})
+	l.rec(Event{T: 450, Rank: 1, Kind: KTaskEnd, Arg: 1})
 	return l
 }
 

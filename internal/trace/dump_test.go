@@ -111,7 +111,7 @@ func TestChromeJSONSpansAndNodePID(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
-	span, inst := evs[0], evs[1] // export preserves recording order
+	inst, span := evs[0], evs[1] // canonical order: the instant ends first
 	if span["ph"] != "X" || span["dur"] != 2.0 || span["ts"] != 1.0 {
 		t.Errorf("span event = %v, want ph X dur 2 ts 1", span)
 	}

@@ -150,10 +150,10 @@ func TestRecorderRouting(t *testing.T) {
 	for _, e := range evs {
 		kinds = append(kinds, e.Kind)
 	}
-	if want := []Kind{KSteal, KCheckout, KRelease, KCacheMiss}; !slices.Equal(kinds, want) {
+	if want := []Kind{KCacheMiss, KCheckout, KRelease, KSteal}; !slices.Equal(kinds, want) {
 		t.Fatalf("ring kinds = %v, want %v", kinds, want)
 	}
-	if e := evs[0]; e.T != 100 || e.Dur != 40 || e.Rank != 1 || e.Arg2 != 7 {
+	if e := evs[3]; e.T != 100 || e.Dur != 40 || e.Rank != 1 || e.Arg2 != 7 {
 		t.Errorf("steal event = %+v", e)
 	}
 

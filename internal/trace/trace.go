@@ -137,22 +137,15 @@ type Event struct {
 	Arg2 int64
 }
 
-// entry pairs an event with its global sequence number so per-rank rings
-// can be merged back into deterministic recording order.
-type entry struct {
-	seq uint64
-	ev  Event
-}
-
 // ring is one rank's buffer. With no capacity limit it is a plain append
 // log; with a limit it overwrites the oldest entry once full.
 type ring struct {
-	buf     []entry
-	start   int
+	buf     []Event
+	start   int // the oldest entry, once the ring has wrapped
 	dropped uint64
 }
 
-func (rg *ring) add(e entry, capPerRank int) {
+func (rg *ring) add(e Event, capPerRank int) {
 	if capPerRank <= 0 || len(rg.buf) < capPerRank {
 		rg.buf = append(rg.buf, e)
 		return
@@ -168,7 +161,6 @@ func (rg *ring) add(e entry, capPerRank int) {
 // Log is the span ring the Recorder writes to. A nil *Log reads as empty.
 type Log struct {
 	rings      []ring
-	seq        uint64
 	capPerRank int
 }
 
@@ -188,8 +180,7 @@ func (l *Log) rec(ev Event) {
 	for r >= len(l.rings) {
 		l.rings = append(l.rings, ring{})
 	}
-	l.seq++
-	l.rings[r].add(entry{seq: l.seq, ev: ev}, l.capPerRank)
+	l.rings[r].add(ev, l.capPerRank)
 }
 
 // Len returns the number of retained events (0 for nil).
@@ -230,9 +221,15 @@ func (l *Log) DroppedByRank() []uint64 {
 	return out
 }
 
-// Events returns the retained events merged across ranks in recording
-// order (the deterministic global sequence, not timestamp order — ranks
-// record interleaved but each at monotonically nondecreasing times).
+// Events returns the retained events in canonical order: by end instant
+// (T+Dur), then by rank, then in the order the rank recorded them. The
+// order is a function of simulated behaviour alone. The host's recording
+// order is not: it interleaves ranks by whichever process the kernel
+// happened to run, and a rank may write a record for an instant its
+// clock has not reached yet (a banked sim.Proc.Charge). A rank records
+// every kind but KBlacklist (a span written when its penalty window opens)
+// at nondecreasing end instants, so its events keep the order of
+// RankEvents.
 func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
@@ -241,16 +238,23 @@ func (l *Log) Events() []Event {
 	if total == 0 {
 		return nil
 	}
-	ents := make([]entry, 0, total)
+	out := make([]Event, 0, total)
 	for i := range l.rings {
-		ents = append(ents, l.rings[i].buf...)
+		rg := &l.rings[i]
+		out = append(append(out, rg.buf[rg.start:]...), rg.buf[:rg.start]...)
 	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].seq < ents[b].seq })
-	out := make([]Event, total)
-	for i := range ents {
-		out[i] = ents[i].ev
-	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].T+out[a].Dur < out[b].T+out[b].Dur })
 	return out
+}
+
+// RankEvents returns the retained events of one rank in the order the rank
+// recorded them (nil for a rank that recorded nothing).
+func (l *Log) RankEvents(rank int) []Event {
+	if l == nil || rank < 0 || rank >= len(l.rings) {
+		return nil
+	}
+	rg := &l.rings[rank]
+	return append(append([]Event(nil), rg.buf[rg.start:]...), rg.buf[:rg.start]...)
 }
 
 // Count returns how many retained events have the given kind.
@@ -261,7 +265,7 @@ func (l *Log) Count(kind Kind) int {
 	n := 0
 	for i := range l.rings {
 		for _, e := range l.rings[i].buf {
-			if e.ev.Kind == kind {
+			if e.Kind == kind {
 				n++
 			}
 		}
@@ -269,7 +273,7 @@ func (l *Log) Count(kind Kind) int {
 	return n
 }
 
-// Dump writes one line per event in recording order.
+// Dump writes one line per event in canonical order (Events).
 func (l *Log) Dump(w io.Writer) {
 	for _, e := range l.Events() {
 		if e.Dur > 0 {
@@ -356,7 +360,7 @@ type Meta struct {
 }
 
 // dumpDoc is the on-disk form: the header, then the events as compact
-// [t, dur, rank, kind, arg, arg2] tuples in recording order.
+// [t, dur, rank, kind, arg, arg2] tuples in canonical order (Events).
 type dumpDoc struct {
 	Meta
 	Events [][6]int64 `json:"events"`

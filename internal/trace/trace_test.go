@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,36 @@ func TestRecordAndQuery(t *testing.T) {
 	}
 	if l.Events()[2].Arg != 4096 {
 		t.Fatal("arg lost")
+	}
+}
+
+// Events orders by end instant, then rank, then each rank's recording
+// order — never by which rank the host happened to record first — and a
+// wrapped ring's oldest retained entry still leads its rank.
+func TestEventsCanonicalOrder(t *testing.T) {
+	l := NewRing(3)
+	l.rec(Event{T: 50, Rank: 1, Kind: KFork, Arg: 1})
+	l.rec(Event{T: 10, Dur: 40, Rank: 0, Kind: KTaskRun, Arg: 2}) // ends at 50 too
+	l.rec(Event{T: 20, Rank: 0, Kind: KFork, Arg: 3})             // ends before both
+	l.rec(Event{T: 60, Rank: 1, Kind: KFork, Arg: 4})
+	l.rec(Event{T: 60, Rank: 1, Kind: KJoin, Arg: 5})
+	l.rec(Event{T: 70, Rank: 1, Kind: KJoin, Arg: 6}) // drops arg 1
+	var got []int64
+	for _, e := range l.Events() {
+		got = append(got, e.Arg)
+	}
+	if want := []int64{3, 2, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Errorf("Events args = %v, want %v", got, want)
+	}
+	got = got[:0]
+	for _, e := range l.RankEvents(1) {
+		got = append(got, e.Arg)
+	}
+	if want := []int64{4, 5, 6}; !slices.Equal(got, want) {
+		t.Errorf("RankEvents(1) args = %v, want %v", got, want)
+	}
+	if l.RankEvents(2) != nil {
+		t.Error("RankEvents of a rank that recorded nothing is not nil")
 	}
 }
 
