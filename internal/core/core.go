@@ -115,11 +115,14 @@ func NewRuntime(cfg Config) *Runtime {
 		comm.SetFaults(inj) // transient RMA failures
 		// Straggler windows: engine callbacks flip each rank's time scale
 		// at the window boundaries (scheduled now, at virtual time zero,
-		// so they precede all process resumes at the same instants).
+		// so they precede all process resumes at the same instants). A
+		// flip may fall inside a rank's banked charges, so such an engine
+		// banks none.
 		for _, sw := range inj.Plan().Stragglers {
 			if sw.Rank < 0 || sw.Rank >= cfg.Ranks {
 				continue
 			}
+			eng.NoBank()
 			r := comm.Rank(sw.Rank)
 			num, den := sw.Num, sw.Den
 			eng.At(sw.From, func() { r.SetSlowdown(num, den) })
@@ -404,7 +407,9 @@ func (s *SPMD) Barrier() { s.local.Rank().Barrier() }
 func (s *SPMD) Flush() { s.local.Rank().Flush() }
 
 // Charge advances the rank's virtual time by d, modelling local computation.
-func (s *SPMD) Charge(d sim.Time) { s.local.Rank().Proc().Advance(d) }
+// The time is banked (sim.Proc.Charge): the rank's next call into the
+// runtime takes it.
+func (s *SPMD) Charge(d sim.Time) { s.local.Rank().Proc().Charge(d) }
 
 // Win is a one-sided memory window for the SPMD region: an equal-sized
 // segment per rank (MPI_Win_allocate). An op acts as the rank it is given.
@@ -415,7 +420,12 @@ type Win struct{ w *rma.Win }
 func (rt *Runtime) NewWin(size int) *Win { return &Win{rt.comm.NewUniformWin(size)} }
 
 // Seg returns the calling rank's own segment, read and written directly.
-func (w *Win) Seg(s *SPMD) []byte { return w.w.Seg(s.rank) }
+// Other ranks' Puts land in it, so the rank's banked charges are taken
+// first.
+func (w *Win) Seg(s *SPMD) []byte {
+	s.local.Rank().Proc().Sync()
+	return w.w.Seg(s.rank)
+}
 
 // PutUint64 starts a nonblocking little-endian write of v at byte off of
 // target's segment, complete after the caller's next Flush. An out-of-range
@@ -462,14 +472,16 @@ func (c *Ctx) Local() *pgas.Local { return c.rt.space.Local(c.tb.RankID()) }
 // Now returns the current virtual time.
 func (c *Ctx) Now() sim.Time { return c.tb.Proc().Now() }
 
-// Charge advances virtual time by d, modelling local computation.
-func (c *Ctx) Charge(d sim.Time) { c.tb.Proc().Advance(d) }
+// Charge advances virtual time by d, modelling local computation. The time
+// is banked (sim.Proc.Charge): the thread's next call into the runtime
+// takes it.
+func (c *Ctx) Charge(d sim.Time) { c.tb.Proc().Charge(d) }
 
 // ChargeAs advances virtual time by d and attributes it to the named
 // profiler category (e.g. "Serial Quicksort" in Fig. 9).
 func (c *Ctx) ChargeAs(cat string, d sim.Time) {
 	t0 := c.Now()
-	c.tb.Proc().Advance(d)
+	c.tb.Proc().Charge(d)
 	c.rt.rec.SpanAs(cat, c.tb.RankID(), trace.KCompute, t0, d, 0, 0)
 }
 

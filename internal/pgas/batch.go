@@ -118,7 +118,7 @@ func (l *Local) putRuns(group []wbRun, n int) {
 	s.Stats.WriteBackBytes += uint64(n)
 	s.rec.Instant(l.rank.ID(), trace.KWriteBack, l.rank.Proc().Now(), int64(n), 0)
 	// Home-visible from the Put's copy instant (validator ledger).
-	if v := s.val; v != nil {
+	if v := l.validator(); v != nil {
 		now := l.rank.Proc().Now()
 		for _, r := range group {
 			v.markHomed(r.iv.Lo, r.iv.Hi, now)

@@ -41,7 +41,7 @@ func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	cur, req := l.CurrentEpoch(), l.requestEpoch()
 	if wrote || cur < req {
 		l.space.epochWin.StoreLocalUint64(l.rank, cur+1, offCurrentEpoch)
-		l.rank.Proc().Advance(costEpoch)
+		l.rank.Proc().Charge(costEpoch)
 	}
 	l.space.rec.Span(l.rank.ID(), k, t0, l.rank.Proc().Now()-t0, arg, 0)
 }
@@ -78,7 +78,7 @@ func (l *Local) ReleaseLazy() ReleaseHandler {
 		}
 		return Unneeded
 	}
-	l.rank.Proc().Advance(costEpoch)
+	l.rank.Proc().Charge(costEpoch)
 	if !l.cache.HasDirty() {
 		return Unneeded
 	}
@@ -133,7 +133,7 @@ func (l *Local) AcquireWith(h ReleaseHandler) {
 	s.rec.Span(l.rank.ID(), trace.KAcquire, t0, l.rank.Proc().Now()-t0, int64(h.Rank), 0)
 	// Record after the poll loop: any lazy write-back this acquire waited
 	// for was homed at an earlier virtual time than this completion.
-	if v := s.val; v != nil {
+	if v := l.validator(); v != nil {
 		v.onAcquire(l.rank.ID(), l.rank.Proc().Now())
 	}
 }
@@ -145,7 +145,7 @@ func (l *Local) AcquireFence() {
 	t0 := l.rank.Proc().Now()
 	l.invalidateAll()
 	l.space.rec.Span(l.rank.ID(), trace.KMigrate, t0, l.rank.Proc().Now()-t0, 0, 0)
-	if v := l.space.val; v != nil {
+	if v := l.validator(); v != nil {
 		v.onAcquire(l.rank.ID(), l.rank.Proc().Now())
 	}
 }

@@ -110,6 +110,7 @@ func (l *Local) SdcTakeFlip() bool {
 // view into the streaming digest. Only called for non-empty written
 // checkins while armed.
 func (l *Local) sdcOnCheckin(view []byte) {
+	l.rank.Proc().Sync()
 	if l.sdcFlipArmed && !l.sdcFlipDone && len(view) > 0 {
 		bit := l.sdcFlipSel % uint64(len(view)*8)
 		view[bit>>3] ^= 1 << (bit & 7)
@@ -206,6 +207,17 @@ func (l *Local) span(k trace.Kind, t0 sim.Time, size uint64) {
 	l.space.rec.SpanAs(l.ProfCategory, l.rank.ID(), k, t0, l.rank.Proc().Now()-t0, int64(size), 0)
 }
 
+// validator returns the space's checkout validator, nil when it is off. Its
+// ledger holds every rank's accesses, so the rank's banked charges are
+// taken first.
+func (l *Local) validator() *validator {
+	v := l.space.val
+	if v != nil {
+		l.rank.Proc().Sync()
+	}
+	return v
+}
+
 // hit counts n requested bytes found valid in the cache or home-local.
 func (l *Local) hit(n uint64) { l.space.Stats.HitBytes += n }
 
@@ -232,7 +244,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	// checkout fails fast and leaves caches untouched. Registration of the
 	// new access right happens at the success exits below, so failed
 	// checkouts (capacity, range) leave no ghost rights behind.
-	if v := s.val; v != nil {
+	if v := l.validator(); v != nil {
 		if err := v.onCheckout(l, addr, addr+size, mode); err != nil {
 			return nil, err
 		}
@@ -248,7 +260,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			}
 		}
 		l.outstanding = append(l.outstanding, checkoutRec{addr: addr, size: size, mode: mode, view: view})
-		if v := s.val; v != nil {
+		if v := l.validator(); v != nil {
 			v.registerCheckout(l, addr, addr+size, mode, t0)
 		}
 		l.span(trace.KCheckout, t0, size)
@@ -281,7 +293,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		g0 := Addr(bid * bs)
 		req := region.Interval{Lo: uint64(maxAddr(g0, addr)), Hi: uint64(minAddr(g0+Addr(bs), addr+Addr(size)))}
 		homeRank, segOff0 := a.homeOf(g0, bs)
-		l.rank.Proc().Advance(costCheckoutBlock)
+		l.rank.Proc().Charge(costCheckoutBlock)
 
 		if net.SameNode(homeRank, me) {
 			// Home path: the block is (intra-node) shared memory, mapped
@@ -322,6 +334,9 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			l.hit(req.Len())
 		} else if !cb.Valid.Contains(req) {
 			// Fetch missing sub-blocks from the home (Fig. 4 lines 17-21).
+			// The fetch reads the home segment, whose length its owner's
+			// noncollective allocations grow: the bank is taken first.
+			l.rank.Proc().Sync()
 			padded := region.Interval{
 				Lo: req.Lo / sbs * sbs,
 				Hi: (req.Hi + sbs - 1) / sbs * sbs,
@@ -386,7 +401,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	}
 	rec.view = view
 	l.outstanding = append(l.outstanding, rec)
-	if v := s.val; v != nil {
+	if v := l.validator(); v != nil {
 		v.registerCheckout(l, addr, addr+size, mode, t0)
 	}
 	l.span(trace.KCheckout, t0, size)
@@ -431,6 +446,8 @@ func (l *Local) copyPieces(pieces []piece, view []byte, addr Addr, toBacking boo
 		if p.cb != nil {
 			backing = p.cb.Data[p.g-p.blockBase : Addr(int(p.g-p.blockBase)+p.n)]
 		} else {
+			// A home block is a window segment other ranks read and write.
+			l.rank.Proc().Sync()
 			backing = p.win.Seg(p.homeRank)[p.segOff : p.segOff+p.n]
 		}
 		if toBacking {
@@ -461,7 +478,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 	if idx < 0 {
 		// The validator can upgrade this to a use-after-checkin diagnostic
 		// when the same right was recently retired (double checkin).
-		if v := s.val; v != nil && size > 0 {
+		if v := l.validator(); v != nil && size > 0 {
 			if err := v.onMissingCheckin(l, addr, addr+size, mode); err != nil {
 				return err
 			}
@@ -470,7 +487,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 	}
 	rec := l.outstanding[idx]
 	l.outstanding = append(l.outstanding[:idx], l.outstanding[idx+1:]...)
-	if v := s.val; v != nil && size > 0 {
+	if v := l.validator(); v != nil && size > 0 {
 		v.onCheckin(l, addr, addr+size, mode)
 	}
 
@@ -487,7 +504,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 				return err
 			}
 			// Uncached writes land in home memory right here.
-			if v := s.val; v != nil && size > 0 {
+			if v := l.validator(); v != nil && size > 0 {
 				v.markHomed(addr, addr+size, l.rank.Proc().Now())
 			}
 		}
@@ -501,7 +518,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 		l.copyPieces(rec.pieces, rec.view, addr, true)
 	}
 	for _, p := range rec.pieces {
-		l.rank.Proc().Advance(costCheckinBlock)
+		l.rank.Proc().Charge(costCheckinBlock)
 		if p.cb != nil {
 			if mode != Read {
 				iv := region.Interval{Lo: uint64(p.g), Hi: uint64(p.g) + uint64(p.n)}
@@ -528,7 +545,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 			// Home path: the copy above already updated home memory, so a
 			// written piece is home-visible as of this checkin — without
 			// ever being cache-dirty or touching a fence.
-			if v := s.val; v != nil && mode != Read {
+			if v := l.validator(); v != nil && mode != Read {
 				v.markHomed(uint64(p.g), uint64(p.g)+uint64(p.n), l.rank.Proc().Now())
 			}
 			p.hb.Ref--

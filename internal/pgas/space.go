@@ -254,6 +254,7 @@ func align(v, to uint64) uint64 { return (v + to - 1) / to * to }
 // barrier plus window-creation cost). The caller rank drives the cost
 // accounting.
 func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
+	l.rank.Proc().Sync() // the allocation table is shared
 	s := l.space
 	if size == 0 {
 		size = 1
@@ -298,6 +299,7 @@ func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
 // FreeCollective releases a collective allocation. The host memory backing
 // the allocation is dropped; the virtual range is never reused.
 func (l *Local) FreeCollective(addr Addr) error {
+	l.rank.Proc().Sync() // the allocation table is shared
 	a, err := l.space.findAlloc(addr, 1)
 	if err != nil || a.base != addr {
 		return ErrBadFree
@@ -343,6 +345,7 @@ func (l *Local) AllocLocal(size uint64) Addr {
 // but not at its start goes undetected: that would take per-block
 // bookkeeping on AllocLocal's path.
 func (l *Local) FreeLocal(addr Addr, size uint64) error {
+	l.rank.Proc().Sync() // the owner's heap is shared
 	s := l.space
 	a, err := s.findAlloc(addr, 1)
 	if err != nil || a.win != s.ncWin {

@@ -409,8 +409,7 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 			panic(fmt.Errorf("%w: rank %d transfer to rank %d corrupted %d times under plan %q",
 				ErrSdcUnrecoverable, r.id, target, attempt, in.Plan().Name))
 		}
-		copy(landed, src)
-		r.issue(target, len(landed))
+		r.issue(target, landed, src)
 		r.sdcRetrans++
 	}
 }
@@ -421,6 +420,7 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 // for the threading layer, whose steal protocol performs its own deque
 // compare-and-swap outside any window.
 func (r *Rank) ChargeAtomic(target int) {
+	r.proc.Sync()
 	c := r.StartAtomic(target)
 	for d, done := c.Next(); !done; d, done = c.Next() {
 		r.proc.Advance(d)
@@ -466,15 +466,22 @@ func (c *AtomicCharge) Next() (d sim.Time, done bool) {
 // target (fault-injected retries, then the perturbed wire time). Exported
 // for the threading layer's stack fetch on a successful steal.
 func (r *Rank) ChargeTransfer(target, nbytes int) {
+	r.proc.Sync()
 	r.retryFaults(target)
 	r.proc.Advance(r.c.net.TransferTimeAt(r.proc.Now(), r.id, target, nbytes))
 	r.c.rec.RMA(r.id, target, trace.OpGet, nbytes)
 }
 
-// issue models the origin-side cost and NIC serialization of a one-sided
-// data transfer to target, returning nothing; completion time is folded
-// into r.pending for the next Flush.
-func (r *Rank) issue(target, nbytes int) {
+// issue performs a one-sided data transfer to or from target: it moves the
+// bytes, copy(dst, src), at the instant the op is issued, then models the
+// origin-side cost and NIC serialization; completion time is folded into
+// r.pending for the next Flush. One of dst and src is a window segment,
+// which other ranks read and write, so the rank's banked charges are taken
+// before the copy.
+func (r *Rank) issue(target int, dst, src []byte) {
+	r.proc.Sync()
+	copy(dst, src)
+	nbytes := len(src)
 	r.retryFaults(target)
 	r.proc.Advance(r.c.net.MsgOverhead)
 	now := r.proc.Now()
@@ -504,7 +511,9 @@ func (r *Rank) issue(target, nbytes int) {
 // completed, like MPI_Win_flush_all. The wait is a plain Advance, so when no
 // other rank has an event due first it rides the kernel's zero-handoff fast
 // path — a flush-heavy rank costs the host nothing per wait. A wait is one
-// counted KStall span; a Flush with nothing outstanding is free.
+// counted KStall span; a Flush with nothing outstanding is free. It reads
+// only the rank's own pending time, so it leaves banked charges banked
+// unless it waits (sim.Proc.Advance takes them with the wait).
 func (r *Rank) Flush() {
 	t0 := r.proc.Now()
 	if r.pending > t0 {
@@ -524,6 +533,7 @@ func (r *Rank) Flush() {
 // functions of the arrival times: which rank happens to arrive last has no
 // observable effect.
 func (r *Rank) Barrier() {
+	r.proc.Sync()
 	c := r.c
 	n := len(c.ranks)
 	if n == 1 {
@@ -554,7 +564,10 @@ func (r *Rank) Barrier() {
 	r.c.rec.Span(r.id, trace.KBarrier, arrive, r.proc.Now()-arrive, 0, 0)
 }
 
-// Win is a one-sided memory window: one segment of bytes per rank.
+// Win is a one-sided memory window: one segment of bytes per rank. Other
+// ranks read and write the segments, so every op that touches one first
+// takes the calling rank's banked charges (sim.Proc.Sync; the data
+// transfers take them in Rank.issue, right before their copy).
 type Win struct {
 	c    *Comm
 	id   int // creation-order number, a deterministic sort key
@@ -684,8 +697,7 @@ func (w *Win) check(target, off, n int) {
 // retransmits from the segment).
 func (w *Win) Get(r *Rank, target, off int, dst []byte) {
 	w.check(target, off, len(dst))
-	copy(dst, w.segs[target][off:])
-	r.issue(target, len(dst))
+	r.issue(target, dst, w.segs[target][off:off+len(dst)])
 	r.sdcWire(w.segs[target][off:off+len(dst)], dst, target)
 	r.getOps++
 	r.getBytes += uint64(len(dst))
@@ -703,8 +715,7 @@ func (w *Win) Put(r *Rank, src []byte, target, off int) {
 
 func (w *Win) put(r *Rank, src []byte, target, off int, corruptible bool) {
 	w.check(target, off, len(src))
-	copy(w.segs[target][off:], src)
-	r.issue(target, len(src))
+	r.issue(target, w.segs[target][off:off+len(src)], src)
 	if corruptible {
 		r.sdcWire(src, w.segs[target][off:off+len(src)], target)
 	}
@@ -717,8 +728,9 @@ func (w *Win) put(r *Rank, src []byte, target, off int, corruptible bool) {
 // remote scalars such as epochs.
 func (w *Win) GetUint64(r *Rank, target, off int) uint64 {
 	w.check(target, off, 8)
-	v := binary.LittleEndian.Uint64(w.segs[target][off:])
-	r.issue(target, 8)
+	var b [8]byte
+	r.issue(target, b[:], w.segs[target][off:off+8])
+	v := binary.LittleEndian.Uint64(b[:])
 	r.c.rec.RMA(r.id, target, trace.OpGet, 8)
 	r.Flush()
 	return v
@@ -737,12 +749,14 @@ func (w *Win) PutUint64(r *Rank, v uint64, target, off int) {
 // any communication cost (local variables readable thanks to
 // MPI_WIN_UNIFIED, as exploited by the lazy-release polling path).
 func (w *Win) LocalUint64(r *Rank, off int) uint64 {
+	r.proc.Sync()
 	w.check(r.id, off, 8)
 	return binary.LittleEndian.Uint64(w.segs[r.id][off:])
 }
 
 // StoreLocalUint64 writes an 8-byte value into the rank's own segment.
 func (w *Win) StoreLocalUint64(r *Rank, v uint64, off int) {
+	r.proc.Sync()
 	w.check(r.id, off, 8)
 	binary.LittleEndian.PutUint64(w.segs[r.id][off:], v)
 }
@@ -751,6 +765,7 @@ func (w *Win) StoreLocalUint64(r *Rank, v uint64, off int) {
 // it equals old, returning the previous value. Blocking, like an RDMA
 // atomic followed by a flush.
 func (w *Win) CompareAndSwap(r *Rank, target, off int, old, new uint64) uint64 {
+	r.proc.Sync()
 	w.check(target, off, 8)
 	r.ChargeAtomic(target)
 	prev := binary.LittleEndian.Uint64(w.segs[target][off:])
@@ -764,6 +779,7 @@ func (w *Win) CompareAndSwap(r *Rank, target, off int, old, new uint64) uint64 {
 // FetchAndAdd atomically adds delta to the uint64 at (target, off) and
 // returns the previous value. Blocking.
 func (w *Win) FetchAndAdd(r *Rank, target, off int, delta uint64) uint64 {
+	r.proc.Sync()
 	w.check(target, off, 8)
 	r.ChargeAtomic(target)
 	prev := binary.LittleEndian.Uint64(w.segs[target][off:])
@@ -776,6 +792,7 @@ func (w *Win) FetchAndAdd(r *Rank, target, off int, delta uint64) uint64 {
 // emulating MPI_Fetch_and_op(MPI_MAX) with a compare-and-swap loop as the
 // paper does (footnote 6). It returns the value observed before the update.
 func (w *Win) MaxUint64(r *Rank, target, off int, v uint64) uint64 {
+	r.proc.Sync()
 	for {
 		cur := binary.LittleEndian.Uint64(w.segs[target][off:])
 		if cur >= v {

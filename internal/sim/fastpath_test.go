@@ -337,3 +337,14 @@ func TestProcStaysInItsSizeClass(t *testing.T) {
 		t.Fatalf("Proc is %d bytes, want at most 96", size)
 	}
 }
+
+// TestEngineStaysInItsSizeClass: an Engine is allocated once per run, but
+// every event touches it. Three versions of the banked charges that moved
+// it from the allocator's 1,152-byte class to the 1,280-byte one read
+// halo-4096r 4–10% slower; the one that kept it in its class did not
+// (PITFALLS.md, "layout moves host time").
+func TestEngineStaysInItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Engine{}); size > 1152 {
+		t.Fatalf("Engine is %d bytes, want at most 1152", size)
+	}
+}

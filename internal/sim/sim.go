@@ -19,7 +19,7 @@
 // The one-at-a-time invariant is also the kernel's fast-path licence:
 // whichever process currently runs owns every piece of engine state
 // outright, so it may mutate the clock and the event queue directly instead
-// of asking the driver to do it. Eight consequences:
+// of asking the driver to do it. Nine consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
 //     Advance(d) simply sets now += d and returns — no switch, no
@@ -78,6 +78,26 @@
 //     not goes to the heap. A barrier queues its n wakes at one instant in
 //     rank order, so its whole release is one sorted run: n appends and n
 //     pops at the head, where the heap paid n sifts each way.
+//   - Banked charges: Proc.Charge is an Advance that does not happen yet.
+//     It adds the sleep to a bank, and Now reads the clock plus the bank,
+//     so the process runs on at the instant the sleeps will have taken it
+//     to. The bank is taken by Sync, which every other kernel entry calls
+//     first, as one AdvanceFunc whose steps hand out the banked sleeps in
+//     order: each sleep ends, in engine context, at the instant and with
+//     the FIFO key the process looping over Advance would have given it,
+//     because a step takes its next sleep's key where that loop would —
+//     when the sleep before it ends — and nothing the process did between
+//     two charges could be seen by anyone else. A run of charges that
+//     interleaves with other processes costs one switch out and one in
+//     instead of a pair per charge. That last premise is the caller's to
+//     keep: code between a Charge and the next kernel entry must touch
+//     nothing another process reads or writes (the layers Sync before
+//     they do). Only the running process can hold a bank, so its total
+//     lives on the Engine; its first sleep is on the Proc and the rest,
+//     which a replay hands out, on the process's carrier. A bank of one
+//     sleep is taken as that sleep's Advance. An engine whose time scales
+//     flip mid-run (NoBank) banks nothing: Now would read the bank at the
+//     old scale.
 //
 // A pop takes the earliest of the heap's top and the lane and run heads, and
 // the zero-handoff test looks at all of them; the order is total, so the
@@ -308,9 +328,17 @@ type Engine struct {
 	// Last, so that the fields an ordinary event touches share their cache
 	// lines as they did before.
 	lanes  [sleepLanes]lane
-	nlanes int
+	nlanes int32
+	nobank bool // Charge is Advance (NoBank)
 	wakes  lane
 	spare  *laneBlock
+
+	// bank is the sleeps the running process has charged and not yet taken
+	// (Proc.Charge), at their scale. Last too, and in the 1,152-byte size
+	// class the Engine had without it: at thousands of ranks a change of
+	// the Engine's size class alone moves host time by several percent
+	// (PITFALLS.md, "layout moves host time").
+	bank Time
 }
 
 // liveEvery sets how many event pops elapse between live-snapshot
@@ -387,8 +415,22 @@ func NewEngine() *Engine {
 	return new(Engine)
 }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+// Now returns the current virtual time: in process context, the running
+// process's, its banked charges included.
+func (e *Engine) Now() Time { return e.now + e.bank }
+
+// NoBank makes Proc.Charge an Advance on this engine. An engine on which
+// time scales may flip mid-run needs it: a bank is summed at the scale in
+// force when each charge is made, and Now would read that sum.
+func (e *Engine) NoBank() { e.nobank = true }
+
+// sync has the running process take its bank, if it holds one, before a
+// kernel entry that other processes can observe.
+func (e *Engine) sync() {
+	if e.bank != 0 {
+		e.current.takeBank()
+	}
+}
 
 // Stats returns the cumulative kernel counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
@@ -558,6 +600,7 @@ func (e *Engine) pop() (slot, payload) {
 // At schedules fn to run in engine context at time t. fn must not block;
 // it runs between process executions. Scheduling in the past is an error.
 func (e *Engine) At(t Time, fn func()) {
+	e.sync()
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -566,7 +609,7 @@ func (e *Engine) At(t Time, fn func()) {
 }
 
 // After schedules fn to run in engine context after duration d.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
 
 // scheduleResume queues a resume of p at time t.
 func (e *Engine) scheduleResume(p *Proc, t Time) {
@@ -575,10 +618,10 @@ func (e *Engine) scheduleResume(p *Proc, t Time) {
 }
 
 // sleep queues the resume of p that ends a sleep of d: in the lane for d and
-// p's kind of sleep when there is one and p is in AdvanceFunc or the heap is
-// deep, on the heap otherwise.
+// p's kind of sleep when there is one and p is in AdvanceFunc (not replaying
+// a bank) or the heap is deep, on the heap otherwise.
 func (e *Engine) sleep(p *Proc, d Time) {
-	if steps := p.step != nil; steps || len(e.queue) >= deepQueue {
+	if steps := p.step != nil; steps && !p.replays || len(e.queue) >= deepQueue {
 		if l := e.lane(d, steps); l != nil {
 			e.seq++
 			e.pushLane(l, laneResume{at: e.now + d, key: e.seq, proc: p})
@@ -592,6 +635,7 @@ func (e *Engine) sleep(p *Proc, d Time) {
 // current virtual time (after already-queued events for this instant).
 // The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
+	e.sync()
 	p := &Proc{Name: name, eng: e, body: fn}
 	e.stats.Spawns++
 	e.live.add(p)
@@ -603,6 +647,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // parks the carrier in the pool and returns the process the carrier's yield
 // should name.
 func (p *Proc) exit() *Proc {
+	p.eng.sync()
 	p.dead = true
 	p.eng.live.remove(p)
 	q := p.eng.dispatch(nil)
@@ -663,7 +708,7 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 // FIFO key is taken exactly where p, switched in, would have taken it.
 func (e *Engine) runSteps(p *Proc) bool {
 	for {
-		d, done := p.step()
+		d, done := p.nextStep()
 		if done {
 			p.step = nil
 			return true
@@ -729,7 +774,9 @@ func (e *Engine) Run() error {
 
 // Proc is a simulated process. Its methods must only be called from the
 // process body (with the exception of Wake, which may be called from any
-// process or engine-context callback).
+// process or engine-context callback). A method that may block — Advance,
+// Charge, Park, AdvanceFunc — panics when p is not Engine.Current: a handle
+// kept by another process must not charge time to p.
 type Proc struct {
 	// Name identifies the process in diagnostics.
 	Name string
@@ -742,10 +789,14 @@ type Proc struct {
 	// slot.steps runs it in p's stead; while it is set p must not block.
 	step func() (next Time, done bool)
 
-	body    func(*Proc)
-	dead    bool
-	parked  bool
-	permits int32 // with the two flags, one word: a Proc stays in the 96-byte size class
+	body   func(*Proc)
+	dead   bool
+	parked bool
+	// replays marks a step that is Sync replaying a bank (nextStep hands
+	// out its sleeps, which choose a lane as Advance's do, not as
+	// AdvanceFunc's); more marks a bank of more than its head.
+	replays, more bool
+	permits       int32 // with the four flags, one word: a Proc stays in the 96-byte size class
 
 	// livePrev/liveNext thread the engine's intrusive list of live
 	// processes; see procList.
@@ -754,13 +805,18 @@ type Proc struct {
 	// scaleNum/scaleDen stretch Advance durations (straggler modelling);
 	// scaleNum == 0 means nominal speed.
 	scaleNum, scaleDen int64
+
+	// head is the first sleep of p's bank, unscaled; the rest are on its
+	// carrier, so a bank of one never touches the carrier's list.
+	head Time
 }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.now }
+// Now returns the current virtual time, the sleeps p has banked with Charge
+// included.
+func (p *Proc) Now() Time { return p.eng.now + p.eng.bank }
 
 // Advance blocks the process for d nanoseconds of virtual time, modelling
 // local computation or fixed-cost operations. Advance(0) yields without
@@ -774,11 +830,106 @@ func (p *Proc) Now() Time { return p.eng.now }
 // earlier sequence number than the resume this Advance would enqueue, so
 // FIFO tie-breaking says it must run first. Advance(0) always takes the
 // slow path: its purpose is to interleave same-instant events.
+//
+// With sleeps banked by Charge, Advance adds d to them and takes the lot
+// (Sync).
 func (p *Proc) Advance(d Time) {
-	if p.step != nil {
-		blockedInStep("Advance")
+	p.mustRun("Advance")
+	if p.eng.bank != 0 {
+		l := p.car.charges()
+		l.d = append(l.d, nonNegative(d))
+		p.more = true
+		p.takeBank()
+		return
 	}
 	p.advance(d)
+}
+
+// Charge is Advance(d) for a process that has nothing to say to anyone
+// before its next kernel entry: it banks the sleep instead of taking it
+// (see "Banked charges" in the package comment), and Now counts it from
+// here on. Every other kernel entry takes the bank first — Advance,
+// AdvanceFunc, Park, Wake, ScheduleWake, At, After, Spawn, process exit —
+// and the process must Sync before it reads or writes anything another
+// process may. A charge of zero, which exists to let same-instant events
+// interleave, is an Advance.
+func (p *Proc) Charge(d Time) {
+	p.mustRun("Charge")
+	e := p.eng
+	if s := p.scaled(d); s > 0 && !e.nobank {
+		if e.bank == 0 {
+			p.head = d
+		} else {
+			l := p.car.charges()
+			l.d = append(l.d, d)
+			p.more = true
+		}
+		e.bank += s
+		return
+	}
+	p.Advance(d)
+}
+
+// Sync takes the sleeps p has banked with Charge: when Sync returns, p
+// stands at the instant Now read before it, and every event those sleeps
+// interleave with has run, exactly as if each Charge had been an Advance.
+// The sleeps are replayed as one AdvanceFunc, so p is switched out and in
+// at most once. Without a bank Sync does nothing.
+func (p *Proc) Sync() {
+	if p.eng.bank != 0 {
+		p.mustRun("Sync")
+		p.takeBank()
+	}
+}
+
+// takeBank replays the running process p's bank; the bank must not be empty.
+// A bank of one sleep is that sleep's Advance, and leaves the carrier's
+// list, a cold line at thousands of ranks, alone.
+func (p *Proc) takeBank() {
+	p.eng.bank = 0
+	if !p.more {
+		p.advance(p.head)
+		return
+	}
+	p.more = false
+	p.step, p.replays = replaying, true
+	p.stepLoop(p.head)
+}
+
+// replaying marks, as p.step, a process whose steps replay its bank.
+func replaying() (Time, bool) { panic("sim: a bank's replay called as a step") }
+
+// nextStep runs p's step: the step AdvanceFunc was given or, while p
+// replays its bank, the next banked sleep, done once every one has been
+// slept.
+func (p *Proc) nextStep() (Time, bool) {
+	if !p.replays {
+		return p.step()
+	}
+	l := p.car.bank
+	if l.taken == len(l.d) {
+		l.d, l.taken = l.d[:0], 0
+		p.replays = false
+		return 0, true
+	}
+	d := l.d[l.taken]
+	l.taken++
+	return d, false
+}
+
+// mustRun panics unless p may make the blocking call call: p is the running
+// process, and not in an AdvanceFunc step.
+func (p *Proc) mustRun(call string) {
+	if p.step != nil {
+		blockedInStep(call)
+	}
+	if cur := p.eng.current; cur != p {
+		running := "no process"
+		if cur != nil {
+			running = fmt.Sprintf("process %q", cur.Name)
+		}
+		panic(fmt.Sprintf("sim: %s on process %q while %s runs; a handle of one process was used from another", call, p.Name, running))
+	}
 }
 
 // advance is Advance without the check that p is not in a step: what
@@ -793,13 +944,18 @@ func (p *Proc) advance(d Time) {
 	p.yield()
 }
 
-// scaled checks a duration p is about to sleep for and stretches it by p's
-// time scale.
-func (p *Proc) scaled(d Time) Time {
+// nonNegative panics on a negative sleep and returns d.
+func nonNegative(d Time) Time {
 	if d < 0 {
 		panic("sim: negative Advance")
 	}
-	if p.scaleNum > 0 {
+	return d
+}
+
+// scaled checks a duration p is about to sleep for and stretches it by p's
+// time scale.
+func (p *Proc) scaled(d Time) Time {
+	if nonNegative(d); p.scaleNum > 0 {
 		d = d * p.scaleNum / p.scaleDen
 	}
 	return d
@@ -833,11 +989,17 @@ func blockedInStep(call string) {
 // the call. A step whose sleep took the fast path runs on p's own stack, so
 // a step must not care which stack it is on. Build the step once per
 // process: a closure made per call allocates per call.
+//
+// A bank p holds is taken first.
 func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
-	if p.step != nil {
-		blockedInStep("AdvanceFunc")
-	}
+	p.mustRun("AdvanceFunc")
+	p.eng.sync()
 	p.step = step
+	p.stepLoop(d)
+}
+
+// stepLoop is AdvanceFunc once p.step is set.
+func (p *Proc) stepLoop(d Time) {
 	for {
 		p.advance(d)
 		if p.step == nil {
@@ -845,7 +1007,7 @@ func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
 		}
 		// The sleep took the fast path: p runs this step itself.
 		var done bool
-		if d, done = step(); done {
+		if d, done = p.nextStep(); done {
 			p.step = nil
 			return
 		}
@@ -859,10 +1021,14 @@ func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
 // reinterprets durations already charged, so it may be flipped mid-run
 // (e.g. from an engine callback at a fault-window boundary). Unlike most
 // Proc methods it touches only this process's fields, so it may be called
-// from any process or engine callback.
+// from any process or engine callback; called by a process on itself, it
+// takes the process's bank first.
 func (p *Proc) SetTimeScale(num, den int64) {
 	if num > 0 && den <= 0 {
 		panic("sim: SetTimeScale with non-positive denominator")
+	}
+	if p == p.eng.current {
+		p.eng.sync()
 	}
 	p.scaleNum, p.scaleDen = num, den
 }
@@ -871,9 +1037,8 @@ func (p *Proc) SetTimeScale(num, den int64) {
 // calls Wake. If Wake was already called since the last Park, the permit is
 // consumed and Park returns immediately without yielding the clock.
 func (p *Proc) Park() {
-	if p.step != nil {
-		blockedInStep("Park")
-	}
+	p.mustRun("Park")
+	p.eng.sync()
 	if p.permits > 0 {
 		p.permits--
 		return
@@ -899,6 +1064,7 @@ func (p *Proc) wakeNow() bool {
 // is stored and the next Park returns immediately. Each Wake grants exactly
 // one Park.
 func (p *Proc) Wake() {
+	p.eng.sync()
 	if p.wakeNow() {
 		p.eng.scheduleResume(p, p.eng.now)
 	}
@@ -918,6 +1084,7 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 		panic("sim: ScheduleWake key out of range")
 	}
 	e := p.eng
+	e.sync()
 	if t < e.now {
 		panic(fmt.Sprintf("sim: wake at %d before now %d", t, e.now))
 	}

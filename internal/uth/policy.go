@@ -103,13 +103,14 @@ func (tb *TB) forkHelpFirst(fn func(*TB)) *Thread {
 	w := tb.w
 	s := w.sched
 	s.hooks.Poll(w.rank.ID())
-	tb.th.proc.Advance(costFork)
+	tb.th.proc.Charge(costFork)
 	s.Stats.Forks++
 
 	// Release #1: publish the parent's writes so whoever runs the child —
 	// this rank later, or a thief — can acquire against the handler.
 	h := s.hooks.OnFork(w.rank.ID())
 
+	tb.th.proc.Sync() // thread IDs and the deque are shared
 	s.nextTID++
 	child := &thread{worker: w, ptid: tb.th.tid, tid: s.nextTID}
 	e := &entry{th: child, handler: h, fn: fn}

@@ -339,6 +339,7 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 			cur := tb.w
 			s.traceEnd(root, cur.rank.ID(), p.Now())
 			s.hooks.OnSuspend(cur.rank.ID())
+			p.Sync() // idle workers read done
 			s.done = true
 			cur.handTo(nil).Wake()
 		})
@@ -662,12 +663,13 @@ func (tb *TB) Fork(fn func(*TB)) *Thread {
 	w := tb.w
 	s := w.sched
 	s.hooks.Poll(w.rank.ID())
-	tb.th.proc.Advance(costFork)
+	tb.th.proc.Charge(costFork)
 	s.Stats.Forks++
 
 	h := s.hooks.OnFork(w.rank.ID()) // Release #1
 
 	e := &entry{th: tb.th, handler: h}
+	tb.th.proc.Sync() // thieves read the deque
 	w.deque = append(w.deque, e)
 
 	s.nextTID++
@@ -708,6 +710,7 @@ func (w *Worker) spawn(child *thread, fn func(*TB)) {
 // path — only once its writes are released: at once on the fast path, where
 // the parent resumes here, and after Release #2 on the slow path.
 func (th *thread) finish(w *Worker) {
+	th.proc.Sync() // the deque, done and the waiter are shared
 	s := w.sched
 	pe := th.parent
 	if pe != nil && !pe.taken && len(w.deque) > 0 && w.deque[len(w.deque)-1] == pe {
@@ -715,7 +718,7 @@ func (th *thread) finish(w *Worker) {
 		// our deque — resume it as a serialized call, no fences (§5.1).
 		th.done, th.doneRank = true, w.rank.ID()
 		w.deque = w.deque[:len(w.deque)-1]
-		th.proc.Advance(costJoinFast) // charged on the completing thread
+		th.proc.Charge(costJoinFast) // charged on the completing thread
 		pe.th.worker = w
 		pe.th.fenceOnResume = false
 		w.handTo(pe.th).Wake()
@@ -726,6 +729,7 @@ func (th *thread) finish(w *Worker) {
 	// (Release #2). The write-back sleeps, so a parent reaching Join in
 	// the meantime must find the child still running and wait for it.
 	s.hooks.OnChildStolenDone(w.rank.ID())
+	th.proc.Sync() // the fence may have banked time, and done is shared
 	th.done, th.doneRank = true, w.rank.ID()
 	if th.joinWaiter != nil {
 		waiter := th.joinWaiter
@@ -783,8 +787,9 @@ func (tb *TB) Join(t *Thread) {
 	s := w.sched
 	s.hooks.Poll(w.rank.ID())
 	c := t.th
+	tb.th.proc.Sync() // the child sets done
 	if c.done {
-		tb.th.proc.Advance(costJoinFast)
+		tb.th.proc.Charge(costJoinFast)
 		if c.doneRank != w.rank.ID() {
 			// Acquire #1: the child's writes were released on another rank.
 			s.hooks.OnMigrateArrive(w.rank.ID())
@@ -812,6 +817,7 @@ func (tb *TB) Join(t *Thread) {
 // Yield lets long-running leaf code service deferred runtime work
 // (lazy-release polls) without a fork/join point.
 func (tb *TB) Yield() {
+	tb.th.proc.Sync()
 	tb.w.sched.hooks.Poll(tb.w.rank.ID())
 }
 

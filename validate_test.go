@@ -29,3 +29,20 @@ func TestGVectorFreedTwice(t *testing.T) {
 		t.Fatalf("second Free of a GVector panicked with %v, want pgas.ErrBadFree naming the free", err)
 	}
 }
+
+// TestStaleCtxCharge: a forked child that charges time through its parent's
+// Ctx instead of its own would bank that time on the parent's process,
+// which is parked at the fork. The charge panics instead, naming both
+// processes.
+func TestStaleCtxCharge(t *testing.T) {
+	var msg string
+	func() {
+		defer func() { msg, _ = recover().(string) }()
+		_, _ = ityr.LaunchRoot(testCfg(2, ityr.WriteBackLazy), func(c *ityr.Ctx) {
+			c.Join(c.Fork(func(*ityr.Ctx) { c.Charge(100) }))
+		})
+	}()
+	if want := `sim: Charge on process "root" while process "thread" runs`; !strings.HasPrefix(msg, want) {
+		t.Fatalf("a child charging through its parent's Ctx panicked with %q, want a message starting %q", msg, want)
+	}
+}
