@@ -78,10 +78,10 @@ golden:
 	@$(call subset,Pinned(Kernel|Halo)Digests|CilksortTraceReport|MetricsRunStable,./internal/bench)
 
 # Fault suite: the seeded-fault pins (same plan -> the pinned run), the
-# zero-overhead-when-off digest, and every app terminating correctly
-# under every canned plan.
+# zero-overhead-when-off digest, every app terminating correctly under
+# every canned plan, and a straggler run banking its charges.
 faults:
-	@$(call subset,FaultDeterminismGolden|EmptyPlanMatchesNoPlan|FaultPlansAppsTerminate|FaultBenchSmoke,./internal/bench)
+	@$(call subset,FaultDeterminismGolden|EmptyPlanMatchesNoPlan|FaultPlansAppsTerminate|FaultBenchSmoke|StragglerRunsBank,./internal/bench)
 	$(GO) test -count=1 ./internal/fault
 
 # Silent-data-corruption suite: disabled-path digest inertness, seeded

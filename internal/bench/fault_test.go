@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"ityr"
 	"ityr/internal/fault"
 )
 
@@ -25,6 +26,36 @@ func TestFaultPlansAppsTerminate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStragglerRunsBank: a run under fault.PlanStraggler banks its
+// charges like any other. Rank 0 charges 1 µs at a time and rank 1, ten
+// times slower, 100 ns, so their charges end at the same instants and an
+// unbanked run hands the thread from one rank to the other at every
+// charge; banked, each rank takes its whole bank at exit, in a few
+// handoffs.
+func TestStragglerRunsBank(t *testing.T) {
+	plan := fault.PlanStraggler(faultSeed)
+	rt := ityr.NewRuntime(ityr.Config{Ranks: 2, CoresPerNode: 2, Faults: &plan})
+	const perRank = 50
+	err := rt.Run(func(s *ityr.SPMD) {
+		d := ityr.Time(1000)
+		if s.Rank() == 1 {
+			d = 100
+		}
+		for i := 0; i < perRank; i++ {
+			s.Charge(d)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rt.Engine().Now(), ityr.Time(perRank*1000); got != want {
+		t.Errorf("run ended at %d ns, want %d: the straggler's scale was not in force", got, want)
+	}
+	if h := rt.Engine().Stats().Handoffs; h >= 2*perRank {
+		t.Errorf("%d handoffs for %d charges: the straggler run did not bank", h, 2*perRank)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ityr/internal/fault"
 	"ityr/internal/pgas"
 	"ityr/internal/sim"
 )
@@ -19,10 +20,24 @@ import (
 // Where a banked writer's bytes land is when the kernel runs it, not when
 // its clock says, unless the write takes its bank first — so the samples
 // differ as soon as a layer writes shared memory without syncing: the home
-// path's copy, or rma's issue.
+// path's copy, or rma's issue. The race runs at nominal speed and with the
+// writer a 3× straggler, whose charges are banked at its scale (the two
+// must read differently, or the slowdown was not in force).
 func TestBankedRaceReadsAsUnbanked(t *testing.T) {
+	slowWriter := &fault.Plan{Name: "slow-writer", Stragglers: []fault.Straggler{{Rank: 0, Num: 3, Den: 1}}}
+	var nominal, slow []string
+	t.Run("nominal", func(t *testing.T) { nominal = bankedRace(t, nil) })
+	t.Run("slow-writer", func(t *testing.T) { slow = bankedRace(t, slowWriter) })
+	if reflect.DeepEqual(nominal, slow) {
+		t.Fatal("a 3× slower writer left every sample as it was")
+	}
+}
+
+// bankedRace runs the race under plan banked and unbanked and returns the
+// banked run's samples once they equal the unbanked run's.
+func bankedRace(t *testing.T, plan *fault.Plan) []string {
 	run := func(bank bool) []string {
-		rt := NewRuntime(Config{Ranks: 2, CoresPerNode: 2, Pgas: pgas.Config{Policy: pgas.WriteBackLazy}})
+		rt := NewRuntime(Config{Ranks: 2, CoresPerNode: 2, Pgas: pgas.Config{Policy: pgas.WriteBackLazy}, Faults: plan})
 		if !bank {
 			rt.Engine().NoBank()
 		}
@@ -76,4 +91,5 @@ func TestBankedRaceReadsAsUnbanked(t *testing.T) {
 		}
 		t.Fatalf("banked run took %d samples, unbanked %d", len(banked), len(unbanked))
 	}
+	return banked
 }

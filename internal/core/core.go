@@ -56,8 +56,8 @@ type Config struct {
 
 	// Faults, when non-nil, arms the deterministic fault-injection plan:
 	// link-degradation windows in the network model, transient RMA
-	// failures with retry/backoff, straggler windows scheduled as engine
-	// callbacks, and silent-data-corruption streams. Runs with the same
+	// failures with retry/backoff, ranks slowed for the whole run
+	// (stragglers), and silent-data-corruption streams. Runs with the same
 	// plan (same seed) are bit-identical; a nil plan leaves every hot
 	// path at a single nil-check.
 	Faults *fault.Plan
@@ -113,21 +113,11 @@ func NewRuntime(cfg Config) *Runtime {
 	comm := rma.New(eng, cfg.Ranks, net)
 	if inj != nil {
 		comm.SetFaults(inj) // transient RMA failures
-		// Straggler windows: engine callbacks flip each rank's time scale
-		// at the window boundaries (scheduled now, at virtual time zero,
-		// so they precede all process resumes at the same instants). A
-		// flip may fall inside a rank's banked charges, so such an engine
-		// banks none.
-		for _, sw := range inj.Plan().Stragglers {
-			if sw.Rank < 0 || sw.Rank >= cfg.Ranks {
-				continue
-			}
-			eng.NoBank()
-			r := comm.Rank(sw.Rank)
-			num, den := sw.Num, sw.Den
-			eng.At(sw.From, func() { r.SetSlowdown(num, den) })
-			if sw.To > sw.From {
-				eng.At(sw.To, func() { r.SetSlowdown(0, 0) })
+		// Stragglers are slow for the whole run: each rank's scale is set
+		// before any process runs, so every charge is made at it.
+		for _, s := range inj.Plan().Stragglers {
+			if s.Rank >= 0 && s.Rank < cfg.Ranks {
+				comm.Rank(s.Rank).SetSlowdown(s.Num, s.Den)
 			}
 		}
 	}
@@ -245,7 +235,6 @@ func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
 	if rt.inj != nil {
 		fs := rt.inj.Stats()
 		c["fault_injected_failures"] = fs.Injected
-		c["fault_budget_exhausted_ranks"] = fs.BudgetExhausted
 		for i, v := range rt.comm.RetriesByRank() {
 			c[fmt.Sprintf("rma_retries_rank_%02d", i)] = v
 		}
@@ -514,7 +503,7 @@ func (c *Ctx) Protected(fn func() uint64) uint64 {
 		// corrupt this segment for real. The flip lands in the first view
 		// the segment commits, or in the return value if it commits none.
 		if rt.inj != nil {
-			if sig, ok := rt.inj.CorruptTask(c.Now(), rank); ok {
+			if sig, ok := rt.inj.CorruptTask(rank); ok {
 				l := c.Local()
 				l.SdcArmFlip(sig)
 				ret := fn()
@@ -532,7 +521,7 @@ func (c *Ctx) Protected(fn func() uint64) uint64 {
 		var sig uint64
 		corrupted := false
 		if rt.inj != nil {
-			sig, corrupted = rt.inj.CorruptTask(c.Now(), rank)
+			sig, corrupted = rt.inj.CorruptTask(rank)
 		}
 		l.SdcArmDigest()
 		ret := fn()
@@ -552,14 +541,19 @@ func (c *Ctx) Protected(fn func() uint64) uint64 {
 }
 
 // Checkout claims [addr, addr+size) in the given mode, returning a view.
+// Checkout, MustCheckout and Checkin panic, naming both processes, when
+// made through a Ctx whose thread is not the one running — a child using
+// its parent's — which would otherwise run as whatever thread holds the
+// rank.
 func (c *Ctx) Checkout(addr pgas.Addr, size uint64, mode pgas.Mode) ([]byte, error) {
+	c.tb.Proc().MustRun("Checkout")
 	return c.Local().Checkout(addr, size, mode)
 }
 
 // MustCheckout is Checkout that panics on error, for workloads whose
 // accesses are statically known to fit the cache.
 func (c *Ctx) MustCheckout(addr pgas.Addr, size uint64, mode pgas.Mode) []byte {
-	v, err := c.Local().Checkout(addr, size, mode)
+	v, err := c.Checkout(addr, size, mode)
 	if err != nil {
 		panic(fmt.Sprintf("core: checkout(%#x,%d,%v): %v", addr, size, mode, err))
 	}
@@ -568,6 +562,7 @@ func (c *Ctx) MustCheckout(addr pgas.Addr, size uint64, mode pgas.Mode) []byte {
 
 // Checkin completes the matching Checkout.
 func (c *Ctx) Checkin(addr pgas.Addr, size uint64, mode pgas.Mode) {
+	c.tb.Proc().MustRun("Checkin")
 	if err := c.Local().Checkin(addr, size, mode); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}

@@ -3,10 +3,11 @@
 //
 // A Plan describes every fault a run will experience: link-degradation
 // windows (latency spikes, jitter, bandwidth collapse), transient one-sided
-// operation failures (timeout + retry), straggler windows (a rank's
-// compute advancing slower than nominal), and silent data corruption
-// (seeded bit flips in RMA payloads and task results). An Injector
-// executes a plan.
+// operation failures (timeout + retry), stragglers (a rank's compute
+// advancing slower than nominal for the whole run), and silent data
+// corruption (seeded bit flips in RMA payloads and task results). Only the
+// link faults have windows of virtual time; the rest hold from start to
+// end. An Injector executes a plan.
 // Every decision the injector makes — does this op fail, how much jitter
 // does this transfer get — is a pure function of the plan's seed and a
 // per-rank operation sequence number, never of host state. Because the
@@ -18,8 +19,8 @@
 // The package deliberately imports only internal/sim. The communication
 // layers reach it the other way around: netmodel declares a Perturber
 // interface that *Injector satisfies (link faults), and rma holds a
-// *Injector directly (transient-failure faults). Stragglers are armed by
-// internal/core as engine callbacks at window boundaries.
+// *Injector directly (transient-failure faults). internal/core slows each
+// straggler's rank when it builds the runtime, before any process runs.
 package fault
 
 import "ityr/internal/sim"
@@ -49,8 +50,6 @@ type LinkWindow struct {
 type RMAFaults struct {
 	// FailProb is the per-attempt failure probability (0 disables).
 	FailProb float64
-	// From and To bound the active window [From, To); To <= 0 = open.
-	From, To sim.Time
 	// Timeout is the deadline charged per failed attempt.
 	Timeout sim.Time
 	// BackoffMin and BackoffMax bound the exponential backoff.
@@ -58,18 +57,12 @@ type RMAFaults struct {
 	// MaxAttempts is the fail-stop bound: an op still failing after this
 	// many attempts panics (the simulated equivalent of a fatal MPI error).
 	MaxAttempts int
-	// RetryBudget bounds injected failures per origin rank; once a rank
-	// exhausts its budget the injector stops failing its ops (and counts
-	// the exhaustion), guaranteeing forward progress under any FailProb.
-	// 0 means unlimited.
-	RetryBudget uint64
 }
 
-// StragglerWindow slows one rank's compute during a window: every duration
-// the rank's processes charge is stretched by Num/Den (10/1 = 10× slower).
-type StragglerWindow struct {
+// Straggler slows one rank's compute for the whole run: every duration the
+// rank's processes charge is stretched by Num/Den (10/1 = 10× slower).
+type Straggler struct {
 	Rank     int
-	From, To sim.Time // [From, To); To <= 0 = until the end of the run
 	Num, Den int64
 }
 
@@ -91,11 +84,6 @@ type Corruption struct {
 	// result is corrupted: one bit of its committed writes (or of its
 	// return value when it writes nothing) flips (0 disables).
 	TaskProb float64
-	// From and To bound the active window [From, To); To <= 0 = open.
-	From, To sim.Time
-	// MaxFlips bounds injected flips per rank across both streams;
-	// 0 means unlimited.
-	MaxFlips uint64
 }
 
 // Plan is a complete, reproducible fault schedule.
@@ -104,7 +92,7 @@ type Plan struct {
 	Seed       int64
 	Links      []LinkWindow
 	RMA        RMAFaults
-	Stragglers []StragglerWindow
+	Stragglers []Straggler
 	Corrupt    Corruption
 }
 
@@ -128,8 +116,6 @@ func (p Plan) withDefaults() Plan {
 type Stats struct {
 	// Injected is the number of transient failures injected.
 	Injected uint64
-	// BudgetExhausted is the number of ranks whose retry budget ran out.
-	BudgetExhausted uint64
 	// WireFlips is the number of bit flips injected into RMA payloads.
 	WireFlips uint64
 	// TaskFlips is the number of task-result corruptions injected.
@@ -145,10 +131,8 @@ type Injector struct {
 	linkSeq   []uint64 // per-origin jitter counter
 	wireSeq   []uint64 // per-origin wire-corruption decision counter
 	taskSeq   []uint64 // per-rank task-corruption decision counter
-	injected  []uint64 // per-origin injected failures (budget accounting)
 	wireFlips []uint64 // per-origin injected wire flips (audit trail)
 	taskFlips []uint64 // per-rank injected task flips (audit trail)
-	exhausted []bool
 	stats     Stats
 }
 
@@ -161,10 +145,8 @@ func NewInjector(p Plan, ranks int) *Injector {
 		linkSeq:   make([]uint64, ranks),
 		wireSeq:   make([]uint64, ranks),
 		taskSeq:   make([]uint64, ranks),
-		injected:  make([]uint64, ranks),
 		wireFlips: make([]uint64, ranks),
 		taskFlips: make([]uint64, ranks),
-		exhausted: make([]bool, ranks),
 	}
 }
 
@@ -173,11 +155,6 @@ func (in *Injector) Plan() Plan { return in.plan }
 
 // Stats returns cumulative injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
-
-// InjectedByRank returns each origin rank's injected-failure count.
-func (in *Injector) InjectedByRank() []uint64 {
-	return append([]uint64(nil), in.injected...)
-}
 
 // WireFlipsByRank returns each origin rank's injected wire-flip count.
 func (in *Injector) WireFlipsByRank() []uint64 {
@@ -217,27 +194,19 @@ func (in *Injector) hash(stream, a, b, seq uint64) uint64 {
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // FailRMA decides whether the next one-sided op from origin to target
-// fails transiently at virtual time now. Each call consumes one step of
-// origin's decision stream, so the outcome depends only on the seed and
-// the (deterministic) per-rank operation order.
-func (in *Injector) FailRMA(now sim.Time, origin, target int) bool {
+// fails transiently. Each call consumes one step of origin's decision
+// stream, so the outcome depends only on the seed and the (deterministic)
+// per-rank operation order.
+func (in *Injector) FailRMA(origin, target int) bool {
 	r := &in.plan.RMA
-	if r.FailProb <= 0 || !inWindow(now, r.From, r.To) {
+	if r.FailProb <= 0 {
 		return false
 	}
 	seq := in.rmaSeq[origin]
 	in.rmaSeq[origin] = seq + 1
-	if r.RetryBudget > 0 && in.injected[origin] >= r.RetryBudget {
-		if !in.exhausted[origin] {
-			in.exhausted[origin] = true
-			in.stats.BudgetExhausted++
-		}
-		return false
-	}
 	if unit(in.hash(1, uint64(origin), uint64(target), seq)) >= r.FailProb {
 		return false
 	}
-	in.injected[origin]++
 	in.stats.Injected++
 	return true
 }
@@ -251,28 +220,19 @@ func (in *Injector) WireArmed() bool { return in.plan.Corrupt.WireProb > 0 }
 // TaskArmed reports whether the plan can corrupt task results.
 func (in *Injector) TaskArmed() bool { return in.plan.Corrupt.TaskProb > 0 }
 
-// corruptBudget reports whether rank's per-rank flip budget is exhausted.
-func (in *Injector) corruptBudget(rank int) bool {
-	m := in.plan.Corrupt.MaxFlips
-	return m > 0 && in.wireFlips[rank]+in.taskFlips[rank] >= m
-}
-
 // CorruptWire decides whether the payload of the next bulk Put/Get from
-// origin to target (nbytes long) is corrupted in flight at virtual time
-// now. On ok it returns the flipped bit's index in [0, nbytes*8), derived
-// from the same hash as the decision so placement is as reproducible as
-// the decision itself. Each armed call consumes one step of origin's
-// wire stream; a disarmed or out-of-window call consumes nothing.
-func (in *Injector) CorruptWire(now sim.Time, origin, target, nbytes int) (bit uint64, ok bool) {
+// origin to target (nbytes long) is corrupted in flight. On ok it returns
+// the flipped bit's index in [0, nbytes*8), derived from the same hash as
+// the decision so placement is as reproducible as the decision itself.
+// Each armed call consumes one step of origin's wire stream; a disarmed
+// call consumes nothing.
+func (in *Injector) CorruptWire(origin, target, nbytes int) (bit uint64, ok bool) {
 	c := &in.plan.Corrupt
-	if c.WireProb <= 0 || nbytes <= 0 || !inWindow(now, c.From, c.To) {
+	if c.WireProb <= 0 || nbytes <= 0 {
 		return 0, false
 	}
 	seq := in.wireSeq[origin]
 	in.wireSeq[origin] = seq + 1
-	if in.corruptBudget(origin) {
-		return 0, false
-	}
 	h := in.hash(4, uint64(origin), uint64(target), seq)
 	if unit(h) >= c.WireProb {
 		return 0, false
@@ -283,21 +243,18 @@ func (in *Injector) CorruptWire(now sim.Time, origin, target, nbytes int) (bit u
 }
 
 // CorruptTask decides whether rank's next protected task execution is
-// corrupted at virtual time now. On ok it returns a 64-bit flip signature
-// the caller maps onto the task's writes (one bit of the committed view)
-// or return value. Each armed call consumes one step of rank's task
-// stream — including replica executions, so two executions of the same
-// task draw independent decisions.
-func (in *Injector) CorruptTask(now sim.Time, rank int) (sig uint64, ok bool) {
+// corrupted. On ok it returns a 64-bit flip signature the caller maps onto
+// the task's writes (one bit of the committed view) or return value. Each
+// armed call consumes one step of rank's task stream — including replica
+// executions, so two executions of the same task draw independent
+// decisions.
+func (in *Injector) CorruptTask(rank int) (sig uint64, ok bool) {
 	c := &in.plan.Corrupt
-	if c.TaskProb <= 0 || !inWindow(now, c.From, c.To) {
+	if c.TaskProb <= 0 {
 		return 0, false
 	}
 	seq := in.taskSeq[rank]
 	in.taskSeq[rank] = seq + 1
-	if in.corruptBudget(rank) {
-		return 0, false
-	}
 	h := in.hash(5, uint64(rank), 0, seq)
 	if unit(h) >= c.TaskProb {
 		return 0, false
@@ -378,7 +335,7 @@ func (in *Injector) linkExtra(now sim.Time, a, b int, base sim.Time) sim.Time {
 }
 
 // Canned plans: the three fault scenarios `itybench faults` and the fault
-// test suite run. Windows are wide or open-ended so the plans bite at
+// test suite run. Link windows are wide or open-ended so the plans bite at
 // every benchmark scale.
 
 // PlanLinkDegraded injects cluster-wide link degradation: an early
@@ -415,11 +372,9 @@ func PlanFlakyRMA(seed int64) Plan {
 // scheduler's steal-victim blacklisting exists for.
 func PlanStraggler(seed int64) Plan {
 	return Plan{
-		Name: "straggler",
-		Seed: seed,
-		Stragglers: []StragglerWindow{
-			{Rank: 1, From: 0, To: 0, Num: 10, Den: 1},
-		},
+		Name:       "straggler",
+		Seed:       seed,
+		Stragglers: []Straggler{{Rank: 1, Num: 10, Den: 1}},
 		Links: []LinkWindow{
 			{From: 0, To: 0, Src: -1, Dst: 1, ExtraLatency: 3 * sim.Microsecond},
 		},

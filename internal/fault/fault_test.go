@@ -13,7 +13,7 @@ func TestFailRMADeterministic(t *testing.T) {
 		in := NewInjector(PlanFlakyRMA(seed), 4)
 		var out []bool
 		for i := 0; i < 2000; i++ {
-			out = append(out, in.FailRMA(sim.Time(i), i%4, (i+1)%4))
+			out = append(out, in.FailRMA(i%4, (i+1)%4))
 		}
 		return out
 	}
@@ -42,47 +42,39 @@ func TestFailRMADeterministic(t *testing.T) {
 	}
 }
 
-// TestFailRMAWindow: no failures outside [From, To).
+// TestFailRMAWindow: RMA failures have no window: at FailProb 1 every op
+// fails, from the first on.
 func TestFailRMAWindow(t *testing.T) {
 	p := PlanFlakyRMA(7)
 	p.RMA.FailProb = 1
-	p.RMA.From = 100
-	p.RMA.To = 200
 	in := NewInjector(p, 2)
-	for _, tc := range []struct {
-		now  sim.Time
-		want bool
-	}{{0, false}, {99, false}, {100, true}, {199, true}, {200, false}} {
-		if got := in.FailRMA(tc.now, 0, 1); got != tc.want {
-			t.Errorf("FailRMA at t=%d = %v, want %v", tc.now, got, tc.want)
+	for i := 0; i < 2; i++ {
+		if !in.FailRMA(0, 1) {
+			t.Errorf("op %d did not fail at FailProb 1", i)
 		}
 	}
 }
 
-// TestRetryBudget: per-origin budgets stop injection and count exhaustion
-// exactly once per rank.
+// TestRetryBudget: there is no retry budget: at FailProb 1 every op of
+// every origin fails, and Stats counts each injection.
 func TestRetryBudget(t *testing.T) {
 	p := PlanFlakyRMA(7)
 	p.RMA.FailProb = 1
-	p.RMA.RetryBudget = 3
 	in := NewInjector(p, 2)
 	fails := 0
 	for i := 0; i < 10; i++ {
-		if in.FailRMA(0, 0, 1) {
+		if in.FailRMA(0, 1) {
 			fails++
 		}
 	}
-	if fails != 3 {
-		t.Errorf("rank 0 injected %d failures, want budget 3", fails)
+	if fails != 10 {
+		t.Errorf("rank 0 injected %d failures, want 10", fails)
 	}
-	if got := in.Stats().BudgetExhausted; got != 1 {
-		t.Errorf("BudgetExhausted = %d, want 1", got)
+	if !in.FailRMA(1, 0) {
+		t.Errorf("rank 1's op should fail too")
 	}
-	if !in.FailRMA(0, 1, 0) {
-		t.Errorf("rank 1's budget should be untouched")
-	}
-	if got := in.InjectedByRank(); got[0] != 3 || got[1] != 1 {
-		t.Errorf("InjectedByRank = %v, want [3 1]", got)
+	if got := in.Stats().Injected; got != 11 {
+		t.Errorf("Injected = %d, want 11", got)
 	}
 }
 
@@ -153,9 +145,9 @@ func TestCorruptDeterministic(t *testing.T) {
 		p := Plan{Seed: seed, Corrupt: Corruption{WireProb: 0.05, TaskProb: 0.1}}
 		in := NewInjector(p, 4)
 		for i := 0; i < 2000; i++ {
-			b, ok := in.CorruptWire(sim.Time(i), i%4, (i+1)%4, 256)
+			b, ok := in.CorruptWire(i%4, (i+1)%4, 256)
 			wire = append(wire, flip{b, ok})
-			s, ok := in.CorruptTask(sim.Time(i), i%4)
+			s, ok := in.CorruptTask(i % 4)
 			task = append(task, flip{s, ok})
 		}
 		return wire, task
@@ -195,42 +187,34 @@ func TestCorruptDeterministic(t *testing.T) {
 	}
 }
 
-// TestCorruptWindowAndBudget: nothing flips outside [From, To); MaxFlips
-// caps the combined per-rank flip count; the audit trails record where
-// flips landed.
+// TestCorruptWindowAndBudget: corruption has no window and no flip budget:
+// at probability 1 every draw of either stream flips; the audit trails
+// record where flips landed.
 func TestCorruptWindowAndBudget(t *testing.T) {
-	p := Plan{Seed: 7, Corrupt: Corruption{
-		WireProb: 1, TaskProb: 1, From: 100, To: 200, MaxFlips: 3,
-	}}
+	p := Plan{Seed: 7, Corrupt: Corruption{WireProb: 1, TaskProb: 1}}
 	in := NewInjector(p, 2)
-	if _, ok := in.CorruptWire(50, 0, 1, 64); ok {
-		t.Errorf("wire flip before window")
-	}
-	if _, ok := in.CorruptTask(200, 0); ok {
-		t.Errorf("task flip at window close")
-	}
 	flips := 0
 	for i := 0; i < 10; i++ {
-		if _, ok := in.CorruptWire(150, 0, 1, 64); ok {
+		if _, ok := in.CorruptWire(0, 1, 64); ok {
 			flips++
 		}
-		if _, ok := in.CorruptTask(150, 0); ok {
+		if _, ok := in.CorruptTask(0); ok {
 			flips++
 		}
 	}
-	if flips != 3 {
-		t.Errorf("rank 0 injected %d flips, want budget 3", flips)
+	if flips != 20 {
+		t.Errorf("rank 0 injected %d flips, want 20", flips)
 	}
-	if _, ok := in.CorruptTask(150, 1); !ok {
-		t.Errorf("rank 1's flip budget should be untouched")
+	if _, ok := in.CorruptTask(1); !ok {
+		t.Errorf("rank 1's task should flip too")
 	}
 	wf, tf := in.WireFlipsByRank(), in.TaskFlipsByRank()
-	if wf[0]+tf[0] != 3 || wf[1]+tf[1] != 1 {
-		t.Errorf("audit trails = wire %v task %v, want rank sums [3 1]", wf, tf)
+	if wf[0]+tf[0] != 20 || wf[1]+tf[1] != 1 {
+		t.Errorf("audit trails = wire %v task %v, want rank sums [20 1]", wf, tf)
 	}
 	st := in.Stats()
-	if st.WireFlips+st.TaskFlips != 4 {
-		t.Errorf("Stats flips = %d+%d, want 4 total", st.WireFlips, st.TaskFlips)
+	if st.WireFlips+st.TaskFlips != 21 {
+		t.Errorf("Stats flips = %d+%d, want 21 total", st.WireFlips, st.TaskFlips)
 	}
 }
 
@@ -240,10 +224,10 @@ func TestCorruptWindowAndBudget(t *testing.T) {
 func TestCorruptDisabledZeroAlloc(t *testing.T) {
 	in := NewInjector(PlanFlakyRMA(7), 2)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := in.CorruptWire(100, 0, 1, 4096); ok {
+		if _, ok := in.CorruptWire(0, 1, 4096); ok {
 			t.Fatalf("disarmed wire stream injected a flip")
 		}
-		if _, ok := in.CorruptTask(100, 0); ok {
+		if _, ok := in.CorruptTask(0); ok {
 			t.Fatalf("disarmed task stream injected a flip")
 		}
 	})

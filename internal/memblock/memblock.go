@@ -143,9 +143,6 @@ func NewTable(nblocks, blockSize int, home bool) *Table {
 	return t
 }
 
-// BlockSize returns the block size in bytes.
-func (t *Table) BlockSize() int { return t.blockSize }
-
 // MappedCount returns how many blocks are currently mapped into the global
 // view (memory-mapping entries consumed, §4.3.2).
 func (t *Table) MappedCount() int { return t.mapped }

@@ -10,17 +10,18 @@ import (
 // memory than it can keep mapped.
 func TestHomeBlockEvictionUnderMapBudget(t *testing.T) {
 	cfg := Config{
-		BlockSize:     256,
-		SubBlockSize:  64,
-		CacheSize:     4096,
-		MaxHomeBlocks: 4, // only 4 home blocks mappable at once
-		Policy:        WriteBack,
+		BlockSize:    256,
+		SubBlockSize: 64,
+		CacheSize:    4096,
+		Policy:       WriteBack,
 	}
+	// 16 blocks more of local home memory (about 1 MiB) than can be mapped
+	// at once, all accessed round-robin twice.
+	const n = maxHomeBlocks + 16
 	s := testCluster(t, 1, 1, cfg, func(l *Local) {
-		// 16 blocks of local home memory, all accessed round-robin twice.
-		base := l.AllocCollective(16*256, BlockDist)
+		base := l.AllocCollective(n*256, BlockDist)
 		for pass := 0; pass < 2; pass++ {
-			for b := 0; b < 16; b++ {
+			for b := 0; b < n; b++ {
 				addr := base + Addr(b*256)
 				if pass == 0 {
 					v, err := l.Checkout(addr, 256, Write)
@@ -44,9 +45,10 @@ func TestHomeBlockEvictionUnderMapBudget(t *testing.T) {
 			}
 		}
 	})
-	// 32 block accesses through a 4-entry table must have evicted.
-	if s.Stats.Mmaps < 16 {
-		t.Fatalf("only %d mmaps; home blocks were not remapped under pressure", s.Stats.Mmaps)
+	// 2n block accesses through a table of maxHomeBlocks entries must have
+	// evicted and mapped blocks again.
+	if s.Stats.Mmaps <= n {
+		t.Fatalf("only %d mmaps for %d blocks; home blocks were not remapped under pressure", s.Stats.Mmaps, n)
 	}
 }
 
@@ -54,31 +56,32 @@ func TestHomeBlockEvictionUnderMapBudget(t *testing.T) {
 // exception also applies to the home-block table (footnote path of §4.3.2).
 func TestHomeBlocksPinnedWhileCheckedOut(t *testing.T) {
 	cfg := Config{
-		BlockSize:     256,
-		SubBlockSize:  64,
-		CacheSize:     4096,
-		MaxHomeBlocks: 2,
-		Policy:        WriteBack,
+		BlockSize:    256,
+		SubBlockSize: 64,
+		CacheSize:    4096,
+		Policy:       WriteBack,
 	}
 	testCluster(t, 1, 1, cfg, func(l *Local) {
-		base := l.AllocCollective(8*256, BlockDist)
-		// Pin both home blocks.
-		if _, err := l.Checkout(base, 256, Read); err != nil {
-			t.Fatal(err)
+		base := l.AllocCollective((maxHomeBlocks+1)*256, BlockDist)
+		// Pin every home block the table holds: 1 MiB checked out.
+		for b := 0; b < maxHomeBlocks; b++ {
+			if _, err := l.Checkout(base+Addr(b*256), 256, Read); err != nil {
+				t.Fatalf("block %d: %v", b, err)
+			}
 		}
-		if _, err := l.Checkout(base+256, 256, Read); err != nil {
-			t.Fatal(err)
-		}
-		// A third mapping cannot be made while both are pinned.
-		if _, err := l.Checkout(base+512, 256, Read); err == nil {
+		// One more mapping cannot be made while all are pinned.
+		last := base + maxHomeBlocks*256
+		if _, err := l.Checkout(last, 256, Read); err == nil {
 			t.Fatal("checkout beyond the home-block budget succeeded while pinned")
 		}
 		l.Checkin(base, 256, Read)
 		// Now one entry is evictable.
-		if _, err := l.Checkout(base+512, 256, Read); err != nil {
+		if _, err := l.Checkout(last, 256, Read); err != nil {
 			t.Fatalf("checkout after unpin failed: %v", err)
 		}
-		l.Checkin(base+512, 256, Read)
-		l.Checkin(base+256, 256, Read)
+		l.Checkin(last, 256, Read)
+		for b := 1; b < maxHomeBlocks; b++ {
+			l.Checkin(base+Addr(b*256), 256, Read)
+		}
 	})
 }

@@ -291,7 +291,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	last := (addr + size - 1) / bs
 	for bid := first; bid <= last; bid++ {
 		g0 := Addr(bid * bs)
-		req := region.Interval{Lo: uint64(maxAddr(g0, addr)), Hi: uint64(minAddr(g0+Addr(bs), addr+Addr(size)))}
+		req := region.Interval{Lo: uint64(max(g0, addr)), Hi: uint64(min(g0+Addr(bs), addr+Addr(size)))}
 		homeRank, segOff0 := a.homeOf(g0, bs)
 		l.rank.Proc().Charge(costCheckoutBlock)
 
@@ -614,17 +614,3 @@ func (l *Local) Put(src []byte, addr Addr) error {
 // OutstandingCheckouts returns the number of unmatched checkouts, used to
 // verify checkout/checkin pairing at thread switch points.
 func (l *Local) OutstandingCheckouts() int { return len(l.outstanding) }
-
-func maxAddr(a, b Addr) Addr {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minAddr(a, b Addr) Addr {
-	if a < b {
-		return a
-	}
-	return b
-}

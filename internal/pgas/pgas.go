@@ -116,8 +116,6 @@ type Config struct {
 	// CacheSize is the per-process software cache capacity in bytes
 	// (128 MiB in the paper; scaled down by default here).
 	CacheSize int
-	// MaxHomeBlocks bounds simultaneously mapped home blocks (§4.3.2).
-	MaxHomeBlocks int
 	// Policy selects the cache policy.
 	Policy Policy
 
@@ -145,9 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 16 << 20
 	}
-	if c.MaxHomeBlocks == 0 {
-		c.MaxHomeBlocks = 4096
-	}
 	if c.SubBlockSize > c.BlockSize || c.BlockSize%c.SubBlockSize != 0 {
 		panic(fmt.Sprintf("pgas: sub-block size %d must divide block size %d", c.SubBlockSize, c.BlockSize))
 	}
@@ -157,6 +152,10 @@ func (c Config) withDefaults() Config {
 // maxMapEntries bounds memory-mapping entries per process
 // (vm.max_map_count; 65530 in the paper's environment).
 const maxMapEntries = 65530
+
+// maxHomeBlocks bounds a process's simultaneously mapped home blocks
+// (§4.3.2); the rest of its home memory is mapped on demand.
+const maxHomeBlocks = 4096
 
 // Operation cost constants (virtual time). These model the local CPU cost
 // of cache bookkeeping; communication costs come from the network model.

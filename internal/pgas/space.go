@@ -143,9 +143,9 @@ func New(comm *rma.Comm, cfg Config) *Space {
 	if cacheBlocks < 1 {
 		cacheBlocks = 1
 	}
-	if need := 2*cacheBlocks + 2*cfg.MaxHomeBlocks + 1; need > maxMapEntries {
+	if need := 2*cacheBlocks + 2*maxHomeBlocks + 1; need > maxMapEntries {
 		panic(fmt.Sprintf("pgas: cache of %d blocks + %d home blocks needs %d mapping entries > limit %d (§4.3.2)",
-			cacheBlocks, cfg.MaxHomeBlocks, need, maxMapEntries))
+			cacheBlocks, maxHomeBlocks, need, maxMapEntries))
 	}
 	s.locals = make([]Local, n)
 	// The per-rank noncollective pseudo-allocations come out of one slab
@@ -157,7 +157,7 @@ func New(comm *rma.Comm, cfg Config) *Space {
 			space: s,
 			rank:  comm.Rank(i),
 			cache: memblock.NewTable(cacheBlocks, cfg.BlockSize, false),
-			home:  memblock.NewTable(cfg.MaxHomeBlocks, cfg.BlockSize, true),
+			home:  memblock.NewTable(maxHomeBlocks, cfg.BlockSize, true),
 		}
 		// A pseudo-allocation per rank describing its noncollective region
 		// keeps address resolution uniform.
@@ -221,9 +221,6 @@ func (s *Space) ReleaseCaches() {
 
 // Local returns rank i's handle.
 func (s *Space) Local(i int) *Local { return &s.locals[i] }
-
-// BlockSize returns the memory-block size.
-func (s *Space) BlockSize() int { return s.cfg.BlockSize }
 
 // findAlloc locates the live allocation containing [addr, addr+size).
 func (s *Space) findAlloc(addr Addr, size uint64) (*allocation, error) {

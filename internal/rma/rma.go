@@ -302,7 +302,6 @@ func (r *Rank) Attach(p *sim.Proc) {
 
 // SetSlowdown makes every duration charged on this rank advance num/den
 // times slower (10/1 = a 10× straggler); num <= 0 restores nominal speed.
-// Safe to call from engine callbacks at fault-window boundaries.
 func (r *Rank) SetSlowdown(num, den int64) {
 	r.slowNum, r.slowDen = num, den
 	if r.proc != nil {
@@ -366,7 +365,7 @@ func (r *Rank) nextRetry(rt *retry) (wait sim.Time, failed bool) {
 				ErrRetriesExhausted, r.id, rt.target, rt.attempt, in.Plan().Name))
 		}
 	}
-	if !in.FailRMA(now, r.id, rt.target) {
+	if !in.FailRMA(r.id, rt.target) {
 		return 0, false
 	}
 	rt.attempt++
@@ -391,7 +390,7 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 		return
 	}
 	for attempt := 1; ; attempt++ {
-		bit, ok := in.CorruptWire(r.proc.Now(), r.id, target, len(landed))
+		bit, ok := in.CorruptWire(r.id, target, len(landed))
 		if !ok {
 			return
 		}

@@ -227,6 +227,27 @@ func TestNoBankCharges(t *testing.T) {
 	}
 }
 
+// TestTimeScaleDuringReplayPanics: a process replaying a bank was promised
+// the instant its Now read, summed at the scale of its charges, so changing
+// its scale mid-replay panics, naming it, instead of moving that instant.
+func TestTimeScaleDuringReplayPanics(t *testing.T) {
+	e := NewEngine()
+	slow := e.Spawn("slow", func(p *Proc) {
+		p.Charge(10)
+		p.Charge(10)
+		p.Sync() // a bank of two: replayed, asleep until 10 and then 20
+	})
+	e.Spawn("other", func(p *Proc) {
+		p.Advance(5)
+		slow.SetTimeScale(3, 1)
+	})
+	end := underWatchdog(t, func() { _ = e.Run() })
+	msg, _ := end.panicked.(string)
+	if want := `sim: SetTimeScale on process "slow" while it replays its bank`; msg != want {
+		t.Fatalf("Run ended %+v, want a panic %q", end, want)
+	}
+}
+
 // TestStaleHandlePanics: a blocking call on a process that is not the one
 // running — a handle one process kept of another — panics naming both,
 // instead of banking time on a process that is parked.

@@ -95,9 +95,10 @@
 //     they do). Only the running process can hold a bank, so its total
 //     lives on the Engine; its first sleep is on the Proc and the rest,
 //     which a replay hands out, on the process's carrier. A bank of one
-//     sleep is taken as that sleep's Advance. An engine whose time scales
-//     flip mid-run (NoBank) banks nothing: Now would read the bank at the
-//     old scale.
+//     sleep is taken as that sleep's Advance. A bank is summed at the time
+//     scale in force when each charge is made, so a process's scale may
+//     change only while it holds no bank: SetTimeScale on itself syncs
+//     first, and on a process replaying its bank it panics.
 //
 // A pop takes the earliest of the heap's top and the lane and run heads, and
 // the zero-handoff test looks at all of them; the order is total, so the
@@ -114,8 +115,8 @@
 // A callback scheduled with At and a step handed to AdvanceFunc run between
 // process executions, on the stack of whatever is dispatching: the driver,
 // or a process that yielded and is running the event loop inline. Both may
-// read and write simulation state, schedule callbacks (At, After), Wake
-// processes and flip time scales; neither may block — there is no process
+// read and write simulation state, schedule callbacks (At, After) and Wake
+// processes; neither may block — there is no process
 // of their own to suspend. A step that calls Advance, Park or AdvanceFunc
 // on its process panics with a message naming the call. During a step
 // Engine.Current is the stepping process (during a callback it is nil).
@@ -329,7 +330,7 @@ type Engine struct {
 	// lines as they did before.
 	lanes  [sleepLanes]lane
 	nlanes int32
-	nobank bool // Charge is Advance (NoBank)
+	nobank bool // Charge is Advance (NoBank; tests only)
 	wakes  lane
 	spare  *laneBlock
 
@@ -419,9 +420,8 @@ func NewEngine() *Engine {
 // process's, its banked charges included.
 func (e *Engine) Now() Time { return e.now + e.bank }
 
-// NoBank makes Proc.Charge an Advance on this engine. An engine on which
-// time scales may flip mid-run needs it: a bank is summed at the scale in
-// force when each charge is made, and Now would read that sum.
+// NoBank makes Proc.Charge an Advance on this engine: the unbanked
+// reference that tests hold a banked run to. The runtime never sets it.
 func (e *Engine) NoBank() { e.nobank = true }
 
 // sync has the running process take its bank, if it holds one, before a
@@ -834,7 +834,7 @@ func (p *Proc) Now() Time { return p.eng.now + p.eng.bank }
 // With sleeps banked by Charge, Advance adds d to them and takes the lot
 // (Sync).
 func (p *Proc) Advance(d Time) {
-	p.mustRun("Advance")
+	p.MustRun("Advance")
 	if p.eng.bank != 0 {
 		l := p.car.charges()
 		l.d = append(l.d, nonNegative(d))
@@ -854,7 +854,7 @@ func (p *Proc) Advance(d Time) {
 // process may. A charge of zero, which exists to let same-instant events
 // interleave, is an Advance.
 func (p *Proc) Charge(d Time) {
-	p.mustRun("Charge")
+	p.MustRun("Charge")
 	e := p.eng
 	if s := p.scaled(d); s > 0 && !e.nobank {
 		if e.bank == 0 {
@@ -877,7 +877,7 @@ func (p *Proc) Charge(d Time) {
 // at most once. Without a bank Sync does nothing.
 func (p *Proc) Sync() {
 	if p.eng.bank != 0 {
-		p.mustRun("Sync")
+		p.MustRun("Sync")
 		p.takeBank()
 	}
 }
@@ -917,9 +917,11 @@ func (p *Proc) nextStep() (Time, bool) {
 	return d, false
 }
 
-// mustRun panics unless p may make the blocking call call: p is the running
-// process, and not in an AdvanceFunc step.
-func (p *Proc) mustRun(call string) {
+// MustRun panics, naming both processes, unless p may make the blocking
+// call call: p is the running process, and not in an AdvanceFunc step. The
+// kernel's blocking calls check it, and so may a layer above whose call
+// acts as p.
+func (p *Proc) MustRun(call string) {
 	if p.step != nil {
 		blockedInStep(call)
 	}
@@ -992,7 +994,7 @@ func blockedInStep(call string) {
 //
 // A bank p holds is taken first.
 func (p *Proc) AdvanceFunc(d Time, step func() (next Time, done bool)) {
-	p.mustRun("AdvanceFunc")
+	p.MustRun("AdvanceFunc")
 	p.eng.sync()
 	p.step = step
 	p.stepLoop(d)
@@ -1018,14 +1020,17 @@ func (p *Proc) stepLoop(d Time) {
 // modelling a process whose core runs slower than nominal (a straggler:
 // 10/1 means ten times slower). SetTimeScale(0, 0) — or any num <= 0 —
 // restores nominal speed. The scale applies at Advance time only; it never
-// reinterprets durations already charged, so it may be flipped mid-run
-// (e.g. from an engine callback at a fault-window boundary). Unlike most
-// Proc methods it touches only this process's fields, so it may be called
-// from any process or engine callback; called by a process on itself, it
-// takes the process's bank first.
+// reinterprets durations already slept. Unlike most Proc methods it touches
+// only this process's fields, so another process may call it too. Called
+// by a process on itself, it takes the process's bank first; called on a
+// process that is replaying a bank it panics, because the bank was summed
+// at the old scale and Now has already read it.
 func (p *Proc) SetTimeScale(num, den int64) {
 	if num > 0 && den <= 0 {
 		panic("sim: SetTimeScale with non-positive denominator")
+	}
+	if p.replays {
+		panic(fmt.Sprintf("sim: SetTimeScale on process %q while it replays its bank", p.Name))
 	}
 	if p == p.eng.current {
 		p.eng.sync()
@@ -1037,7 +1042,7 @@ func (p *Proc) SetTimeScale(num, den int64) {
 // calls Wake. If Wake was already called since the last Park, the permit is
 // consumed and Park returns immediately without yielding the clock.
 func (p *Proc) Park() {
-	p.mustRun("Park")
+	p.MustRun("Park")
 	p.eng.sync()
 	if p.permits > 0 {
 		p.permits--

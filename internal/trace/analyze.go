@@ -266,8 +266,7 @@ func resilienceReport(w io.Writer, snap *MetricsDoc) {
 	}
 	fmt.Fprintf(w, "\nresilience (whole-run counters):\n")
 	if retries != 0 || blacklists != 0 || injected != 0 {
-		fmt.Fprintf(w, "  injected failures   %d  (budget exhausted on %d rank(s))\n",
-			injected, snap.Counters["fault_budget_exhausted_ranks"])
+		fmt.Fprintf(w, "  injected failures   %d\n", injected)
 		fmt.Fprintf(w, "  rma retries         %d  (%d ns of timeout+backoff stall)\n",
 			retries, snap.Counters["rma_retry_stall_ns"])
 		fmt.Fprintf(w, "  steal timeouts      %d   blacklists %d   redirected picks %d\n",
