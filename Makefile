@@ -118,6 +118,10 @@ fuzz-matrix:
 # Then the negative control: the same cilksort under -sdc (task-result bit
 # flips, defenses down) must exit 1, and its report must flag the
 # undetected escapes and print the per-rank table.
+# Then the other two app commands, utsmem and a small fmm, traced through
+# the same report, which must not warn either; and each once under -sdc
+# -replicate 1, which must exit 0 and print the SDC summary line in the
+# bytes every command prints it in (obs.SDCSummary), with no escape.
 # Leaves obs-smoke.* in the checkout (git-ignored); CI uploads the profile
 # and the report.
 obs-smoke:
@@ -133,6 +137,16 @@ obs-smoke:
 	$(GO) run ./cmd/itytrace obs-smoke.sdc.trace > obs-smoke.sdc.report.txt
 	@grep -q 'UNDETECTED ESCAPE' obs-smoke.sdc.report.txt || { echo "make obs-smoke: the -sdc report flags no escape"; exit 1; }
 	@grep -q 'sdc per-rank corruption' obs-smoke.sdc.report.txt || { echo "make obs-smoke: the -sdc report has no per-rank table"; exit 1; }
+	$(GO) run ./cmd/utsmem -ranks 8 -trace obs-smoke.utsmem.trace > obs-smoke.utsmem.out
+	$(GO) run ./cmd/itytrace obs-smoke.utsmem.trace > obs-smoke.utsmem.report.txt
+	$(GO) run ./cmd/fmm -n 2000 -ranks 16 -trace obs-smoke.fmm.trace > obs-smoke.fmm.out
+	$(GO) run ./cmd/itytrace obs-smoke.fmm.trace > obs-smoke.fmm.report.txt
+	@if grep -E '^WARNING' obs-smoke.utsmem.report.txt obs-smoke.fmm.report.txt; then echo "make obs-smoke: a report warns"; exit 1; fi
+	$(GO) run ./cmd/utsmem -ranks 8 -sdc -replicate 1 > obs-smoke.utsmem.sdc.out
+	$(GO) run ./cmd/fmm -n 2000 -ranks 16 -sdc -replicate 1 > obs-smoke.fmm.sdc.out
+	@for f in obs-smoke.utsmem.sdc.out obs-smoke.fmm.sdc.out; do \
+		grep -Eq '^  sdc {8}protected=[0-9]+ replicas=[0-9]+ detected=[0-9]+ recovered=[0-9]+ escaped=0$$' $$f || \
+		{ echo "make obs-smoke: $$f has no SDC summary line with zero escapes"; exit 1; }; done
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -44,11 +44,7 @@ func main() {
 			fmt.Printf("  steals=%d forks=%d cache: fetched %.2f MB, written back %.2f MB\n",
 				rt.Sched().Stats.Steals, rt.Sched().Stats.Forks,
 				float64(rt.Space().Stats.FetchBytes)/1e6, float64(rt.Space().Stats.WriteBackBytes)/1e6)
-			if p := rt.Protector(); p != nil {
-				st := p.Stats
-				fmt.Printf("  sdc            protected=%d replicas=%d detected=%d recovered=%d escaped=%d\n",
-					st.Protected, st.Replicas, st.Detected, st.Recovered, st.Escaped)
-			}
+			obs.SDCSummary(rt, 15)
 			if p.Verify {
 				fmt.Printf("  verify         %v\n", res.Verified)
 			}

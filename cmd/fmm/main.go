@@ -52,11 +52,7 @@ func main() {
 			fmt.Printf("  steals=%d cache: fetched %.2f MB, written back %.2f MB\n",
 				rt.Sched().Stats.Steals,
 				float64(rt.Space().Stats.FetchBytes)/1e6, float64(rt.Space().Stats.WriteBackBytes)/1e6)
-			if p := rt.Protector(); p != nil {
-				st := p.Stats
-				fmt.Printf("  sdc        protected=%d replicas=%d detected=%d recovered=%d escaped=%d\n",
-					st.Protected, st.Replicas, st.Detected, st.Recovered, st.Escaped)
-			}
+			obs.SDCSummary(rt, 11)
 			if p.Verify {
 				ref := fmm.DirectHost(bodies)
 				fmt.Printf("  accuracy   potential rel-RMS %.2e, accel rel-RMS %.2e\n",

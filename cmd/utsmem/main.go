@@ -43,11 +43,7 @@ func main() {
 			fmt.Printf("  steals=%d cache: fetched %.2f MB (%.0f%% hit by bytes)\n",
 				rt.Sched().Stats.Steals, float64(rt.Space().Stats.FetchBytes)/1e6,
 				100*float64(rt.Space().Stats.HitBytes)/float64(rt.Space().Stats.HitBytes+rt.Space().Stats.FetchBytes+1))
-			if p := rt.Protector(); p != nil {
-				st := p.Stats
-				fmt.Printf("  sdc        protected=%d replicas=%d detected=%d recovered=%d escaped=%d\n",
-					st.Protected, st.Replicas, st.Detected, st.Recovered, st.Escaped)
-			}
+			obs.SDCSummary(rt, 11)
 			if !res.Verified {
 				fmt.Fprintf(os.Stderr, "MISMATCH: built %d, traversed %d\n", res.Built, res.Counted)
 			}

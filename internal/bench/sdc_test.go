@@ -34,16 +34,17 @@ func TestSDCNegativeControl(t *testing.T) {
 			if fs.TaskFlips == 0 {
 				t.Fatalf("plan injected no task flips")
 			}
-			p := rt.Protector()
-			if p == nil {
-				t.Fatalf("no protector for escape accounting")
+			c := rt.MetricsSnapshot().Counters
+			escaped, ok := c["sdc_escaped"]
+			if !ok {
+				t.Fatalf("no SDC ledger for escape accounting")
 			}
-			if p.Stats.Escaped == 0 {
+			if escaped == 0 {
 				t.Errorf("injected %d flips but recorded no escapes", fs.TaskFlips)
 			}
-			if p.Stats.Escaped != fs.TaskFlips {
+			if escaped != fs.TaskFlips {
 				t.Errorf("escaped %d != injected %d: with replication off every flip must escape",
-					p.Stats.Escaped, fs.TaskFlips)
+					escaped, fs.TaskFlips)
 			}
 		})
 	}
@@ -63,17 +64,17 @@ func TestSDCFullReplicationDetectsAll(t *testing.T) {
 				t.Errorf("%s failed verification with full replication", app.Name)
 			}
 			fs := rt.Injector().Stats()
-			st := rt.Protector().Stats
+			c := rt.MetricsSnapshot().Counters
 			if fs.TaskFlips == 0 {
 				t.Fatalf("plan injected no task flips")
 			}
-			if st.Escaped != 0 {
-				t.Errorf("%d corruption(s) escaped full replication", st.Escaped)
+			if c["sdc_escaped"] != 0 {
+				t.Errorf("%d corruption(s) escaped full replication", c["sdc_escaped"])
 			}
-			if st.Detected == 0 || st.Detected < fs.TaskFlips {
-				t.Errorf("detected %d < injected %d", st.Detected, fs.TaskFlips)
+			if c["sdc_detected"] == 0 || c["sdc_detected"] < fs.TaskFlips {
+				t.Errorf("detected %d < injected %d", c["sdc_detected"], fs.TaskFlips)
 			}
-			if st.Recovered == 0 {
+			if c["sdc_recovered"] == 0 {
 				t.Errorf("no protocols recorded as recovered")
 			}
 		})
@@ -91,17 +92,17 @@ func TestSDCCombinedFlakyRecovery(t *testing.T) {
 	if !verified {
 		t.Errorf("cilksort failed verification under sdc-storm with full replication")
 	}
-	st := rt.Protector().Stats
+	c := rt.MetricsSnapshot().Counters
 	cs := rt.Comm().Stats()
 	if rt.Injector().Stats().Injected == 0 || cs.Retries == 0 {
 		t.Errorf("storm plan did not engage the RMA failure machinery (injected=%d retries=%d)",
 			rt.Injector().Stats().Injected, cs.Retries)
 	}
-	if st.Detected == 0 || st.Recovered == 0 {
-		t.Errorf("storm plan detected=%d recovered=%d; want both > 0", st.Detected, st.Recovered)
+	if c["sdc_detected"] == 0 || c["sdc_recovered"] == 0 {
+		t.Errorf("storm plan detected=%d recovered=%d; want both > 0", c["sdc_detected"], c["sdc_recovered"])
 	}
-	if st.Escaped != 0 {
-		t.Errorf("%d corruption(s) escaped full replication", st.Escaped)
+	if c["sdc_escaped"] != 0 {
+		t.Errorf("%d corruption(s) escaped full replication", c["sdc_escaped"])
 	}
 }
 

@@ -54,10 +54,11 @@ type Config struct {
 
 	HostProcs int // ignored; kept only for the frozen benchmark module; removed by ROADMAP 7(d)
 
-	// Faults, when non-nil, arms the deterministic fault-injection plan:
-	// link-degradation windows in the network model, transient RMA
-	// failures with retry/backoff, ranks slowed for the whole run
-	// (stragglers), and silent-data-corruption streams. Runs with the same
+	// Faults, when non-nil, arms the deterministic fault-injection plan
+	// (in one call, rma.Comm.SetFaults): link-degradation windows on
+	// remote ops, transient RMA failures with retry/backoff, ranks slowed
+	// for the whole run (stragglers), and silent-data-corruption streams,
+	// the task one drawn by Ctx.Protected. Runs with the same
 	// plan (same seed) are bit-identical; a nil plan leaves every hot
 	// path at a single nil-check.
 	Faults *fault.Plan
@@ -70,7 +71,7 @@ type Config struct {
 	// corruption plan without defenses is the negative control whose
 	// flips reach program output. Nil keeps every hot path at a
 	// nil-check, adding zero simulated-time events (digest-pinned).
-	SDC *uth.SDCConfig
+	SDC *SDCConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -93,7 +94,7 @@ type Runtime struct {
 	sched *uth.Sched
 	rec   *trace.Recorder
 	inj   *fault.Injector
-	prot  *uth.Protector
+	repl  *replicator
 }
 
 // NewRuntime builds a runtime from cfg.
@@ -105,21 +106,11 @@ func NewRuntime(cfg Config) *Runtime {
 		net.CoresPerNode = cfg.CoresPerNode
 	}
 	eng := sim.NewEngine()
+	comm := rma.New(eng, cfg.Ranks, net)
 	var inj *fault.Injector
 	if cfg.Faults != nil {
 		inj = fault.NewInjector(*cfg.Faults, cfg.Ranks)
-		net.Perturb = inj // link-degradation windows
-	}
-	comm := rma.New(eng, cfg.Ranks, net)
-	if inj != nil {
-		comm.SetFaults(inj) // transient RMA failures
-		// Stragglers are slow for the whole run: each rank's scale is set
-		// before any process runs, so every charge is made at it.
-		for _, s := range inj.Plan().Stragglers {
-			if s.Rank >= 0 && s.Rank < cfg.Ranks {
-				comm.Rank(s.Rank).SetSlowdown(s.Num, s.Den)
-			}
-		}
+		comm.SetFaults(inj) // the whole plan: links, failures, wire flips, stragglers
 	}
 	// One recorder serves every layer; the ones built below take it from comm.
 	var tl *trace.Log
@@ -140,26 +131,26 @@ func NewRuntime(cfg Config) *Runtime {
 		// offending rank; the scheduler records which thread holds it.
 		space.TaskOf = sched.CurrentTID
 	}
-	// The SDC protector exists whenever defenses are configured OR a plan
+	// Task replication exists whenever defenses are configured OR a plan
 	// can corrupt task results or wire payloads: the latter case (defenses
-	// off) still needs the protector's ledger, which MetricsSnapshot reports
-	// the escapes through, for the negative control. Without SDC config it
-	// draws nothing, so arming it moves no simulated number.
-	// Its seed decorrelates selection from the scheduler's victim streams.
-	var protector *uth.Protector
+	// off) still needs its ledger, which MetricsSnapshot reports the
+	// escapes through, for the negative control. Without SDC config it
+	// draws nothing, so arming it moves no simulated number. Its seed
+	// decorrelates selection from the scheduler's victim streams. The
+	// defenses also arm the wire checksum, with the same replay bound.
+	var repl *replicator
 	if cfg.SDC != nil || (inj != nil && (inj.TaskArmed() || inj.WireArmed())) {
-		protector = uth.NewProtector(sched, cfg.SDC, cfg.Seed+1)
+		repl = newReplicator(cfg.Ranks, cfg.SDC, cfg.Seed+1)
+	}
+	if cfg.SDC != nil {
+		comm.SetSDCVerify(maxReplays)
 	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
-		rec: rec, inj: inj, prot: protector}
+		rec: rec, inj: inj, repl: repl}
 }
 
 // Injector returns the armed fault injector (nil unless Config.Faults).
 func (rt *Runtime) Injector() *fault.Injector { return rt.inj }
-
-// Protector returns the SDC task-replication protector (nil unless
-// Config.SDC or a task- or wire-corrupting fault plan is armed).
-func (rt *Runtime) Protector() *uth.Protector { return rt.prot }
 
 // Trace returns the event log (nil unless Config.Trace was set).
 func (rt *Runtime) Trace() *trace.Log { return rt.rec.Log() }
@@ -242,21 +233,21 @@ func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
 	// SDC: sdc_detected/sdc_recovered/sdc_escaped combine the task
 	// (replication) and wire (checksum) sides; the per-rank
 	// injected-vs-detected pairs feed the itytrace resilience table.
-	if rt.prot != nil {
-		ts, ws := rt.prot.Stats, rt.comm.SdcWire()
-		c["sdc_protected_tasks"] = ts.Protected
-		c["replica_tasks"] = ts.Replicas
-		c["sdc_detected"] = ts.Detected + ws.Detected
-		c["sdc_recovered"] = ts.Recovered + ws.Retrans
-		c["sdc_escaped"] = ts.Escaped + ws.Escapes
+	if p := rt.repl; p != nil {
+		ws := rt.comm.SdcWire()
+		c["sdc_protected_tasks"] = p.protected
+		c["replica_tasks"] = p.replicas
+		c["sdc_detected"] = p.detected + ws.Detected
+		c["sdc_recovered"] = p.recovered + ws.Retrans
+		c["sdc_escaped"] = p.escaped + ws.Escapes
 		c["sdc_wire_flips"] = ws.Flips
 		c["sdc_wire_retrans"] = ws.Retrans
 		if rt.inj != nil {
 			fs := rt.inj.Stats()
 			c["sdc_injected_flips"] = fs.WireFlips + fs.TaskFlips
 			wf, tf := rt.inj.WireFlipsByRank(), rt.inj.TaskFlipsByRank()
-			det, wdet := rt.prot.DetectedByRank(), rt.comm.SdcWireDetectedByRank()
-			esc, wesc := rt.prot.EscapedByRank(), rt.comm.SdcWireEscapesByRank()
+			det, wdet := p.detectedBy, rt.comm.SdcWireDetectedByRank()
+			esc, wesc := p.escapedBy, rt.comm.SdcWireEscapesByRank()
 			for i := range wf {
 				c[fmt.Sprintf("sdc_injected_rank_%02d", i)] = wf[i] + tf[i]
 				c[fmt.Sprintf("sdc_detected_rank_%02d", i)] = det[i] + wdet[i]
@@ -476,69 +467,6 @@ func (c *Ctx) ChargeAs(cat string, d sim.Time) {
 
 // Yield lets long-running leaf code service lazy-release polls.
 func (c *Ctx) Yield() { c.tb.Yield() }
-
-// Protected executes fn — a fork-free task segment returning a 64-bit
-// result — under the silent-data-corruption protocol. With neither
-// defenses nor a task-corrupting plan armed it is exactly fn() (zero
-// simulated-time events, digest-pinned). Otherwise a seeded fraction of
-// calls (Config.SDC.Replicate) re-execute on a replica rank and compare
-// a streaming digest over the segment's committed writes and result,
-// re-running on mismatch and fail-stopping past MaxReplays; unreplicated
-// calls under a corrupting plan may have one bit of their writes (or of
-// their result, if they write nothing) flipped — a real escape.
-//
-// fn must be fork-free and replay-stable: re-executed from the same
-// committed state it must produce the same bytes (idempotent overwrites
-// and pure results qualify; read-modify-write accumulation does not).
-func (c *Ctx) Protected(fn func() uint64) uint64 {
-	rt := c.rt
-	prot := rt.prot
-	if prot == nil {
-		return fn()
-	}
-	rank := c.tb.RankID()
-	victim, selected := prot.Pick(rank)
-	if !selected {
-		// Unreplicated execution: an armed task-corruption stream may
-		// corrupt this segment for real. The flip lands in the first view
-		// the segment commits, or in the return value if it commits none.
-		if rt.inj != nil {
-			if sig, ok := rt.inj.CorruptTask(rank); ok {
-				l := c.Local()
-				l.SdcArmFlip(sig)
-				ret := fn()
-				if !l.SdcTakeFlip() {
-					ret ^= 1 << (sig & 63)
-				}
-				prot.NoteEscape(rank)
-				return ret
-			}
-		}
-		return fn()
-	}
-	exec := func() (uint64, uint64) {
-		l := c.Local()
-		var sig uint64
-		corrupted := false
-		if rt.inj != nil {
-			sig, corrupted = rt.inj.CorruptTask(rank)
-		}
-		l.SdcArmDigest()
-		ret := fn()
-		dig := (l.SdcTakeDigest() ^ ret) * 0x100000001b3
-		if corrupted {
-			// Deferred flip: under replication a corrupted execution folds
-			// its flip into the digest instead of touching memory, so the
-			// mismatch is guaranteed even for segments that read their own
-			// output back (e.g. re-sorting an in-place-sorted leaf could
-			// otherwise reproduce a survivable flip bit-for-bit), and the
-			// accepted clean pair leaves memory exactly right.
-			dig ^= sig
-		}
-		return ret, dig
-	}
-	return prot.Replicate(c.tb, victim, exec)
-}
 
 // Checkout claims [addr, addr+size) in the given mode, returning a view.
 // Checkout, MustCheckout and Checkin panic, naming both processes, when

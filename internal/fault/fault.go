@@ -16,11 +16,12 @@
 // virtual schedules (pinned by the seeded-fault golden test in
 // internal/bench).
 //
-// The package deliberately imports only internal/sim. The communication
-// layers reach it the other way around: netmodel declares a Perturber
-// interface that *Injector satisfies (link faults), and rma holds a
-// *Injector directly (transient-failure faults). internal/core slows each
-// straggler's rank when it builds the runtime, before any process runs.
+// The package deliberately imports only internal/sim. A plan is armed in
+// one call, rma.Comm.SetFaults: the RMA layer then adds LinkExtra to the
+// cost of every remote transfer and atomic, draws FailRMA and CorruptWire
+// per one-sided op, and slows each straggler's rank before any process
+// runs. The one other reader is internal/core's task replication, which
+// draws CorruptTask per protected task execution.
 package fault
 
 import "ityr/internal/sim"
@@ -72,8 +73,8 @@ type Straggler struct {
 // corrupted operations succeed — nothing times out, no error surfaces —
 // which is exactly what makes SDC dangerous. Detection and recovery are
 // the job of the layers above: the RMA layer's end-to-end payload
-// checksum (armed with the SDC config) and the scheduler's selective task
-// replication (internal/uth Protector).
+// checksum (armed with the SDC config) and the runtime's selective task
+// replication (internal/core, Ctx.Protected).
 type Corruption struct {
 	// WireProb is the per-transfer probability that one bit of a bulk
 	// Put/Get payload flips in flight (0 disables). Scalar window ops
@@ -170,24 +171,13 @@ func inWindow(now, from, to sim.Time) bool {
 	return now >= from && (to <= 0 || now < to)
 }
 
-// splitmix is the splitmix64 finalizer: a cheap, well-mixed hash.
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // hash derives a deterministic 64-bit value from the plan seed, a stream
 // discriminator and three inputs. No allocation: it sits on hot paths.
 func (in *Injector) hash(stream, a, b, seq uint64) uint64 {
-	h := splitmix(uint64(in.plan.Seed) ^ stream)
-	h = splitmix(h + a)
-	h = splitmix(h + b)
-	return splitmix(h + seq)
+	h := sim.Splitmix(uint64(in.plan.Seed) ^ stream)
+	h = sim.Splitmix(h + a)
+	h = sim.Splitmix(h + b)
+	return sim.Splitmix(h + seq)
 }
 
 // unit maps a hash to [0, 1).
@@ -239,7 +229,7 @@ func (in *Injector) CorruptWire(origin, target, nbytes int) (bit uint64, ok bool
 	}
 	in.wireFlips[origin]++
 	in.stats.WireFlips++
-	return splitmix(h) % uint64(nbytes*8), true
+	return sim.Splitmix(h) % uint64(nbytes*8), true
 }
 
 // CorruptTask decides whether rank's next protected task execution is
@@ -261,7 +251,7 @@ func (in *Injector) CorruptTask(rank int) (sig uint64, ok bool) {
 	}
 	in.taskFlips[rank]++
 	in.stats.TaskFlips++
-	sig = splitmix(h)
+	sig = sim.Splitmix(h)
 	if sig == 0 { // a zero signature would be an invisible flip
 		sig = 1
 	}
@@ -293,21 +283,13 @@ func (in *Injector) Backoff(origin, attempt int) sim.Time {
 	return d
 }
 
-// TransferExtra implements netmodel.Perturber: the extra wire time a
-// transfer of n bytes from a to b issued at now suffers under the plan's
-// link windows. base is the unperturbed wire time (so SlowFactor can
-// scale it without knowing the bandwidth model).
-func (in *Injector) TransferExtra(now sim.Time, a, b, n int, base sim.Time) sim.Time {
-	_ = n // reserved for size-dependent faults
-	return in.linkExtra(now, a, b, base)
-}
-
-// AtomicExtra implements netmodel.Perturber for remote atomics.
-func (in *Injector) AtomicExtra(now sim.Time, a, b int, base sim.Time) sim.Time {
-	return in.linkExtra(now, a, b, base)
-}
-
-func (in *Injector) linkExtra(now sim.Time, a, b int, base sim.Time) sim.Time {
+// LinkExtra returns the extra wire time an op from rank a to rank b
+// issued at now suffers under the plan's link windows. base is the op's
+// unperturbed wire time (so SlowFactor can scale it without knowing the
+// bandwidth model). The RMA layer calls it for every remote transfer and
+// atomic while an injector is armed; each matching window with Jitter
+// consumes one step of a's jitter stream.
+func (in *Injector) LinkExtra(now sim.Time, a, b int, base sim.Time) sim.Time {
 	var extra sim.Time
 	for i := range in.plan.Links {
 		lw := &in.plan.Links[i]

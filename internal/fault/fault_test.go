@@ -114,21 +114,21 @@ func TestLinkExtraWindows(t *testing.T) {
 		{From: 0, To: 0, Src: 2, Dst: 3, SlowFactor: 3},
 	}}
 	in := NewInjector(p, 4)
-	if got := in.TransferExtra(50, 0, 1, 64, 1000); got != 0 {
+	if got := in.LinkExtra(50, 0, 1, 1000); got != 0 {
 		t.Errorf("before window: extra = %d, want 0", got)
 	}
-	if got := in.TransferExtra(150, 0, 1, 64, 1000); got != 10 {
+	if got := in.LinkExtra(150, 0, 1, 1000); got != 10 {
 		t.Errorf("inside latency window: extra = %d, want 10", got)
 	}
 	// 2→3 matches the open-ended slow link: base*(3-1) = 2000, plus the
 	// latency window when inside it.
-	if got := in.TransferExtra(150, 2, 3, 64, 1000); got != 2010 {
+	if got := in.LinkExtra(150, 2, 3, 1000); got != 2010 {
 		t.Errorf("slow link inside window: extra = %d, want 2010", got)
 	}
-	if got := in.TransferExtra(500, 2, 3, 64, 1000); got != 2000 {
+	if got := in.LinkExtra(500, 2, 3, 1000); got != 2000 {
 		t.Errorf("slow link after window: extra = %d, want 2000", got)
 	}
-	if got := in.AtomicExtra(500, 3, 2, 1000); got != 0 {
+	if got := in.LinkExtra(500, 3, 2, 1000); got != 0 {
 		t.Errorf("reverse direction should not match Src/Dst filter: got %d", got)
 	}
 }
@@ -249,8 +249,8 @@ func TestLinkJitterDeterministic(t *testing.T) {
 	varied := false
 	var prev sim.Time = -1
 	for i := 0; i < 100; i++ {
-		ea := a.TransferExtra(sim.Time(i), 0, 1, 64, 1000)
-		eb := b.TransferExtra(sim.Time(i), 0, 1, 64, 1000)
+		ea := a.LinkExtra(sim.Time(i), 0, 1, 1000)
+		eb := b.LinkExtra(sim.Time(i), 0, 1, 1000)
 		if ea != eb {
 			t.Fatalf("op %d: jitter differs across identical injectors (%d vs %d)", i, ea, eb)
 		}

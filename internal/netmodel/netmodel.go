@@ -7,6 +7,11 @@
 // counts, message sizes and round trips, not to fine interconnect detail.
 // Defaults approximate one rank's share of a Tofu-D-class RDMA network
 // (Table 1 of the paper).
+//
+// Every cost here is a pure function of the rank pair and the size: the
+// model knows no time and no faults. A fault plan's link windows are added
+// on top by the RMA layer, which asks the armed fault.Injector for each
+// remote op's extra (LinkExtra) and hands it the cost priced here as base.
 package netmodel
 
 import (
@@ -14,21 +19,6 @@ import (
 
 	"ityr/internal/sim"
 )
-
-// Perturber injects time-dependent link faults on top of the base model:
-// latency spikes, jitter, bandwidth collapse. Implemented by
-// fault.Injector; the interface lives here so the dependency points from
-// the fault plan toward the network model, not the other way around. Both
-// methods return *extra* time to add to the unperturbed cost `base`; they
-// may keep deterministic per-origin counters (the simulation kernel runs
-// one goroutine at a time, so calls are serialized and reproducible).
-type Perturber interface {
-	// TransferExtra perturbs a transfer of n bytes from rank a to b
-	// issued at virtual time now, whose unperturbed wire time is base.
-	TransferExtra(now sim.Time, a, b, n int, base sim.Time) sim.Time
-	// AtomicExtra perturbs a remote atomic from rank a to b.
-	AtomicExtra(now sim.Time, a, b int, base sim.Time) sim.Time
-}
 
 // Params describes the simulated machine: topology and communication costs.
 //
@@ -65,11 +55,6 @@ type Params struct {
 	// MsgOverhead is the origin-side CPU cost of issuing any one-sided
 	// operation (descriptor setup, doorbell).
 	MsgOverhead sim.Time
-
-	// Perturb, when non-nil, degrades links per the active fault plan.
-	// The *At cost variants consult it; the plain variants never do, so
-	// existing call sites are untouched when no faults are configured.
-	Perturb Perturber
 }
 
 // Default returns Tofu-D-flavoured parameters with the given node width.
@@ -157,36 +142,3 @@ func (p *Params) TransferTime(a, b, n int) sim.Time {
 
 // AtomicTime returns the cost of a remote atomic from rank a to rank b.
 func (p *Params) AtomicTime(a, b int) sim.Time { return p.link(a, b).atomicRTT }
-
-// TransferTimeAt is TransferTime plus any fault-plan perturbation active
-// at virtual time now. With no Perturber (or a == b) it equals
-// TransferTime exactly.
-func (p *Params) TransferTimeAt(now sim.Time, a, b, n int) sim.Time {
-	t := p.TransferTime(a, b, n)
-	if p.Perturb != nil && a != b {
-		t += p.Perturb.TransferExtra(now, a, b, n, t)
-	}
-	return t
-}
-
-// AtomicTimeAt is AtomicTime plus any fault-plan perturbation active at
-// virtual time now.
-func (p *Params) AtomicTimeAt(now sim.Time, a, b int) sim.Time {
-	t := p.AtomicTime(a, b)
-	if p.Perturb != nil && a != b {
-		t += p.Perturb.AtomicExtra(now, a, b, t)
-	}
-	return t
-}
-
-// TransferExtraAt returns only the perturbation a transfer of n bytes from
-// a to b would suffer at now, given its unperturbed wire time base. Used
-// by callers that assemble the base cost from separate serialization and
-// latency terms (the RMA NIC pipeline) yet want the fault plan applied to
-// the whole.
-func (p *Params) TransferExtraAt(now sim.Time, a, b, n int, base sim.Time) sim.Time {
-	if p.Perturb == nil || a == b {
-		return 0
-	}
-	return p.Perturb.TransferExtra(now, a, b, n, base)
-}

@@ -66,69 +66,6 @@ func TestSerializationExcludesLatency(t *testing.T) {
 	}
 }
 
-// stubPerturber adds fixed extras, recording what base it was handed.
-type stubPerturber struct {
-	extra    sim.Time
-	lastBase sim.Time
-}
-
-func (s *stubPerturber) TransferExtra(now sim.Time, a, b, n int, base sim.Time) sim.Time {
-	s.lastBase = base
-	return s.extra
-}
-
-func (s *stubPerturber) AtomicExtra(now sim.Time, a, b int, base sim.Time) sim.Time {
-	s.lastBase = base
-	return s.extra
-}
-
-// TestAtVariantsMatchBaseWithoutPerturber: the time-aware cost variants
-// are exactly the base model when no Perturber is set.
-func TestAtVariantsMatchBaseWithoutPerturber(t *testing.T) {
-	p := Default(4)
-	for _, n := range []int{0, 8, 4096} {
-		if got, want := p.TransferTimeAt(123, 0, 5, n), p.TransferTime(0, 5, n); got != want {
-			t.Errorf("TransferTimeAt(n=%d) = %d, want base %d", n, got, want)
-		}
-	}
-	if got, want := p.AtomicTimeAt(123, 0, 5), p.AtomicTime(0, 5); got != want {
-		t.Errorf("AtomicTimeAt = %d, want base %d", got, want)
-	}
-	if got := p.TransferExtraAt(123, 0, 5, 64, 1000); got != 0 {
-		t.Errorf("TransferExtraAt without perturber = %d, want 0", got)
-	}
-}
-
-// TestAtVariantsApplyPerturber: with a Perturber set the variants add its
-// extra for remote pairs and hand it the unperturbed base, but never
-// perturb rank-local operations.
-func TestAtVariantsApplyPerturber(t *testing.T) {
-	p := Default(4)
-	stub := &stubPerturber{extra: 777}
-	p.Perturb = stub
-	base := p.TransferTime(0, 5, 256)
-	if got := p.TransferTimeAt(9, 0, 5, 256); got != base+777 {
-		t.Errorf("TransferTimeAt = %d, want base %d + 777", got, base)
-	}
-	if stub.lastBase != base {
-		t.Errorf("perturber saw base %d, want %d", stub.lastBase, base)
-	}
-	abase := p.AtomicTime(0, 5)
-	if got := p.AtomicTimeAt(9, 0, 5); got != abase+777 {
-		t.Errorf("AtomicTimeAt = %d, want base %d + 777", got, abase)
-	}
-	if got := p.TransferExtraAt(9, 0, 5, 256, 1000); got != 777 {
-		t.Errorf("TransferExtraAt = %d, want 777", got)
-	}
-	// Local operations bypass the fabric and must stay unperturbed.
-	if got, want := p.TransferTimeAt(9, 3, 3, 256), p.TransferTime(3, 3, 256); got != want {
-		t.Errorf("local TransferTimeAt = %d, want unperturbed %d", got, want)
-	}
-	if got := p.TransferExtraAt(9, 3, 3, 256, 1000); got != 0 {
-		t.Errorf("local TransferExtraAt = %d, want 0", got)
-	}
-}
-
 // Tier attribution drives the streaming profile's communication matrix:
 // self < node < fabric, and a pair of distinct nodes is fabric whatever
 // their distance.

@@ -147,9 +147,24 @@ func (o *options) apply(cfg *core.Config) error {
 		cfg.Faults = &plan
 	}
 	if o.replicate > 0 {
-		cfg.SDC = &uth.SDCConfig{Replicate: o.replicate}
+		cfg.SDC = &core.SDCConfig{Replicate: o.replicate}
 	}
 	return nil
+}
+
+// SDCSummary prints the run's silent-data-corruption line on stdout: the
+// protected segments, replicas, detections, recoveries and escapes that
+// MetricsSnapshot reports, under the label "sdc" padded to col, the width
+// of the binary's report column. A run with neither defenses nor a
+// corrupting plan keeps no such ledger and prints nothing.
+func SDCSummary(rt *core.Runtime, col int) {
+	c := rt.MetricsSnapshot().Counters
+	protected, ok := c["sdc_protected_tasks"]
+	if !ok {
+		return
+	}
+	fmt.Printf("  %-*sprotected=%d replicas=%d detected=%d recovered=%d escaped=%d\n", col, "sdc",
+		protected, c["replica_tasks"], c["sdc_detected"], c["sdc_recovered"], c["sdc_escaped"])
 }
 
 // reportViolations prints the validator report to stderr and reports

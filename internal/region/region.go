@@ -29,7 +29,7 @@ func (iv Interval) Len() uint64 {
 
 // Intersect returns the overlap of two intervals (possibly empty).
 func (iv Interval) Intersect(o Interval) Interval {
-	lo, hi := max64(iv.Lo, o.Lo), min64(iv.Hi, o.Hi)
+	lo, hi := max(iv.Lo, o.Lo), min(iv.Hi, o.Hi)
 	if lo >= hi {
 		return Interval{}
 	}
@@ -37,20 +37,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 }
 
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi) }
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Set is a normalized set of byte intervals. The zero value is an empty set
 // ready to use.
@@ -96,8 +82,8 @@ func (s *Set) Add(iv Interval) {
 		j++
 	}
 	if i < j {
-		iv.Lo = min64(iv.Lo, s.ivs[i].Lo)
-		iv.Hi = max64(iv.Hi, s.ivs[j-1].Hi)
+		iv.Lo = min(iv.Lo, s.ivs[i].Lo)
+		iv.Hi = max(iv.Hi, s.ivs[j-1].Hi)
 	}
 	s.ivs = append(s.ivs[:i], append([]Interval{iv}, s.ivs[j:]...)...)
 }
@@ -155,9 +141,9 @@ func (s *Set) Missing(iv Interval) []Interval {
 			break
 		}
 		if cur.Lo > lo {
-			out = append(out, Interval{lo, min64(cur.Lo, iv.Hi)})
+			out = append(out, Interval{lo, min(cur.Lo, iv.Hi)})
 		}
-		lo = max64(lo, cur.Hi)
+		lo = max(lo, cur.Hi)
 		if lo >= iv.Hi {
 			return out
 		}
@@ -186,9 +172,9 @@ func (s *Set) FirstMissing(iv Interval) (Interval, bool) {
 			break
 		}
 		if cur.Lo > lo {
-			return Interval{lo, min64(cur.Lo, iv.Hi)}, true
+			return Interval{lo, min(cur.Lo, iv.Hi)}, true
 		}
-		lo = max64(lo, cur.Hi)
+		lo = max(lo, cur.Hi)
 		if lo >= iv.Hi {
 			return Interval{}, false
 		}

@@ -15,7 +15,6 @@ func faultHarness(t *testing.T, n int, plan fault.Plan, body func(r *Rank)) (*Co
 	e := sim.NewEngine()
 	net := netmodel.Default(2)
 	in := fault.NewInjector(plan, n)
-	net.Perturb = in
 	c := New(e, n, net)
 	c.SetFaults(in)
 	for i := 0; i < n; i++ {
@@ -29,6 +28,62 @@ func faultHarness(t *testing.T, n int, plan fault.Plan, body func(r *Rank)) (*Co
 		t.Fatal(err)
 	}
 	return c, in
+}
+
+// TestSetFaultsArmsWholePlan: SetFaults is the one call that arms a plan.
+// Under one open link window a remote Put, a remote Get and a remote
+// atomic each take exactly the window's extra longer than under an empty
+// plan, a rank-local Put takes no longer, and the plan's straggler sleeps
+// three times as long.
+func TestSetFaultsArmsWholePlan(t *testing.T) {
+	const extra = 700 * sim.Nanosecond
+	type costs struct{ put, get, atomic, self, slow sim.Time }
+	run := func(plan fault.Plan) costs {
+		var got costs
+		buf := make([]byte, 256)
+		c, _ := faultHarness(t, 2, plan, func(r *Rank) {
+			w, p := winFor(r), r.Proc()
+			timed := func(op func()) sim.Time {
+				t0 := p.Now()
+				op()
+				r.Flush()
+				return p.Now() - t0
+			}
+			if r.ID() == 1 {
+				got.slow = timed(func() { p.Advance(sim.Microsecond) })
+				return
+			}
+			got.put = timed(func() { w.Put(r, buf, 1, 0) })
+			got.get = timed(func() { w.Get(r, 1, 0, buf) })
+			got.atomic = timed(func() { w.FetchAndAdd(r, 1, 512, 1) })
+			got.self = timed(func() { w.Put(r, buf, 0, 0) })
+		})
+		delete(testWins, c)
+		return got
+	}
+	base := run(fault.Plan{Name: "empty"})
+	armed := run(fault.Plan{Name: "window+straggler",
+		Links:      []fault.LinkWindow{{Src: -1, Dst: -1, ExtraLatency: extra}},
+		Stragglers: []fault.Straggler{{Rank: 1, Num: 3, Den: 1}},
+	})
+	for _, op := range []struct {
+		name        string
+		base, armed sim.Time
+		want        sim.Time
+	}{
+		{"remote Put", base.put, armed.put, extra},
+		{"remote Get", base.get, armed.get, extra},
+		{"remote atomic", base.atomic, armed.atomic, extra},
+		{"self Put", base.self, armed.self, 0},
+		{"straggler sleep", base.slow, armed.slow, 2 * sim.Microsecond},
+	} {
+		if d := op.armed - op.base; d != op.want {
+			t.Errorf("%s: %d under the plan, %d without, want %d more", op.name, op.armed, op.base, op.want)
+		}
+	}
+	if base.slow != sim.Microsecond {
+		t.Errorf("nominal sleep took %d, want %d", base.slow, sim.Microsecond)
+	}
 }
 
 // TestTypedErrors: CheckAccess returns wrapped sentinel errors matchable
@@ -132,7 +187,6 @@ func TestRetriesExhaustedPanics(t *testing.T) {
 	e := sim.NewEngine()
 	net := netmodel.Default(2)
 	in := fault.NewInjector(plan, 2)
-	net.Perturb = in
 	c := New(e, 2, net)
 	c.SetFaults(in)
 	w := c.NewUniformWin(64)

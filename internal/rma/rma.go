@@ -29,6 +29,9 @@
 // failure is injected before the memory effect, a retried Get/Put/
 // CompareAndSwap/FetchAndAdd applies its effect exactly once — callers
 // need no idempotence of their own, only tolerance of the added latency.
+// SetFaults is the one call that arms a plan: the same injector prices the
+// plan's link windows into every remote transfer and atomic, flips wire
+// bits, and its stragglers' ranks are slowed from the start.
 // With no injector armed every fault path is a single nil-check and the
 // charged costs are bit-identical to the fault-free model (pinned by the
 // golden digest and an allocs test).
@@ -107,13 +110,22 @@ func New(e *sim.Engine, n int, p netmodel.Params) *Comm {
 	return c
 }
 
-// SetFaults arms fault injection: one-sided ops may transiently fail and
-// retry per the injector's plan. Call before the simulation starts; a nil
+// SetFaults arms the injector's whole plan: one-sided ops may transiently
+// fail and retry, bulk payloads may flip a bit in flight, remote transfers
+// and atomics pay the link windows' extra, and each straggler's rank is
+// slowed for the whole run. Call before the simulation starts; a nil
 // injector (the default) keeps every fault path to a single nil-check.
-func (c *Comm) SetFaults(in *fault.Injector) { c.inj = in }
-
-// Faults returns the armed injector (nil without fault injection).
-func (c *Comm) Faults() *fault.Injector { return c.inj }
+func (c *Comm) SetFaults(in *fault.Injector) {
+	c.inj = in
+	if in == nil {
+		return
+	}
+	for _, s := range in.Plan().Stragglers {
+		if s.Rank >= 0 && s.Rank < len(c.ranks) {
+			c.ranks[s.Rank].SetSlowdown(s.Num, s.Den)
+		}
+	}
+}
 
 // SetRecorder attaches the run's recorder, to which retries, checksum
 // detections, one-sided ops and flush/barrier waits are reported. Call it
@@ -373,6 +385,17 @@ func (r *Rank) nextRetry(rt *retry) (wait sim.Time, failed bool) {
 	return in.Timeout() + in.Backoff(r.id, rt.attempt), true
 }
 
+// linkExtra is the extra time the armed plan's link windows add to an op
+// from this rank to target issued at now, whose unperturbed wire time is
+// base. Without an injector, and for a rank-local op, it is 0 and draws
+// nothing.
+func (r *Rank) linkExtra(now sim.Time, target int, base sim.Time) sim.Time {
+	if r.c.inj == nil || target == r.id {
+		return 0
+	}
+	return r.c.inj.LinkExtra(now, r.id, target, base)
+}
+
 // sdcWire models silent wire corruption of one bulk transfer and, when
 // the end-to-end payload checksum is armed (SetSDCVerify), the
 // detect-and-retransmit recovery loop. src is the intact source of the
@@ -458,7 +481,8 @@ func (c *AtomicCharge) Next() (d sim.Time, done bool) {
 		}
 	}
 	c.issued = true
-	return r.c.net.AtomicTimeAt(r.proc.Now(), r.id, c.retry.target), false
+	d = r.c.net.AtomicTime(r.id, c.retry.target)
+	return d + r.linkExtra(r.proc.Now(), c.retry.target, d), false
 }
 
 // ChargeTransfer charges the cost of a blocking nbytes transfer from
@@ -467,7 +491,8 @@ func (c *AtomicCharge) Next() (d sim.Time, done bool) {
 func (r *Rank) ChargeTransfer(target, nbytes int) {
 	r.proc.Sync()
 	r.retryFaults(target)
-	r.proc.Advance(r.c.net.TransferTimeAt(r.proc.Now(), r.id, target, nbytes))
+	d := r.c.net.TransferTime(r.id, target, nbytes)
+	r.proc.Advance(d + r.linkExtra(r.proc.Now(), target, d))
 	r.c.rec.RMA(r.id, target, trace.OpGet, nbytes)
 }
 
@@ -499,7 +524,7 @@ func (r *Rank) issue(target int, dst, src []byte) {
 	r.nicFree += ser
 	// Link-degradation windows see the whole unperturbed wire occupancy
 	// (serialization + latency) as their base.
-	wire += r.c.net.TransferExtraAt(now, r.id, target, nbytes, ser+wire)
+	wire += r.linkExtra(now, target, ser+wire)
 	done := r.nicFree + wire
 	if done > r.pending {
 		r.pending = done

@@ -1100,3 +1100,17 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 	}
 	e.push(slot{at: t, key: key, wake: true}, payload{proc: q})
 }
+
+// Splitmix is the splitmix64 step: the golden-gamma increment, then the
+// finalizer. It is the one mixer behind every seeded draw of the runtime
+// (steal victims, replica selection, fault decisions); each caller keeps
+// its own seed and counters, so no stream correlates with another.
+func Splitmix(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}

@@ -110,9 +110,10 @@ type Config struct {
 
 // Steal payloads and the victim blacklist's penalty bounds.
 const (
-	// stackBytes is the call-stack payload a steal moves (uni-address
-	// stack transfer).
-	stackBytes = 2048
+	// StackBytes is the call-stack payload a steal moves (uni-address
+	// stack transfer), and the one core's task replication ships to a
+	// replica rank.
+	StackBytes = 2048
 	// taskBytes is the descriptor payload a thief moves when it steals a
 	// pending (not-yet-started) task under HelpFirst and FBC. Child-first
 	// steals always move live stacks.
@@ -210,7 +211,7 @@ func NewSched(comm *rma.Comm, cfg Config, seed int64, hooks Hooks) *Sched {
 	}
 	s := &Sched{comm: comm, cfg: cfg, hooks: hooks, rec: comm.Recorder()}
 	s.workers = make([]*Worker, comm.Size())
-	stream := splitmix(uint64(seed) ^ 0x57EA1)
+	stream := sim.Splitmix(uint64(seed) ^ 0x57EA1)
 	for i := range s.workers {
 		w := &Worker{sched: s, rank: comm.Rank(i), rng: stream + uint64(i) + 1}
 		if cfg.VictimBlacklist {
@@ -413,9 +414,20 @@ func (w *Worker) schedLoop() {
 				s.PolicyStats.PendingRuns++
 				w.runPending(e)
 			} else {
-				// A blocked thread left this continuation behind: run it
-				// locally. Same rank ⇒ no fences (§5.1).
-				w.resumeHere(e.th, false)
+				// Under child-first a rank's deque is empty whenever its
+				// scheduler holds the token. Fork parks the forker's
+				// continuation and runs the child on the same rank, so the
+				// deque is the chain of the running thread's parked
+				// ancestors, oldest on top, where thieves take. The token
+				// comes back only when a thread finishes with its parent's
+				// continuation gone from the bottom (stolen, and everything
+				// above it first), or blocks at a Join, which it reaches
+				// only after its continuation at that fork was stolen (else
+				// the child would have finished first) by a thief whose own
+				// deque was empty. Help-first and FBC push pending tasks
+				// only. A started continuation here is a scheduler bug.
+				panic(fmt.Sprintf("uth: rank %d's scheduler popped the started continuation of thread %d; under child-first its deque is empty whenever it holds the token",
+					w.rank.ID(), e.th.tid))
 			}
 		}
 		st.backoff = backoffMin
@@ -536,7 +548,7 @@ func (w *Worker) finishSteal() {
 	// A started continuation migrates its live stack; a pending task
 	// (help-first/FBC) moves only its descriptor and migrates nothing —
 	// the thread has never run anywhere yet.
-	bytes := stackBytes
+	bytes := StackBytes
 	if e.fn != nil {
 		bytes = taskBytes
 		s.PolicyStats.PendingSteals++
@@ -596,7 +608,7 @@ func (w *Worker) noteStealOutcome(v int, d sim.Time, ok bool) {
 // bias below m/2⁶⁴: the high word of the mixed stream value times m.
 func (w *Worker) draw(m int) int {
 	w.rng += 0x9E3779B97F4A7C15
-	hi, _ := bits.Mul64(splitmix(w.rng), uint64(m))
+	hi, _ := bits.Mul64(sim.Splitmix(w.rng), uint64(m))
 	return int(hi)
 }
 

@@ -69,7 +69,7 @@ type (
 	SchedPolicy = uth.SchedPolicy
 	// SDCConfig tunes selective task replication (silent-data-corruption
 	// detection); set Config.SDC to enable it.
-	SDCConfig = uth.SDCConfig
+	SDCConfig = core.SDCConfig
 	// NetParams is the interconnect cost model.
 	NetParams = netmodel.Params
 	// Time is virtual time in nanoseconds.

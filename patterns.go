@@ -166,7 +166,7 @@ func InclusiveScan[T any](c *Ctx, src, dst GSpan[T], id T, combine func(T, T) T)
 	// Phase 1: reduce each chunk.
 	c.ParallelFor(0, nchunks, 1, func(c *Ctx, clo, chi int64) {
 		for ci := clo; ci < chi; ci++ {
-			lo, hi := ci*grain, min64(src.Len, (ci+1)*grain)
+			lo, hi := ci*grain, min(src.Len, (ci+1)*grain)
 			sp := src.Slice(lo, hi)
 			v := Checkout(c, sp, Read)
 			a := id
@@ -191,7 +191,7 @@ func InclusiveScan[T any](c *Ctx, src, dst GSpan[T], id T, combine func(T, T) T)
 	// Phase 3: apply the offsets in parallel.
 	c.ParallelFor(0, nchunks, 1, func(c *Ctx, clo, chi int64) {
 		for ci := clo; ci < chi; ci++ {
-			lo, hi := ci*grain, min64(src.Len, (ci+1)*grain)
+			lo, hi := ci*grain, min(src.Len, (ci+1)*grain)
 			sp, dp := src.Slice(lo, hi), dst.Slice(lo, hi)
 			sv := Checkout(c, sp, Read)
 			dv := Checkout(c, dp, Write)
@@ -205,11 +205,4 @@ func InclusiveScan[T any](c *Ctx, src, dst GSpan[T], id T, combine func(T, T) T)
 			Checkin(c, dp, Write)
 		}
 	})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
