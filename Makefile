@@ -86,8 +86,8 @@ faults:
 
 # Silent-data-corruption suite: disabled-path digest inertness, seeded
 # corruption determinism, the negative control (defenses down -> output
-# provably corrupt), zero escapes at full replication, combined
-# corruption+flaky-RMA recovery and the wire checksum.
+# provably corrupt, the report flagging the escapes), zero escapes at full
+# replication and combined corruption+flaky-RMA recovery.
 sdc:
 	@$(call subset,SDC,./internal/bench)
 
@@ -122,6 +122,8 @@ fuzz-matrix:
 # the same report, which must not warn either; and each once under -sdc
 # -replicate 1, which must exit 0 and print the SDC summary line in the
 # bytes every command prints it in (obs.SDCSummary), with no escape.
+# Last, fmm under -sdc alone must exit 1: its escapes fail the run even
+# though fmm checks nothing of its own output by default.
 # Leaves obs-smoke.* in the checkout (git-ignored); CI uploads the profile
 # and the report.
 obs-smoke:
@@ -147,6 +149,8 @@ obs-smoke:
 	@for f in obs-smoke.utsmem.sdc.out obs-smoke.fmm.sdc.out; do \
 		grep -Eq '^  sdc {8}protected=[0-9]+ replicas=[0-9]+ detected=[0-9]+ recovered=[0-9]+ escaped=0$$' $$f || \
 		{ echo "make obs-smoke: $$f has no SDC summary line with zero escapes"; exit 1; }; done
+	$(GO) run ./cmd/fmm -n 2000 -ranks 16 -sdc > obs-smoke.fmm.escape.out; \
+		status=$$?; if [ $$status -ne 1 ]; then echo "make obs-smoke: fmm -sdc exited $$status, want 1"; exit 1; fi
 
 # The gated suites. Every root BENCH_<suite>.json is an itoyori-bench/v1
 # report of `itybench <suite>`, and `make gate-<suite>` reruns the suite

@@ -74,9 +74,9 @@ var verifiedApps = []struct {
 // faultRow assembles one report row from a finished run: the run under
 // its plan against the same app without one, the resilience activity
 // observed (injected failures, RMA retries, steal timeouts, victim
-// blacklisting) and the silent-data-corruption ledger (flips injected on
-// the wire and in task results, caught by digest or checksum, recovered
-// after strikes, escaped to the output; redundant executions performed).
+// blacklisting) and the silent-data-corruption ledger (flips injected in
+// task results, caught by digest, recovered after strikes, escaped to the
+// output; redundant executions performed).
 //
 // "ok" is the row's verdict: a run with undetected corruption escapes
 // MUST fail verification (the escapes are real silent errors — a verified

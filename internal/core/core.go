@@ -57,20 +57,18 @@ type Config struct {
 	// Faults, when non-nil, arms the deterministic fault-injection plan
 	// (in one call, rma.Comm.SetFaults): link-degradation windows on
 	// remote ops, transient RMA failures with retry/backoff, ranks slowed
-	// for the whole run (stragglers), and silent-data-corruption streams,
-	// the task one drawn by Ctx.Protected. Runs with the same
-	// plan (same seed) are bit-identical; a nil plan leaves every hot
-	// path at a single nil-check.
+	// for the whole run (stragglers), and silent data corruption of task
+	// results, drawn by Ctx.Protected. Runs with the same plan (same
+	// seed) are bit-identical; a nil plan leaves every hot path at a
+	// single nil-check.
 	Faults *fault.Plan
 	// SDC, when non-nil, arms the silent-data-corruption defenses:
 	// selective task replication with digest compare on Protected
-	// segments (SDC.Replicate of them re-execute on a replica rank) and
-	// the RMA layer's end-to-end payload checksum (corrupted bulk
-	// transfers retransmit instead of landing silently). Orthogonal to
-	// Faults: defenses without a corruption plan measure pure overhead; a
-	// corruption plan without defenses is the negative control whose
-	// flips reach program output. Nil keeps every hot path at a
-	// nil-check, adding zero simulated-time events (digest-pinned).
+	// segments (SDC.Replicate of them re-execute on a replica rank).
+	// Orthogonal to Faults: defenses without a corruption plan measure
+	// pure overhead; a corruption plan without defenses is the negative
+	// control whose flips reach program output. Nil keeps every hot path
+	// at a nil-check, adding zero simulated-time events (digest-pinned).
 	SDC *SDCConfig
 }
 
@@ -110,7 +108,7 @@ func NewRuntime(cfg Config) *Runtime {
 	var inj *fault.Injector
 	if cfg.Faults != nil {
 		inj = fault.NewInjector(*cfg.Faults, cfg.Ranks)
-		comm.SetFaults(inj) // the whole plan: links, failures, wire flips, stragglers
+		comm.SetFaults(inj) // the whole plan: links, failures, stragglers
 	}
 	// One recorder serves every layer; the ones built below take it from comm.
 	var tl *trace.Log
@@ -132,18 +130,14 @@ func NewRuntime(cfg Config) *Runtime {
 		space.TaskOf = sched.CurrentTID
 	}
 	// Task replication exists whenever defenses are configured OR a plan
-	// can corrupt task results or wire payloads: the latter case (defenses
-	// off) still needs its ledger, which MetricsSnapshot reports the
-	// escapes through, for the negative control. Without SDC config it
-	// draws nothing, so arming it moves no simulated number. Its seed
-	// decorrelates selection from the scheduler's victim streams. The
-	// defenses also arm the wire checksum, with the same replay bound.
+	// can corrupt task results: the latter case (defenses off) still needs
+	// its ledger, which MetricsSnapshot reports the escapes through, for
+	// the negative control. Without SDC config it draws nothing, so arming
+	// it moves no simulated number. Its seed decorrelates selection from
+	// the scheduler's victim streams.
 	var repl *replicator
-	if cfg.SDC != nil || (inj != nil && (inj.TaskArmed() || inj.WireArmed())) {
+	if cfg.SDC != nil || (inj != nil && inj.TaskArmed()) {
 		repl = newReplicator(cfg.Ranks, cfg.SDC, cfg.Seed+1)
-	}
-	if cfg.SDC != nil {
-		comm.SetSDCVerify(maxReplays)
 	}
 	return &Runtime{cfg: cfg, eng: eng, comm: comm, space: space, sched: sched,
 		rec: rec, inj: inj, repl: repl}
@@ -230,28 +224,20 @@ func (rt *Runtime) MetricsSnapshot() trace.MetricsDoc {
 			c[fmt.Sprintf("rma_retries_rank_%02d", i)] = v
 		}
 	}
-	// SDC: sdc_detected/sdc_recovered/sdc_escaped combine the task
-	// (replication) and wire (checksum) sides; the per-rank
-	// injected-vs-detected pairs feed the itytrace resilience table.
+	// SDC: the replication ledger; the per-rank injected-vs-detected
+	// pairs feed the itytrace resilience table.
 	if p := rt.repl; p != nil {
-		ws := rt.comm.SdcWire()
 		c["sdc_protected_tasks"] = p.protected
 		c["replica_tasks"] = p.replicas
-		c["sdc_detected"] = p.detected + ws.Detected
-		c["sdc_recovered"] = p.recovered + ws.Retrans
-		c["sdc_escaped"] = p.escaped + ws.Escapes
-		c["sdc_wire_flips"] = ws.Flips
-		c["sdc_wire_retrans"] = ws.Retrans
+		c["sdc_detected"] = p.detected
+		c["sdc_recovered"] = p.recovered
+		c["sdc_escaped"] = p.escaped
 		if rt.inj != nil {
-			fs := rt.inj.Stats()
-			c["sdc_injected_flips"] = fs.WireFlips + fs.TaskFlips
-			wf, tf := rt.inj.WireFlipsByRank(), rt.inj.TaskFlipsByRank()
-			det, wdet := p.detectedBy, rt.comm.SdcWireDetectedByRank()
-			esc, wesc := p.escapedBy, rt.comm.SdcWireEscapesByRank()
-			for i := range wf {
-				c[fmt.Sprintf("sdc_injected_rank_%02d", i)] = wf[i] + tf[i]
-				c[fmt.Sprintf("sdc_detected_rank_%02d", i)] = det[i] + wdet[i]
-				c[fmt.Sprintf("sdc_escaped_rank_%02d", i)] = esc[i] + wesc[i]
+			c["sdc_injected_flips"] = rt.inj.Stats().TaskFlips
+			for i, v := range rt.inj.TaskFlipsByRank() {
+				c[fmt.Sprintf("sdc_injected_rank_%02d", i)] = v
+				c[fmt.Sprintf("sdc_detected_rank_%02d", i)] = p.detectedBy[i]
+				c[fmt.Sprintf("sdc_escaped_rank_%02d", i)] = p.escapedBy[i]
 			}
 		}
 	}
@@ -479,20 +465,23 @@ func (c *Ctx) Checkout(addr pgas.Addr, size uint64, mode pgas.Mode) ([]byte, err
 }
 
 // MustCheckout is Checkout that panics on error, for workloads whose
-// accesses are statically known to fit the cache.
+// accesses are statically known to fit the cache. The panic value is an
+// error wrapping Checkout's (a validator refusal is errors.Is
+// pgas.ErrViolation).
 func (c *Ctx) MustCheckout(addr pgas.Addr, size uint64, mode pgas.Mode) []byte {
 	v, err := c.Checkout(addr, size, mode)
 	if err != nil {
-		panic(fmt.Sprintf("core: checkout(%#x,%d,%v): %v", addr, size, mode, err))
+		panic(fmt.Errorf("core: checkout(%#x,%d,%v): %w", addr, size, mode, err))
 	}
 	return v
 }
 
-// Checkin completes the matching Checkout.
+// Checkin completes the matching Checkout. It panics with an error
+// wrapping the cache's when the checkin does not match one.
 func (c *Ctx) Checkin(addr pgas.Addr, size uint64, mode pgas.Mode) {
 	c.tb.Proc().MustRun("Checkin")
 	if err := c.Local().Checkin(addr, size, mode); err != nil {
-		panic(fmt.Sprintf("core: %v", err))
+		panic(fmt.Errorf("core: %w", err))
 	}
 }
 

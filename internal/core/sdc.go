@@ -2,8 +2,7 @@ package core
 
 // This file is selective task replication: the detection-and-recovery
 // half of the silent-data-corruption subsystem (the injection half lives
-// in internal/fault, the write-digest primitive in internal/pgas, the wire
-// checksum in internal/rma).
+// in internal/fault, the write-digest primitive in internal/pgas).
 //
 // A seeded fraction of Protected task segments re-execute, and a cheap
 // streaming digest of each execution's committed writes and return value
@@ -41,7 +40,7 @@ type SDCConfig struct {
 }
 
 // maxReplays is the fail-stop bound on digest-mismatch strikes within one
-// protected segment, and the wire checksum's retransmission bound.
+// protected segment.
 // Acceptance needs two consecutive executions to agree, so with
 // per-execution corruption probability p a protocol survives a strike
 // chain with probability ~(1-(1-p)²) per comparison; 32 makes bound

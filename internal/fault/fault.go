@@ -5,9 +5,9 @@
 // windows (latency spikes, jitter, bandwidth collapse), transient one-sided
 // operation failures (timeout + retry), stragglers (a rank's compute
 // advancing slower than nominal for the whole run), and silent data
-// corruption (seeded bit flips in RMA payloads and task results). Only the
-// link faults have windows of virtual time; the rest hold from start to
-// end. An Injector executes a plan.
+// corruption (seeded bit flips in task results). Only the link faults have
+// windows of virtual time; the rest hold from start to end. An Injector
+// executes a plan.
 // Every decision the injector makes — does this op fail, how much jitter
 // does this transfer get — is a pure function of the plan's seed and a
 // per-rank operation sequence number, never of host state. Because the
@@ -18,10 +18,10 @@
 //
 // The package deliberately imports only internal/sim. A plan is armed in
 // one call, rma.Comm.SetFaults: the RMA layer then adds LinkExtra to the
-// cost of every remote transfer and atomic, draws FailRMA and CorruptWire
-// per one-sided op, and slows each straggler's rank before any process
-// runs. The one other reader is internal/core's task replication, which
-// draws CorruptTask per protected task execution.
+// cost of every remote transfer and atomic, draws FailRMA per one-sided
+// op, and slows each straggler's rank before any process runs. The one
+// other reader is internal/core's task replication, which draws
+// CorruptTask per protected task execution.
 package fault
 
 import "ityr/internal/sim"
@@ -51,14 +51,19 @@ type LinkWindow struct {
 type RMAFaults struct {
 	// FailProb is the per-attempt failure probability (0 disables).
 	FailProb float64
+}
+
+// The retry model of a failed one-sided op, the same under every plan.
+const (
 	// Timeout is the deadline charged per failed attempt.
-	Timeout sim.Time
-	// BackoffMin and BackoffMax bound the exponential backoff.
-	BackoffMin, BackoffMax sim.Time
+	Timeout = 8 * sim.Microsecond
 	// MaxAttempts is the fail-stop bound: an op still failing after this
 	// many attempts panics (the simulated equivalent of a fatal MPI error).
-	MaxAttempts int
-}
+	MaxAttempts = 64
+	// backoffMin and backoffMax bound the exponential backoff.
+	backoffMin = 2 * sim.Microsecond
+	backoffMax = 64 * sim.Microsecond
+)
 
 // Straggler slows one rank's compute for the whole run: every duration the
 // rank's processes charge is stretched by Num/Den (10/1 = 10× slower).
@@ -68,19 +73,12 @@ type Straggler struct {
 }
 
 // Corruption injects silent data corruption: seeded single-bit flips in
-// bulk RMA payloads at the wire boundary (WireProb, per Put/Get) and in
 // task results (TaskProb, per protected task execution). Unlike RMAFaults,
-// corrupted operations succeed — nothing times out, no error surfaces —
+// corrupted executions succeed — nothing times out, no error surfaces —
 // which is exactly what makes SDC dangerous. Detection and recovery are
-// the job of the layers above: the RMA layer's end-to-end payload
-// checksum (armed with the SDC config) and the runtime's selective task
-// replication (internal/core, Ctx.Protected).
+// the job of the runtime's selective task replication (internal/core,
+// Ctx.Protected).
 type Corruption struct {
-	// WireProb is the per-transfer probability that one bit of a bulk
-	// Put/Get payload flips in flight (0 disables). Scalar window ops
-	// (GetUint64, atomics) are assumed header-checksummed by the
-	// transport and are never corrupted.
-	WireProb float64
 	// TaskProb is the per-execution probability that a protected task's
 	// result is corrupted: one bit of its committed writes (or of its
 	// return value when it writes nothing) flips (0 disables).
@@ -97,28 +95,10 @@ type Plan struct {
 	Corrupt    Corruption
 }
 
-func (p Plan) withDefaults() Plan {
-	if p.RMA.Timeout == 0 {
-		p.RMA.Timeout = 8 * sim.Microsecond
-	}
-	if p.RMA.BackoffMin == 0 {
-		p.RMA.BackoffMin = 2 * sim.Microsecond
-	}
-	if p.RMA.BackoffMax == 0 {
-		p.RMA.BackoffMax = 128 * sim.Microsecond
-	}
-	if p.RMA.MaxAttempts == 0 {
-		p.RMA.MaxAttempts = 64
-	}
-	return p
-}
-
 // Stats counts injector activity (host-side bookkeeping only).
 type Stats struct {
 	// Injected is the number of transient failures injected.
 	Injected uint64
-	// WireFlips is the number of bit flips injected into RMA payloads.
-	WireFlips uint64
 	// TaskFlips is the number of task-result corruptions injected.
 	TaskFlips uint64
 }
@@ -130,37 +110,27 @@ type Injector struct {
 	plan      Plan
 	rmaSeq    []uint64 // per-origin failure-decision counter
 	linkSeq   []uint64 // per-origin jitter counter
-	wireSeq   []uint64 // per-origin wire-corruption decision counter
 	taskSeq   []uint64 // per-rank task-corruption decision counter
-	wireFlips []uint64 // per-origin injected wire flips (audit trail)
 	taskFlips []uint64 // per-rank injected task flips (audit trail)
 	stats     Stats
 }
 
-// NewInjector builds an injector for a plan over the given rank count,
-// applying plan defaults (timeout 8µs, backoff 2µs..128µs, 64 attempts).
+// NewInjector builds an injector for a plan over the given rank count.
 func NewInjector(p Plan, ranks int) *Injector {
 	return &Injector{
-		plan:      p.withDefaults(),
+		plan:      p,
 		rmaSeq:    make([]uint64, ranks),
 		linkSeq:   make([]uint64, ranks),
-		wireSeq:   make([]uint64, ranks),
 		taskSeq:   make([]uint64, ranks),
-		wireFlips: make([]uint64, ranks),
 		taskFlips: make([]uint64, ranks),
 	}
 }
 
-// Plan returns the plan (with defaults applied).
+// Plan returns the plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
 // Stats returns cumulative injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
-
-// WireFlipsByRank returns each origin rank's injected wire-flip count.
-func (in *Injector) WireFlipsByRank() []uint64 {
-	return append([]uint64(nil), in.wireFlips...)
-}
 
 // TaskFlipsByRank returns each rank's injected task-corruption count.
 func (in *Injector) TaskFlipsByRank() []uint64 {
@@ -201,36 +171,8 @@ func (in *Injector) FailRMA(origin, target int) bool {
 	return true
 }
 
-// WireArmed reports whether the plan can corrupt RMA payloads. The RMA
-// layer checks this single bool on its hot path; when false the
-// corruption stream is never touched, keeping an SDC-free plan
-// digest-identical to one with no Corruption at all.
-func (in *Injector) WireArmed() bool { return in.plan.Corrupt.WireProb > 0 }
-
 // TaskArmed reports whether the plan can corrupt task results.
 func (in *Injector) TaskArmed() bool { return in.plan.Corrupt.TaskProb > 0 }
-
-// CorruptWire decides whether the payload of the next bulk Put/Get from
-// origin to target (nbytes long) is corrupted in flight. On ok it returns
-// the flipped bit's index in [0, nbytes*8), derived from the same hash as
-// the decision so placement is as reproducible as the decision itself.
-// Each armed call consumes one step of origin's wire stream; a disarmed
-// call consumes nothing.
-func (in *Injector) CorruptWire(origin, target, nbytes int) (bit uint64, ok bool) {
-	c := &in.plan.Corrupt
-	if c.WireProb <= 0 || nbytes <= 0 {
-		return 0, false
-	}
-	seq := in.wireSeq[origin]
-	in.wireSeq[origin] = seq + 1
-	h := in.hash(4, uint64(origin), uint64(target), seq)
-	if unit(h) >= c.WireProb {
-		return 0, false
-	}
-	in.wireFlips[origin]++
-	in.stats.WireFlips++
-	return sim.Splitmix(h) % uint64(nbytes*8), true
-}
 
 // CorruptTask decides whether rank's next protected task execution is
 // corrupted. On ok it returns a 64-bit flip signature the caller maps onto
@@ -245,6 +187,8 @@ func (in *Injector) CorruptTask(rank int) (sig uint64, ok bool) {
 	}
 	seq := in.taskSeq[rank]
 	in.taskSeq[rank] = seq + 1
+	// Stream 5, not the next free number: 4 was a retired stream's, and
+	// renumbering would move every task draw a pinned run makes.
 	h := in.hash(5, uint64(rank), 0, seq)
 	if unit(h) >= c.TaskProb {
 		return 0, false
@@ -258,23 +202,16 @@ func (in *Injector) CorruptTask(rank int) (sig uint64, ok bool) {
 	return sig, true
 }
 
-// Timeout returns the deadline charged per failed attempt.
-func (in *Injector) Timeout() sim.Time { return in.plan.RMA.Timeout }
-
-// MaxAttempts returns the fail-stop attempt bound.
-func (in *Injector) MaxAttempts() int { return in.plan.RMA.MaxAttempts }
-
 // Backoff returns the backoff for the attempt-th consecutive failure
-// (attempt counts from 1): capped exponential growth from BackoffMin to
-// BackoffMax plus a deterministic jitter of up to a quarter of the base.
+// (attempt counts from 1): capped exponential growth from 2µs to 64µs
+// plus a deterministic jitter of up to a quarter of the base.
 func (in *Injector) Backoff(origin, attempt int) sim.Time {
-	r := &in.plan.RMA
-	d := r.BackoffMin
-	for i := 1; i < attempt && d < r.BackoffMax; i++ {
+	d := backoffMin
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > r.BackoffMax {
-		d = r.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	if jmax := uint64(d / 4); jmax > 0 {
 		h := in.hash(2, uint64(origin), uint64(attempt), in.rmaSeq[origin])
@@ -340,12 +277,7 @@ func PlanFlakyRMA(seed int64) Plan {
 	return Plan{
 		Name: "flaky-rma",
 		Seed: seed,
-		RMA: RMAFaults{
-			FailProb:   0.02,
-			Timeout:    8 * sim.Microsecond,
-			BackoffMin: 2 * sim.Microsecond,
-			BackoffMax: 64 * sim.Microsecond,
-		},
+		RMA:  RMAFaults{FailProb: 0.02},
 	}
 }
 
@@ -363,11 +295,8 @@ func PlanStraggler(seed int64) Plan {
 	}
 }
 
-// PlanSDC corrupts 10% of protected task results for the whole run. Task
-// corruption only — wire flips land in arbitrary application data
-// (pointers, tree digests) where they can crash rather than silently
-// corrupt, so the wire stream has its own plan below. 10% keeps the
-// chance of a replication protocol exhausting its replay budget
+// PlanSDC corrupts 10% of protected task results for the whole run. 10%
+// keeps the chance of a replication protocol exhausting its replay budget
 // (consecutive independently-corrupted executions) negligible while
 // guaranteeing several flips per app at every benchmark scale.
 func PlanSDC(seed int64) Plan {
@@ -375,19 +304,6 @@ func PlanSDC(seed int64) Plan {
 		Name:    "sdc-task",
 		Seed:    seed,
 		Corrupt: Corruption{TaskProb: 0.1},
-	}
-}
-
-// PlanSDCWire corrupts 2% of bulk RMA payloads in flight. Used by the
-// wire-checksum tests and cilksort (whose payloads are plain data);
-// not part of the app sweep because flipped bits in UTS/FMM metadata
-// (child pointers, node digests) change control flow rather than just
-// results.
-func PlanSDCWire(seed int64) Plan {
-	return Plan{
-		Name:    "sdc-wire",
-		Seed:    seed,
-		Corrupt: Corruption{WireProb: 0.02},
 	}
 }
 

@@ -133,71 +133,57 @@ func TestLinkExtraWindows(t *testing.T) {
 	}
 }
 
-// TestCorruptDeterministic: the wire and task corruption streams replay
-// bit-for-bit — same decisions AND same flip placements — across
-// identical-seed injectors, and move with the seed.
+// TestCorruptDeterministic: the task corruption stream replays
+// bit-for-bit — same decisions AND same flip signatures — across
+// identical-seed injectors, and moves with the seed.
 func TestCorruptDeterministic(t *testing.T) {
 	type flip struct {
 		val uint64
 		ok  bool
 	}
-	mk := func(seed int64) (wire, task []flip) {
-		p := Plan{Seed: seed, Corrupt: Corruption{WireProb: 0.05, TaskProb: 0.1}}
-		in := NewInjector(p, 4)
+	mk := func(seed int64) (task []flip) {
+		in := NewInjector(Plan{Seed: seed, Corrupt: Corruption{TaskProb: 0.1}}, 4)
 		for i := 0; i < 2000; i++ {
-			b, ok := in.CorruptWire(i%4, (i+1)%4, 256)
-			wire = append(wire, flip{b, ok})
 			s, ok := in.CorruptTask(i % 4)
 			task = append(task, flip{s, ok})
 		}
-		return wire, task
+		return task
 	}
-	w1, t1 := mk(7)
-	w2, t2 := mk(7)
-	wireHits, taskHits := 0, 0
-	for i := range w1 {
-		if w1[i] != w2[i] || t1[i] != t2[i] {
+	t1, t2 := mk(7), mk(7)
+	hits := 0
+	for i := range t1 {
+		if t1[i] != t2[i] {
 			t.Fatalf("decision %d differs across identical-seed injectors", i)
 		}
-		if w1[i].ok {
-			wireHits++
-			if w1[i].val >= 256*8 {
-				t.Fatalf("wire flip bit %d out of payload range", w1[i].val)
-			}
-		}
 		if t1[i].ok {
-			taskHits++
+			hits++
 			if t1[i].val == 0 {
 				t.Fatalf("task flip signature must be nonzero")
 			}
 		}
 	}
-	if wireHits == 0 || taskHits == 0 {
-		t.Fatalf("corruption injected nothing in 2000 ops (wire=%d task=%d)", wireHits, taskHits)
+	if hits == 0 {
+		t.Fatalf("corruption injected nothing in 2000 ops")
 	}
-	w3, t3 := mk(8)
+	t3 := mk(8)
 	same := 0
-	for i := range w1 {
-		if w1[i] == w3[i] && t1[i] == t3[i] {
+	for i := range t1 {
+		if t1[i] == t3[i] {
 			same++
 		}
 	}
-	if same == len(w1) {
-		t.Fatalf("seed change did not change the corruption streams")
+	if same == len(t1) {
+		t.Fatalf("seed change did not change the corruption stream")
 	}
 }
 
 // TestCorruptWindowAndBudget: corruption has no window and no flip budget:
-// at probability 1 every draw of either stream flips; the audit trails
-// record where flips landed.
+// at probability 1 every draw flips; the audit trail records where flips
+// landed.
 func TestCorruptWindowAndBudget(t *testing.T) {
-	p := Plan{Seed: 7, Corrupt: Corruption{WireProb: 1, TaskProb: 1}}
-	in := NewInjector(p, 2)
+	in := NewInjector(Plan{Seed: 7, Corrupt: Corruption{TaskProb: 1}}, 2)
 	flips := 0
-	for i := 0; i < 10; i++ {
-		if _, ok := in.CorruptWire(0, 1, 64); ok {
-			flips++
-		}
+	for i := 0; i < 20; i++ {
 		if _, ok := in.CorruptTask(0); ok {
 			flips++
 		}
@@ -208,13 +194,11 @@ func TestCorruptWindowAndBudget(t *testing.T) {
 	if _, ok := in.CorruptTask(1); !ok {
 		t.Errorf("rank 1's task should flip too")
 	}
-	wf, tf := in.WireFlipsByRank(), in.TaskFlipsByRank()
-	if wf[0]+tf[0] != 20 || wf[1]+tf[1] != 1 {
-		t.Errorf("audit trails = wire %v task %v, want rank sums [20 1]", wf, tf)
+	if tf := in.TaskFlipsByRank(); tf[0] != 20 || tf[1] != 1 {
+		t.Errorf("audit trail = %v, want [20 1]", tf)
 	}
-	st := in.Stats()
-	if st.WireFlips+st.TaskFlips != 21 {
-		t.Errorf("Stats flips = %d+%d, want 21 total", st.WireFlips, st.TaskFlips)
+	if st := in.Stats(); st.TaskFlips != 21 {
+		t.Errorf("Stats flips = %d, want 21", st.TaskFlips)
 	}
 }
 
@@ -224,9 +208,6 @@ func TestCorruptWindowAndBudget(t *testing.T) {
 func TestCorruptDisabledZeroAlloc(t *testing.T) {
 	in := NewInjector(PlanFlakyRMA(7), 2)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := in.CorruptWire(0, 1, 4096); ok {
-			t.Fatalf("disarmed wire stream injected a flip")
-		}
 		if _, ok := in.CorruptTask(0); ok {
 			t.Fatalf("disarmed task stream injected a flip")
 		}
@@ -234,7 +215,7 @@ func TestCorruptDisabledZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("disarmed corruption path allocates %.1f/op, want 0", allocs)
 	}
-	if in.wireSeq[0] != 0 || in.taskSeq[0] != 0 {
+	if in.taskSeq[0] != 0 {
 		t.Errorf("disarmed calls consumed stream state")
 	}
 }

@@ -11,6 +11,7 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"ityr"
 	"ityr/internal/core"
 	"ityr/internal/fault"
+	"ityr/internal/pgas"
 	"ityr/internal/trace"
 	"ityr/internal/uth"
 )
@@ -36,8 +38,8 @@ type Body func(rt *core.Runtime) (ok bool, err error)
 // which checks the binary's own flags (an error is a usage error), may
 // adjust the Config, and returns the body to run. Exit status: 2 for a
 // usage error; 1 for a run that failed, an output that did not verify, a
-// dump that could not be written or, in a validated run, a recorded
-// violation; else 0.
+// silent-data corruption that escaped to the output, a dump that could not
+// be written or, in a validated run, a recorded violation; else 0.
 func Main(seed int64, seedHelp string, setup func(cfg *core.Config) (Body, error)) {
 	cfg := &core.Config{}
 	flag.IntVar(&cfg.Ranks, "ranks", 32, "number of simulated ranks")
@@ -66,7 +68,7 @@ func (o *options) run(cfg *core.Config, policy string, setup func(cfg *core.Conf
 		return fail(2, err)
 	}
 	rt := core.NewRuntime(*cfg)
-	ok, err := body(rt)
+	ok, err := runBody(rt, body, cfg.Pgas.Validate)
 	if err != nil {
 		return fail(1, err)
 	}
@@ -78,10 +80,36 @@ func (o *options) run(cfg *core.Config, policy string, setup func(cfg *core.Conf
 	if cfg.Pgas.Validate && reportViolations(rt) {
 		ok = false
 	}
+	// A corruption that reached the output unseen fails the run, whatever
+	// the body's own check made of that output.
+	if rt.MetricsSnapshot().Counters["sdc_escaped"] > 0 {
+		ok = false
+	}
 	if !ok {
 		return 1
 	}
 	return 0
+}
+
+// runBody runs body on rt. In a validated run, a panic wrapping
+// pgas.ErrViolation (a checkout the validator refused, raised through
+// Ctx.MustCheckout or Ctx.Checkin) ends the body as a failed run: the
+// diagnostic goes to stderr and the caller still writes the dumps and the
+// report. Any other panic propagates.
+func runBody(rt *core.Runtime, body Body, validate bool) (ok bool, err error) {
+	if validate {
+		defer func() {
+			if r := recover(); r != nil {
+				e, isErr := r.(error)
+				if !isErr || !errors.Is(e, pgas.ErrViolation) {
+					panic(r)
+				}
+				fmt.Fprintln(os.Stderr, e)
+				ok, err = false, nil
+			}
+		}()
+	}
+	return body(rt)
 }
 
 // options holds the values of the shared flags: register binds them, apply

@@ -2,6 +2,8 @@ package rma
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"ityr/internal/fault"
@@ -179,11 +181,9 @@ func le64(b []byte) uint64 {
 }
 
 // TestRetriesExhaustedPanics: an op that cannot stop failing hits the
-// MaxAttempts fail-stop bound with a typed, errors.Is-able panic.
+// fault.MaxAttempts fail-stop bound with a typed, errors.Is-able panic.
 func TestRetriesExhaustedPanics(t *testing.T) {
-	plan := fault.Plan{Name: "always-fail", Seed: 1, RMA: fault.RMAFaults{
-		FailProb: 1, Timeout: sim.Microsecond, MaxAttempts: 3,
-	}}
+	plan := fault.Plan{Name: "always-fail", Seed: 1, RMA: fault.RMAFaults{FailProb: 1}}
 	e := sim.NewEngine()
 	net := netmodel.Default(2)
 	in := fault.NewInjector(plan, 2)
@@ -208,6 +208,8 @@ func TestRetriesExhaustedPanics(t *testing.T) {
 	_ = e.Run() // rank 1 just exits; rank 0 recovers its own panic
 	if !errors.Is(recovered, ErrRetriesExhausted) {
 		t.Errorf("recovered %v, want error wrapping ErrRetriesExhausted", recovered)
+	} else if want := fmt.Sprintf("failed %d attempts", fault.MaxAttempts); !strings.Contains(recovered.Error(), want) {
+		t.Errorf("recovered %v, want it to have %s", recovered, want)
 	}
 }
 
@@ -250,9 +252,7 @@ func TestAtomicChargeMatchesChargeAtomic(t *testing.T) {
 // TestAtomicChargeRetriesExhausted: the fail-stop of the retry loop fires
 // from a step too, and leaves Run with the typed error.
 func TestAtomicChargeRetriesExhausted(t *testing.T) {
-	plan := fault.Plan{Name: "always-fail", Seed: 1, RMA: fault.RMAFaults{
-		FailProb: 1, Timeout: sim.Microsecond, MaxAttempts: 3,
-	}}
+	plan := fault.Plan{Name: "always-fail", Seed: 1, RMA: fault.RMAFaults{FailProb: 1}}
 	var recovered error
 	func() {
 		defer func() { recovered, _ = recover().(error) }()
@@ -269,13 +269,13 @@ func TestAtomicChargeRetriesExhausted(t *testing.T) {
 
 // TestGrowMidFlight is the regression for the Grow rewrite: a Put issued
 // before a concurrent-epoch Grow must land in the grown segment, for both
-// the in-place (within capacity) and reallocating paths, and Generation
-// must advance only when the payload moves.
+// the in-place (within capacity) and reallocating paths, and only the
+// reallocating Grow may move the segment's backing array.
 func TestGrowMidFlight(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e, 2, netmodel.Default(2))
 	w := c.NewWin([]int{64, 64})
-	gen0 := w.Generation(1)
+	base0, base1 := &w.Seg(0)[0], &w.Seg(1)[0]
 	for i := 0; i < 2; i++ {
 		r := c.Rank(i)
 		e.Spawn("rank", func(p *sim.Proc) {
@@ -286,10 +286,13 @@ func TestGrowMidFlight(t *testing.T) {
 				// Grow before the flush: within capacity first (cap is at
 				// least 64), then far past it to force reallocation.
 				w.Grow(1, 64)
+				if &w.Seg(1)[0] != base1 {
+					t.Errorf("in-place Grow moved the segment")
+				}
 				w.Put(r, src, 1, 62)
 				w.Grow(1, 4096)
-				if w.Generation(1) == gen0 {
-					t.Errorf("reallocating Grow did not bump the generation")
+				if &w.Seg(1)[0] == base1 {
+					t.Errorf("Grow past capacity did not reallocate the segment")
 				}
 				w.Put(r, []byte{0xEE}, 1, 4000) // lands in the new segment
 				r.Flush()
@@ -313,8 +316,8 @@ func TestGrowMidFlight(t *testing.T) {
 	if seg[4000] != 0xEE {
 		t.Errorf("post-realloc Put lost: seg[4000] = %x", seg[4000])
 	}
-	if w.Generation(0) != 0 {
-		t.Errorf("untouched rank's generation moved")
+	if &w.Seg(0)[0] != base0 {
+		t.Errorf("untouched rank's segment moved")
 	}
 }
 

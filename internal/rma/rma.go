@@ -30,8 +30,8 @@
 // CompareAndSwap/FetchAndAdd applies its effect exactly once — callers
 // need no idempotence of their own, only tolerance of the added latency.
 // SetFaults is the one call that arms a plan: the same injector prices the
-// plan's link windows into every remote transfer and atomic, flips wire
-// bits, and its stragglers' ranks are slowed from the start.
+// plan's link windows into every remote transfer and atomic, and its
+// stragglers' ranks are slowed from the start.
 // With no injector armed every fault path is a single nil-check and the
 // charged costs are bit-identical to the fault-free model (pinned by the
 // golden digest and an allocs test).
@@ -57,11 +57,8 @@ var (
 	// ErrOutOfRange reports a byte range outside the target's segment.
 	ErrOutOfRange = errors.New("rma: access outside window segment")
 	// ErrRetriesExhausted reports an op that kept failing past the fault
-	// plan's MaxAttempts fail-stop bound.
+	// fail-stop bound, fault.MaxAttempts.
 	ErrRetriesExhausted = errors.New("rma: retries exhausted")
-	// ErrSdcUnrecoverable reports a transfer whose payload kept arriving
-	// corrupted past the SDC replay bound (fail-stop).
-	ErrSdcUnrecoverable = errors.New("rma: payload corruption persisted past replay bound")
 )
 
 // Comm is a communicator over a fixed set of ranks.
@@ -76,11 +73,6 @@ type Comm struct {
 
 	inj *fault.Injector // nil = no fault injection
 	rec *trace.Recorder // nil = record nothing
-
-	// sdcReplays > 0 arms the end-to-end payload checksum: a corrupted
-	// bulk transfer is detected and retransmitted up to sdcReplays times
-	// before fail-stop. 0 (the default) lets wire flips land silently.
-	sdcReplays int
 
 	// Barrier state: per-rank virtual arrival times and the number of
 	// ranks that have arrived at the current episode.
@@ -111,9 +103,8 @@ func New(e *sim.Engine, n int, p netmodel.Params) *Comm {
 }
 
 // SetFaults arms the injector's whole plan: one-sided ops may transiently
-// fail and retry, bulk payloads may flip a bit in flight, remote transfers
-// and atomics pay the link windows' extra, and each straggler's rank is
-// slowed for the whole run. Call before the simulation starts; a nil
+// fail and retry, remote transfers and atomics pay the link windows'
+// extra, and each straggler's rank is slowed for the whole run. Call before the simulation starts; a nil
 // injector (the default) keeps every fault path to a single nil-check.
 func (c *Comm) SetFaults(in *fault.Injector) {
 	c.inj = in
@@ -127,8 +118,8 @@ func (c *Comm) SetFaults(in *fault.Injector) {
 	}
 }
 
-// SetRecorder attaches the run's recorder, to which retries, checksum
-// detections, one-sided ops and flush/barrier waits are reported. Call it
+// SetRecorder attaches the run's recorder, to which retries, one-sided
+// ops and flush/barrier waits are reported. Call it
 // before building the layers above: pgas.New and uth.NewSched take the
 // recorder from here. Recording only reads the virtual clock, so schedules
 // are bit-identical with or without one; nil (the default) records nothing.
@@ -137,40 +128,11 @@ func (c *Comm) SetRecorder(rec *trace.Recorder) { c.rec = rec }
 // Recorder returns the attached recorder (nil when none is).
 func (c *Comm) Recorder() *trace.Recorder { return c.rec }
 
-// SetSDCVerify arms the end-to-end payload checksum: every corrupted bulk
-// Put/Get payload is detected on arrival and retransmitted (each
-// retransmission re-charging the full origin-side issue cost), failing
-// stop with ErrSdcUnrecoverable after maxReplays retransmissions of one
-// transfer. maxReplays <= 0 disarms verification, in which case injected
-// wire flips corrupt memory silently (counted as escapes).
-func (c *Comm) SetSDCVerify(maxReplays int) { c.sdcReplays = maxReplays }
-
 // RetriesByRank returns a copy of the per-origin-rank retry counts.
 func (c *Comm) RetriesByRank() []uint64 {
 	out := make([]uint64, len(c.ranks))
 	for i := range c.ranks {
 		out[i] = c.ranks[i].retries
-	}
-	return out
-}
-
-// SdcWireDetectedByRank returns each origin rank's count of wire flips
-// caught by the end-to-end payload checksum (the detection side of the
-// injector's WireFlipsByRank audit trail).
-func (c *Comm) SdcWireDetectedByRank() []uint64 {
-	out := make([]uint64, len(c.ranks))
-	for i := range c.ranks {
-		out[i] = c.ranks[i].sdcDetected
-	}
-	return out
-}
-
-// SdcWireEscapesByRank returns each origin rank's count of wire flips
-// that landed silently (checksum not armed).
-func (c *Comm) SdcWireEscapesByRank() []uint64 {
-	out := make([]uint64, len(c.ranks))
-	for i := range c.ranks {
-		out[i] = c.ranks[i].sdcEscapes
 	}
 	return out
 }
@@ -196,30 +158,6 @@ type Stats struct {
 	Barriers                  uint64 // completed barrier episodes
 	Retries                   uint64 // transient failures retried (fault injection)
 	RetryNs                   uint64 // virtual time lost to retry timeouts + backoff
-}
-
-// SdcWireStats reports silent-data-corruption activity on bulk payloads.
-// Kept out of Stats so digests that fold Stats verbatim stay comparable
-// across versions that predate the SDC subsystem (the same rule that
-// keeps pgas.BatchStats separate).
-type SdcWireStats struct {
-	Flips    uint64 // bit flips injected into bulk payloads
-	Detected uint64 // flips caught by the end-to-end checksum
-	Retrans  uint64 // retransmissions issued to recover them
-	Escapes  uint64 // flips that landed silently (checksum off)
-}
-
-// SdcWire returns cumulative wire-corruption counters (sum over ranks).
-func (c *Comm) SdcWire() SdcWireStats {
-	var s SdcWireStats
-	for i := range c.ranks {
-		r := &c.ranks[i]
-		s.Flips += r.sdcFlips
-		s.Detected += r.sdcDetected
-		s.Retrans += r.sdcRetrans
-		s.Escapes += r.sdcEscapes
-	}
-	return s
 }
 
 // Stats returns cumulative traffic counters: the sum of every rank's
@@ -251,13 +189,13 @@ func (c *Comm) Stats() Stats {
 // no injector armed the gate is a single nil-check and operations never
 // fail. With an injector armed, an operation may fail transiently any
 // number of times before it takes effect: each failed attempt charges the
-// plan's detection timeout plus a capped, seeded exponential backoff to
-// this rank's virtual clock and increments its retry counters, and then
-// the operation is re-attempted from scratch. Because failures are always
+// detection timeout (fault.Timeout) plus a capped, seeded exponential
+// backoff to this rank's virtual clock and increments its retry counters,
+// and then the operation is re-attempted from scratch. Because failures are always
 // injected before the memory effect, the effect of a retried operation is
 // applied exactly once — callers never observe a duplicated Put or a
 // double-applied FetchAndAdd, and need no idempotence of their own. An
-// operation that is still failing after the plan's MaxAttempts fail-stops:
+// operation that is still failing after fault.MaxAttempts fail-stops:
 // it panics with an error wrapping ErrRetriesExhausted (classify with
 // errors.Is, as the simulated equivalent of MPI_ERRORS_ARE_FATAL).
 // Validation failures — a rank or byte range no correct program can
@@ -288,13 +226,6 @@ type Rank struct {
 	flushWaits         uint64
 	retries            uint64
 	retryNs            uint64
-
-	// Silent-data-corruption counters for bulk payloads this rank
-	// originated (summed by Comm.Stats, like the traffic counters).
-	sdcFlips    uint64
-	sdcDetected uint64
-	sdcRetrans  uint64
-	sdcEscapes  uint64
 }
 
 // ID returns the rank number.
@@ -329,12 +260,12 @@ func (r *Rank) Node() int { return r.c.net.Node(r.id) }
 
 // retryFaults injects transient failures for a one-sided op from this
 // rank to target, per the armed fault plan. Each failed attempt charges
-// the plan's timeout plus a capped, seeded exponential backoff, records a
+// fault.Timeout plus a capped, seeded exponential backoff, records a
 // KRetry span and the retry counters, and tries again. Failures are
 // injected before the op's memory effect, so the caller applies its
-// effect exactly once. An op still failing after MaxAttempts panics with
-// a wrapped ErrRetriesExhausted (fail-stop). Without an injector this is
-// a single nil-check.
+// effect exactly once. An op still failing after fault.MaxAttempts
+// attempts panics with a wrapped ErrRetriesExhausted (fail-stop). Without
+// an injector this is a single nil-check.
 func (r *Rank) retryFaults(target int) {
 	if r.c.inj == nil || target == r.id {
 		return
@@ -360,8 +291,8 @@ type retry struct {
 
 // nextRetry is the body of the retry loop: called when the op starts and
 // again after each wait it returned has been slept, it books the wait just
-// over (counters, KRetry span, fail-stop past MaxAttempts), draws the next
-// attempt's fate and returns the wait to sleep before trying again, or
+// over (counters, KRetry span, fail-stop past fault.MaxAttempts), draws the
+// next attempt's fate and returns the wait to sleep before trying again, or
 // failed == false once an attempt goes through. Callers check for an armed
 // injector and a remote target first.
 func (r *Rank) nextRetry(rt *retry) (wait sim.Time, failed bool) {
@@ -372,7 +303,7 @@ func (r *Rank) nextRetry(rt *retry) (wait sim.Time, failed bool) {
 		r.retries++
 		r.retryNs += uint64(d)
 		r.c.rec.Span(r.id, trace.KRetry, rt.t0, d, int64(rt.target), int64(rt.attempt))
-		if rt.attempt >= in.MaxAttempts() {
+		if rt.attempt >= fault.MaxAttempts {
 			panic(fmt.Errorf("%w: rank %d op to rank %d failed %d attempts under plan %q",
 				ErrRetriesExhausted, r.id, rt.target, rt.attempt, in.Plan().Name))
 		}
@@ -382,7 +313,7 @@ func (r *Rank) nextRetry(rt *retry) (wait sim.Time, failed bool) {
 	}
 	rt.attempt++
 	rt.t0 = now
-	return in.Timeout() + in.Backoff(r.id, rt.attempt), true
+	return fault.Timeout + in.Backoff(r.id, rt.attempt), true
 }
 
 // linkExtra is the extra time the armed plan's link windows add to an op
@@ -394,46 +325,6 @@ func (r *Rank) linkExtra(now sim.Time, target int, base sim.Time) sim.Time {
 		return 0
 	}
 	return r.c.inj.LinkExtra(now, r.id, target, base)
-}
-
-// sdcWire models silent wire corruption of one bulk transfer and, when
-// the end-to-end payload checksum is armed (SetSDCVerify), the
-// detect-and-retransmit recovery loop. src is the intact source of the
-// payload and landed the bytes the transfer materialized (the window
-// segment for a Put, the caller's dst for a Get); the two alias distinct
-// memory, so src always holds clean bytes to retransmit from. Each
-// retransmission draws a fresh corruption decision — a retransmit can
-// itself be corrupted — and re-charges the full issue cost (including
-// transient-failure retries). Without an armed wire-corruption stream
-// this is two cheap checks, keeping an SDC-free plan digest-identical to
-// one with no Corruption at all.
-func (r *Rank) sdcWire(src, landed []byte, target int) {
-	in := r.c.inj
-	if in == nil || target == r.id || !in.WireArmed() {
-		return
-	}
-	for attempt := 1; ; attempt++ {
-		bit, ok := in.CorruptWire(r.id, target, len(landed))
-		if !ok {
-			return
-		}
-		r.sdcFlips++
-		landed[bit>>3] ^= 1 << (bit & 7)
-		if r.c.sdcReplays <= 0 {
-			// No checksum armed: the flip lands silently and the program
-			// computes on corrupted bytes.
-			r.sdcEscapes++
-			return
-		}
-		r.sdcDetected++
-		r.c.rec.Instant(r.id, trace.KSdcDetect, r.proc.Now(), int64(target), int64(attempt))
-		if attempt > r.c.sdcReplays {
-			panic(fmt.Errorf("%w: rank %d transfer to rank %d corrupted %d times under plan %q",
-				ErrSdcUnrecoverable, r.id, target, attempt, in.Plan().Name))
-		}
-		r.issue(target, landed, src)
-		r.sdcRetrans++
-	}
 }
 
 // ChargeAtomic charges the full origin-side cost of one remote atomic to
@@ -596,7 +487,6 @@ type Win struct {
 	c    *Comm
 	id   int // creation-order number, a deterministic sort key
 	segs [][]byte
-	gens []uint64 // bumped when a Grow reallocates a segment's backing array
 }
 
 // ID returns the window's creation-order number within its communicator.
@@ -618,7 +508,7 @@ func (c *Comm) NewWin(sizes []int) *Win {
 	if len(sizes) != len(c.ranks) {
 		panic(fmt.Sprintf("rma: NewWin got %d sizes for %d ranks", len(sizes), len(c.ranks)))
 	}
-	w := &Win{c: c, id: c.nwins, gens: make([]uint64, len(sizes))}
+	w := &Win{c: c, id: c.nwins}
 	c.nwins++
 	w.segs = make([][]byte, len(sizes))
 	total := 0
@@ -647,15 +537,8 @@ func (c *Comm) NewUniformWin(size int) *Win {
 // rank i itself or for setup/verification outside the simulation. Re-fetch
 // the segment rather than caching it across a Grow: a beyond-capacity Grow
 // reallocates the backing array, after which a cached slice still reads
-// the pre-Grow contents but no longer aliases the window (Generation
-// detects this).
+// the pre-Grow contents but no longer aliases the window.
 func (w *Win) Seg(i int) []byte { return w.segs[i] }
-
-// Generation returns how many times rank's segment has been reallocated
-// by Grow. A slice taken from Seg remains an alias of the live segment
-// exactly as long as the generation is unchanged — the regression handle
-// for stale-slice bugs.
-func (w *Win) Generation(rank int) uint64 { return w.gens[rank] }
 
 // Grow extends rank's segment to at least size bytes, preserving contents —
 // the equivalent of MPI_Win_create_dynamic + MPI_Win_attach for a heap that
@@ -669,7 +552,7 @@ func (w *Win) Generation(rank int) uint64 { return w.gens[rank] }
 // within the existing capacity, in which case the segment is extended in
 // place and every previously taken slice still aliases the same backing
 // array, or the backing array is reallocated (with doubled capacity, so
-// this is rare) and the generation counter is bumped; ops that re-resolve
+// this is rare); ops that re-resolve
 // the segment through Seg — as all window ops do — always see the live
 // array.
 func (w *Win) Grow(rank, size int) {
@@ -688,7 +571,6 @@ func (w *Win) Grow(rank, size int) {
 	ns := make([]byte, size, newCap)
 	copy(ns, cur)
 	w.segs[rank] = ns
-	w.gens[rank]++
 }
 
 // CheckAccess validates a window access without performing it, returning
@@ -715,34 +597,20 @@ func (w *Win) check(target, off, n int) {
 }
 
 // Get starts a nonblocking read of len(dst) bytes from target's segment at
-// off into dst. The data is guaranteed valid after the next Flush. Bulk
-// payloads are subject to wire corruption under an armed Corruption plan
-// (the segment stays intact; only dst is flipped, and the checksum
-// retransmits from the segment).
+// off into dst. The data is guaranteed valid after the next Flush.
 func (w *Win) Get(r *Rank, target, off int, dst []byte) {
 	w.check(target, off, len(dst))
 	r.issue(target, dst, w.segs[target][off:off+len(dst)])
-	r.sdcWire(w.segs[target][off:off+len(dst)], dst, target)
 	r.getOps++
 	r.getBytes += uint64(len(dst))
 	r.c.rec.RMA(r.id, target, trace.OpGet, len(dst))
 }
 
 // Put starts a nonblocking write of src into target's segment at off.
-// Completion (remote visibility) is guaranteed after the next Flush. Bulk
-// payloads are subject to wire corruption under an armed Corruption plan
-// (the landed segment bytes are flipped; src stays intact, so the
-// checksum retransmits from it).
+// Completion (remote visibility) is guaranteed after the next Flush.
 func (w *Win) Put(r *Rank, src []byte, target, off int) {
-	w.put(r, src, target, off, true)
-}
-
-func (w *Win) put(r *Rank, src []byte, target, off int, corruptible bool) {
 	w.check(target, off, len(src))
 	r.issue(target, w.segs[target][off:off+len(src)], src)
-	if corruptible {
-		r.sdcWire(src, w.segs[target][off:off+len(src)], target)
-	}
 	r.putOps++
 	r.putBytes += uint64(len(src))
 	r.c.rec.RMA(r.id, target, trace.OpPut, len(src))
@@ -760,13 +628,11 @@ func (w *Win) GetUint64(r *Rank, target, off int) uint64 {
 	return v
 }
 
-// PutUint64 is a nonblocking 8-byte write. Like GetUint64 and the
-// atomics, scalar control words are assumed header-checksummed by the
-// transport and are never corrupted (only bulk payloads are).
+// PutUint64 is a nonblocking 8-byte write.
 func (w *Win) PutUint64(r *Rank, v uint64, target, off int) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	w.put(r, b[:], target, off, false)
+	w.Put(r, b[:], target, off)
 }
 
 // LocalUint64 reads an 8-byte value from the rank's own segment without

@@ -281,18 +281,17 @@ func resilienceReport(w io.Writer, snap *MetricsDoc) {
 
 // sdcReport prints the silent-data-corruption section of the resilience
 // report: whole-run counters plus a per-rank injected-vs-detected table.
-// Escapes — corruptions that reached neither the replication digest nor the
-// wire checksum — are the dangerous quantity, so they are flagged
-// explicitly rather than left as a column the reader must scan.
+// Escapes — corruptions the replication digest never saw — are the
+// dangerous quantity, so they are flagged explicitly rather than left as a
+// column the reader must scan.
 func sdcReport(w io.Writer, snap *MetricsDoc) {
 	escaped := snap.Counters["sdc_escaped"]
-	fmt.Fprintf(w, "  sdc: protected %d  replicas %d  detected %d  recovered %d  injected flips %d (wire %d)\n",
+	fmt.Fprintf(w, "  sdc: protected %d  replicas %d  detected %d  recovered %d  injected flips %d\n",
 		snap.Counters["sdc_protected_tasks"],
 		snap.Counters["replica_tasks"],
 		snap.Counters["sdc_detected"],
 		snap.Counters["sdc_recovered"],
-		snap.Counters["sdc_injected_flips"],
-		snap.Counters["sdc_wire_flips"])
+		snap.Counters["sdc_injected_flips"])
 	if escaped > 0 {
 		fmt.Fprintf(w, "  sdc: *** %d UNDETECTED ESCAPE(S) — output may be silently corrupt ***\n", escaped)
 	} else if snap.Counters["sdc_injected_flips"] > 0 {

@@ -60,8 +60,7 @@ const (
 	// the slot stays so later kinds keep their values.
 	KPrefetch
 	// KReplica and KSdcDetect were added with the silent-data-corruption
-	// subsystem (task replication + wire checksums), appended per the
-	// same rule.
+	// subsystem (task replication), appended per the same rule.
 	KReplica
 	KSdcDetect
 	// KViolation was added with the checkout-discipline validator
@@ -115,8 +114,8 @@ func (k Kind) String() string {
 //	KWriteBack   Arg = bytes written back
 //	KReplica     Arg = victim rank,     Arg2 = execution number ≥ 2 (span:
 //	             one redundant execution of a protected task segment)
-//	KSdcDetect   Arg = target/victim rank, Arg2 = attempt/replay number
-//	             (instant: a digest or checksum mismatch caught a flip)
+//	KSdcDetect   Arg = victim rank,     Arg2 = strike number
+//	             (instant: a digest mismatch caught a flip)
 //	KViolation   Arg = validator rule code, Arg2 = offending task ID (span:
 //	             from the conflicting earlier event — the overlapped
 //	             checkout, the retired checkin, or the unreleased write —
