@@ -95,3 +95,31 @@ func TestRankRunMemoryBudget(t *testing.T) {
 		t.Errorf("a region in which every rank steals retains %.0f B/rank over set-up, over the 1 KB budget", grew)
 	}
 }
+
+// ncRanks is the noncollective heap budget's geometry: the benchmark's
+// utsmem-64r.
+const ncRanks = 64
+
+// TestNoncollectiveHeapMemoryBudget: an SPMD region in which every rank
+// allocates one small object from its noncollective heap retains at most two
+// cache blocks a rank more than set-up did. The first allocation attaches
+// 2 MiB of simulated window; backing all of it with host memory would retain
+// 2 MiB a rank.
+func TestNoncollectiveHeapMemoryBudget(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	rt := setupRuntime(ncRanks)
+	budget := 2 * float64(rt.Config().Pgas.BlockSize)
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := rt.Run(func(s *ityr.SPMD) { s.Local().AllocLocal(16) }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	grew := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / ncRanks
+	runtime.KeepAlive(rt)
+	t.Logf("ranks=%d: one small noncollective allocation a rank retains %.0f B/rank over set-up (budget %.0f)", ncRanks, grew, budget)
+	if grew > budget {
+		t.Errorf("one small noncollective allocation a rank retains %.0f B/rank over set-up, over the %.0f B (two blocks) budget", grew, budget)
+	}
+}

@@ -334,8 +334,9 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			l.hit(req.Len())
 		} else if !cb.Valid.Contains(req) {
 			// Fetch missing sub-blocks from the home (Fig. 4 lines 17-21).
-			// The fetch reads the home segment, whose length its owner's
-			// noncollective allocations grow: the bank is taken first.
+			// The fetch is clipped at a noncollective home's attach and
+			// reads its segment, both of which the owner's allocations
+			// grow: the bank is taken first.
 			l.rank.Proc().Sync()
 			padded := region.Interval{
 				Lo: req.Lo / sbs * sbs,
@@ -345,8 +346,8 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 				padded.Lo = uint64(g0)
 			}
 			limit := uint64(g0) + bs
-			if ncLimit := uint64(a.base) + uint64(len(a.win.Seg(homeRank))); a.base >= ncBase && ncLimit < limit {
-				limit = ncLimit
+			if a.base >= ncBase {
+				limit = min(limit, uint64(a.base)+s.nc[homeRank].attached)
 			}
 			if padded.Hi > limit {
 				padded.Hi = limit

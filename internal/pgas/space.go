@@ -54,6 +54,25 @@ func (a *allocation) homeSpan(addr Addr, blockSize uint64) uint64 {
 	panic("pgas: bad policy")
 }
 
+// ncHeap is one rank's noncollective heap (§4.2): a bump pointer over the
+// rank's ncSpan of virtual addresses, the simulated attach size, and the
+// size-class free lists.
+type ncHeap struct {
+	used uint64 // bytes handed out, from the rank's region base
+	// attached is the simulated MPI_Win_attach size, which sets when an
+	// allocation pays an attach and where a cache miss is clipped. The host
+	// segment backs only the part a miss can read (AllocLocal).
+	attached uint64
+	// free is created lazily on the first FreeLocal to the rank: most ranks
+	// in a large run never free noncollective memory, and 16K eagerly
+	// allocated empty maps cost more than every other piece of per-rank
+	// pgas state combined. AllocLocal reads through a nil map for free.
+	free map[uint64][]Addr
+}
+
+// ncRegion returns the base of rank r's noncollective region.
+func ncRegion(r int) Addr { return ncBase + Addr(r)*ncSpan }
+
 // Space is the cluster-wide global address space.
 type Space struct {
 	cfg  Config
@@ -66,14 +85,8 @@ type Space struct {
 	allocs   []*allocation // sorted by base; includes per-rank noncollective pseudo-allocations
 	collNext Addr
 
-	ncWin  *rma.Win
-	ncNext []Addr // bump pointer per rank
-	// ncFree holds per-rank size-class free lists. Maps are created
-	// lazily on the first FreeLocal to a rank: most ranks in a large run
-	// never free noncollective memory, and 16K eagerly allocated empty
-	// maps cost more than every other piece of per-rank pgas state
-	// combined. AllocLocal reads through nil maps for free.
-	ncFree []map[uint64][]Addr
+	ncWin *rma.Win
+	nc    []ncHeap // per rank
 
 	epochWin *rma.Win // 16 bytes per rank: [0]=currentEpoch, [8]=requestEpoch
 
@@ -135,8 +148,7 @@ func New(comm *rma.Comm, cfg Config) *Space {
 		rec:      comm.Recorder(),
 		collNext: collBase,
 		ncWin:    comm.NewUniformWin(0),
-		ncNext:   make([]Addr, n),
-		ncFree:   make([]map[uint64][]Addr, n),
+		nc:       make([]ncHeap, n),
 		epochWin: comm.NewUniformWin(16),
 	}
 	cacheBlocks := cfg.CacheSize / cfg.BlockSize
@@ -152,7 +164,6 @@ func New(comm *rma.Comm, cfg Config) *Space {
 	// too; only the pointers land in the sorted alloc list.
 	ncAllocs := make([]allocation, n)
 	for i := 0; i < n; i++ {
-		s.ncNext[i] = ncBase + Addr(i)*ncSpan
 		s.locals[i] = Local{
 			space: s,
 			rank:  comm.Rank(i),
@@ -162,7 +173,7 @@ func New(comm *rma.Comm, cfg Config) *Space {
 		// A pseudo-allocation per rank describing its noncollective region
 		// keeps address resolution uniform.
 		ncAllocs[i] = allocation{
-			base:   ncBase + Addr(i)*ncSpan,
+			base:   ncRegion(i),
 			size:   uint64(ncSpan),
 			req:    uint64(ncSpan),
 			policy: BlockDist,
@@ -222,14 +233,20 @@ func (s *Space) ReleaseCaches() {
 // Local returns rank i's handle.
 func (s *Space) Local(i int) *Local { return &s.locals[i] }
 
-// findAlloc locates the live allocation containing [addr, addr+size).
+// findAlloc locates the live allocation containing [addr, addr+size). A
+// rank's noncollective region ends at the bytes its heap has handed out:
+// past them the host segment holds nothing.
 func (s *Space) findAlloc(addr Addr, size uint64) (*allocation, error) {
 	i := sort.Search(len(s.allocs), func(i int) bool { return s.allocs[i].base > addr })
 	if i == 0 {
 		return nil, ErrOutOfRange
 	}
 	a := s.allocs[i-1]
-	if a.freed || addr+size > a.end() {
+	end := a.end()
+	if a.win == s.ncWin {
+		end = a.base + s.nc[a.first].used
+	}
+	if a.freed || addr+size > end {
 		return nil, fmt.Errorf("%w: [%#x,%#x)", ErrOutOfRange, addr, addr+size)
 	}
 	return a, nil
@@ -310,25 +327,45 @@ func (l *Local) FreeCollective(addr Addr) error {
 // heap (§4.2). It involves no other rank, so it may be called from any
 // thread in the fork-join region. The result is remotely accessible and
 // freeable from any rank.
+//
+// The heap is a dynamically attached window. The simulated attach grows in
+// MiB steps, doubling (align(used, 1 MiB) × 2), and each grow pays one
+// MPI_Win_attach. The host segment behind the attach is shorter: it runs
+// to the end of the block holding the last allocated byte, clipped at the
+// attach, which is every byte a cache miss can pad to and under used +
+// BlockSize. An allocation that would run past the rank's ncSpan panics
+// with an error wrapping ErrOutOfRange.
 func (l *Local) AllocLocal(size uint64) Addr {
 	s := l.space
 	me := l.rank.ID()
+	h := &s.nc[me]
 	if size == 0 {
 		size = 1
 	}
-	size = align(size, 16)
+	n := align(size, 16)
 	l.rank.Proc().Advance(costAllocLocal)
-	if lst := s.ncFree[me][size]; len(lst) > 0 {
+	if lst := h.free[n]; len(lst) > 0 {
 		addr := lst[len(lst)-1]
-		s.ncFree[me][size] = lst[:len(lst)-1]
+		h.free[n] = lst[:len(lst)-1]
 		return addr
 	}
-	addr := s.ncNext[me]
-	s.ncNext[me] += Addr(size)
-	regionBase := ncBase + Addr(me)*ncSpan
-	if used := s.ncNext[me] - regionBase; used > Addr(len(s.ncWin.Seg(me))) {
-		grow := align(uint64(used), 1<<20) * 2 // grow in MiB steps, doubling
-		s.ncWin.Grow(me, int(grow))
+	// The span is a multiple of 16, so testing the unaligned size cannot
+	// overflow and decides the same as testing n.
+	if size > uint64(ncSpan)-h.used {
+		panic(fmt.Errorf("%w: rank %d's noncollective heap has %d bytes of its %d-byte span left, asked for %d",
+			ErrOutOfRange, me, uint64(ncSpan)-h.used, uint64(ncSpan), size))
+	}
+	region := ncRegion(me)
+	addr := region + h.used
+	h.used += n
+	attach := h.used > h.attached
+	if attach {
+		h.attached = align(h.used, 1<<20) * 2
+	}
+	// Grow before the attach's charge: a miss another rank takes meanwhile
+	// is already clipped at the new attach.
+	s.ncWin.Grow(me, int(min(align(region+h.used, uint64(s.cfg.BlockSize))-region, h.attached)))
+	if attach {
 		l.rank.Proc().Advance(2 * sim.Microsecond) // MPI_Win_attach
 	}
 	return addr
@@ -344,20 +381,18 @@ func (l *Local) AllocLocal(size uint64) Addr {
 func (l *Local) FreeLocal(addr Addr, size uint64) error {
 	l.rank.Proc().Sync() // the owner's heap is shared
 	s := l.space
-	a, err := s.findAlloc(addr, 1)
-	if err != nil || a.win != s.ncWin {
-		return ErrBadFree
-	}
-	owner := a.first
 	if size == 0 {
 		size = 1
 	}
 	size = align(size, 16)
-	end := addr + Addr(size)
-	if end > s.ncNext[owner] {
+	a, err := s.findAlloc(addr, size)
+	if err != nil || a.win != s.ncWin {
 		return ErrBadFree
 	}
-	for class, lst := range s.ncFree[owner] {
+	owner := a.first
+	h := &s.nc[owner]
+	end := addr + Addr(size)
+	for class, lst := range h.free {
 		for _, f := range lst {
 			if f < end && addr < f+Addr(class) {
 				return ErrBadFree
@@ -369,10 +404,10 @@ func (l *Local) FreeLocal(addr Addr, size uint64) error {
 	} else {
 		l.rank.Proc().Advance(costAllocLocal)
 	}
-	if s.ncFree[owner] == nil {
-		s.ncFree[owner] = make(map[uint64][]Addr)
+	if h.free == nil {
+		h.free = make(map[uint64][]Addr)
 	}
-	s.ncFree[owner][size] = append(s.ncFree[owner][size], addr)
+	h.free[size] = append(h.free[size], addr)
 	return nil
 }
 

@@ -551,10 +551,11 @@ func (w *Win) Seg(i int) []byte { return w.segs[i] }
 // under the kernel's one-process-at-a-time discipline: either the Grow fits
 // within the existing capacity, in which case the segment is extended in
 // place and every previously taken slice still aliases the same backing
-// array, or the backing array is reallocated (with doubled capacity, so
-// this is rare); ops that re-resolve
-// the segment through Seg — as all window ops do — always see the live
-// array.
+// array, or the backing array is reallocated. A reallocation at least
+// doubles the capacity, so a segment grown in small steps (pgas's
+// noncollective heap, which starts at one block) reallocates a logarithmic
+// number of times, not rarely; ops that re-resolve the segment through
+// Seg — as all window ops do — always see the live array.
 func (w *Win) Grow(rank, size int) {
 	cur := w.segs[rank]
 	if len(cur) >= size {
