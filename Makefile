@@ -96,9 +96,18 @@ sdc:
 # range and task segments; clean DAG runs stay silent; and the
 # validator-off hot path allocates nothing. The app matrix then runs
 # cilksort and utsmem validated in every cell and requires no violation.
+# Last, utsmem at its default tree and a million-key cilksort run
+# validated, each within 120 s, and must report clean: the validator's
+# host cost stays near a plain run's.
 validate:
 	@$(call subset,TestValidator,./internal/core)
 	@$(call subset,TestAppsVerifiedAcrossPoliciesAndSchedulers,./internal/bench)
+	@for app in "utsmem -ranks 8" "cilksort -n 1048576 -cutoff 256 -ranks 8"; do \
+		out=$$(timeout 120 $(GO) run ./cmd/$$app -validate 2>&1) || \
+			{ echo "$$out"; echo "validate: $$app -validate failed or timed out"; exit 1; }; \
+		echo "$$out" | grep -q 'validator: clean' || \
+			{ echo "$$out"; echo "validate: $$app -validate did not print 'validator: clean'"; exit 1; }; \
+	done
 
 # The wide sweep of the app matrix (not in `check`; CI's faults job runs
 # it): the flaky-RMA column of TestAppsVerifiedAcrossPoliciesAndSchedulers

@@ -10,9 +10,9 @@ type Future[T any] struct {
 	val *T
 }
 
-// Async forks fn as a child thread (child-first: it starts running
-// immediately, and the caller's continuation becomes stealable). The
-// result is delivered through the future at Await.
+// Async forks fn as a child thread (Ctx.Fork: the scheduling policy
+// decides whether the child or the caller runs on). The result is
+// delivered through the future at Await.
 func Async[T any](c *Ctx, fn func(*Ctx) T) Future[T] {
 	f := Future[T]{val: new(T)}
 	v := f.val

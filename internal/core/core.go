@@ -500,9 +500,10 @@ func (c *Ctx) FreeLocal(addr pgas.Addr, size uint64) {
 // Thread is a forked child handle.
 type Thread = uth.Thread
 
-// Fork spawns fn as a child thread, running it immediately (child-first)
-// and exposing this thread's continuation to thieves. Any checkouts must be
-// checked in before calling Fork (threads can migrate here).
+// Fork spawns fn as a child thread; the scheduling policy decides who runs
+// next (child-first: the child, with this continuation stealable;
+// help-first, FBC: this thread). Any checkouts must be checked in before
+// calling Fork (threads can migrate here).
 func (c *Ctx) Fork(fn func(*Ctx)) *Thread {
 	c.assertNoCheckouts("Fork")
 	rt := c.rt

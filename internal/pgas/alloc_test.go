@@ -129,6 +129,52 @@ func TestOutOfRangeAccess(t *testing.T) {
 	})
 }
 
+// TestCheckoutOfFreedArray: a checkout of a freed collective range fails
+// with ErrOutOfRange, validated or not. Rank 1 leaves a write to a block
+// homed on the other node unreleased, rank 0 frees the array, and rank 2
+// reads the block: the validator checks only live allocations, and the
+// free dropped the array's write ledger, so the stale write is not
+// reported as an unreleased-write.
+func TestCheckoutOfFreedArray(t *testing.T) {
+	for _, validate := range []bool{false, true} {
+		cfg := smallCfg(WriteBack)
+		cfg.Validate = validate
+		var base Addr
+		s := testCluster(t, 4, 2, cfg, func(l *Local) {
+			me := l.Rank().ID()
+			if me == 0 {
+				base = l.AllocCollective(4*256, BlockCyclicDist)
+			}
+			l.Rank().Barrier()
+			blk := base + 3*256 // homed on rank 3, off rank 1's node
+			if me == 1 {
+				if _, err := l.Checkout(blk, 64, Write); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Checkin(blk, 64, Write); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Rank().Barrier()
+			if me == 0 {
+				if err := l.FreeCollective(base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Rank().Barrier()
+			if me == 2 {
+				if _, err := l.Checkout(blk, 64, Read); !errors.Is(err, ErrOutOfRange) {
+					t.Errorf("validate=%v: checkout of a freed array: %v, want ErrOutOfRange", validate, err)
+				}
+			}
+			l.Rank().Barrier()
+		})
+		if v := s.Violations(); len(v) != 0 {
+			t.Errorf("validate=%v: violations %+v, want none", validate, v)
+		}
+	}
+}
+
 func TestFreeLocalBadAddr(t *testing.T) {
 	testCluster(t, 2, 1, smallCfg(WriteBack), func(l *Local) {
 		if l.Rank().ID() == 0 {

@@ -129,22 +129,23 @@ func (l *Local) AcquireWith(h ReleaseHandler) {
 			}
 		}
 	}
-	l.invalidateAll()
-	s.rec.Span(l.rank.ID(), trace.KAcquire, t0, l.rank.Proc().Now()-t0, int64(h.Rank), 0)
-	// Record after the poll loop: any lazy write-back this acquire waited
-	// for was homed at an earlier virtual time than this completion.
-	if v := l.validator(); v != nil {
-		v.onAcquire(l.rank.ID(), l.rank.Proc().Now())
-	}
+	l.acquired(trace.KAcquire, t0, int64(h.Rank))
 }
 
 // AcquireFence executes a plain acquire fence: self-invalidate the cache so
 // subsequent checkouts fetch fresh data. Used on thread migration arrival
 // when the matching releases were eager, and reported as the KMigrate span.
 func (l *Local) AcquireFence() {
-	t0 := l.rank.Proc().Now()
+	l.acquired(trace.KMigrate, l.rank.Proc().Now(), 0)
+}
+
+// acquired completes an acquire fence begun at t0: the cache
+// self-invalidates, the fence is reported as one span of kind k, and the
+// validator records its completion — after any poll loop, so a lazy
+// write-back the acquire waited for was homed at an earlier virtual time.
+func (l *Local) acquired(k trace.Kind, t0 sim.Time, arg int64) {
 	l.invalidateAll()
-	l.space.rec.Span(l.rank.ID(), trace.KMigrate, t0, l.rank.Proc().Now()-t0, 0, 0)
+	l.space.rec.Span(l.rank.ID(), k, t0, l.rank.Proc().Now()-t0, arg, 0)
 	if v := l.validator(); v != nil {
 		v.onAcquire(l.rank.ID(), l.rank.Proc().Now())
 	}

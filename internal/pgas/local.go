@@ -187,12 +187,18 @@ type piece struct {
 	segOff   int
 }
 
+// checkoutRec is one outstanding checkout. When validating, Checkout
+// stamps it with its owner's task segment, its start time and its
+// registration order: the outstanding rights the validator checks.
 type checkoutRec struct {
 	addr   Addr
 	size   uint64
 	mode   Mode
 	view   []byte
 	pieces []piece
+	task   int64
+	t0     sim.Time
+	seq    uint64
 }
 
 // Rank returns the underlying communication endpoint.
@@ -235,48 +241,53 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 	t0 := l.rank.Proc().Now()
 	s.Stats.CheckoutCalls++
 
-	if size == 0 {
-		l.outstanding = append(l.outstanding, checkoutRec{addr: addr, size: 0, mode: mode})
-		return nil, nil
-	}
-
-	// Discipline check before any cache state changes: a violating
-	// checkout fails fast and leaves caches untouched. Registration of the
-	// new access right happens at the success exits below, so failed
-	// checkouts (capacity, range) leave no ghost rights behind.
-	if v := l.validator(); v != nil {
-		if err := v.onCheckout(l, addr, addr+size, mode); err != nil {
+	rec := checkoutRec{addr: addr, size: size, mode: mode}
+	if size > 0 {
+		a, err := s.findAlloc(addr, size)
+		if err != nil {
 			return nil, err
 		}
-	}
-
-	if s.cfg.Policy == NoCache {
-		// The paper's baseline: checkout/checkin become GET/PUT on a
-		// freshly allocated user buffer (§6.1).
-		view := l.getView(size)
-		if mode != Write {
-			if err := l.getInto(addr, view); err != nil {
+		// Discipline check before any cache state changes: a violating
+		// checkout fails fast and leaves caches untouched.
+		if v := l.validator(); v != nil {
+			if err := v.onCheckout(l, a, addr, addr+size, mode); err != nil {
 				return nil, err
 			}
 		}
-		l.outstanding = append(l.outstanding, checkoutRec{addr: addr, size: size, mode: mode, view: view})
+		if s.cfg.Policy == NoCache {
+			// The paper's baseline: checkout/checkin become GET/PUT on a
+			// freshly allocated user buffer (§6.1).
+			rec.view = l.getView(size)
+			if mode != Write {
+				if err := l.getInto(addr, rec.view); err != nil {
+					return nil, err
+				}
+			}
+		} else if err := l.checkoutCached(a, &rec); err != nil {
+			return nil, err
+		}
+		// The one success exit: a failed checkout leaves no right behind.
 		if v := l.validator(); v != nil {
-			v.registerCheckout(l, addr, addr+size, mode, t0)
+			v.stamp(l, &rec, t0)
 		}
 		l.span(trace.KCheckout, t0, size)
-		return view, nil
 	}
+	l.outstanding = append(l.outstanding, rec)
+	return rec.view, nil
+}
 
-	a, err := s.findAlloc(addr, size)
-	if err != nil {
-		return nil, err
-	}
+// checkoutCached pins the cache and home blocks of rec's region, which
+// lies in allocation a, fetching what a readable mode needs, and sets
+// rec's pieces and view.
+func (l *Local) checkoutCached(a *allocation, rec *checkoutRec) error {
+	s := l.space
+	addr, size, mode := rec.addr, rec.size, rec.mode
 	bs := uint64(s.cfg.BlockSize)
 	sbs := uint64(s.cfg.SubBlockSize)
 	me := l.rank.ID()
 	net := s.comm.Net()
 
-	rec := checkoutRec{addr: addr, size: size, mode: mode, pieces: l.getPieces()}
+	rec.pieces = l.getPieces()
 	undo := func() {
 		for _, p := range rec.pieces {
 			if p.cb != nil {
@@ -302,7 +313,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			hb, evicted, herr := l.home.Acquire(int64(bid))
 			if herr != nil {
 				undo()
-				return nil, fmt.Errorf("%w: home blocks: %v", ErrTooMuchCheckout, herr)
+				return fmt.Errorf("%w: home blocks: %v", ErrTooMuchCheckout, herr)
 			}
 			if evicted != nil {
 				l.rank.Proc().Advance(costMmap) // unmap the evicted mapping
@@ -326,7 +337,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		cb, err := l.acquireCacheBlock(int64(bid))
 		if err != nil {
 			undo()
-			return nil, err
+			return err
 		}
 		cb.Ref++
 		if mode == Write {
@@ -401,12 +412,7 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 		}
 	}
 	rec.view = view
-	l.outstanding = append(l.outstanding, rec)
-	if v := l.validator(); v != nil {
-		v.registerCheckout(l, addr, addr+size, mode, t0)
-	}
-	l.span(trace.KCheckout, t0, size)
-	return view, nil
+	return nil
 }
 
 // acquireCacheBlock gets a cache block for bid, writing back all dirty data
@@ -476,21 +482,19 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 			break
 		}
 	}
-	if idx < 0 {
-		// The validator can upgrade this to a use-after-checkin diagnostic
-		// when the same right was recently retired (double checkin).
-		if v := l.validator(); v != nil && size > 0 {
-			if err := v.onMissingCheckin(l, addr, addr+size, mode); err != nil {
-				return err
-			}
+	// The validator retires a matched right, or can upgrade an unmatched
+	// checkin to a use-after-checkin diagnostic when the same right was
+	// recently retired (double checkin).
+	if v := l.validator(); v != nil && size > 0 {
+		if err := v.onCheckin(l, idx, addr, size, mode); err != nil {
+			return err
 		}
+	}
+	if idx < 0 {
 		return fmt.Errorf("%w: (%#x, %d, %v)", ErrUnmatchedCheckin, addr, size, mode)
 	}
 	rec := l.outstanding[idx]
 	l.outstanding = append(l.outstanding[:idx], l.outstanding[idx+1:]...)
-	if v := l.validator(); v != nil && size > 0 {
-		v.onCheckin(l, addr, addr+size, mode)
-	}
 
 	// SDC hook: both the NoCache and the cached path below commit
 	// rec.view verbatim, so flipping/folding the view here covers every
@@ -499,25 +503,28 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 		l.sdcOnCheckin(rec.view)
 	}
 
-	if s.cfg.Policy == NoCache {
-		if mode != Read {
+	// A written view reaches backing memory: home memory itself under
+	// NoCache (the paper's baseline PUT) and for home pieces, the cache
+	// blocks otherwise. The bytes stored home are home-visible from here.
+	staged := !direct(rec.pieces)
+	if mode != Read {
+		if s.cfg.Policy == NoCache {
 			if err := l.putFrom(rec.view, addr); err != nil {
 				return err
 			}
-			// Uncached writes land in home memory right here.
-			if v := l.validator(); v != nil && size > 0 {
-				v.markHomed(addr, addr+size, l.rank.Proc().Now())
-			}
+		} else if staged {
+			l.copyPieces(rec.pieces, rec.view, addr, true)
 		}
+		if v := l.validator(); v != nil && size > 0 {
+			v.onHomeStore(l, &rec)
+		}
+	}
+	if s.cfg.Policy == NoCache {
 		l.putView(rec.view)
 		l.span(trace.KCheckin, t0, size)
 		return nil
 	}
 
-	staged := !direct(rec.pieces)
-	if staged && mode != Read {
-		l.copyPieces(rec.pieces, rec.view, addr, true)
-	}
 	for _, p := range rec.pieces {
 		l.rank.Proc().Charge(costCheckinBlock)
 		if p.cb != nil {
@@ -544,11 +551,7 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 			p.cb.Ref--
 		} else {
 			// Home path: the copy above already updated home memory, so a
-			// written piece is home-visible as of this checkin — without
-			// ever being cache-dirty or touching a fence.
-			if v := l.validator(); v != nil && mode != Read {
-				v.markHomed(uint64(p.g), uint64(p.g)+uint64(p.n), l.rank.Proc().Now())
-			}
+			// written piece is never cache-dirty and needs no fence.
 			p.hb.Ref--
 		}
 	}

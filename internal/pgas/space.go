@@ -21,8 +21,9 @@ type allocation struct {
 	nranks uint64
 	// first is the rank of the first chunk: the owner of a noncollective
 	// region, 0 for a collective allocation.
-	first int
-	freed bool
+	first  int
+	freed  bool
+	writes []writeRec // the validator's last-writer ledger (validate.go)
 }
 
 func (a *allocation) end() Addr { return a.base + a.size }
@@ -311,7 +312,8 @@ func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
 }
 
 // FreeCollective releases a collective allocation. The host memory backing
-// the allocation is dropped; the virtual range is never reused.
+// the allocation and its validator ledger are dropped; the virtual range is
+// never reused.
 func (l *Local) FreeCollective(addr Addr) error {
 	l.rank.Proc().Sync() // the allocation table is shared
 	a, err := l.space.findAlloc(addr, 1)
@@ -320,6 +322,7 @@ func (l *Local) FreeCollective(addr Addr) error {
 	}
 	a.freed = true
 	a.win = nil
+	a.writes = nil
 	return nil
 }
 

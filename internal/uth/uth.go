@@ -664,10 +664,10 @@ func (w *Worker) pickVictim() int {
 	return vID
 }
 
-// Fork creates a child thread running fn and executes it immediately,
-// making the caller's continuation stealable (child-first policy). It
-// returns when the caller is next scheduled — on this rank if the
-// continuation was not stolen, on the thief's rank otherwise.
+// Fork creates a child thread running fn; the scheduling policy decides
+// who runs next. ChildFirst runs the child at once and returns when the
+// caller is next scheduled, on the thief's rank if its continuation was
+// stolen; HelpFirst and FBC push the child and keep running the caller.
 func (tb *TB) Fork(fn func(*TB)) *Thread {
 	if tb.w.sched.cfg.Policy != ChildFirst {
 		return tb.forkHelpFirst(fn)
