@@ -1,7 +1,7 @@
 # Checks every PR must pass. `make check` is the full gate; the individual
-# targets exist so CI can fan them out (golden, faults, sdc and validate are
-# subsets of `test`, which `check` runs ordered and shuffled, so only CI
-# names them). The race target covers the event kernel and the one-sided layer, whose no-host-races-by-construction claim
+# targets exist so CI can fan them out (golden, faults, budget, sdc and
+# validate are subsets of `test`, which `check` runs ordered and shuffled, so
+# only CI names them). The race target covers the event kernel and the one-sided layer, whose no-host-races-by-construction claim
 # (one simulated process runs at a time, handed the thread by coroutine
 # switch from the engine's one driver) is what the whole deterministic
 # simulation rests on; the scheduler, whose idle loop is an AdvanceFunc step
@@ -25,7 +25,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults sdc validate fuzz-matrix obs-smoke docscheck linkcheck profile loc
+.PHONY: check fmt vet build test benchmark-test shuffle race race-all golden faults budget sdc validate fuzz-matrix obs-smoke docscheck linkcheck profile loc
 
 check: fmt vet build test benchmark-test shuffle race obs-smoke docscheck linkcheck gate-perf gate-taskbench gate-faults gate-scaling gate-figures
 
@@ -83,6 +83,12 @@ golden:
 faults:
 	@$(call subset,FaultDeterminismGolden|EmptyPlanMatchesNoPlan|FaultPlansAppsTerminate|FaultBenchSmoke|StragglerRunsBank,./internal/bench)
 	$(GO) test -count=1 ./internal/fault
+
+# Host-memory budgets: rank set-up at 16K ranks, a region in which every
+# rank steals, a noncollective allocation a rank, and the cache-block storage
+# a cilksort run leaves in the process-wide pool.
+budget:
+	@$(call subset,TestRankSetupMemoryBudget|TestRankRunMemoryBudget|TestNoncollectiveHeapMemoryBudget|TestCacheStorageBudget,./internal/bench)
 
 # Silent-data-corruption suite: disabled-path digest inertness, seeded
 # corruption determinism, the negative control (defenses down -> output

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ityr"
+	"ityr/internal/apps/cilksort"
 )
 
 // Per-rank budgets on the rank-setup path (ityr.NewRuntime at 16,384
@@ -121,5 +122,36 @@ func TestNoncollectiveHeapMemoryBudget(t *testing.T) {
 	t.Logf("ranks=%d: one small noncollective allocation a rank retains %.0f B/rank over set-up (budget %.0f)", ncRanks, grew, budget)
 	if grew > budget {
 		t.Errorf("one small noncollective allocation a rank retains %.0f B/rank over set-up, over the %.0f B (two blocks) budget", grew, budget)
+	}
+}
+
+// TestCacheStorageBudget: after a run, the cache-block storage the process
+// keeps — what the pool holds once every cache has handed its blocks back
+// — is at most 1 MiB a rank. The run is the benchmark's cilksort-64r, one
+// pass: 64 ranks, its cache geometry (64 KiB blocks in a 16 MiB cache) and
+// its input. A block holds storage only while it holds valid bytes, so the
+// pool keeps what the ranks' caches held at their fullest moment between two
+// acquire fences, not every slot each cache ever used (4.3 MiB a rank when
+// each slot kept its first buffer for good: 4,619 KiB a
+// rank). The runtime is dropped before
+// the second reading, so its home segments are not counted; a pool already
+// holding 64 KiB blocks from an earlier test in the process only lowers the
+// figure.
+func TestCacheStorageBudget(t *testing.T) {
+	const ranks, budget = 64, 1 << 20
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	res, _ := runCilksort(runtimeConfig(ranks, 8, ityr.WriteBackLazy, 11),
+		cilksort.Params{N: 1 << 20, Cutoff: 1 << 10, Seed: 11, Dist: ityr.BlockCyclicDist, Verify: true})
+	if !res.Verified {
+		t.Fatal("cilksort did not verify")
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	perRank := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / ranks
+	t.Logf("ranks=%d: a cilksort run leaves %.0f KiB/rank of block storage behind (budget %d KiB)", ranks, perRank/1024, budget/1024)
+	if perRank > budget {
+		t.Errorf("a cilksort run leaves %.0f KiB/rank of block storage behind, over the %d KiB budget", perRank/1024, budget/1024)
 	}
 }

@@ -283,16 +283,13 @@ func (rt *Runtime) WriteTrace(w io.Writer) error {
 // time and report themselves, so each appears on the timeline as one span.
 type hooks struct{ space *pgas.Space }
 
-func (h hooks) Poll(rank int)             { h.space.Local(rank).Poll() }
-func (h hooks) PollPending(rank int) bool { return h.space.Local(rank).PollPending() }
-func (h hooks) OnFork(rank int) any       { return h.space.Local(rank).ReleaseLazy() }
-func (h hooks) OnSteal(rank int, handler any) {
-	hd, _ := handler.(pgas.ReleaseHandler)
-	h.space.Local(rank).AcquireWith(hd)
-}
-func (h hooks) OnSuspend(rank int)         { h.space.Local(rank).ReleaseFenceAt(0) }
-func (h hooks) OnChildStolenDone(rank int) { h.space.Local(rank).ReleaseFenceAt(1) }
-func (h hooks) OnMigrateArrive(rank int)   { h.space.Local(rank).AcquireFence() }
+func (h hooks) Poll(rank int)                            { h.space.Local(rank).Poll() }
+func (h hooks) PollPending(rank int) bool                { return h.space.Local(rank).PollPending() }
+func (h hooks) OnFork(rank int) pgas.ReleaseHandler      { return h.space.Local(rank).ReleaseLazy() }
+func (h hooks) OnSteal(rank int, hd pgas.ReleaseHandler) { h.space.Local(rank).AcquireWith(hd) }
+func (h hooks) OnSuspend(rank int)                       { h.space.Local(rank).ReleaseFenceAt(0) }
+func (h hooks) OnChildStolenDone(rank int)               { h.space.Local(rank).ReleaseFenceAt(1) }
+func (h hooks) OnMigrateArrive(rank int)                 { h.space.Local(rank).AcquireFence() }
 
 // Engine returns the simulation engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }

@@ -1,7 +1,10 @@
 // Package memblock manages the per-process physical memory blocks of the
 // software cache: fixed pools of home and cache blocks, the blockID → block
 // hash table, LRU eviction with reference counts, and the memory-mapping
-// entry accounting of §4.3.2 of the paper.
+// entry accounting of §4.3.2 of the paper. A cache block's host storage
+// follows its validity: the block holds a buffer from the process-wide pool
+// only while its bytes may mean something, and an acquire fence that leaves
+// it with nothing valid, nothing dirty and no checkout hands the buffer back.
 package memblock
 
 import (
@@ -14,20 +17,22 @@ import (
 )
 
 // storage is the process-wide free list of cache-block storage, keyed by
-// block size: the host's stand-in for the paper's cache region, mapped once
-// at start-up (§4.3). A table takes a block's bytes from it on first touch
-// and Release gives them back when a run ends, so every runtime after the
-// first in a process reuses storage instead of allocating it. Storage is
-// never zeroed. It does not need to be: the bytes of a cache block outside
-// its Valid set are never read as data — a read checkout fetches every
-// missing byte before handing out its view, a write checkout's view is the
-// caller's to overwrite (its contents are undefined, and may be whatever
-// the block last held), and write-back copies only Dirty ⊆ Valid. Storage
-// is 8-byte aligned, because a checkout that lies in one block hands out
-// the block's own bytes and the caller may read them as a typed slice. It
-// is not a sync.Pool,
-// which drops what it holds at every garbage collection, and a run
-// collects many times.
+// block size: the host's stand-in for the paper's cache region (§4.3), of
+// which only the blocks holding valid bytes are backed. Acquire gives a
+// block a buffer from it whenever it returns one without; an invalidation
+// gives back the buffers of the blocks it leaves with nothing valid, dirty
+// or checked out, and Release the rest when a run ends. So a cache holds
+// about as much host memory as it holds meaningful bytes, and every block
+// and runtime after the first reuses storage instead of allocating it.
+// Storage is never zeroed. It does not need to be: the bytes of a cache
+// block outside its Valid set are never read as data — a read checkout
+// fetches every missing byte before handing out its view, a write
+// checkout's view is the caller's to overwrite (its contents are undefined,
+// and may be whatever any block of that size last held), and write-back
+// copies only Dirty ⊆ Valid. Storage is 8-byte aligned, because a checkout
+// that lies in one block hands out the block's own bytes and the caller may
+// read them as a typed slice. It is not a sync.Pool, which drops what it
+// holds at every garbage collection, and a run collects many times.
 var storage = struct {
 	mu   sync.Mutex
 	free map[int][][]byte
@@ -66,8 +71,10 @@ type Block struct {
 	// physical block, or -1 when free.
 	ID int64
 	// Data is the backing storage of a cache block, taken from the
-	// process-wide pool (nil for home blocks, whose bytes are the rank's
-	// home segment).
+	// process-wide pool: non-nil whenever Acquire has returned the block,
+	// nil again after an invalidation left it nothing valid, dirty or
+	// checked out (and always nil for home blocks, whose bytes are the
+	// rank's home segment).
 	Data []byte
 	// Valid tracks the up-to-date byte regions within the block, in
 	// absolute global addresses (cache blocks only; home blocks are
@@ -124,10 +131,11 @@ type Table struct {
 }
 
 // NewTable creates a table of nblocks physical blocks of blockSize bytes.
-// A cache block takes its storage from the process-wide pool when it is
-// first assigned, so a large configured cache costs host memory only for
-// blocks actually touched, and Release returns it. If home is true the
-// blocks are home blocks (no Valid tracking, storage supplied by the
+// A cache block takes its storage from the process-wide pool when Acquire
+// returns it without any, and gives it back when an invalidation leaves it
+// nothing to hold, so a large configured cache costs host memory only for
+// the blocks holding valid bytes; Release returns the rest. If home is true
+// the blocks are home blocks (no Valid tracking, storage supplied by the
 // caller: they own none and are never pooled).
 func NewTable(nblocks, blockSize int, home bool) *Table {
 	if nblocks <= 0 || blockSize <= 0 {
@@ -161,24 +169,24 @@ func (t *Table) Lookup(id int64) *Block {
 func (t *Table) Peek(id int64) *Block { return t.byID[id] }
 
 // Acquire returns the block for global block id, assigning a free or
-// evicted physical block if necessary (GetMemBlock in Fig. 4). The second
-// result is the evicted victim (nil if none): the caller must unmap it and
-// discard any cached state before reusing the returned block, whose Valid
-// and Dirty sets are cleared and Mapped is false when newly assigned.
+// evicted physical block if necessary (GetMemBlock in Fig. 4), with storage:
+// a cache block that has none, whether hit or newly assigned, takes a
+// buffer from the pool. The second result is the evicted victim (nil if
+// none): the caller must unmap it and discard any cached state before
+// reusing the returned block, whose Valid and Dirty sets are cleared and
+// Mapped is false when newly assigned.
 //
 // Acquire fails with ErrNoEvictable if the pool is full and every block is
 // pinned or dirty, and with ErrTooMuchCheckout if every block is pinned.
 func (t *Table) Acquire(id int64) (blk *Block, evicted *Block, err error) {
 	if b := t.byID[id]; b != nil {
 		t.touch(b)
+		t.back(b)
 		return b, nil, nil
 	}
 	var b *Block
 	if t.allocated < t.nblocks {
 		b = &Block{ID: -1}
-		if !t.home {
-			b.Data = takeStorage(t.blockSize)
-		}
 		t.allocated++
 		t.insertTail(b)
 	} else {
@@ -214,7 +222,15 @@ func (t *Table) Acquire(id int64) (blk *Block, evicted *Block, err error) {
 	b.Dirty.Clear()
 	b.Ref = 0
 	t.byID[id] = b
+	t.back(b)
 	return b, evicted, nil
+}
+
+// back gives a cache block that holds no storage some from the pool.
+func (t *Table) back(b *Block) {
+	if b.Data == nil && !t.home {
+		b.Data = takeStorage(t.blockSize)
+	}
 }
 
 // SetMapped updates the mapping state of a block, maintaining the
@@ -287,26 +303,38 @@ func (t *Table) DirtyBlocks() []*Block {
 // fence protocol writes a cache back before invalidating it, so no block is
 // dirty here in practice; keeping dirty bytes valid makes the invalidation
 // safe under any schedule regardless. Only the valid list is walked, and
-// only the blocks left valid stay on it.
+// only the blocks left valid stay on it. A block left with nothing valid
+// and no checkout hands its storage to the pool: its bytes mean nothing
+// now. A checked-out block keeps it, because a view of a block that lies
+// in one block is the block's own bytes until its Checkin.
 func (t *Table) InvalidateAllExceptDirty() {
 	kept := t.valid[:0]
+	storage.mu.Lock()
+	free := storage.free[t.blockSize]
 	for _, b := range t.valid {
 		b.Valid.Clear()
-		if b.Dirty.Empty() {
-			b.onValid = false
-		} else {
+		if !b.Dirty.Empty() {
 			b.Valid.AddSet(&b.Dirty)
 			kept = append(kept, b)
+			continue
+		}
+		b.onValid = false
+		if b.Ref == 0 && b.Data != nil {
+			free = append(free, b.Data)
+			b.Data = nil
 		}
 	}
+	storage.free[t.blockSize] = free
+	storage.mu.Unlock()
 	t.valid = kept
 }
 
-// Release hands the table's block storage back to the process-wide pool
-// and empties the table, as if it had just been created. A table that
-// still holds a dirty or pinned block keeps everything: those bytes have
-// not reached their home yet. A home table owns no storage and is left
-// alone. The caller must hold no Block of the table across a Release.
+// Release hands the storage the table's blocks still hold back to the
+// process-wide pool and empties the table, as if it had just been created.
+// A table that still holds a dirty or pinned block keeps everything: those
+// bytes have not reached their home yet. A home table owns no storage and
+// is left alone. The caller must hold no Block of the table across a
+// Release.
 func (t *Table) Release() {
 	if t.home {
 		return
@@ -319,8 +347,10 @@ func (t *Table) Release() {
 	storage.mu.Lock()
 	free := storage.free[t.blockSize]
 	for cur := t.lru.next; cur != &t.lru; cur = cur.next {
-		free = append(free, cur.Data)
-		cur.Data = nil
+		if cur.Data != nil {
+			free = append(free, cur.Data)
+			cur.Data = nil
+		}
 	}
 	storage.free[t.blockSize] = free
 	storage.mu.Unlock()

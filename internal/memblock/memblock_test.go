@@ -154,6 +154,89 @@ func TestInvalidateAllExceptDirty(t *testing.T) {
 	}
 }
 
+// TestInvalidationPoolsCleanStorage: an invalidation that leaves a block
+// with nothing valid, nothing dirty and no checkout hands its storage to
+// the pool, and the next block the table assigns an id gets that buffer.
+func TestInvalidationPoolsCleanStorage(t *testing.T) {
+	const bs = 136 // no other test uses the size: the pool's top is ours
+	tb := NewTable(4, bs, false)
+	a, _, _ := tb.Acquire(1)
+	tb.MarkValid(a, region.Interval{Lo: bs, Hi: 2 * bs})
+	backing := &a.Data[0]
+	tb.InvalidateAllExceptDirty()
+	if a.Data != nil {
+		t.Fatal("a clean, unreferenced block kept its storage through an invalidation")
+	}
+	if tb.Peek(1) != a || a.Ref != 0 || a.Mapped || !a.Valid.Empty() {
+		t.Fatal("pooling the storage changed the block's table state")
+	}
+	b, ev, err := tb.Acquire(2)
+	if err != nil || ev != nil || len(b.Data) != bs || &b.Data[0] != backing {
+		t.Fatalf("the next newly assigned block did not get the pooled buffer (err %v, evicted %v)", err, ev)
+	}
+	// A hit on the detached block gives it storage again.
+	if again, _, _ := tb.Acquire(1); again != a || len(a.Data) != bs {
+		t.Fatal("a hit on a block without storage returned it without any")
+	}
+}
+
+// TestInvalidationKeepsHeldStorage: a dirty block and a block with an
+// outstanding checkout keep their buffer and their bytes through an
+// invalidation; their bytes still mean something.
+func TestInvalidationKeepsHeldStorage(t *testing.T) {
+	const bs = 152
+	tb := NewTable(4, bs, false)
+	dirty, _, _ := tb.Acquire(1)
+	tb.MarkDirty(dirty, region.Interval{Lo: bs, Hi: bs + 8})
+	held, _, _ := tb.Acquire(2)
+	tb.MarkValid(held, region.Interval{Lo: 2 * bs, Hi: 3 * bs})
+	held.Ref++
+	dirty.Data[0], held.Data[0] = 0xD1, 0xE1
+	dp, hp := &dirty.Data[0], &held.Data[0]
+	tb.InvalidateAllExceptDirty()
+	if dirty.Data == nil || &dirty.Data[0] != dp || dirty.Data[0] != 0xD1 {
+		t.Fatal("a dirty block lost its storage or its bytes to an invalidation")
+	}
+	if held.Data == nil || &held.Data[0] != hp || held.Data[0] != 0xE1 {
+		t.Fatal("a block with an outstanding checkout lost its storage or its bytes to an invalidation")
+	}
+	other, _, _ := NewTable(1, bs, false).Acquire(1)
+	if &other.Data[0] == dp || &other.Data[0] == hp {
+		t.Fatal("the pool handed out storage a block still holds")
+	}
+}
+
+// TestReleaseReturnsEveryBuffer: Release pools every buffer the table's
+// blocks hold, and none for a block an invalidation already emptied.
+func TestReleaseReturnsEveryBuffer(t *testing.T) {
+	const bs = 168
+	tb := NewTable(4, bs, false)
+	held := map[*byte]bool{}
+	for id := int64(0); id < 4; id++ {
+		b, _, _ := tb.Acquire(id)
+		if id < 2 {
+			tb.MarkValid(b, region.Interval{Lo: uint64(id) * bs, Hi: uint64(id+1) * bs})
+		}
+		held[&b.Data[0]] = true
+	}
+	n0 := len(storage.free[bs])
+	tb.InvalidateAllExceptDirty() // blocks 0 and 1 pool theirs
+	tb.Release()
+	free := storage.free[bs][n0:]
+	if len(free) != 4 {
+		t.Fatalf("invalidation and Release pooled %d buffers, want the table's 4", len(free))
+	}
+	for _, d := range free {
+		if d == nil || !held[&d[0]] {
+			t.Fatal("the pool holds a buffer no block of the table held")
+		}
+		delete(held, &d[0])
+	}
+	if len(held) != 0 {
+		t.Fatalf("%d buffers the table held are not in the pool", len(held))
+	}
+}
+
 func TestDirtyBlocksListing(t *testing.T) {
 	tb := NewTable(4, 64, false)
 	b0, _, _ := tb.Acquire(0)

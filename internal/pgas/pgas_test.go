@@ -689,6 +689,121 @@ func poisonPool(n, blockSize int) {
 	tb.Release()
 }
 
+// TestReusedBufferNeverRead: an acquire fence hands the storage of a block
+// it leaves with nothing valid back to the pool, and the next block the
+// cache assigns gets that buffer, bytes and all. A rank reads all of block
+// A and passes a fence; a partial Write checkout of block B then gets A's
+// old buffer and marks only its own bytes valid, so a Read of all of B
+// returns home bytes plus the written ones and no byte of A. Reading A
+// again gives A a buffer of its own and leaves B's bytes alone.
+func TestReusedBufferNeverRead(t *testing.T) {
+	for _, pol := range Policies {
+		if pol == NoCache {
+			continue
+		}
+		t.Run(pol.String(), func(t *testing.T) {
+			testCluster(t, 2, 1, smallCfg(pol), func(l *Local) {
+				if l.Rank().ID() != 0 {
+					l.Rank().Barrier()
+					return
+				}
+				// Two blocks per rank: blocks 2 and 3 are homed on rank 1.
+				base := l.AllocCollective(1024, BlockDist)
+				a, b := base+512, base+768
+				homeA, homeB := make([]byte, 256), make([]byte, 256)
+				for i := range homeA {
+					homeA[i], homeB[i] = 0xA0|byte(i%16), byte(i%64+1)
+				}
+				if err := l.Put(homeA, a); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Put(homeB, b); err != nil {
+					t.Fatal(err)
+				}
+				l.AcquireFence()
+				if _, err := l.Checkout(a, 256, Read); err != nil {
+					t.Fatal(err)
+				}
+				l.Checkin(a, 256, Read)
+				bufA := &l.cache.Peek(int64(a) / 256).Data[0]
+				l.AcquireFence()
+
+				const lo, n = 70, 50 // straddles two 64-byte sub-blocks
+				v, err := l.Checkout(b+lo, n, Write)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &l.cache.Peek(int64(b) / 256).Data[0] != bufA {
+					t.Fatal("block B did not get the buffer the fence took from block A")
+				}
+				for i := range v {
+					v[i] = byte(0xC0 + i%16)
+				}
+				l.Checkin(b+lo, n, Write)
+				want := append([]byte(nil), homeB...)
+				copy(want[lo:], v)
+				readB := func(when string) {
+					got, err := l.Checkout(b, 256, Read)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("Read of B %s = %x, want %x", when, got, want)
+					}
+					l.Checkin(b, 256, Read)
+				}
+				readB("after its partial Write")
+				if _, err := l.Checkout(a, 256, Read); err != nil {
+					t.Fatal(err)
+				}
+				l.Checkin(a, 256, Read)
+				readB("after A was read again")
+				l.Rank().Barrier()
+			})
+		})
+	}
+}
+
+// TestReadViewHeldAcrossAcquire: a Read view held across an acquire fence,
+// between its Checkout and its Checkin, keeps its bytes: the fence leaves
+// the pinned block its storage, so a Write checkout after the fence takes
+// a buffer of its own.
+func TestReadViewHeldAcrossAcquire(t *testing.T) {
+	testCluster(t, 2, 1, smallCfg(WriteBackLazy), func(l *Local) {
+		if l.Rank().ID() != 0 {
+			l.Rank().Barrier()
+			return
+		}
+		base := l.AllocCollective(1024, BlockDist)
+		a, c := base+512, base+768
+		home := make([]byte, 256)
+		for i := range home {
+			home[i] = byte(i%64 + 1)
+		}
+		if err := l.Put(home, a); err != nil {
+			t.Fatal(err)
+		}
+		view, err := l.Checkout(a, 256, Read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.AcquireFence()
+		w, err := l.Checkout(c, 256, Write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range w {
+			w[i] = 0xEE
+		}
+		l.Checkin(c, 256, Write)
+		if !bytes.Equal(view, home) {
+			t.Fatalf("a Read view held across an acquire fence = %x, want %x", view, home)
+		}
+		l.Checkin(a, 256, Read)
+		l.Rank().Barrier()
+	})
+}
+
 // TestPoisonedBlockNeverRead: cache-block storage is never zeroed, and
 // nothing needs it to be. A partial Write checkout of a block whose
 // storage is all 0xA5 marks only its own bytes valid, and a later Read of

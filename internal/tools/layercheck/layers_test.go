@@ -36,7 +36,7 @@ var allowed = map[string][]string{
 	"trace":    {"profile", "sim"},
 	"rma":      {"fault", "netmodel", "sim", "trace"},
 	"pgas":     {"memblock", "region", "rma", "sim", "trace"},
-	"uth":      {"rma", "sim", "trace"},
+	"uth":      {"pgas", "rma", "sim", "trace"},
 	"core":     {"fault", "netmodel", "pgas", "profile", "rma", "sim", "trace", "uth"},
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ityr/internal/pgas"
 	"ityr/internal/sim"
 )
 
@@ -17,13 +18,13 @@ func (h *orderHooks) rec(s string) { h.events = append(h.events, s) }
 
 func (h *orderHooks) Poll(int)             {}
 func (h *orderHooks) PollPending(int) bool { return false }
-func (h *orderHooks) OnFork(rank int) any {
+func (h *orderHooks) OnFork(rank int) pgas.ReleaseHandler {
 	h.nextID++
 	h.rec(fmt.Sprintf("release1@%d#%d", rank, h.nextID))
-	return h.nextID
+	return pgas.ReleaseHandler{Rank: rank, Epoch: uint64(h.nextID), Needed: true}
 }
-func (h *orderHooks) OnSteal(rank int, handler any) {
-	h.rec(fmt.Sprintf("acquire2@%d#%v", rank, handler))
+func (h *orderHooks) OnSteal(rank int, handler pgas.ReleaseHandler) {
+	h.rec(fmt.Sprintf("acquire2@%d#%d", rank, handler.Epoch))
 }
 func (h *orderHooks) OnSuspend(rank int)         { h.rec(fmt.Sprintf("release3@%d", rank)) }
 func (h *orderHooks) OnChildStolenDone(rank int) { h.rec(fmt.Sprintf("release2@%d", rank)) }

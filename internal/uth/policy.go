@@ -113,12 +113,13 @@ func (tb *TB) forkHelpFirst(fn func(*TB)) *Thread {
 	tb.th.proc.Sync() // thread IDs and the deque are shared
 	s.nextTID++
 	child := &thread{worker: w, ptid: tb.th.tid, tid: s.nextTID}
-	e := &entry{th: child, handler: h, fn: fn}
-	w.deque = append(w.deque, e)
+	child.ent = entry{th: child, handler: h, fn: fn}
+	child.handle.th = child
+	w.deque = append(w.deque, &child.ent)
 	now := tb.th.proc.Now()
 	s.traceSeg(tb.th, w.rank.ID(), now)
 	s.rec.Instant(w.rank.ID(), trace.KFork, now, child.tid, tb.th.tid)
-	return &Thread{th: child}
+	return &child.handle
 }
 
 // popRunnable removes the oldest thread woken in place by an FBC

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ityr/internal/netmodel"
+	"ityr/internal/pgas"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
 )
@@ -152,7 +153,7 @@ func TestHelpFirstHooksPairing(t *testing.T) {
 			if uint64(h.steals) != s.Stats.Steals {
 				t.Fatalf("OnSteal fired %d times for %d steals", h.steals, s.Stats.Steals)
 			}
-			out := map[any]bool{}
+			out := map[pgas.ReleaseHandler]bool{}
 			for _, v := range h.handedOut {
 				out[v] = true
 			}

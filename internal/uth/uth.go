@@ -25,14 +25,15 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ityr/internal/pgas"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
 )
 
 // Hooks connects the scheduler to the memory consistency layer. The rank
-// argument is always the rank on which the action occurs. Handlers are
-// opaque to the scheduler (pgas.ReleaseHandler in the full runtime).
+// argument is always the rank on which the action occurs. The scheduler
+// carries a fork's release handler to the thief without reading it.
 type Hooks interface {
 	// Poll runs deferred work (DoReleaseIfReqested of Fig. 6) — called at
 	// every fork and join, and by an idle worker whenever PollPending says
@@ -44,10 +45,10 @@ type Hooks interface {
 	PollPending(rank int) bool
 	// OnFork performs Release #1 (lazily under the lazy policy) and
 	// returns the handler the eventual thief must acquire against.
-	OnFork(rank int) any
+	OnFork(rank int) pgas.ReleaseHandler
 	// OnSteal performs Acquire #2 on the thief with the victim's handler,
 	// including the cache self-invalidation.
-	OnSteal(thiefRank int, handler any)
+	OnSteal(thiefRank int, handler pgas.ReleaseHandler)
 	// OnSuspend performs Release #3 before a thread blocks at a join (and
 	// at region exit, to publish locally cached writes).
 	OnSuspend(rank int)
@@ -70,11 +71,11 @@ func (NopHooks) Poll(int) {}
 // PollPending reports that Poll never has anything to do.
 func (NopHooks) PollPending(int) bool { return false }
 
-// OnFork returns a nil handler.
-func (NopHooks) OnFork(int) any { return nil }
+// OnFork returns the handler that needs no write-back.
+func (NopHooks) OnFork(int) pgas.ReleaseHandler { return pgas.Unneeded }
 
 // OnSteal does nothing.
-func (NopHooks) OnSteal(int, any) {}
+func (NopHooks) OnSteal(int, pgas.ReleaseHandler) {}
 
 // OnSuspend does nothing.
 func (NopHooks) OnSuspend(int) {}
@@ -262,16 +263,26 @@ type Worker struct {
 // body has not started yet (fn non-nil until it runs).
 type entry struct {
 	th      *thread
-	handler any       // Release #1 handler for the eventual thief
-	fn      func(*TB) // pending task body; nil once started (and always under ChildFirst)
+	handler pgas.ReleaseHandler // Release #1 handler for the eventual thief
+	fn      func(*TB)           // pending task body; nil once started (and always under ChildFirst)
 	taken   bool
 }
 
-// thread is a user-level thread.
+// thread is a user-level thread. A fork makes one: the deque entry the fork
+// pushes, the thread's TB and its join handle are parts of it, not objects
+// of their own.
 type thread struct {
 	proc   *sim.Proc
 	worker *Worker // rank the thread is (or will next be) running on
 	parent *entry  // this thread's parent's continuation entry (nil for root)
+
+	// ent is the entry the fork that made this thread pushed: the parent's
+	// continuation under ChildFirst (parent points at it), this thread as
+	// a pending task under HelpFirst and FBC. tb is the binding its body
+	// runs with, and handle what Fork returns for Join.
+	ent    entry
+	tb     TB
+	handle Thread
 
 	fenceOnResume bool // run Acquire #1 when the thread next resumes
 
@@ -332,7 +343,8 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 			root.proc = p
 			w.handTo(root)
 			root.segStart = p.Now()
-			tb := &TB{w: w, th: root}
+			root.tb = TB{w: w, th: root}
+			tb := &root.tb
 			body(tb)
 			// Publish the root's final writes, end the region, and hand
 			// the token of whatever rank the root ended on back to its
@@ -680,12 +692,13 @@ func (tb *TB) Fork(fn func(*TB)) *Thread {
 
 	h := s.hooks.OnFork(w.rank.ID()) // Release #1
 
-	e := &entry{th: tb.th, handler: h}
 	tb.th.proc.Sync() // thieves read the deque
-	w.deque = append(w.deque, e)
-
 	s.nextTID++
-	child := &thread{worker: w, parent: e, ptid: tb.th.tid, tid: s.nextTID}
+	child := &thread{worker: w, ptid: tb.th.tid, tid: s.nextTID}
+	child.ent = entry{th: tb.th, handler: h}
+	child.parent = &child.ent
+	child.handle.th = child
+	w.deque = append(w.deque, child.parent)
 	// Close the parent's segment first so its path length is current at
 	// the fork edge, then record the edge itself.
 	now := tb.th.proc.Now()
@@ -696,7 +709,7 @@ func (tb *TB) Fork(fn func(*TB)) *Thread {
 	// No time passes between the deque push and the park, so a thief
 	// cannot observe a pushed entry whose thread is still running.
 	tb.suspendAndResume()
-	return &Thread{th: child}
+	return &child.handle
 }
 
 // spawn starts child's process running fn: it takes the token of the rank
@@ -710,7 +723,8 @@ func (w *Worker) spawn(child *thread, fn func(*TB)) {
 		cw := child.worker
 		cw.handTo(child)
 		child.segStart = p.Now()
-		cb := &TB{w: cw, th: child}
+		child.tb = TB{w: cw, th: child}
+		cb := &child.tb
 		fn(cb)
 		s.traceEnd(child, cb.w.rank.ID(), p.Now())
 		child.finish(cb.w)

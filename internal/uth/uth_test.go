@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ityr/internal/netmodel"
+	"ityr/internal/pgas"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
 )
@@ -152,19 +153,19 @@ func TestThreadMigrationObservable(t *testing.T) {
 // traceHooks records the sequence of hook invocations.
 type traceHooks struct {
 	forks, steals, suspends, childDone, migrates, polls int
-	handedOut                                           []any
-	handedBack                                          []any
+	handedOut                                           []pgas.ReleaseHandler
+	handedBack                                          []pgas.ReleaseHandler
 }
 
 func (h *traceHooks) Poll(int)             { h.polls++ }
 func (h *traceHooks) PollPending(int) bool { return false }
-func (h *traceHooks) OnFork(rank int) any {
+func (h *traceHooks) OnFork(rank int) pgas.ReleaseHandler {
 	h.forks++
-	v := h.forks
+	v := pgas.ReleaseHandler{Rank: rank, Epoch: uint64(h.forks), Needed: true}
 	h.handedOut = append(h.handedOut, v)
 	return v
 }
-func (h *traceHooks) OnSteal(rank int, handler any) {
+func (h *traceHooks) OnSteal(rank int, handler pgas.ReleaseHandler) {
 	h.steals++
 	h.handedBack = append(h.handedBack, handler)
 }
@@ -182,7 +183,7 @@ func TestHooksWiredCorrectly(t *testing.T) {
 		t.Fatalf("OnSteal fired %d times for %d steals", h.steals, s.Stats.Steals)
 	}
 	// Every handler passed to OnSteal must be one that OnFork handed out.
-	out := map[any]bool{}
+	out := map[pgas.ReleaseHandler]bool{}
 	for _, v := range h.handedOut {
 		out[v] = true
 	}
