@@ -75,7 +75,7 @@ race-all:
 # pins (the golden table, tracing ON), and the trace->dump->analyze
 # pipeline must hold up on a 16-rank run.
 golden:
-	@$(call subset,Pinned(Kernel|Halo)Digests|CilksortTraceReport|MetricsRunStable,./internal/bench)
+	@$(call subset,Pinned(Kernel|Halo|Policy)Digests|CilksortTraceReport|MetricsRunStable,./internal/bench)
 
 # Fault suite: the seeded-fault pins (same plan -> the pinned run), the
 # zero-overhead-when-off digest, every app terminating correctly under

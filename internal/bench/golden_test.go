@@ -72,6 +72,11 @@ func lazy(edit func(*ityr.Config)) func(*testing.T) string {
 	return cilk(ityr.WriteBackLazy, edit)
 }
 
+// sched selects the scheduling policy.
+func sched(p ityr.SchedPolicy) func(*ityr.Config) {
+	return func(cfg *ityr.Config) { cfg.Sched.Policy = p }
+}
+
 // armed arms plan the way the fault suite does (faultConfig): victim
 // blacklisting on — the scheduler-side half of the resilience story.
 func armed(plan fault.Plan) func(*ityr.Config) {
@@ -139,6 +144,19 @@ var golden = []struct {
 	{test: "TestPinnedKernelDigests", name: "Write-Back (Lazy)", digest: lazy(nil),
 		pin: "elapsed=671609 final=754349 events=13631 fnv=1ad1d4c622fda67d"},
 
+	// The same fork-join path under the two alternative schedulers, with
+	// and without a cache: these pin what Fork publishes (a pending child)
+	// and where a join waiter resumes (migrated here, or in place under
+	// FBC).
+	{test: "TestPinnedPolicyDigests", name: "helpfirst/No Cache", digest: cilk(ityr.NoCache, sched(ityr.HelpFirst)),
+		pin: "elapsed=1035837 final=1118177 events=15176 fnv=c5ca34f12110520d"},
+	{test: "TestPinnedPolicyDigests", name: "helpfirst/Write-Back (Lazy)", digest: lazy(sched(ityr.HelpFirst)),
+		pin: "elapsed=615917 final=698657 events=15576 fnv=175d18840015db13"},
+	{test: "TestPinnedPolicyDigests", name: "fbc/No Cache", digest: cilk(ityr.NoCache, sched(ityr.FBC)),
+		pin: "elapsed=1093711 final=1176051 events=15424 fnv=dab6eeb1d7524c8d"},
+	{test: "TestPinnedPolicyDigests", name: "fbc/Write-Back (Lazy)", digest: lazy(sched(ityr.FBC)),
+		pin: "elapsed=738896 final=821636 events=15727 fnv=bf95e4de7579e479"},
+
 	// The fields the benchmark module still sets are ignored.
 	{test: "TestIgnoredConfigInert", name: "prefetch-blocks-ignored",
 		digest: lazy(func(cfg *ityr.Config) { cfg.Pgas.PrefetchBlocks = 8 }), same: "Write-Back (Lazy)"},
@@ -147,7 +165,7 @@ var golden = []struct {
 
 	// The scheduler seam: selecting childfirst explicitly is the default.
 	{test: "TestExplicitChildFirstMatchesPinned", name: "explicit-childfirst",
-		digest: lazy(func(cfg *ityr.Config) { cfg.Sched.Policy = ityr.ChildFirst }), same: "Write-Back (Lazy)"},
+		digest: lazy(sched(ityr.ChildFirst)), same: "Write-Back (Lazy)"},
 
 	// Zero overhead when off, at the observable level: an injector with
 	// nothing to inject, a zero-valued corruption config, and a protector
@@ -268,6 +286,7 @@ func TestTraceOrderCanonical(t *testing.T) {
 }
 
 func TestPinnedKernelDigests(t *testing.T)             { checkGolden(t) }
+func TestPinnedPolicyDigests(t *testing.T)             { checkGolden(t) }
 func TestExplicitChildFirstMatchesPinned(t *testing.T) { checkGolden(t) }
 func TestIgnoredConfigInert(t *testing.T)              { checkGolden(t) }
 func TestEmptyPlanMatchesNoPlan(t *testing.T)          { checkGolden(t) }
