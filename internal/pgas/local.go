@@ -568,11 +568,9 @@ func (l *Local) Checkin(addr Addr, size uint64, mode Mode) error {
 // conventional GET API (§2.2), a thin wrapper over one-sided reads with no
 // caching.
 func (l *Local) getInto(addr Addr, dst []byte) error {
-	err := l.space.forEachHomeSeg(addr, uint64(len(dst)), func(home int, win *rma.Win, off int, g Addr, n int) error {
+	if err := l.space.forEachHomeSeg(addr, uint64(len(dst)), func(home int, win *rma.Win, off int, g Addr, n int) {
 		win.Get(l.rank, home, off, dst[g-addr:Addr(int(g-addr)+n)])
-		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	l.rank.Flush()
@@ -582,11 +580,9 @@ func (l *Local) getInto(addr Addr, dst []byte) error {
 // putFrom writes src to [addr, addr+len(src)) in home memory — the
 // conventional PUT API, uncached.
 func (l *Local) putFrom(src []byte, addr Addr) error {
-	err := l.space.forEachHomeSeg(addr, uint64(len(src)), func(home int, win *rma.Win, off int, g Addr, n int) error {
+	if err := l.space.forEachHomeSeg(addr, uint64(len(src)), func(home int, win *rma.Win, off int, g Addr, n int) {
 		win.Put(l.rank, src[g-addr:Addr(int(g-addr)+n)], home, off)
-		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	l.rank.Flush()

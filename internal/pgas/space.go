@@ -427,8 +427,9 @@ func (s *Space) HomeRank(addr Addr) (int, error) {
 
 // forEachHomeSeg walks the home segments overlapping [addr, addr+size):
 // contiguous pieces that live on a single rank, invoking fn(homeRank, win,
-// segOff, gaddr, n). The range must lie within one allocation.
-func (s *Space) forEachHomeSeg(addr Addr, size uint64, fn func(home int, win *rma.Win, off int, g Addr, n int) error) error {
+// segOff, gaddr, n). The range must lie within one allocation; the only
+// error is findAlloc's, before fn is first called.
+func (s *Space) forEachHomeSeg(addr Addr, size uint64, fn func(home int, win *rma.Win, off int, g Addr, n int)) error {
 	a, err := s.findAlloc(addr, size)
 	if err != nil {
 		return err
@@ -442,9 +443,7 @@ func (s *Space) forEachHomeSeg(addr Addr, size uint64, fn func(home int, win *rm
 			span = remaining
 		}
 		rank, off := a.homeOf(g, bs)
-		if err := fn(rank, a.win, off, g, int(span)); err != nil {
-			return err
-		}
+		fn(rank, a.win, off, g, int(span))
 		g += Addr(span)
 		remaining -= span
 	}

@@ -23,7 +23,7 @@ func sampleReport() *bench.Report {
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	if f := compare(sampleReport(), sampleReport(), 0.02); len(f) != 0 {
+	if f, _ := compare(sampleReport(), sampleReport(), 0.02); len(f) != 0 {
 		t.Fatalf("identical reports produced findings: %v", f)
 	}
 }
@@ -31,7 +31,7 @@ func TestCompareIdenticalPasses(t *testing.T) {
 func TestCompareWithinTolerancePasses(t *testing.T) {
 	cur := sampleReport()
 	cur.Rows["cilksort"]["sim_ns"] *= 1.01 // +1% < 2% tolerance
-	if f := compare(sampleReport(), cur, 0.02); len(f) != 0 {
+	if f, _ := compare(sampleReport(), cur, 0.02); len(f) != 0 {
 		t.Fatalf("1%% drift under 2%% tolerance produced findings: %v", f)
 	}
 }
@@ -70,7 +70,7 @@ func TestComparePerturbedMetricFails(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := sampleReport()
 			tc.perturb(cur)
-			f := compare(sampleReport(), cur, 0.02)
+			f, _ := compare(sampleReport(), cur, 0.02)
 			if tc.want == "" {
 				if len(f) != 0 {
 					t.Fatalf("want no finding, got %v", f)
@@ -87,11 +87,35 @@ func TestComparePerturbedMetricFails(t *testing.T) {
 	}
 }
 
+// TestCompareCountsDrift: the gate says when nothing moved at all, and
+// otherwise names the largest move, inside the tolerance or past it.
+func TestCompareCountsDrift(t *testing.T) {
+	// 3 + 3 gated values in the two rows (host_ms is not gated), 2 verdicts.
+	if _, d := compare(sampleReport(), sampleReport(), 0.02); d.String() != "0 of 8 gated values differ" {
+		t.Fatalf("identical reports: %q", d)
+	}
+	cur := sampleReport()
+	cur.Rows["cilksort"]["sim_ns"] *= 1.01
+	cur.Rows["halo"]["round_trips"] -= 1 // -0.298%
+	cur.Rows["halo"]["host_ms"] *= 10    // not gated: not counted
+	f, d := compare(sampleReport(), cur, 0.02)
+	if len(f) != 0 {
+		t.Fatalf("drift within tolerance produced findings: %v", f)
+	}
+	if want := "2 of 8 gated values differ, the largest cilksort sim_ns by +1%"; d.String() != want {
+		t.Fatalf("drift = %q, want %q", d, want)
+	}
+	cur.Rows["halo"]["rma_bytes"] *= 0.9 // past tolerance: a finding, and still counted
+	if f, d = compare(sampleReport(), cur, 0.02); len(f) != 1 || d.differ != 3 || d.largest != "halo rma_bytes" {
+		t.Fatalf("findings %v, drift %q: want one finding and halo rma_bytes the largest of 3 moves", f, d)
+	}
+}
+
 func TestCompareExperimentSetMismatch(t *testing.T) {
 	cur := sampleReport()
 	delete(cur.Rows, "halo")
 	cur.Rows["uts"] = bench.Metrics{"sim_ns": 1, "round_trips": 1, "rma_bytes": 1}
-	f := compare(sampleReport(), cur, 0.02)
+	f, _ := compare(sampleReport(), cur, 0.02)
 	if len(f) != 2 {
 		t.Fatalf("want 2 findings (missing halo, extra uts), got %d: %v", len(f), f)
 	}
@@ -106,14 +130,14 @@ func TestCompareExperimentSetMismatch(t *testing.T) {
 func TestCompareKnobOrScaleMismatch(t *testing.T) {
 	cur := sampleReport()
 	cur.Config["ranks"] = 16.0
-	f := compare(sampleReport(), cur, 0.02)
+	f, _ := compare(sampleReport(), cur, 0.02)
 	if len(f) != 1 || !strings.Contains(f[0], "ranks=32") || !strings.Contains(f[0], "ranks=16") {
 		t.Fatalf("want a single finding showing both rank counts, got %v", f)
 	}
 
 	cur = sampleReport()
 	cur.Scale = "quick"
-	f = compare(sampleReport(), cur, 0.02)
+	f, _ = compare(sampleReport(), cur, 0.02)
 	if len(f) != 1 || !strings.Contains(f[0], "smoke scale") || !strings.Contains(f[0], "quick scale") {
 		t.Fatalf("want a single finding showing both scales, got %v", f)
 	}
@@ -123,11 +147,11 @@ func TestCompareZeroBaseline(t *testing.T) {
 	base := sampleReport()
 	base.Rows["halo"]["rma_bytes"] = 0
 
-	if f := compare(base, base, 0.02); len(f) != 0 {
+	if f, _ := compare(base, base, 0.02); len(f) != 0 {
 		t.Fatalf("zero-vs-zero produced findings: %v", f)
 	}
 	cur := sampleReport() // halo rma_bytes back to 2688
-	f := compare(base, cur, 0.02)
+	f, _ := compare(base, cur, 0.02)
 	if len(f) != 1 || !strings.Contains(f[0], "baseline 0") {
 		t.Fatalf("nonzero against zero baseline should fail, got %v", f)
 	}

@@ -50,7 +50,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	findings := compare(base, cur, *tol)
+	findings, moved := compare(base, cur, *tol)
 	if len(findings) > 0 {
 		for _, f := range findings {
 			fmt.Fprintln(os.Stderr, "perfgate:", f)
@@ -58,8 +58,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfgate: FAIL (%d finding(s); if the change is intentional, regenerate the baseline with `make baseline-%s` and commit it)\n", len(findings), base.Suite)
 		os.Exit(1)
 	}
-	fmt.Printf("perfgate: OK — %s: %d row(s) within ±%.1f%% of baseline (%s scale)\n",
-		base.Suite, len(base.Rows), 100**tol, base.Scale)
+	fmt.Printf("perfgate: OK — %s: %d row(s) within ±%.1f%% of baseline (%s scale); %s\n",
+		base.Suite, len(base.Rows), 100**tol, base.Scale, moved)
 	if len(base.Host) > 0 {
 		fmt.Printf("perfgate: host-dependent, not gated: %s\n", strings.Join(base.Host, ", "))
 	}

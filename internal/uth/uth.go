@@ -165,10 +165,6 @@ type Sched struct {
 	// Stats holds cumulative scheduler statistics.
 	Stats Stats
 
-	// PolicyStats holds counters specific to the non-default scheduling
-	// policies; always zero under ChildFirst (see PolicyStats).
-	PolicyStats PolicyStats
-
 	// rec is the run's recorder, taken from comm (nil = record nothing). It
 	// is told the fork-join DAG — KTaskRun segments and KFork/KJoin/KTaskEnd
 	// edges carrying thread IDs — and every steal, idle, blacklist and
@@ -260,12 +256,12 @@ type Worker struct {
 
 // entry is a stealable deque item: under ChildFirst a parent continuation
 // parked at a fork point; under HelpFirst/FBC a pending child task whose
-// body has not started yet (fn non-nil until it runs).
+// body has not started yet. An entry leaves every deque when it is popped
+// or stolen and is never pushed again.
 type entry struct {
 	th      *thread
 	handler pgas.ReleaseHandler // Release #1 handler for the eventual thief
-	fn      func(*TB)           // pending task body; nil once started (and always under ChildFirst)
-	taken   bool
+	fn      func(*TB)           // pending task body; nil for a continuation
 }
 
 // thread is a user-level thread. A fork makes one: the deque entry the fork
@@ -274,12 +270,11 @@ type entry struct {
 type thread struct {
 	proc   *sim.Proc
 	worker *Worker // rank the thread is (or will next be) running on
-	parent *entry  // this thread's parent's continuation entry (nil for root)
 
 	// ent is the entry the fork that made this thread pushed: the parent's
-	// continuation under ChildFirst (parent points at it), this thread as
-	// a pending task under HelpFirst and FBC. tb is the binding its body
-	// runs with, and handle what Fork returns for Join.
+	// continuation under ChildFirst, this thread as a pending task under
+	// HelpFirst and FBC. tb is the binding its body runs with, and handle
+	// what Fork returns for Join.
 	ent    entry
 	tb     TB
 	handle Thread
@@ -338,26 +333,7 @@ func (s *Sched) WorkerMain(rankID int, body func(*TB)) {
 	w.rank.Barrier()
 	if rankID == 0 {
 		s.nextTID++
-		root := &thread{worker: w, tid: s.nextTID}
-		w.proc.Engine().Spawn("root", func(p *sim.Proc) {
-			root.proc = p
-			w.handTo(root)
-			root.segStart = p.Now()
-			root.tb = TB{w: w, th: root}
-			tb := &root.tb
-			body(tb)
-			// Publish the root's final writes, end the region, and hand
-			// the token of whatever rank the root ended on back to its
-			// scheduler.
-			cur := tb.w
-			s.traceEnd(root, cur.rank.ID(), p.Now())
-			s.hooks.OnSuspend(cur.rank.ID())
-			p.Sync() // idle workers read done
-			s.done = true
-			cur.handTo(nil).Wake()
-		})
-		w.proc.Park() // until a thread hands rank 0's token back
-		w.handTo(nil)
+		w.run(&thread{tid: s.nextTID}, body) // the root: ptid 0
 	}
 	w.schedLoop()
 	// Region exit: flush local caches so the SPMD code (and the next
@@ -413,18 +389,21 @@ func (w *Worker) schedLoop() {
 		case idleCAS:
 			w.finishSteal()
 		case idleTick:
-			if th := w.popRunnable(); th != nil {
-				// FBC completion notifications wake blocked joins in place;
-				// the queue is always empty under the other policies.
-				s.PolicyStats.FBCWakes++
-				w.resumeHere(th, th.fenceOnResume)
-			} else if e := w.popBottom(); e == nil {
+			n := len(w.deque)
+			if len(w.runnable) > 0 {
+				// FBC completion notifications wake blocked joins in place,
+				// oldest first; the queue is always empty under the other
+				// policies.
+				th := w.runnable[0]
+				w.runnable = w.runnable[1:]
+				w.run(th, nil)
+			} else if n == 0 {
 				continue // nothing local: the region is over
-			} else if e.fn != nil {
-				// A pending child we forked (help-first): start it here.
-				// Same rank as the forker ⇒ no fences.
-				s.PolicyStats.PendingRuns++
-				w.runPending(e)
+			} else if e := w.deque[n-1]; e.fn != nil {
+				// The newest pending child we forked (help-first): start it
+				// here. Same rank as the forker ⇒ no fences.
+				w.deque = w.deque[:n-1]
+				w.run(e.th, e.fn)
 			} else {
 				// Under child-first a rank's deque is empty whenever its
 				// scheduler holds the token. Fork parks the forker's
@@ -508,12 +487,18 @@ func (w *Worker) startBackoff() sim.Time {
 	return st.backoff
 }
 
-// resumeHere hands the rank token to th and parks the scheduler until a
-// thread hands it back.
-func (w *Worker) resumeHere(th *thread, fence bool) {
+// run hands the rank's token to th on this worker — starting th's body fn
+// when fn is non-nil, waking th where it parked otherwise — and parks the
+// scheduler until a thread hands the token back. Every thread the scheduler
+// runs goes through here: the root, a pending task, a stolen continuation
+// and an FBC waiter woken in place.
+func (w *Worker) run(th *thread, fn func(*TB)) {
 	th.worker = w
-	th.fenceOnResume = fence
-	w.handTo(th).Wake()
+	if fn != nil {
+		w.spawn(th, fn)
+	} else {
+		w.handTo(th).Wake()
+	}
 	w.proc.Park()
 	w.handTo(nil)
 }
@@ -532,16 +517,6 @@ func (w *Worker) handTo(th *thread) *sim.Proc {
 	return p
 }
 
-// popBottom pops the newest entry from the local deque.
-func (w *Worker) popBottom() *entry {
-	if len(w.deque) == 0 {
-		return nil
-	}
-	e := w.deque[len(w.deque)-1]
-	w.deque = w.deque[:len(w.deque)-1]
-	return e
-}
-
 // finishSteal completes the steal whose CAS idleStep has just seen find
 // the victim's deque non-empty, in the event that CAS ended in: it takes
 // the oldest entry, fetches the suspended thread's stack and runs it here.
@@ -552,7 +527,6 @@ func (w *Worker) finishSteal() {
 	me := w.rank.ID()
 	e := v.deque[0]
 	v.deque = v.deque[1:]
-	e.taken = true
 	s.Stats.Steals++
 	if s.comm.Net().SameNode(me, vID) {
 		s.Stats.IntraSteals++
@@ -563,7 +537,6 @@ func (w *Worker) finishSteal() {
 	bytes := StackBytes
 	if e.fn != nil {
 		bytes = taskBytes
-		s.PolicyStats.PendingSteals++
 	} else {
 		s.Stats.Migrations++
 	}
@@ -576,11 +549,7 @@ func (w *Worker) finishSteal() {
 	d := w.proc.Now() - t0
 	s.rec.Span(me, trace.KSteal, t0, d, int64(vID), e.th.tid)
 	w.noteStealOutcome(vID, d, true)
-	if e.fn != nil {
-		w.runPending(e)
-		return
-	}
-	w.resumeHere(e.th, false)
+	w.run(e.th, e.fn)
 }
 
 // noteStealOutcome updates the victim-blacklist state after one attempt
@@ -676,58 +645,78 @@ func (w *Worker) pickVictim() int {
 	return vID
 }
 
-// Fork creates a child thread running fn; the scheduling policy decides
-// who runs next. ChildFirst runs the child at once and returns when the
-// caller is next scheduled, on the thief's rank if its continuation was
-// stolen; HelpFirst and FBC push the child and keep running the caller.
+// Fork creates a child thread running fn. The scheduling policy makes two
+// choices here: which entry the fork publishes on the deque, and who runs
+// next. ChildFirst pushes the caller's continuation and runs the child at
+// once; the caller returns when it is next scheduled, on the thief's rank if
+// its continuation was stolen. HelpFirst and FBC push the child as a pending
+// task and keep running the caller.
 func (tb *TB) Fork(fn func(*TB)) *Thread {
-	if tb.w.sched.cfg.Policy != ChildFirst {
-		return tb.forkHelpFirst(fn)
-	}
 	w := tb.w
 	s := w.sched
 	s.hooks.Poll(w.rank.ID())
 	tb.th.proc.Charge(costFork)
 	s.Stats.Forks++
 
-	h := s.hooks.OnFork(w.rank.ID()) // Release #1
+	// Release #1: publish the caller's writes so whoever runs the entry —
+	// this rank later, or a thief — can acquire against the handler.
+	h := s.hooks.OnFork(w.rank.ID())
 
-	tb.th.proc.Sync() // thieves read the deque
+	tb.th.proc.Sync() // thread IDs and the deque are shared
 	s.nextTID++
 	child := &thread{worker: w, ptid: tb.th.tid, tid: s.nextTID}
-	child.ent = entry{th: tb.th, handler: h}
-	child.parent = &child.ent
 	child.handle.th = child
-	w.deque = append(w.deque, child.parent)
-	// Close the parent's segment first so its path length is current at
+	childFirst := s.cfg.Policy == ChildFirst
+	if childFirst {
+		child.ent = entry{th: tb.th, handler: h}
+	} else {
+		child.ent = entry{th: child, handler: h, fn: fn}
+	}
+	w.deque = append(w.deque, &child.ent)
+	// Close the caller's segment first so its path length is current at
 	// the fork edge, then record the edge itself.
 	now := tb.th.proc.Now()
 	s.traceSeg(tb.th, w.rank.ID(), now)
 	s.rec.Instant(w.rank.ID(), trace.KFork, now, child.tid, tb.th.tid)
-	w.spawn(child, fn)
-	// The child takes the rank token; the parent parks at the fork point.
-	// No time passes between the deque push and the park, so a thief
-	// cannot observe a pushed entry whose thread is still running.
-	tb.suspendAndResume()
+	if childFirst {
+		// The child takes the rank token; the caller parks at the fork
+		// point. No time passes between the deque push and the park, so a
+		// thief cannot observe a pushed entry whose thread is still running.
+		w.spawn(child, fn)
+		tb.suspendAndResume()
+	}
 	return &child.handle
 }
 
-// spawn starts child's process running fn: it takes the token of the rank
-// child.worker names, and when fn returns the thread's final segment is
-// recorded and the thread finishes on the rank it ended on. The root's
-// process (WorkerMain) ends the region instead.
-func (w *Worker) spawn(child *thread, fn func(*TB)) {
+// spawn starts th's process running fn: it takes the token of the rank
+// th.worker names, and when fn returns the thread's final segment is
+// recorded. A forked thread then finishes on the rank it ended on; the root
+// (ptid 0) ends the region instead.
+func (w *Worker) spawn(th *thread, fn func(*TB)) {
 	s := w.sched
-	w.proc.Engine().Spawn("thread", func(p *sim.Proc) {
-		child.proc = p
-		cw := child.worker
-		cw.handTo(child)
-		child.segStart = p.Now()
-		child.tb = TB{w: cw, th: child}
-		cb := &child.tb
-		fn(cb)
-		s.traceEnd(child, cb.w.rank.ID(), p.Now())
-		child.finish(cb.w)
+	name := "thread"
+	if th.ptid == 0 {
+		name = "root"
+	}
+	w.proc.Engine().Spawn(name, func(p *sim.Proc) {
+		th.proc = p
+		th.worker.handTo(th)
+		th.segStart = p.Now()
+		th.tb = TB{w: th.worker, th: th}
+		tb := &th.tb
+		fn(tb)
+		cur := tb.w
+		s.traceEnd(th, cur.rank.ID(), p.Now())
+		if th.ptid != 0 {
+			th.finish(cur)
+			return
+		}
+		// Publish the root's final writes, end the region, and hand the
+		// token of whatever rank the root ended on back to its scheduler.
+		s.hooks.OnSuspend(cur.rank.ID())
+		p.Sync() // idle workers read done
+		s.done = true
+		cur.handTo(nil).Wake()
 	})
 }
 
@@ -738,16 +727,15 @@ func (w *Worker) spawn(child *thread, fn func(*TB)) {
 func (th *thread) finish(w *Worker) {
 	th.proc.Sync() // the deque, done and the waiter are shared
 	s := w.sched
-	pe := th.parent
-	if pe != nil && !pe.taken && len(w.deque) > 0 && w.deque[len(w.deque)-1] == pe {
-		// Fast path: the parent's continuation is still at the bottom of
-		// our deque — resume it as a serialized call, no fences (§5.1).
+	if n := len(w.deque); n > 0 && w.deque[n-1] == &th.ent {
+		// Fast path: the parent's continuation (child-first) is still at the
+		// bottom of our deque — resume it as a serialized call, no fences
+		// (§5.1). A pending task's own entry left the deque when it started.
 		th.done, th.doneRank = true, w.rank.ID()
-		w.deque = w.deque[:len(w.deque)-1]
+		w.deque = w.deque[:n-1]
 		th.proc.Charge(costJoinFast) // charged on the completing thread
-		pe.th.worker = w
-		pe.th.fenceOnResume = false
-		w.handTo(pe.th).Wake()
+		th.ent.th.worker = w
+		w.handTo(th.ent.th).Wake()
 		return
 	}
 	// Slow path: the parent was stolen (or, under help-first spawning,
@@ -757,34 +745,30 @@ func (th *thread) finish(w *Worker) {
 	s.hooks.OnChildStolenDone(w.rank.ID())
 	th.proc.Sync() // the fence may have banked time, and done is shared
 	th.done, th.doneRank = true, w.rank.ID()
-	if th.joinWaiter != nil {
-		waiter := th.joinWaiter
+	var next *thread // nil: the token goes back to the scheduler
+	if waiter := th.joinWaiter; waiter != nil {
 		th.joinWaiter = nil
-		if s.cfg.Policy == FBC {
-			// Finish-based coordination: the waiter never migrates. Post
-			// a completion notification — a remote atomic on the join
-			// counter living on the waiter's rank — and let its own
-			// scheduler resume it in place. It still owes Acquire #1
-			// unless our writes were released on its rank.
-			w.rank.ChargeAtomic(th.waiterRank)
-			waiter.worker = s.workers[th.waiterRank]
-			waiter.fenceOnResume = th.waiterRank != w.rank.ID()
-			s.workers[th.waiterRank].runnable = append(s.workers[th.waiterRank].runnable, waiter)
-			w.handTo(nil).Wake()
-			return
-		}
-		// The parent is blocked at Join: migrate it here. It needs
-		// Acquire #1 on arrival unless it suspended on this very rank.
-		waiter.worker = w
+		// The waiter owes Acquire #1 unless our writes were released on the
+		// rank where it suspended.
 		waiter.fenceOnResume = th.waiterRank != w.rank.ID()
-		if waiter.fenceOnResume {
-			s.Stats.Migrations++
+		if s.cfg.Policy == FBC {
+			// Finish-based coordination: the waiter never migrates. Post a
+			// completion notification — a remote atomic on the join counter
+			// living on the waiter's rank — and let its own scheduler resume
+			// it in place.
+			w.rank.ChargeAtomic(th.waiterRank)
+			home := s.workers[th.waiterRank]
+			home.runnable = append(home.runnable, waiter)
+		} else {
+			// The waiter is blocked at Join: migrate it here.
+			waiter.worker = w
+			if waiter.fenceOnResume {
+				s.Stats.Migrations++
+			}
+			next = waiter
 		}
-		w.handTo(waiter).Wake()
-		return
 	}
-	// Nobody waiting yet: give the rank token back to its scheduler.
-	w.handTo(nil).Wake()
+	w.handTo(next).Wake()
 }
 
 // suspendAndResume parks the calling thread and, upon resumption, rebinds

@@ -311,8 +311,11 @@ func TestCurrentTIDNamesTokenHolder(t *testing.T) {
 	regionOver(s)
 
 	// FBC: rank 1 steals the pending child; the root joins it while it runs
-	// and is woken in place on rank 0 by the completion notification.
-	s, _ = runRegionCfg(t, 2, Config{Policy: FBC}, nil, func(tb *TB) {
+	// and is woken in place on rank 0 by the completion notification. The
+	// child's writes were released on rank 1, so the root runs Acquire #1 on
+	// rank 0 before Join returns.
+	h := &orderHooks{}
+	s, _ = runRegionCfg(t, 2, Config{Policy: FBC}, h, func(tb *TB) {
 		s, root := tb.Sched(), tb.th.tid
 		th := tb.Fork(func(cb *TB) {
 			cb.Proc().Advance(100 * sim.Microsecond)
@@ -320,9 +323,12 @@ func TestCurrentTIDNamesTokenHolder(t *testing.T) {
 		})
 		tb.Proc().Advance(50 * sim.Microsecond)
 		tb.Join(th)
-		if s.PolicyStats.FBCWakes != 1 || tb.RankID() != 0 {
-			t.Fatalf("FBC wakes = %d on rank %d, want one wake in place on rank 0",
-				s.PolicyStats.FBCWakes, tb.RankID())
+		if s.Stats.Migrations != 0 || tb.RankID() != 0 {
+			t.Fatalf("the join resumed on rank %d after %d migrations, want in place on rank 0",
+				tb.RankID(), s.Stats.Migrations)
+		}
+		if n := len(h.events); n < 2 || h.events[n-2] != "release2@1" || h.events[n-1] != "acquire1@0" {
+			t.Fatalf("fences before the join returned: %v, want release2@1 then acquire1@0", h.events)
 		}
 		check(s, 0, root, "after the FBC in-place wake")
 		check(s, 1, 0, "after the FBC in-place wake")
