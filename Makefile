@@ -15,13 +15,14 @@
 # internal/sim needs a Go 1.23+ toolchain (README.md, "Install / run").
 #
 # Not a check: `make profile BENCH=Scaling/halo-spmd/4096` CPU-profiles one
-# row of `itybench scaling`, `make profile BENCH=Suite/fig11` one suite at the
+# row of `itybench scaling`, `make profile BENCH=Workload/cilksort-64r` the
+# benchmark's cilksort-64r, `make profile BENCH=Suite/fig11` one suite at the
 # quick scale, and prints the flat top of the profile. It wraps
 #   go test ./internal/bench -run '^$' -bench 'Scaling/halo-spmd/4096' -cpuprofile halo.prof
 #   go test . -run '^$' -bench 'Suite/fig11' -cpuprofile fig11.prof
-# (BenchmarkScaling and BenchmarkSuite run each row or suite through its own
-# run function), the way to find out where a workload's host time goes
-# before explaining it.
+# (BenchmarkScaling, BenchmarkWorkload and BenchmarkSuite run each row,
+# workload or suite through its own run function), the way to find out where
+# a workload's host time goes before explaining it.
 
 GO ?= go
 
@@ -201,9 +202,11 @@ baseline-%:
 	$(GO) run ./cmd/itybench -scale $(SCALE_$*) -o BENCH_$*.json $*
 
 # CPU profile of one benchmark: Scaling/<workload>/<ranks>, a row as
-# `itybench scaling` names it (BenchmarkScaling in internal/bench, 5 runs), or
-# Suite/<name>, an `itybench` suite at the quick scale (BenchmarkSuite in the
-# root package, 1 run). The test binary and the profile stay out of the
+# `itybench scaling` names it (BenchmarkScaling in internal/bench, 5 runs),
+# Workload/cilksort-64r, the benchmark's workload of that name
+# (BenchmarkWorkload in internal/bench, 5 runs), or Suite/<name>, an
+# `itybench` suite at the quick scale (BenchmarkSuite in the root package, 1
+# run). The test binary and the profile stay out of the
 # checkout.
 BENCH       ?= Scaling/halo-spmd/4096
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"testing"
+
+	"ityr"
 )
 
 // BenchmarkScaling runs one row of `itybench scaling` per sub-benchmark,
@@ -12,7 +14,8 @@ import (
 //
 //	go test ./internal/bench -run '^$' -bench 'Scaling/halo-spmd/4096' -cpuprofile halo.prof
 //
-// or `make profile ROW=halo-spmd/4096`, which adds `go tool pprof -top`.
+// or `make profile BENCH=Scaling/halo-spmd/4096`, which adds `go tool pprof
+// -top`.
 func BenchmarkScaling(b *testing.B) {
 	for _, wl := range scalingWorkloads {
 		for _, ranks := range scalingRanks {
@@ -25,4 +28,17 @@ func BenchmarkScaling(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkWorkload runs a benchmark workload's geometry through the figures'
+// own run function, so the workload can be profiled without editing the
+// benchmark: `make profile BENCH=Workload/cilksort-64r` is the benchmark's
+// cilksort-64r (2^20 int32 keys, cutoff 1,024, 64 ranks of 8 a node, Write-Back
+// (Lazy), seed 11), set-up and check included.
+func BenchmarkWorkload(b *testing.B) {
+	b.Run("cilksort-64r", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			figCilksort(1<<20, 1<<10, 64, 8, ityr.WriteBackLazy, 11)
+		}
+	})
 }

@@ -136,19 +136,7 @@ func mergeLeaf[T cmp.Ordered](c *Ctx, s1, s2, d GSpan[T]) {
 		v1 := Checkout(c, s1, Read)
 		v2 := Checkout(c, s2, Read)
 		vd := Checkout(c, d, Write)
-		i, j, k := 0, 0, 0
-		for i < len(v1) && j < len(v2) {
-			if v1[i] <= v2[j] {
-				vd[k] = v1[i]
-				i++
-			} else {
-				vd[k] = v2[j]
-				j++
-			}
-			k++
-		}
-		k += copy(vd[k:], v1[i:])
-		copy(vd[k:], v2[j:])
+		mergeSorted(vd, v1, v2)
 		c.ChargeAs(CatMerge, sim.Time(d.Len)*mergePerElem)
 		Checkin(c, s1, Read)
 		Checkin(c, s2, Read)
@@ -199,6 +187,26 @@ func LowerBound[T cmp.Ordered](c *Ctx, s GSpan[T], x T) int64 {
 	return lo
 }
 
+// mergeSorted merges v1 and v2 into d (len(d) == len(v1)+len(v2)), taking
+// v1[i] before v2[j] iff v1[i] <= v2[j]. The loop is branch-free: the
+// compare selects the element and the index to advance (CMOV/SETcc), where a
+// branch mispredicts about every other element of random input.
+func mergeSorted[T cmp.Ordered](d, v1, v2 []T) {
+	i, j := 0, 0
+	for i < len(v1) && j < len(v2) {
+		a, b := v1[i], v2[j]
+		x, t := b, 0
+		if a <= b {
+			x, t = a, 1
+		}
+		d[i+j] = x
+		i += t
+		j += 1 - t
+	}
+	k := i + j + copy(d[i+j:], v1[i:])
+	copy(d[k:], v2[j:])
+}
+
 // sortLeaf sorts a leaf on the host. The simulated charge is the cost
 // model's whatever the host algorithm, so int32 leaves (the paper's
 // benchmark element) take the faster radix sort; every other type, and
@@ -211,62 +219,69 @@ func sortLeaf[T cmp.Ordered](v []T) {
 	slices.Sort(v)
 }
 
-// radixSort is an LSD radix sort on the sign-flipped bit pattern: two
-// 11-bit passes and one 10-bit pass.
+// radixWide is the longest slice radixSort sorts in 8-bit digits. A pass
+// costs its 2^bits counters as well as its elements: four 8-bit passes win
+// on short slices, three 11-bit ones (11 + 11 + 10 bits) on long ones, and
+// they tie from 512 to 2,048 elements (BenchmarkRadixSort).
+const radixWide = 1024
+
+// radixSort is an LSD radix sort on the sign-flipped bit pattern, in digits
+// sized to the slice (radixWide).
 func radixSort(v []int32) {
-	scratch := getScratch(len(v))
-	defer scratchPool.Put(scratch[:0])
-	const r1, r2 = 11, 11 // pass radixes: 11 + 11 + 10 = 32 bits
-	var c1 [1 << r1]int32
-	var c2 [1 << r2]int32
-	var c3 [1 << (32 - r1 - r2)]int32
-	for _, x := range v {
-		u := uint32(x) ^ 0x80000000 // order-preserving map to uint32
-		c1[u&(1<<r1-1)]++
-		c2[u>>r1&(1<<r2-1)]++
-		c3[u>>(r1+r2)]++
+	bits := uint(8)
+	if len(v) > radixWide {
+		bits = 11
 	}
-	exclusivePrefixSum(c1[:])
-	exclusivePrefixSum(c2[:])
-	exclusivePrefixSum(c3[:])
-	for _, x := range v {
-		u := uint32(x) ^ 0x80000000
-		b := &c1[u&(1<<r1-1)]
-		scratch[*b] = x
-		*b++
-	}
-	for _, x := range scratch {
-		u := uint32(x) ^ 0x80000000
-		b := &c2[u>>r1&(1<<r2-1)]
-		v[*b] = x
-		*b++
-	}
-	for _, x := range v {
-		u := uint32(x) ^ 0x80000000
-		b := &c3[u>>(r1+r2)]
-		scratch[*b] = x
-		*b++
-	}
-	copy(v, scratch)
+	radixSortBits(v, bits)
 }
 
-func exclusivePrefixSum(c []int32) {
+func radixSortBits(v []int32, bits uint) {
+	p := getScratch(1<<bits + len(v))
+	count, buf := (*p)[:1<<bits], (*p)[1<<bits:][:len(v)]
+	src, dst := v, buf
+	for shift := uint(0); shift < 32; shift += bits {
+		radixPass(dst, src, count, shift)
+		src, dst = dst, src
+	}
+	if (32+bits-1)/bits%2 == 1 {
+		copy(v, buf) // an odd number of passes ends in buf
+	}
+	scratchPool.Put(p)
+}
+
+// radixPass stably scatters src into dst by the digit at shift, one counter
+// per digit value. It is a function of its own so that its loops keep their
+// operands in registers.
+func radixPass(dst, src, count []int32, shift uint) {
+	mask := uint32(len(count) - 1)
+	shift &= 31 // already < 32; says so to the compiler, which drops its oversized-shift fixup
+	clear(count)
+	for _, x := range src {
+		count[(uint32(x)^0x80000000)>>shift&mask]++ // order-preserving map to uint32
+	}
 	var sum int32
-	for i, n := range c {
-		c[i] = sum
+	for i, n := range count {
+		count[i] = sum
 		sum += n
 	}
+	for _, x := range src {
+		b := &count[(uint32(x)^0x80000000)>>shift&mask]
+		dst[*b] = x
+		*b++
+	}
 }
 
-// scratchPool recycles radix-sort scratch buffers across leaves. It only
+// scratchPool recycles radixSort's counters and buffer across leaves, as a
+// *[]int32 so that Put stores a pointer and allocates nothing. It only
 // affects host allocation, never simulated time.
-var scratchPool sync.Pool
+var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
-func getScratch(n int) []int32 {
-	if s, ok := scratchPool.Get().([]int32); ok && cap(s) >= n {
-		return s[:n]
+func getScratch(n int) *[]int32 {
+	p := scratchPool.Get().(*[]int32)
+	if cap(*p) < n {
+		*p = make([]int32, n)
 	}
-	return make([]int32, n)
+	return p
 }
 
 // IsSortedSpan reports whether the span is sorted, checking seams between
