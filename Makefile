@@ -16,7 +16,8 @@
 #
 # Not a check: `make profile BENCH=Scaling/halo-spmd/4096` CPU-profiles one
 # row of `itybench scaling`, `make profile BENCH=Workload/cilksort-64r` the
-# benchmark's cilksort-64r, `make profile BENCH=Suite/fig11` one suite at the
+# benchmark's cilksort-64r (also Workload/utsmem-64r and
+# Workload/forkjoin-4096r), `make profile BENCH=Suite/fig11` one suite at the
 # quick scale, and prints the flat top of the profile. It wraps
 #   go test ./internal/bench -run '^$' -bench 'Scaling/halo-spmd/4096' -cpuprofile halo.prof
 #   go test . -run '^$' -bench 'Suite/fig11' -cpuprofile fig11.prof

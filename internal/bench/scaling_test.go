@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ityr"
+	"ityr/internal/apps/uts"
 )
 
 // BenchmarkScaling runs one row of `itybench scaling` per sub-benchmark,
@@ -31,14 +32,26 @@ func BenchmarkScaling(b *testing.B) {
 }
 
 // BenchmarkWorkload runs a benchmark workload's geometry through the figures'
-// own run function, so the workload can be profiled without editing the
-// benchmark: `make profile BENCH=Workload/cilksort-64r` is the benchmark's
-// cilksort-64r (2^20 int32 keys, cutoff 1,024, 64 ranks of 8 a node, Write-Back
-// (Lazy), seed 11), set-up and check included.
+// own run functions, so the workload can be profiled without editing the
+// benchmark, set-up and check included: `make profile
+// BENCH=Workload/cilksort-64r` is the benchmark's cilksort-64r (2^20 int32
+// keys, cutoff 1,024, 64 ranks), utsmem-64r builds and traverses T1L' on 64
+// ranks, and forkjoin-4096r sorts 2^18 keys in 16 Ki-key leaves on 4,096
+// ranks; all of them 8 ranks a node, Write-Back (Lazy), seed 11.
 func BenchmarkWorkload(b *testing.B) {
-	b.Run("cilksort-64r", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			figCilksort(1<<20, 1<<10, 64, 8, ityr.WriteBackLazy, 11)
-		}
-	})
+	workloads := []struct {
+		name string
+		run  func()
+	}{
+		{"cilksort-64r", func() { figCilksort(1<<20, 1<<10, 64, 8, ityr.WriteBackLazy, 11) }},
+		{"utsmem-64r", func() { runUTS(runtimeConfig(64, 8, ityr.WriteBackLazy, 11), uts.T1LPrime) }},
+		{"forkjoin-4096r", func() { figCilksort(1<<18, 16<<10, 4096, 8, ityr.WriteBackLazy, 11) }},
+	}
+	for _, wl := range workloads {
+		b.Run(wl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				wl.run()
+			}
+		})
+	}
 }

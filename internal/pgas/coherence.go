@@ -11,13 +11,30 @@ const (
 	offRequestEpoch = 8
 )
 
-// CurrentEpoch returns this rank's write-back epoch (Fig. 6 currentEpoch).
+// CurrentEpoch returns this rank's write-back epoch (Fig. 6 currentEpoch)
+// as its window publishes it to remote readers. The owner's own protocol
+// reads its copy instead (EpochState), which always equals it.
 func (l *Local) CurrentEpoch() uint64 {
 	return l.space.epochWin.LocalUint64(l.rank, offCurrentEpoch)
 }
 
-func (l *Local) requestEpoch() uint64 {
-	return l.space.epochWin.LocalUint64(l.rank, offRequestEpoch)
+// EpochState returns the owner's copy of currentEpoch and owed, the
+// highest handler epoch ReleaseLazy has handed out. A rank with
+// owed <= epoch owes no write-back and answers PollPending from these two
+// words alone.
+func (l *Local) EpochState() (epoch, owed uint64) { return l.epoch, l.owed }
+
+// requested reports whether a write-back has been requested of this rank
+// that it has not done (Fig. 6: currentEpoch < requestEpoch). The answer
+// comes from the owner's own state while owed <= epoch: every requestEpoch
+// a remote MaxUint64 can store is a handler epoch this rank handed out, so
+// requestEpoch <= owed <= epoch, and the test is false at whatever instant
+// the window would be read. Neither word changes while the owner's charges
+// are banked (only the owner hands out handlers and advances its epoch),
+// so that answer needs no Sync. Only a rank that owes a write-back reads
+// its window's requestEpoch, and takes its bank to do so.
+func (l *Local) requested() bool {
+	return l.owed > l.epoch && l.epoch < l.space.epochWin.LocalUint64(l.rank, offRequestEpoch)
 }
 
 // writeBackAll writes every dirty region of every cache block to its home,
@@ -25,7 +42,8 @@ func (l *Local) requestEpoch() uint64 {
 // and cache-pressure flushes; the pass is reported as one span of kind k
 // (KRelease with its fence-site arg, KWriteBackAll or KLazyWriteBackAll).
 // The dirty regions are shipped as merged per-home Puts and waited for
-// with one Flush (batch.go).
+// with one Flush (batch.go). The epoch advances if data was written or a
+// write-back was requested.
 func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	t0 := l.rank.Proc().Now()
 	for _, cb := range l.cache.DirtyBlocks() {
@@ -38,9 +56,9 @@ func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	// No explicit validator hook here: putRuns already marked every
 	// flushed interval home-visible at its Put's copy instant, which is
 	// all the happens-before ledger needs from a release.
-	cur, req := l.CurrentEpoch(), l.requestEpoch()
-	if wrote || cur < req {
-		l.space.epochWin.StoreLocalUint64(l.rank, cur+1, offCurrentEpoch)
+	if wrote || l.requested() {
+		l.epoch++
+		l.space.epochWin.StoreLocalUint64(l.rank, l.epoch, offCurrentEpoch)
 		l.rank.Proc().Charge(costEpoch)
 	}
 	l.space.rec.Span(l.rank.ID(), k, t0, l.rank.Proc().Now()-t0, arg, 0)
@@ -69,7 +87,8 @@ func (l *Local) ReleaseFenceAt(site int64) {
 // ReleaseLazy is the fork-time release of Fig. 6 (ReleaseLazy): instead of
 // writing back, it returns a handler naming the epoch whose completion will
 // prove this rank's dirty data reached its home. If the cache is clean the
-// handler is Unneeded.
+// handler is Unneeded. The handler's epoch becomes owed: no remote rank
+// can request more of this rank than it has handed out.
 func (l *Local) ReleaseLazy() ReleaseHandler {
 	if l.space.cfg.Policy != WriteBackLazy {
 		// Eager policies write back right here (Release #1).
@@ -83,7 +102,8 @@ func (l *Local) ReleaseLazy() ReleaseHandler {
 		return Unneeded
 	}
 	l.space.Stats.LazyReleases++
-	return ReleaseHandler{Rank: l.rank.ID(), Epoch: l.CurrentEpoch() + 1, Needed: true}
+	l.owed = l.epoch + 1
+	return ReleaseHandler{Rank: l.rank.ID(), Epoch: l.owed, Needed: true}
 }
 
 // AcquireWith executes an acquire fence paired with the given release
@@ -98,7 +118,7 @@ func (l *Local) AcquireWith(h ReleaseHandler) {
 		if h.Rank == l.rank.ID() {
 			// The continuation came back to the releasing rank itself;
 			// its dirty data is local, so just complete the write-back.
-			if l.CurrentEpoch() < h.Epoch {
+			if l.epoch < h.Epoch {
 				l.writeBackAll(trace.KLazyWriteBackAll, 0)
 			}
 		} else {
@@ -178,11 +198,11 @@ func (l *Local) Poll() {
 }
 
 // PollPending reports whether Poll would write back: whether a write-back
-// has been requested of this rank that it has not done. It costs two reads
-// of the rank's own window segment and no virtual time, so an idle worker
-// may ask from engine context.
+// has been requested of this rank that it has not done. It costs no
+// virtual time, so an idle worker may ask from engine context, and a rank
+// that owes no write-back answers it without taking its bank (requested).
 func (l *Local) PollPending() bool {
-	return l.space.cfg.Policy == WriteBackLazy && l.CurrentEpoch() < l.requestEpoch()
+	return l.space.cfg.Policy == WriteBackLazy && l.requested()
 }
 
 // DirtyBytes reports the number of dirty bytes awaiting write-back.

@@ -30,6 +30,11 @@ type Local struct {
 	cache *memblock.Table
 	home  *memblock.Table
 
+	// epoch is the owner's copy of its window's currentEpoch word (only
+	// the owner writes it), and owed the highest handler epoch ReleaseLazy
+	// has handed out: requested answers the lazy-release poll from them.
+	epoch, owed uint64
+
 	outstanding []checkoutRec
 
 	// viewPool and piecePool recycle the staged view buffers (multi-block

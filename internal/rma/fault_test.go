@@ -321,6 +321,50 @@ func TestGrowMidFlight(t *testing.T) {
 	}
 }
 
+// TestGrowDuringBank: a Put or Get issued after banked charges must reach
+// the segment as it stands at the op's instant. Rank 1 reallocates its
+// segment inside each of rank 0's two banks, writing into it after the
+// first; rank 0's Get must read that write and its Put must land in the
+// live segment, as they do when every charge is an Advance. An op that looked its segment up before
+// taking the bank wrote the discarded array and read a stale one.
+func TestGrowDuringBank(t *testing.T) {
+	for _, bank := range []bool{true, false} {
+		e := sim.NewEngine()
+		if !bank {
+			e.NoBank()
+		}
+		c := New(e, 2, netmodel.Default(2))
+		w := c.NewWin([]int{64, 64})
+		var got [1]byte
+		for i := 0; i < 2; i++ {
+			r := c.Rank(i)
+			e.Spawn("rank", func(p *sim.Proc) {
+				r.Attach(p)
+				if r.ID() == 0 {
+					p.Charge(10 * sim.Microsecond)
+					w.Get(r, 1, 20, got[:])
+					p.Charge(10 * sim.Microsecond)
+					w.Put(r, []byte{0xAB}, 1, 10)
+					r.Flush()
+				} else {
+					p.Advance(5 * sim.Microsecond)
+					w.Grow(1, 4096) // past capacity: a new array
+					w.Seg(1)[20] = 0x77
+					p.Advance(15 * sim.Microsecond)
+					w.Grow(1, 1<<16)
+				}
+				r.Barrier()
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if seg := w.Seg(1); seg[10] != 0xAB || got[0] != 0x77 {
+			t.Errorf("bank=%v: the Put left seg[10] = %#x (want 0xab), the Get read %#x (want 0x77)", bank, seg[10], got[0])
+		}
+	}
+}
+
 // TestGrowShrinkRequestIgnored: Grow to a smaller size is a no-op.
 func TestGrowShrinkRequestIgnored(t *testing.T) {
 	e := sim.NewEngine()

@@ -387,16 +387,22 @@ func (r *Rank) ChargeTransfer(target, nbytes int) {
 	r.c.rec.RMA(r.id, target, trace.OpGet, nbytes)
 }
 
-// issue performs a one-sided data transfer to or from target: it moves the
-// bytes, copy(dst, src), at the instant the op is issued, then models the
-// origin-side cost and NIC serialization; completion time is folded into
-// r.pending for the next Flush. One of dst and src is a window segment,
-// which other ranks read and write, so the rank's banked charges are taken
-// before the copy.
-func (r *Rank) issue(target int, dst, src []byte) {
+// issue performs a one-sided data transfer between buf and target's
+// segment of w at off: it moves the bytes (into the segment if put) at the
+// instant the op is issued, then models the origin-side cost and NIC
+// serialization; completion time is folded into r.pending for the next
+// Flush. The segment is one other ranks read, write and grow (Win.Grow
+// moves it), so the rank's banked charges are taken before the segment is
+// even looked up.
+func (r *Rank) issue(w *Win, target, off int, buf []byte, put bool) {
 	r.proc.Sync()
-	copy(dst, src)
-	nbytes := len(src)
+	w.check(target, off, len(buf))
+	if seg := w.segs[target][off : off+len(buf)]; put {
+		copy(seg, buf)
+	} else {
+		copy(buf, seg)
+	}
+	nbytes := len(buf)
 	r.retryFaults(target)
 	r.proc.Advance(r.c.net.MsgOverhead)
 	now := r.proc.Now()
@@ -600,8 +606,7 @@ func (w *Win) check(target, off, n int) {
 // Get starts a nonblocking read of len(dst) bytes from target's segment at
 // off into dst. The data is guaranteed valid after the next Flush.
 func (w *Win) Get(r *Rank, target, off int, dst []byte) {
-	w.check(target, off, len(dst))
-	r.issue(target, dst, w.segs[target][off:off+len(dst)])
+	r.issue(w, target, off, dst, false)
 	r.getOps++
 	r.getBytes += uint64(len(dst))
 	r.c.rec.RMA(r.id, target, trace.OpGet, len(dst))
@@ -610,8 +615,7 @@ func (w *Win) Get(r *Rank, target, off int, dst []byte) {
 // Put starts a nonblocking write of src into target's segment at off.
 // Completion (remote visibility) is guaranteed after the next Flush.
 func (w *Win) Put(r *Rank, src []byte, target, off int) {
-	w.check(target, off, len(src))
-	r.issue(target, w.segs[target][off:off+len(src)], src)
+	r.issue(w, target, off, src, true)
 	r.putOps++
 	r.putBytes += uint64(len(src))
 	r.c.rec.RMA(r.id, target, trace.OpPut, len(src))
@@ -620,9 +624,8 @@ func (w *Win) Put(r *Rank, src []byte, target, off int) {
 // GetUint64 is a blocking 8-byte read (issue + flush), as used for polling
 // remote scalars such as epochs.
 func (w *Win) GetUint64(r *Rank, target, off int) uint64 {
-	w.check(target, off, 8)
 	var b [8]byte
-	r.issue(target, b[:], w.segs[target][off:off+8])
+	r.issue(w, target, off, b[:], false)
 	v := binary.LittleEndian.Uint64(b[:])
 	r.c.rec.RMA(r.id, target, trace.OpGet, 8)
 	r.Flush()

@@ -797,7 +797,12 @@ func (tb *TB) Join(t *Thread) {
 	s := w.sched
 	s.hooks.Poll(w.rank.ID())
 	c := t.th
-	tb.th.proc.Sync() // the child sets done
+	if !c.done {
+		// The child sets done after a Sync and never clears it, so a done
+		// seen set was set before this thread's clock less its bank: only
+		// a child not yet done must be read at the bank's end.
+		tb.th.proc.Sync()
+	}
 	if c.done {
 		tb.th.proc.Charge(costJoinFast)
 		if c.doneRank != w.rank.ID() {

@@ -203,9 +203,9 @@ func BenchmarkMergeKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkRadixSort times radixSortBits at both digit widths, and
-// slices.Sort, on random int32 slices of each length, cycling through 64
-// inputs: the crossover radixWide sits at and sortLeaf's cutoff.
+// BenchmarkRadixSort times radixSort at both digit widths, and slices.Sort,
+// on random int32 slices of each length, cycling through 64 inputs: the
+// crossover radixWide sits at and sortLeaf's cutoff.
 func BenchmarkRadixSort(b *testing.B) {
 	const inputs = 64
 	for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096, 16384} {
@@ -222,8 +222,8 @@ func BenchmarkRadixSort(b *testing.B) {
 			name string
 			sort func([]int32)
 		}{
-			{"bits=8", func(v []int32) { radixSortBits(v, 8) }},
-			{"bits=11", func(v []int32) { radixSortBits(v, 11) }},
+			{"bits=8", func(v []int32) { s := getScratch(len(v)); radixSortDigits(v, s.buf, &s.c8); scratchPool.Put(s) }},
+			{"bits=11", func(v []int32) { s := getScratch(len(v)); radixSortDigits(v, s.buf, &s.c11); scratchPool.Put(s) }},
 			{"slices.Sort", slices.Sort[[]int32]},
 		}
 		for _, s := range sorts {
