@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ityr"
+	"ityr/internal/apps/cilksort"
 	"ityr/internal/apps/uts"
 )
 
@@ -38,7 +39,11 @@ func BenchmarkScaling(b *testing.B) {
 // keys, cutoff 1,024, 64 ranks), utsmem-64r builds and traverses T1L' on 64
 // ranks, and forkjoin-4096r sorts 2^18 keys in 16 Ki-key leaves on 4,096
 // ranks; all of them 8 ranks a node, Write-Back (Lazy), seed 11.
+// cilksort-1m-validated is `make validate`'s cilksort leg on the same
+// configuration: 2^20 keys, cutoff 256, 8 ranks, checkout validator on.
 func BenchmarkWorkload(b *testing.B) {
+	validated := runtimeConfig(8, 8, ityr.WriteBackLazy, 11)
+	validated.Pgas.Validate = true
 	workloads := []struct {
 		name string
 		run  func()
@@ -46,6 +51,9 @@ func BenchmarkWorkload(b *testing.B) {
 		{"cilksort-64r", func() { figCilksort(1<<20, 1<<10, 64, 8, ityr.WriteBackLazy, 11) }},
 		{"utsmem-64r", func() { runUTS(runtimeConfig(64, 8, ityr.WriteBackLazy, 11), uts.T1LPrime) }},
 		{"forkjoin-4096r", func() { figCilksort(1<<18, 16<<10, 4096, 8, ityr.WriteBackLazy, 11) }},
+		{"cilksort-1m-validated", func() {
+			runCilksort(validated, cilksort.Params{N: 1 << 20, Cutoff: 256, Seed: 11, Dist: ityr.BlockCyclicDist})
+		}},
 	}
 	for _, wl := range workloads {
 		b.Run(wl.name, func(b *testing.B) {

@@ -245,3 +245,56 @@ func TestFirstMissing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSet times Contains, FirstMissing and Add — the calls a cache
+// checkout and checkin make on a block's Valid and Dirty sets — over 64
+// random sets of up to eight intervals in a 64 KiB block and 1,021 query
+// intervals of up to 8 KiB, cycling through both. A query repeated on one
+// set lets the branch predictor learn it (PITFALLS.md, "a kernel benchmark
+// must see the workload's inputs"). Add's op is one set rebuilt from
+// cleared by its eight intervals, added in random order.
+func BenchmarkSet(b *testing.B) {
+	const nsets, nq, span = 64, 1021, 64 << 10
+	rng := rand.New(rand.NewSource(3))
+	randIv := func(maxLen int) Interval {
+		lo := uint64(rng.Intn(span/64)) * 64
+		return Interval{lo, min(span, lo+uint64(1+rng.Intn(maxLen)))}
+	}
+	sets := make([]Set, nsets)
+	adds := make([][]Interval, nsets)
+	for i := range sets {
+		for k := rng.Intn(9); k > 0; k-- {
+			iv := randIv(8 << 10)
+			adds[i] = append(adds[i], iv)
+			sets[i].Add(iv)
+		}
+	}
+	qs := make([]Interval, nq)
+	for i := range qs {
+		qs[i] = randIv(8 << 10)
+	}
+	var sink int
+	b.Run("Contains", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if sets[i%nsets].Contains(qs[i%nq]) {
+				sink++
+			}
+		}
+	})
+	b.Run("FirstMissing", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m, _ := sets[i%nsets].FirstMissing(qs[i%nq])
+			sink += int(m.Lo)
+		}
+	})
+	b.Run("Add", func(b *testing.B) {
+		var s Set
+		for i := 0; i < b.N; i++ {
+			s.Clear()
+			for _, iv := range adds[i%nsets] {
+				s.Add(iv)
+			}
+		}
+	})
+	_ = sink
+}
