@@ -312,9 +312,8 @@ func (t *Table) InvalidateAllExceptDirty() {
 	storage.mu.Lock()
 	free := storage.free[t.blockSize]
 	for _, b := range t.valid {
-		b.Valid.Clear()
+		b.Valid.CopyFrom(&b.Dirty.Map)
 		if !b.Dirty.Empty() {
-			b.Valid.AddSet(&b.Dirty)
 			kept = append(kept, b)
 			continue
 		}

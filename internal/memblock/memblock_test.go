@@ -149,7 +149,7 @@ func TestInvalidateAllExceptDirty(t *testing.T) {
 			want = dirty.Len()
 		}
 		if b.Valid.Bytes() != want || want > 0 && !b.Valid.Contains(dirty) {
-			t.Fatalf("block %d valid %v after invalidate", id, b.Valid.Intervals())
+			t.Fatalf("block %d valid %v after invalidate", id, b.Valid.Entries())
 		}
 	}
 }
@@ -453,9 +453,9 @@ func TestBlockListsMatchFullWalk(t *testing.T) {
 			case op < 98:
 				tb.InvalidateAllExceptDirty()
 				for cur := tb.lru.next; cur != &tb.lru; cur = cur.next {
-					if !slices.Equal(cur.Valid.Intervals(), cur.Dirty.Intervals()) {
+					if !slices.Equal(cur.Valid.Entries(), cur.Dirty.Entries()) {
 						t.Fatalf("seed %d step %d: block %d valid %v after invalidation, dirty %v",
-							seed, step, cur.ID, cur.Valid.Intervals(), cur.Dirty.Intervals())
+							seed, step, cur.ID, cur.Valid.Entries(), cur.Dirty.Entries())
 					}
 				}
 			default:

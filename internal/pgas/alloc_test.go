@@ -3,6 +3,8 @@ package pgas
 import (
 	"errors"
 	"testing"
+
+	"ityr/internal/region"
 )
 
 func TestCollectiveAllocNonDivisibleSizes(t *testing.T) {
@@ -173,6 +175,56 @@ func TestCheckoutOfFreedArray(t *testing.T) {
 			t.Errorf("validate=%v: violations %+v, want none", validate, v)
 		}
 	}
+}
+
+// TestLedgerWriteTouchesOneBlock: the validator's write ledger is kept per
+// block, so a write shifts only its own block's records. One record is
+// written into each of 64 blocks of an allocation; a second write into
+// block 0 must leave every other block's ledger storage where it was, with
+// the same length.
+func TestLedgerWriteTouchesOneBlock(t *testing.T) {
+	const nblocks, bs = 64, 256
+	cfg := smallCfg(WriteBack)
+	cfg.Validate = true
+	write := func(l *Local, addr Addr) {
+		if _, err := l.Checkout(addr, 8, Write); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Checkin(addr, 8, Write); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testCluster(t, 1, 1, cfg, func(l *Local) {
+		base := l.AllocCollective(nblocks*bs, BlockDist)
+		for b := Addr(0); b < nblocks; b++ {
+			write(l, base+b*bs)
+		}
+		s := l.Space()
+		a, err := s.findAlloc(base, nblocks*bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := func(b Addr) (es []region.Entry[writeRec]) {
+			s.val.eachLedger(a, base+b*bs, base+b*bs+1, false, func(m *region.Map[writeRec], _ region.Interval) {
+				es = m.Entries()
+			})
+			return es
+		}
+		before := make([][]region.Entry[writeRec], nblocks)
+		for b := range before {
+			before[b] = ledger(Addr(b))
+		}
+		write(l, base+64)
+		for b := Addr(1); b < nblocks; b++ {
+			if got := ledger(b); len(got) != len(before[b]) || &got[0] != &before[b][0] {
+				t.Fatalf("a write into block 0 moved block %d's ledger: %d records at %p, were %d at %p",
+					b, len(got), &got[0], len(before[b]), &before[b][0])
+			}
+		}
+		if n := len(ledger(0)); n != 2 {
+			t.Fatalf("block 0 holds %d records after its second write, want 2", n)
+		}
+	})
 }
 
 func TestFreeLocalBadAddr(t *testing.T) {

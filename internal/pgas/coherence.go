@@ -47,8 +47,8 @@ func (l *Local) requested() bool {
 func (l *Local) writeBackAll(k trace.Kind, arg int64) {
 	t0 := l.rank.Proc().Now()
 	for _, cb := range l.cache.DirtyBlocks() {
-		for _, iv := range cb.Dirty.Intervals() {
-			l.gatherRun(cb, iv)
+		for _, e := range cb.Dirty.Entries() {
+			l.gatherRun(cb, e.Interval)
 		}
 	}
 	wrote := len(l.wbRuns) > 0

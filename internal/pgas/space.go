@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ityr/internal/memblock"
+	"ityr/internal/region"
 	"ityr/internal/rma"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
@@ -14,7 +15,6 @@ import (
 type allocation struct {
 	base   Addr
 	size   uint64 // rounded up to whole blocks
-	req    uint64 // requested size
 	policy DistPolicy
 	win    *rma.Win
 	chunk  uint64 // per-rank contiguous bytes (BlockDist)
@@ -23,10 +23,8 @@ type allocation struct {
 	// region, 0 for a collective allocation.
 	first  int
 	freed  bool
-	writes []writeRec // the validator's last-writer ledger (validate.go)
+	writes []region.Map[writeRec] // the validator's ledger, one map a block (validate.go)
 }
-
-func (a *allocation) end() Addr { return a.base + a.size }
 
 // homeOf resolves a global address within this allocation to its home rank
 // and the offset within that rank's window segment.
@@ -83,8 +81,12 @@ type Space struct {
 	// violation is reported to it exactly once.
 	rec *trace.Recorder
 
-	allocs   []*allocation // sorted by base; includes per-rank noncollective pseudo-allocations
+	// The allocation table: the collective allocations in base order
+	// (collNext only grows), freed ones included, and one pseudo-allocation
+	// per rank's noncollective region, found by arithmetic.
+	coll     []*allocation
 	collNext Addr
+	ncAllocs []allocation
 
 	ncWin *rma.Win
 	nc    []ncHeap // per rank
@@ -161,9 +163,7 @@ func New(comm *rma.Comm, cfg Config) *Space {
 			cacheBlocks, maxHomeBlocks, need, maxMapEntries))
 	}
 	s.locals = make([]Local, n)
-	// The per-rank noncollective pseudo-allocations come out of one slab
-	// too; only the pointers land in the sorted alloc list.
-	ncAllocs := make([]allocation, n)
+	s.ncAllocs = make([]allocation, n)
 	for i := 0; i < n; i++ {
 		s.locals[i] = Local{
 			space: s,
@@ -171,21 +171,16 @@ func New(comm *rma.Comm, cfg Config) *Space {
 			cache: memblock.NewTable(cacheBlocks, cfg.BlockSize, false),
 			home:  memblock.NewTable(maxHomeBlocks, cfg.BlockSize, true),
 		}
-		// A pseudo-allocation per rank describing its noncollective region
-		// keeps address resolution uniform.
-		ncAllocs[i] = allocation{
+		s.ncAllocs[i] = allocation{
 			base:   ncRegion(i),
 			size:   uint64(ncSpan),
-			req:    uint64(ncSpan),
 			policy: BlockDist,
 			win:    s.ncWin,
 			chunk:  uint64(ncSpan),
 			nranks: 1,
 			first:  i,
 		}
-		s.allocs = append(s.allocs, &ncAllocs[i])
 	}
-	// Keep allocs sorted (noncollective bases ascend by construction).
 	if cfg.Validate {
 		s.val = newValidator(s, n)
 	}
@@ -237,28 +232,25 @@ func (s *Space) Local(i int) *Local { return &s.locals[i] }
 // findAlloc locates the live allocation containing [addr, addr+size). A
 // rank's noncollective region ends at the bytes its heap has handed out:
 // past them the host segment holds nothing.
+//
+// The lookup relies on the collective heap lying below ncBase: it starts at
+// collBase and would need 16 TiB of collective allocations to reach ncBase.
 func (s *Space) findAlloc(addr Addr, size uint64) (*allocation, error) {
-	i := sort.Search(len(s.allocs), func(i int) bool { return s.allocs[i].base > addr })
-	if i == 0 {
-		return nil, ErrOutOfRange
+	var a *allocation
+	end := addr
+	if addr >= ncBase {
+		if r := (addr - ncBase) / ncSpan; r < Addr(len(s.ncAllocs)) {
+			a = &s.ncAllocs[r]
+			end = a.base + s.nc[r].used
+		}
+	} else if i := sort.Search(len(s.coll), func(i int) bool { return s.coll[i].base > addr }); i > 0 {
+		a = s.coll[i-1]
+		end = a.base + a.size
 	}
-	a := s.allocs[i-1]
-	end := a.end()
-	if a.win == s.ncWin {
-		end = a.base + s.nc[a.first].used
-	}
-	if a.freed || addr+size > end {
+	if a == nil || a.freed || addr+size > end {
 		return nil, fmt.Errorf("%w: [%#x,%#x)", ErrOutOfRange, addr, addr+size)
 	}
 	return a, nil
-}
-
-// insertAlloc adds a to the sorted allocation list.
-func (s *Space) insertAlloc(a *allocation) {
-	i := sort.Search(len(s.allocs), func(i int) bool { return s.allocs[i].base > a.base })
-	s.allocs = append(s.allocs, nil)
-	copy(s.allocs[i+1:], s.allocs[i:])
-	s.allocs[i] = a
 }
 
 func align(v, to uint64) uint64 { return (v + to - 1) / to * to }
@@ -276,7 +268,7 @@ func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
 	}
 	bs := uint64(s.cfg.BlockSize)
 	n := uint64(s.comm.Size())
-	a := &allocation{policy: policy, req: size, nranks: n}
+	a := &allocation{policy: policy, nranks: n}
 	sizes := make([]int, n)
 	switch policy {
 	case BlockDist:
@@ -304,7 +296,7 @@ func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
 	a.base = s.collNext
 	s.collNext += Addr(align(a.size, bs)) + Addr(bs) // guard block between allocations
 	a.win = s.comm.NewWin(sizes)
-	s.insertAlloc(a)
+	s.coll = append(s.coll, a)
 	// Collective cost: window creation is roughly a barrier plus an
 	// exchange of window descriptors.
 	l.rank.Proc().Advance(2 * s.comm.Net().Latency * sim.Time(log2ceil(int(n))+1))

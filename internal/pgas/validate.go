@@ -14,12 +14,12 @@ package pgas
 // outstanding rights are the ranks' own Local.outstanding records, which
 // Checkout stamps with their task segment, start time and registration
 // order; a checkout walks every rank's list. The happens-before ledger
-// behind unreleased-write lives on each allocation: a sorted, disjoint
-// list of last-writer records searched by binary search, so a checkout,
-// checkin or homing costs O(log n + k) for the k records it overlaps plus
-// a shift when it splits or inserts one; freeing the allocation drops it.
-// A record holds the virtual time its bytes became home-visible, stamped
-// where they land home: a write-back run's Put (release fence,
+// behind unreleased-write lives on each allocation, one region.Map of
+// last-writer records per block, so a checkout, checkin or homing costs
+// O(log n + k) in each block it touches for the k records it overlaps
+// there, and shifts only that block's records; freeing the allocation
+// drops it. A record holds the virtual time its bytes became home-visible,
+// stamped where they land home: a write-back run's Put (release fence,
 // cache-pressure flush, write-through checkin) or a no-cache or
 // home-local checkin's store (rma.Put copies host bytes at the call
 // instant). Each rank records when its last acquire fence, which
@@ -36,8 +36,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
+	"ityr/internal/region"
 	"ityr/internal/sim"
 	"ityr/internal/trace"
 )
@@ -76,17 +76,18 @@ func (r ViolationRule) String() string {
 	return fmt.Sprintf("rule(%d)", int(r))
 }
 
-// writeRec is the last writer of one byte interval of an allocation: who
-// wrote it, in which order (seq, shared with checkout registrations), when
-// the write committed (checkin), and when its bytes reached home memory
-// (homed < 0 while they are still only in the writer's cache).
+// writeRec is the last writer of a run of an allocation's bytes: who wrote
+// it, in which order (seq, shared with checkout registrations), when the
+// write committed (checkin), and when and by which homing its bytes
+// reached home memory. A record is a maximal run of one writeRec, so hid
+// keeps apart pieces of one write homed at one instant by two homings.
 type writeRec struct {
-	lo, hi uint64
-	rank   int
-	task   int64
-	seq    uint64
-	t      sim.Time
-	homed  sim.Time // virtual time the bytes became home-visible; -1 = not yet
+	rank  int
+	task  int64
+	seq   uint64
+	t     sim.Time
+	homed sim.Time // virtual time the bytes became home-visible; -1 = not yet
+	hid   uint64   // the homing that homed them; 0 = not yet
 }
 
 // retiredRec is a recently retired checkout's access right, kept for the
@@ -107,10 +108,11 @@ const retiredRing = 128
 type validator struct {
 	space *Space
 
-	seq     uint64       // order of the next registration or write
-	retired []retiredRec // ring of recently retired checkouts, all ranks
-	retPos  int
-	acqT    []sim.Time // virtual time of each rank's last completed acquire fence
+	seq     uint64                  // order of the next registration or write
+	homings uint64                  // number of the last homing
+	retired [retiredRing]retiredRec // ring of recently retired checkouts, all ranks
+	nret    int                     // checkouts retired so far
+	acqT    []sim.Time              // virtual time of each rank's last completed acquire fence
 	viol    []trace.ViolationRecord
 
 	// onHomed, when set, is told of every homing the ledger applies; the
@@ -196,19 +198,24 @@ func (v *validator) onCheckout(l *Local, a *allocation, lo, hi uint64, mode Mode
 		return nil
 	}
 	var w *writeRec
-	for i := a.firstWrite(lo); i < len(a.writes) && a.writes[i].lo < hi; i++ {
-		c := &a.writes[i]
-		if c.rank == rank || c.homed >= 0 && c.homed <= v.acqT[rank] {
-			continue // own cache, or homed before our acquire
+	var wLo, wHi uint64 // w's bytes, up to hi
+	v.eachLedger(a, lo, hi, false, func(m *region.Map[writeRec], iv region.Interval) {
+		ov := m.Overlapping(iv)
+		for i := range ov {
+			switch c := &ov[i].Val; {
+			case w != nil && *c == *w && ov[i].Lo == wHi:
+				wHi = ov[i].Hi // w's record runs on from the block before
+			case c.rank == rank || c.homed >= 0 && c.homed <= v.acqT[rank]:
+				// own cache, or homed before our acquire
+			case w == nil || c.seq < w.seq:
+				w, wLo, wHi = c, ov[i].Lo, ov[i].Hi
+			}
 		}
-		if w == nil || c.seq < w.seq {
-			w = c
-		}
-	}
+	})
 	if w == nil {
 		return nil
 	}
-	oLo, oHi := max(lo, w.lo), min(hi, w.hi)
+	oLo, oHi := max(lo, wLo), min(hi, wHi)
 	why := fmt.Sprintf("the write reached home at %d ns, after the reader's last acquire fence at %d ns", w.homed, v.acqT[rank])
 	if w.homed < 0 {
 		why = "the write is still unflushed in the writer's cache"
@@ -240,8 +247,8 @@ func (v *validator) onCheckin(l *Local, idx int, addr Addr, size uint64, mode Mo
 	lo, hi := addr, addr+size
 	if idx < 0 {
 		task := v.space.taskOf(rank)
-		for i := len(v.retired) - 1; i >= 0; i-- {
-			o := v.retired[(v.retPos+i)%len(v.retired)]
+		for i := v.nret - 1; i >= max(0, v.nret-retiredRing); i-- {
+			o := v.retired[i%retiredRing]
 			if o.rank != rank || o.lo != lo || o.hi != hi || o.mode != mode {
 				continue
 			}
@@ -253,21 +260,14 @@ func (v *validator) onCheckin(l *Local, idx int, addr Addr, size uint64, mode Mo
 		return nil
 	}
 	task := l.outstanding[idx].task
-	o := retiredRec{lo: lo, hi: hi, mode: mode, rank: rank, task: task, t: now}
-	if len(v.retired) < retiredRing {
-		v.retired = append(v.retired, o)
-	} else {
-		v.retired[v.retPos] = o
-		v.retPos = (v.retPos + 1) % retiredRing
-	}
+	v.retired[v.nret%retiredRing] = retiredRec{lo: lo, hi: hi, mode: mode, rank: rank, task: task, t: now}
+	v.nret++
 	if mode == Read {
 		return nil
 	}
 	if a, err := v.space.findAlloc(lo, size); err == nil { // else freed: no ledger
-		a.cut(lo, true)
-		a.cut(hi, true)
-		w := writeRec{lo: lo, hi: hi, rank: rank, task: task, seq: v.seq, t: now, homed: -1}
-		a.writes = slices.Replace(a.writes, a.firstWrite(lo), a.firstWrite(hi), w)
+		w := writeRec{rank: rank, task: task, seq: v.seq, t: now, homed: -1}
+		v.eachLedger(a, lo, hi, true, func(m *region.Map[writeRec], iv region.Interval) { m.Assign(iv, w) })
 		v.seq++
 	}
 	return nil
@@ -290,10 +290,10 @@ func (v *validator) onHomeStore(l *Local, rec *checkoutRec) {
 }
 
 // markHomed records that the bytes of [lo, hi) reached home memory at
-// virtual time now: any write record overlapping the range becomes
-// home-visible, splitting records homed only in part. The first homing
-// wins — re-putting already-homed bytes cannot make them less visible —
-// so homed records are never split.
+// virtual time now: the unhomed parts of the write records overlapping the
+// range become home-visible. The first homing wins — re-putting
+// already-homed bytes cannot make them less visible — so homed records are
+// never split.
 func (v *validator) markHomed(lo, hi uint64, now sim.Time) {
 	if v.onHomed != nil {
 		v.onHomed(lo, hi, now)
@@ -302,29 +302,35 @@ func (v *validator) markHomed(lo, hi uint64, now sim.Time) {
 	if err != nil {
 		return
 	}
-	a.cut(lo, false)
-	a.cut(hi, false)
-	for i := a.firstWrite(lo); i < len(a.writes) && a.writes[i].lo < hi; i++ {
-		if a.writes[i].homed < 0 {
-			a.writes[i].homed = now
+	v.homings++
+	v.eachLedger(a, lo, hi, false, func(m *region.Map[writeRec], iv region.Interval) {
+		ov := m.Overlapping(iv)
+		for i := range ov {
+			if w := ov[i].Val; w.homed < 0 {
+				w.homed, w.hid = now, v.homings
+				m.Assign(ov[i].Intersect(iv), w)
+				ov = m.Overlapping(iv) // the same entries: a new hid merges with none
+			}
 		}
-	}
+	})
 }
 
-// firstWrite returns the index of the first write record of a that ends
-// after addr.
-func (a *allocation) firstWrite(addr uint64) int {
-	return sort.Search(len(a.writes), func(i int) bool { return a.writes[i].hi > addr })
-}
-
-// cut splits the write record of a that straddles addr in two at addr,
-// unless it is homed and homedToo is false.
-func (a *allocation) cut(addr uint64, homedToo bool) {
-	i := a.firstWrite(addr)
-	if i < len(a.writes) && a.writes[i].lo < addr && (homedToo || a.writes[i].homed < 0) {
-		w := a.writes[i]
-		a.writes[i].hi, w.lo = addr, addr
-		a.writes = slices.Insert(a.writes, i+1, w)
+// eachLedger calls fn, in address order, with the ledger map of each block
+// of a that [lo, hi) overlaps and the part of [lo, hi) in that block. It
+// grows a's ledger up to hi if grow is set, and stops at its end if not.
+func (v *validator) eachLedger(a *allocation, lo, hi uint64, grow bool, fn func(*region.Map[writeRec], region.Interval)) {
+	bs := uint64(v.space.cfg.BlockSize)
+	for lo < hi {
+		b := (lo - a.base) / bs
+		if n := uint64(len(a.writes)); b >= n {
+			if !grow {
+				return
+			}
+			a.writes = append(a.writes, make([]region.Map[writeRec], b+1-n)...)
+		}
+		iv := region.Interval{Lo: lo, Hi: min(hi, a.base+(b+1)*bs)}
+		fn(&a.writes[b], iv)
+		lo = iv.Hi
 	}
 }
 

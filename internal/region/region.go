@@ -1,13 +1,15 @@
-// Package region implements byte-granularity interval sets, the data
-// structure behind the software cache's valid-region and dirty-region
-// tracking (mb.validRegions in Fig. 4 of the paper).
-//
-// A Set holds a normalized (sorted, disjoint, non-adjacent) list of
-// half-open intervals [Lo, Hi). All operations preserve normalization.
+// Package region implements byte-granularity interval maps, and is the one
+// place in the tree that keeps, splits and merges sorted, disjoint
+// intervals. A Map gives each of its half-open intervals [Lo, Hi) one
+// value; the checkout validator's last-writer ledger is a Map of write
+// records. A Set is a Map whose value is empty: the software cache's
+// valid-region and dirty-region tracking (mb.validRegions in Fig. 4 of the
+// paper).
 package region
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -38,146 +40,139 @@ func (iv Interval) Intersect(o Interval) Interval {
 
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi) }
 
-// Set is a normalized set of byte intervals. The zero value is an empty set
-// ready to use.
-type Set struct {
-	ivs []Interval
+// Entry is one interval of a Map and the value of its bytes.
+type Entry[V comparable] struct {
+	Interval
+	Val V
 }
 
-// Clear removes all intervals, retaining capacity.
-func (s *Set) Clear() { s.ivs = s.ivs[:0] }
+// Map is a sorted list of disjoint, non-empty intervals, each with one
+// value. Its one normalization rule: adjacent intervals with equal values
+// are merged. Every operation preserves it. The zero value is an empty map
+// ready to use.
+type Map[V comparable] struct {
+	es []Entry[V]
+}
 
-// Empty reports whether the set contains no bytes.
-func (s *Set) Empty() bool { return len(s.ivs) == 0 }
+// Entries returns the entries in ascending order. The slice aliases the
+// map's storage: it must not be modified, nor kept across a change.
+func (m *Map[V]) Entries() []Entry[V] { return m.es }
 
-// NumIntervals returns the number of maximal intervals in the set.
-func (s *Set) NumIntervals() int { return len(s.ivs) }
+// Clear removes every entry, retaining capacity.
+func (m *Map[V]) Clear() { m.es = m.es[:0] }
 
-// Bytes returns the total number of bytes covered.
-func (s *Set) Bytes() uint64 {
+// Empty reports whether the map holds no bytes.
+func (m *Map[V]) Empty() bool { return len(m.es) == 0 }
+
+// Bytes returns the number of bytes the map holds.
+func (m *Map[V]) Bytes() uint64 {
 	var n uint64
-	for _, iv := range s.ivs {
-		n += iv.Len()
+	for _, e := range m.es {
+		n += e.Len()
 	}
 	return n
 }
 
-// Intervals returns the intervals in ascending order. The returned slice
-// aliases internal storage and must not be modified or retained across
-// mutations.
-func (s *Set) Intervals() []Interval { return s.ivs }
+// CopyFrom makes m a copy of o, reusing m's storage.
+func (m *Map[V]) CopyFrom(o *Map[V]) { m.es = append(m.es[:0], o.es...) }
 
-// Add unions iv into the set, merging adjacent and overlapping intervals.
-func (s *Set) Add(iv Interval) {
-	if iv.Empty() {
-		return
+// first returns the index of the first entry that ends after addr: a
+// binary search down to eight entries, then a scan, which is faster on the
+// few entries of a cache block's sets.
+func (m *Map[V]) first(addr uint64) int {
+	lo, hi := 0, len(m.es)
+	for hi-lo > 8 {
+		h := int(uint(lo+hi) >> 1)
+		if m.es[h].Hi <= addr {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	// Find insertion window: all intervals that overlap or touch iv.
-	i := 0
-	for i < len(s.ivs) && s.ivs[i].Hi < iv.Lo {
-		i++
+	for lo < hi && m.es[lo].Hi <= addr {
+		lo++
 	}
-	j := i
-	for j < len(s.ivs) && s.ivs[j].Lo <= iv.Hi {
-		j++
-	}
-	if i < j {
-		iv.Lo = min(iv.Lo, s.ivs[i].Lo)
-		iv.Hi = max(iv.Hi, s.ivs[j-1].Hi)
-	}
-	s.ivs = append(s.ivs[:i], append([]Interval{iv}, s.ivs[j:]...)...)
+	return lo
 }
 
-// Subtract removes iv from the set, splitting intervals as needed.
-func (s *Set) Subtract(iv Interval) {
-	if iv.Empty() || len(s.ivs) == 0 {
-		return
+// span returns the index range [i, j) of the entries overlapping iv.
+func (m *Map[V]) span(iv Interval) (i, j int) {
+	i = m.first(iv.Lo)
+	for j = i; j < len(m.es) && m.es[j].Lo < iv.Hi; j++ {
 	}
-	out := s.ivs[:0]
-	var extra []Interval
-	for _, cur := range s.ivs {
-		ov := cur.Intersect(iv)
-		if ov.Empty() {
-			extra = append(extra, cur)
-			continue
-		}
-		if cur.Lo < ov.Lo {
-			extra = append(extra, Interval{cur.Lo, ov.Lo})
-		}
-		if ov.Hi < cur.Hi {
-			extra = append(extra, Interval{ov.Hi, cur.Hi})
-		}
-	}
-	s.ivs = append(out, extra...)
+	return i, j
 }
 
-// Contains reports whether the whole of iv is covered by the set. The empty
-// interval is always contained.
-func (s *Set) Contains(iv Interval) bool {
-	if iv.Empty() {
-		return true
-	}
-	for _, cur := range s.ivs {
-		if cur.Lo <= iv.Lo && iv.Hi <= cur.Hi {
-			return true
-		}
-	}
-	return false
-}
-
-// Missing returns the parts of iv not covered by the set, in ascending
-// order: iv \ s. This is the fetch-region computation of Fig. 4 line 19.
-func (s *Set) Missing(iv Interval) []Interval {
+// Overlapping returns the entries overlapping iv, in ascending order,
+// unclipped: the first may start before iv and the last end after it. The
+// slice aliases the map's storage, like Entries.
+func (m *Map[V]) Overlapping(iv Interval) []Entry[V] {
 	if iv.Empty() {
 		return nil
 	}
-	var out []Interval
-	lo := iv.Lo
-	for _, cur := range s.ivs {
-		if cur.Hi <= lo {
-			continue
-		}
-		if cur.Lo >= iv.Hi {
-			break
-		}
-		if cur.Lo > lo {
-			out = append(out, Interval{lo, min(cur.Lo, iv.Hi)})
-		}
-		lo = max(lo, cur.Hi)
-		if lo >= iv.Hi {
-			return out
-		}
-	}
-	if lo < iv.Hi {
-		out = append(out, Interval{lo, iv.Hi})
-	}
-	return out
+	i, j := m.span(iv)
+	return m.es[i:j]
 }
 
-// FirstMissing returns the lowest part of iv not covered by the set, and
-// whether one exists. Equivalent to Missing(iv)[0] without allocating: the
-// software cache's fetch loop resolves its next missing interval against
-// the block's current valid set before every transfer instead of building
-// the missing list.
-func (s *Set) FirstMissing(iv Interval) (Interval, bool) {
-	if iv.Empty() {
-		return Interval{}, false
+// Assign gives every byte of iv the value v.
+func (m *Map[V]) Assign(iv Interval, v V) {
+	if !iv.Empty() {
+		m.splice(iv, &v)
 	}
+}
+
+// Remove drops every byte of iv from the map.
+func (m *Map[V]) Remove(iv Interval) {
+	if !iv.Empty() {
+		m.splice(iv, nil)
+	}
+}
+
+// splice replaces the entries overlapping the non-empty iv by their parts
+// outside it and, unless v is nil, by iv itself with value *v, merged with
+// the equal-valued entries it touches: one shift of the entries after iv.
+func (m *Map[V]) splice(iv Interval, v *V) {
+	i, j := m.span(iv)
+	if v != nil && i > 0 && m.es[i-1].Hi == iv.Lo {
+		i-- // a touching neighbour may merge
+	}
+	if v != nil && j < len(m.es) && m.es[j].Lo == iv.Hi {
+		j++
+	}
+	var buf [3]Entry[V]
+	out := buf[:0]
+	if i < j && m.es[i].Lo < iv.Lo {
+		out = append(out, Entry[V]{Interval{m.es[i].Lo, iv.Lo}, m.es[i].Val})
+	}
+	if v != nil {
+		out = appendMerged(out, Entry[V]{iv, *v})
+	}
+	if i < j && m.es[j-1].Hi > iv.Hi {
+		out = appendMerged(out, Entry[V]{Interval{iv.Hi, m.es[j-1].Hi}, m.es[j-1].Val})
+	}
+	m.es = slices.Replace(m.es, i, j, out...)
+}
+
+// appendMerged appends e to out, or extends out's last entry by it when
+// they touch and have equal values.
+func appendMerged[V comparable](out []Entry[V], e Entry[V]) []Entry[V] {
+	if n := len(out); n > 0 && out[n-1].Hi == e.Lo && out[n-1].Val == e.Val {
+		out[n-1].Hi = e.Hi
+		return out
+	}
+	return append(out, e)
+}
+
+// FirstMissing returns the lowest run of iv's bytes the map does not hold,
+// and whether there is one: the next transfer of a cache block's fetch
+// loop, resolved against its current valid set.
+func (m *Map[V]) FirstMissing(iv Interval) (Interval, bool) {
 	lo := iv.Lo
-	for _, cur := range s.ivs {
-		if cur.Hi <= lo {
-			continue
+	for k := m.first(lo); k < len(m.es) && m.es[k].Lo < iv.Hi; k++ {
+		if m.es[k].Lo > lo {
+			return Interval{lo, m.es[k].Lo}, true
 		}
-		if cur.Lo >= iv.Hi {
-			break
-		}
-		if cur.Lo > lo {
-			return Interval{lo, min(cur.Lo, iv.Hi)}, true
-		}
-		lo = max(lo, cur.Hi)
-		if lo >= iv.Hi {
-			return Interval{}, false
-		}
+		lo = m.es[k].Hi
 	}
 	if lo < iv.Hi {
 		return Interval{lo, iv.Hi}, true
@@ -185,34 +180,36 @@ func (s *Set) FirstMissing(iv Interval) (Interval, bool) {
 	return Interval{}, false
 }
 
-// Overlap returns the parts of iv covered by the set, in ascending order:
-// iv ∩ s.
-func (s *Set) Overlap(iv Interval) []Interval {
-	var out []Interval
-	for _, cur := range s.ivs {
-		ov := cur.Intersect(iv)
-		if !ov.Empty() {
-			out = append(out, ov)
-		}
-	}
-	return out
+// Set is a set of bytes: a Map whose value is empty, so touching intervals
+// always merge. The zero value is an empty set ready to use.
+type Set struct {
+	Map[struct{}]
 }
 
-// AddSet unions another set into this one.
-func (s *Set) AddSet(o *Set) {
-	for _, iv := range o.ivs {
-		s.Add(iv)
+// Add unions iv into the set.
+func (s *Set) Add(iv Interval) { s.Assign(iv, struct{}{}) }
+
+// Subtract removes iv from the set.
+func (s *Set) Subtract(iv Interval) { s.Remove(iv) }
+
+// Contains reports whether the whole of iv is in the set. The empty
+// interval always is.
+func (s *Set) Contains(iv Interval) bool {
+	if iv.Empty() {
+		return true
 	}
+	i := s.first(iv.Lo)
+	return i < len(s.es) && s.es[i].Lo <= iv.Lo && iv.Hi <= s.es[i].Hi
 }
 
 func (s *Set) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, iv := range s.ivs {
+	for i, e := range s.es {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(iv.String())
+		b.WriteString(e.Interval.String())
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -10,7 +10,7 @@ func TestAddMergesAdjacent(t *testing.T) {
 	var s Set
 	s.Add(Interval{0, 10})
 	s.Add(Interval{10, 20}) // adjacent: must merge
-	if s.NumIntervals() != 1 {
+	if len(s.Entries()) != 1 {
 		t.Fatalf("set = %v, want single interval", s.String())
 	}
 	if !s.Contains(Interval{0, 20}) {
@@ -23,7 +23,7 @@ func TestAddMergesOverlapping(t *testing.T) {
 	s.Add(Interval{5, 15})
 	s.Add(Interval{0, 10})
 	s.Add(Interval{12, 30})
-	if s.NumIntervals() != 1 || s.Bytes() != 30 {
+	if len(s.Entries()) != 1 || s.Bytes() != 30 {
 		t.Fatalf("set = %v, want {[0,30)}", s.String())
 	}
 }
@@ -33,7 +33,7 @@ func TestAddDisjointKeepsOrder(t *testing.T) {
 	s.Add(Interval{20, 30})
 	s.Add(Interval{0, 5})
 	s.Add(Interval{40, 45})
-	ivs := s.Intervals()
+	ivs := s.Entries()
 	if len(ivs) != 3 || ivs[0].Lo != 0 || ivs[1].Lo != 20 || ivs[2].Lo != 40 {
 		t.Fatalf("set = %v", s.String())
 	}
@@ -43,41 +43,11 @@ func TestSubtractSplits(t *testing.T) {
 	var s Set
 	s.Add(Interval{0, 100})
 	s.Subtract(Interval{40, 60})
-	if s.NumIntervals() != 2 || s.Bytes() != 80 {
+	if len(s.Entries()) != 2 || s.Bytes() != 80 {
 		t.Fatalf("set = %v", s.String())
 	}
 	if s.Contains(Interval{40, 41}) || !s.Contains(Interval{0, 40}) || !s.Contains(Interval{60, 100}) {
 		t.Fatalf("wrong coverage: %v", s.String())
-	}
-}
-
-func TestMissing(t *testing.T) {
-	var s Set
-	s.Add(Interval{10, 20})
-	s.Add(Interval{30, 40})
-	miss := s.Missing(Interval{0, 50})
-	want := []Interval{{0, 10}, {20, 30}, {40, 50}}
-	if len(miss) != len(want) {
-		t.Fatalf("missing = %v, want %v", miss, want)
-	}
-	for i := range want {
-		if miss[i] != want[i] {
-			t.Fatalf("missing = %v, want %v", miss, want)
-		}
-	}
-	if got := s.Missing(Interval{12, 18}); len(got) != 0 {
-		t.Fatalf("fully covered interval reported missing: %v", got)
-	}
-}
-
-func TestOverlap(t *testing.T) {
-	var s Set
-	s.Add(Interval{10, 20})
-	s.Add(Interval{30, 40})
-	ov := s.Overlap(Interval{15, 35})
-	want := []Interval{{15, 20}, {30, 35}}
-	if len(ov) != 2 || ov[0] != want[0] || ov[1] != want[1] {
-		t.Fatalf("overlap = %v, want %v", ov, want)
 	}
 }
 
@@ -125,6 +95,20 @@ func (r *refSet) bytes() uint64 {
 	return n
 }
 
+// firstMissing is FirstMissing on the bitmap.
+func (r *refSet) firstMissing(iv Interval) (Interval, bool) {
+	for b := iv.Lo; b < iv.Hi; b++ {
+		if !r[b] {
+			e := b
+			for e < iv.Hi && !r[e] {
+				e++
+			}
+			return Interval{b, e}, true
+		}
+	}
+	return Interval{}, false
+}
+
 // TestQuickAgainstBitmap drives random Add/Subtract sequences and checks
 // the interval set against the bitmap reference, including normalization
 // invariants.
@@ -148,7 +132,7 @@ func TestQuickAgainstBitmap(t *testing.T) {
 				ref.add(iv)
 			}
 			// Invariant: normalized (sorted, disjoint, non-adjacent, non-empty).
-			ivs := s.Intervals()
+			ivs := s.Entries()
 			for i, cur := range ivs {
 				if cur.Empty() {
 					t.Logf("empty interval in set %v", s.String())
@@ -164,7 +148,7 @@ func TestQuickAgainstBitmap(t *testing.T) {
 				return false
 			}
 		}
-		// Probe random containment and missing queries.
+		// Probe random containment and first-gap queries.
 		for q := 0; q < 30; q++ {
 			lo := uint64(rng.Intn(256))
 			hi := lo + uint64(rng.Intn(64))
@@ -176,23 +160,11 @@ func TestQuickAgainstBitmap(t *testing.T) {
 				t.Logf("contains(%v) mismatch on %v", iv, s.String())
 				return false
 			}
-			// Missing ∪ Overlap must exactly tile iv.
-			parts := append(append([]Interval{}, s.Missing(iv)...), s.Overlap(iv)...)
-			var total uint64
-			for _, p := range parts {
-				total += p.Len()
-			}
-			if total != iv.Len() {
-				t.Logf("missing+overlap of %v covers %d bytes, want %d", iv, total, iv.Len())
+			got, ok := s.FirstMissing(iv)
+			want, wantOK := ref.firstMissing(iv)
+			if ok != wantOK || got != want {
+				t.Logf("FirstMissing(%v) = %v,%v on %v, want %v,%v", iv, got, ok, s.String(), want, wantOK)
 				return false
-			}
-			for _, m := range s.Missing(iv) {
-				for b := m.Lo; b < m.Hi; b++ {
-					if ref[b] {
-						t.Logf("missing region %v contains present byte %d", m, b)
-						return false
-					}
-				}
 			}
 		}
 		return true
@@ -211,37 +183,47 @@ func BenchmarkAddFragmented(b *testing.B) {
 	}
 }
 
-// TestFirstMissing checks the allocation-free single-gap query against the
-// full Missing list across random sets: FirstMissing must return exactly
-// Missing(iv)[0], and report ok=false iff the list is empty.
+// TestFirstMissing checks the first-gap query on a fixed set, and against
+// the bitmap on random small sets.
 func TestFirstMissing(t *testing.T) {
 	var s Set
 	s.Add(Interval{10, 20})
 	s.Add(Interval{30, 40})
-	cases := []Interval{{0, 50}, {12, 18}, {0, 10}, {20, 30}, {15, 35}, {40, 45}, {5, 5}}
-	for _, iv := range cases {
-		miss := s.Missing(iv)
-		got, ok := s.FirstMissing(iv)
-		if ok != (len(miss) > 0) {
-			t.Fatalf("FirstMissing(%v) ok=%v, Missing=%v", iv, ok, miss)
-		}
-		if ok && got != miss[0] {
-			t.Fatalf("FirstMissing(%v) = %v, want %v", iv, got, miss[0])
+	cases := []struct {
+		iv   Interval
+		want Interval
+		ok   bool
+	}{
+		{Interval{0, 50}, Interval{0, 10}, true},
+		{Interval{12, 18}, Interval{}, false},
+		{Interval{0, 10}, Interval{0, 10}, true},
+		{Interval{20, 30}, Interval{20, 30}, true},
+		{Interval{15, 35}, Interval{20, 30}, true},
+		{Interval{40, 45}, Interval{40, 45}, true},
+		{Interval{35, 50}, Interval{40, 50}, true},
+		{Interval{5, 5}, Interval{}, false},
+	}
+	for _, c := range cases {
+		if got, ok := s.FirstMissing(c.iv); got != c.want || ok != c.ok {
+			t.Fatalf("FirstMissing(%v) = %v,%v, want %v,%v", c.iv, got, ok, c.want, c.ok)
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		var r Set
+		var ref refSet
 		for k := 0; k < rng.Intn(6); k++ {
 			lo := uint64(rng.Intn(128))
-			r.Add(Interval{lo, lo + uint64(rng.Intn(32))})
+			iv := Interval{lo, lo + uint64(rng.Intn(32))}
+			r.Add(iv)
+			ref.add(iv)
 		}
 		lo := uint64(rng.Intn(128))
 		iv := Interval{lo, lo + uint64(rng.Intn(48))}
-		miss := r.Missing(iv)
 		got, ok := r.FirstMissing(iv)
-		if ok != (len(miss) > 0) || (ok && got != miss[0]) {
-			t.Fatalf("set %v FirstMissing(%v) = %v,%v; Missing = %v", r.String(), iv, got, ok, miss)
+		want, wantOK := ref.firstMissing(iv)
+		if ok != wantOK || got != want {
+			t.Fatalf("set %v FirstMissing(%v) = %v,%v; want %v,%v", r.String(), iv, got, ok, want, wantOK)
 		}
 	}
 }
@@ -297,4 +279,91 @@ func BenchmarkSet(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// FuzzMap drives a Map[uint8] through Assign and Remove over a 64-byte
+// universe and checks it after every step against a per-byte value model:
+// the bytes it holds and their values, its normalization (sorted, disjoint,
+// non-empty, touching entries differ in value), Bytes, Overlapping and
+// FirstMissing. Each three input bytes are one step: the first picks
+// Remove (low bit 0) or Assign of a value in 0…3, the next two the
+// interval's start and length. `go test` runs the seeds in
+// testdata/fuzz/FuzzMap; `go test -fuzz FuzzMap ./internal/region` explores.
+func FuzzMap(f *testing.F) {
+	// Touching equal values merge on the left, on the right and across a
+	// filled hole; a different value splits; Remove splits and spans.
+	f.Add([]byte{1, 20, 10, 1, 10, 10, 1, 30, 10, 1, 45, 5, 1, 40, 5})
+	f.Add([]byte{1, 0, 23, 3, 5, 3, 1, 4, 6, 0, 2, 12, 5, 0, 20, 0, 0, 23})
+	f.Add([]byte{3, 0, 20, 3, 30, 10, 5, 18, 14, 3, 16, 16, 0, 10, 23, 0, 40, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const n = 64
+		var m Map[uint8]
+		var model [n]int // -1 = absent
+		for i := range model {
+			model[i] = -1
+		}
+		for k := 0; k+3 <= len(ops); k += 3 {
+			lo := uint64(ops[k+1] % n)
+			iv := Interval{lo, min(n, lo+uint64(ops[k+2]%24))}
+			if ops[k]&1 == 0 {
+				m.Remove(iv)
+			} else {
+				m.Assign(iv, ops[k]>>1&3)
+			}
+			for b := iv.Lo; b < iv.Hi; b++ {
+				model[b] = -1
+				if ops[k]&1 != 0 {
+					model[b] = int(ops[k] >> 1 & 3)
+				}
+			}
+
+			got := [n]int{}
+			for i := range got {
+				got[i] = -1
+			}
+			es := m.Entries()
+			for i, e := range es {
+				if e.Empty() || e.Hi > n || i > 0 && (es[i-1].Hi > e.Lo || es[i-1].Hi == e.Lo && es[i-1].Val == e.Val) {
+					t.Fatalf("step %d: entries not normalized: %v", k/3, es)
+				}
+				for b := e.Lo; b < e.Hi; b++ {
+					got[b] = int(e.Val)
+				}
+			}
+			var held uint64
+			for b := range model {
+				if got[b] != model[b] {
+					t.Fatalf("step %d: byte %d holds %d, model %d: %v", k/3, b, got[b], model[b], es)
+				}
+				if model[b] >= 0 {
+					held++
+				}
+			}
+			if m.Bytes() != held {
+				t.Fatalf("step %d: Bytes() = %d, model %d", k/3, m.Bytes(), held)
+			}
+
+			q := Interval{iv.Lo / 2, min(n, iv.Hi+8)}
+			ov := m.Overlapping(q)
+			for i, e := range es {
+				in := !e.Intersect(q).Empty()
+				if in != (len(ov) > 0 && e.Lo >= ov[0].Lo && e.Lo <= ov[len(ov)-1].Lo) {
+					t.Fatalf("step %d: Overlapping(%v) = %v, entry %d %v", k/3, q, ov, i, e)
+				}
+			}
+			var want Interval
+			for b := q.Lo; b < q.Hi; b++ {
+				if model[b] < 0 {
+					if want.Empty() {
+						want = Interval{b, b + 1}
+					} else if want.Hi == b {
+						want.Hi++
+					}
+				}
+			}
+			if gap, ok := m.FirstMissing(q); gap != want || ok != !want.Empty() {
+				t.Fatalf("step %d: FirstMissing(%v) = %v,%v, model %v", k/3, q, gap, ok, want)
+			}
+		}
+	})
 }
