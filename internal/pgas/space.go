@@ -237,7 +237,7 @@ func (s *Space) Local(i int) *Local { return &s.locals[i] }
 // collBase and would need 16 TiB of collective allocations to reach ncBase.
 func (s *Space) findAlloc(addr Addr, size uint64) (*allocation, error) {
 	var a *allocation
-	end := addr
+	var end Addr
 	if addr >= ncBase {
 		if r := (addr - ncBase) / ncSpan; r < Addr(len(s.ncAllocs)) {
 			a = &s.ncAllocs[r]
