@@ -51,6 +51,38 @@ func TestSubtractSplits(t *testing.T) {
 	}
 }
 
+// TestMissing lists every gap of a query by repeated FirstMissing calls,
+// each resuming after the previous gap.
+func TestMissing(t *testing.T) {
+	var s Set
+	s.Add(Interval{10, 20})
+	s.Add(Interval{30, 40})
+	missing := func(iv Interval) []Interval {
+		var gaps []Interval
+		for {
+			g, ok := s.FirstMissing(iv)
+			if !ok {
+				return gaps
+			}
+			gaps = append(gaps, g)
+			iv.Lo = g.Hi
+		}
+	}
+	miss := missing(Interval{0, 50})
+	want := []Interval{{0, 10}, {20, 30}, {40, 50}}
+	if len(miss) != len(want) {
+		t.Fatalf("missing = %v, want %v", miss, want)
+	}
+	for i := range want {
+		if miss[i] != want[i] {
+			t.Fatalf("missing = %v, want %v", miss, want)
+		}
+	}
+	if got := missing(Interval{12, 18}); len(got) != 0 {
+		t.Fatalf("fully covered interval reported missing: %v", got)
+	}
+}
+
 func TestEmptyIntervalNoOps(t *testing.T) {
 	var s Set
 	s.Add(Interval{5, 5})
