@@ -380,3 +380,31 @@ func TestEpochMonotonicity(t *testing.T) {
 		l.Rank().Barrier()
 	})
 }
+
+// TestAllocCollectivePastNcBase: findAlloc sends every address at or above
+// ncBase to the noncollective regions, so a collective allocation that
+// would reach ncBase fails by name before collNext moves or a window is
+// made, and the next allocation still resolves to itself.
+func TestAllocCollectivePastNcBase(t *testing.T) {
+	testCluster(t, 1, 1, smallCfg(WriteBack), func(l *Local) {
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err, _ = r.(error)
+				}
+			}()
+			l.AllocCollective(uint64(ncBase-collBase), BlockCyclicDist)
+			return nil
+		}()
+		if !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("AllocCollective up to ncBase = %v, want a panic wrapping ErrOutOfRange", err)
+		}
+		base := l.AllocCollective(256, BlockDist)
+		if base != collBase {
+			t.Errorf("allocation after the failure at %#x, want %#x", base, collBase)
+		}
+		if a, err := l.Space().findAlloc(base, 256); err != nil || a.base != base {
+			t.Errorf("findAlloc(%#x) = %v, %v", base, a, err)
+		}
+	})
+}

@@ -233,8 +233,8 @@ func (s *Space) Local(i int) *Local { return &s.locals[i] }
 // rank's noncollective region ends at the bytes its heap has handed out:
 // past them the host segment holds nothing.
 //
-// The lookup relies on the collective heap lying below ncBase: it starts at
-// collBase and would need 16 TiB of collective allocations to reach ncBase.
+// The lookup relies on the collective heap lying below ncBase, which
+// AllocCollective enforces.
 func (s *Space) findAlloc(addr Addr, size uint64) (*allocation, error) {
 	var a *allocation
 	var end Addr
@@ -292,6 +292,10 @@ func (l *Local) AllocCollective(size uint64, policy DistPolicy) Addr {
 		}
 	default:
 		panic("pgas: bad distribution policy")
+	}
+	if need := align(a.size, bs) + bs; need > uint64(ncBase-s.collNext) {
+		panic(fmt.Errorf("%w: the collective heap has %d bytes left below the noncollective regions at %#x, asked for %d",
+			ErrOutOfRange, uint64(ncBase-s.collNext), uint64(ncBase), need))
 	}
 	a.base = s.collNext
 	s.collNext += Addr(align(a.size, bs)) + Addr(bs) // guard block between allocations

@@ -10,6 +10,7 @@ package region
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -76,23 +77,9 @@ func (m *Map[V]) Bytes() uint64 {
 // CopyFrom makes m a copy of o, reusing m's storage.
 func (m *Map[V]) CopyFrom(o *Map[V]) { m.es = append(m.es[:0], o.es...) }
 
-// first returns the index of the first entry that ends after addr: a
-// binary search down to eight entries, then a scan, which is faster on the
-// few entries of a cache block's sets.
+// first returns the index of the first entry that ends after addr.
 func (m *Map[V]) first(addr uint64) int {
-	lo, hi := 0, len(m.es)
-	for hi-lo > 8 {
-		h := int(uint(lo+hi) >> 1)
-		if m.es[h].Hi <= addr {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	for lo < hi && m.es[lo].Hi <= addr {
-		lo++
-	}
-	return lo
+	return sort.Search(len(m.es), func(i int) bool { return m.es[i].Hi > addr })
 }
 
 // span returns the index range [i, j) of the entries overlapping iv.
@@ -195,11 +182,8 @@ func (s *Set) Subtract(iv Interval) { s.Remove(iv) }
 // Contains reports whether the whole of iv is in the set. The empty
 // interval always is.
 func (s *Set) Contains(iv Interval) bool {
-	if iv.Empty() {
-		return true
-	}
-	i := s.first(iv.Lo)
-	return i < len(s.es) && s.es[i].Lo <= iv.Lo && iv.Hi <= s.es[i].Hi
+	_, miss := s.FirstMissing(iv)
+	return !miss
 }
 
 func (s *Set) String() string {
