@@ -16,8 +16,8 @@
 #
 # Not a check: `make profile BENCH=Scaling/halo-spmd/4096` CPU-profiles one
 # row of `itybench scaling`, `make profile BENCH=Workload/cilksort-64r` the
-# benchmark's cilksort-64r (also Workload/utsmem-64r and
-# Workload/forkjoin-4096r), `make profile BENCH=Suite/fig11` one suite at the
+# benchmark's cilksort-64r (also Workload/utsmem-64r, Workload/forkjoin-4096r
+# and Workload/halo-4096r), `make profile BENCH=Suite/fig11` one suite at the
 # quick scale, and prints the flat top of the profile. It wraps
 #   go test ./internal/bench -run '^$' -bench 'Scaling/halo-spmd/4096' -cpuprofile halo.prof
 #   go test . -run '^$' -bench 'Suite/fig11' -cpuprofile fig11.prof
@@ -210,8 +210,9 @@ baseline-%:
 
 # CPU profile of one benchmark: Scaling/<workload>/<ranks>, a row as
 # `itybench scaling` names it (BenchmarkScaling in internal/bench, 5 runs),
-# Workload/cilksort-64r, the benchmark's workload of that name
-# (BenchmarkWorkload in internal/bench, 5 runs), or Suite/<name>, an
+# Workload/cilksort-64r, the benchmark's workload of that name (or
+# utsmem-64r, forkjoin-4096r, halo-4096r; BenchmarkWorkload in
+# internal/bench, 5 runs), or Suite/<name>, an
 # `itybench` suite at the quick scale (BenchmarkSuite in the root package, 1
 # run). The test binary and the profile stay out of the
 # checkout.

@@ -15,14 +15,20 @@ import (
 // that banks charges and on one told NoBank, and requires the reader to see
 // the same values at the same instants. Rank 0 writes a counter to cached
 // global memory whose home is its own (both ranks share a node, so the
-// checkin copies straight home) and Puts it into rank 1's window segment,
-// charging between the writes; rank 1 samples both.
+// checkin copies straight home), Puts it into two slots of rank 1's window
+// segment, one Put right after the other, flushes, and stores it into its
+// own segment right after the Flush, charging between the writes; rank 1
+// samples all four. Every 40 rounds both ranks charge and meet at a Barrier,
+// and rank 1 samples the instant it is released.
 // Where a banked writer's bytes land is when the kernel runs it, not when
 // its clock says, unless the write takes its bank first — so the samples
 // differ as soon as a layer writes shared memory without syncing: the home
-// path's copy, or rma's issue. The race runs at nominal speed and with the
-// writer a 3× straggler, whose charges are banked at its scale (the two
-// must read differently, or the slowdown was not in force).
+// path's copy, rma's issue (the second Put holds the first one's banked
+// overhead), or a window store (it holds the Flush's banked wait). A
+// Barrier must record each rank's arrival with its bank, or the release
+// moves. The race runs at nominal speed and with the writer a 3× straggler,
+// whose charges are banked at its scale (the two must read differently, or
+// the slowdown was not in force).
 func TestBankedRaceReadsAsUnbanked(t *testing.T) {
 	slowWriter := &fault.Plan{Name: "slow-writer", Stragglers: []fault.Straggler{{Rank: 0, Num: 3, Den: 1}}}
 	var nominal, slow []string
@@ -41,7 +47,7 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 		if !bank {
 			rt.Engine().NoBank()
 		}
-		win := rt.NewWin(8)
+		win := rt.NewWin(24)
 		var addr pgas.Addr
 		var samples []string
 		err := rt.Run(func(s *SPMD) {
@@ -50,7 +56,15 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 			}
 			s.Barrier()
 			l := s.Local()
+			r := l.Rank()
 			for i := 0; i < 200; i++ {
+				if i%40 == 39 {
+					s.Charge(sim.Time(300 + 211*s.Rank() + 17*(i%3)))
+					s.Barrier()
+					if s.Rank() == 1 {
+						samples = append(samples, fmt.Sprintf("%d released", s.Now()))
+					}
+				}
 				if s.Rank() == 0 {
 					s.Charge(sim.Time(200 + 53*(i%5)))
 					v, err := l.Checkout(addr, 8, pgas.Write)
@@ -63,7 +77,9 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 					}
 					s.Charge(sim.Time(20 + 3*(i%7)))
 					win.PutUint64(s, uint64(i), 1, 0)
+					win.PutUint64(s, uint64(i), 1, 8)
 					s.Flush() // so that the next checkout's Flush does not wait
+					win.w.StoreLocalUint64(r, uint64(i), 16)
 					continue
 				}
 				s.Charge(sim.Time(25 + 97*(i%7)))
@@ -72,8 +88,10 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 					panic(err)
 				}
 				home := binary.LittleEndian.Uint64(v)
-				put := binary.LittleEndian.Uint64(win.Seg(s))
-				samples = append(samples, fmt.Sprintf("%d home=%d put=%d", s.Now(), home, put))
+				seg := win.Seg(s)
+				put, again := binary.LittleEndian.Uint64(seg), binary.LittleEndian.Uint64(seg[8:])
+				stored := win.w.GetUint64(r, 0, 16)
+				samples = append(samples, fmt.Sprintf("%d home=%d put=%d,%d stored=%d", s.Now(), home, put, again, stored))
 			}
 			s.Barrier()
 		})
@@ -92,4 +110,82 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 		t.Fatalf("banked run took %d samples, unbanked %d", len(banked), len(unbanked))
 	}
 	return banked
+}
+
+// TestRingStepTakesThreeHandoffs pins what banking the one-sided layer's
+// private waits saves an SPMD ring, halo's step in small: a compute charge
+// and a Barrier, then a Put to each neighbour, a Flush and a Barrier. The
+// first Barrier's Park takes the compute charge; the second Put's issue
+// takes the first one's overhead, the one switch a step cannot save, since
+// the Put writes a segment another rank reads; the second Barrier's Park
+// takes the second overhead and the flush wait. A rank is switched in three
+// times a step: once by each wake and once at the end of that overhead.
+func TestRingStepTakesThreeHandoffs(t *testing.T) {
+	const ranks, steps = 8, 5
+	rt := NewRuntime(Config{Ranks: ranks, CoresPerNode: 4})
+	win := rt.NewWin(16)
+	var h0, h1 uint64
+	err := rt.Run(func(s *SPMD) {
+		me := s.Rank()
+		s.Barrier()
+		if me == 0 {
+			h0 = rt.Engine().Stats().Handoffs
+		}
+		for step := 0; step < steps; step++ {
+			s.Charge(sim.Time(1000 + 10*me))
+			s.Barrier()
+			win.PutUint64(s, uint64(step), (me+ranks-1)%ranks, 8)
+			win.PutUint64(s, uint64(step), (me+1)%ranks, 0)
+			s.Flush()
+			s.Barrier()
+		}
+		if me == 0 {
+			h1 = rt.Engine().Stats().Handoffs
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h1-h0, uint64(3*ranks*steps); got != want {
+		t.Errorf("%d handoffs over %d rank-steps, want %d: 3 a rank-step", got, ranks*steps, want)
+	}
+}
+
+// TestStragglerJoinDuringFenceReplay: a join waiter registers before its
+// release fence, so its child can complete, and hand it the token of a rank
+// of another speed, while the fence's banked Put overhead and flush wait
+// are being replayed. A bank is summed at the scale it was charged at, so a
+// runtime whose plan slows a rank banks nothing once a fork-join region
+// starts (SPMD.RootExec). The child's compute sweeps its completion across
+// the waiter's fence, with either rank the straggler; every run must end.
+func TestStragglerJoinDuringFenceReplay(t *testing.T) {
+	for slow := 0; slow < 2; slow++ {
+		for x := 0; x < 400; x += 8 {
+			plan := &fault.Plan{Name: "straggler", Stragglers: []fault.Straggler{{Rank: slow, Num: 10, Den: 1}}}
+			rt := NewRuntime(Config{
+				Ranks:        2,
+				CoresPerNode: 1,
+				Pgas:         pgas.Config{BlockSize: 512, SubBlockSize: 64, CacheSize: 16384, Policy: pgas.WriteBackLazy},
+				Seed:         3,
+				Faults:       plan,
+			})
+			_, err := rt.RunRoot(func(c *Ctx) {
+				base := c.Local().AllocCollective(1024, pgas.BlockCyclicDist)
+				th := c.Fork(func(c *Ctx) {
+					c.Charge(50 * sim.Microsecond)
+					c.Yield() // the steal lands
+					c.Charge(sim.Time(25 * x))
+				})
+				// The continuation runs on rank 1 and dirties a block homed
+				// on rank 0, which its join's fence writes back.
+				v := c.MustCheckout(base, 64, pgas.Write)
+				v[0] = 1
+				c.Checkin(base, 64, pgas.Write)
+				c.Join(th)
+			})
+			if err != nil {
+				t.Fatalf("straggler rank %d, child charge %d: %v", slow, 25*x, err)
+			}
+		}
+	}
 }

@@ -407,7 +407,15 @@ func (s *SPMD) AllocCollective(size uint64, d pgas.DistPolicy) pgas.Addr {
 // runs body as the root thread while every rank participates in work
 // stealing. All ranks return when the root completes, with a consistent
 // global memory view.
+//
+// A runtime whose plan slows a rank banks nothing from here on: a join
+// waiter can be handed a rank of another speed while it replays its
+// fence's bank, which was summed at its old speed (PITFALLS.md, "Straggler
+// runs bank too").
 func (s *SPMD) RootExec(body func(c *Ctx)) {
+	if f := s.rt.cfg.Faults; f != nil && len(f.Stragglers) > 0 {
+		s.rt.eng.NoBank()
+	}
 	s.rt.sched.WorkerMain(s.rank, func(tb *uth.TB) {
 		body(&Ctx{rt: s.rt, tb: tb})
 	})

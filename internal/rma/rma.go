@@ -393,7 +393,9 @@ func (r *Rank) ChargeTransfer(target, nbytes int) {
 // serialization; completion time is folded into r.pending for the next
 // Flush. The segment is one other ranks read, write and grow (Win.Grow
 // moves it), so the rank's banked charges are taken before the segment is
-// even looked up.
+// even looked up. The origin-side overhead is the issuing process's own
+// time (MPI_Put returns once the op is handed to the NIC), so it is banked
+// (sim.Proc.Charge): the rank's next op syncs before it touches a segment.
 func (r *Rank) issue(w *Win, target, off int, buf []byte, put bool) {
 	r.proc.Sync()
 	w.check(target, off, len(buf))
@@ -404,7 +406,7 @@ func (r *Rank) issue(w *Win, target, off int, buf []byte, put bool) {
 	}
 	nbytes := len(buf)
 	r.retryFaults(target)
-	r.proc.Advance(r.c.net.MsgOverhead)
+	r.proc.Charge(r.c.net.MsgOverhead)
 	now := r.proc.Now()
 	if target == r.id {
 		// Local window access: completes at issue time and never touches
@@ -429,17 +431,16 @@ func (r *Rank) issue(w *Win, target, off int, buf []byte, put bool) {
 }
 
 // Flush blocks until all nonblocking operations issued by this rank have
-// completed, like MPI_Win_flush_all. The wait is a plain Advance, so when no
-// other rank has an event due first it rides the kernel's zero-handoff fast
-// path — a flush-heavy rank costs the host nothing per wait. A wait is one
-// counted KStall span; a Flush with nothing outstanding is free. It reads
-// only the rank's own pending time, so it leaves banked charges banked
-// unless it waits (sim.Proc.Advance takes them with the wait).
+// completed, like MPI_Win_flush_all. It reads only the rank's own pending
+// time, and nobody else sees the rank wait, so the wait is banked
+// (sim.Proc.Charge) like any private cost: the rank's next act that another
+// rank could observe takes it. A wait is one counted KStall span; a Flush
+// with nothing outstanding is free.
 func (r *Rank) Flush() {
 	t0 := r.proc.Now()
 	if r.pending > t0 {
 		r.flushWaits++
-		r.proc.Advance(r.pending - t0)
+		r.proc.Charge(r.pending - t0)
 		r.c.rec.Span(r.id, trace.KStall, t0, r.proc.Now()-t0, 0, 0)
 	}
 }
@@ -452,12 +453,15 @@ func (r *Rank) Flush() {
 // keyed wake for every rank (itself included) at that instant, keyed by
 // rank number. The release time and the wake order are therefore pure
 // functions of the arrival times: which rank happens to arrive last has no
-// observable effect.
+// observable effect. So a rank records its arrival before it takes its
+// bank, at the instant the bank will take it to (Now), and its Park takes
+// the bank (sim.Proc.Park): the rank is switched in once per barrier, by
+// its wake. The last arriver's first ScheduleWake takes its own bank.
 func (r *Rank) Barrier() {
-	r.proc.Sync()
 	c := r.c
 	n := len(c.ranks)
 	if n == 1 {
+		r.proc.Sync()
 		c.barriers++
 		return
 	}

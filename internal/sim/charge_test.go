@@ -29,7 +29,8 @@ type chargeResult struct {
 // and runs it, charging private time with charge. Workers run a random
 // script of charges, Advances, Syncs that read and bump a shared counter,
 // Wakes, ScheduleWakes, callbacks and spawns; parkers log every wake-up,
-// charge some time of their own and read the counter. Durations come from
+// charge some time of their own and read the counter, and charge again
+// before they park, so a wake may land while a Park replays its bank. Durations come from
 // a handful of small values, zero among them, so the processes keep landing
 // on the same instant.
 func runChargeProgram(t *testing.T, seed int64, charge func(*Proc, Time)) chargeResult {
@@ -54,9 +55,10 @@ func runChargeProgram(t *testing.T, seed int64, charge func(*Proc, Time)) charge
 	stop := false
 	left := nWorkers
 	for i := range parkers {
-		own := []Time{durs[rng.Intn(len(durs))], durs[1+rng.Intn(len(durs)-1)]}
+		own := []Time{durs[rng.Intn(len(durs))], durs[1+rng.Intn(len(durs)-1)], durs[rng.Intn(len(durs))]}
 		parkers[i] = e.Spawn(fmt.Sprintf("parker%d", i), func(p *Proc) {
 			for {
+				charge(p, own[2]) // the Park takes it
 				p.Park()
 				if stop {
 					return
@@ -245,6 +247,82 @@ func TestTimeScaleDuringReplayPanics(t *testing.T) {
 	msg, _ := end.panicked.(string)
 	if want := `sim: SetTimeScale on process "slow" while it replays its bank`; msg != want {
 		t.Fatalf("Run ended %+v, want a panic %q", end, want)
+	}
+}
+
+// TestTimeScaleUnchangedDuringReplay: setting the scale a replaying process
+// already has, as Rank.Attach does for a thread handed a rank of its own
+// speed, changes nothing: no panic, and the bank ends where Now said.
+func TestTimeScaleUnchangedDuringReplay(t *testing.T) {
+	for _, sc := range []struct{ num, den, set, end Time }{{0, 0, -1, 20}, {3, 1, 3, 60}} {
+		t.Run(fmt.Sprintf("%d/%d", sc.num, sc.den), func(t *testing.T) {
+			e := NewEngine()
+			var promised, ended Time
+			p := e.Spawn("p", func(p *Proc) {
+				p.SetTimeScale(sc.num, sc.den)
+				p.Charge(10)
+				p.Charge(10)
+				promised = p.Now()
+				p.Sync()
+				ended = p.Now()
+			})
+			e.Spawn("other", func(o *Proc) {
+				o.Advance(5)
+				p.SetTimeScale(sc.set, sc.den)
+			})
+			if end := underWatchdog(t, func() {
+				if err := e.Run(); err != nil {
+					t.Error(err)
+				}
+			}); !end.returned {
+				t.Fatalf("Run ended %+v", end)
+			}
+			if promised != sc.end || ended != sc.end {
+				t.Errorf("Now read %d before the replay and %d after; want %d", promised, ended, sc.end)
+			}
+		})
+	}
+}
+
+// TestParkTakesItsBank: a Park holding a bank sleeps it out and parks where
+// its last sleep ends, in engine context, so the process is switched in
+// once, by its wake: fewer handoffs than a Sync then a Park, here two (the
+// waker, dispatching, no longer hands to the parker and back). A wake that
+// lands during the replay is a permit, used at the bank's end, where the
+// process runs on as it does after a Sync.
+func TestParkTakesItsBank(t *testing.T) {
+	run := func(sync bool, wakeAt Time) (Time, uint64) {
+		e := NewEngine()
+		var resumed Time
+		p := e.Spawn("parker", func(p *Proc) {
+			p.Charge(10)
+			p.Charge(10)
+			if sync {
+				p.Sync()
+			}
+			p.Park()
+			resumed = p.Now()
+		})
+		e.Spawn("waker", func(o *Proc) {
+			o.Advance(5)
+			o.Advance(wakeAt - 5)
+			p.Wake()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return resumed, e.Stats().Handoffs
+	}
+	for _, c := range []struct{ wakeAt, saved Time }{{15, 0}, {30, 2}} {
+		want := max(c.wakeAt, 20)
+		synced, hs := run(true, c.wakeAt)
+		parked, hp := run(false, c.wakeAt)
+		if synced != want || parked != want {
+			t.Errorf("woken at %d: resumed at %d after a Sync, %d without; want %d", c.wakeAt, synced, parked, want)
+		}
+		if hs-hp != uint64(c.saved) {
+			t.Errorf("woken at %d: %d handoffs, a Sync then a Park %d; want %d fewer", c.wakeAt, hp, hs, c.saved)
+		}
 	}
 }
 

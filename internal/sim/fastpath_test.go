@@ -270,9 +270,10 @@ func TestWideIdleDispatchZeroAllocs(t *testing.T) {
 
 // TestBarrierDispatchZeroAllocs is the zero-allocation claim for a
 // barrier-paced SPMD loop at width: ranks that sleep behind a queue deep
-// enough for their resumes to take a lane, then wait at a barrier whose
-// release fills the wake run. Once the heap, the slab and the lane blocks
-// have grown to that width, every further event allocates nothing.
+// enough for their resumes to take a lane, charge two sleeps that the
+// barrier's Park takes, and wait at a barrier whose release fills the wake
+// run. Once the heap, the slab, the lane blocks and the carriers' bank
+// lists have grown to that width, every further event allocates nothing.
 func TestBarrierDispatchZeroAllocs(t *testing.T) {
 	const width = 1024
 	run := func(rounds int) {
@@ -282,6 +283,8 @@ func TestBarrierDispatchZeroAllocs(t *testing.T) {
 			bar.procs[rank] = e.Spawn("rank", func(p *Proc) {
 				for i := 0; i < rounds; i++ {
 					p.Advance(Time(120 + 130*(rank%3)))
+					p.Charge(Time(40 + 10*(rank%2)))
+					p.Charge(30)
 					bar.wait(p, rank)
 				}
 			})
@@ -293,7 +296,7 @@ func TestBarrierDispatchZeroAllocs(t *testing.T) {
 	const extra = 64
 	small := testing.AllocsPerRun(3, func() { run(8) })
 	big := testing.AllocsPerRun(3, func() { run(8 + extra) })
-	perEvent := (big - small) / (2 * width * extra)
+	perEvent := (big - small) / (4 * width * extra)
 	if perEvent > 0.001 {
 		t.Fatalf("%.4f allocations per event (small run %.1f, big run %.1f), want 0",
 			perEvent, small, big)

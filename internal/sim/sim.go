@@ -19,7 +19,7 @@
 // The one-at-a-time invariant is also the kernel's fast-path licence:
 // whichever process currently runs owns every piece of engine state
 // outright, so it may mutate the clock and the event queue directly instead
-// of asking the driver to do it. Nine consequences:
+// of asking the driver to do it. Ten consequences:
 //
 //   - Zero-handoff Advance: when no queued event fires at or before now+d,
 //     Advance(d) simply sets now += d and returns — no switch, no
@@ -98,7 +98,16 @@
 //     sleep is taken as that sleep's Advance. A bank is summed at the time
 //     scale in force when each charge is made, so a process's scale may
 //     change only while it holds no bank: SetTimeScale on itself syncs
-//     first, and on a process replaying its bank it panics.
+//     first, and on a process replaying its bank it panics unless the scale
+//     is the one the process has.
+//   - A park takes its bank: Park replays a bank as Sync does, but its last
+//     sleep ends in the Park. Where that sleep ends in engine context the
+//     process parks right there, or uses up a permit and runs on in that
+//     event, so a process that charges and then waits — an SPMD rank that
+//     enters a barrier after its compute, its Puts and its flush — is
+//     switched in once, by its wake, and not also at its bank's end only to
+//     park. The events, their instants and keys are those of a Sync then a
+//     Park; only Handoffs falls.
 //
 // A pop takes the earliest of the heap's top and the lane and run heads, and
 // the zero-handoff test looks at all of them; the order is total, so the
@@ -330,7 +339,7 @@ type Engine struct {
 	// lines as they did before.
 	lanes  [sleepLanes]lane
 	nlanes int32
-	nobank bool // Charge is Advance (NoBank; tests only)
+	nobank bool // Charge is Advance (NoBank)
 	wakes  lane
 	spare  *laneBlock
 
@@ -420,8 +429,10 @@ func NewEngine() *Engine {
 // process's, its banked charges included.
 func (e *Engine) Now() Time { return e.now + e.bank }
 
-// NoBank makes Proc.Charge an Advance on this engine: the unbanked
-// reference that tests hold a banked run to. The runtime never sets it.
+// NoBank makes Proc.Charge an Advance on this engine from now on: the
+// unbanked reference that tests hold a banked run to, and what the runtime
+// runs a straggler plan's fork-join regions on. Either way every simulated
+// instant is the same; only Handoffs rises.
 func (e *Engine) NoBank() { e.nobank = true }
 
 // sync has the running process take its bank, if it holds one, before a
@@ -621,7 +632,7 @@ func (e *Engine) scheduleResume(p *Proc, t Time) {
 // p's kind of sleep when there is one and p is in AdvanceFunc (not replaying
 // a bank) or the heap is deep, on the heap otherwise.
 func (e *Engine) sleep(p *Proc, d Time) {
-	if steps := p.step != nil; steps && !p.replays || len(e.queue) >= deepQueue {
+	if steps := p.step != nil; steps && p.replay == noReplay || len(e.queue) >= deepQueue {
 		if l := e.lane(d, steps); l != nil {
 			e.seq++
 			e.pushLane(l, laneResume{at: e.now + d, key: e.seq, proc: p})
@@ -703,15 +714,15 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 // runSteps runs, on the dispatcher's stack, the step of p, whose sleep has
 // just ended (AdvanceFunc), and the steps after it for as long as the sleep
 // between two takes Advance's zero-handoff fast path. It reports whether
-// the last step has run: p is then resumed in this same event. Otherwise
-// p's next resume is queued and dispatch carries on. Every clock bump and
-// FIFO key is taken exactly where p, switched in, would have taken it.
+// the last step has run and p runs on (stepsDone): p is then resumed in
+// this same event. Otherwise p's next resume is queued, or p has parked,
+// and dispatch carries on. Every clock bump and FIFO key is taken exactly
+// where p, switched in, would have taken it.
 func (e *Engine) runSteps(p *Proc) bool {
 	for {
 		d, done := p.nextStep()
 		if done {
-			p.step = nil
-			return true
+			return p.stepsDone()
 		}
 		if d = p.scaled(d); !e.fastAdvance(d) {
 			e.sleep(p, d)
@@ -792,11 +803,14 @@ type Proc struct {
 	body   func(*Proc)
 	dead   bool
 	parked bool
-	// replays marks a step that is Sync replaying a bank (nextStep hands
-	// out its sleeps, which choose a lane as Advance's do, not as
-	// AdvanceFunc's); more marks a bank of more than its head.
-	replays, more bool
-	permits       int32 // with the four flags, one word: a Proc stays in the 96-byte size class
+	// replay says what p.step is: AdvanceFunc's step (noReplay), or a
+	// replay of the bank that ends in p's switch-in (syncReplay) or in its
+	// Park (parkReplay). A replay's sleeps come from nextStep and choose a
+	// lane as Advance's do, not as AdvanceFunc's. more marks a bank, or a
+	// replay, whose sleeps after its head are on the carrier's list.
+	replay  replayKind
+	more    bool
+	permits int32 // with the three flags and replay, one word: a Proc stays in the 96-byte size class
 
 	// livePrev/liveNext thread the engine's intrusive list of live
 	// processes; see procList.
@@ -882,17 +896,26 @@ func (p *Proc) Sync() {
 	}
 }
 
-// takeBank replays the running process p's bank; the bank must not be empty.
-// A bank of one sleep is that sleep's Advance, and leaves the carrier's
-// list, a cold line at thousands of ranks, alone.
+// replayKind is what a process's steps are doing (Proc.replay).
+type replayKind uint8
+
+const (
+	noReplay   replayKind = iota // AdvanceFunc's steps, or none
+	syncReplay                   // a bank's replay; p runs on when it ends
+	parkReplay                   // a bank's replay that ends in p's Park
+)
+
+// takeBank replays the running process p's bank, which must not be empty,
+// and switches p back in when it ends. A bank of one sleep is that sleep's
+// Advance, and leaves the carrier's list, a cold line at thousands of
+// ranks, alone.
 func (p *Proc) takeBank() {
 	p.eng.bank = 0
 	if !p.more {
 		p.advance(p.head)
 		return
 	}
-	p.more = false
-	p.step, p.replays = replaying, true
+	p.step, p.replay = replaying, syncReplay
 	p.stepLoop(p.head)
 }
 
@@ -903,18 +926,30 @@ func replaying() (Time, bool) { panic("sim: a bank's replay called as a step") }
 // replays its bank, the next banked sleep, done once every one has been
 // slept.
 func (p *Proc) nextStep() (Time, bool) {
-	if !p.replays {
+	if p.replay == noReplay {
 		return p.step()
 	}
-	l := p.car.bank
-	if l.taken == len(l.d) {
+	if p.more {
+		l := p.car.bank
+		if l.taken < len(l.d) {
+			d := l.d[l.taken]
+			l.taken++
+			return d, false
+		}
 		l.d, l.taken = l.d[:0], 0
-		p.replays = false
-		return 0, true
+		p.more = false
 	}
-	d := l.d[l.taken]
-	l.taken++
-	return d, false
+	return 0, true
+}
+
+// stepsDone ends p's steps, whose last one has reported done, and reports
+// whether p runs on now. It does unless the steps replayed the bank of a
+// Park and no permit is there to use: p is then parked, in whatever
+// context the last step ran.
+func (p *Proc) stepsDone() bool {
+	k := p.replay
+	p.step, p.replay = nil, noReplay
+	return k != parkReplay || !p.park()
 }
 
 // MustRun panics, naming both processes, unless p may make the blocking
@@ -1010,7 +1045,9 @@ func (p *Proc) stepLoop(d Time) {
 		// The sleep took the fast path: p runs this step itself.
 		var done bool
 		if d, done = p.nextStep(); done {
-			p.step = nil
+			if !p.stepsDone() {
+				p.yield() // parked
+			}
 			return
 		}
 	}
@@ -1021,15 +1058,21 @@ func (p *Proc) stepLoop(d Time) {
 // 10/1 means ten times slower). SetTimeScale(0, 0) — or any num <= 0 —
 // restores nominal speed. The scale applies at Advance time only; it never
 // reinterprets durations already slept. Unlike most Proc methods it touches
-// only this process's fields, so another process may call it too. Called
-// by a process on itself, it takes the process's bank first; called on a
-// process that is replaying a bank it panics, because the bank was summed
-// at the old scale and Now has already read it.
+// only this process's fields, so another process may call it too. Setting
+// the scale p already has does nothing. Changing it, called by a process on
+// itself, takes the process's bank first; called on a process that is
+// replaying a bank it panics, because the bank was summed at the old scale
+// and Now has already read it.
 func (p *Proc) SetTimeScale(num, den int64) {
-	if num > 0 && den <= 0 {
+	if num <= 0 {
+		num, den = 0, 0
+	} else if den <= 0 {
 		panic("sim: SetTimeScale with non-positive denominator")
 	}
-	if p.replays {
+	if num == p.scaleNum && den == p.scaleDen {
+		return
+	}
+	if p.replay != noReplay {
 		panic(fmt.Sprintf("sim: SetTimeScale on process %q while it replays its bank", p.Name))
 	}
 	if p == p.eng.current {
@@ -1041,15 +1084,33 @@ func (p *Proc) SetTimeScale(num, den int64) {
 // Park suspends the process until another process (or engine callback)
 // calls Wake. If Wake was already called since the last Park, the permit is
 // consumed and Park returns immediately without yielding the clock.
+//
+// A bank p holds is taken first, as a replay whose last sleep ends in the
+// Park itself: where that sleep ends in engine context, p parks there, or
+// uses up a permit and runs on in that event, and is not switched in only
+// to park.
 func (p *Proc) Park() {
 	p.MustRun("Park")
-	p.eng.sync()
-	if p.permits > 0 {
-		p.permits--
+	if p.eng.bank != 0 {
+		p.eng.bank = 0
+		p.step, p.replay = replaying, parkReplay
+		p.stepLoop(p.head)
 		return
 	}
+	if p.park() {
+		p.yield()
+	}
+}
+
+// park uses up one of p's permits, or marks p parked when it has none, and
+// reports whether it parked.
+func (p *Proc) park() bool {
+	if p.permits > 0 {
+		p.permits--
+		return false
+	}
 	p.parked = true
-	p.yield()
+	return true
 }
 
 // wakeNow is Wake for the dispatcher that has popped p's keyed wake: it
