@@ -439,7 +439,7 @@ func (e *Engine) NoBank() { e.nobank = true }
 // kernel entry that other processes can observe.
 func (e *Engine) sync() {
 	if e.bank != 0 {
-		e.current.takeBank()
+		e.current.takeBank(syncReplay)
 	}
 }
 
@@ -853,7 +853,7 @@ func (p *Proc) Advance(d Time) {
 		l := p.car.charges()
 		l.d = append(l.d, nonNegative(d))
 		p.more = true
-		p.takeBank()
+		p.takeBank(syncReplay)
 		return
 	}
 	p.advance(d)
@@ -892,7 +892,7 @@ func (p *Proc) Charge(d Time) {
 func (p *Proc) Sync() {
 	if p.eng.bank != 0 {
 		p.MustRun("Sync")
-		p.takeBank()
+		p.takeBank(syncReplay)
 	}
 }
 
@@ -906,16 +906,16 @@ const (
 )
 
 // takeBank replays the running process p's bank, which must not be empty,
-// and switches p back in when it ends. A bank of one sleep is that sleep's
-// Advance, and leaves the carrier's list, a cold line at thousands of
-// ranks, alone.
-func (p *Proc) takeBank() {
+// as a replay of kind k. A Sync's bank of one sleep is that sleep's Advance
+// and leaves the carrier's list, a cold line at thousands of ranks, alone;
+// a Park's is replayed like any other, so that its end can park.
+func (p *Proc) takeBank(k replayKind) {
 	p.eng.bank = 0
-	if !p.more {
+	if !p.more && k == syncReplay {
 		p.advance(p.head)
 		return
 	}
-	p.step, p.replay = replaying, syncReplay
+	p.step, p.replay = replaying, k
 	p.stepLoop(p.head)
 }
 
@@ -1092,9 +1092,7 @@ func (p *Proc) SetTimeScale(num, den int64) {
 func (p *Proc) Park() {
 	p.MustRun("Park")
 	if p.eng.bank != 0 {
-		p.eng.bank = 0
-		p.step, p.replay = replaying, parkReplay
-		p.stepLoop(p.head)
+		p.takeBank(parkReplay)
 		return
 	}
 	if p.park() {
