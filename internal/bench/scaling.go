@@ -7,9 +7,9 @@
 // the host can serve when they run concurrently on separate goroutines,
 // digest-verified against one another. The simulated half of every row
 // (sim_ns, events, the fleet's digest verdict) is gated through
-// BENCH_scaling.json, and so are the fork-join rows' handoffs — a host-side
-// count of process switches, not a simulated result, gated so that a kernel
-// fast path quietly undone shows; the rest of the host half (wall clock,
+// BENCH_scaling.json, and so is every row's handoffs — a host-side count of
+// process switches, not a simulated result, gated so that a kernel fast
+// path quietly undone shows; the rest of the host half (wall clock,
 // allocation, throughput) is listed in the report's Host and only printed —
 // unit costs are the business of the gated host-time benchmark in
 // benchmark/.
@@ -41,9 +41,9 @@ var scalingHost = []string{
 
 // scalingWorkloads are the sweep's workload archetypes. Each runs the
 // workload at the given rank count and returns the gated half of its row:
-// simulated ns and kernel events, and for fork-join the process switches
-// too — the count an idle worker that has to be switched in to find nothing
-// to steal would multiply.
+// simulated ns, kernel events and process switches — the count an idle
+// worker that has to be switched in to find nothing to steal would
+// multiply, and an SPMD rank switched in for a private wait too.
 var scalingWorkloads = []struct {
 	name string
 	run  func(ranks int) Metrics
@@ -67,7 +67,9 @@ var scalingWorkloads = []struct {
 // the run's duration (a no-op when the heartbeat is disarmed).
 func runHaloWatched(label string, cfg halo.Config) Metrics {
 	stop := func() {}
-	cfg.Observe = func(rt *ityr.Runtime) {
+	var rt *ityr.Runtime
+	cfg.Observe = func(r *ityr.Runtime) {
+		rt = r
 		stop = watchEngine(label, cfg.Ranks, rt.Engine())
 	}
 	res, err := halo.Run(cfg)
@@ -75,13 +77,13 @@ func runHaloWatched(label string, cfg halo.Config) Metrics {
 	if err != nil {
 		panic(err)
 	}
-	return Metrics{"sim_ns": float64(res.Elapsed), "events": float64(res.Events)}
+	return Metrics{"sim_ns": float64(res.Elapsed), "events": float64(res.Events), "handoffs": float64(rt.Engine().Stats().Handoffs)}
 }
 
 // ScalingSuite measures every workload at every rank count of the curve up
 // to sc.ScalingMaxRanks (rows workload/ranks), then runs the fleet (row
 // "fleet"), writing a human-readable table to w. Per row, sim_ns and events
-// are the simulated result; handoffs (fork-join rows) counts the kernel's
+// are the simulated result; handoffs counts the kernel's
 // switches between processes, a host-side number that a kernel fast path
 // may lower and nothing else may move; host_ms, events_per_sec (the host's
 // dispatch throughput) and alloc_bytes_per_rank (total host heap
