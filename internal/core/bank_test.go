@@ -17,18 +17,22 @@ import (
 // global memory whose home is its own (both ranks share a node, so the
 // checkin copies straight home), Puts it into two slots of rank 1's window
 // segment, one Put right after the other, flushes, and stores it into its
-// own segment right after the Flush, charging between the writes; rank 1
-// samples all four. Every 40 rounds both ranks charge and meet at a Barrier,
-// and rank 1 samples the instant it is released.
+// own segment right after the Flush, charging between the writes; then,
+// after another charge, Puts it into a slot of its own segment and one
+// more of rank 1's, and reads its own slot back; rank 1 samples all six.
+// Every 40 rounds both ranks charge and meet at a Barrier, and rank 1
+// samples the instant it is released.
 // Where a banked writer's bytes land is when the kernel runs it, not when
-// its clock says, unless the write takes its bank first — so the samples
-// differ as soon as a layer writes shared memory without syncing: the home
-// path's copy, rma's issue (the second Put holds the first one's banked
-// overhead), or a window store (it holds the Flush's banked wait). A
-// Barrier must record each rank's arrival with its bank, or the release
-// moves. The race runs at nominal speed and with the writer a 3× straggler,
-// whose charges are banked at its scale (the two must read differently, or
-// the slowdown was not in force).
+// its clock says, unless the write takes its bank first or is deferred to
+// the instant the bank reaches — so the samples differ as soon as a layer
+// writes shared memory without either: the home path's copy, rma's issue
+// (the second Put holds the first one's banked overhead), a word Put (the
+// last two hold a charge), or a window store (it holds the Flush's banked
+// wait). A rank's read of its own word must take its bank, or it reads its
+// own deferred Put unmade. A Barrier must record each rank's arrival with
+// its bank, or the release moves. The race runs at nominal speed and with
+// the writer a 3× straggler, whose charges are banked at its scale (the two
+// must read differently, or the slowdown was not in force).
 func TestBankedRaceReadsAsUnbanked(t *testing.T) {
 	slowWriter := &fault.Plan{Name: "slow-writer", Stragglers: []fault.Straggler{{Rank: 0, Num: 3, Den: 1}}}
 	var nominal, slow []string
@@ -47,9 +51,9 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 		if !bank {
 			rt.Engine().NoBank()
 		}
-		win := rt.NewWin(24)
+		win := rt.NewWin(40)
 		var addr pgas.Addr
-		var samples []string
+		var samples, own []string
 		err := rt.Run(func(s *SPMD) {
 			if s.Rank() == 0 {
 				addr = s.AllocCollective(64, pgas.BlockDist)
@@ -80,6 +84,10 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 					win.PutUint64(s, uint64(i), 1, 8)
 					s.Flush() // so that the next checkout's Flush does not wait
 					win.w.StoreLocalUint64(r, uint64(i), 16)
+					s.Charge(sim.Time(9 + 5*(i%4)))
+					win.PutUint64(s, uint64(i), 0, 24)
+					win.PutUint64(s, uint64(i), 1, 32)
+					own = append(own, fmt.Sprintf("%d self=%d", s.Now(), win.w.LocalUint64(r, 24)))
 					continue
 				}
 				s.Charge(sim.Time(25 + 97*(i%7)))
@@ -91,14 +99,15 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 				seg := win.Seg(s)
 				put, again := binary.LittleEndian.Uint64(seg), binary.LittleEndian.Uint64(seg[8:])
 				stored := win.w.GetUint64(r, 0, 16)
-				samples = append(samples, fmt.Sprintf("%d home=%d put=%d,%d stored=%d", s.Now(), home, put, again, stored))
+				wordPuts := [2]uint64{win.w.GetUint64(r, 0, 24), win.w.GetUint64(r, 1, 32)}
+				samples = append(samples, fmt.Sprintf("%d home=%d put=%d,%d stored=%d words=%d", s.Now(), home, put, again, stored, wordPuts))
 			}
 			s.Barrier()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return samples
+		return append(samples, own...)
 	}
 	banked, unbanked := run(true), run(false)
 	if !reflect.DeepEqual(banked, unbanked) {
@@ -112,15 +121,15 @@ func bankedRace(t *testing.T, plan *fault.Plan) []string {
 	return banked
 }
 
-// TestRingStepTakesThreeHandoffs pins what banking the one-sided layer's
-// private waits saves an SPMD ring, halo's step in small: a compute charge
-// and a Barrier, then a Put to each neighbour, a Flush and a Barrier. The
-// first Barrier's Park takes the compute charge; the second Put's issue
-// takes the first one's overhead, the one switch a step cannot save, since
-// the Put writes a segment another rank reads; the second Barrier's Park
-// takes the second overhead and the flush wait. A rank is switched in three
-// times a step: once by each wake and once at the end of that overhead.
-func TestRingStepTakesThreeHandoffs(t *testing.T) {
+// TestRingStepTakesTwoHandoffs pins what banking the one-sided layer's
+// private waits and word stores saves an SPMD ring, halo's step in small: a
+// compute charge and a Barrier, then a PutUint64 to each neighbour, a Flush
+// and a Barrier. The first Barrier's Park takes the compute charge; the
+// second Put's store is deferred behind the first one's banked overhead
+// (sim.Proc.Defer), and the second Barrier's Park takes the lot with the
+// second overhead and the flush wait. A rank is switched in twice a step:
+// once by each wake.
+func TestRingStepTakesTwoHandoffs(t *testing.T) {
 	const ranks, steps = 8, 5
 	rt := NewRuntime(Config{Ranks: ranks, CoresPerNode: 4})
 	win := rt.NewWin(16)
@@ -146,8 +155,8 @@ func TestRingStepTakesThreeHandoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := h1-h0, uint64(3*ranks*steps); got != want {
-		t.Errorf("%d handoffs over %d rank-steps, want %d: 3 a rank-step", got, ranks*steps, want)
+	if got, want := h1-h0, uint64(2*ranks*steps); got != want {
+		t.Errorf("%d handoffs over %d rank-steps, want %d: 2 a rank-step", got, ranks*steps, want)
 	}
 }
 

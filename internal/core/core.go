@@ -383,7 +383,8 @@ type Win struct{ w *rma.Win }
 func (rt *Runtime) NewWin(size int) *Win { return &Win{rt.comm.NewUniformWin(size)} }
 
 // Seg returns the calling rank's own segment, read and written directly.
-// Other ranks' Puts land in it, so the rank's banked charges are taken
+// Other ranks' Puts land in it, and so do the rank's own PutUint64s to
+// itself once its bank is taken, so the rank's banked charges are taken
 // first.
 func (w *Win) Seg(s *SPMD) []byte {
 	s.local.Rank().Proc().Sync()
@@ -391,7 +392,8 @@ func (w *Win) Seg(s *SPMD) []byte {
 }
 
 // PutUint64 starts a nonblocking little-endian write of v at byte off of
-// target's segment, complete after the caller's next Flush. An out-of-range
+// target's segment, complete after the caller's next Flush (MPI-3 RMA
+// semantics: until then the word at the target is undefined). An out-of-range
 // target or offset panics (rma.ErrRankOutOfRange, rma.ErrOutOfRange).
 func (w *Win) PutUint64(s *SPMD, v uint64, target, off int) {
 	w.w.PutUint64(s.local.Rank(), v, target, off)

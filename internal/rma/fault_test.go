@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -323,10 +324,13 @@ func TestGrowMidFlight(t *testing.T) {
 
 // TestGrowDuringBank: a Put or Get issued after banked charges must reach
 // the segment as it stands at the op's instant. Rank 1 reallocates its
-// segment inside each of rank 0's two banks, writing into it after the
-// first; rank 0's Get must read that write and its Put must land in the
-// live segment, as they do when every charge is an Advance. An op that looked its segment up before
-// taking the bank wrote the discarded array and read a stale one.
+// segment inside each of rank 0's three banks, writing into it after the
+// first; rank 0's Get must read that write, and its Put and its PutUint64
+// must land in the live segment, as they do when every charge is an
+// Advance. The PutUint64 is issued holding its bank, and its store is
+// deferred past the third Grow. An op that looked its segment up before
+// taking the bank, or at issue for a deferred store, wrote the discarded
+// array and read a stale one.
 func TestGrowDuringBank(t *testing.T) {
 	for _, bank := range []bool{true, false} {
 		e := sim.NewEngine()
@@ -345,6 +349,8 @@ func TestGrowDuringBank(t *testing.T) {
 					w.Get(r, 1, 20, got[:])
 					p.Charge(10 * sim.Microsecond)
 					w.Put(r, []byte{0xAB}, 1, 10)
+					p.Charge(10 * sim.Microsecond)
+					w.PutUint64(r, 0xC0FFEE, 1, 40)
 					r.Flush()
 				} else {
 					p.Advance(5 * sim.Microsecond)
@@ -352,6 +358,8 @@ func TestGrowDuringBank(t *testing.T) {
 					w.Seg(1)[20] = 0x77
 					p.Advance(15 * sim.Microsecond)
 					w.Grow(1, 1<<16)
+					p.Advance(10 * sim.Microsecond)
+					w.Grow(1, 1<<17)
 				}
 				r.Barrier()
 			})
@@ -359,8 +367,9 @@ func TestGrowDuringBank(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if seg := w.Seg(1); seg[10] != 0xAB || got[0] != 0x77 {
-			t.Errorf("bank=%v: the Put left seg[10] = %#x (want 0xab), the Get read %#x (want 0x77)", bank, seg[10], got[0])
+		if seg := w.Seg(1); seg[10] != 0xAB || got[0] != 0x77 || binary.LittleEndian.Uint64(seg[40:]) != 0xC0FFEE {
+			t.Errorf("bank=%v: the Put left seg[10] = %#x (want 0xab), the Get read %#x (want 0x77), the PutUint64 left %#x (want 0xc0ffee)",
+				bank, seg[10], got[0], binary.LittleEndian.Uint64(seg[40:]))
 		}
 	}
 }

@@ -5,9 +5,9 @@
 // Windows expose per-rank memory segments for one-sided Get/Put (nonblocking
 // until Flush) and remote atomics (blocking, as when offloaded to RDMA).
 // All costs are charged in virtual time through the netmodel parameters;
-// payload movement itself happens eagerly in host memory, which is sound
-// because Itoyori requires data-race-free programs — no conflicting access
-// can overlap an in-flight transfer.
+// payload movement itself happens eagerly in host memory, at the op's
+// issue instant, which is sound because Itoyori requires data-race-free
+// programs — no conflicting access can overlap an in-flight transfer.
 //
 // # Errors versus panics
 //
@@ -226,6 +226,8 @@ type Rank struct {
 	flushWaits         uint64
 	retries            uint64
 	retryNs            uint64
+
+	puts *wordPut // spent PutUint64 stores, for the rank's next ones
 }
 
 // ID returns the rank number.
@@ -492,7 +494,8 @@ func (r *Rank) Barrier() {
 // Win is a one-sided memory window: one segment of bytes per rank. Other
 // ranks read and write the segments, so every op that touches one first
 // takes the calling rank's banked charges (sim.Proc.Sync; the data
-// transfers take them in Rank.issue, right before their copy).
+// transfers take them in Rank.issue, right before their copy), but
+// PutUint64, whose store rides the bank instead (sim.Proc.Defer).
 type Win struct {
 	c    *Comm
 	id   int // creation-order number, a deterministic sort key
@@ -554,18 +557,19 @@ func (w *Win) Seg(i int) []byte { return w.segs[i] }
 // the equivalent of MPI_Win_create_dynamic + MPI_Win_attach for a heap that
 // grows on demand.
 //
-// Concurrent-epoch safety: window ops move payload eagerly at issue time,
-// so no in-flight transfer ever reads or writes the segment after Grow
-// returns — growing mid-flight cannot corrupt an outstanding op. Reads of
-// a just-grown segment by other ranks in the same epoch are well-defined
+// Concurrent-epoch safety: window ops move payload eagerly at their issue
+// instant, and look the segment up then (a deferred PutUint64 store
+// included), so no in-flight transfer ever reads or writes the segment after
+// Grow returns — growing mid-flight cannot corrupt an outstanding op. Reads
+// of a just-grown segment by other ranks in the same epoch are well-defined
 // under the kernel's one-process-at-a-time discipline: either the Grow fits
 // within the existing capacity, in which case the segment is extended in
 // place and every previously taken slice still aliases the same backing
 // array, or the backing array is reallocated. A reallocation at least
 // doubles the capacity, so a segment grown in small steps (pgas's
 // noncollective heap, which starts at one block) reallocates a logarithmic
-// number of times, not rarely; ops that re-resolve the segment through
-// Seg — as all window ops do — always see the live array.
+// number of times, not rarely; ops that re-resolve the segment through Seg —
+// as all window ops do — always see the live array.
 func (w *Win) Grow(rank, size int) {
 	cur := w.segs[rank]
 	if len(cur) >= size {
@@ -636,11 +640,62 @@ func (w *Win) GetUint64(r *Rank, target, off int) uint64 {
 	return v
 }
 
-// PutUint64 is a nonblocking 8-byte write.
+// PutUint64 is a nonblocking 8-byte write. The value travels with the op,
+// so unlike Put it does not take the rank's bank to stage it: a rank that
+// holds one defers the store to the instant the bank reaches
+// (sim.Proc.Defer), where an unbanked rank would make it, and the store
+// looks the segment up then, as it stands after any Grow in between. The
+// origin's accounting is made at issue, as Put's is. A range check that
+// fails at issue is made again after a sync, against the segment at the
+// op's instant, so the op panics only where the unbanked one would;
+// segments only grow, so a check that passes at issue passes at the store.
 func (w *Win) PutUint64(r *Rank, v uint64, target, off int) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Put(r, b[:], target, off)
+	if w.CheckAccess(target, off, 8) != nil {
+		r.proc.Sync()
+		w.check(target, off, 8)
+	}
+	st := r.puts
+	if st == nil {
+		st = &wordPut{r: r}
+	} else {
+		r.puts = st.next
+	}
+	st.w, st.target, st.off, st.v = w, target, off, v
+	if !r.proc.Defer(st) {
+		st.Apply()
+	}
+	r.retryFaults(target)
+	r.proc.Charge(r.c.net.MsgOverhead)
+	if now := r.proc.Now(); target != r.id {
+		if r.nicFree < now {
+			r.nicFree = now
+		}
+		ser, wire := r.c.net.Wire(r.id, target, 8)
+		r.nicFree += ser
+		wire += r.linkExtra(now, target, ser+wire)
+		if done := r.nicFree + wire; done > r.pending {
+			r.pending = done
+		}
+	}
+	r.putOps++
+	r.putBytes += 8
+	r.c.rec.RMA(r.id, target, trace.OpPut, 8)
+}
+
+// wordPut is the store of one PutUint64, applied at the op's instant
+// (sim.Effect); the record then goes back to its rank's free list.
+type wordPut struct {
+	r           *Rank
+	w           *Win
+	target, off int
+	v           uint64
+	next        *wordPut
+}
+
+// Apply stores the word into the target's segment as it stands now.
+func (st *wordPut) Apply() {
+	binary.LittleEndian.PutUint64(st.w.segs[st.target][st.off:], st.v)
+	st.w, st.next, st.r.puts = nil, st.r.puts, st
 }
 
 // LocalUint64 reads an 8-byte value from the rank's own segment without

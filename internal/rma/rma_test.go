@@ -2,8 +2,10 @@ package rma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"ityr/internal/netmodel"
 	"ityr/internal/sim"
@@ -347,5 +349,73 @@ func TestBarrierBudget(t *testing.T) {
 	// not a barrier's.
 	if mallocs/n != 0 {
 		t.Errorf("%d barriers on %d ranks allocated %d objects, want none per barrier", n, ranks, mallocs)
+	}
+}
+
+// TestWordPutRingStepZeroAllocs: a warm ring step of halo's shape — a
+// compute charge and a Barrier, a PutUint64 to each neighbour, a Flush and
+// a Barrier — allocates nothing. The second PutUint64 is issued holding the
+// first one's banked overhead, so its store is deferred (sim.Proc.Defer) in
+// a record from the rank's free list, onto a charge list already grown.
+func TestWordPutRingStepZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: keep other allocators off the count
+	const ranks, warm, n = 16, 4, 100
+	var mallocs uint64
+	e := sim.NewEngine()
+	c := New(e, ranks, netmodel.Default(4))
+	w := c.NewUniformWin(16)
+	step := func(r *Rank, i int) {
+		me := r.ID()
+		r.Proc().Charge(sim.Time(1000 + 10*me))
+		r.Barrier()
+		w.PutUint64(r, uint64(i), (me+ranks-1)%ranks, 8)
+		w.PutUint64(r, uint64(i), (me+1)%ranks, 0)
+		r.Flush()
+		r.Barrier()
+	}
+	body := func(r *Rank) {
+		for i := 0; i < warm; i++ {
+			step(r, i)
+		}
+		// The last rank is woken last: once it runs, every other rank has
+		// made its step's allocations, if any, and is parked.
+		last := r.ID() == ranks-1
+		var m0, m1 runtime.MemStats
+		if last {
+			runtime.ReadMemStats(&m0)
+		}
+		for i := 0; i < n; i++ {
+			step(r, warm+i)
+		}
+		if last {
+			runtime.ReadMemStats(&m1)
+			mallocs = m1.Mallocs - m0.Mallocs
+		}
+		r.Barrier() // nobody exits, handing its carrier back, inside the measurement
+	}
+	for i := 0; i < ranks; i++ {
+		r := c.Rank(i)
+		e.Spawn("rank", func(p *sim.Proc) {
+			r.Attach(p)
+			body(r)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(w.Seg(0)); got != warm+n-1 {
+		t.Fatalf("rank 0's left ghost reads %d, want %d", got, warm+n-1)
+	}
+	if mallocs/n != 0 {
+		t.Errorf("%d ring steps on %d ranks allocated %d objects, want none per step", n, ranks, mallocs)
+	}
+}
+
+// TestRankStaysInItsSizeClass: a Rank is one element of the communicator's
+// slab, touched by every one-sided op; PutUint64's free list took its last
+// free word of the allocator's 128-byte class.
+func TestRankStaysInItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Rank{}); size > 128 {
+		t.Fatalf("Rank is %d bytes, want at most 128", size)
 	}
 }

@@ -28,10 +28,21 @@ type carrier struct {
 
 // chargeList holds the sleeps a process has banked (Proc.Charge) after the
 // first, which is Proc.head, or is replaying, in order; taken counts the
-// ones handed out.
+// ones handed out. fx holds the effects deferred into the bank (Proc.Defer),
+// in order, each behind the sleeps banked before it; ran counts the ones
+// applied.
 type chargeList struct {
 	d     []Time
 	taken int
+	fx    []deferred
+	ran   int
+}
+
+// deferred is an effect of a bank and its place: after is how many of the
+// list's sleeps precede it, besides the head.
+type deferred struct {
+	after int
+	e     Effect
 }
 
 // charges returns c's list, made on first use; it stays with the carrier.

@@ -92,14 +92,24 @@
 //     instead of a pair per charge. That last premise is the caller's to
 //     keep: code between a Charge and the next kernel entry must touch
 //     nothing another process reads or writes (the layers Sync before
-//     they do). Only the running process can hold a bank, so its total
+//     they do), unless it defers the write: Proc.Defer queues an Effect
+//     behind the sleeps banked so far, and the replay applies it where
+//     the last of them ends — in engine context, or inline after a fast
+//     sleep — at the instant and FIFO position where the process, each
+//     charge an Advance, would have made the write itself. Every effect
+//     has been applied when the Sync, Park or exit that takes the bank
+//     returns; without a bank Defer declines, and the caller writes at
+//     once. A word Put needs no staging, so it defers its store
+//     (rma.Win.PutUint64) instead of syncing, and an SPMD rank holds its
+//     bank from one barrier wake to its next Park. Only the running
+//     process can hold a bank, so its total
 //     lives on the Engine; its first sleep is on the Proc and the rest,
-//     which a replay hands out, on the process's carrier. A bank of one
-//     sleep is taken as that sleep's Advance. A bank is summed at the time
-//     scale in force when each charge is made, so a process's scale may
-//     change only while it holds no bank: SetTimeScale on itself syncs
-//     first, and on a process replaying its bank it panics unless the scale
-//     is the one the process has.
+//     which a replay hands out, and its effects on the process's carrier.
+//     A bank of one sleep and no effect is taken as that sleep's Advance.
+//     A bank is summed at the time scale in force when each charge is
+//     made, so a process's scale may change only while it holds no bank:
+//     SetTimeScale on itself syncs first, and on a process replaying its
+//     bank it panics unless the scale is the one the process has.
 //   - A park takes its bank: Park replays a bank as Sync does, but its last
 //     sleep ends in the Park. Where that sleep ends in engine context the
 //     process parks right there, or uses up a permit and runs on in that
@@ -807,7 +817,8 @@ type Proc struct {
 	// replay of the bank that ends in p's switch-in (syncReplay) or in its
 	// Park (parkReplay). A replay's sleeps come from nextStep and choose a
 	// lane as Advance's do, not as AdvanceFunc's. more marks a bank, or a
-	// replay, whose sleeps after its head are on the carrier's list.
+	// replay, with sleeps after its head or deferred effects on the
+	// carrier's list.
 	replay  replayKind
 	more    bool
 	permits int32 // with the three flags and replay, one word: a Proc stays in the 96-byte size class
@@ -884,6 +895,31 @@ func (p *Proc) Charge(d Time) {
 	p.Advance(d)
 }
 
+// Effect is a write to state other processes read, deferred by a process
+// that holds a bank (Proc.Defer). Apply runs in engine context or on the
+// process's own stack; like an AdvanceFunc step, it must not block, and it
+// must not enter the kernel at all.
+type Effect interface{ Apply() }
+
+// Defer queues e behind the sleeps p has banked so far, to be applied
+// where p, each Charge an Advance, would apply it now: when the last of
+// those sleeps ends, in that instant's FIFO position and before the next
+// banked sleep begins, in engine context or on p's stack. Every effect
+// deferred has been applied by the time the Sync, Park or exit that takes
+// the bank returns. Without a bank, under NoBank too, Defer queues nothing
+// and reports false: the caller applies e itself, now. e must stay valid,
+// and unchanged, until it is applied.
+func (p *Proc) Defer(e Effect) bool {
+	p.MustRun("Defer")
+	if p.eng.bank == 0 {
+		return false
+	}
+	l := p.car.charges()
+	l.fx = append(l.fx, deferred{after: len(l.d), e: e})
+	p.more = true
+	return true
+}
+
 // Sync takes the sleeps p has banked with Charge: when Sync returns, p
 // stands at the instant Now read before it, and every event those sleeps
 // interleave with has run, exactly as if each Charge had been an Advance.
@@ -906,9 +942,10 @@ const (
 )
 
 // takeBank replays the running process p's bank, which must not be empty,
-// as a replay of kind k. A Sync's bank of one sleep is that sleep's Advance
-// and leaves the carrier's list, a cold line at thousands of ranks, alone;
-// a Park's is replayed like any other, so that its end can park.
+// as a replay of kind k. A Sync's bank of one sleep and no effect is that
+// sleep's Advance and leaves the carrier's list, a cold line at thousands
+// of ranks, alone; a Park's is replayed like any other, so that its end can
+// park.
 func (p *Proc) takeBank(k replayKind) {
 	p.eng.bank = 0
 	if !p.more && k == syncReplay {
@@ -923,20 +960,27 @@ func (p *Proc) takeBank(k replayKind) {
 func replaying() (Time, bool) { panic("sim: a bank's replay called as a step") }
 
 // nextStep runs p's step: the step AdvanceFunc was given or, while p
-// replays its bank, the next banked sleep, done once every one has been
-// slept.
+// replays its bank, the effects deferred behind the sleeps slept so far and
+// then the next banked sleep, done once every one has been slept.
 func (p *Proc) nextStep() (Time, bool) {
 	if p.replay == noReplay {
 		return p.step()
 	}
 	if p.more {
 		l := p.car.bank
+		for l.ran < len(l.fx) && l.fx[l.ran].after <= l.taken {
+			e := l.fx[l.ran].e
+			l.fx[l.ran].e = nil
+			l.ran++
+			e.Apply()
+		}
 		if l.taken < len(l.d) {
 			d := l.d[l.taken]
 			l.taken++
 			return d, false
 		}
 		l.d, l.taken = l.d[:0], 0
+		l.fx, l.ran = l.fx[:0], 0
 		p.more = false
 	}
 	return 0, true
